@@ -6,11 +6,12 @@
 //! (Section 4.1.3.1): each foreign-key field's scalar value is replaced
 //! by the referenced dimension document (Fig 4.5), via one
 //! `update(query, {$set …}, upsert:false, multi:true)` per dimension
-//! document — exactly the algorithm's step 10.
+//! document — exactly the algorithm's step 10, submitted as one ordered
+//! bulk write ([`Store::update_batch`]) the way a driver batches them.
 
 use crate::store::Store;
 use doclite_bson::{Document, Value};
-use doclite_docstore::{Filter, IndexDef, OrdValue, Result, UpdateSpec};
+use doclite_docstore::{BulkUpdate, Filter, IndexDef, OrdValue, Result, UpdateSpec};
 use doclite_tpcds::schema::{foreign_keys_of, TableId};
 use std::collections::HashMap;
 
@@ -56,19 +57,18 @@ pub fn embed_documents_from(
         let Some(pk) = doc.get(dim_pk).cloned() else { continue };
         map.insert(OrdValue(pk), doc);
     }
-    let mut report = EmbedReport { dim_docs: map.len(), facts_modified: 0 };
-    // Steps 9–11: one multi-update per dimension document.
-    for (pk, doc) in map {
-        let res = store.update(
-            fact,
-            &Filter::eq(fact_field, pk.into_value()),
-            &UpdateSpec::set(fact_field, Value::Document(doc)),
-            false,
-            true,
-        )?;
-        report.facts_modified += res.modified;
-    }
-    Ok(report)
+    // Steps 9–11: one multi-update per dimension document, sent as one
+    // ordered batch.
+    let ops: Vec<BulkUpdate> = map
+        .into_iter()
+        .map(|(pk, doc)| BulkUpdate {
+            filter: Filter::eq(fact_field, pk.into_value()),
+            spec: UpdateSpec::set(fact_field, Value::Document(doc)),
+            multi: true,
+        })
+        .collect();
+    let res = store.update_batch(fact, &ops)?;
+    Ok(EmbedReport { dim_docs: ops.len(), facts_modified: res.modified })
 }
 
 /// Conventional name for a denormalized fact collection.
@@ -138,27 +138,23 @@ fn expanded_dimension_docs(store: &dyn Store, dim: TableId) -> Vec<Document> {
 /// return).
 pub fn embed_store_returns(store: &dyn Store, sales_dn: &str, returns_dn: &str) -> Result<usize> {
     store.create_index(sales_dn, IndexDef::single("ss_ticket_number"))?;
-    let mut embedded = 0;
+    let mut ops = Vec::new();
     for mut ret in store.find(returns_dn, &Filter::True) {
         ret.remove("_id");
         let Some(ticket) = ret.get("sr_ticket_number").cloned() else { continue };
         // After denormalization sr_item_sk holds the embedded item
         // document; its primary key carries the raw join value.
         let Some(item) = ret.get_path("sr_item_sk.i_item_sk") else { continue };
-        let filter = Filter::and([
-            Filter::eq("ss_ticket_number", ticket),
-            Filter::eq("ss_item_sk.i_item_sk", item),
-        ]);
-        let res = store.update(
-            sales_dn,
-            &filter,
-            &UpdateSpec::set("ss_return", Value::Document(ret)),
-            false,
-            true,
-        )?;
-        embedded += res.modified;
+        ops.push(BulkUpdate {
+            filter: Filter::and([
+                Filter::eq("ss_ticket_number", ticket),
+                Filter::eq("ss_item_sk.i_item_sk", item),
+            ]),
+            spec: UpdateSpec::set("ss_return", Value::Document(ret)),
+            multi: true,
+        });
     }
-    Ok(embedded)
+    Ok(store.update_batch(sales_dn, &ops)?.modified)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ pub mod q7;
 
 use crate::store::Store;
 use doclite_bson::{Document, Value};
-use doclite_docstore::{Filter, FindOptions, IndexDef, Result};
+use doclite_docstore::{Filter, FindOptions, Result};
 use doclite_tpcds::{QueryId, QueryParams};
 
 /// Runs a query against the denormalized data model (experiments 3/6).
@@ -108,15 +108,6 @@ pub fn semi_join_into(
         d.remove("_id"); // fresh ids in the intermediate collection
     }
     store.insert_many(intermediate, docs)
-}
-
-/// Indexes the intermediate collection's embed-target fields so the
-/// `EmbedDocuments` updates take the `O(log m)` index path.
-pub fn index_fields(store: &dyn Store, collection: &str, fields: &[&str]) -> Result<()> {
-    for f in fields {
-        store.create_index(collection, IndexDef::single(*f))?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -157,8 +157,6 @@ pub fn run_normalized(store: &dyn Store, p: &Q46Params) -> Result<Vec<Document>>
     // customer's *current* address expanded (the outer query's
     // `current_addr` join).
     let addresses = store.find("customer_address", &Filter::True);
-    embed_documents_from(store, intermediate, "ss_addr_sk", "ca_address_sk", addresses.clone())?;
-
     let mut customers = store.find("customer", &Filter::True);
     // Expand c_current_addr_sk in memory (customer ⋈ current_addr).
     let addr_by_pk: std::collections::HashMap<i64, &Document> = addresses
@@ -174,6 +172,9 @@ pub fn run_normalized(store: &dyn Store, p: &Q46Params) -> Result<Vec<Document>>
             }
         }
     }
+    // Both embeds consume their rows, so the addresses are handed over
+    // only after the expansion above has read them.
+    embed_documents_from(store, intermediate, "ss_addr_sk", "ca_address_sk", addresses)?;
     embed_documents_from(store, intermediate, "ss_customer_sk", "c_customer_sk", customers)?;
 
     // Step iv: flatten and aggregate (same tail as denormalized).

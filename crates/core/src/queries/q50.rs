@@ -11,7 +11,8 @@ use crate::denormalize::embed_documents_from;
 use crate::store::Store;
 use doclite_bson::{Document, Value};
 use doclite_docstore::{
-    Accumulator, CmpOp, Expr, Filter, GroupId, Pipeline, ProjectField, Result, UpdateSpec,
+    Accumulator, BulkUpdate, CmpOp, Expr, Filter, GroupId, Pipeline, ProjectField, Result,
+    UpdateSpec,
 };
 use doclite_tpcds::queries::Q50Params;
 use doclite_tpcds::QueryId;
@@ -171,7 +172,9 @@ pub fn run_normalized(store: &dyn Store, p: &Q50Params) -> Result<Vec<Document>>
     )?;
 
     // Step iii-a: embed each return into its matching sale line (ticket,
-    // item, customer) — one targeted multi-update per return document.
+    // item, customer) — one targeted multi-update per return document,
+    // sent as one ordered batch.
+    let mut embeds = Vec::with_capacity(returns.len());
     for mut ret in returns {
         ret.remove("_id");
         let (Some(ticket), Some(item), Some(customer)) = (
@@ -181,18 +184,17 @@ pub fn run_normalized(store: &dyn Store, p: &Q50Params) -> Result<Vec<Document>>
         ) else {
             continue;
         };
-        store.update(
-            intermediate,
-            &Filter::and([
+        embeds.push(BulkUpdate {
+            filter: Filter::and([
                 Filter::eq("ss_ticket_number", ticket),
                 Filter::eq("ss_item_sk", item),
                 Filter::eq("ss_customer_sk", customer),
             ]),
-            &UpdateSpec::set("sr", Value::Document(ret)),
-            false,
-            true,
-        )?;
+            spec: UpdateSpec::set("sr", Value::Document(ret)),
+            multi: true,
+        });
     }
+    store.update_batch(intermediate, &embeds)?;
 
     // Step iii-b: embed store (the grouping dimension).
     let stores = store.find("store", &Filter::True);

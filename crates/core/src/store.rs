@@ -8,7 +8,8 @@
 
 use doclite_bson::Document;
 use doclite_docstore::{
-    Database, Filter, FindOptions, IndexDef, Pipeline, Result, UpdateResult, UpdateSpec,
+    BulkUpdate, Database, Filter, FindOptions, IndexDef, Pipeline, Result, UpdateResult,
+    UpdateSpec,
 };
 use doclite_sharding::Mongos;
 
@@ -47,6 +48,21 @@ pub trait Store: Sync {
         upsert: bool,
         multi: bool,
     ) -> Result<UpdateResult>;
+
+    /// An ordered bulk update: the statements of `ops` applied in order
+    /// (none upserts), stopping at the first error, with the summed
+    /// counts returned. The provided body issues one [`Store::update`]
+    /// per statement; [`Database`] and [`Mongos`] override it with their
+    /// batched paths (one lock and group commit; one exchange per shard
+    /// group). `EmbedDocuments` submits its per-dimension-document
+    /// updates through this.
+    fn update_batch(&self, collection: &str, ops: &[BulkUpdate]) -> Result<UpdateResult> {
+        let mut total = UpdateResult::default();
+        for op in ops {
+            total.absorb(&self.update(collection, &op.filter, &op.spec, false, op.multi)?);
+        }
+        Ok(total)
+    }
 
     /// Runs an aggregation pipeline (materializing `$out` if present).
     fn aggregate(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>>;
@@ -99,6 +115,10 @@ impl Store for Database {
         self.collection(collection).update(filter, spec, upsert, multi)
     }
 
+    fn update_batch(&self, collection: &str, ops: &[BulkUpdate]) -> Result<UpdateResult> {
+        self.collection(collection).update_batch(ops)
+    }
+
     fn aggregate(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
         Database::aggregate(self, collection, pipeline)
     }
@@ -148,6 +168,10 @@ impl Store for Mongos {
         multi: bool,
     ) -> Result<UpdateResult> {
         Mongos::update(self, collection, filter, spec, upsert, multi)
+    }
+
+    fn update_batch(&self, collection: &str, ops: &[BulkUpdate]) -> Result<UpdateResult> {
+        Mongos::update_batch(self, collection, ops)
     }
 
     fn aggregate(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {

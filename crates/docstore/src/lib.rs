@@ -60,7 +60,7 @@ pub use index::{IndexDef, IndexKind, SortOrder};
 pub use ordvalue::{CompoundKey, OrdValue};
 pub use query::{compile, matches_compiled, CmpOp, CompiledFilter, Filter};
 pub use storage::{crc32, Crc32, DocId, StorageFaults};
-pub use update::{UpdateOp, UpdateResult, UpdateSpec};
+pub use update::{BulkUpdate, UpdateOp, UpdateResult, UpdateSpec};
 pub use changes::{watch, ChangeCursor, ChangeEvent, ChangeScope};
 pub use views::{ViewSet, ViewStats};
 pub use wal::{

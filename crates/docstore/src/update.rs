@@ -7,6 +7,7 @@
 
 use crate::error::{Error, Result};
 use crate::query::filter::{CmpOp, Filter};
+use doclite_bson::codec::{encoded_size, encoded_value_size};
 use doclite_bson::{Document, Value};
 
 /// A single update operator application.
@@ -65,6 +66,23 @@ impl UpdateSpec {
         self.push_op(UpdateOp::Push(path.into(), value.into()))
     }
 
+    /// Encoded size of the values this update carries — what travels
+    /// from the router to a shard besides the fixed request header. An
+    /// `EmbedDocuments` `$set` carries a whole dimension document.
+    pub fn payload_size(&self) -> usize {
+        match self {
+            UpdateSpec::Replace(body) => encoded_size(body),
+            UpdateSpec::Ops(ops) => ops
+                .iter()
+                .map(|op| match op {
+                    UpdateOp::Set(_, v) | UpdateOp::Push(_, v) => encoded_value_size(v),
+                    UpdateOp::Inc(..) => 8, // one double
+                    UpdateOp::Unset(_) => 0,
+                })
+                .sum(),
+        }
+    }
+
     /// Appends an operator. Panics on a [`UpdateSpec::Replace`] spec:
     /// replacement and operator updates are mutually exclusive, and
     /// dropping the chained operator on the floor would silently lose a
@@ -83,6 +101,17 @@ impl UpdateSpec {
     }
 }
 
+/// One statement of an ordered bulk update
+/// ([`crate::Collection::update_batch`]): the selection criteria,
+/// modification and `multi` flag of the four-parameter update. Bulk
+/// statements never upsert.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BulkUpdate {
+    pub filter: Filter,
+    pub spec: UpdateSpec,
+    pub multi: bool,
+}
+
 /// Outcome of an update call.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct UpdateResult {
@@ -92,6 +121,14 @@ pub struct UpdateResult {
     pub modified: usize,
     /// `_id` of a document created by upsert, if any.
     pub upserted_id: Option<Value>,
+}
+
+impl UpdateResult {
+    /// Adds another call's matched/modified counts to this running total.
+    pub fn absorb(&mut self, other: &UpdateResult) {
+        self.matched += other.matched;
+        self.modified += other.modified;
+    }
 }
 
 /// Applies an update spec to a document in place. Returns whether the

@@ -6,7 +6,7 @@
 
 use doclite_bson::doc;
 use doclite_docstore::wal::{db_fingerprint, DurableDb, SyncPolicy, WalOptions};
-use doclite_docstore::{Filter, StorageFaults, UpdateSpec};
+use doclite_docstore::{BulkUpdate, Filter, StorageFaults, UpdateSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,17 +59,21 @@ fn fingerprint_of_prefix(dir: &PathBuf, bytes: &[u8], cut: usize) -> doclite_bso
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Cut the log at every byte boundary of the final frame: recovery
-    /// must equal the state as of the last intact commit, and the cut
-    /// bytes must register as a torn tail (except at the exact frame
-    /// boundary, where nothing is torn).
+    /// Cut the log at every byte of the final insert frame and of every
+    /// frame a trailing bulk update wrote: recovery must equal the state
+    /// as of the last intact frame, and the cut bytes must register as a
+    /// torn tail (except at an exact frame boundary, where nothing is
+    /// torn). A bulk update is one group commit but one frame per
+    /// modified document, so a crash inside it keeps the statements (and
+    /// documents) whose frames made it — a prefix, never a mixture.
     #[test]
     fn prefix_cut_recovers_last_intact_commit(
         keys in proptest::collection::vec(0i64..1_000_000, 2..7),
         pad in 1usize..40,
+        bulk in proptest::collection::vec((0usize..7, 1i64..1_000_000), 0..4),
     ) {
         let base = tmp("prefix");
-        {
+        let modified = {
             let (d, _) = DurableDb::open("db", &base, opts()).unwrap();
             let c = d.db().collection("c");
             for (i, k) in keys.iter().enumerate() {
@@ -77,30 +81,41 @@ proptest! {
                 c.insert_one(doc! {"_id" => i as i64, "k" => *k, "pad" => "x".repeat(pad)})
                     .unwrap();
             }
-        }
+            // Statements may hit the same document twice (a chain of
+            // post-images) or set a value it already has (no frame).
+            let statements: Vec<BulkUpdate> = bulk
+                .iter()
+                .map(|(target, k)| BulkUpdate {
+                    filter: Filter::eq("_id", (target % keys.len()) as i64),
+                    spec: UpdateSpec::set("k", -*k),
+                    multi: true,
+                })
+                .collect();
+            c.update_batch(&statements).unwrap().modified
+        };
         let bytes = std::fs::read(base.join("wal.log")).unwrap();
         let bounds = frame_boundaries(&bytes);
-        prop_assert_eq!(bounds.len() - 1, keys.len(), "one frame per insert");
-        let prev = bounds[bounds.len() - 2];
-        let end = *bounds.last().unwrap();
-        prop_assert_eq!(end, bytes.len(), "no trailing garbage in a clean log");
+        let frames = keys.len() + modified;
+        prop_assert_eq!(bounds.len() - 1, frames, "one frame per insert and per modified doc");
+        prop_assert_eq!(*bounds.last().unwrap(), bytes.len(), "no trailing garbage in a clean log");
 
         let trial = tmp("prefix-trial");
-        let expect_prev = fingerprint_of_prefix(&trial, &bytes, prev);
-        let expect_full = fingerprint_of_prefix(&trial, &bytes, end);
-        prop_assert_ne!(&expect_prev, &expect_full);
-
-        for cut in prev..end {
-            let _ = std::fs::remove_dir_all(&trial);
-            std::fs::create_dir_all(&trial).unwrap();
-            std::fs::write(trial.join("wal.log"), &bytes[..cut]).unwrap();
-            let (d, report) = DurableDb::open("db", &trial, opts()).unwrap();
-            prop_assert_eq!(&db_fingerprint(d.db()), &expect_prev, "cut at byte {}", cut);
-            prop_assert_eq!(report.torn_tail, cut > prev, "cut at byte {}", cut);
-            prop_assert_eq!(report.frames_replayed as usize, keys.len() - 1);
+        // From the last insert's frame on: every frame start is a state.
+        for frame in keys.len() - 1..frames {
+            let (prev, end) = (bounds[frame], bounds[frame + 1]);
+            let expect_prev = fingerprint_of_prefix(&trial, &bytes, prev);
+            let expect_full = fingerprint_of_prefix(&trial, &bytes, end);
+            prop_assert_ne!(&expect_prev, &expect_full);
+            for cut in prev..end {
+                let _ = std::fs::remove_dir_all(&trial);
+                std::fs::create_dir_all(&trial).unwrap();
+                std::fs::write(trial.join("wal.log"), &bytes[..cut]).unwrap();
+                let (d, report) = DurableDb::open("db", &trial, opts()).unwrap();
+                prop_assert_eq!(&db_fingerprint(d.db()), &expect_prev, "cut at byte {}", cut);
+                prop_assert_eq!(report.torn_tail, cut > prev, "cut at byte {}", cut);
+                prop_assert_eq!(report.frames_replayed as usize, frame);
+            }
         }
-        let full = fingerprint_of_prefix(&trial, &bytes, end);
-        prop_assert_eq!(&full, &expect_full);
 
         std::fs::remove_dir_all(&base).unwrap();
         std::fs::remove_dir_all(&trial).unwrap();

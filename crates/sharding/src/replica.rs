@@ -24,7 +24,7 @@
 use doclite_bson::Document;
 use doclite_docstore::wal::{apply_record, DurableDb, RecoveryReport, SyncPolicy, Wal, WalOptions};
 use doclite_docstore::{
-    Database, Error, Filter, FindOptions, IndexDef, Result, UpdateResult, UpdateSpec,
+    BulkUpdate, Database, Error, Filter, FindOptions, IndexDef, Result, UpdateResult, UpdateSpec,
 };
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
@@ -466,6 +466,23 @@ impl ReplicaSet {
             },
         )?;
         Ok(result)
+    }
+
+    /// Applies an ordered bulk update under a write concern: the primary
+    /// runs the batch (one lock, one group commit), then every healthy
+    /// secondary runs the same batch — bulk statements never upsert, so
+    /// re-execution is deterministic across members.
+    pub fn update_batch(
+        &self,
+        collection: &str,
+        ops: &[&BulkUpdate],
+        concern: WriteConcern,
+    ) -> Result<UpdateResult> {
+        self.replicate_with(
+            concern,
+            |db| db.collection(collection).update_batch(ops.iter().copied()),
+            |db, _| db.collection(collection).update_batch(ops.iter().copied()).map(|_| ()),
+        )
     }
 
     /// Deletes under a write concern; returns the primary's count.

@@ -3,18 +3,19 @@
 //! results, and triggers chunk splits.
 
 use crate::chunk::{KeyBound, ShardId};
-use crate::config::ConfigServer;
+use crate::config::{CollectionMeta, ConfigServer};
 use crate::network::{Faults, NetMode, NetStats, NetworkModel, RetryPolicy};
-use crate::replica::{ReadPreference, WriteConcern};
+use crate::replica::{ReadPreference, ReplicaSet, WriteConcern};
 use crate::shard::Shard;
 use crate::targeting::{target, Targeting};
 use doclite_bson::{codec::encoded_size, Document};
 use doclite_docstore::agg::stream;
 use doclite_docstore::{
-    compile, project_paths, CompoundKey, Error, Filter, FindOptions, IndexDef, Pipeline, Result,
-    Stage, UpdateResult, UpdateSpec,
+    compile, project_paths, BulkUpdate, CompoundKey, Error, Filter, FindOptions, IndexDef,
+    Pipeline, Result, Stage, UpdateResult, UpdateSpec,
 };
 use parking_lot::{Mutex, RwLock};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -253,7 +254,7 @@ impl Mongos {
     /// per-op deadline. The retry *is* the refresh: each attempt reads
     /// fresh metadata, so once the migration's config flip lands the
     /// operation re-targets the new owner.
-    fn with_stale_retry<T>(&self, op: impl Fn() -> Result<T>) -> Result<T> {
+    fn with_stale_retry<T>(&self, mut op: impl FnMut() -> Result<T>) -> Result<T> {
         let mut attempt = 0u32;
         let mut waited = Duration::ZERO;
         loop {
@@ -413,7 +414,7 @@ impl Mongos {
             let shard_id = meta.chunks[meta.chunk_for(&key)].shard;
             let routed = self.shard(shard_id).and_then(|shard| {
                 self.write_exchange(shard_id, bytes, || {
-                    shard.owned_write(collection, &key, || {
+                    shard.owned_write(collection, std::slice::from_ref(&key), || {
                         shard.replica_set().insert_one(
                             collection,
                             slot.take().expect("document consumed at most once"),
@@ -835,15 +836,25 @@ impl Mongos {
     /// The routing decision for a filter (exposed for tests/benches and
     /// explain-style reporting).
     pub fn explain_targeting(&self, collection: &str, filter: &Filter) -> Targeting {
-        match self.config.meta(collection) {
+        self.targeting_in(self.config.meta(collection).as_ref(), filter)
+    }
+
+    fn targeting_in(&self, meta: Option<&CollectionMeta>, filter: &Filter) -> Targeting {
+        match meta {
             None => Targeting::Targeted(vec![self.primary]),
-            Some(meta) => target(&meta, filter),
+            Some(meta) => target(meta, filter),
         }
     }
 
     fn route(&self, collection: &str, filter: &Filter) -> Vec<ShardId> {
-        let t = self.explain_targeting(collection, filter);
-        let shards = t.shards().to_vec();
+        self.route_in(self.config.meta(collection).as_ref(), filter)
+    }
+
+    /// [`Mongos::route`] against an already-fetched metadata snapshot
+    /// (`None` = unsharded), so a bulk write routes every statement
+    /// from one snapshot.
+    fn route_in(&self, meta: Option<&CollectionMeta>, filter: &Filter) -> Vec<ShardId> {
+        let shards = self.targeting_in(meta, filter).shards().to_vec();
         if shards.is_empty() {
             vec![self.primary]
         } else {
@@ -958,20 +969,32 @@ impl Mongos {
 
     /// The shard-key point a single-shard filter pins, if any — the
     /// ownership-check anchor shared by point reads, counts, and
-    /// updates. `None` for broadcasts and unsharded collections.
+    /// updates. `None` for broadcasts, unsharded collections, and
+    /// filters that reach one shard without pinning every key field by
+    /// equality (a range, an `$in`): those have no single key to anchor
+    /// on, and a key padded with nulls would test the ownership of the
+    /// lowest chunk instead.
     fn point_key(
         &self,
         collection: &str,
         filter: &Filter,
         shard_ids: &[ShardId],
-    ) -> Option<doclite_docstore::CompoundKey> {
+    ) -> Option<CompoundKey> {
+        Self::point_key_in(self.config.meta(collection).as_ref(), filter, shard_ids)
+    }
+
+    fn point_key_in(
+        meta: Option<&CollectionMeta>,
+        filter: &Filter,
+        shard_ids: &[ShardId],
+    ) -> Option<CompoundKey> {
         if shard_ids.len() != 1 {
             return None;
         }
-        self.config.meta(collection).map(|meta| {
-            meta.key
-                .extract(&doclite_docstore::update::upsert_seed(filter))
-        })
+        let meta = meta?;
+        let seed = doclite_docstore::update::upsert_seed(filter);
+        let pinned = meta.key.fields().iter().all(|f| seed.get_path(f).is_some());
+        pinned.then(|| meta.key.extract(&seed))
     }
 
     fn count_once(&self, collection: &str, filter: &Filter) -> Result<usize> {
@@ -1025,6 +1048,33 @@ impl Mongos {
         self.with_stale_retry(|| self.update_once(collection, filter, spec, upsert, multi))
     }
 
+    /// Request-header bytes of one update exchange; the statements'
+    /// encoded payloads ([`UpdateSpec::payload_size`]) come on top.
+    const UPDATE_HEADER: usize = 64;
+
+    /// One router→shard update exchange, shared by single updates and
+    /// bulk groups: the fault plan and retry policy apply to the whole
+    /// request, every key in `keys` is ownership-checked under one hold
+    /// of the shard's ownership lock *before* `run` applies anything
+    /// (so a bounced request has applied nothing and can be re-sent),
+    /// and the network is charged the header plus `payload` bytes.
+    fn update_leg(
+        &self,
+        shard_id: ShardId,
+        collection: &str,
+        keys: &[CompoundKey],
+        payload: usize,
+        run: impl FnOnce(&ReplicaSet) -> Result<UpdateResult>,
+    ) -> Result<UpdateResult> {
+        let shard = self.shard(shard_id)?;
+        let bytes = Self::UPDATE_HEADER + payload;
+        let r = self.write_exchange(shard_id, bytes, || {
+            shard.owned_write(collection, keys, || run(shard.replica_set()))
+        })?;
+        self.stats.charge(&self.network, bytes);
+        Ok(r)
+    }
+
     fn update_once(
         &self,
         collection: &str,
@@ -1042,26 +1092,14 @@ impl Mongos {
         let point_key = self.point_key(collection, filter, &shard_ids);
         let mut total = UpdateResult::default();
         for id in &shard_ids {
-            let shard = self.shard(*id)?;
-            let r = self.write_exchange(*id, 64, || {
-                let run = || {
-                    shard.replica_set().update(
-                        collection,
-                        filter,
-                        spec,
-                        false,
-                        multi,
-                        self.write_concern,
-                    )
-                };
-                match &point_key {
-                    Some(key) => shard.owned_write(collection, key, run),
-                    None => run(),
-                }
-            })?;
-            self.stats.charge(&self.network, 64);
-            total.matched += r.matched;
-            total.modified += r.modified;
+            let r = self.update_leg(
+                *id,
+                collection,
+                point_key.as_slice(),
+                spec.payload_size(),
+                |rs| rs.update(collection, filter, spec, false, multi, self.write_concern),
+            )?;
+            total.absorb(&r);
             if !multi && total.matched > 0 {
                 break;
             }
@@ -1076,27 +1114,134 @@ impl Mongos {
                 }
                 None => (self.primary, None),
             };
-            let shard = self.shard(shard_id)?;
-            let r = self.write_exchange(shard_id, 64, || {
-                let run = || {
-                    shard.replica_set().update(
-                        collection,
-                        filter,
-                        spec,
-                        true,
-                        multi,
-                        self.write_concern,
-                    )
-                };
-                match &seed_key {
-                    Some(key) => shard.owned_write(collection, key, run),
-                    None => run(),
-                }
-            })?;
-            self.stats.charge(&self.network, 64);
+            let r = self.update_leg(
+                shard_id,
+                collection,
+                seed_key.as_slice(),
+                spec.payload_size(),
+                |rs| rs.update(collection, filter, spec, true, multi, self.write_concern),
+            )?;
             total.upserted_id = r.upserted_id;
         }
         Ok(total)
+    }
+
+    /// Routes an ordered bulk update (statements never upsert).
+    ///
+    /// Statements are grouped by target shard — a broadcast statement
+    /// joins every shard's group — keeping their relative order, and
+    /// each shard receives its group in [`Self::WRITE_BATCH`]-sized
+    /// exchanges (an unsharded collection's whole batch goes to the
+    /// primary shard). Shards hold disjoint documents, so per-shard
+    /// order is the batch's order for every document. The first
+    /// statement error stops the batch; exchanges already applied, on
+    /// this shard or others, stay applied.
+    ///
+    /// A `multi: false` statement that reaches several shards stops at
+    /// the first shard that matches (the [`Mongos::update`] rule), which
+    /// per-shard groups cannot express: it runs alone, in order, between
+    /// the grouped runs.
+    pub fn update_batch(&self, collection: &str, ops: &[BulkUpdate]) -> Result<UpdateResult> {
+        let mut total = UpdateResult::default();
+        let mut run: Vec<&BulkUpdate> = Vec::with_capacity(ops.len());
+        let meta = self.config.meta(collection);
+        for op in ops {
+            if !op.multi && self.route_in(meta.as_ref(), &op.filter).len() > 1 {
+                self.update_grouped(collection, &run, &mut total)?;
+                run.clear();
+                total.absorb(&self.update(collection, &op.filter, &op.spec, false, false)?);
+            } else {
+                run.push(op);
+            }
+        }
+        self.update_grouped(collection, &run, &mut total)?;
+        Ok(total)
+    }
+
+    /// Sends a run of statements grouped per shard, re-sending bounced
+    /// exchanges under the stale-route retry policy until none is owed.
+    fn update_grouped(
+        &self,
+        collection: &str,
+        ops: &[&BulkUpdate],
+        total: &mut UpdateResult,
+    ) -> Result<()> {
+        if ops.is_empty() {
+            return Ok(());
+        }
+        // (statement, the one shard it is still owed to — `None` =
+        // wherever fresh routing sends it), in statement order.
+        let mut owed: Vec<(usize, Option<ShardId>)> = (0..ops.len()).map(|i| (i, None)).collect();
+        self.with_stale_retry(|| self.update_round(collection, ops, &mut owed, total))
+    }
+
+    /// One routing round of [`Mongos::update_grouped`]: routes every
+    /// owed statement from one fresh metadata snapshot and sends each
+    /// shard its group. A bounced exchange applied nothing, so it and
+    /// the rest of that shard's group go back on the owed list — point
+    /// statements to be re-routed, broadcast statements still owed to
+    /// that shard only (the others already have them, so re-routing
+    /// would double-apply) — and the round reports the stale route.
+    fn update_round(
+        &self,
+        collection: &str,
+        ops: &[&BulkUpdate],
+        owed: &mut Vec<(usize, Option<ShardId>)>,
+        total: &mut UpdateResult,
+    ) -> Result<()> {
+        let meta = self.config.meta(collection);
+        let mut groups: BTreeMap<ShardId, Vec<(usize, Option<CompoundKey>)>> = BTreeMap::new();
+        for (i, only) in owed.drain(..) {
+            match only {
+                // A shard that left the cluster was drained into the
+                // others, which have this statement already.
+                Some(id) if self.shard(id).is_err() => {}
+                Some(id) => groups.entry(id).or_default().push((i, None)),
+                None => {
+                    let targets = self.route_in(meta.as_ref(), &ops[i].filter);
+                    let key = Self::point_key_in(meta.as_ref(), &ops[i].filter, &targets);
+                    for id in targets {
+                        groups.entry(id).or_default().push((i, key.clone()));
+                    }
+                }
+            }
+        }
+        let mut stale = None;
+        for (id, group) in groups {
+            let mut sent = 0;
+            while sent < group.len() {
+                let exchange = &group[sent..group.len().min(sent + Self::WRITE_BATCH)];
+                let batch: Vec<&BulkUpdate> = exchange.iter().map(|(i, _)| ops[*i]).collect();
+                let keys: Vec<CompoundKey> =
+                    exchange.iter().filter_map(|(_, key)| key.clone()).collect();
+                let payload = batch.iter().map(|op| op.spec.payload_size()).sum();
+                match self.update_leg(id, collection, &keys, payload, |rs| {
+                    rs.update_batch(collection, &batch, self.write_concern)
+                }) {
+                    Ok(r) => {
+                        total.absorb(&r);
+                        sent += exchange.len();
+                    }
+                    Err(Error::StaleRoute(msg)) => {
+                        // Later exchanges to this shard wait behind the
+                        // bounced one, or they would overtake it.
+                        owed.extend(
+                            group[sent..].iter().map(|(i, key)| (*i, key.is_none().then_some(id))),
+                        );
+                        stale = Some(msg);
+                        break;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        match stale {
+            None => Ok(()),
+            Some(msg) => {
+                owed.sort_by_key(|(i, _)| *i);
+                Err(Error::StaleRoute(msg))
+            }
+        }
     }
 
     /// Routes a delete.
@@ -1302,9 +1447,9 @@ impl Mongos {
     ///    [`Error::StaleRoute`] (the router retries it until step 4
     ///    re-targets it at the destination).
     /// 2. **Scan** the source for the chunk's resident documents —
-    ///    complete by step 1 — and **copy** them to the destination
-    ///    (reclaiming the range there first, in case it migrated away
-    ///    from the destination earlier).
+    ///    complete by step 1 — and **copy** them to the destination,
+    ///    which reclaims the range (in case it migrated away from there
+    ///    earlier) only once the copies have landed.
     /// 3. **Flip** the routing table. New traffic now targets the
     ///    destination, where the copies already are.
     /// 4. **Delete** the copied documents from the source by `_id`.
@@ -1352,7 +1497,6 @@ impl Mongos {
             .map(|d| d.id().expect("stored docs have _id").clone())
             .collect();
 
-        dest.reclaim_range(collection, &chunk.min, &chunk.max);
         if let Err(e) = dest
             .replica_set()
             .insert_many(collection, moving, WriteConcern::W1)
@@ -1367,10 +1511,14 @@ impl Mongos {
                     WriteConcern::W1,
                 );
             }
-            dest.surrender_range(collection, chunk.min.clone(), chunk.max.clone());
             src.reclaim_range(collection, &chunk.min, &chunk.max);
             return Err(e);
         }
+        // Only now does the destination accept writes for the range (it
+        // may have surrendered it in an earlier migration): a write
+        // routed from a stale snapshot that reached it before the copy
+        // landed would have found nothing to update.
+        dest.reclaim_range(collection, &chunk.min, &chunk.max);
 
         // Step 3: flip routing. The chunk is re-located by occupancy
         // under the config lock — concurrent splits may have shifted

@@ -169,16 +169,24 @@ impl Shard {
     /// migration's surrender-then-scan: either it lands before the
     /// surrender (and the scan copies it) or it observes the surrender
     /// and bounces with [`Error::StaleRoute`] without running `op`.
+    /// A bulk write passes every key it addresses: one surrendered key
+    /// bounces the whole request before any of it applies. No keys (a
+    /// broadcast, an unsharded collection) means nothing to check.
     pub fn owned_write<T>(
         &self,
         collection: &str,
-        key: &CompoundKey,
+        keys: &[CompoundKey],
         op: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
+        if keys.is_empty() {
+            return op();
+        }
         let table = self.surrendered.read();
         let stale = table.get(collection).is_some_and(|ranges| {
-            ranges.iter().any(|(min, max)| {
-                min.cmp_key(key) != Ordering::Greater && max.cmp_key(key) == Ordering::Greater
+            keys.iter().any(|key| {
+                ranges.iter().any(|(min, max)| {
+                    min.cmp_key(key) != Ordering::Greater && max.cmp_key(key) == Ordering::Greater
+                })
             })
         });
         if stale {
@@ -219,7 +227,7 @@ mod tests {
         let s = Shard::new(0, "d");
         // Default: owns everything, and owned_write runs the op.
         assert!(s.owns("c", &key(5)));
-        assert_eq!(s.owned_write("c", &key(5), || Ok(1)).unwrap(), 1);
+        assert_eq!(s.owned_write("c", &[key(5)], || Ok(1)).unwrap(), 1);
 
         s.surrender_range("c", bound(10), bound(20));
         assert!(s.owns("c", &key(9)));
@@ -230,7 +238,7 @@ mod tests {
         assert!(s.owns("other", &key(15)));
         // A write into the surrendered range bounces without running.
         let err = s
-            .owned_write("c", &key(15), || -> Result<()> { panic!("op must not run") })
+            .owned_write("c", &[key(9), key(15)], || -> Result<()> { panic!("op must not run") })
             .unwrap_err();
         assert!(matches!(err, Error::StaleRoute(_)));
 

@@ -2,8 +2,8 @@
 //! splits, exactly-once warning drains, and lossless NetStats counters
 //! when many worker threads share one `Mongos`.
 
-use doclite_bson::doc;
-use doclite_docstore::Filter;
+use doclite_bson::{doc, Value};
+use doclite_docstore::{BulkUpdate, Filter, UpdateOp, UpdateSpec};
 use doclite_sharding::{
     check_content, ClusterConfig, DegradedReads, NetworkModel, RetryPolicy, ShardKey,
     ShardedCluster,
@@ -133,6 +133,68 @@ fn chunk_migration_is_atomic_under_concurrent_inserts() {
     let report = check_content(&cluster, "sales", "t", 0..WRITERS * DOCS, derive);
     assert_eq!(report.checked, total);
     assert!(report.is_clean(), "migration leaked writes: {report:?}");
+}
+
+/// Bulk updates ride the same protocol: 6 writers each send batches of
+/// point-keyed `$inc`s — one statement per counter document — while a
+/// mover thread bounces the lowest of the collection's chunks between
+/// the two shards. Whenever that chunk sits on
+/// the shard that also owns the others, one group addresses both; if it
+/// is mid-migration the group must bounce *before any statement applies*
+/// (every key is ownership-checked under one lock hold) and be re-sent
+/// whole after re-routing. So each counter must end at exactly the
+/// number of batches: one short means a bounced group was dropped, one
+/// over means a partially applied group was applied again.
+#[test]
+fn bulk_increments_are_exactly_once_under_chunk_migration() {
+    const WRITERS: usize = 6;
+    const BATCHES: usize = 25;
+    const COUNTERS: i64 = 40;
+    const MOVES: usize = 40;
+    let cluster = ShardedCluster::with_config(ClusterConfig {
+        n_shards: 2,
+        db_name: "bulkinc".into(),
+        network: NetworkModel::free(),
+        retry: RetryPolicy::elastic(),
+        ..ClusterConfig::default()
+    });
+    cluster.shard_collection("ctr", ShardKey::range(["t"]), 1024).unwrap();
+    let router = cluster.router();
+    router
+        .insert_many(
+            "ctr",
+            (0..COUNTERS).map(|t| doc! {"_id" => t, "t" => t, "n" => 0i64, "pad" => "c".repeat(40)}),
+        )
+        .unwrap();
+    assert!(router.config().meta("ctr").unwrap().chunks.len() > 1, "the inserts split the chunk");
+    let batch: Vec<BulkUpdate> = (0..COUNTERS)
+        .map(|t| BulkUpdate {
+            filter: Filter::eq("t", t),
+            spec: UpdateSpec::Ops(vec![UpdateOp::Inc("n".into(), 1.0)]),
+            multi: true,
+        })
+        .collect();
+    std::thread::scope(|s| {
+        for _ in 0..WRITERS {
+            s.spawn(|| {
+                for _ in 0..BATCHES {
+                    let r = router.update_batch("ctr", &batch).unwrap();
+                    assert_eq!(r.modified, COUNTERS as usize);
+                }
+            });
+        }
+        s.spawn(|| {
+            for m in 0..MOVES {
+                router.move_chunk("ctr", 0, (m % 2 == 0) as usize).unwrap();
+            }
+        });
+    });
+    let expect = Value::Int64((WRITERS * BATCHES) as i64);
+    let docs = router.find("ctr", &Filter::True);
+    assert_eq!(docs.len(), COUNTERS as usize);
+    for d in docs {
+        assert_eq!(d.get("n"), Some(&expect), "counter {:?}", d.get("t"));
+    }
 }
 
 /// Concurrent broadcast readers against a partitioned shard record one
