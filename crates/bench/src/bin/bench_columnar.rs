@@ -11,6 +11,15 @@
 //! * `group_q7`   — `$match` → `$group` by `k` with `avg(v)`/count,
 //!   the GroupKernel-over-selected-rows case.
 //!
+//! and on the access path the planner takes for an unindexed `find`:
+//!
+//! * `find_in` — the Fig 4.8 semi-join shape: a two-path integer `$in`
+//!   over ≥ 100k rows that returns < 1 % of them, served by a collection
+//!   scan (forced: the rule planner never plans a column scan) and by
+//!   the column scan, timed back to back and again with every other
+//!   collection of the process walked in between, which is how the
+//!   probe runs inside a query mix (cold caches).
+//!
 //! Each cell is timed as best-of-N against the serial streaming
 //! baseline, with the columnar result asserted equal to the row result
 //! before timing (per-cell result equality is the whole point of the
@@ -20,7 +29,10 @@
 //! `DOCLITE_COLUMNAR_SMOKE=1` shrinks the dataset and rep count for CI.
 
 use doclite_bson::{doc, Document};
-use doclite_docstore::{Accumulator, Collection, ExecMode, Expr, Filter, GroupId, Pipeline};
+use doclite_docstore::{
+    set_planner_mode, Accumulator, Collection, ExecMode, Expr, Filter, GroupId, Pipeline,
+    PlannerMode,
+};
 use doclite_stress::report::{parse_json, Json};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -32,14 +44,72 @@ const SCHEMA: &str = "doclite-columnar/v1";
 /// morsel sizing used by `ExecMode::Columnar`.
 const PAR_CHUNK: usize = 4096;
 
-fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
+fn best_of<R>(n: usize, f: impl FnMut() -> R) -> f64 {
+    best_of_after(n, || {}, f)
+}
+
+/// Best-of-`n` of `f`, with `prep` run (untimed) before each repetition.
+fn best_of_after<R>(n: usize, mut prep: impl FnMut(), mut f: impl FnMut() -> R) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..n {
+        prep();
         let t0 = Instant::now();
         std::hint::black_box(f());
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Inventory-shaped facts: two foreign keys, a third one and a measure.
+fn fact_docs(n: i64) -> Vec<Document> {
+    (0..n)
+        .map(|i| doc! {"_id" => i, "a" => i % 2000, "b" => (i * 7) % 300, "w" => i % 5, "q" => i % 997})
+        .collect()
+}
+
+/// The `find_in` shape: row scan vs column scan of one semi-join probe,
+/// warm and cold. Returns the JSON section body.
+fn find_in(n: i64, reps: usize, others: &[&Collection]) -> String {
+    let facts = Collection::new("facts");
+    facts.insert_many(fact_docs(n)).expect("insert");
+    facts.enable_columnar(["a", "b"]);
+    // 60 of 2000 and 10 of 300 keys: about 0.1 % of the rows.
+    let probe = Filter::and([
+        Filter::is_in("a", (0..60i64).map(|k| k * 31 % 2000).collect::<Vec<_>>()),
+        Filter::is_in("b", (0..10i64).map(|k| k * 29 % 300).collect::<Vec<_>>()),
+    ]);
+    // What a query mix does to the caches between two probes.
+    let evict = || {
+        for c in others {
+            c.for_each(|d| {
+                std::hint::black_box(d);
+            });
+        }
+    };
+
+    set_planner_mode(PlannerMode::Rule);
+    assert_eq!(facts.explain(&probe).plan, "COLLSCAN");
+    let expected = facts.find(&probe);
+    let row_s = best_of(reps, || facts.find(&probe));
+    let row_cold_s = best_of_after(reps, evict, || facts.find(&probe));
+
+    set_planner_mode(PlannerMode::Cost);
+    let plan = facts.explain(&probe).plan;
+    assert_eq!(plan, "COLSCAN { a, b }");
+    assert_eq!(facts.find(&probe), expected, "find_in: column scan result diverged");
+    let col_s = best_of(reps, || facts.find(&probe));
+    let col_cold_s = best_of_after(reps, evict, || facts.find(&probe));
+
+    let mut json = String::new();
+    let _ = writeln!(json, "    \"rows\": {n},");
+    let _ = writeln!(json, "    \"returned\": {},", expected.len());
+    let _ = writeln!(json, "    \"row_s\": {row_s:.6},");
+    let _ = writeln!(json, "    \"columnar_s\": {col_s:.6},");
+    let _ = writeln!(json, "    \"columnar_speedup\": {:.2},", row_s / col_s);
+    let _ = writeln!(json, "    \"row_cold_s\": {row_cold_s:.6},");
+    let _ = writeln!(json, "    \"columnar_cold_s\": {col_cold_s:.6},");
+    let _ = writeln!(json, "    \"columnar_cold_speedup\": {:.2}", row_cold_s / col_cold_s);
+    json
 }
 
 fn bench_docs(n: i64) -> Vec<Document> {
@@ -90,14 +160,17 @@ fn main() {
     let _ = writeln!(json, "  \"docs\": {n},");
 
     let shapes = shapes();
-    for (si, shape) in shapes.iter().enumerate() {
+    for shape in &shapes {
         let p = &shape.pipeline;
-        // Row-at-a-time streaming is the 1.0× baseline.
+        // Row-at-a-time streaming is the 1.0× baseline: under the rule
+        // planner, which never hands the leading `$match` to the columns.
+        set_planner_mode(PlannerMode::Rule);
         let expected = coll.aggregate_with_mode(p, None, ExecMode::Streaming).unwrap();
         let row_s =
             best_of(reps, || coll.aggregate_with_mode(p, None, ExecMode::Streaming).unwrap());
 
         // Result equality is asserted before each timed cell.
+        set_planner_mode(PlannerMode::Cost);
         let got = coll.aggregate_columnar_with(p, None, 1, usize::MAX).unwrap();
         assert_eq!(got, expected, "{}: serial columnar result diverged", shape.name);
         let col_s =
@@ -116,8 +189,14 @@ fn main() {
         let _ = writeln!(json, "    \"parallel_workers\": {par_workers},");
         let _ = writeln!(json, "    \"parallel_columnar_s\": {par_s:.6},");
         let _ = writeln!(json, "    \"parallel_columnar_speedup\": {:.2}", row_s / par_s);
-        let _ = writeln!(json, "  }}{}", if si + 1 == shapes.len() { "" } else { "," });
+        let _ = writeln!(json, "  }},");
     }
+    // The semi-join probe, with the aggregation collection (and a copy
+    // of it) standing in for the rest of a query mix's working set.
+    let other = Collection::new("bench_columnar_other");
+    other.insert_many(bench_docs(n)).expect("insert");
+    let facts_n = if smoke { n } else { 120_000 };
+    let _ = writeln!(json, "  \"find_in\": {{\n{}  }}", find_in(facts_n, reps, &[&coll, &other]));
     json.push_str("}\n");
 
     validate_report(&json).expect("BENCH_columnar.json schema");
@@ -128,8 +207,9 @@ fn main() {
     println!("wrote {path}");
 }
 
-/// Validates the emitted report: schema tag, both shapes present with
-/// positive finite timings and speedups.
+/// Validates the emitted report: schema tag, both aggregation shapes and
+/// the `find_in` probe present with positive finite timings and
+/// speedups, the probe returning under 1 % of its rows.
 fn validate_report(text: &str) -> Result<(), String> {
     let root = parse_json(text)?;
     if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
@@ -163,6 +243,30 @@ fn validate_report(text: &str) -> Result<(), String> {
                 return Err(format!("'{shape}.{key}' must be positive, got {v}"));
             }
         }
+    }
+    let section = root.get("find_in").ok_or("'find_in' section missing")?;
+    let num = |key: &str| -> Result<f64, String> {
+        let v = section
+            .get(key)
+            .and_then(Json::as_num)
+            .ok_or(format!("'find_in.{key}' missing"))?;
+        if !(v.is_finite() && v > 0.0) {
+            return Err(format!("'find_in.{key}' must be positive, got {v}"));
+        }
+        Ok(v)
+    };
+    for key in [
+        "row_s",
+        "columnar_s",
+        "columnar_speedup",
+        "row_cold_s",
+        "columnar_cold_s",
+        "columnar_cold_speedup",
+    ] {
+        num(key)?;
+    }
+    if num("returned")? >= num("rows")? * 0.01 {
+        return Err("'find_in' must return under 1% of its rows".into());
     }
     Ok(())
 }

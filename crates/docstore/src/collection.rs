@@ -1,9 +1,6 @@
 //! Collections: the unit of storage, indexing, and querying.
 
-use crate::agg::{
-    accum, exec, kernel, parallel, stream, CompiledSortSpec, ExecMode, Expr, GroupId, Pipeline,
-    Stage,
-};
+use crate::agg::{exec, kernel, parallel, stream, CompiledSortSpec, ExecMode, Pipeline, Stage};
 use crate::columnar;
 use crate::pool;
 use crate::error::{Error, Result};
@@ -11,10 +8,7 @@ use crate::index::{extract_keys, Index, IndexDef, IndexKind, SortOrder};
 use crate::ordvalue::CompoundKey;
 use crate::query::filter::Filter;
 use crate::query::matcher::{compile, matches_compiled, CompiledFilter};
-use crate::query::planner::{
-    columnar_index_threshold, conjunctive_constraints, plan, plan_with_stats, Plan, PlanKind,
-    SMALL_COLLECTION,
-};
+use crate::query::planner::{conjunctive_constraints, plan, plan_with_stats, Plan, PlanKind};
 use crate::stats::{self, CollStats, PlannerMode};
 use crate::storage::{DocId, Slab};
 use crate::update::{apply_update, upsert_seed, BulkUpdate, UpdateResult, UpdateSpec};
@@ -23,7 +17,6 @@ use doclite_bson::{codec::encoded_size, Document, Value, MAX_DOCUMENT_SIZE};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Options for a `find`: sort, skip, limit, projection.
@@ -74,11 +67,12 @@ impl FindOptions {
 /// `db.collection.explain()`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Explain {
-    /// `COLLSCAN` or `IXSCAN { <index> }`.
+    /// `COLLSCAN`, `COLSCAN { <paths> }` or `IXSCAN { <index> }`.
     pub plan: String,
     /// Whether an index served the fetch.
     pub used_index: bool,
-    /// Candidate documents fetched before the residual filter.
+    /// Rows the predicate was evaluated on: every live document for a
+    /// collection or column scan, the fetched candidates for an index.
     pub docs_examined: usize,
     /// Documents that satisfied the full filter.
     pub docs_returned: usize,
@@ -150,9 +144,12 @@ struct UpdateLog {
 struct Inner {
     slab: Slab,
     indexes: Vec<Index>,
-    /// Optional columnar sidecar over declared fields, maintained by
-    /// every slab mutation below (insert/update/delete and their WAL
-    /// rollbacks) so it is always consistent with the slab.
+    /// Optional columnar sidecar: one column per path declared through
+    /// [`Collection::enable_columnar`] or scanned often enough to earn
+    /// one (`build_due_columns`), maintained by every slab mutation
+    /// below (insert/update/delete and their WAL rollbacks) so it is
+    /// always consistent with the slab. Not logged, checkpointed or
+    /// replicated.
     columnar: Option<columnar::ColumnSet>,
     /// Per-field statistics for the cost-based planner, adjusted by the
     /// same mutations (write paths use `get_mut`, so the mutex is
@@ -173,9 +170,6 @@ pub struct Collection {
     /// holding the exclusive `inner` lock, so frame order always agrees
     /// with apply order (lock order: `inner` → WAL mutex).
     wal: RwLock<Option<Arc<Wal>>>,
-    /// Full columnar-mode scans served without a sidecar, feeding the
-    /// auto-enable heuristic (see [`Collection::aggregate_with_mode`]).
-    columnar_scans: AtomicU64,
 }
 
 impl Collection {
@@ -197,7 +191,6 @@ impl Collection {
                 stats: Mutex::new(CollStats::new()),
             }),
             wal: RwLock::new(None),
-            columnar_scans: AtomicU64::new(0),
         }
     }
 
@@ -451,26 +444,76 @@ impl Collection {
             .sum()
     }
 
-    fn fetch_candidates(inner: &Inner, plan: &Plan) -> Vec<DocId> {
+    /// Bytes held by the columnar sidecar (0 without one) — the
+    /// sidecar's counterpart of [`Collection::index_size`]. Bounded by
+    /// 8 bytes and 4 bits per slot and column plus one bit per slot,
+    /// and [`columnar::DICT_CAP`] dictionary entries per string column.
+    pub fn columnar_size(&self) -> usize {
+        self.inner.read().columnar.as_ref().map_or(0, columnar::ColumnSet::bytes)
+    }
+
+    /// Visits the plan's candidate slots in fetch order (slot order for
+    /// the two scans) until `visit` returns false, and returns the number
+    /// of rows the plan examined to produce them: the documents visited
+    /// for a collection scan or an index, the live rows the filter was
+    /// evaluated on for a column scan. `compiled` is the plan's residual
+    /// compiled for documents; every caller re-applies it to what it is
+    /// handed, so no access path can change a result.
+    fn for_each_candidate(
+        inner: &Inner,
+        plan: &Plan,
+        compiled: &CompiledFilter,
+        mut visit: impl FnMut(DocId) -> bool,
+    ) -> usize {
+        fn visit_ids(
+            ids: impl Iterator<Item = DocId>,
+            visit: &mut impl FnMut(DocId) -> bool,
+        ) -> usize {
+            let mut n = 0;
+            for id in ids {
+                n += 1;
+                if !visit(id) {
+                    break;
+                }
+            }
+            n
+        }
         match &plan.kind {
-            PlanKind::CollScan => inner.slab.iter().map(|(id, _)| id).collect(),
+            PlanKind::CollScan => visit_ids(inner.slab.iter().map(|(id, _)| id), &mut visit),
+            PlanKind::ColumnScan { .. } => {
+                let cs = inner.columnar.as_ref().expect("planner only scans existing columns");
+                columnar::scan(cs, &inner.slab, &plan.residual, compiled, &mut visit)
+            }
             PlanKind::IndexEq { index, keys } => {
                 let idx = Self::index_by_name(inner, index);
                 let mut ids = Vec::new();
                 for key in keys {
                     ids.extend(idx.lookup_eq(key));
                 }
-                ids
+                visit_ids(ids.into_iter(), &mut visit)
             }
             PlanKind::IndexRange { index, min, max } => {
                 let idx = Self::index_by_name(inner, index);
-                idx.lookup_range(
-                    min.as_ref().map(|(v, i)| (v, *i)),
-                    max.as_ref().map(|(v, i)| (v, *i)),
-                )
-                .unwrap_or_default()
+                let ids = idx
+                    .lookup_range(
+                        min.as_ref().map(|(v, i)| (v, *i)),
+                        max.as_ref().map(|(v, i)| (v, *i)),
+                    )
+                    .unwrap_or_default();
+                visit_ids(ids.into_iter(), &mut visit)
             }
         }
+    }
+
+    /// Every candidate slot of the plan, for the write paths that mutate
+    /// the collection while walking them.
+    fn fetch_candidates(inner: &Inner, plan: &Plan, compiled: &CompiledFilter) -> Vec<DocId> {
+        let mut ids = Vec::new();
+        Self::for_each_candidate(inner, plan, compiled, |id| {
+            ids.push(id);
+            true
+        });
+        ids
     }
 
     fn index_by_name<'a>(inner: &'a Inner, name: &str) -> &'a Index {
@@ -483,10 +526,10 @@ impl Collection {
 
     /// Plans `filter` under the process-wide [`PlannerMode`]: `Rule`
     /// runs the legacy prefix-rule planner; `Cost` refreshes stale
-    /// statistics and prices index candidates against the scan,
-    /// returning the row estimate that drove the choice. Either way the
-    /// plan's residual is the full filter, so the mode can never change
-    /// results.
+    /// statistics and prices index candidates and the column scan
+    /// against the collection scan, returning the row estimate that
+    /// drove the choice. Either way the plan's residual is the full
+    /// filter, so the mode can never change results.
     fn plan_with_mode(inner: &Inner, filter: &Filter) -> (Plan, Option<u64>) {
         match stats::planner_mode() {
             PlannerMode::Rule => (plan(filter, &inner.indexes), None),
@@ -496,10 +539,76 @@ impl Collection {
                 if st.needs_rebuild(live) {
                     st.rebuild(&inner.slab);
                 }
-                let costed = plan_with_stats(filter, &inner.indexes, &st, live);
+                let has_column =
+                    |p: &str| inner.columnar.as_ref().is_some_and(|cs| cs.has_column(p));
+                let costed = plan_with_stats(filter, &inner.indexes, &st, live, &has_column);
                 (costed.plan, Some(costed.est_rows))
             }
         }
+    }
+
+    /// Counts a collection scan the cost planner chose over a collection
+    /// of at least [`stats::AUTO_COLUMNAR_MIN_DOCS`] documents against
+    /// every path of its filter that has no column. True when one of
+    /// them is now due a column; the caller then calls
+    /// [`Self::build_due_columns`] once it holds the write lock (read
+    /// paths: [`Self::finish_scan`]). A filter reading a rejected path is not counted: no column
+    /// scan can ever serve it.
+    fn note_scan(inner: &Inner, plan: &Plan) -> bool {
+        if !matches!(plan.kind, PlanKind::CollScan)
+            || stats::planner_mode() != PlannerMode::Cost
+            || inner.slab.len() < stats::AUTO_COLUMNAR_MIN_DOCS
+        {
+            return false;
+        }
+        let cs = inner.columnar.as_ref();
+        let paths = plan.residual.referenced_paths();
+        if paths.iter().any(|p| cs.is_some_and(|cs| cs.is_rejected(p))) {
+            return false;
+        }
+        let uncovered = paths.into_iter().filter(|p| !cs.is_some_and(|cs| cs.has_column(p)));
+        inner.stats.lock().note_scan(uncovered)
+    }
+
+    /// Ends a read path's scan: counts it ([`Self::note_scan`]) and, with
+    /// the read lock released, builds the columns that are now due.
+    fn finish_scan(&self, inner: parking_lot::RwLockReadGuard<'_, Inner>, plan: &Plan) {
+        let due = Self::note_scan(&inner, plan);
+        drop(inner);
+        if due {
+            Self::build_due_columns(&mut self.inner.write(), &plan.residual);
+        }
+    }
+
+    /// Rows the plan examines and how many of them satisfy the filter.
+    fn count_matching(inner: &Inner, plan: &Plan, compiled: &CompiledFilter) -> (usize, usize) {
+        let mut matching = 0;
+        let examined = Self::for_each_candidate(inner, plan, compiled, |id| {
+            matching +=
+                usize::from(inner.slab.get(id).is_some_and(|d| matches_compiled(compiled, d)));
+            true
+        });
+        (examined, matching)
+    }
+
+    /// Adds a column for every path of `filter` that is due one, in one
+    /// pass over the slab, and registers the paths with the statistics
+    /// so the column scan can be priced. A racing builder that comes
+    /// second finds nothing due and returns.
+    fn build_due_columns(inner: &mut Inner, filter: &Filter) {
+        let Inner { slab, columnar, stats, .. } = inner;
+        let stats = stats.get_mut();
+        let due: Vec<&str> =
+            filter.referenced_paths().into_iter().filter(|p| stats.column_due(p)).collect();
+        if due.is_empty() || slab.len() < stats::AUTO_COLUMNAR_MIN_DOCS {
+            return;
+        }
+        let cs = columnar.get_or_insert_with(|| columnar::ColumnSet::over(slab));
+        cs.add_columns(&due, slab, false);
+        for p in &due {
+            stats.forget_scans(p);
+        }
+        stats.track_fields(due.into_iter().filter(|p| cs.has_column(p)));
     }
 
     /// Finds documents matching a filter.
@@ -519,21 +628,22 @@ impl Collection {
     /// final page are cloned (or projected directly from storage).
     ///
     /// The read lock is held only long enough to plan and snapshot the
-    /// candidate documents (refcount bumps, no clones); residual
-    /// matching, sorting, and paging run lock-free, so a slow scan
-    /// cannot convoy writers — and other readers — behind it.
+    /// candidate documents (see [`Self::snapshot_candidates`]); sorting
+    /// and paging run lock-free, so a slow scan cannot convoy writers —
+    /// and other readers — behind it. Without a sort, a `limit` stops the
+    /// scan at `skip + limit` matches.
     pub fn find_with_shared(
         &self,
         filter: &Filter,
         compiled: &CompiledFilter,
         opts: &FindOptions,
     ) -> Vec<Document> {
-        let snapshot: Vec<Arc<Document>> = {
-            let inner = self.inner.read();
-            let (plan, _) = Self::plan_with_mode(&inner, filter);
-            let ids = Self::fetch_candidates(&inner, &plan);
-            ids.into_iter().filter_map(|id| inner.slab.get_shared(id)).collect()
+        let want = if opts.sort.is_empty() && opts.limit > 0 {
+            opts.skip.saturating_add(opts.limit)
+        } else {
+            usize::MAX
         };
+        let (snapshot, _) = self.snapshot_candidates(filter, compiled, want);
         let mut matched: Vec<&Document> = snapshot
             .iter()
             .map(|d| &**d)
@@ -573,28 +683,22 @@ impl Collection {
 
     /// Counts matching documents without materializing them.
     pub fn count(&self, filter: &Filter) -> usize {
+        let compiled = compile(filter);
         let inner = self.inner.read();
         let (plan, _) = Self::plan_with_mode(&inner, filter);
-        let compiled = compile(filter);
-        let ids = Self::fetch_candidates(&inner, &plan);
-        ids.into_iter()
-            .filter_map(|id| inner.slab.get(id))
-            .filter(|d| matches_compiled(&compiled, d))
-            .count()
+        let (_, matching) = Self::count_matching(&inner, &plan, &compiled);
+        self.finish_scan(inner, &plan);
+        matching
     }
 
     /// Explains how a filter would execute, running it to report counts.
+    /// Diagnostic only: it is not counted as a scan of the filter's
+    /// paths, so it reports the plan the next `find` will get.
     pub fn explain(&self, filter: &Filter) -> Explain {
+        let compiled = compile(filter);
         let inner = self.inner.read();
         let (plan, est_rows) = Self::plan_with_mode(&inner, filter);
-        let ids = Self::fetch_candidates(&inner, &plan);
-        let compiled = compile(filter);
-        let docs_examined = ids.len();
-        let docs_returned = ids
-            .into_iter()
-            .filter_map(|id| inner.slab.get(id))
-            .filter(|d| matches_compiled(&compiled, d))
-            .count();
+        let (docs_examined, docs_returned) = Self::count_matching(&inner, &plan, &compiled);
         Explain {
             plan: plan.describe(),
             used_index: plan.uses_index(),
@@ -727,7 +831,10 @@ impl Collection {
     ) -> Result<()> {
         let (plan, _) = Self::plan_with_mode(inner, filter);
         let compiled = compile(filter);
-        let mut ids = Self::fetch_candidates(inner, &plan);
+        let mut ids = Self::fetch_candidates(inner, &plan, &compiled);
+        if Self::note_scan(inner, &plan) {
+            Self::build_due_columns(inner, &plan.residual);
+        }
         if plan.uses_index() {
             // Visit index candidates the way a scan would — in slot
             // order, once each — so which document a single-document
@@ -849,7 +956,10 @@ impl Collection {
         let mut inner = self.inner.write();
         let (plan, _) = Self::plan_with_mode(&inner, filter);
         let compiled = compile(filter);
-        let ids = Self::fetch_candidates(&inner, &plan);
+        let ids = Self::fetch_candidates(&inner, &plan, &compiled);
+        if Self::note_scan(&inner, &plan) {
+            Self::build_due_columns(&mut inner, &plan.residual);
+        }
         let mut removed = 0;
         let mut removed_ids: Vec<Value> = Vec::new();
         let mut undo: Vec<Document> = Vec::new();
@@ -949,22 +1059,26 @@ impl Collection {
         }
     }
 
-    /// Declares scalar fields to maintain as typed column vectors and
-    /// builds them from the current contents; subsequent writes keep
-    /// them consistent. Aggregations run with [`ExecMode::Columnar`]
-    /// then evaluate covered `$match`/`$group`/`$count` prefixes over
-    /// the columns instead of materialized documents.
+    /// Declares scalar paths to maintain as typed column vectors, ahead
+    /// of the scans that would earn them a column, and builds the ones
+    /// not yet present from the current contents; columns that already
+    /// exist are kept. Subsequent writes keep them consistent. Declared
+    /// columns also serve `$group` keys and accumulator inputs of
+    /// [`ExecMode::Columnar`] aggregations, which lazily built columns
+    /// (filter paths only) do not.
     pub fn enable_columnar<I, S>(&self, fields: I)
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         let fields: Vec<String> = fields.into_iter().map(Into::into).collect();
+        let paths: Vec<&str> = fields.iter().map(String::as_str).collect();
         let mut inner = self.inner.write();
-        inner.stats.get_mut().track_fields(fields.iter().map(String::as_str));
-        let mut cs = columnar::ColumnSet::new(fields);
-        cs.rebuild(&inner.slab);
-        inner.columnar = Some(cs);
+        let Inner { slab, columnar, stats, .. } = &mut *inner;
+        stats.get_mut().track_fields(paths.iter().copied());
+        columnar
+            .get_or_insert_with(|| columnar::ColumnSet::over(slab))
+            .add_columns(&paths, slab, true);
     }
 
     /// True if a columnar sidecar is maintained.
@@ -999,7 +1113,9 @@ impl Collection {
     /// evaluate it in chunks under the read lock, then release the lock
     /// and run the uncovered suffix on the streaming executor (so a
     /// `$lookup` back into this collection cannot deadlock). No sidecar
-    /// or no covered prefix delegates the whole pipeline to streaming.
+    /// or no covered prefix delegates the whole pipeline to streaming —
+    /// as does a leading `$match` the planner serves from an index: the
+    /// one access-path decision also settles index versus columns here.
     fn aggregate_columnar(
         &self,
         body: &[Stage],
@@ -1007,20 +1123,14 @@ impl Collection {
         workers: usize,
         chunk: usize,
     ) -> Result<Vec<Document>> {
-        self.maybe_auto_columnar(body);
         let inner = self.inner.read();
         let Some(plan) = inner.columnar.as_ref().and_then(|cs| columnar::plan(body, cs))
         else {
             drop(inner);
             return self.aggregate_streaming(body, source);
         };
-        // The sidecar covers the prefix, but a selective indexed $match
-        // is still cheaper than scanning every column value. Under the
-        // rule planner any usable index wins (the pre-cost-model
-        // behavior); under the cost model the index must beat the
-        // vectorized kernel's per-row cost.
         let (filter, _) = Self::split_match_pushdown(body);
-        if Self::prefer_index_scan(&inner, &filter) {
+        if Self::plan_with_mode(&inner, &filter).0.uses_index() {
             drop(inner);
             return self.aggregate_streaming(body, source);
         }
@@ -1031,84 +1141,41 @@ impl Collection {
         stream::run_streaming(stream::DocStream::from_vec(prefix_out), rest, source)
     }
 
-    /// Whether the leading `$match` should run through an index on the
-    /// row path instead of the columnar kernel. `Rule`: any usable index
-    /// wins. `Cost`: only when the estimated match fraction is below
-    /// [`columnar_index_threshold`] (small collections defer to the
-    /// rule, like [`plan_with_stats`]).
-    fn prefer_index_scan(inner: &Inner, filter: &Filter) -> bool {
-        match stats::planner_mode() {
-            PlannerMode::Rule => plan(filter, &inner.indexes).uses_index(),
-            PlannerMode::Cost => {
-                let live = inner.slab.len();
-                if live <= SMALL_COLLECTION {
-                    return plan(filter, &inner.indexes).uses_index();
-                }
-                let mut st = inner.stats.lock();
-                if st.needs_rebuild(live) {
-                    st.rebuild(&inner.slab);
-                }
-                let frac = st.estimate_fraction(filter);
-                drop(st);
-                frac < columnar_index_threshold() && plan(filter, &inner.indexes).uses_index()
-            }
-        }
-    }
-
-    /// Auto-enables the columnar sidecar once the collection has served
-    /// [`stats::AUTO_COLUMNAR_SCANS`] sidecar-less columnar-mode scans
-    /// and holds at least [`stats::AUTO_COLUMNAR_MIN_DOCS`] documents —
-    /// the point where the vectorized kernel repays the sidecar memory.
-    /// Disabled via [`stats::set_columnar_auto`].
-    fn maybe_auto_columnar(&self, body: &[Stage]) {
-        if !stats::columnar_auto() || self.columnar_enabled() {
-            return;
-        }
-        if self.len() < stats::AUTO_COLUMNAR_MIN_DOCS {
-            return;
-        }
-        let fields = Self::columnar_candidate_fields(body);
-        if fields.is_empty() {
-            return;
-        }
-        let scans = self.columnar_scans.fetch_add(1, Ordering::Relaxed) + 1;
-        if scans >= stats::AUTO_COLUMNAR_SCANS {
-            self.enable_columnar(fields);
-        }
-    }
-
-    /// The scalar paths a pipeline's covered prefix would read from a
-    /// sidecar: leading-`$match` constraint paths plus the first
-    /// `$group`'s key and accumulator fields.
-    fn columnar_candidate_fields(body: &[Stage]) -> Vec<String> {
-        let (filter, rest) = Self::split_match_pushdown(body);
-        let mut fields: Vec<String> = conjunctive_constraints(&filter).into_keys().collect();
-        if let Some(Stage::Group { id, fields: accs }) = rest.first() {
-            if let GroupId::Expr(Expr::Field(p)) = id {
-                fields.push(p.clone());
-            }
-            for (_, acc) in accs {
-                if let Expr::Field(p) = accum::spec_expr(acc) {
-                    fields.push(p.clone());
-                }
-            }
-        }
-        fields.sort_unstable();
-        fields.dedup();
-        fields
-    }
-
-    /// Plans the leading `$match` run and snapshots the candidate
-    /// documents under the read lock (refcount bumps only), releasing it
-    /// before any stage executes. The snapshot is consistent — documents
-    /// are immutable in place, updates swap whole slots — and lock-free
-    /// execution means an analytical scan no longer convoys concurrent
-    /// writers (or `$lookup` re-entry into this collection) behind it.
-    fn snapshot_candidates(&self, filter: &Filter) -> Vec<Arc<Document>> {
+    /// Plans `filter` and snapshots its candidate documents under the
+    /// read lock as shared handles (refcount bumps, no clones), releasing
+    /// it before anything is sorted, paged or aggregated. The snapshot is
+    /// consistent — documents are immutable in place, updates swap whole
+    /// slots — and lock-free execution means an analytical scan does not
+    /// convoy concurrent writers (or `$lookup` re-entry into this
+    /// collection) behind it. What is evaluated under the lock depends on
+    /// the plan: nothing for a collection scan or an index (the caller
+    /// applies the filter to the handles), the filter over the typed
+    /// columns for a column scan, which then takes handles of the
+    /// matching documents only.
+    ///
+    /// `want` bounds the snapshot to the first `want` *matching*
+    /// candidates (`usize::MAX`: all candidates, unfiltered): the filter
+    /// then runs under the lock on each candidate visited and the scan
+    /// stops early. Returns the handles and the rows examined.
+    fn snapshot_candidates(
+        &self,
+        filter: &Filter,
+        compiled: &CompiledFilter,
+        want: usize,
+    ) -> (Vec<Arc<Document>>, usize) {
         let inner = self.inner.read();
         let (plan, _) = Self::plan_with_mode(&inner, filter);
-        let ids = Self::fetch_candidates(&inner, &plan);
-        ids.into_iter().filter_map(|id| inner.slab.get_shared(id)).collect()
+        let mut snapshot = Vec::new();
+        let examined = Self::for_each_candidate(&inner, &plan, compiled, |id| {
+            let keep = want == usize::MAX
+                || inner.slab.get(id).is_some_and(|d| matches_compiled(compiled, d));
+            if keep {
+                snapshot.extend(inner.slab.get_shared(id));
+            }
+            snapshot.len() < want
+        });
+        self.finish_scan(inner, &plan);
+        (snapshot, examined)
     }
 
     /// Splits off the leading `$match` run for planner pushdown
@@ -1131,7 +1198,7 @@ impl Collection {
     ) -> Result<Vec<Document>> {
         let (filter, rest) = Self::split_match_pushdown(body);
         let compiled = compile(&filter);
-        let snapshot = self.snapshot_candidates(&filter);
+        let (snapshot, _) = self.snapshot_candidates(&filter, &compiled, usize::MAX);
         let matched = snapshot
             .iter()
             .map(|d| &**d)
@@ -1150,7 +1217,7 @@ impl Collection {
     ) -> Result<Vec<Document>> {
         let (filter, rest) = Self::split_match_pushdown(body);
         let trivial = matches!(&filter, Filter::And(fs) if fs.is_empty());
-        let snapshot = self.snapshot_candidates(&filter);
+        let (snapshot, _) = self.snapshot_candidates(&filter, &compile(&filter), usize::MAX);
         let refs: Vec<&Document> = snapshot.iter().map(|d| &**d).collect();
         let mut stages: Vec<Stage> = Vec::with_capacity(1 + rest.len());
         if !trivial {
@@ -1476,6 +1543,34 @@ mod tests {
         assert_eq!(out[0].get("val"), Some(&Value::Int64(16)));
         assert!(out[0].get("grp").is_none());
         assert!(out[0].get("_id").is_some());
+    }
+
+    #[test]
+    fn find_one_and_unsorted_limit_stop_at_the_last_document_they_need() {
+        let c = seeded();
+        let filter = Filter::eq("grp", 3i64);
+        let compiled = compile(&filter);
+        // grp 3 holds slots 3, 13, 23, …: the first match is the 4th
+        // document visited, the third the 24th.
+        let (page, examined) = c.snapshot_candidates(&filter, &compiled, 1);
+        assert_eq!((page.len(), examined), (1, 4));
+        let (page, examined) = c.snapshot_candidates(&filter, &compiled, 3);
+        assert_eq!((page.len(), examined), (3, 24));
+        let (all, examined) = c.snapshot_candidates(&filter, &compiled, usize::MAX);
+        assert_eq!((all.len(), examined), (100, 100), "unbounded: every candidate, unfiltered");
+
+        assert_eq!(c.find_one(&filter).unwrap().get("_id"), Some(&Value::Int64(3)));
+        let ids = |opts: &FindOptions| -> Vec<i64> {
+            c.find_with(&filter, opts).iter().map(|d| d.get("_id").unwrap().as_i64().unwrap()).collect()
+        };
+        assert_eq!(ids(&FindOptions::new().with_skip(1).with_limit(2)), vec![13, 23]);
+        assert_eq!(ids(&FindOptions::new().with_skip(9).with_limit(5)), vec![93]);
+        // A sort needs every match before it can page.
+        assert_eq!(ids(&FindOptions::new().sort_by("val", -1).with_limit(2)), vec![93, 83]);
+        // The index path stops early too.
+        c.create_index(IndexDef::single("grp")).unwrap();
+        let (page, examined) = c.snapshot_candidates(&filter, &compiled, 2);
+        assert_eq!((page.len(), examined), (2, 2));
     }
 
     #[test]

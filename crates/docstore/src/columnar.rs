@@ -1,11 +1,19 @@
-//! The optional per-collection columnar sidecar and its batch executor.
+//! The optional per-collection columnar sidecar, its scan kernel and its
+//! batch executor.
 //!
 //! A [`ColumnSet`] maintains typed column vectors (i64 / f64 / bool /
 //! dictionary-encoded string) plus presence/typed/exotic validity
-//! bitmaps for a declared list of scalar fields, keyed by slab slot.
-//! The write path keeps it incrementally consistent (insert / update /
-//! delete hooks in [`crate::collection`]); enabling it on a populated
-//! collection rebuilds from the slab.
+//! bitmaps for a set of scalar paths, keyed by slab slot. Columns join
+//! the set one path at a time, each built by one pass over the slab
+//! ([`ColumnSet::add_columns`]) — declared eagerly, or lazily by the
+//! collection once a path has been scanned twice — and the write path
+//! keeps them incrementally consistent from then on (insert / update /
+//! delete hooks in [`crate::collection`]).
+//!
+//! [`scan`] is the planner's `ColumnScan` access path: it evaluates a
+//! whole filter over the columns chunk by chunk and yields the matching
+//! slots in slot order, so an unindexed `find` / `count` / `update` /
+//! `$match` touches only the documents it returns.
 //!
 //! [`plan`] compiles a pipeline prefix — the leading `$match` run plus
 //! an immediately following `$group` or `$count` — against the declared
@@ -52,9 +60,20 @@ use crate::query::filter::{CmpOp, Filter};
 use crate::query::matcher::{compile, compile_set, matches_compiled, set_contains, CompiledFilter};
 use crate::storage::{DocId, Slab};
 use doclite_bson::{CompiledPath, Document, Resolved, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::OnceLock;
+
+/// Rows per evaluation chunk of [`scan`]: a multiple of 64, so chunk
+/// masks are whole words of the bitmaps, and small enough that a chunk's
+/// column slices stay cache-resident across a conjunction's predicates.
+pub const SCAN_CHUNK: usize = 4096;
+
+/// Most distinct strings a string column's dictionary holds. Cells that
+/// would add another are marked exotic instead, which bounds the
+/// dictionary and sends only their chunks to the row path.
+pub const DICT_CAP: usize = 4096;
 
 /// A growable bitmap keyed by slot index.
 #[derive(Clone, Debug, Default)]
@@ -85,6 +104,21 @@ impl Bitmap {
         if let Some(w) = self.words.get_mut(i / 64) {
             *w &= !(1u64 << (i % 64));
         }
+    }
+
+    /// The 64 bits starting at bit `i` (bits past the end read as 0).
+    fn word_at(&self, i: usize) -> u64 {
+        let word = |w: usize| self.words.get(w).copied().unwrap_or(0);
+        let (w, shift) = (i / 64, i % 64);
+        if shift == 0 {
+            word(w)
+        } else {
+            word(w) >> shift | word(w + 1) << (64 - shift)
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.words.len() * 8
     }
 
     /// True if any bit in `[start, end)` is set — word-wise, so gating a
@@ -240,8 +274,11 @@ impl Column {
             (ColumnData::Str { ids, dict, map }, Value::String(s)) => {
                 let id = match map.get(s.as_str()) {
                     Some(&id) => id,
+                    // A full dictionary admits no new string: the cell
+                    // is exotic and its chunk takes the row path.
+                    None if dict.len() >= DICT_CAP => return false,
                     None => {
-                        let id = u32::try_from(dict.len()).expect("dictionary fits in u32");
+                        let id = u32::try_from(dict.len()).expect("DICT_CAP fits in u32");
                         dict.push(Value::String(s.clone()));
                         map.insert(s.clone(), id);
                         id
@@ -253,6 +290,33 @@ impl Column {
         }
         self.typed.set(slot);
         true
+    }
+
+    /// Chunks of [`SCAN_CHUNK`] rows among the first `rows` that hold an
+    /// exotic cell (each makes a scan of that chunk fall back to rows).
+    fn exotic_chunks(&self, rows: usize) -> usize {
+        (0..rows)
+            .step_by(SCAN_CHUNK)
+            .filter(|&s| self.exotic.any_in_range(s, (s + SCAN_CHUNK).min(rows)))
+            .count()
+    }
+
+    fn bytes(&self) -> usize {
+        let (payload, narrow) = match &self.data {
+            ColumnData::Empty => (0, 0),
+            ColumnData::I64 { vals, narrow } => (vals.len() * 8, narrow.bytes()),
+            ColumnData::F64(vals) => (vals.len() * 8, 0),
+            ColumnData::Bool(vals) => (vals.len(), 0),
+            // Each dictionary string is held twice: as the lendable
+            // `Value` and as the lookup key.
+            ColumnData::Str { ids, dict, map } => (
+                ids.len() * 4
+                    + dict.len() * std::mem::size_of::<Value>()
+                    + map.keys().map(|k| 2 * k.len() + std::mem::size_of::<(String, u32)>()).sum::<usize>(),
+                0,
+            ),
+        };
+        payload + narrow + self.present.bytes() + self.typed.bytes() + self.exotic.bytes()
     }
 
     fn cell(&self, slot: usize) -> Cell<'_> {
@@ -303,10 +367,16 @@ impl Column {
     }
 }
 
-/// Typed column vectors for a collection's declared fields, keyed by
-/// slab slot. Owned by the collection under its lock; the write path
+/// Typed column vectors for some of a collection's scalar paths, keyed
+/// by slab slot. Owned by the collection under its lock; the write path
 /// calls [`set_row`](Self::set_row)/[`clear_row`](Self::clear_row) on
 /// every slab mutation.
+///
+/// Memory bound: a column holds at most 8 bytes of payload and 4 bitmap
+/// bits (`present`, `typed`, `exotic`, `narrow`) per slot, the set one
+/// more bit per slot for `live`, and a string column's dictionary at
+/// most [`DICT_CAP`] entries ([`bytes`](Self::bytes) reports the total).
+#[derive(Default)]
 pub struct ColumnSet {
     fields: Vec<(String, CompiledPath)>,
     cols: Vec<Column>,
@@ -314,32 +384,52 @@ pub struct ColumnSet {
     /// missing fields (a `$ne` would match them).
     live: Bitmap,
     rows: usize,
+    /// Paths whose lazily built column was discarded as mostly exotic
+    /// (array-valued or mixed-type); they are not built again.
+    rejected: Vec<String>,
 }
 
 impl ColumnSet {
-    /// Declares the fields to columnarize (dotted paths allowed).
-    pub fn new(fields: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        let fields: Vec<(String, CompiledPath)> = fields
-            .into_iter()
-            .map(|f| {
-                let f = f.into();
-                let path = CompiledPath::new(&f);
-                (f, path)
-            })
-            .collect();
-        let cols = fields.iter().map(|_| Column::default()).collect();
-        ColumnSet { fields, cols, live: Bitmap::default(), rows: 0 }
+    /// A set with no columns yet over the slab's live slots.
+    pub fn over(slab: &Slab) -> Self {
+        let mut cs = ColumnSet::default();
+        for (id, _) in slab.iter() {
+            cs.live.set(id as usize);
+            cs.rows = cs.rows.max(id as usize + 1);
+        }
+        cs
     }
 
-    /// Rebuilds every column from the slab's live documents.
-    pub fn rebuild(&mut self, slab: &Slab) {
-        for c in &mut self.cols {
-            *c = Column::default();
+    /// Adds a column for each of `paths` that has none, filling them in
+    /// one pass over the slab; existing columns are not touched. With
+    /// `keep_exotic` false (columns nobody declared), a column whose
+    /// build leaves an exotic cell in more than half of its
+    /// [`SCAN_CHUNK`]-row chunks is discarded — every scan would fall
+    /// back to the row path anyway — and its path remembered so it is
+    /// not built again.
+    pub fn add_columns(&mut self, paths: &[&str], slab: &Slab, keep_exotic: bool) {
+        let first_new = self.cols.len();
+        for path in paths {
+            if !self.has_column(path) {
+                self.fields.push(((*path).to_owned(), CompiledPath::new(path)));
+                self.cols.push(Column::default());
+            }
         }
-        self.live = Bitmap::default();
-        self.rows = 0;
         for (id, doc) in slab.iter() {
-            self.set_row(id, doc);
+            for ((_, path), col) in self.fields.iter().zip(&mut self.cols).skip(first_new) {
+                let resolved = path.resolve(doc);
+                col.set_cell(id as usize, resolved.as_ref().map(Resolved::as_value));
+            }
+        }
+        if keep_exotic {
+            return;
+        }
+        let chunks = self.rows.div_ceil(SCAN_CHUNK);
+        for i in (first_new..self.cols.len()).rev() {
+            if self.cols[i].exotic_chunks(self.rows) * 2 > chunks {
+                self.cols.remove(i);
+                self.rejected.push(self.fields.remove(i).0);
+            }
         }
     }
 
@@ -370,18 +460,33 @@ impl ColumnSet {
         self.rows
     }
 
+    /// True if `path` has a column.
+    pub fn has_column(&self, path: &str) -> bool {
+        self.col_index(path).is_some()
+    }
+
+    /// True if `path`'s column was discarded as mostly exotic.
+    pub fn is_rejected(&self, path: &str) -> bool {
+        self.rejected.iter().any(|p| p == path)
+    }
+
+    /// Bytes held by the columns, their bitmaps and dictionaries.
+    pub fn bytes(&self) -> usize {
+        self.live.bytes() + self.cols.iter().map(Column::bytes).sum::<usize>()
+    }
+
     fn col_index(&self, path: &str) -> Option<usize> {
         self.fields.iter().position(|(f, _)| f == path)
     }
 }
 
-/// A `$match` predicate compiled against declared columns.
+/// A `$match` predicate compiled against the columns.
 #[derive(Clone, Debug)]
 enum ColPred {
     True,
     Cmp { col: usize, op: CmpOp, rhs: Value },
-    In { col: usize, set: Box<[OrdValue]>, has_null: bool },
-    Nin { col: usize, set: Box<[OrdValue]>, has_null: bool },
+    In { col: usize, set: MemberSet },
+    Nin { col: usize, set: MemberSet },
     Exists { col: usize, exists: bool },
     And(Vec<ColPred>),
     Or(Vec<ColPred>),
@@ -389,8 +494,44 @@ enum ColPred {
     Not(Box<ColPred>),
 }
 
-/// Compiles a filter against the declared columns; `None` if any leaf
-/// references an undeclared path (the step then evaluates per row).
+/// An `$in` / `$nin` value list, compiled once per query.
+#[derive(Clone, Debug)]
+struct MemberSet {
+    /// Canonically sorted members, built exactly as the row matcher's.
+    set: Box<[OrdValue]>,
+    has_null: bool,
+    /// The members as sorted, deduplicated `i64`s when every one is an
+    /// `Int32` / `Int64`: an `I64` column then probes this slice instead
+    /// of comparing `Value`s. Any other member mix leaves it `None`, so
+    /// cross-type members (`{$in: [1.0]}` finds `Int32(1)`) keep the
+    /// canonical comparison.
+    ints: Option<Box<[i64]>>,
+}
+
+impl MemberSet {
+    fn new(values: &[Value]) -> Self {
+        let ints: Option<Vec<i64>> = values
+            .iter()
+            .map(|v| match v {
+                Value::Int32(n) => Some(i64::from(*n)),
+                Value::Int64(n) => Some(*n),
+                _ => None,
+            })
+            .collect();
+        MemberSet {
+            set: compile_set(values),
+            has_null: values.iter().any(Value::is_null),
+            ints: ints.map(|mut ints| {
+                ints.sort_unstable();
+                ints.dedup();
+                ints.into_boxed_slice()
+            }),
+        }
+    }
+}
+
+/// Compiles a filter against the columns; `None` if any leaf references
+/// a path without one (the step then evaluates per row).
 fn compile_pred(f: &Filter, cs: &ColumnSet) -> Option<ColPred> {
     let all = |fs: &[Filter]| -> Option<Vec<ColPred>> {
         fs.iter().map(|f| compile_pred(f, cs)).collect()
@@ -402,16 +543,12 @@ fn compile_pred(f: &Filter, cs: &ColumnSet) -> Option<ColPred> {
             op: *op,
             rhs: value.clone(),
         },
-        Filter::In { path, values } => ColPred::In {
-            col: cs.col_index(path)?,
-            set: compile_set(values),
-            has_null: values.iter().any(Value::is_null),
-        },
-        Filter::Nin { path, values } => ColPred::Nin {
-            col: cs.col_index(path)?,
-            set: compile_set(values),
-            has_null: values.iter().any(Value::is_null),
-        },
+        Filter::In { path, values } => {
+            ColPred::In { col: cs.col_index(path)?, set: MemberSet::new(values) }
+        }
+        Filter::Nin { path, values } => {
+            ColPred::Nin { col: cs.col_index(path)?, set: MemberSet::new(values) }
+        }
         Filter::Exists { path, exists } => {
             ColPred::Exists { col: cs.col_index(path)?, exists: *exists }
         }
@@ -442,12 +579,38 @@ fn pred_cols(p: &ColPred, out: &mut Vec<usize>) {
     }
 }
 
-/// One leading `$match` stage: the column form when every path is
-/// declared, and the compiled row form for fallback chunks.
-struct MatchStep {
+/// One filter to evaluate over a chunk: the column form when every path
+/// has a column, and the compiled row form for fallback chunks.
+struct MatchStep<'r> {
     col: Option<ColPred>,
     cols_used: Vec<usize>,
-    row: CompiledFilter,
+    row: Cow<'r, CompiledFilter>,
+}
+
+impl<'r> MatchStep<'r> {
+    fn new(f: &Filter, cs: &ColumnSet, row: Cow<'r, CompiledFilter>) -> Self {
+        let col = compile_pred(f, cs);
+        let mut cols_used = Vec::new();
+        if let Some(p) = &col {
+            pred_cols(p, &mut cols_used);
+        }
+        MatchStep { col, cols_used, row }
+    }
+
+    /// Narrows `sel`, the still-selected rows of the chunk `[start,
+    /// end)`, to those satisfying the filter: over the columns, or per
+    /// surviving document when a path has no column or a used column
+    /// holds an exotic cell in range.
+    fn refine(&self, cs: &ColumnSet, slab: &Slab, start: usize, end: usize, sel: &mut Mask) {
+        let exotic = self.cols_used.iter().any(|&c| cs.cols[c].exotic.any_in_range(start, end));
+        match &self.col {
+            Some(pred) if !exotic => refine(pred, cs, start, sel),
+            _ => sel.retain(|i| {
+                slab.get((start + i) as DocId)
+                    .is_some_and(|d| matches_compiled(&self.row, d))
+            }),
+        }
+    }
 }
 
 /// A `$group` accumulator input: a column, or a literal (`{$sum: 1}`).
@@ -475,7 +638,7 @@ enum ColTerminal<'p> {
 /// A pipeline prefix compiled for columnar execution; `rest` is the
 /// uncovered suffix the caller runs on the streaming executor.
 pub(crate) struct ColPlan<'p> {
-    steps: Vec<MatchStep>,
+    steps: Vec<MatchStep<'p>>,
     terminal: ColTerminal<'p>,
     pub(crate) rest: &'p [Stage],
 }
@@ -488,12 +651,7 @@ pub(crate) fn plan<'p>(body: &'p [Stage], cs: &ColumnSet) -> Option<ColPlan<'p>>
     let mut steps = Vec::new();
     let mut i = 0;
     while let Some(Stage::Match(f)) = body.get(i) {
-        let col = compile_pred(f, cs);
-        let mut cols_used = Vec::new();
-        if let Some(p) = &col {
-            pred_cols(p, &mut cols_used);
-        }
-        steps.push(MatchStep { col, cols_used, row: compile(f) });
+        steps.push(MatchStep::new(f, cs, Cow::Owned(compile(f))));
         i += 1;
     }
     let (terminal, rest) = match body.get(i) {
@@ -544,6 +702,7 @@ fn group_coverage(
 
 /// A selection bitmask over one chunk's rows (`len` bits, bit `i` =
 /// chunk-relative row `i`).
+#[derive(Clone)]
 struct Mask {
     words: Vec<u64>,
     len: usize,
@@ -554,19 +713,9 @@ impl Mask {
         Mask { words: vec![0; len.div_ceil(64)], len }
     }
 
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
     #[cfg(test)]
     fn get(&self, i: usize) -> bool {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    fn and_assign(&mut self, other: &Mask) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
     }
 
     fn or_assign(&mut self, other: &Mask) {
@@ -575,30 +724,23 @@ impl Mask {
         }
     }
 
-    fn negate(&mut self) {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.trim_tail();
-    }
-
-    fn trim_tail(&mut self) {
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= u64::MAX >> (64 - tail);
-            }
+    /// Clears every bit that is set in `other`.
+    fn and_not_assign(&mut self, other: &Mask) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
         }
     }
 
+    /// Keeps the set bits `f` accepts; words with no bit set cost one
+    /// comparison, so a predicate runs only where rows are still
+    /// selected.
     fn retain(&mut self, mut f: impl FnMut(usize) -> bool) {
-        for wi in 0..self.words.len() {
-            let mut w = self.words[wi];
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut w = *word;
             while w != 0 {
                 let b = w.trailing_zeros() as usize;
-                let i = wi * 64 + b;
-                if !f(i) {
-                    self.words[wi] &= !(1u64 << b);
+                if !f(wi * 64 + b) {
+                    *word &= !(1u64 << b);
                 }
                 w &= w - 1;
             }
@@ -609,19 +751,12 @@ impl Mask {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    fn for_each_one(&self, mut f: impl FnMut(usize)) {
-        for (wi, &word) in self.words.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let b = w.trailing_zeros() as usize;
-                f(wi * 64 + b);
-                w &= w - 1;
-            }
-        }
-    }
-
-    /// Fallible visit: stops at the first error.
-    fn try_for_each_one(&self, mut f: impl FnMut(usize) -> Result<()>) -> Result<()> {
+    /// Fallible visit of the set bits in order: stops at the first
+    /// error.
+    fn try_for_each_one<E>(
+        &self,
+        mut f: impl FnMut(usize) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         for (wi, &word) in self.words.iter().enumerate() {
             let mut w = word;
             while w != 0 {
@@ -632,95 +767,141 @@ impl Mask {
         }
         Ok(())
     }
+
+    fn for_each_one(&self, mut f: impl FnMut(usize)) {
+        let _ = self.try_for_each_one(|i| -> std::result::Result<(), ()> {
+            f(i);
+            Ok(())
+        });
+    }
 }
 
-/// Live-slot mask for `[start, end)`, chunk-relative.
+/// Live-slot mask for `[start, end)`, chunk-relative: the `live`
+/// bitmap's words, shifted into place.
 fn live_mask(cs: &ColumnSet, start: usize, end: usize) -> Mask {
     let mut m = Mask::zeros(end - start);
-    for i in 0..end - start {
-        if cs.live.get(start + i) {
-            m.set(i);
+    for (k, w) in m.words.iter_mut().enumerate() {
+        *w = cs.live.word_at(start + k * 64);
+    }
+    let tail = m.len % 64;
+    if tail != 0 {
+        if let Some(last) = m.words.last_mut() {
+            *last &= u64::MAX >> (64 - tail);
         }
     }
     m
 }
 
-/// Evaluates a column predicate over `[start, end)`; cell decisions
-/// mirror the matcher exactly (see the leaf helpers).
-fn eval_pred(p: &ColPred, cs: &ColumnSet, start: usize, end: usize) -> Mask {
-    let len = end - start;
+/// Whether an ordering satisfies a comparison operator.
+fn ord_matches(op: CmpOp, ord: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord == Ordering::Equal,
+        CmpOp::Ne => ord != Ordering::Equal,
+        CmpOp::Gt => ord == Ordering::Greater,
+        CmpOp::Gte => ord != Ordering::Less,
+        CmpOp::Lt => ord == Ordering::Less,
+        CmpOp::Lte => ord != Ordering::Greater,
+    }
+}
+
+/// Narrows `sel` — the still-selected rows of the chunk starting at
+/// slot `start` — to the rows satisfying `p`, evaluating `p` only where
+/// a row is still selected; cell decisions mirror the matcher exactly
+/// (see the leaf helpers). The caller has checked that no used column
+/// holds an exotic cell in the chunk.
+fn refine(p: &ColPred, cs: &ColumnSet, start: usize, sel: &mut Mask) {
+    // The rows of `sel` satisfying any of `ps`, each disjunct evaluated
+    // only over the rows no earlier one accepted.
+    let any_of = |ps: &[ColPred], sel: &Mask| {
+        let mut acc = Mask::zeros(sel.len);
+        for p in ps {
+            let mut m = sel.clone();
+            m.and_not_assign(&acc);
+            refine(p, cs, start, &mut m);
+            acc.or_assign(&m);
+        }
+        acc
+    };
     match p {
-        ColPred::True => {
-            let mut m = Mask::zeros(len);
-            for i in 0..len {
-                m.set(i);
-            }
-            m
-        }
-        ColPred::Cmp { col, op, rhs } => {
-            let c = &cs.cols[*col];
-            let mut m = Mask::zeros(len);
-            for i in 0..len {
-                if cell_cmp_matches(c.cell(start + i), *op, rhs) {
-                    m.set(i);
-                }
-            }
-            m
-        }
-        ColPred::In { col, set, has_null } => {
-            let c = &cs.cols[*col];
-            let mut m = Mask::zeros(len);
-            for i in 0..len {
-                if cell_in_set(c.cell(start + i), set, *has_null) {
-                    m.set(i);
-                }
-            }
-            m
-        }
-        ColPred::Nin { col, set, has_null } => {
-            let c = &cs.cols[*col];
-            let mut m = Mask::zeros(len);
-            for i in 0..len {
-                if !cell_in_set(c.cell(start + i), set, *has_null) {
-                    m.set(i);
-                }
-            }
-            m
-        }
+        ColPred::True => {}
+        ColPred::Cmp { col, op, rhs } => refine_cmp(&cs.cols[*col], *op, rhs, start, sel),
+        ColPred::In { col, set } => refine_in(&cs.cols[*col], set, true, start, sel),
+        ColPred::Nin { col, set } => refine_in(&cs.cols[*col], set, false, start, sel),
         ColPred::Exists { col, exists } => {
             let c = &cs.cols[*col];
-            let mut m = Mask::zeros(len);
-            for i in 0..len {
-                if c.present.get(start + i) == *exists {
-                    m.set(i);
-                }
-            }
-            m
+            sel.retain(|i| c.present.get(start + i) == *exists);
         }
         ColPred::And(ps) => {
-            let mut m = eval_pred(&ColPred::True, cs, start, end);
             for p in ps {
-                m.and_assign(&eval_pred(p, cs, start, end));
+                refine(p, cs, start, sel);
             }
-            m
         }
-        ColPred::Or(ps) => {
-            let mut m = Mask::zeros(len);
-            for p in ps {
-                m.or_assign(&eval_pred(p, cs, start, end));
-            }
-            m
-        }
+        ColPred::Or(ps) => *sel = any_of(ps, sel),
         ColPred::Nor(ps) => {
-            let mut m = eval_pred(&ColPred::Or(ps.clone()), cs, start, end);
-            m.negate();
-            m
+            let hit = any_of(ps, sel);
+            sel.and_not_assign(&hit);
         }
         ColPred::Not(p) => {
-            let mut m = eval_pred(p, cs, start, end);
-            m.negate();
-            m
+            let mut hit = sel.clone();
+            refine(p, cs, start, &mut hit);
+            sel.and_not_assign(&hit);
         }
+    }
+}
+
+/// `$eq`/`$ne`/ordered comparison over one column. An integer column
+/// against an integer, and a double column against a non-NaN double,
+/// compare the payload slices directly; every other pairing goes cell
+/// by cell through [`cell_cmp_matches`].
+fn refine_cmp(c: &Column, op: CmpOp, rhs: &Value, start: usize, sel: &mut Mask) {
+    // In a chunk without exotic cells an untyped cell is missing or
+    // null: against a non-null `rhs` only `$ne` matches it.
+    let untyped = op == CmpOp::Ne;
+    match (&c.data, rhs) {
+        (ColumnData::I64 { vals, .. }, Value::Int32(_) | Value::Int64(_)) => {
+            let r = rhs.as_i64().expect("integer rhs");
+            sel.retain(|i| {
+                let s = start + i;
+                if c.typed.get(s) { ord_matches(op, vals[s].cmp(&r)) } else { untyped }
+            });
+        }
+        (ColumnData::F64(vals), Value::Double(r)) if !r.is_nan() => {
+            // The canonical order puts NaN below every other double.
+            sel.retain(|i| {
+                let s = start + i;
+                if !c.typed.get(s) {
+                    return untyped;
+                }
+                let ord = vals[s].partial_cmp(r).unwrap_or(Ordering::Less);
+                ord_matches(op, ord)
+            });
+        }
+        _ => sel.retain(|i| cell_cmp_matches(c.cell(start + i), op, rhs)),
+    }
+}
+
+/// `$in` (`want` true) / `$nin` (`want` false) over one column. An
+/// integer column probed by an all-integer list binary-searches the
+/// pre-extracted `i64` slice after a min/max reject; everything else
+/// goes cell by cell through [`cell_in_set`].
+fn refine_in(c: &Column, set: &MemberSet, want: bool, start: usize, sel: &mut Mask) {
+    match (&c.data, &set.ints) {
+        (ColumnData::I64 { vals, .. }, Some(ints)) => {
+            // An empty list has lo > hi, which rejects every value.
+            let lo = ints.first().copied().unwrap_or(i64::MAX);
+            let hi = ints.last().copied().unwrap_or(i64::MIN);
+            // An all-integer list holds no null, so untyped (missing
+            // or null) cells are never members.
+            sel.retain(|i| {
+                let s = start + i;
+                let member = c.typed.get(s) && {
+                    let v = vals[s];
+                    lo <= v && v <= hi && ints.binary_search(&v).is_ok()
+                };
+                member == want
+            });
+        }
+        _ => sel.retain(|i| cell_in_set(c.cell(start + i), &set.set, set.has_null) == want),
     }
 }
 
@@ -747,27 +928,18 @@ fn cell_family_cmp(cell: Cell<'_>, rhs: &Value) -> Option<Ordering> {
 /// `matches_compiled` on the equivalent document: missing and null
 /// cells equality-match only a null rhs and never order-match.
 fn cell_cmp_matches(cell: Cell<'_>, op: CmpOp, rhs: &Value) -> bool {
-    match op {
-        CmpOp::Eq | CmpOp::Ne => {
-            let eq = match cell {
-                Cell::Missing | Cell::Null => rhs.is_null(),
-                Cell::Exotic => unreachable!("exotic chunks take the row path"),
-                _ => cell_family_cmp(cell, rhs) == Some(Ordering::Equal),
-            };
-            (op == CmpOp::Ne) != eq
-        }
-        CmpOp::Gt | CmpOp::Gte | CmpOp::Lt | CmpOp::Lte => {
-            let Some(ord) = cell_family_cmp(cell, rhs) else {
-                return false;
-            };
-            match op {
-                CmpOp::Gt => ord == Ordering::Greater,
-                CmpOp::Gte => ord != Ordering::Less,
-                CmpOp::Lt => ord == Ordering::Less,
-                CmpOp::Lte => ord != Ordering::Greater,
-                CmpOp::Eq | CmpOp::Ne => unreachable!(),
-            }
-        }
+    match cell {
+        Cell::Exotic => unreachable!("exotic chunks take the row path"),
+        Cell::Missing | Cell::Null => match op {
+            CmpOp::Eq => rhs.is_null(),
+            CmpOp::Ne => !rhs.is_null(),
+            _ => false,
+        },
+        // A cross-family pair is unequal and never order-matches.
+        _ => match cell_family_cmp(cell, rhs) {
+            Some(ord) => ord_matches(op, ord),
+            None => op == CmpOp::Ne,
+        },
     }
 }
 
@@ -821,9 +993,37 @@ fn merge_states<'p>(mut a: ChunkState<'p>, b: ChunkState<'p>) -> ChunkState<'p> 
     a
 }
 
-/// Runs one chunk `[start, end)` of slots through the plan: selection
-/// masks per `$match` step (row fallback when a used column has an
-/// exotic cell in range), then the terminal over the surviving rows.
+/// Visits, in slot order, the live slots whose document satisfies
+/// `filter` until `visit` returns false — the `ColumnScan` access path.
+/// The filter is evaluated over the columns [`SCAN_CHUNK`] rows at a
+/// time (`row`, the same filter compiled for documents, serves chunks
+/// that hold an exotic cell), so only `visit` ever needs a document.
+/// Returns the number of live rows the filter was evaluated on.
+pub(crate) fn scan(
+    cs: &ColumnSet,
+    slab: &Slab,
+    filter: &Filter,
+    row: &CompiledFilter,
+    visit: &mut dyn FnMut(DocId) -> bool,
+) -> usize {
+    let step = MatchStep::new(filter, cs, Cow::Borrowed(row));
+    let mut examined = 0;
+    for start in (0..cs.rows).step_by(SCAN_CHUNK) {
+        let end = (start + SCAN_CHUNK).min(cs.rows);
+        let mut sel = live_mask(cs, start, end);
+        examined += sel.count_ones();
+        step.refine(cs, slab, start, end, &mut sel);
+        let more = sel.try_for_each_one(|i| if visit((start + i) as DocId) { Ok(()) } else { Err(()) });
+        if more.is_err() {
+            break;
+        }
+    }
+    examined
+}
+
+/// Runs one chunk `[start, end)` of slots through the plan: the live
+/// rows narrowed by each `$match` step, then the terminal over the
+/// surviving rows.
 fn run_chunk(
     cs: &ColumnSet,
     slab: &Slab,
@@ -837,19 +1037,7 @@ fn run_chunk(
     };
     let mut sel = live_mask(cs, start, end);
     for step in &plan.steps {
-        match &step.col {
-            Some(pred) if !any_exotic(&step.cols_used) => {
-                sel.and_assign(&eval_pred(pred, cs, start, end));
-            }
-            _ => {
-                // Undeclared path or exotic cells in range: evaluate
-                // this stage's compiled row filter per surviving doc.
-                sel.retain(|i| {
-                    slab.get((start + i) as DocId)
-                        .is_some_and(|d| matches_compiled(&step.row, d))
-                });
-            }
-        }
+        step.refine(cs, slab, start, end, &mut sel);
     }
     match (state, &plan.terminal) {
         (ChunkState::Docs(out), ColTerminal::Docs) => {
@@ -965,8 +1153,8 @@ mod tests {
     }
 
     fn cs_over(slab: &Slab, fields: &[&str]) -> ColumnSet {
-        let mut cs = ColumnSet::new(fields.iter().copied());
-        cs.rebuild(slab);
+        let mut cs = ColumnSet::over(slab);
+        cs.add_columns(fields, slab, true);
         cs
     }
 
@@ -1040,7 +1228,7 @@ mod tests {
     #[test]
     fn incremental_maintenance_matches_rebuild() {
         let mut slab = Slab::new();
-        let mut cs = ColumnSet::new(["a", "b"]);
+        let mut cs = cs_over(&slab, &["a", "b"]);
         let id0 = slab.insert(doc! {"a" => 1i64, "b" => "x"});
         cs.set_row(id0, slab.get(id0).unwrap());
         let id1 = slab.insert(doc! {"a" => 2i64});
@@ -1055,8 +1243,7 @@ mod tests {
         assert_eq!(id2, id1, "free list reuses the slot");
         cs.set_row(id2, slab.get(id2).unwrap());
 
-        let mut rebuilt = ColumnSet::new(["a", "b"]);
-        rebuilt.rebuild(&slab);
+        let rebuilt = cs_over(&slab, &["a", "b"]);
         for slot in 0..cs.rows() {
             assert_eq!(cs.live.get(slot), rebuilt.live.get(slot), "live bit, slot {slot}");
             for col in 0..2 {
@@ -1119,19 +1306,20 @@ mod tests {
             Filter::not(Filter::gt("k", 0i64)),
         ];
         for f in &filters {
-            // eval_pred's precondition is "no exotic cell in range for
-            // any used column" (run_chunk row-falls-back otherwise), so
-            // probe one-row ranges and skip the exotic ones — exactly
-            // the gate run_chunk applies per chunk.
+            // refine's precondition is "no exotic cell in range for any
+            // used column" (MatchStep::refine row-falls-back
+            // otherwise), so probe one-row ranges and skip the exotic
+            // ones — exactly the gate applied per chunk.
             let pred = compile_pred(f, &cs).expect("declared paths only");
             let mut used = Vec::new();
             pred_cols(&pred, &mut used);
             let compiled = compile(f);
             for (i, d) in docs.iter().enumerate() {
                 if used.iter().any(|&c| cs.cols[c].exotic.get(i)) {
-                    continue; // run_chunk would row-fallback this chunk
+                    continue; // this chunk would take the row path
                 }
-                let mask = eval_pred(&pred, &cs, i, i + 1);
+                let mut mask = live_mask(&cs, i, i + 1);
+                refine(&pred, &cs, i, &mut mask);
                 assert_eq!(
                     mask.get(0),
                     matches_compiled(&compiled, d),
@@ -1231,6 +1419,192 @@ mod tests {
                 assert_eq!(par, serial, "workers={workers} chunk={chunk}");
             }
         }
+    }
+
+    /// All slots `scan` selects for `f`, with the rows it examined.
+    fn scan_slots(cs: &ColumnSet, slab: &Slab, f: &Filter) -> (Vec<DocId>, usize) {
+        let mut slots = Vec::new();
+        let examined = scan(cs, slab, f, &compile(f), &mut |id| {
+            slots.push(id);
+            true
+        });
+        (slots, examined)
+    }
+
+    #[test]
+    fn live_mask_copies_words_at_any_offset() {
+        let mut slab = Slab::new();
+        for i in 0..300i64 {
+            slab.insert(doc! {"k" => i});
+        }
+        let mut cs = cs_over(&slab, &["k"]);
+        for dead in [0u64, 63, 64, 65, 127, 200, 299] {
+            slab.remove(dead);
+            cs.clear_row(dead);
+        }
+        for (start, end) in [(0, 300), (0, 64), (1, 66), (63, 129), (64, 128), (100, 300), (299, 300)] {
+            let m = live_mask(&cs, start, end);
+            assert_eq!(m.len, end - start);
+            for i in 0..end - start {
+                assert_eq!(m.get(i), cs.live.get(start + i), "range {start}..{end} bit {i}");
+            }
+            // Bits past `len` stay clear: and_not_assign relies on it.
+            assert_eq!(m.count_ones(), (start..end).filter(|&s| cs.live.get(s)).count());
+        }
+    }
+
+    #[test]
+    fn integer_in_fast_path_keeps_cross_type_members() {
+        let docs = vec![
+            doc! {"k" => Value::Int32(1)},
+            doc! {"k" => 2i64},
+            doc! {"k" => Value::Null},
+            doc! {"other" => 1i64},
+            doc! {"k" => i64::MAX},
+            doc! {"k" => 7i64},
+        ];
+        let slab = slab_of(docs.clone());
+        let cs = cs_over(&slab, &["k"]);
+        let filters = [
+            // All-integer lists take the i64 slice (min/max reject
+            // included: 7 and i64::MAX lie outside [1, 2]).
+            Filter::is_in("k", [Value::Int32(2), Value::Int64(1)]),
+            Filter::not_in("k", [1i64, 2i64]),
+            Filter::is_in("k", Vec::<Value>::new()),
+            Filter::not_in("k", Vec::<Value>::new()),
+            Filter::is_in("k", [i64::MAX, i64::MIN]),
+            // A double or null member keeps the canonical comparison, so
+            // 1.0 still finds Int32(1) and null finds missing and null.
+            Filter::is_in("k", [Value::Double(1.0), Value::Int64(7)]),
+            Filter::is_in("k", [Value::Null, Value::Int64(2)]),
+            Filter::not_in("k", [Value::Double(2.0), Value::Null]),
+        ];
+        for f in &filters {
+            let expected: Vec<DocId> = docs
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| crate::query::matcher::matches(f, d))
+                .map(|(i, _)| i as DocId)
+                .collect();
+            assert_eq!(scan_slots(&cs, &slab, f).0, expected, "{f:?}");
+        }
+        let all_ints = MemberSet::new(&[Value::Int32(2), Value::Int64(1), Value::Int64(2)]);
+        assert_eq!(all_ints.ints.as_deref(), Some(&[1i64, 2][..]));
+        assert!(MemberSet::new(&[Value::Int64(1), Value::Double(1.0)]).ints.is_none());
+        assert!(MemberSet::new(&[Value::Int64(1), Value::Null]).ints.is_none());
+    }
+
+    #[test]
+    fn typed_comparisons_agree_with_the_matcher() {
+        let docs = vec![
+            doc! {"i" => 5i64, "f" => 0.5f64},
+            doc! {"i" => Value::Int32(-3), "f" => f64::NAN},
+            doc! {"i" => Value::Null, "f" => -0.0f64},
+            doc! {"f" => 0.0f64},
+            doc! {"i" => i64::MIN, "f" => f64::INFINITY},
+        ];
+        let slab = slab_of(docs.clone());
+        let cs = cs_over(&slab, &["i", "f"]);
+        let ops = [CmpOp::Eq, CmpOp::Ne, CmpOp::Gt, CmpOp::Gte, CmpOp::Lt, CmpOp::Lte];
+        let rhs = [
+            ("i", Value::Int64(5)),
+            ("i", Value::Int32(-3)),
+            ("i", Value::Double(5.0)),
+            ("f", Value::Double(0.0)),
+            ("f", Value::Double(f64::NAN)),
+            ("f", Value::Int64(0)),
+        ];
+        for (path, value) in &rhs {
+            for op in ops {
+                let f = Filter::Cmp { path: (*path).into(), op, value: value.clone() };
+                let expected: Vec<DocId> = docs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, d)| crate::query::matcher::matches(&f, d))
+                    .map(|(i, _)| i as DocId)
+                    .collect();
+                assert_eq!(scan_slots(&cs, &slab, &f).0, expected, "{f:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn scan_yields_live_matches_in_slot_order_and_stops_on_request() {
+        let n = SCAN_CHUNK as i64 * 2 + 100;
+        let mut slab = Slab::new();
+        for i in 0..n {
+            slab.insert(doc! {"k" => i % 10});
+        }
+        let mut cs = cs_over(&slab, &["k"]);
+        for dead in [3u64, 13, SCAN_CHUNK as u64 + 3] {
+            slab.remove(dead);
+            cs.clear_row(dead);
+        }
+        let f = Filter::eq("k", 3i64);
+        let (slots, examined) = scan_slots(&cs, &slab, &f);
+        let expected: Vec<DocId> =
+            slab.iter().filter(|(_, d)| d.get("k") == Some(&Value::Int64(3))).map(|(id, _)| id).collect();
+        assert_eq!(slots, expected);
+        assert_eq!(examined, slab.len(), "every live row is evaluated, no dead one");
+        // Stopping after the first match evaluates one chunk only.
+        let mut first = None;
+        let examined = scan(&cs, &slab, &f, &compile(&f), &mut |id| {
+            first = Some(id);
+            false
+        });
+        assert_eq!(first, Some(23));
+        assert_eq!(examined, SCAN_CHUNK - 2);
+        // A chunk with an exotic cell takes the row path, same answer.
+        slab.replace(40, doc! {"k" => Value::Array(vec![Value::Int64(3)])});
+        cs.set_row(40, slab.get(40).unwrap());
+        let (slots, _) = scan_slots(&cs, &slab, &f);
+        assert!(slots.contains(&40), "array-any match found through the row fallback");
+        assert_eq!(slots.len(), expected.len() + 1);
+    }
+
+    #[test]
+    fn dictionary_stops_growing_at_its_cap() {
+        let mut slab = Slab::new();
+        for i in 0..DICT_CAP + 50 {
+            slab.insert(doc! {"s" => format!("v{i}")});
+        }
+        let cs = cs_over(&slab, &["s"]);
+        match &cs.cols[0].data {
+            ColumnData::Str { dict, map, .. } => {
+                assert_eq!(dict.len(), DICT_CAP);
+                assert_eq!(map.len(), DICT_CAP);
+            }
+            other => panic!("expected Str column, got {other:?}"),
+        }
+        assert!(matches!(cs.cols[0].cell(DICT_CAP - 1), Cell::Str(_)));
+        assert!(matches!(cs.cols[0].cell(DICT_CAP), Cell::Exotic));
+        // Cells past the cap are still found, through the row fallback.
+        let f = Filter::eq("s", format!("v{}", DICT_CAP + 7));
+        assert_eq!(scan_slots(&cs, &slab, &f).0, vec![(DICT_CAP + 7) as DocId]);
+    }
+
+    #[test]
+    fn undeclared_columns_that_are_mostly_exotic_are_discarded() {
+        let mut slab = Slab::new();
+        for i in 0..(SCAN_CHUNK as i64 * 3) {
+            // `arr` is exotic everywhere; `mixed` in one chunk of three.
+            let mixed = if i == 5 { Value::from("x") } else { Value::Int64(i) };
+            slab.insert(doc! {"arr" => Value::Array(vec![Value::Int64(i)]), "mixed" => mixed, "k" => i});
+        }
+        let mut cs = ColumnSet::over(&slab);
+        cs.add_columns(&["arr", "mixed", "k"], &slab, false);
+        assert!(!cs.has_column("arr") && cs.is_rejected("arr"));
+        assert!(cs.has_column("mixed") && cs.has_column("k"));
+        assert!(!cs.is_rejected("mixed"));
+        // The survivors still line up with their paths.
+        let f = Filter::and([Filter::eq("k", 9i64), Filter::eq("mixed", 9i64)]);
+        assert_eq!(scan_slots(&cs, &slab, &f).0, vec![9]);
+        // A declared column is kept whatever it holds.
+        cs.add_columns(&["arr"], &slab, true);
+        assert!(cs.has_column("arr"));
+        // Memory bound: 8 B + 4 bits per slot and column, 1 bit per slot.
+        let slots = slab.len();
+        assert!(cs.bytes() <= 3 * (slots * 8 + slots / 2 + 32) + slots / 8 + 8, "{}", cs.bytes());
     }
 
     #[test]

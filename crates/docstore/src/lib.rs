@@ -49,9 +49,7 @@ pub use agg::{
     ExecMode, Expr, GroupId, LookupMeta, Pipeline, ProjectField, Stage,
 };
 pub use collection::{project_paths, AggExplain, Collection, Explain, FindOptions, StageExplain};
-pub use stats::{
-    columnar_auto, planner_mode, set_columnar_auto, set_planner_mode, CollStats, PlannerMode,
-};
+pub use stats::{planner_mode, set_planner_mode, CollStats, PlannerMode};
 pub use pool::{parallel_for, parallel_workers, set_parallel_workers};
 pub use database::Database;
 pub use dump::{dump_collection, dump_database, restore_collection, restore_database, DumpReader};

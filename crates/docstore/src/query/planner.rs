@@ -125,6 +125,10 @@ fn collect(filter: &Filter, map: &mut HashMap<String, PathConstraint>) {
 pub enum PlanKind {
     /// Scan every live document.
     CollScan,
+    /// Evaluate the filter over the sidecar's typed columns and fetch
+    /// only the matching documents. `cols` are the paths the filter
+    /// reads, each of which has a column.
+    ColumnScan { cols: Vec<String> },
     /// Point lookups on full index keys (equality on every index field).
     IndexEq { index: String, keys: Vec<CompoundKey> },
     /// B-tree range scan on the index's first field.
@@ -144,10 +148,12 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Short explain string, e.g. `IXSCAN { d_year_1 }` / `COLLSCAN`.
+    /// Short explain string, e.g. `IXSCAN { d_year_1 }` / `COLLSCAN` /
+    /// `COLSCAN { inv_item_sk, inv_date_sk }`.
     pub fn describe(&self) -> String {
         match &self.kind {
             PlanKind::CollScan => "COLLSCAN".to_owned(),
+            PlanKind::ColumnScan { cols } => format!("COLSCAN {{ {} }}", cols.join(", ")),
             PlanKind::IndexEq { index, keys } => {
                 format!("IXSCAN {{ {index} }} ({} point lookup(s))", keys.len())
             }
@@ -155,9 +161,10 @@ impl Plan {
         }
     }
 
-    /// True if the plan uses an index.
+    /// True if the plan uses an index (a column scan, like a
+    /// collection scan, does not).
     pub fn uses_index(&self) -> bool {
-        !matches!(self.kind, PlanKind::CollScan)
+        matches!(self.kind, PlanKind::IndexEq { .. } | PlanKind::IndexRange { .. })
     }
 }
 
@@ -193,7 +200,7 @@ pub fn plan(filter: &Filter, indexes: &[Index]) -> Plan {
 
 fn score(kind: &PlanKind, idx: &Index) -> usize {
     match kind {
-        PlanKind::CollScan => 0,
+        PlanKind::CollScan | PlanKind::ColumnScan { .. } => 0,
         // Full-key equality is the most selective; weight by key arity so
         // a compound full-key match beats a single-field one.
         PlanKind::IndexEq { .. } => 100 + idx.def.fields.len() * 10,
@@ -258,20 +265,16 @@ pub const COST_SCAN_ROW: f64 = 1.0;
 pub const COST_FETCH_ROW: f64 = 1.2;
 /// Fixed cost per index probe (point lookup or range-scan start).
 pub const COST_SEEK: f64 = 16.0;
-/// Per-row cost of the vectorized columnar kernel, from the recorded
-/// ~8× batch-vs-row speedup on scan-heavy shapes (BENCH_columnar).
+/// Per-row cost of evaluating a filter over typed columns, from the
+/// recorded ~8× batch-vs-row speedup on scan-heavy shapes
+/// (BENCH_columnar). A column scan pays it for every live row, then
+/// [`COST_FETCH_ROW`] for each row it expects to match.
 pub const COST_COLUMNAR_ROW: f64 = 0.15;
 
 /// Below this live-document count the cost model defers to the rule
 /// planner: every choice is noise at this scale, and deferring keeps
 /// small-fixture behavior (and its `explain` counters) unchanged.
 pub const SMALL_COLLECTION: usize = 256;
-
-/// Match fraction below which an index scan beats the columnar kernel
-/// (`frac · FETCH < COLUMNAR` per row).
-pub fn columnar_index_threshold() -> f64 {
-    COST_COLUMNAR_ROW / COST_FETCH_ROW
-}
 
 /// A plan chosen by the cost model, with the estimates that selected it.
 #[derive(Clone, Debug)]
@@ -286,16 +289,18 @@ pub struct CostedPlan {
 }
 
 /// Cost-based planning: enumerates the same candidates as [`plan`] plus
-/// the collection scan, prices each with the per-field statistics, and
-/// picks the cheapest. The residual filter is always the full filter, so
-/// any choice returns identical results — a misestimate costs time, not
-/// correctness. Collections under [`SMALL_COLLECTION`] documents defer
-/// to the rule planner.
+/// the collection scan and — when `has_column` holds for *every* path
+/// the filter reads — the column scan, prices each with the per-field
+/// statistics, and picks the cheapest. The residual filter is always the
+/// full filter, so any choice returns identical results — a misestimate
+/// costs time, not correctness. Collections under [`SMALL_COLLECTION`]
+/// documents defer to the rule planner.
 pub fn plan_with_stats(
     filter: &Filter,
     indexes: &[Index],
     stats: &crate::stats::CollStats,
     live: usize,
+    has_column: &dyn Fn(&str) -> bool,
 ) -> CostedPlan {
     let est_fraction = stats.estimate_fraction(filter);
     let est_rows = (est_fraction * live as f64).round() as u64;
@@ -316,6 +321,15 @@ pub fn plan_with_stats(
             best_kind = candidate;
         }
     }
+    let paths = filter.referenced_paths();
+    if !paths.is_empty() && paths.iter().all(|p| has_column(p)) {
+        let cost = live as f64 * COST_COLUMNAR_ROW + est_rows as f64 * COST_FETCH_ROW;
+        if cost < best_cost {
+            best_cost = cost;
+            best_kind =
+                PlanKind::ColumnScan { cols: paths.into_iter().map(str::to_owned).collect() };
+        }
+    }
     CostedPlan {
         plan: Plan { kind: best_kind, residual: filter.clone() },
         est_fraction,
@@ -328,7 +342,9 @@ pub fn plan_with_stats(
 fn index_cost(kind: &PlanKind, idx: &Index, stats: &crate::stats::CollStats, live: usize) -> f64 {
     let fields = idx.def.field_names();
     match kind {
-        PlanKind::CollScan => live as f64 * COST_SCAN_ROW,
+        PlanKind::CollScan | PlanKind::ColumnScan { .. } => {
+            unreachable!("index_cost prices index candidates only")
+        }
         PlanKind::IndexEq { keys, .. } => {
             // Candidate fraction: Σ over keys of Π over fields of the
             // per-value equality fraction (independence assumption).

@@ -24,16 +24,17 @@ use crate::storage::Slab;
 use doclite_bson::{Document, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How plans are chosen, process-wide (mirrors `ExecMode`'s default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlannerMode {
     /// Legacy rule: any usable index prefix wins, everywhere — including
     /// under `ExecMode::Columnar`, where an indexable `$match` forces
-    /// the row path.
+    /// the row path. Never plans a column scan, so it doubles as the
+    /// row-only reference.
     Rule,
-    /// Statistics-driven: index vs full scan (row or columnar) by
+    /// Statistics-driven: index vs collection scan vs column scan by
     /// estimated selectivity, `$lookup` strategy by build/probe sizes,
     /// `$in` semi-join rewrite when the dimension filter is selective.
     Cost,
@@ -54,23 +55,13 @@ pub fn planner_mode() -> PlannerMode {
     }
 }
 
-static COLUMNAR_AUTO: AtomicBool = AtomicBool::new(true);
-
-/// Enables/disables the scan-heavy columnar auto-enable heuristic
-/// (default on). See `Collection::aggregate_with_mode`.
-pub fn set_columnar_auto(on: bool) {
-    COLUMNAR_AUTO.store(on, Ordering::Relaxed);
-}
-
-/// Whether scan-heavy collections auto-enable their columnar sidecar.
-pub fn columnar_auto() -> bool {
-    COLUMNAR_AUTO.load(Ordering::Relaxed)
-}
-
-/// Full `ExecMode::Columnar` scans without a sidecar before the
-/// auto-enable heuristic flips it on.
-pub const AUTO_COLUMNAR_SCANS: u64 = 32;
-/// Minimum live documents before auto-enabling a sidecar.
+/// Collection scans that must read a path before the collection builds
+/// a column for it. The first scan may be a one-off (an ad-hoc query, a
+/// reference run); the second shows the path is read repeatedly, and
+/// the build costs about the scan it then replaces.
+pub const COLUMN_AFTER_SCANS: u32 = 2;
+/// Minimum live documents before a collection builds columns: below
+/// this a scan is cheaper than keeping a sidecar consistent.
 pub const AUTO_COLUMNAR_MIN_DOCS: usize = 4096;
 
 /// Distinct values an exact per-field map holds before spilling into an
@@ -389,6 +380,10 @@ pub struct CollStats {
     fields: BTreeMap<String, FieldStats>,
     writes_since_build: u64,
     built: bool,
+    /// Collection scans seen per filter path that has no column yet
+    /// (see [`CollStats::note_scan`]). Not serialized: a reopened or
+    /// copied collection earns its columns again.
+    scans: BTreeMap<String, u32>,
 }
 
 impl CollStats {
@@ -408,6 +403,30 @@ impl CollStats {
                 self.built = false;
             }
         }
+    }
+
+    /// Counts one collection scan against each of `paths` (the paths its
+    /// filter read that have no column). True when one of them has now
+    /// been scanned [`COLUMN_AFTER_SCANS`] times, i.e. a column is due.
+    pub fn note_scan<'a>(&mut self, paths: impl IntoIterator<Item = &'a str>) -> bool {
+        let mut due = false;
+        for p in paths {
+            let n = self.scans.entry(p.to_owned()).or_insert(0);
+            *n = n.saturating_add(1);
+            due |= *n >= COLUMN_AFTER_SCANS;
+        }
+        due
+    }
+
+    /// True once `path` has been scanned [`COLUMN_AFTER_SCANS`] times
+    /// without a column.
+    pub fn column_due(&self, path: &str) -> bool {
+        self.scans.get(path).is_some_and(|n| *n >= COLUMN_AFTER_SCANS)
+    }
+
+    /// Drops `path`'s scan count (its column was built or rejected).
+    pub fn forget_scans(&mut self, path: &str) {
+        self.scans.remove(path);
     }
 
     /// The tracked paths.

@@ -25,6 +25,7 @@
 //! stream, which is outside the columnar path's order contract.
 
 use doclite_bson::{doc, Document, Value};
+use doclite_docstore::query::matcher::matches;
 use doclite_docstore::{
     Accumulator, CmpOp, Collection, ExecMode, Expr, Filter, GroupId, Pipeline, ProjectField,
 };
@@ -307,6 +308,141 @@ proptest! {
     ) {
         let c = build_collection(docs, delete_a, extra);
         assert_equiv(&c, &pipeline);
+    }
+}
+
+// ----- selection over columns vs the interpreted matcher ---------------
+
+/// Scalars of every numeric width over one small colliding domain, so a
+/// filter value meets cells of the other widths: `Int32(2)`, `Int64(2)`
+/// and `Double(2.0)` are one value to the matcher.
+fn arb_number() -> BoxedStrategy<Value> {
+    prop_oneof![
+        (0..4i32).prop_map(Value::Int32),
+        (0..4i64).prop_map(Value::Int64),
+        (0..8i64).prop_map(|n| Value::Double(n as f64 * 0.5)),
+    ]
+    .boxed()
+}
+
+fn arb_scalar() -> BoxedStrategy<Value> {
+    prop_oneof![
+        3 => arb_number(),
+        1 => "[xy]{0,2}".prop_map(Value::String),
+        1 => Just(Value::Null),
+    ]
+    .boxed()
+}
+
+/// `d`: an embedded document, or an *array* of them — `d.x` then fans
+/// out to an array (an exotic cell with array-any semantics).
+fn arb_nested() -> BoxedStrategy<Value> {
+    let sub = || (0..4i64).prop_map(|x| Value::Document(doc! {"x" => x}));
+    prop_oneof![
+        3 => sub(),
+        1 => prop::collection::vec(sub(), 0..3).prop_map(Value::Array),
+        1 => arb_scalar(),
+    ]
+    .boxed()
+}
+
+/// Documents whose columns are clean in places and exotic in others:
+/// `i` integers of both widths, `f` doubles, `s` strings (each with
+/// nulls and holes), `d.x` through documents and arrays, `m` anything.
+fn arb_selection_doc() -> BoxedStrategy<Document> {
+    let ints = prop_oneof![(0..4i32).prop_map(Value::Int32), (0..4i64).prop_map(Value::Int64)];
+    let mixed = prop_oneof![
+        3 => arb_scalar(),
+        1 => prop::collection::vec(arb_number(), 0..3).prop_map(Value::Array),
+        1 => arb_nested(),
+    ];
+    (
+        opt(prop_oneof![4 => ints, 1 => Just(Value::Null)].boxed()),
+        opt((0..8i64).prop_map(|n| Value::Double(n as f64 * 0.5)).boxed()),
+        opt("[xy]{0,2}".prop_map(Value::String).boxed()),
+        opt(arb_nested()),
+        opt(mixed.boxed()),
+    )
+        .prop_map(|(i, f, s, d, m)| {
+            let mut doc = Document::new();
+            for (k, v) in [("i", i), ("f", f), ("s", s), ("d", d), ("m", m)] {
+                if let Some(v) = v {
+                    doc.set(k, v);
+                }
+            }
+            doc
+        })
+        .boxed()
+}
+
+fn arb_selection_filter() -> BoxedStrategy<Filter> {
+    let path = || {
+        prop_oneof![
+            Just("i".to_string()),
+            Just("f".to_string()),
+            Just("s".to_string()),
+            Just("d.x".to_string()),
+            Just("m".to_string()),
+        ]
+    };
+    // `$in` lists: all-integer (the typed probe), or with doubles, nulls
+    // and strings mixed in (the canonical probe).
+    let list = || {
+        prop_oneof![
+            prop::collection::vec((0..4i64).prop_map(Value::Int64), 0..4),
+            prop::collection::vec(arb_scalar(), 0..4),
+        ]
+    };
+    let leaf = prop_oneof![
+        (path(), arb_cmp_op(), arb_scalar())
+            .prop_map(|(p, op, v)| Filter::Cmp { path: p, op, value: v }),
+        (path(), list()).prop_map(|(p, vs)| Filter::is_in(p, vs)),
+        (path(), list()).prop_map(|(p, vs)| Filter::not_in(p, vs)),
+        path().prop_map(Filter::exists),
+        path().prop_map(Filter::not_exists),
+    ];
+    leaf.prop_recursive(2, 8, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 1..3).prop_map(Filter::and),
+            prop::collection::vec(inner.clone(), 1..3).prop_map(Filter::or),
+            prop::collection::vec(inner.clone(), 1..3).prop_map(Filter::Nor),
+            inner.prop_map(Filter::not),
+        ]
+    })
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// What a filter selects over the columns — kernel chunks and
+    /// row-fallback chunks alike, at chunk sizes that split the bitmap
+    /// words unevenly, with dead and reused slots in between — is exactly
+    /// what the interpreted matcher selects, in slot order.
+    #[test]
+    fn column_selection_equals_the_interpreted_matcher(
+        docs in prop::collection::vec(arb_selection_doc(), 0..120),
+        delete_i in opt((0..4i64).boxed()),
+        extra in prop::collection::vec(arb_selection_doc(), 0..10),
+        filter in arb_selection_filter(),
+        chunk in prop_oneof![Just(1usize), Just(7), Just(64), Just(100), Just(4096)],
+    ) {
+        let c = Collection::new("selection");
+        c.enable_columnar(["i", "f", "s", "d.x", "m"]);
+        c.insert_many(docs).expect("insert");
+        if let Some(k) = delete_i {
+            c.delete_many(&Filter::eq("i", k));
+        }
+        c.insert_many(extra).expect("insert extra");
+
+        let expected: Vec<Document> =
+            c.all_docs().into_iter().filter(|d| matches(&filter, d)).collect();
+        let p = Pipeline::new().match_stage(filter.clone());
+        let selected = c.aggregate_columnar_with(&p, None, 1, chunk).expect("infallible");
+        prop_assert_eq!(&selected, &expected, "columns vs matcher: {:?}", filter);
+        // Whatever access path the planner picks serves the same rows.
+        prop_assert_eq!(c.find(&filter), expected);
+        prop_assert_eq!(c.count(&filter), selected.len());
     }
 }
 

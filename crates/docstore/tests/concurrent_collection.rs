@@ -12,11 +12,12 @@
 //! * scans started around concurrent writes see a consistent snapshot
 //!   (no torn documents, counts within the pre/post bounds).
 
-use doclite_bson::doc;
+use doclite_bson::{doc, Value};
 use doclite_docstore::{
-    Accumulator, Database, Expr, Filter, GroupId, Pipeline,
+    Accumulator, BulkUpdate, Database, Expr, Filter, GroupId, Pipeline, UpdateSpec,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// Builds a collection big enough that the analytical pipeline below
@@ -152,4 +153,65 @@ fn scans_see_consistent_snapshots_under_concurrent_writes() {
         );
     }
     assert_eq!(coll.len(), base + extra);
+}
+
+/// Readers scan on `grp` while a writer keeps rewriting `grp`, and the
+/// readers' own second scan builds `grp`'s column in the middle of it.
+/// Every write is one batch that moves a document out of group 3 and
+/// another one in, under one lock hold — so a scan that evaluates the
+/// filter over a column kept in step with the documents sees exactly
+/// 600 members, every time, and each of them satisfies the filter.
+#[test]
+fn column_scans_stay_exact_while_the_scanned_field_is_rewritten() {
+    const DOCS: i64 = 6_000;
+    const SWAPS: usize = 1_500;
+    let db = Database::new("swap");
+    let coll = db.collection("facts");
+    coll.insert_many((0..DOCS).map(|i| doc! {"_id" => i, "grp" => i % 10, "v" => i}))
+        .map_err(|(_, e)| e)
+        .unwrap();
+    let in_group = Filter::eq("grp", 3i64);
+    let members = (DOCS / 10) as usize;
+    let done = AtomicBool::new(false);
+    // Writer and readers leave the barrier together, so the scans (and
+    // the column build the second one triggers) overlap the writes.
+    let start = Barrier::new(3);
+
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut grp: Vec<i64> = (0..DOCS).map(|i| i % 10).collect();
+            let set = |id: i64, g: i64| BulkUpdate {
+                filter: Filter::eq("_id", id),
+                spec: UpdateSpec::set("grp", g),
+                multi: false,
+            };
+            start.wait();
+            for n in 0..SWAPS {
+                // Deterministic walk: the n-th member leaves, a
+                // non-member `n * 7` further on takes its place.
+                let out = (0..DOCS).cycle().skip(n * 13).find(|&i| grp[i as usize] == 3).unwrap();
+                let inn = (0..DOCS).cycle().skip(n * 7).find(|&i| grp[i as usize] != 3).unwrap();
+                let r = coll.update_batch(&[set(out, grp[inn as usize]), set(inn, 3)]).unwrap();
+                assert_eq!(r.modified, 2);
+                grp[out as usize] = grp[inn as usize];
+                grp[inn as usize] = 3;
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                let mut scans = 0;
+                while !done.load(Ordering::SeqCst) || scans < 4 {
+                    let found = coll.find(&in_group);
+                    assert_eq!(found.len(), members, "scan {scans} lost or gained a member");
+                    assert!(found.iter().all(|d| d.get("grp") == Some(&Value::Int64(3))));
+                    assert_eq!(coll.count(&in_group), members);
+                    scans += 1;
+                }
+            });
+        }
+    });
+    assert_eq!(coll.explain(&in_group).plan, "COLSCAN { grp }", "the build landed");
+    assert_eq!(coll.find(&in_group).len(), members);
 }

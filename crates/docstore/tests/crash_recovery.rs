@@ -368,3 +368,61 @@ fn checkpoint_plus_wal_tail_recovers_combined_state() {
     assert!(c.find_one(&Filter::eq("_id", 39i64)).is_some());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Columns are neither logged nor checkpointed. While the process lives
+/// they follow every write, including the ones a failed WAL append rolls
+/// back; after a reopen the collection earns them again by the same rule
+/// — two row scans, then column scans — with identical answers.
+#[test]
+fn columns_follow_rollbacks_and_are_earned_again_after_reopen() {
+    let dir = tmp("columns");
+    let faults = StorageFaults::new();
+    let by_grp = Filter::and([Filter::eq("grp", 3i64), Filter::lt("v", 50i64)]);
+    let expected = {
+        let (d, _) = DurableDb::open(
+            "db",
+            &dir,
+            WalOptions { sync: SyncPolicy::Always, faults: Some(faults.clone()) },
+        )
+        .unwrap();
+        let c = d.db().collection("c");
+        c.insert_many((0..5000i64).map(|i| doc! {"_id" => i, "grp" => i % 10, "v" => i % 100}))
+            .unwrap();
+        let before = c.find(&by_grp);
+        assert_eq!(before.len(), 250);
+        assert_eq!(c.find(&by_grp), before);
+        assert_eq!(c.explain(&by_grp).plan, "COLSCAN { grp, v }");
+
+        // Each rolled-back write would change what the filter selects;
+        // the column scan must keep seeing the restored documents.
+        faults.transient_eio(1);
+        assert!(c
+            .update(&Filter::eq("grp", 3i64), &UpdateSpec::set("grp", 4i64), false, true)
+            .is_err());
+        assert_eq!(c.find(&by_grp), before, "update rollback restores the cells");
+        faults.transient_eio(1);
+        assert!(c.insert_one(doc! {"_id" => 5000i64, "grp" => 3i64, "v" => 0i64}).is_err());
+        assert_eq!(c.find(&by_grp), before, "insert rollback clears the row");
+        faults.transient_eio(1);
+        assert!(c.try_delete_many(&Filter::lt("v", 10i64)).is_err());
+        assert_eq!(c.find(&by_grp), before, "delete rollback rewrites the rows");
+        assert_eq!(c.explain(&by_grp).plan, "COLSCAN { grp, v }");
+
+        // And a write that does commit shows up.
+        c.update(&Filter::eq("_id", 3i64), &UpdateSpec::set("v", 77i64), false, false).unwrap();
+        let after = c.find(&by_grp);
+        assert_eq!(after.len(), 249);
+        d.checkpoint().unwrap();
+        after
+    };
+    let (d, _) = DurableDb::open("db", &dir, opts()).unwrap();
+    let c = d.db().get_collection("c").unwrap();
+    assert!(!c.columnar_enabled(), "nothing of the sidecar is stored");
+    assert_eq!(c.explain(&by_grp).plan, "COLLSCAN");
+    assert_eq!(c.find(&by_grp), expected);
+    assert_eq!(c.explain(&by_grp).plan, "COLLSCAN");
+    assert_eq!(c.find(&by_grp), expected);
+    assert_eq!(c.explain(&by_grp).plan, "COLSCAN { grp, v }");
+    assert_eq!(c.find(&by_grp), expected);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

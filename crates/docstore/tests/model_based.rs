@@ -168,3 +168,244 @@ proptest! {
         run_workload(&ops, true, true);
     }
 }
+
+// ----- column scans against a slot-ordered model -----------------------
+//
+// The same idea on a collection big enough to earn columns. No secondary
+// indexes: every read and write is a collection scan until a path has
+// been scanned twice, a column scan afterwards, and both visit documents
+// in slot order — so unlike the workload above, *order* is checked too:
+// `find` order, the page an unsorted `limit` returns, and which document
+// a `multi: false` update picks. The model therefore mirrors the slab's
+// slot reuse (last freed, first reused) instead of appending.
+
+/// Documents loaded before the random operations start, a handful short
+/// of the size at which the collection starts building columns, so the
+/// columns appear partway through a sequence.
+const FILLERS: usize = 4096;
+
+#[derive(Default)]
+struct SlotModel {
+    slots: Vec<Option<Document>>,
+    free: Vec<usize>,
+}
+
+impl SlotModel {
+    fn insert(&mut self, doc: Document) {
+        match self.free.pop() {
+            Some(slot) => self.slots[slot] = Some(doc),
+            None => self.slots.push(Some(doc)),
+        }
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Document> {
+        self.slots.iter().flatten()
+    }
+
+    fn find(&self, filter: &Filter) -> Vec<Document> {
+        self.live().filter(|d| matches(filter, d)).cloned().collect()
+    }
+
+    /// `(matched, modified)`, or the first error — which, as in the
+    /// engine, leaves the documents before it modified.
+    fn update(
+        &mut self,
+        filter: &Filter,
+        spec: &UpdateSpec,
+        multi: bool,
+    ) -> Result<(usize, usize), String> {
+        let (mut matched, mut modified) = (0, 0);
+        for d in self.slots.iter_mut().flatten() {
+            if matches(filter, d) {
+                matched += 1;
+                modified += usize::from(apply_update(d, spec).map_err(|e| e.to_string())?);
+                if !multi {
+                    break;
+                }
+            }
+        }
+        Ok((matched, modified))
+    }
+
+    fn delete(&mut self, filter: &Filter) -> usize {
+        let mut removed = 0;
+        for (slot, cell) in self.slots.iter_mut().enumerate() {
+            if cell.as_ref().is_some_and(|d| matches(filter, d)) {
+                *cell = None;
+                self.free.push(slot);
+                removed += 1;
+            }
+        }
+        removed
+    }
+}
+
+/// Values an operation writes into `a` / `b`. `clean` keeps `a` integral
+/// and `b` a string (so their columns stay typed and the kernel, not the
+/// row fallback, evaluates the chunk the operations land in); otherwise
+/// every family shows up, exotic ones included.
+fn arb_value(clean: bool, strings: bool) -> BoxedStrategy<Value> {
+    let typed = if strings {
+        "[xyz]".prop_map(Value::String).boxed()
+    } else {
+        prop_oneof![(0..10i32).prop_map(Value::Int32), (0..10i64).prop_map(Value::Int64)].boxed()
+    };
+    if clean {
+        return prop_oneof![6 => typed, 1 => Just(Value::Null)].boxed();
+    }
+    prop_oneof![
+        4 => typed,
+        1 => Just(Value::Null),
+        1 => (0..20i64).prop_map(|n| Value::Double(n as f64 * 0.5)),
+        1 => "[xyz]".prop_map(Value::String),
+        1 => prop::collection::vec((0..10i64).prop_map(Value::Int64), 0..3).prop_map(Value::Array),
+        1 => (0..10i64).prop_map(|n| {
+            let mut d = Document::new();
+            d.set("n", Value::Int64(n));
+            Value::Document(d)
+        }),
+    ]
+    .boxed()
+}
+
+#[derive(Clone, Debug)]
+enum ColOp {
+    /// `a` / `b` absent when `None`.
+    Insert { k: i64, a: Option<Value>, b: Option<Value> },
+    SetA { k: i64, value: Value, multi: bool },
+    IncA { k: i64, multi: bool },
+    Delete { k: i64 },
+}
+
+fn arb_col_op(clean: bool) -> BoxedStrategy<ColOp> {
+    let opt = |s: BoxedStrategy<Value>| prop_oneof![1 => Just(None), 5 => s.prop_map(Some)];
+    prop_oneof![
+        5 => (0..6i64, opt(arb_value(clean, false)), opt(arb_value(clean, true)))
+            .prop_map(|(k, a, b)| ColOp::Insert { k, a, b }),
+        2 => (0..6i64, arb_value(clean, false), any::<bool>())
+            .prop_map(|(k, value, multi)| ColOp::SetA { k, value, multi }),
+        2 => (0..6i64, any::<bool>()).prop_map(|(k, multi)| ColOp::IncA { k, multi }),
+        1 => (0..6i64).prop_map(|k| ColOp::Delete { k }),
+    ]
+    .boxed()
+}
+
+fn by_id_desc(mut docs: Vec<Document>) -> Vec<Document> {
+    docs.sort_by(|x, y| y.get("_id").expect("_id").canonical_cmp(x.get("_id").expect("_id")));
+    docs
+}
+
+fn run_column_workload(ops: &[ColOp], short_by: usize) {
+    use doclite_docstore::{project_paths, FindOptions, UpdateOp};
+
+    let coll = Collection::new("sut");
+    let mut model = SlotModel::default();
+    let mut next_id = 0i64;
+    let mut insert = |coll: &Collection, model: &mut SlotModel, mut doc: Document| {
+        doc.set("_id", Value::Int64(next_id));
+        next_id += 1;
+        coll.insert_one(doc.clone()).expect("fresh _id");
+        model.insert(doc);
+    };
+    // Fillers no operation targets (k ≥ 100) but every probe scans.
+    for i in 0..(FILLERS - short_by) as i64 {
+        let mut d = Document::new();
+        d.set("k", Value::Int64(100 + i % 7));
+        d.set("a", Value::Int64(i % 10));
+        d.set("b", Value::from(["x", "y", "z"][(i % 3) as usize]));
+        insert(&coll, &mut model, d);
+    }
+
+    let probes = [
+        Filter::eq("a", 3i64),
+        Filter::is_in("a", [Value::Int32(1), Value::Double(2.0), Value::Null]),
+        Filter::and([Filter::eq("b", "x"), Filter::lte("a", 7i64), Filter::lt("k", 100i64)]),
+        Filter::Nor(vec![Filter::gt("a", 1i64), Filter::exists("b")]),
+        Filter::not_in("k", (100..107i64).collect::<Vec<_>>()),
+    ];
+    let window = FindOptions::new().with_skip(1).with_limit(3);
+    let sorted = FindOptions::new().sort_by("_id", -1).with_skip(2).with_limit(4).include("a");
+    let mut full_size = false;
+
+    for op in ops {
+        match op {
+            ColOp::Insert { k, a, b } => {
+                let mut d = Document::new();
+                d.set("k", Value::Int64(*k));
+                if let Some(a) = a {
+                    d.set("a", a.clone());
+                }
+                if let Some(b) = b {
+                    d.set("b", b.clone());
+                }
+                insert(&coll, &mut model, d);
+            }
+            ColOp::SetA { k, value, multi } => {
+                let (filter, spec) = (Filter::eq("k", *k), UpdateSpec::set("a", value.clone()));
+                let sut = coll.update(&filter, &spec, false, *multi).expect("$set cannot fail");
+                let expected = model.update(&filter, &spec, *multi).expect("$set cannot fail");
+                assert_eq!((sut.matched, sut.modified), expected, "set divergence at {op:?}");
+            }
+            ColOp::IncA { k, multi } => {
+                // Matches numbers only — and arrays holding one, on
+                // which `$inc` fails partway: same error, same documents
+                // modified before it.
+                let filter = Filter::and([Filter::eq("k", *k), Filter::lte("a", 8i64)]);
+                let spec = UpdateSpec::Ops(vec![UpdateOp::Inc("a".into(), 1.0)]);
+                let sut = coll
+                    .update(&filter, &spec, false, *multi)
+                    .map(|r| (r.matched, r.modified))
+                    .map_err(|e| e.to_string());
+                assert_eq!(sut, model.update(&filter, &spec, *multi), "inc divergence at {op:?}");
+            }
+            ColOp::Delete { k } => {
+                let filter = Filter::eq("k", *k);
+                assert_eq!(coll.delete_many(&filter), model.delete(&filter), "delete at {op:?}");
+            }
+        }
+        for probe in &probes {
+            let expected = model.find(probe);
+            assert_eq!(coll.find(probe), expected, "find {probe:?} after {op:?}");
+            assert_eq!(coll.count(probe), expected.len(), "count {probe:?} after {op:?}");
+            let page: Vec<Document> = expected.iter().skip(1).take(3).cloned().collect();
+            assert_eq!(coll.find_with(probe, &window), page, "window {probe:?} after {op:?}");
+            assert_eq!(coll.find_one(probe), expected.first().cloned(), "first of {probe:?}");
+        }
+        let probe = &probes[2];
+        let page: Vec<Document> = by_id_desc(model.find(probe))
+            .iter()
+            .skip(2)
+            .take(4)
+            .map(|d| project_paths(d, &["a".to_owned()]))
+            .collect();
+        assert_eq!(coll.find_with(probe, &sorted), page, "sorted page after {op:?}");
+        // Each probe was scanned at least twice above: at full size
+        // that has built `k`'s column (always integers; `a` and `b` may
+        // have been discarded as exotic), and it stays for good.
+        if model.live().count() >= FILLERS {
+            full_size = true;
+        }
+        if full_size {
+            assert_eq!(coll.explain(&Filter::eq("k", 3i64)).plan, "COLSCAN { k }", "after {op:?}");
+        }
+    }
+    assert_eq!(coll.all_docs(), model.live().cloned().collect::<Vec<_>>(), "final content");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// `clean` sequences keep the scanned columns typed where the
+    /// operations land (kernel chunks see every update); the others mix
+    /// in every value family (row-fallback chunks, discarded columns).
+    #[test]
+    fn column_scans_match_the_slot_ordered_model(
+        ops in prop_oneof![
+            prop::collection::vec(arb_col_op(true), 4..18),
+            prop::collection::vec(arb_col_op(false), 4..18),
+        ],
+        short_by in 0..5usize,
+    ) {
+        run_column_workload(&ops, short_by);
+    }
+}
