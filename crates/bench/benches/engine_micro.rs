@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use doclite_bson::{codec, doc, Document, Value};
 use doclite_docstore::query::matcher::{compile, matches, matches_compiled};
 use doclite_docstore::{
-    Accumulator, Collection, ExecMode, Expr, Filter, GroupId, IndexDef, Pipeline,
+    Accumulator, Collection, Expr, Filter, GroupId, IndexDef, Pipeline,
 };
 use std::hint::black_box;
 
@@ -112,8 +112,7 @@ fn bench_pipeline(c: &mut Criterion) {
 fn bench_agg_streaming(c: &mut Criterion) {
     // Q7 shape: a selective leading $match (one of 100 groups), $group
     // with averages, $sort, $limit. With the `grp` index in place the
-    // streaming executor index-scans ~500 documents and clones only the
-    // survivors; the legacy executor clones all 50k up front.
+    // driver index-scans ~500 documents and clones only the survivors.
     let coll = seeded_collection(50_000);
     coll.create_index(IndexDef::single("grp")).expect("index");
     let p = Pipeline::new()
@@ -124,24 +123,9 @@ fn bench_agg_streaming(c: &mut Criterion) {
         )
         .sort([("_id", 1)])
         .limit(100);
-    let mut g = c.benchmark_group("agg_streaming");
-    g.bench_function("legacy", |b| {
-        b.iter(|| {
-            black_box(
-                coll.aggregate_with_mode(&p, None, ExecMode::Legacy)
-                    .unwrap(),
-            )
-        })
+    c.bench_function("agg_streaming/streaming", |b| {
+        b.iter(|| black_box(coll.aggregate(&p).unwrap()))
     });
-    g.bench_function("streaming", |b| {
-        b.iter(|| {
-            black_box(
-                coll.aggregate_with_mode(&p, None, ExecMode::Streaming)
-                    .unwrap(),
-            )
-        })
-    });
-    g.finish();
 }
 
 fn bench_wal_overhead(c: &mut Criterion) {

@@ -8,9 +8,7 @@
 //!    multithreading suggestion);
 //! 5. embedding only aggregation-relevant dimensions vs. all dimensions
 //!    (the Fig 4.8 step-iii optimization);
-//! 6. streaming vs. legacy aggregation executor on a Q7-shaped
-//!    pipeline (the process-wide [`set_default_exec_mode`] toggle);
-//! 7. durability cost and recovery time: WAL sync-policy overhead on a
+//! 6. durability cost and recovery time: WAL sync-policy overhead on a
 //!    bulk load, and crash-recovery time against checkpoint freshness
 //!    (full WAL replay vs checkpoint + tail vs fresh checkpoint).
 //!
@@ -24,10 +22,7 @@ use doclite_core::experiment::{
 use doclite_core::queries::{filter_dim_pks, semi_join_into};
 use doclite_core::store::Store;
 use doclite_core::{fmt_duration, TextTable};
-use doclite_docstore::{
-    set_default_exec_mode, Accumulator, Database, DurableDb, ExecMode, Expr, Filter, GroupId,
-    IndexDef, Pipeline, SyncPolicy, WalOptions,
-};
+use doclite_docstore::{Database, DurableDb, Filter, IndexDef, SyncPolicy, WalOptions};
 use doclite_sharding::{NetworkModel, ScatterMode, ShardKey, ShardedCluster};
 use doclite_tpcds::{Generator, QueryParams, TableId};
 use std::time::Instant;
@@ -48,7 +43,6 @@ fn main() {
     ablation_semi_join(sf, &params);
     ablation_scatter_mode(sf);
     ablation_embed_scope(sf, &params);
-    ablation_exec_mode(sf);
     ablation_durability(sf);
 }
 
@@ -275,43 +269,7 @@ fn ablation_embed_scope(sf: f64, params: &QueryParams) {
     println!("{}", t.render());
 }
 
-/// 6. Streaming vs legacy aggregation executor, toggled through the
-///    process-wide default the `Database::aggregate` path consults.
-fn ablation_exec_mode(sf: f64) {
-    let db = Database::new("abl6");
-    let gen = Generator::new(sf);
-    doclite_core::load_table_direct(&db, &gen, TableId::StoreSales).expect("load");
-    db.collection("store_sales")
-        .create_index(IndexDef::single("ss_store_sk"))
-        .expect("index");
-    // Q7-shaped tail over one store's sales: selective indexed $match,
-    // $group with averages, $sort, $limit.
-    let p = Pipeline::new()
-        .match_stage(Filter::eq("ss_store_sk", 1i64))
-        .group(
-            GroupId::Expr(Expr::field("ss_item_sk")),
-            [
-                ("avg_qty", Accumulator::avg_field("ss_quantity")),
-                ("n", Accumulator::count()),
-            ],
-        )
-        .sort([("_id", 1)])
-        .limit(100);
-
-    let mut t = TextTable::new(["aggregation executor (Q7-shaped tail)", "time", "rows"]);
-    for (label, mode) in [
-        ("legacy (materializing)", ExecMode::Legacy),
-        ("streaming (index-backed)", ExecMode::Streaming),
-    ] {
-        set_default_exec_mode(mode);
-        let (rows, took) = time(|| db.aggregate("store_sales", &p).expect("aggregate").len());
-        t.row([label.to_owned(), fmt_duration(took), rows.to_string()]);
-    }
-    set_default_exec_mode(ExecMode::default());
-    println!("{}", t.render());
-}
-
-/// 7. What durability costs, and what buys recovery time back.
+/// 6. What durability costs, and what buys recovery time back.
 ///
 /// Part one loads `store_sales` in 256-document batches under each WAL
 /// sync policy (plus a no-WAL baseline): group commit makes even

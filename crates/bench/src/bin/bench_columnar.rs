@@ -1,48 +1,45 @@
-//! Ablation 11: columnar sidecar + vectorized batch kernel vs the
-//! row-at-a-time streaming executor.
+//! Ablation 11: the columnar sidecar — covered aggregates and column
+//! scans vs row-at-a-time evaluation.
 //!
-//! Benchmarks the PR 7 columnar path on two Q7-shaped analytical
-//! workloads over a collection *without* secondary indexes (so every
-//! executor pays the same full scan and the delta is purely
-//! row-matcher-vs-batch-kernel):
+//! Two Q7-shaped analytical workloads over a collection *without*
+//! secondary indexes, whose every path has a declared column, so the
+//! aggregation driver computes them off the columns and fetches nothing:
 //!
 //! * `match_scan` — selective `$match` → `$count`, the pure
 //!   selection-bitmap case;
 //! * `group_q7`   — `$match` → `$group` by `k` with `avg(v)`/count,
 //!   the GroupKernel-over-selected-rows case.
 //!
-//! and on the access path the planner takes for an unindexed `find`:
+//! and the access path the planner takes for an unindexed `find`:
 //!
 //! * `find_in` — the Fig 4.8 semi-join shape: a two-path integer `$in`
-//!   over ≥ 100k rows that returns < 1 % of them, served by a collection
-//!   scan (forced: the rule planner never plans a column scan) and by
-//!   the column scan, timed back to back and again with every other
-//!   collection of the process walked in between, which is how the
-//!   probe runs inside a query mix (cold caches).
+//!   over ≥ 100k rows that returns < 1 % of them, served by the column
+//!   scan, timed back to back and again with every other collection of
+//!   the process walked in between, which is how the probe runs inside
+//!   a query mix (cold caches).
 //!
-//! Each cell is timed as best-of-N against the serial streaming
-//! baseline, with the columnar result asserted equal to the row result
-//! before timing (per-cell result equality is the whole point of the
-//! sidecar contract). A parallel-columnar cell sweeps the chunked
-//! executor at `available_parallelism` workers. Written to
+//! Every `row_s` is taken at function level — the streaming executor
+//! over a borrowed slice of the documents, `for_each` +
+//! `matches_compiled` for `find_in` — which can see neither a column
+//! nor an index, so the label is true after any number of scans. Each
+//! cell is timed as best-of-N with the columnar result asserted equal to
+//! the row result before timing (per-cell result equality is the whole
+//! point of the sidecar contract). Written to
 //! `reports/BENCH_columnar.json` and schema-validated before exit.
 //! `DOCLITE_COLUMNAR_SMOKE=1` shrinks the dataset and rep count for CI.
 
 use doclite_bson::{doc, Document};
+use doclite_docstore::agg::stream::{run_streaming, DocStream};
 use doclite_docstore::{
-    set_planner_mode, Accumulator, Collection, ExecMode, Expr, Filter, GroupId, Pipeline,
-    PlannerMode,
+    compile, matches_compiled, Accumulator, Collection, Expr, Filter, GroupId, Pipeline,
 };
 use doclite_stress::report::{parse_json, Json};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Schema tag the validator pins.
-const SCHEMA: &str = "doclite-columnar/v1";
-
-/// Chunk size for the parallel-columnar cell; matches the default
-/// morsel sizing used by `ExecMode::Columnar`.
-const PAR_CHUNK: usize = 4096;
+/// Schema tag the validator pins. v2 dropped the parallel-columnar
+/// cells with the fan-out they measured.
+const SCHEMA: &str = "doclite-columnar/v2";
 
 fn best_of<R>(n: usize, f: impl FnMut() -> R) -> f64 {
     best_of_after(n, || {}, f)
@@ -87,13 +84,20 @@ fn find_in(n: i64, reps: usize, others: &[&Collection]) -> String {
         }
     };
 
-    set_planner_mode(PlannerMode::Rule);
-    assert_eq!(facts.explain(&probe).plan, "COLLSCAN");
-    let expected = facts.find(&probe);
-    let row_s = best_of(reps, || facts.find(&probe));
-    let row_cold_s = best_of_after(reps, evict, || facts.find(&probe));
+    let compiled = compile(&probe);
+    let row_find = || {
+        let mut out = Vec::new();
+        facts.for_each(|d| {
+            if matches_compiled(&compiled, d) {
+                out.push(d.clone());
+            }
+        });
+        out
+    };
+    let expected = row_find();
+    let row_s = best_of(reps, row_find);
+    let row_cold_s = best_of_after(reps, evict, row_find);
 
-    set_planner_mode(PlannerMode::Cost);
     let plan = facts.explain(&probe).plan;
     assert_eq!(plan, "COLSCAN { a, b }");
     assert_eq!(facts.find(&probe), expected, "find_in: column scan result diverged");
@@ -143,13 +147,13 @@ fn main() {
     let smoke = std::env::var("DOCLITE_COLUMNAR_SMOKE").map(|v| v == "1").unwrap_or(false);
     let reps = if smoke { 2 } else { 7 };
     let n: i64 = if smoke { 20_000 } else { 400_000 };
-    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let par_workers = cores.clamp(1, 8);
+    let cores = doclite_docstore::parallel_workers();
 
     // Deliberately no secondary index: an index-served `$match` would
     // reorder the scan and hide the kernel-vs-matcher delta.
+    let docs = bench_docs(n);
     let coll = Collection::new("bench_columnar");
-    coll.insert_many(bench_docs(n)).expect("insert");
+    coll.insert_many(docs.clone()).expect("insert");
     coll.enable_columnar(["k", "grp", "v"]);
 
     let mut json = String::new();
@@ -162,33 +166,23 @@ fn main() {
     let shapes = shapes();
     for shape in &shapes {
         let p = &shape.pipeline;
-        // Row-at-a-time streaming is the 1.0× baseline: under the rule
-        // planner, which never hands the leading `$match` to the columns.
-        set_planner_mode(PlannerMode::Rule);
-        let expected = coll.aggregate_with_mode(p, None, ExecMode::Streaming).unwrap();
-        let row_s =
-            best_of(reps, || coll.aggregate_with_mode(p, None, ExecMode::Streaming).unwrap());
+        // Row-at-a-time streaming over the documents is the 1.0×
+        // baseline.
+        let row = || run_streaming(DocStream::from_slice(&docs), p.stages(), None).unwrap();
+        let expected = row();
+        let row_s = best_of(reps, row);
 
-        // Result equality is asserted before each timed cell.
-        set_planner_mode(PlannerMode::Cost);
-        let got = coll.aggregate_columnar_with(p, None, 1, usize::MAX).unwrap();
-        assert_eq!(got, expected, "{}: serial columnar result diverged", shape.name);
-        let col_s =
-            best_of(reps, || coll.aggregate_columnar_with(p, None, 1, usize::MAX).unwrap());
-
-        let got = coll.aggregate_columnar_with(p, None, par_workers, PAR_CHUNK).unwrap();
-        assert_eq!(got, expected, "{}: parallel columnar result diverged", shape.name);
-        let par_s = best_of(reps, || {
-            coll.aggregate_columnar_with(p, None, par_workers, PAR_CHUNK).unwrap()
-        });
+        // Result equality is asserted before the timed cell, and that
+        // the driver really computes the terminal off the columns.
+        let explain = coll.explain_aggregate(p, None).unwrap();
+        assert_eq!(explain.stages[1].decision.as_deref(), Some("COLUMNS"), "{}", shape.name);
+        assert_eq!(coll.aggregate(p).unwrap(), expected, "{}: columnar result diverged", shape.name);
+        let col_s = best_of(reps, || coll.aggregate(p).unwrap());
 
         let _ = writeln!(json, "  \"{}\": {{", shape.name);
         let _ = writeln!(json, "    \"row_s\": {row_s:.6},");
         let _ = writeln!(json, "    \"columnar_s\": {col_s:.6},");
-        let _ = writeln!(json, "    \"columnar_speedup\": {:.2},", row_s / col_s);
-        let _ = writeln!(json, "    \"parallel_workers\": {par_workers},");
-        let _ = writeln!(json, "    \"parallel_columnar_s\": {par_s:.6},");
-        let _ = writeln!(json, "    \"parallel_columnar_speedup\": {:.2}", row_s / par_s);
+        let _ = writeln!(json, "    \"columnar_speedup\": {:.2}", row_s / col_s);
         let _ = writeln!(json, "  }},");
     }
     // The semi-join probe, with the aggregation collection (and a copy
@@ -227,14 +221,7 @@ fn validate_report(text: &str) -> Result<(), String> {
     }
     for shape in ["match_scan", "group_q7"] {
         let section = root.get(shape).ok_or(format!("'{shape}' section missing"))?;
-        for key in [
-            "row_s",
-            "columnar_s",
-            "columnar_speedup",
-            "parallel_workers",
-            "parallel_columnar_s",
-            "parallel_columnar_speedup",
-        ] {
+        for key in ["row_s", "columnar_s", "columnar_speedup"] {
             let v = section
                 .get(key)
                 .and_then(Json::as_num)

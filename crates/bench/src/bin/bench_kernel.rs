@@ -12,29 +12,29 @@
 //!   elements per call) vs `compile` once + `matches_compiled`.
 //! * `semi_join_in` — a ~2000-key `$in` probe per document: interpreted
 //!   linear scan vs the kernel's sorted-set binary search.
-//! * `pipeline_q7` / `pipeline_semi_join` — end-to-end aggregation in
-//!   all three executor modes (legacy, streaming, and the PR 6
-//!   morsel-parallel executor); tracked here so the end-to-end win over
-//!   the PR 4-era `BENCH_agg.json` stays pinned. Parallel numbers on a
-//!   single-core box degrade to the streaming path (the pool runs
-//!   inline) — the multicore sweep lives in `bench_parallel`.
+//! * `pipeline_q7` / `pipeline_semi_join` — end-to-end aggregation:
+//!   `row_s` streams the pipeline over a borrowed slice of the documents
+//!   (function level: it can see neither an index nor a column, so the
+//!   label stays true after any number of scans), `driver_s` is
+//!   `Collection::aggregate` with whatever access path the planner
+//!   picks (the `grp` index for Q7; a column scan of `k` for the
+//!   semi-join once its column is built). The morsel exchange is
+//!   measured by `bench_parallel`.
 //!
 //! Run with `cargo run --release -p doclite-bench --bin bench_kernel`;
 //! set `DOCLITE_KERNEL_SMOKE=1` for the fast CI configuration.
 
 use doclite_bson::{doc, Document};
+use doclite_docstore::agg::stream::{run_streaming, DocStream};
 use doclite_docstore::query::{compile, matches, matches_compiled};
-use doclite_docstore::{
-    Accumulator, Collection, ExecMode, Expr, Filter, GroupId, IndexDef, Pipeline,
-};
+use doclite_docstore::{Accumulator, Collection, Expr, Filter, GroupId, IndexDef, Pipeline};
 use doclite_stress::report::{parse_json, Json};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Schema tag the validator pins. v2 added `parallel_s` /
-/// `parallel_speedup` to the pipeline sections (PR 6's morsel-driven
-/// executor).
-const SCHEMA: &str = "doclite-kernel/v2";
+/// Schema tag the validator pins. v3 replaced the per-executor-mode
+/// pipeline cells with `row_s` (function level) and `driver_s`.
+const SCHEMA: &str = "doclite-kernel/v3";
 
 /// Best-of-n wall time in seconds (the thesis reports best-of-5 with
 /// warm caches; so do we — smoke mode drops to best-of-2).
@@ -115,10 +115,20 @@ fn main() {
         }),
     };
 
-    // --- end-to-end pipelines in both executor modes ----------------
+    // --- end-to-end pipelines: row scan vs the planned driver -------
+    let pipe_docs = bench_docs(pipe_n);
     let coll = Collection::new("bench");
-    coll.insert_many(bench_docs(pipe_n)).expect("insert");
+    coll.insert_many(pipe_docs.clone()).expect("insert");
     coll.create_index(IndexDef::single("grp")).expect("index");
+    let pipeline_cell = |p: &Pipeline| {
+        let row = || run_streaming(DocStream::from_slice(&pipe_docs), p.stages(), None).unwrap();
+        // Two warm-up runs: the third execution of an unindexed filter
+        // is the first that can be served from its column.
+        for _ in 0..2 {
+            assert_eq!(coll.aggregate(p).unwrap(), row(), "driver result diverged");
+        }
+        (best_of(reps, row), best_of(reps, || coll.aggregate(p).unwrap()))
+    };
 
     let q7 = Pipeline::new()
         .match_stage(Filter::eq("grp", 42i64))
@@ -128,15 +138,7 @@ fn main() {
         )
         .sort([("_id", 1)])
         .limit(100);
-    let q7_legacy = best_of(reps, || {
-        coll.aggregate_with_mode(&q7, None, ExecMode::Legacy).unwrap()
-    });
-    let q7_streaming = best_of(reps, || {
-        coll.aggregate_with_mode(&q7, None, ExecMode::Streaming).unwrap()
-    });
-    let q7_parallel = best_of(reps, || {
-        coll.aggregate_with_mode(&q7, None, ExecMode::Parallel).unwrap()
-    });
+    let (q7_row, q7_driver) = pipeline_cell(&q7);
 
     let semi = Pipeline::new()
         .match_stage(Filter::is_in("k", keys))
@@ -145,21 +147,14 @@ fn main() {
             [("n", Accumulator::count()), ("sum_v", Accumulator::sum_field("v"))],
         )
         .sort([("_id", 1)]);
-    let semi_legacy = best_of(reps, || {
-        coll.aggregate_with_mode(&semi, None, ExecMode::Legacy).unwrap()
-    });
-    let semi_streaming = best_of(reps, || {
-        coll.aggregate_with_mode(&semi, None, ExecMode::Streaming).unwrap()
-    });
-    let semi_parallel = best_of(reps, || {
-        coll.aggregate_with_mode(&semi, None, ExecMode::Parallel).unwrap()
-    });
+    let (semi_row, semi_driver) = pipeline_cell(&semi);
 
     // --- report -----------------------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
+    let _ = writeln!(json, "  \"available_parallelism\": {},", doclite_docstore::parallel_workers());
     for cell in [&match_scan, &semi_join] {
         let _ = writeln!(
             json,
@@ -172,22 +167,19 @@ fn main() {
             cell.speedup()
         );
     }
-    for (name, legacy, streaming, parallel) in [
-        ("pipeline_q7", q7_legacy, q7_streaming, q7_parallel),
-        ("pipeline_semi_join", semi_legacy, semi_streaming, semi_parallel),
+    for (name, row, driver) in [
+        ("pipeline_q7", q7_row, q7_driver),
+        ("pipeline_semi_join", semi_row, semi_driver),
     ] {
         let _ = writeln!(
             json,
-            "  \"{}\": {{\n    \"docs\": {},\n    \"legacy_s\": {:.6},\n    \
-             \"streaming_s\": {:.6},\n    \"parallel_s\": {:.6},\n    \
-             \"speedup\": {:.2},\n    \"parallel_speedup\": {:.2}\n  }}{}",
+            "  \"{}\": {{\n    \"docs\": {},\n    \"row_s\": {:.6},\n    \
+             \"driver_s\": {:.6},\n    \"speedup\": {:.2}\n  }}{}",
             name,
             pipe_n,
-            legacy,
-            streaming,
-            parallel,
-            legacy / streaming,
-            streaming / parallel,
+            row,
+            driver,
+            row / driver,
             if name == "pipeline_semi_join" { "" } else { "," }
         );
     }
@@ -208,8 +200,8 @@ fn section_num(root: &Json, section: &str, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("'{section}.{key}' must be a number"))
 }
 
-/// Validates the emitted report: schema tag, all four sections with
-/// positive timings, and finite speedups.
+/// Validates the emitted report: schema tag, core count, all four
+/// sections with positive timings, and finite speedups.
 fn validate_report(text: &str) -> Result<(), String> {
     let root = parse_json(text)?;
     if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
@@ -218,6 +210,9 @@ fn validate_report(text: &str) -> Result<(), String> {
     match root.get("mode").and_then(Json::as_str) {
         Some("smoke") | Some("full") => {}
         other => return Err(format!("'mode' must be smoke|full, got {other:?}")),
+    }
+    if root.get("available_parallelism").and_then(Json::as_num).is_none_or(|v| v < 1.0) {
+        return Err("'available_parallelism' must be a positive number".into());
     }
     for section in ["match_scan", "semi_join_in"] {
         for key in ["docs", "interpreted_s", "kernel_s", "speedup"] {
@@ -228,14 +223,7 @@ fn validate_report(text: &str) -> Result<(), String> {
         }
     }
     for section in ["pipeline_q7", "pipeline_semi_join"] {
-        for key in [
-            "docs",
-            "legacy_s",
-            "streaming_s",
-            "parallel_s",
-            "speedup",
-            "parallel_speedup",
-        ] {
+        for key in ["docs", "row_s", "driver_s", "speedup"] {
             let v = section_num(&root, section, key)?;
             if !(v.is_finite() && v > 0.0) {
                 return Err(format!("'{section}.{key}' must be positive, got {v}"));

@@ -1,10 +1,13 @@
 //! Ablation 10: morsel-driven parallel execution — throughput vs worker
 //! count and morsel size.
 //!
-//! Sweeps the PR 6 parallel executor over `workers × morsel_size` on
-//! two analytical shapes (a Q7-style grouped aggregation and a top-k
-//! `$sort` + `$limit`), against the serial streaming executor as the
-//! 1.0× baseline. Written to `reports/BENCH_parallel.json` and
+//! Sweeps `agg::run_parallel(docs, stages, source, workers, morsel)` —
+//! a pure function no driver calls yet; this sweep is the evidence a
+//! planner cost rule for the exchange will have to cite — over
+//! `workers × morsel_size` on two analytical shapes (a Q7-style grouped
+//! aggregation and a top-k `$sort` + `$limit`), against the serial
+//! streaming executor over the same borrowed documents as the 1.0×
+//! baseline. Written to `reports/BENCH_parallel.json` and
 //! schema-validated before exit, like the other report binaries.
 //!
 //! On a single-core box the pool degrades to inline execution and every
@@ -14,10 +17,9 @@
 //! count for CI.
 
 use doclite_bson::{doc, Document};
-use doclite_docstore::{
-    set_parallel_morsel_size, set_parallel_workers, Accumulator, Collection, ExecMode, Expr,
-    Filter, GroupId, IndexDef, Pipeline,
-};
+use doclite_docstore::agg::run_parallel;
+use doclite_docstore::agg::stream::{run_streaming, DocStream};
+use doclite_docstore::{Accumulator, Expr, Filter, GroupId, Pipeline};
 use doclite_stress::report::{parse_json, Json};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -76,11 +78,10 @@ fn main() {
     let smoke = std::env::var("DOCLITE_PARALLEL_SMOKE").map(|v| v == "1").unwrap_or(false);
     let reps = if smoke { 2 } else { 5 };
     let n: i64 = if smoke { 20_000 } else { 200_000 };
-    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+    let cores = doclite_docstore::parallel_workers();
 
-    let coll = Collection::new("bench");
-    coll.insert_many(bench_docs(n)).expect("insert");
-    coll.create_index(IndexDef::single("grp")).expect("index");
+    let docs = bench_docs(n);
+    let refs: Vec<&Document> = docs.iter().collect();
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -92,11 +93,10 @@ fn main() {
     let shapes = shapes();
     for (si, shape) in shapes.iter().enumerate() {
         // Serial streaming is the 1.0× baseline every cell normalizes to.
-        let expected =
-            coll.aggregate_with_mode(&shape.pipeline, None, ExecMode::Streaming).unwrap();
-        let serial_s = best_of(reps, || {
-            coll.aggregate_with_mode(&shape.pipeline, None, ExecMode::Streaming).unwrap()
-        });
+        let stages = shape.pipeline.stages();
+        let serial = || run_streaming(DocStream::from_slice(&docs), stages, None).unwrap();
+        let expected = serial();
+        let serial_s = best_of(reps, serial);
 
         let _ = writeln!(json, "  \"{}\": {{", shape.name);
         let _ = writeln!(json, "    \"serial_s\": {serial_s:.6},");
@@ -105,15 +105,9 @@ fn main() {
         let mut cell = 0usize;
         for workers in WORKER_SWEEP {
             for morsel in MORSEL_SWEEP {
-                set_parallel_workers(workers);
-                set_parallel_morsel_size(morsel);
-                let got = coll
-                    .aggregate_with_mode(&shape.pipeline, None, ExecMode::Parallel)
-                    .unwrap();
-                assert_eq!(got, expected, "{}: parallel result diverged", shape.name);
-                let s = best_of(reps, || {
-                    coll.aggregate_with_mode(&shape.pipeline, None, ExecMode::Parallel).unwrap()
-                });
+                let parallel = || run_parallel(&refs, stages, None, workers, morsel).unwrap();
+                assert_eq!(parallel(), expected, "{}: parallel result diverged", shape.name);
+                let s = best_of(reps, parallel);
                 cell += 1;
                 let _ = writeln!(
                     json,
@@ -128,8 +122,6 @@ fn main() {
         let _ = writeln!(json, "  }}{}", if si + 1 == shapes.len() { "" } else { "," });
     }
     json.push_str("}\n");
-    set_parallel_workers(0);
-    set_parallel_morsel_size(0);
 
     validate_report(&json).expect("BENCH_parallel.json schema");
 

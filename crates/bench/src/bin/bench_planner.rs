@@ -1,21 +1,21 @@
-//! Ablation 14: plan quality — forced-rule vs cost-based planning
-//! across a selectivity sweep.
+//! Ablation 14: plan quality across a selectivity sweep.
 //!
 //! One Q7-shaped workload (`$match` → `$group` with count/avg) over a
-//! collection with a secondary index on the predicate field, swept
-//! across predicate selectivities from ~0.1% to ~90% of the rows. Each
-//! cell is timed under the rule-based planner (any usable index prefix
-//! wins, the pre-stats behaviour) and the cost-based planner, on both
-//! the row-streaming and columnar executors, with per-cell result
-//! equality asserted between the two planners before timing. The
-//! cost model's row estimate is recorded against the measured
-//! cardinality per cell.
+//! collection with a secondary index on the predicate field and a
+//! column declared for every path, swept across predicate selectivities
+//! from ~0.1% to ~90% of the rows. Per cell: the cost model's row
+//! estimate against the measured cardinality, the plan the aggregation
+//! driver chose (access path + whether the `$group` ran off the
+//! columns), its time, and the time of a plain row scan — the streaming
+//! executor over a borrowed slice of the documents, which can see
+//! neither the index nor a column — with result equality asserted
+//! between the two before timing.
 //!
-//! The interesting cells are the wide predicates: the rule planner
-//! drags ~90% of the collection through the index (random fetch order,
-//! row-at-a-time), while the cost planner takes the sequential full
-//! scan — and under `ExecMode::Columnar` the vectorized kernel — which
-//! is where the ≥2× separation comes from.
+//! The interesting cells are the wide predicates: dragging ~90% of the
+//! collection through the index (random fetch order, row-at-a-time)
+//! loses to a sequential pass, and the driver, pricing what it will
+//! run, takes the covered aggregate there — which is where the ≥2×
+//! separation from the row scan comes from.
 //!
 //! Written to `reports/BENCH_planner.json` and schema-validated before
 //! exit. `DOCLITE_PLANNER_SMOKE=1` shrinks the dataset and rep count
@@ -23,23 +23,22 @@
 
 use doclite_bson::{doc, json::to_json, Document};
 use doclite_core::selectivity::plan_quality;
-use doclite_docstore::{
-    set_planner_mode, Accumulator, Collection, ExecMode, Expr, Filter, GroupId, IndexDef,
-    Pipeline, PlannerMode,
-};
+use doclite_docstore::agg::stream::{run_streaming, DocStream};
+use doclite_docstore::{Accumulator, Collection, Expr, Filter, GroupId, IndexDef, Pipeline};
 use doclite_stress::report::{parse_json, Json};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Schema tag the validator pins.
-const SCHEMA: &str = "doclite-planner/v1";
+/// Schema tag the validator pins. v2: one planner, so one plan per
+/// shape, timed against a function-level row scan.
+const SCHEMA: &str = "doclite-planner/v2";
 
 /// CI gate: the cost model's row estimate must stay within this factor
 /// of the measured cardinality on every swept shape.
 const MAX_EST_ERROR: f64 = 8.0;
 
-/// Full-run gate: the cost-based plan may not be slower than the
-/// forced-rule plan beyond this timing-noise allowance.
+/// Full-run gate: the chosen plan may not be slower than the plain row
+/// scan beyond this timing-noise allowance.
 const NOISE: f64 = 1.3;
 
 fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -76,7 +75,7 @@ fn shapes() -> Vec<Shape> {
 }
 
 /// Canonical order for result-set comparison: group output order is an
-/// executor detail (index order vs slab order), not a contract.
+/// access-path detail (index order vs slab order), not a contract.
 fn canon(mut docs: Vec<Document>) -> Vec<String> {
     let mut v: Vec<String> = docs.drain(..).map(|d| to_json(&d)).collect();
     v.sort();
@@ -88,8 +87,9 @@ fn main() {
     let reps = if smoke { 3 } else { 7 };
     let n: i64 = if smoke { 40_000 } else { 400_000 };
 
+    let docs = bench_docs(n);
     let coll = Collection::new("bench_planner");
-    coll.insert_many(bench_docs(n)).expect("insert");
+    coll.insert_many(docs.clone()).expect("insert");
     coll.create_index(IndexDef::single("k")).expect("index");
     coll.enable_columnar(["k", "grp", "v"]);
 
@@ -97,10 +97,10 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
+    let _ = writeln!(json, "  \"available_parallelism\": {},", doclite_docstore::parallel_workers());
     let _ = writeln!(json, "  \"docs\": {n},");
 
     let shapes = shapes();
-    let execs = [("row", ExecMode::Streaming), ("col", ExecMode::Columnar)];
     let mut max_speedup = 0.0f64;
     let mut violations: Vec<String> = Vec::new();
 
@@ -109,55 +109,39 @@ fn main() {
             GroupId::Expr(Expr::field("grp")),
             [("n", Accumulator::count()), ("avg_v", Accumulator::avg_field("v"))],
         );
-
-        // Estimation quality is a property of the shape, not the
-        // executor; measured once under the cost planner.
-        set_planner_mode(PlannerMode::Cost);
         let q = plan_quality(&coll, &shape.filter);
         let err = q.error_factor();
+
+        let row = || run_streaming(DocStream::from_slice(&docs), pipeline.stages(), None).unwrap();
+        let expected = row();
+        let row_s = best_of(reps, row);
+
+        assert_eq!(
+            canon(coll.aggregate(&pipeline).unwrap()),
+            canon(expected),
+            "{}: planned result diverged from the row scan",
+            shape.name
+        );
+        let plan_s = best_of(reps, || coll.aggregate(&pipeline).unwrap());
+        let explain = coll.explain_aggregate(&pipeline, None).unwrap();
+        let decisions: Vec<&str> =
+            explain.stages.iter().filter_map(|st| st.decision.as_deref()).collect();
+        let plan = decisions.join(" -> ");
+
+        let speedup = row_s / plan_s;
+        max_speedup = max_speedup.max(speedup);
+        if plan_s > row_s * NOISE {
+            violations.push(format!("{}: plan {plan_s:.6}s vs row scan {row_s:.6}s", shape.name));
+        }
 
         let _ = writeln!(json, "  \"{}\": {{", shape.name);
         let _ = writeln!(json, "    \"est_rows\": {},", q.est_rows);
         let _ = writeln!(json, "    \"actual_rows\": {},", q.actual_rows);
         let _ = writeln!(json, "    \"est_row_error\": {err:.3},");
-
-        for (ei, (ename, emode)) in execs.iter().enumerate() {
-            set_planner_mode(PlannerMode::Rule);
-            let expected = coll.aggregate_with_mode(&pipeline, None, *emode).unwrap();
-            let rule_s =
-                best_of(reps, || coll.aggregate_with_mode(&pipeline, None, *emode).unwrap());
-            let rule_plan = coll.explain(&shape.filter).plan;
-
-            set_planner_mode(PlannerMode::Cost);
-            let got = coll.aggregate_with_mode(&pipeline, None, *emode).unwrap();
-            assert_eq!(
-                canon(got),
-                canon(expected),
-                "{}/{}: cost-based result diverged from forced-rule",
-                shape.name,
-                ename
-            );
-            let cost_s =
-                best_of(reps, || coll.aggregate_with_mode(&pipeline, None, *emode).unwrap());
-            let cost_plan = coll.explain(&shape.filter).plan;
-
-            let speedup = rule_s / cost_s;
-            max_speedup = max_speedup.max(speedup);
-            if cost_s > rule_s * NOISE {
-                violations.push(format!(
-                    "{}/{}: cost {cost_s:.6}s vs rule {rule_s:.6}s",
-                    shape.name, ename
-                ));
-            }
-
-            let _ = writeln!(json, "    \"{ename}\": {{");
-            let _ = writeln!(json, "      \"rule_s\": {rule_s:.6},");
-            let _ = writeln!(json, "      \"cost_s\": {cost_s:.6},");
-            let _ = writeln!(json, "      \"speedup\": {speedup:.2},");
-            let _ = writeln!(json, "      \"rule_plan\": \"{rule_plan}\",");
-            let _ = writeln!(json, "      \"cost_plan\": \"{cost_plan}\"");
-            let _ = writeln!(json, "    }}{}", if ei + 1 == execs.len() { "" } else { "," });
-        }
+        let _ = writeln!(json, "    \"plan\": \"{plan}\",");
+        let _ = writeln!(json, "    \"row_s\": {row_s:.6},");
+        let _ = writeln!(json, "    \"plan_s\": {plan_s:.6},");
+        let _ = writeln!(json, "    \"speedup\": {speedup:.2}");
         let _ = writeln!(json, "  }}{}", if si + 1 == shapes.len() { "" } else { "," });
     }
     json.push_str("}\n");
@@ -167,10 +151,7 @@ fn main() {
     // Acceptance gates. Timing-dependent gates are advisory in smoke
     // mode (CI machines are noisy); the full run enforces them.
     if !smoke {
-        assert!(
-            violations.is_empty(),
-            "cost-based slower than forced-rule beyond noise: {violations:?}"
-        );
+        assert!(violations.is_empty(), "plans slower than a row scan beyond noise: {violations:?}");
         assert!(
             max_speedup >= 2.0,
             "expected >=2x on at least one wide shape, best was {max_speedup:.2}x"
@@ -186,8 +167,8 @@ fn main() {
 }
 
 /// Validates the emitted report: schema tag, every swept shape present
-/// with positive finite timings under both executors, and the
-/// estimation-error gate (`MAX_EST_ERROR`) on every shape.
+/// with a plan and positive finite timings, and the estimation-error
+/// gate (`MAX_EST_ERROR`) on every shape.
 fn validate_report(text: &str) -> Result<(), String> {
     let root = parse_json(text)?;
     if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
@@ -197,13 +178,15 @@ fn validate_report(text: &str) -> Result<(), String> {
         Some("smoke") | Some("full") => {}
         other => return Err(format!("'mode' must be smoke|full, got {other:?}")),
     }
-    let docs = root.get("docs").and_then(Json::as_num).ok_or("'docs' missing")?;
-    if !(docs.is_finite() && docs > 0.0) {
-        return Err(format!("'docs' must be positive, got {docs}"));
+    for key in ["available_parallelism", "docs"] {
+        let v = root.get(key).and_then(Json::as_num).ok_or(format!("'{key}' missing"))?;
+        if !(v.is_finite() && v > 0.0) {
+            return Err(format!("'{key}' must be positive, got {v}"));
+        }
     }
     for shape in ["sel_0p1", "sel_1", "sel_10", "sel_50", "sel_90"] {
         let section = root.get(shape).ok_or(format!("'{shape}' section missing"))?;
-        for key in ["est_rows", "actual_rows"] {
+        for key in ["est_rows", "actual_rows", "row_s", "plan_s", "speedup"] {
             let v = section
                 .get(key)
                 .and_then(Json::as_num)
@@ -221,26 +204,8 @@ fn validate_report(text: &str) -> Result<(), String> {
                 "'{shape}.est_row_error' {err} outside [1, {MAX_EST_ERROR}]"
             ));
         }
-        for exec in ["row", "col"] {
-            let cell = section.get(exec).ok_or(format!("'{shape}.{exec}' missing"))?;
-            for key in ["rule_s", "cost_s", "speedup"] {
-                let v = cell
-                    .get(key)
-                    .and_then(Json::as_num)
-                    .ok_or(format!("'{shape}.{exec}.{key}' missing"))?;
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(format!("'{shape}.{exec}.{key}' must be positive, got {v}"));
-                }
-            }
-            for key in ["rule_plan", "cost_plan"] {
-                let p = cell
-                    .get(key)
-                    .and_then(Json::as_str)
-                    .ok_or(format!("'{shape}.{exec}.{key}' missing"))?;
-                if p.is_empty() {
-                    return Err(format!("'{shape}.{exec}.{key}' must be non-empty"));
-                }
-            }
+        if section.get("plan").and_then(Json::as_str).is_none_or(str::is_empty) {
+            return Err(format!("'{shape}.plan' must be a non-empty string"));
         }
     }
     Ok(())

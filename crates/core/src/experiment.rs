@@ -167,12 +167,6 @@ pub struct SetupOptions {
     /// directory, enabling crash/recovery experiments and the recovery
     /// ablation. Standalone deployments ignore it.
     pub durability: Option<doclite_sharding::DurabilityConfig>,
-    /// Aggregation executor for the experiment: `Some(mode)` installs
-    /// that mode as the process-wide default during setup (e.g.
-    /// `ExecMode::Parallel` for the morsel-driven executor sweeps);
-    /// `None` (the default) leaves the ambient default untouched, so
-    /// concurrent test binaries don't fight over the global knob.
-    pub exec_mode: Option<doclite_docstore::ExecMode>,
 }
 
 impl Default for SetupOptions {
@@ -182,7 +176,6 @@ impl Default for SetupOptions {
             max_chunk_size: 1 << 20,
             replicas_per_shard: 1,
             durability: None,
-            exec_mode: None,
         }
     }
 }
@@ -191,9 +184,6 @@ impl Default for SetupOptions {
 /// workload subset of tables only; full 24-table loads are the province
 /// of the Table 4.3 harness).
 pub fn setup_environment(spec: &ExperimentSpec, opts: &SetupOptions) -> Result<Environment> {
-    if let Some(mode) = opts.exec_mode {
-        doclite_docstore::set_default_exec_mode(mode);
-    }
     let gen = Generator::new(spec.sf);
     match spec.deployment {
         Deployment::Standalone => {

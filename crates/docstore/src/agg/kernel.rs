@@ -15,9 +15,9 @@
 //! * [`GroupKernel`] hashes group keys as canonical key *bytes* (the
 //!   [`crate::keybytes`] encoding) into a reusable scratch buffer, so
 //!   probing the group table costs zero allocations; the first-seen key
-//!   `Value` is retained as the representative for `_id` output exactly
-//!   like the legacy `OrdValue` map (the unified bytes deliberately
-//!   cannot be decoded back to `Int32`-vs-`Double`);
+//!   `Value` is retained as the representative for `_id` output (the
+//!   unified bytes deliberately cannot be decoded back to
+//!   `Int32`-vs-`Double`);
 //! * [`CompiledSortSpec`] extracts sort keys once per document as
 //!   borrowed [`Resolved`]s (decorate–sort–undecorate) instead of
 //!   cloning every key per *comparison*;
@@ -29,11 +29,10 @@
 //!   cloning only the rows that actually join.
 //!
 //! The interpreted forms ([`Expr::eval`], [`crate::query::matches`])
-//! stay untouched as the reference implementations the equivalence
-//! proptests compare against.
+//! stay untouched: [`super::reference`] is built from them alone and is
+//! what the equivalence proptests compare this module against.
 
-use super::accum::{AccState, Accumulator};
-use super::exec::LookupSource;
+use super::accum::{spec_expr, AccState, Accumulator};
 use super::expr::{self, Expr};
 use super::stage::{GroupId, ProjectField};
 use crate::error::{Error, Result};
@@ -248,13 +247,13 @@ fn fold_numeric(
     Ok(Resolved::Owned(acc.map_or(Value::Null, |n| expr::make_numeric(n, integral))))
 }
 
-/// Streaming `$group` state shared by both executors: the id expression
-/// and accumulator inputs are compiled once, and the group table is
-/// keyed by canonical key bytes encoded into a reusable scratch buffer —
-/// an existing group costs one table probe and zero allocations per
-/// document. Output order is first appearance, with the first-seen key
-/// `Value` as the `_id` representative (identical to the legacy
-/// `OrdValue`-keyed map: `{k: 1i32}` then `{k: 1.0}` reports `_id: 1`).
+/// Streaming `$group` state shared by every route through the driver:
+/// the id expression and accumulator inputs are compiled once, and the
+/// group table is keyed by canonical key bytes encoded into a reusable
+/// scratch buffer — an existing group costs one table probe and zero
+/// allocations per document. Output order is first appearance, with the
+/// first-seen key `Value` as the `_id` representative (`{k: 1i32}` then
+/// `{k: 1.0}` reports `_id: 1`).
 pub(crate) struct GroupKernel<'p> {
     id: CompiledExpr,
     fields: &'p [(String, Accumulator)],
@@ -271,7 +270,7 @@ impl<'p> GroupKernel<'p> {
             GroupId::Null => CompiledExpr::Literal(Value::Null),
             GroupId::Expr(e) => CompiledExpr::new(e),
         };
-        let accs = fields.iter().map(|(_, spec)| CompiledExpr::new(spec.expr())).collect();
+        let accs = fields.iter().map(|(_, spec)| CompiledExpr::new(spec_expr(spec))).collect();
         Self {
             id,
             fields,
@@ -373,22 +372,6 @@ impl<'p> GroupKernel<'p> {
     }
 }
 
-impl Accumulator {
-    /// The accumulator's argument expression (for kernel compilation).
-    pub(crate) fn expr(&self) -> &Expr {
-        match self {
-            Accumulator::Sum(e)
-            | Accumulator::Avg(e)
-            | Accumulator::Min(e)
-            | Accumulator::Max(e)
-            | Accumulator::First(e)
-            | Accumulator::Last(e)
-            | Accumulator::Push(e)
-            | Accumulator::AddToSet(e) => e,
-        }
-    }
-}
-
 /// A `$sort` specification with pre-split key paths. Keys are extracted
 /// once per document as borrowed [`Resolved`]s and compared under the
 /// spec's directions — the decorate–sort–undecorate pattern both
@@ -448,6 +431,13 @@ impl CompiledSortSpec {
         }
         Ordering::Equal
     }
+}
+
+/// Stable multi-key sort under canonical order; missing paths sort as
+/// `Null` (i.e. first ascending), matching MongoDB. Compiles the spec
+/// and delegates to the decorate–sort–undecorate pass below.
+pub fn sort_documents(docs: &mut [Document], spec: &[(String, i32)]) {
+    sort_documents_compiled(docs, &CompiledSortSpec::new(spec));
 }
 
 /// Stable in-place sort of owned documents under a compiled spec: keys
@@ -532,9 +522,22 @@ impl<'p> CompiledProject<'p> {
             // Exclusion mode: copy everything except the listed paths.
             let mut out = doc.clone();
             for (key, _) in self.fields {
-                super::exec::remove_path(&mut out, key);
+                remove_path(&mut out, key);
             }
             Ok(out)
+        }
+    }
+}
+
+fn remove_path(doc: &mut Document, path: &str) {
+    match path.split_once('.') {
+        None => {
+            doc.remove(path);
+        }
+        Some((head, rest)) => {
+            if let Some(Value::Document(inner)) = doc.get_mut(head) {
+                remove_path(inner, rest);
+            }
         }
     }
 }
@@ -554,6 +557,58 @@ pub(crate) fn unwind_parts_compiled(doc: &Document, path: &CompiledPath) -> Vec<
             .collect(),
         Some(Value::Null) | None => Vec::new(),
         Some(_) => vec![doc.clone()],
+    }
+}
+
+/// Size and index metadata for a `$lookup`'s foreign side, used by the
+/// cost-based join-strategy choice in [`lookup_stage`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LookupMeta {
+    /// Live documents in the foreign collection.
+    pub docs: usize,
+    /// Whether an index with `foreign_field` as its leading field exists
+    /// (enables the index-nested-loop strategy).
+    pub has_index: bool,
+}
+
+/// Supplies foreign collections to `$lookup` stages. Implemented by
+/// [`crate::database::Database`]; the sharded router resolves lookups
+/// against its primary shard (MongoDB likewise requires the `from`
+/// collection of a `$lookup` to be unsharded).
+pub trait LookupSource {
+    /// All documents of a collection, or `None` if it does not exist.
+    fn collection_docs(&self, name: &str) -> Option<Vec<Document>>;
+
+    /// Foreign-side size/index metadata for a `$lookup` against
+    /// `name.field`, or `None` if the source cannot provide it (the
+    /// kernel then always builds the full hash table).
+    fn collection_lookup_meta(&self, _name: &str, _field: &str) -> Option<LookupMeta> {
+        None
+    }
+
+    /// Index-nested-loop probe: the documents of `name` whose `field`
+    /// resolves canonically equal to `key`, in slab (insertion-slot)
+    /// order — the same per-bucket order the hash build produces.
+    /// `None` when no leading index on `field` exists. Implementations
+    /// must re-check the resolved value against `key` exactly, because
+    /// multikey index entries over-approximate whole-value equality.
+    fn indexed_foreign_docs(&self, _name: &str, _field: &str, _key: &Value) -> Option<Vec<Document>> {
+        None
+    }
+
+    /// Runs `f` over the collection's documents *borrowed* in place —
+    /// the execution kernel's `$lookup` path, which builds its join
+    /// table without cloning the foreign collection. `f` must be
+    /// invoked exactly once; a missing collection yields an empty
+    /// iterator. The default forwards to [`Self::collection_docs`]
+    /// (cloning) so existing implementors stay correct.
+    fn with_collection_docs(
+        &self,
+        name: &str,
+        f: &mut dyn for<'a> FnMut(&mut (dyn Iterator<Item = &'a Document> + 'a)),
+    ) {
+        let docs = self.collection_docs(name).unwrap_or_default();
+        f(&mut docs.iter());
     }
 }
 
@@ -642,14 +697,11 @@ pub(crate) fn use_indexed_lookup(
     local_field: &str,
     foreign_field: &str,
 ) -> bool {
-    crate::stats::planner_mode() == crate::stats::PlannerMode::Cost
-        && source
-            .collection_lookup_meta(from, foreign_field)
-            .is_some_and(|meta| {
-                meta.has_index
-                    && docs.len().saturating_mul(16) < meta.docs
-                    && inl_probe_keys_ok(docs, local_field)
-            })
+    source.collection_lookup_meta(from, foreign_field).is_some_and(|meta| {
+        meta.has_index
+            && docs.len().saturating_mul(16) < meta.docs
+            && inl_probe_keys_ok(docs, local_field)
+    })
 }
 
 /// True if no probe key is itself an array (see [`lookup_stage`]):

@@ -3,24 +3,16 @@
 //! documents flowing through them.
 
 pub mod accum;
-pub mod exec;
 pub mod expr;
 pub mod kernel;
 pub mod parallel;
+pub mod reference;
 pub mod stage;
 pub mod stream;
 
 pub use accum::Accumulator;
-pub use exec::{execute, execute_with, sort_documents, LookupSource};
 pub use expr::Expr;
-pub use kernel::{CompiledExpr, CompiledSortSpec};
-pub use exec::LookupMeta;
-pub use parallel::{
-    auto_morsel_size, execute_parallel, execute_parallel_with, parallel_morsel_size, run_parallel,
-    set_parallel_morsel_size,
-};
+pub use kernel::{sort_documents, CompiledExpr, CompiledSortSpec, LookupMeta, LookupSource};
+pub use parallel::{auto_morsel_size, run_parallel};
 pub use stage::{GroupId, Pipeline, ProjectField, Stage};
-pub use stream::{
-    compare_sort_keys, default_exec_mode, execute_streaming, set_default_exec_mode, sort_keys,
-    DocStream, ExecMode,
-};
+pub use stream::{execute_streaming, DocStream};

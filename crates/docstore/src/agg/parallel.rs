@@ -42,14 +42,12 @@
 //! (f64 addition is not associative). Integer-valued accumulations are
 //! exact in any split.
 
-use super::exec::LookupSource;
-use super::kernel::{sort_documents_compiled, CompiledSortSpec, GroupKernel};
+use super::kernel::{sort_documents_compiled, CompiledSortSpec, GroupKernel, LookupSource};
 use super::stage::Stage;
 use super::stream::{apply_per_doc_stage, run_streaming, DocStream};
 use crate::error::Result;
 use crate::pool;
 use doclite_bson::{Document, Value};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Default morsel size: 1024 documents is large enough that per-morsel
@@ -60,31 +58,11 @@ use std::sync::OnceLock;
 /// SF range produces.
 const DEFAULT_MORSEL: usize = 1024;
 
-static MORSEL: AtomicUsize = AtomicUsize::new(DEFAULT_MORSEL);
-static MORSEL_OVERRIDDEN: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Sets the process-wide morsel size (documents per parallel task),
-/// overriding the stats-driven auto-tuning. `0` restores auto-tuning.
-pub fn set_parallel_morsel_size(n: usize) {
-    MORSEL.store(if n == 0 { DEFAULT_MORSEL } else { n }, Ordering::Relaxed);
-    MORSEL_OVERRIDDEN.store(n != 0, Ordering::Relaxed);
-}
-
-/// The current morsel size (the explicit override, or the default).
-pub fn parallel_morsel_size() -> usize {
-    MORSEL.load(Ordering::Relaxed)
-}
-
-/// The morsel size for a collection of `docs` live documents: the
-/// explicit [`set_parallel_morsel_size`] override when one is set,
-/// otherwise sized from the stats doc count so each worker sees ~4
-/// morsels (enough slack for load balancing without per-morsel setup
-/// dominating small collections), clamped to `[256, 8 × default]`.
+/// The morsel size for `docs` input documents and `workers` workers:
+/// each worker sees ~4 morsels (enough slack for load balancing without
+/// per-morsel setup dominating small inputs), clamped to
+/// `[256, 8 × default]`.
 pub fn auto_morsel_size(docs: usize, workers: usize) -> usize {
-    if MORSEL_OVERRIDDEN.load(Ordering::Relaxed) {
-        return MORSEL.load(Ordering::Relaxed);
-    }
     (docs / (workers.max(1) * 4)).clamp(256, DEFAULT_MORSEL * 8)
 }
 
@@ -169,7 +147,7 @@ fn plan(stages: &[Stage]) -> Plan<'_> {
             let safe = run.iter().take_while(|s| infallible(s)).count();
             Plan { per_doc: &run[..safe], terminal: Terminal::None, rest: &stages[safe..] }
         }
-        // $lookup / $out / end of pipeline: no barrier to split on.
+        // $lookup / end of pipeline: no barrier to split on.
         _ => Plan { per_doc: run, terminal: Terminal::None, rest: &stages[i..] },
     }
 }
@@ -308,7 +286,9 @@ fn merge_and_finish(
 }
 
 /// Executes the pipeline over `docs` with up to `workers` workers and
-/// `morsel`-document tasks, falling back to the streaming executor when
+/// `morsel`-document tasks — a pure function of its arguments: no
+/// driver calls it yet (benches and tests do, until the planner has a
+/// cost rule for the exchange). Falls back to the streaming executor when
 /// nothing partitions (no per-document prefix and no terminal barrier),
 /// when the input is too small to split, or when `workers <= 1`.
 ///
@@ -348,32 +328,12 @@ pub fn run_parallel(
     merge_and_finish(outs, &p.terminal, p.rest, source)
 }
 
-/// Test/bench entry point with explicit worker count and morsel size
-/// (avoiding the process-global knobs, so concurrent test binaries
-/// cannot race on configuration).
-pub fn execute_parallel_with(
-    docs: &[Document],
-    stages: &[Stage],
-    source: Option<&dyn LookupSource>,
-    workers: usize,
-    morsel: usize,
-) -> Result<Vec<Document>> {
-    let refs: Vec<&Document> = docs.iter().collect();
-    run_parallel(&refs, stages, source, workers, morsel)
-}
-
-/// Executes with the process-wide worker-count and morsel-size knobs
-/// ([`crate::pool::set_parallel_workers`], [`set_parallel_morsel_size`]).
-pub fn execute_parallel(
-    docs: &[Document],
-    stages: &[Stage],
-    source: Option<&dyn LookupSource>,
-) -> Result<Vec<Document>> {
-    execute_parallel_with(docs, stages, source, pool::parallel_workers(), parallel_morsel_size())
-}
-
 #[cfg(test)]
 mod tests {
+    //! Two shapes pinned at a size random pipelines do not reach;
+    //! `tests/plan_vs_reference.rs` holds `run_parallel` equal to the
+    //! reference interpreter for everything else.
+
     use super::*;
     use crate::agg::accum::Accumulator;
     use crate::agg::expr::Expr;
@@ -382,89 +342,13 @@ mod tests {
     use crate::query::filter::Filter;
     use doclite_bson::{array, doc};
 
-    fn input(n: usize) -> Vec<Document> {
-        (0..n)
-            .map(|i| {
-                doc! {
-                    "_id" => i as i64,
-                    "grp" => (i % 7) as i64,
-                    "v" => ((i * 13) % 23) as i64,
-                    "tags" => array![(i % 3) as i64, "t"]
-                }
-            })
-            .collect()
-    }
-
-    fn assert_equiv(p: &Pipeline, n: usize) {
-        let serial = execute_streaming(input(n), p.stages(), None).unwrap();
-        for workers in [2, 8] {
-            for morsel in [3, 64] {
-                let par =
-                    execute_parallel_with(&input(n), p.stages(), None, workers, morsel).unwrap();
-                assert_eq!(serial, par, "workers={workers} morsel={morsel}");
-            }
-        }
-    }
-
-    #[test]
-    fn match_group_sort_equivalent_to_serial() {
-        let p = Pipeline::new()
-            .match_stage(Filter::lt("v", 18i64))
-            .group(
-                GroupId::Expr(Expr::field("grp")),
-                [
-                    ("n", Accumulator::count()),
-                    ("s", Accumulator::sum_field("v")),
-                    ("first", Accumulator::First(Expr::field("_id"))),
-                    ("last", Accumulator::Last(Expr::field("_id"))),
-                    ("set", Accumulator::AddToSet(Expr::field("v"))),
-                ],
-            )
-            .sort([("_id", 1)]);
-        assert_equiv(&p, 500);
-    }
-
-    #[test]
-    fn group_order_is_first_appearance_like_serial() {
-        // No trailing sort: output order must be first appearance in
-        // document order, which only in-order merging reproduces.
-        let p = Pipeline::new()
-            .group(GroupId::Expr(Expr::field("grp")), [("n", Accumulator::count())]);
-        assert_equiv(&p, 300);
-    }
-
-    #[test]
-    fn sort_window_and_ties_equivalent_to_serial() {
-        let p = Pipeline::new().sort([("grp", 1)]).skip(5).limit(20);
-        assert_equiv(&p, 400);
-        let p = Pipeline::new().sort([("v", -1), ("grp", 1)]).limit(7);
-        assert_equiv(&p, 400);
-        // Inverted window (limit then larger skip) must stay empty.
-        let p = Pipeline::new().sort([("v", 1)]).limit(3).skip(9);
-        assert_equiv(&p, 200);
-    }
-
-    #[test]
-    fn unwind_count_and_plain_scan_equivalent_to_serial() {
-        let p = Pipeline::new().unwind("$tags").count("n");
-        assert_equiv(&p, 350);
-        let p = Pipeline::new().match_stage(Filter::gte("v", 10i64));
-        assert_equiv(&p, 350);
-    }
-
-    #[test]
-    fn post_barrier_rest_runs_serially_and_matches() {
-        // $group, then a second window + projection the merge phase must
-        // hand to the serial epilogue.
-        let p = Pipeline::new()
-            .group(
-                GroupId::Expr(Expr::field("grp")),
-                [("s", Accumulator::sum_field("v"))],
-            )
-            .sort([("s", -1)])
-            .limit(3)
-            .project([("s", crate::agg::ProjectField::Include)]);
-        assert_equiv(&p, 450);
+    fn execute_parallel_with(
+        docs: &[Document],
+        stages: &[Stage],
+        workers: usize,
+        morsel: usize,
+    ) -> Result<Vec<Document>> {
+        run_parallel(&docs.iter().collect::<Vec<_>>(), stages, None, workers, morsel)
     }
 
     #[test]
@@ -495,7 +379,7 @@ mod tests {
             .limit(5);
         let serial = execute_streaming(docs.clone(), stages.stages(), None).unwrap();
         assert_eq!(serial.len(), 5);
-        let par = execute_parallel_with(&docs, stages.stages(), None, 4, 8).unwrap();
+        let par = execute_parallel_with(&docs, stages.stages(), 4, 8).unwrap();
         assert_eq!(serial, par);
     }
 
@@ -518,26 +402,8 @@ mod tests {
         let serial = execute_streaming(docs.clone(), stages.stages(), None).unwrap_err();
         for morsel in [4, 50] {
             let par =
-                execute_parallel_with(&docs, stages.stages(), None, 8, morsel).unwrap_err();
+                execute_parallel_with(&docs, stages.stages(), 8, morsel).unwrap_err();
             assert_eq!(serial.to_string(), par.to_string(), "morsel={morsel}");
         }
-    }
-
-    #[test]
-    fn small_inputs_fall_back_to_serial() {
-        let p = Pipeline::new().match_stage(Filter::gte("v", 0i64));
-        let docs = input(10);
-        let par = execute_parallel_with(&docs, p.stages(), None, 8, 1024).unwrap();
-        let serial = execute_streaming(docs, p.stages(), None).unwrap();
-        assert_eq!(serial, par);
-    }
-
-    #[test]
-    fn morsel_size_knob_round_trips() {
-        assert_eq!(parallel_morsel_size(), DEFAULT_MORSEL);
-        set_parallel_morsel_size(37);
-        assert_eq!(parallel_morsel_size(), 37);
-        set_parallel_morsel_size(0);
-        assert_eq!(parallel_morsel_size(), DEFAULT_MORSEL);
     }
 }

@@ -2,6 +2,7 @@
 
 use super::accum::Accumulator;
 use super::expr::Expr;
+use crate::error::{Error, Result};
 use crate::query::filter::Filter;
 
 /// One field of a `$project` specification.
@@ -168,6 +169,22 @@ impl Pipeline {
         self.stage(Stage::Out(collection.into()))
     }
 
+    /// The stages an executor runs: all of them minus a trailing
+    /// `$out`, which the database (or router) materializes from the
+    /// returned documents. A `$out` anywhere else is an error — no
+    /// executor can honour it, and running on as if it were absent
+    /// would silently drop a write the caller asked for.
+    pub fn body(&self) -> Result<&[Stage]> {
+        let body = match self.stages.split_last() {
+            Some((Stage::Out(_), body)) => body,
+            _ => &self.stages,
+        };
+        if body.iter().any(|s| matches!(s, Stage::Out(_))) {
+            return Err(out_not_last());
+        }
+        Ok(body)
+    }
+
     /// The `$out` target, if the pipeline ends with one.
     pub fn out_target(&self) -> Option<&str> {
         match self.stages.last() {
@@ -191,6 +208,12 @@ impl Pipeline {
     }
 }
 
+/// The error every executor reports for a `$out` it is asked to run:
+/// [`Pipeline::body`] strips the only legal one before execution.
+pub(crate) fn out_not_last() -> Error {
+    Error::InvalidQuery("$out can only be the final stage of a pipeline".into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +234,20 @@ mod tests {
     fn out_target_only_when_last() {
         let p = Pipeline::new().match_stage(Filter::True);
         assert_eq!(p.out_target(), None);
+    }
+
+    #[test]
+    fn body_strips_a_trailing_out_and_rejects_any_other() {
+        let p = Pipeline::new().limit(5).out("dst");
+        assert_eq!(p.body().unwrap(), &[Stage::Limit(5)]);
+        assert_eq!(Pipeline::new().limit(5).body().unwrap().len(), 1);
+        assert!(Pipeline::new().body().unwrap().is_empty());
+        for p in [Pipeline::new().out("dst").limit(5), Pipeline::new().out("a").out("b")] {
+            assert_eq!(
+                p.body().unwrap_err().to_string(),
+                "invalid query: $out can only be the final stage of a pipeline"
+            );
+        }
     }
 
     #[test]

@@ -1,82 +1,30 @@
 //! Streaming pipeline execution.
 //!
-//! The materializing executor in [`super::exec`] collects the full output
-//! of every stage into a `Vec<Document>` before the next stage runs, so a
-//! pipeline like `$match → $group` clones every matching document once
-//! per stage boundary. This module executes the same stages as fused
-//! iterator adapters over a [`DocStream`]: documents flow one at a time,
-//! stage prefixes like `$match`/`$project`/`$skip`/`$limit` never
-//! materialize anything, and — crucially — documents start as *borrowed*
-//! references into collection storage and are only cloned at the first
-//! stage that must produce new documents (`$project`, `$unwind`,
-//! `$sort`'s surviving window, final materialization). A selective
-//! `$match` therefore never clones the documents it rejects.
+//! The stages run as fused iterator adapters over a [`DocStream`]:
+//! documents flow one at a time, stage prefixes like
+//! `$match`/`$project`/`$skip`/`$limit` never materialize anything, and
+//! — crucially — documents start as *borrowed* references into
+//! collection storage and are only cloned at the first stage that must
+//! produce new documents (`$project`, `$unwind`, `$sort`'s surviving
+//! window, final materialization). A selective `$match` therefore never
+//! clones the documents it rejects.
 //!
 //! `$sort` additionally fuses any directly following `$skip`/`$limit`
 //! stages into a window `[start, end)` and clones only the documents
 //! inside that window — the classic top-k optimization the sharded
 //! router relies on for shard-side sort/limit pushdown.
 //!
-//! The old executor stays available behind [`ExecMode`] for equivalence
-//! testing and for the ablation benchmarks.
+//! What every stage must return is stated by [`super::reference`], the
+//! interpreted oracle the tests compare this module with.
 
-use super::exec::LookupSource;
 use super::kernel::{
     lookup_stage, unwind_parts_compiled, CompiledProject, CompiledSortSpec, GroupKernel,
+    LookupSource,
 };
-use super::stage::Stage;
+use super::stage::{out_not_last, Stage};
 use crate::error::{Error, Result};
 use crate::query::matcher::{compile, matches_compiled};
 use doclite_bson::{CompiledPath, Document, Value};
-use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-
-/// Which aggregation executor a collection uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Fused iterator execution with planner pushdown of the leading
-    /// `$match` run (the default).
-    #[default]
-    Streaming,
-    /// The original materializing executor: clone out the whole
-    /// collection, then run every stage over owned `Vec<Document>`s.
-    /// Kept for equivalence testing and ablation benchmarks.
-    Legacy,
-    /// Morsel-driven parallel execution over the shared worker pool
-    /// ([`super::parallel`]), with the streaming executor as the serial
-    /// fallback for pipeline shapes that don't partition.
-    Parallel,
-    /// Vectorized batch execution over the collection's columnar
-    /// sidecar ([`crate::columnar`]) for covered `$match`/`$group`/
-    /// `$count` prefixes, with per-batch row fallback for exotic cells
-    /// and the streaming executor for everything uncovered (including
-    /// collections with no sidecar enabled).
-    Columnar,
-}
-
-static DEFAULT_MODE: AtomicU8 = AtomicU8::new(0); // 0=Streaming 1=Legacy 2=Parallel 3=Columnar
-
-/// Sets the process-wide default [`ExecMode`] (used by ablations and the
-/// stress driver).
-pub fn set_default_exec_mode(mode: ExecMode) {
-    let v = match mode {
-        ExecMode::Streaming => 0,
-        ExecMode::Legacy => 1,
-        ExecMode::Parallel => 2,
-        ExecMode::Columnar => 3,
-    };
-    DEFAULT_MODE.store(v, AtomicOrdering::Relaxed);
-}
-
-/// The current process-wide default [`ExecMode`].
-pub fn default_exec_mode() -> ExecMode {
-    match DEFAULT_MODE.load(AtomicOrdering::Relaxed) {
-        1 => ExecMode::Legacy,
-        2 => ExecMode::Parallel,
-        3 => ExecMode::Columnar,
-        _ => ExecMode::Streaming,
-    }
-}
 
 /// A stream of documents flowing through the pipeline. Documents start
 /// borrowed from collection storage and are promoted to owned by the
@@ -101,31 +49,9 @@ impl<'a> DocStream<'a> {
     }
 }
 
-/// The sort key of `doc` under `spec` (missing paths key as `Null`,
-/// matching [`super::exec::sort_documents`]). Shared with the sharded
-/// router's streaming merge.
-pub fn sort_keys(doc: &Document, spec: &[(String, i32)]) -> Vec<Value> {
-    spec.iter().map(|(p, _)| doc.get_path(p).unwrap_or(Value::Null)).collect()
-}
-
-/// Compares two keys produced by [`sort_keys`] under the spec's
-/// directions.
-pub fn compare_sort_keys(a: &[Value], b: &[Value], spec: &[(String, i32)]) -> Ordering {
-    for ((va, vb), (_, dir)) in a.iter().zip(b).zip(spec) {
-        let mut ord = va.canonical_cmp(vb);
-        if *dir < 0 {
-            ord = ord.reverse();
-        }
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
-/// Runs the stages (excluding any trailing `$out`) over owned input with
-/// the streaming executor. Entry point for callers that already hold
-/// materialized documents (the router's merge step, equivalence tests).
+/// Runs the stages (a [`Pipeline::body`](super::Pipeline::body)) over
+/// owned input. Entry point for callers that already hold materialized
+/// documents (the router's merge step, equivalence tests).
 pub fn execute_streaming(
     docs: Vec<Document>,
     stages: &[Stage],
@@ -135,8 +61,9 @@ pub fn execute_streaming(
 }
 
 /// Drives a [`DocStream`] through the stages and materializes the final
-/// result. `$out` stages pass through untouched (the database layer
-/// materializes them), mirroring the legacy executor.
+/// result. A `$out` is an error here: the only legal one is the trailing
+/// stage [`Pipeline::body`](super::Pipeline::body) strips for the
+/// database layer to materialize.
 pub fn run_streaming<'a>(
     mut docs: DocStream<'a>,
     stages: &'a [Stage],
@@ -229,7 +156,7 @@ pub fn run_streaming<'a>(
                 d.set(name.clone(), Value::Int64(n as i64));
                 DocStream::from_vec(vec![d])
             }
-            Stage::Out(_) => docs, // materialization happens in the caller
+            Stage::Out(_) => return Err(out_not_last()),
         };
     }
     match docs {
@@ -292,7 +219,7 @@ pub(crate) fn apply_per_doc_stage<'a>(docs: DocStream<'a>, stage: &'a Stage) -> 
 /// [`doclite_bson::Resolved`]s, an index permutation is sorted stably by
 /// `(key, input position)`, and only window survivors are cloned (or
 /// moved, for an already-owned stream). Identical ordering to
-/// [`super::exec::sort_documents`].
+/// [`super::sort_documents`].
 fn sort_window<'a>(
     docs: DocStream<'a>,
     spec: &[(String, i32)],
@@ -346,8 +273,8 @@ pub(crate) fn sorted_window_indices(
 mod tests {
     use super::*;
     use crate::agg::accum::Accumulator;
-    use crate::agg::exec;
     use crate::agg::expr::Expr;
+    use crate::agg::reference;
     use crate::agg::stage::{GroupId, Pipeline};
     use crate::query::filter::Filter;
     use doclite_bson::{array, doc};
@@ -365,46 +292,40 @@ mod tests {
             .collect()
     }
 
-    fn both(p: &Pipeline) -> (Vec<Document>, Vec<Document>) {
-        let legacy = exec::execute(input(), p.stages()).unwrap();
+    /// The streaming result, checked against the reference interpreter.
+    fn checked(p: &Pipeline) -> Vec<Document> {
+        let oracle = reference::run(input(), p.stages(), None).unwrap();
         let streaming = execute_streaming(input(), p.stages(), None).unwrap();
-        (legacy, streaming)
+        assert_eq!(oracle, streaming, "{p:?}");
+        streaming
     }
 
     #[test]
-    fn match_project_limit_matches_legacy() {
+    fn match_project_limit_matches_reference() {
         let p = Pipeline::new()
             .match_stage(Filter::lt("v", 6i64))
             .project([("v", crate::agg::ProjectField::Include)])
             .skip(2)
             .limit(5);
-        let (l, s) = both(&p);
-        assert_eq!(l, s);
-        assert_eq!(s.len(), 5);
+        assert_eq!(checked(&p).len(), 5);
     }
 
     #[test]
-    fn sort_window_fusion_matches_legacy_sequence() {
+    fn sort_window_fusion_matches_reference_sequence() {
         for (skip, limit) in [(0, 3), (2, 4), (5, 100), (0, 0)] {
-            let p = Pipeline::new().sort([("v", -1), ("_id", 1)]).skip(skip).limit(limit);
-            let (l, s) = both(&p);
-            assert_eq!(l, s, "skip={skip} limit={limit}");
+            checked(&Pipeline::new().sort([("v", -1), ("_id", 1)]).skip(skip).limit(limit));
         }
         // skip/limit/skip chains compose the same window.
-        let p = Pipeline::new().sort([("v", 1)]).skip(1).limit(10).skip(2);
-        let (l, s) = both(&p);
-        assert_eq!(l, s);
+        checked(&Pipeline::new().sort([("v", 1)]).skip(1).limit(10).skip(2));
     }
 
     #[test]
     fn limit_then_larger_skip_yields_empty_window() {
         // Regression: $limit followed by a larger $skip inverts the
-        // fused window (start > end); must yield [] like legacy, not
-        // panic on an inverted slice range.
+        // fused window (start > end); must yield [], not panic on an
+        // inverted slice range.
         let p = Pipeline::new().sort([("v", 1)]).limit(3).skip(5);
-        let (l, s) = both(&p);
-        assert!(l.is_empty());
-        assert_eq!(l, s);
+        assert!(checked(&p).is_empty());
         // Same window over an Owned stream (a $project upstream of the
         // $sort forces the owned branch of sort_window).
         let p = Pipeline::new()
@@ -413,73 +334,39 @@ mod tests {
             .limit(2)
             .skip(4)
             .limit(1);
-        let (l, s) = both(&p);
-        assert!(l.is_empty());
-        assert_eq!(l, s);
+        assert!(checked(&p).is_empty());
     }
 
     #[test]
-    fn sort_is_stable_like_legacy() {
-        let p = Pipeline::new().sort([("grp", 1)]);
-        let (l, s) = both(&p);
-        assert_eq!(l, s);
+    fn sort_is_stable_like_reference() {
+        checked(&Pipeline::new().sort([("grp", 1)]));
     }
 
     #[test]
-    fn group_and_count_match_legacy() {
-        let p = Pipeline::new()
-            .match_stage(Filter::gte("v", 3i64))
-            .group(
-                GroupId::Expr(Expr::field("grp")),
-                [("n", Accumulator::count()), ("sum", Accumulator::sum_field("v"))],
-            )
-            .sort([("_id", 1)]);
-        let (l, s) = both(&p);
-        assert_eq!(l, s);
-
-        let p = Pipeline::new().match_stage(Filter::eq("grp", 2i64)).count("n");
-        let (l, s) = both(&p);
-        assert_eq!(l, s);
-    }
-
-    #[test]
-    fn unwind_matches_legacy() {
-        let p = Pipeline::new().unwind("$tags").match_stage(Filter::eq("tags", 1i64));
-        let (l, s) = both(&p);
-        assert_eq!(l, s);
-    }
-
-    #[test]
-    fn group_on_empty_input_yields_nothing() {
-        let out = execute_streaming(
-            vec![],
-            Pipeline::new().group(GroupId::Null, [("n", Accumulator::count())]).stages(),
-            None,
-        )
-        .unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn lookup_requires_source() {
-        let err = execute_streaming(
-            input(),
-            Pipeline::new().lookup("other", "grp", "k", "xs").stages(),
-            None,
+    fn group_and_count_match_reference() {
+        checked(
+            &Pipeline::new()
+                .match_stage(Filter::gte("v", 3i64))
+                .group(
+                    GroupId::Expr(Expr::field("grp")),
+                    [("n", Accumulator::count()), ("sum", Accumulator::sum_field("v"))],
+                )
+                .sort([("_id", 1)]),
         );
-        assert!(err.is_err());
+        checked(&Pipeline::new().match_stage(Filter::eq("grp", 2i64)).count("n"));
     }
 
     #[test]
-    fn exec_mode_default_round_trips() {
-        assert_eq!(default_exec_mode(), ExecMode::Streaming);
-        set_default_exec_mode(ExecMode::Legacy);
-        assert_eq!(default_exec_mode(), ExecMode::Legacy);
-        set_default_exec_mode(ExecMode::Parallel);
-        assert_eq!(default_exec_mode(), ExecMode::Parallel);
-        set_default_exec_mode(ExecMode::Columnar);
-        assert_eq!(default_exec_mode(), ExecMode::Columnar);
-        set_default_exec_mode(ExecMode::Streaming);
-        assert_eq!(default_exec_mode(), ExecMode::Streaming);
+    fn unwind_matches_reference() {
+        checked(&Pipeline::new().unwind("$tags").match_stage(Filter::eq("tags", 1i64)));
+    }
+
+    #[test]
+    fn out_is_an_error_wherever_an_executor_meets_it() {
+        let err = execute_streaming(input(), Pipeline::new().limit(1).out("x").stages(), None);
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "invalid query: $out can only be the final stage of a pipeline"
+        );
     }
 }

@@ -1,15 +1,14 @@
 //! Collections: the unit of storage, indexing, and querying.
 
-use crate::agg::{exec, kernel, parallel, stream, CompiledSortSpec, ExecMode, Pipeline, Stage};
+use crate::agg::{kernel, stream, CompiledSortSpec, LookupMeta, LookupSource, Pipeline, Stage};
 use crate::columnar;
-use crate::pool;
 use crate::error::{Error, Result};
 use crate::index::{extract_keys, Index, IndexDef, IndexKind, SortOrder};
 use crate::ordvalue::CompoundKey;
 use crate::query::filter::Filter;
 use crate::query::matcher::{compile, matches_compiled, CompiledFilter};
-use crate::query::planner::{conjunctive_constraints, plan, plan_with_stats, Plan, PlanKind};
-use crate::stats::{self, CollStats, PlannerMode};
+use crate::query::planner::{conjunctive_constraints, plan_with_stats, Plan, PlanKind};
+use crate::stats::{self, CollStats};
 use crate::storage::{DocId, Slab};
 use crate::update::{apply_update, upsert_seed, BulkUpdate, UpdateResult, UpdateSpec};
 use crate::wal::{delete_records_chunked, Wal, WalRecord};
@@ -76,10 +75,9 @@ pub struct Explain {
     pub docs_examined: usize,
     /// Documents that satisfied the full filter.
     pub docs_returned: usize,
-    /// Cost-model row estimate for the filter (`None` under
-    /// [`PlannerMode::Rule`]). Comparing it against `docs_returned`
-    /// measures estimation error.
-    pub est_rows: Option<u64>,
+    /// Cost-model row estimate for the filter. Comparing it against
+    /// `docs_returned` measures estimation error.
+    pub est_rows: u64,
 }
 
 /// One stage's entry in an [`AggExplain`] report.
@@ -88,20 +86,21 @@ pub struct StageExplain {
     /// Stage name (`$match`, `$lookup`, …).
     pub stage: String,
     /// Cost-model estimate of rows *leaving* the stage, where the model
-    /// has one (leading `$match` stages under [`PlannerMode::Cost`]).
+    /// has one (leading `$match` stages).
     pub est_rows: Option<u64>,
     /// Rows that actually left the stage.
     pub actual_rows: u64,
     /// The physical decision taken, when one was made: the access plan
-    /// for a leading `$match`, the join strategy for a `$lookup`.
+    /// for a leading `$match`, the join strategy for a `$lookup`,
+    /// `COLUMNS` for a `$group` / `$count` computed off the columns.
     pub decision: Option<String>,
 }
 
 /// Execution report for an aggregation pipeline, in the spirit of
 /// `db.collection.explain()` on an aggregate: per-stage estimated vs
 /// actual row counts plus the planner decisions taken. Runs the
-/// pipeline stage-by-stage on the legacy executor to observe the
-/// intermediate cardinalities.
+/// pipeline one stage at a time to observe the intermediate
+/// cardinalities.
 #[derive(Clone, Debug)]
 pub struct AggExplain {
     /// Source collection name.
@@ -524,30 +523,25 @@ impl Collection {
             .expect("planner only names existing indexes")
     }
 
-    /// Plans `filter` under the process-wide [`PlannerMode`]: `Rule`
-    /// runs the legacy prefix-rule planner; `Cost` refreshes stale
-    /// statistics and prices index candidates and the column scan
-    /// against the collection scan, returning the row estimate that
-    /// drove the choice. Either way the plan's residual is the full
-    /// filter, so the mode can never change results.
-    fn plan_with_mode(inner: &Inner, filter: &Filter) -> (Plan, Option<u64>) {
-        match stats::planner_mode() {
-            PlannerMode::Rule => (plan(filter, &inner.indexes), None),
-            PlannerMode::Cost => {
-                let live = inner.slab.len();
-                let mut st = inner.stats.lock();
-                if st.needs_rebuild(live) {
-                    st.rebuild(&inner.slab);
-                }
-                let has_column =
-                    |p: &str| inner.columnar.as_ref().is_some_and(|cs| cs.has_column(p));
-                let costed = plan_with_stats(filter, &inner.indexes, &st, live, &has_column);
-                (costed.plan, Some(costed.est_rows))
-            }
+    /// Plans `filter`: refreshes stale statistics and prices index
+    /// candidates and the column scan against the collection scan,
+    /// returning the row estimate that drove the choice. `fetch` is false
+    /// only for the aggregation driver's covered terminal, which reads
+    /// the selection off the columns and fetches no document. The plan's
+    /// residual is the full filter, so the choice can never change
+    /// results.
+    fn plan(inner: &Inner, filter: &Filter, fetch: bool) -> (Plan, u64) {
+        let live = inner.slab.len();
+        let mut st = inner.stats.lock();
+        if st.needs_rebuild(live) {
+            st.rebuild(&inner.slab);
         }
+        let has_column = |p: &str| inner.columnar.as_ref().is_some_and(|cs| cs.has_column(p));
+        let costed = plan_with_stats(filter, &inner.indexes, &st, live, &has_column, fetch);
+        (costed.plan, costed.est_rows)
     }
 
-    /// Counts a collection scan the cost planner chose over a collection
+    /// Counts a collection scan over a collection
     /// of at least [`stats::AUTO_COLUMNAR_MIN_DOCS`] documents against
     /// every path of its filter that has no column. True when one of
     /// them is now due a column; the caller then calls
@@ -556,7 +550,6 @@ impl Collection {
     /// scan can ever serve it.
     fn note_scan(inner: &Inner, plan: &Plan) -> bool {
         if !matches!(plan.kind, PlanKind::CollScan)
-            || stats::planner_mode() != PlannerMode::Cost
             || inner.slab.len() < stats::AUTO_COLUMNAR_MIN_DOCS
         {
             return false;
@@ -685,7 +678,7 @@ impl Collection {
     pub fn count(&self, filter: &Filter) -> usize {
         let compiled = compile(filter);
         let inner = self.inner.read();
-        let (plan, _) = Self::plan_with_mode(&inner, filter);
+        let (plan, _) = Self::plan(&inner, filter, true);
         let (_, matching) = Self::count_matching(&inner, &plan, &compiled);
         self.finish_scan(inner, &plan);
         matching
@@ -697,7 +690,7 @@ impl Collection {
     pub fn explain(&self, filter: &Filter) -> Explain {
         let compiled = compile(filter);
         let inner = self.inner.read();
-        let (plan, est_rows) = Self::plan_with_mode(&inner, filter);
+        let (plan, est_rows) = Self::plan(&inner, filter, true);
         let (docs_examined, docs_returned) = Self::count_matching(&inner, &plan, &compiled);
         Explain {
             plan: plan.describe(),
@@ -829,7 +822,7 @@ impl Collection {
         mut log: Option<&mut UpdateLog>,
         total: &mut UpdateResult,
     ) -> Result<()> {
-        let (plan, _) = Self::plan_with_mode(inner, filter);
+        let (plan, _) = Self::plan(inner, filter, true);
         let compiled = compile(filter);
         let mut ids = Self::fetch_candidates(inner, &plan, &compiled);
         if Self::note_scan(inner, &plan) {
@@ -908,7 +901,7 @@ impl Collection {
         // that statement's scan finds.
         let mut scanned: HashMap<String, Option<usize>> = HashMap::new();
         for &(filter, ..) in ops {
-            let scans = !Self::plan_with_mode(inner, filter).0.uses_index();
+            let scans = !Self::plan(inner, filter, true).0.uses_index();
             for (path, c) in conjunctive_constraints(filter) {
                 let Some(eq) = c.eq_set else { continue };
                 let tally = scanned.entry(path).or_insert(Some(0));
@@ -954,7 +947,7 @@ impl Collection {
     pub fn try_delete_many(&self, filter: &Filter) -> Result<usize> {
         let wal = self.wal_handle();
         let mut inner = self.inner.write();
-        let (plan, _) = Self::plan_with_mode(&inner, filter);
+        let (plan, _) = Self::plan(&inner, filter, true);
         let compiled = compile(filter);
         let ids = Self::fetch_candidates(&inner, &plan, &compiled);
         if Self::note_scan(&inner, &plan) {
@@ -1014,57 +1007,61 @@ impl Collection {
     }
 
     /// [`Collection::aggregate`] with a `$lookup` resolver (the database
-    /// that owns the foreign collections). Dispatches on the process-wide
-    /// default [`ExecMode`].
+    /// that owns the foreign collections) — the one aggregation driver
+    /// (DESIGN.md, *Aggregation driver*). The leading `$match` run is
+    /// ANDed into one filter and planned like any `find`; then either
+    /// the filter and a following `$count` / `$group` are computed off
+    /// the columns under the read lock, fetching nothing
+    /// ([`Self::plan_covered`]), or the plan's candidates are snapshotted
+    /// as shared handles, the lock is released, and the stages stream
+    /// over the borrowed documents — so a selective indexed match
+    /// touches (and clones) only the documents that survive, and a
+    /// `$lookup` back into this collection cannot deadlock. The choice
+    /// never changes a result or an error string
+    /// (`tests/plan_vs_reference.rs`).
     pub fn aggregate_with(
         &self,
         pipeline: &Pipeline,
-        source: Option<&dyn exec::LookupSource>,
+        source: Option<&dyn LookupSource>,
     ) -> Result<Vec<Document>> {
-        self.aggregate_with_mode(pipeline, source, stream::default_exec_mode())
+        let (filter, rest) = Self::split_match_pushdown(pipeline.body()?);
+        let compiled = compile(&filter);
+        let inner = self.inner.read();
+        if let Some((plan, covered)) = Self::plan_covered(&inner, &filter, &compiled, rest.first()) {
+            let cs = inner.columnar.as_ref().expect("a covered plan implies a sidecar");
+            let grouped = columnar::execute(cs, &inner.slab, &covered);
+            self.finish_scan(inner, &plan);
+            return stream::run_streaming(stream::DocStream::from_vec(grouped?), &rest[1..], source);
+        }
+        drop(inner);
+        let (snapshot, _) = self.snapshot_candidates(&filter, &compiled, usize::MAX);
+        let matched = snapshot
+            .iter()
+            .map(|d| &**d)
+            .filter(move |d| matches_compiled(&compiled, d));
+        stream::run_streaming(stream::DocStream::Borrowed(Box::new(matched)), rest, source)
     }
 
-    /// [`Collection::aggregate_with`] with an explicit executor choice.
-    ///
-    /// `Legacy` is the original materializing path: clone out every
-    /// document, then run each stage over owned `Vec<Document>`s.
-    /// `Streaming` fuses the stages over an iterator of borrowed
-    /// documents, with the whole leading `$match` run ANDed together and
-    /// served through the query planner, so a selective indexed match
-    /// touches (and clones) only the documents that survive.
-    pub fn aggregate_with_mode(
-        &self,
-        pipeline: &Pipeline,
-        source: Option<&dyn exec::LookupSource>,
-        mode: ExecMode,
-    ) -> Result<Vec<Document>> {
-        let stages = pipeline.stages();
-        let body: &[Stage] = match stages.last() {
-            Some(Stage::Out(_)) => &stages[..stages.len() - 1],
-            _ => stages,
-        };
-        match mode {
-            ExecMode::Legacy => exec::execute_with(self.all_docs(), body, source),
-            ExecMode::Streaming => self.aggregate_streaming(body, source),
-            ExecMode::Parallel => self.aggregate_parallel(body, source),
-            ExecMode::Columnar => {
-                let workers = pool::parallel_workers();
-                self.aggregate_columnar(
-                    body,
-                    source,
-                    workers,
-                    parallel::auto_morsel_size(self.len(), workers),
-                )
-            }
-        }
+    /// The driver's decision: `Some` when `filter` followed by `next` is
+    /// a covered aggregate ([`columnar::plan`]) and the planner — told
+    /// that nothing will be fetched — still prefers no index.
+    fn plan_covered<'p>(
+        inner: &Inner,
+        filter: &Filter,
+        compiled: &'p CompiledFilter,
+        next: Option<&'p Stage>,
+    ) -> Option<(Plan, columnar::ColPlan<'p>)> {
+        let covered = columnar::plan(filter, compiled, next, inner.columnar.as_ref()?)?;
+        let (plan, _) = Self::plan(inner, filter, false);
+        (!plan.uses_index()).then_some((plan, covered))
     }
 
     /// Declares scalar paths to maintain as typed column vectors, ahead
     /// of the scans that would earn them a column, and builds the ones
     /// not yet present from the current contents; columns that already
     /// exist are kept. Subsequent writes keep them consistent. Declared
-    /// columns also serve `$group` keys and accumulator inputs of
-    /// [`ExecMode::Columnar`] aggregations, which lazily built columns
+    /// columns also serve `$group` keys and accumulator inputs of the
+    /// aggregation driver's covered terminal, which lazily built columns
     /// (filter paths only) do not.
     pub fn enable_columnar<I, S>(&self, fields: I)
     where
@@ -1086,59 +1083,9 @@ impl Collection {
         self.inner.read().columnar.is_some()
     }
 
-    /// Drops the columnar sidecar (aggregations fall back to streaming).
+    /// Drops the columnar sidecar (every read goes back to the documents).
     pub fn disable_columnar(&self) {
         self.inner.write().columnar = None;
-    }
-
-    /// [`ExecMode::Columnar`] execution with explicit worker/chunk
-    /// knobs, for equivalence tests that sweep both. A trailing `$out`
-    /// is ignored, as in [`Collection::aggregate_with_mode`].
-    pub fn aggregate_columnar_with(
-        &self,
-        pipeline: &Pipeline,
-        source: Option<&dyn exec::LookupSource>,
-        workers: usize,
-        chunk: usize,
-    ) -> Result<Vec<Document>> {
-        let stages = pipeline.stages();
-        let body: &[Stage] = match stages.last() {
-            Some(Stage::Out(_)) => &stages[..stages.len() - 1],
-            _ => stages,
-        };
-        self.aggregate_columnar(body, source, workers, chunk)
-    }
-
-    /// Columnar execution: plan the covered prefix against the sidecar,
-    /// evaluate it in chunks under the read lock, then release the lock
-    /// and run the uncovered suffix on the streaming executor (so a
-    /// `$lookup` back into this collection cannot deadlock). No sidecar
-    /// or no covered prefix delegates the whole pipeline to streaming —
-    /// as does a leading `$match` the planner serves from an index: the
-    /// one access-path decision also settles index versus columns here.
-    fn aggregate_columnar(
-        &self,
-        body: &[Stage],
-        source: Option<&dyn exec::LookupSource>,
-        workers: usize,
-        chunk: usize,
-    ) -> Result<Vec<Document>> {
-        let inner = self.inner.read();
-        let Some(plan) = inner.columnar.as_ref().and_then(|cs| columnar::plan(body, cs))
-        else {
-            drop(inner);
-            return self.aggregate_streaming(body, source);
-        };
-        let (filter, _) = Self::split_match_pushdown(body);
-        if Self::plan_with_mode(&inner, &filter).0.uses_index() {
-            drop(inner);
-            return self.aggregate_streaming(body, source);
-        }
-        let cs = inner.columnar.as_ref().expect("plan implies a sidecar");
-        let prefix_out = columnar::execute(cs, &inner.slab, &plan, workers, chunk)?;
-        let rest = plan.rest;
-        drop(inner);
-        stream::run_streaming(stream::DocStream::from_vec(prefix_out), rest, source)
     }
 
     /// Plans `filter` and snapshots its candidate documents under the
@@ -1164,7 +1111,7 @@ impl Collection {
         want: usize,
     ) -> (Vec<Arc<Document>>, usize) {
         let inner = self.inner.read();
-        let (plan, _) = Self::plan_with_mode(&inner, filter);
+        let (plan, _) = Self::plan(&inner, filter, true);
         let mut snapshot = Vec::new();
         let examined = Self::for_each_candidate(&inner, &plan, compiled, |id| {
             let keep = want == usize::MAX
@@ -1189,49 +1136,6 @@ impl Collection {
             _ => unreachable!("prefix is all $match"),
         }));
         (filter, &body[n_match..])
-    }
-
-    fn aggregate_streaming(
-        &self,
-        body: &[Stage],
-        source: Option<&dyn exec::LookupSource>,
-    ) -> Result<Vec<Document>> {
-        let (filter, rest) = Self::split_match_pushdown(body);
-        let compiled = compile(&filter);
-        let (snapshot, _) = self.snapshot_candidates(&filter, &compiled, usize::MAX);
-        let matched = snapshot
-            .iter()
-            .map(|d| &**d)
-            .filter(move |d| matches_compiled(&compiled, d));
-        stream::run_streaming(stream::DocStream::Borrowed(Box::new(matched)), rest, source)
-    }
-
-    /// Morsel-driven parallel execution over a candidate snapshot, with
-    /// the same leading-`$match` planner pushdown as the streaming path.
-    /// The residual filter rides into the pipeline as a `$match` stage —
-    /// a per-document stage the parallel executor partitions.
-    fn aggregate_parallel(
-        &self,
-        body: &[Stage],
-        source: Option<&dyn exec::LookupSource>,
-    ) -> Result<Vec<Document>> {
-        let (filter, rest) = Self::split_match_pushdown(body);
-        let trivial = matches!(&filter, Filter::And(fs) if fs.is_empty());
-        let (snapshot, _) = self.snapshot_candidates(&filter, &compile(&filter), usize::MAX);
-        let refs: Vec<&Document> = snapshot.iter().map(|d| &**d).collect();
-        let mut stages: Vec<Stage> = Vec::with_capacity(1 + rest.len());
-        if !trivial {
-            stages.push(Stage::Match(filter));
-        }
-        stages.extend(rest.iter().cloned());
-        let workers = pool::parallel_workers();
-        parallel::run_parallel(
-            &refs,
-            &stages,
-            source,
-            workers,
-            parallel::auto_morsel_size(refs.len(), workers),
-        )
     }
 
     /// Visits every document without cloning (shared lock held for the
@@ -1276,13 +1180,13 @@ impl Collection {
     /// document count and whether `field` leads a probe-usable index
     /// (any single-field index, or a compound B-tree whose prefix range
     /// can serve an equality on the first field).
-    pub fn lookup_meta(&self, field: &str) -> exec::LookupMeta {
+    pub fn lookup_meta(&self, field: &str) -> LookupMeta {
         let inner = self.inner.read();
         let has_index = inner.indexes.iter().any(|i| {
             let names = i.def.field_names();
             names.first() == Some(&field) && (names.len() == 1 || i.def.kind == IndexKind::BTree)
         });
-        exec::LookupMeta { docs: inner.slab.len(), has_index }
+        LookupMeta { docs: inner.slab.len(), has_index }
     }
 
     /// All documents whose `field` equals `key` under `$lookup` equality
@@ -1360,57 +1264,50 @@ impl Collection {
         *self.inner.write().stats.get_mut() = CollStats::from_doc(d);
     }
 
-    /// Explains an aggregation: runs the pipeline stage-by-stage on the
-    /// legacy executor, reporting per-stage estimated vs actual row
-    /// counts and the physical decisions (access plan for leading
-    /// `$match` stages, join strategy per `$lookup`). A trailing `$out`
-    /// is skipped, as in [`Collection::aggregate_with_mode`].
+    /// Explains an aggregation: runs the pipeline one stage at a time,
+    /// reporting per-stage estimated vs actual row counts and the
+    /// physical decisions [`Collection::aggregate_with`] takes (access
+    /// plan for the leading `$match` stages, `COLUMNS` for a `$group` /
+    /// `$count` it computes off the columns, join strategy per
+    /// `$lookup`). A trailing `$out` is skipped.
     pub fn explain_aggregate(
         &self,
         pipeline: &Pipeline,
-        source: Option<&dyn exec::LookupSource>,
+        source: Option<&dyn LookupSource>,
     ) -> Result<AggExplain> {
-        let stages = pipeline.stages();
-        let body: &[Stage] = match stages.last() {
-            Some(Stage::Out(_)) => &stages[..stages.len() - 1],
-            _ => stages,
+        let body = pipeline.body()?;
+        let (filter, rest) = Self::split_match_pushdown(body);
+        let n_match = body.len() - rest.len();
+        let covered = {
+            let inner = self.inner.read();
+            Self::plan_covered(&inner, &filter, &compile(&filter), rest.first()).is_some()
         };
         let mut docs = self.all_docs();
         let mut report = Vec::with_capacity(body.len());
-        let mut leading: Vec<Filter> = Vec::new();
-        let mut in_leading_run = true;
-        for stage in body {
+        for (i, stage) in body.iter().enumerate() {
             let mut est_rows = None;
             let mut decision = None;
             match stage {
-                Stage::Match(f) if in_leading_run => {
-                    leading.push(f.clone());
-                    let cum = Filter::and(leading.iter().cloned());
-                    let inner = self.inner.read();
-                    let (p, est) = Self::plan_with_mode(&inner, &cum);
-                    est_rows = est;
+                Stage::Match(_) if i < n_match => {
+                    let (cum, _) = Self::split_match_pushdown(&body[..=i]);
+                    let (p, est) = Self::plan(&self.inner.read(), &cum, !covered);
+                    est_rows = Some(est);
                     decision = Some(p.describe());
                 }
+                Stage::Group { .. } | Stage::Count(_) if covered && i == n_match => {
+                    decision = Some("COLUMNS".to_owned());
+                }
                 Stage::Lookup { from, local_field, foreign_field, .. } => {
-                    in_leading_run = false;
                     if let Some(src) = source {
-                        let strategy = if kernel::use_indexed_lookup(
-                            &docs,
-                            src,
-                            from,
-                            local_field,
-                            foreign_field,
-                        ) {
-                            "INDEX_NESTED_LOOP"
-                        } else {
-                            "HASH_JOIN"
-                        };
+                        let indexed =
+                            kernel::use_indexed_lookup(&docs, src, from, local_field, foreign_field);
+                        let strategy = if indexed { "INDEX_NESTED_LOOP" } else { "HASH_JOIN" };
                         decision = Some(format!("{strategy} {{ {from}.{foreign_field} }}"));
                     }
                 }
-                _ => in_leading_run = false,
+                _ => {}
             }
-            docs = exec::execute_stage(docs, stage, source)?;
+            docs = stream::execute_streaming(docs, std::slice::from_ref(stage), source)?;
             report.push(StageExplain {
                 stage: stage_name(stage).to_owned(),
                 est_rows,

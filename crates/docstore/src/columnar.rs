@@ -1,5 +1,5 @@
-//! The optional per-collection columnar sidecar, its scan kernel and its
-//! batch executor.
+//! The optional per-collection columnar sidecar, its scan kernel and the
+//! covered aggregate.
 //!
 //! A [`ColumnSet`] maintains typed column vectors (i64 / f64 / bool /
 //! dictionary-encoded string) plus presence/typed/exotic validity
@@ -15,15 +15,12 @@
 //! slots in slot order, so an unindexed `find` / `count` / `update` /
 //! `$match` touches only the documents it returns.
 //!
-//! [`plan`] compiles a pipeline prefix — the leading `$match` run plus
-//! an immediately following `$group` or `$count` — against the declared
-//! columns, and [`execute`] evaluates it in row-range chunks:
-//! predicates become selection [`Mask`]s over column slices, and the
-//! group terminal accumulates `$sum`/`$avg`/`$min`/`$max`/count (and
-//! the rest of the accumulator family) straight from column cells
-//! without materializing documents.
+//! [`plan`] / [`execute`] are the aggregation driver's *covered
+//! terminal*: the same selection feeding a `$count`, or a `$group`
+//! whose key and every accumulator input is a column or a literal,
+//! accumulated straight from column cells — no document is fetched.
 //!
-//! Equivalence with the row executors is the design invariant, not an
+//! Equivalence with the row path is the design invariant, not an
 //! aspiration:
 //!
 //! * every per-cell decision mirrors [`crate::query::matcher`] exactly
@@ -35,37 +32,29 @@
 //!   *exotic*, and any chunk whose relevant columns contain an exotic
 //!   cell falls back to the row path ([`matches_compiled`] /
 //!   [`GroupKernel::feed`]) for that chunk, with identical results;
-//! * pipelines (or suffixes) the planner does not cover run on the
-//!   streaming executor unchanged, so results *and error strings* are
-//!   identical by construction — every covered expression is a field
-//!   path or literal, which cannot fail.
+//! * every covered expression is a field path or a literal, which
+//!   cannot fail, so there is no error string to reproduce.
 //!
-//! Chunks are scanned in slot order; serial execution (one worker, or
-//! fewer than two chunks) feeds one accumulator in slot order and is
-//! bit-identical to streaming over a collection scan. Parallel chunks
-//! merge in chunk order, sharing [`ExecMode::Parallel`]'s one caveat:
-//! float running sums may differ by ULP-level non-associativity.
+//! Chunks of [`SCAN_CHUNK`] rows run serially in slot order and feed one
+//! accumulator, so a covered aggregate is bit-identical to streaming the
+//! same pipeline over a collection scan, float sums included.
 //!
-//! [`ExecMode::Parallel`]: crate::agg::ExecMode::Parallel
 //! [`GroupKernel::feed`]: crate::agg::kernel::GroupKernel::feed
 
-use crate::agg::accum::Accumulator;
+use crate::agg::accum::{spec_expr, Accumulator};
 use crate::agg::kernel::GroupKernel;
 use crate::agg::stage::{GroupId, Stage};
 use crate::agg::Expr;
 use crate::error::Result;
 use crate::ordvalue::OrdValue;
-use crate::pool;
 use crate::query::filter::{CmpOp, Filter};
-use crate::query::matcher::{compile, compile_set, matches_compiled, set_contains, CompiledFilter};
+use crate::query::matcher::{compile_set, matches_compiled, set_contains, CompiledFilter};
 use crate::storage::{DocId, Slab};
 use doclite_bson::{CompiledPath, Document, Resolved, Value};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
-/// Rows per evaluation chunk of [`scan`]: a multiple of 64, so chunk
+/// Rows per evaluation chunk of [`scan`] and [`execute`]: a multiple of 64, so chunk
 /// masks are whole words of the bitmaps, and small enough that a chunk's
 /// column slices stay cache-resident across a conjunction's predicates.
 pub const SCAN_CHUNK: usize = 4096;
@@ -531,7 +520,7 @@ impl MemberSet {
 }
 
 /// Compiles a filter against the columns; `None` if any leaf references
-/// a path without one (the step then evaluates per row).
+/// a path without one.
 fn compile_pred(f: &Filter, cs: &ColumnSet) -> Option<ColPred> {
     let all = |fs: &[Filter]| -> Option<Vec<ColPred>> {
         fs.iter().map(|f| compile_pred(f, cs)).collect()
@@ -579,37 +568,36 @@ fn pred_cols(p: &ColPred, out: &mut Vec<usize>) {
     }
 }
 
-/// One filter to evaluate over a chunk: the column form when every path
-/// has a column, and the compiled row form for fallback chunks.
+/// One filter to evaluate over a chunk: its column form, and the
+/// compiled row form for fallback chunks.
 struct MatchStep<'r> {
-    col: Option<ColPred>,
+    col: ColPred,
     cols_used: Vec<usize>,
-    row: Cow<'r, CompiledFilter>,
+    row: &'r CompiledFilter,
 }
 
 impl<'r> MatchStep<'r> {
-    fn new(f: &Filter, cs: &ColumnSet, row: Cow<'r, CompiledFilter>) -> Self {
-        let col = compile_pred(f, cs);
+    /// `None` if a path the filter reads has no column.
+    fn new(f: &Filter, cs: &ColumnSet, row: &'r CompiledFilter) -> Option<Self> {
+        let col = compile_pred(f, cs)?;
         let mut cols_used = Vec::new();
-        if let Some(p) = &col {
-            pred_cols(p, &mut cols_used);
-        }
-        MatchStep { col, cols_used, row }
+        pred_cols(&col, &mut cols_used);
+        Some(MatchStep { col, cols_used, row })
     }
 
-    /// Narrows `sel`, the still-selected rows of the chunk `[start,
-    /// end)`, to those satisfying the filter: over the columns, or per
-    /// surviving document when a path has no column or a used column
-    /// holds an exotic cell in range.
-    fn refine(&self, cs: &ColumnSet, slab: &Slab, start: usize, end: usize, sel: &mut Mask) {
-        let exotic = self.cols_used.iter().any(|&c| cs.cols[c].exotic.any_in_range(start, end));
-        match &self.col {
-            Some(pred) if !exotic => refine(pred, cs, start, sel),
-            _ => sel.retain(|i| {
-                slab.get((start + i) as DocId)
-                    .is_some_and(|d| matches_compiled(&self.row, d))
-            }),
+    /// The live rows of the chunk `[start, end)` that satisfy the
+    /// filter: evaluated over the columns, or per live document when a
+    /// used column holds an exotic cell in range.
+    fn select(&self, cs: &ColumnSet, slab: &Slab, start: usize, end: usize) -> Mask {
+        let mut sel = live_mask(cs, start, end);
+        if self.cols_used.iter().any(|&c| cs.cols[c].exotic.any_in_range(start, end)) {
+            sel.retain(|i| {
+                slab.get((start + i) as DocId).is_some_and(|d| matches_compiled(self.row, d))
+            });
+        } else {
+            refine(&self.col, cs, start, &mut sel);
         }
+        sel
     }
 }
 
@@ -620,8 +608,6 @@ enum GroupInput {
 }
 
 enum ColTerminal<'p> {
-    /// No covered terminal: emit the selected documents.
-    Docs,
     /// `{$count: name}` over the selection.
     Count(&'p str),
     /// Covered `$group`: key from a column (or `_id: null`), every
@@ -635,39 +621,33 @@ enum ColTerminal<'p> {
     },
 }
 
-/// A pipeline prefix compiled for columnar execution; `rest` is the
-/// uncovered suffix the caller runs on the streaming executor.
+/// A covered aggregate: one selection over the columns and a terminal
+/// that reads nothing but columns.
 pub(crate) struct ColPlan<'p> {
-    steps: Vec<MatchStep<'p>>,
+    step: MatchStep<'p>,
     terminal: ColTerminal<'p>,
-    pub(crate) rest: &'p [Stage],
 }
 
-/// Plans the pipeline prefix against the columns. `None` means the
-/// columnar path offers nothing (no column-covered `$match` and no
-/// `$group`/`$count` terminal) and the caller should run the whole
-/// pipeline on the streaming executor.
-pub(crate) fn plan<'p>(body: &'p [Stage], cs: &ColumnSet) -> Option<ColPlan<'p>> {
-    let mut steps = Vec::new();
-    let mut i = 0;
-    while let Some(Stage::Match(f)) = body.get(i) {
-        steps.push(MatchStep::new(f, cs, Cow::Owned(compile(f))));
-        i += 1;
-    }
-    let (terminal, rest) = match body.get(i) {
-        Some(Stage::Group { id, fields }) => match group_coverage(id, fields, cs) {
-            Some((id_col, inputs, cols_used)) => (
-                ColTerminal::Group { id_col, fields, inputs, cols_used, spec: id },
-                &body[i + 1..],
-            ),
-            None => (ColTerminal::Docs, &body[i..]),
-        },
-        Some(Stage::Count(name)) => (ColTerminal::Count(name), &body[i + 1..]),
-        _ => (ColTerminal::Docs, &body[i..]),
+/// Plans `filter` (with `row`, the same filter compiled for documents)
+/// followed by `terminal` as a covered aggregate. `None` unless every
+/// path the filter reads has a column and `terminal` is a `$count` or a
+/// `$group` whose key and accumulator inputs are columns or literals —
+/// the caller then streams the pipeline over documents instead.
+pub(crate) fn plan<'p>(
+    filter: &Filter,
+    row: &'p CompiledFilter,
+    terminal: Option<&'p Stage>,
+    cs: &ColumnSet,
+) -> Option<ColPlan<'p>> {
+    let terminal = match terminal? {
+        Stage::Count(name) => ColTerminal::Count(name),
+        Stage::Group { id, fields } => {
+            let (id_col, inputs, cols_used) = group_coverage(id, fields, cs)?;
+            ColTerminal::Group { id_col, fields, inputs, cols_used, spec: id }
+        }
+        _ => return None,
     };
-    let worthwhile = steps.iter().any(|s| s.col.is_some())
-        || matches!(terminal, ColTerminal::Group { .. } | ColTerminal::Count(_));
-    worthwhile.then_some(ColPlan { steps, terminal, rest })
+    Some(ColPlan { step: MatchStep::new(filter, cs, row)?, terminal })
 }
 
 #[allow(clippy::type_complexity)]
@@ -683,7 +663,7 @@ fn group_coverage(
     };
     let mut inputs = Vec::with_capacity(fields.len());
     for (_, acc) in fields {
-        inputs.push(match acc.expr() {
+        inputs.push(match spec_expr(acc) {
             Expr::Field(path) => GroupInput::Col(cs.col_index(path)?),
             Expr::Literal(v) => GroupInput::Lit(v.clone()),
             _ => return None,
@@ -965,34 +945,6 @@ fn cell_in_set(cell: Cell<'_>, set: &[OrdValue], has_null: bool) -> bool {
     }
 }
 
-/// Per-chunk running state for the plan's terminal.
-enum ChunkState<'p> {
-    Docs(Vec<Document>),
-    Count(usize),
-    Group(GroupKernel<'p>),
-}
-
-fn new_state<'p>(terminal: &ColTerminal<'p>) -> ChunkState<'p> {
-    match terminal {
-        ColTerminal::Docs => ChunkState::Docs(Vec::new()),
-        ColTerminal::Count(_) => ChunkState::Count(0),
-        ColTerminal::Group { spec, fields, .. } => {
-            ChunkState::Group(GroupKernel::new(spec, fields))
-        }
-    }
-}
-
-/// Merges the state of the *later* chunk in slot order into `a`.
-fn merge_states<'p>(mut a: ChunkState<'p>, b: ChunkState<'p>) -> ChunkState<'p> {
-    match (&mut a, b) {
-        (ChunkState::Docs(d), ChunkState::Docs(more)) => d.extend(more),
-        (ChunkState::Count(n), ChunkState::Count(m)) => *n += m,
-        (ChunkState::Group(gk), ChunkState::Group(other)) => gk.merge(other),
-        _ => unreachable!("chunk states share one terminal"),
-    }
-    a
-}
-
 /// Visits, in slot order, the live slots whose document satisfies
 /// `filter` until `visit` returns false — the `ColumnScan` access path.
 /// The filter is evaluated over the columns [`SCAN_CHUNK`] rows at a
@@ -1006,13 +958,11 @@ pub(crate) fn scan(
     row: &CompiledFilter,
     visit: &mut dyn FnMut(DocId) -> bool,
 ) -> usize {
-    let step = MatchStep::new(filter, cs, Cow::Borrowed(row));
+    let step = MatchStep::new(filter, cs, row).expect("the planner scans covered filters only");
     let mut examined = 0;
-    for start in (0..cs.rows).step_by(SCAN_CHUNK) {
-        let end = (start + SCAN_CHUNK).min(cs.rows);
-        let mut sel = live_mask(cs, start, end);
-        examined += sel.count_ones();
-        step.refine(cs, slab, start, end, &mut sel);
+    for (start, end) in chunks(cs.rows) {
+        examined += live_mask(cs, start, end).count_ones();
+        let sel = step.select(cs, slab, start, end);
         let more = sel.try_for_each_one(|i| if visit((start + i) as DocId) { Ok(()) } else { Err(()) });
         if more.is_err() {
             break;
@@ -1021,127 +971,59 @@ pub(crate) fn scan(
     examined
 }
 
-/// Runs one chunk `[start, end)` of slots through the plan: the live
-/// rows narrowed by each `$match` step, then the terminal over the
-/// surviving rows.
-fn run_chunk(
-    cs: &ColumnSet,
-    slab: &Slab,
-    plan: &ColPlan<'_>,
-    start: usize,
-    end: usize,
-    state: &mut ChunkState<'_>,
-) -> Result<()> {
-    let any_exotic = |cols: &[usize]| {
-        cols.iter().any(|&c| cs.cols[c].exotic.any_in_range(start, end))
-    };
-    let mut sel = live_mask(cs, start, end);
-    for step in &plan.steps {
-        step.refine(cs, slab, start, end, &mut sel);
-    }
-    match (state, &plan.terminal) {
-        (ChunkState::Docs(out), ColTerminal::Docs) => {
-            sel.for_each_one(|i| {
-                if let Some(d) = slab.get((start + i) as DocId) {
-                    out.push(d.clone());
-                }
-            });
-        }
-        (ChunkState::Count(n), ColTerminal::Count(_)) => *n += sel.count_ones(),
-        (ChunkState::Group(gk), ColTerminal::Group { id_col, inputs, cols_used, .. }) => {
-            if any_exotic(cols_used) {
-                return sel.try_for_each_one(|i| {
-                    let d = slab.get((start + i) as DocId).expect("selected slots are live");
-                    gk.feed(d)
-                });
-            }
-            sel.for_each_one(|i| {
-                let slot = start + i;
-                let bucket = match id_col {
-                    Some(c) => {
-                        let key = cs.cols[*c].value_at(slot);
-                        gk.bucket_for(key.as_value())
-                    }
-                    None => gk.bucket_for(&Value::Null),
-                };
-                for (input, st) in inputs.iter().zip(gk.bucket_states(bucket)) {
-                    match input {
-                        GroupInput::Col(c) => st.accumulate_resolved(cs.cols[*c].value_at(slot)),
-                        GroupInput::Lit(v) => st.accumulate_resolved(Resolved::Borrowed(v)),
-                    }
-                }
-            });
-        }
-        _ => unreachable!("chunk state matches the plan terminal"),
-    }
-    Ok(())
+/// The `[start, end)` slot ranges of the [`SCAN_CHUNK`]-row chunks.
+fn chunks(rows: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..rows).step_by(SCAN_CHUNK).map(move |s| (s, (s + SCAN_CHUNK).min(rows)))
 }
 
-/// Executes a columnar plan over the slab: serial in slot order when
-/// one worker (or fewer than two chunks), otherwise chunks fan out over
-/// the shared pool and merge in slot order. Returns the terminal's
-/// output documents; the caller runs `plan.rest` on them.
-pub(crate) fn execute(
-    cs: &ColumnSet,
-    slab: &Slab,
-    plan: &ColPlan<'_>,
-    workers: usize,
-    chunk: usize,
-) -> Result<Vec<Document>> {
-    let chunk = chunk.max(1);
-    let rows = cs.rows();
-    let ranges: Vec<(usize, usize)> = (0..rows)
-        .step_by(chunk)
-        .map(|s| (s, (s + chunk).min(rows)))
-        .collect();
-    let merged = if workers <= 1 || ranges.len() < 2 {
-        let mut st = new_state(&plan.terminal);
-        for &(s, e) in &ranges {
-            run_chunk(cs, slab, plan, s, e, &mut st)?;
-        }
-        st
-    } else {
-        let slots: Vec<OnceLock<Result<ChunkState<'_>>>> =
-            (0..ranges.len()).map(|_| OnceLock::new()).collect();
-        pool::parallel_for(workers, ranges.len(), &|i| {
-            let (s, e) = ranges[i];
-            let mut st = new_state(&plan.terminal);
-            let r = run_chunk(cs, slab, plan, s, e, &mut st).map(|()| st);
-            let _ = slots[i].set(r);
-        });
-        // Collect in chunk order so the first error reported is the one
-        // serial execution would hit first, and order-sensitive
-        // accumulators merge in slot order.
-        let mut acc: Option<ChunkState<'_>> = None;
-        for slot in slots {
-            let st = slot.into_inner().expect("parallel_for completes every task")?;
-            acc = Some(match acc {
-                None => st,
-                Some(a) => merge_states(a, st),
-            });
-        }
-        acc.unwrap_or_else(|| new_state(&plan.terminal))
-    };
-    Ok(match merged {
-        ChunkState::Docs(docs) => docs,
-        ChunkState::Count(n) => {
+/// Executes a covered aggregate: chunk by chunk in slot order, the
+/// selection, then the terminal over the selected rows' cells. Returns
+/// the terminal's output documents.
+pub(crate) fn execute(cs: &ColumnSet, slab: &Slab, plan: &ColPlan<'_>) -> Result<Vec<Document>> {
+    Ok(match &plan.terminal {
+        ColTerminal::Count(name) => {
+            let n: usize = chunks(cs.rows)
+                .map(|(start, end)| plan.step.select(cs, slab, start, end).count_ones())
+                .sum();
             // $count emits its single document even over empty input,
             // exactly like the streaming executor.
-            let name = match &plan.terminal {
-                ColTerminal::Count(name) => *name,
-                _ => unreachable!("Count state implies Count terminal"),
-            };
             let mut d = Document::new();
-            d.set(name.to_owned(), Value::Int64(n as i64));
+            d.set((*name).to_owned(), Value::Int64(n as i64));
             vec![d]
         }
-        ChunkState::Group(gk) => gk.finish(),
+        ColTerminal::Group { id_col, fields, inputs, cols_used, spec } => {
+            let mut gk = GroupKernel::new(spec, fields);
+            for (start, end) in chunks(cs.rows) {
+                let sel = plan.step.select(cs, slab, start, end);
+                if cols_used.iter().any(|&c| cs.cols[c].exotic.any_in_range(start, end)) {
+                    sel.try_for_each_one(|i| {
+                        gk.feed(slab.get((start + i) as DocId).expect("selected slots are live"))
+                    })?;
+                    continue;
+                }
+                sel.for_each_one(|i| {
+                    let slot = start + i;
+                    let bucket = match id_col {
+                        Some(c) => gk.bucket_for(cs.cols[*c].value_at(slot).as_value()),
+                        None => gk.bucket_for(&Value::Null),
+                    };
+                    for (input, st) in inputs.iter().zip(gk.bucket_states(bucket)) {
+                        match input {
+                            GroupInput::Col(c) => st.accumulate_resolved(cs.cols[*c].value_at(slot)),
+                            GroupInput::Lit(v) => st.accumulate_resolved(Resolved::Borrowed(v)),
+                        }
+                    }
+                });
+            }
+            gk.finish()
+        }
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::matcher::compile;
     use doclite_bson::doc;
 
     fn slab_of(docs: Vec<Document>) -> Slab {
@@ -1158,12 +1040,20 @@ mod tests {
         cs
     }
 
-    /// Runs `body` through plan+execute (serial), panicking if the plan
-    /// is not worthwhile.
-    fn run(slab: &Slab, cs: &ColumnSet, body: &[Stage]) -> Vec<Document> {
-        let plan = plan(body, cs).expect("plan covers this pipeline");
-        assert!(plan.rest.is_empty(), "test pipelines are fully covered");
-        execute(cs, slab, &plan, 1, 16).expect("covered plans are infallible")
+    /// Runs `$match(filter)` → `terminal` as a covered aggregate,
+    /// panicking if it is not one.
+    fn run(slab: &Slab, cs: &ColumnSet, filter: &Filter, terminal: &Stage) -> Vec<Document> {
+        let row = compile(filter);
+        let plan = plan(filter, &row, Some(terminal), cs).expect("covered");
+        execute(cs, slab, &plan).expect("covered plans are infallible")
+    }
+
+    /// What streaming `$match(filter)` → `terminal` over the slab's
+    /// documents returns.
+    fn streamed(slab: &Slab, filter: &Filter, terminal: &Stage) -> Vec<Document> {
+        let docs = slab.iter().map(|(_, d)| d.clone()).collect();
+        let body = [Stage::Match(filter.clone()), terminal.clone()];
+        crate::agg::execute_streaming(docs, &body, None).unwrap()
     }
 
     #[test]
@@ -1260,17 +1150,14 @@ mod tests {
     fn dead_slots_never_match() {
         let mut slab = Slab::new();
         let a = slab.insert(doc! {"k" => 1i64});
-        let b = slab.insert(doc! {"k" => 2i64});
+        slab.insert(doc! {"k" => 2i64});
         let mut cs = cs_over(&slab, &["k"]);
         slab.remove(a);
         cs.clear_row(a);
         // $ne matches missing fields — but not dead slots.
-        let body = [Stage::Match(Filter::ne("k", 99i64))];
-        let plan = plan(&body, &cs).expect("covered");
-        let out = execute(&cs, &slab, &plan, 1, 16).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].get("k"), Some(&Value::Int64(2)));
-        let _ = b;
+        let f = Filter::ne("k", 99i64);
+        assert_eq!(scan_slots(&cs, &slab, &f).0, vec![1]);
+        assert_eq!(run(&slab, &cs, &f, &Stage::Count("n".into())), vec![doc! {"n" => 1i64}]);
     }
 
     #[test]
@@ -1331,94 +1218,57 @@ mod tests {
 
     #[test]
     fn group_terminal_matches_row_kernel() {
-        let docs: Vec<Document> = (0..100)
-            .map(|i| doc! {"g" => i % 3, "v" => f64::from(i) * 0.5})
-            .collect();
-        let slab = slab_of(docs.clone());
+        let slab = slab_of((0..100).map(|i| doc! {"g" => i % 3, "v" => f64::from(i) * 0.5}).collect());
         let cs = cs_over(&slab, &["g", "v"]);
-        let body = [
-            Stage::Match(Filter::gte("v", 10.0f64)),
-            Stage::Group {
-                id: GroupId::Expr(Expr::field("g")),
-                fields: vec![
-                    ("n".into(), Accumulator::count()),
-                    ("avg".into(), Accumulator::avg_field("v")),
-                    ("lo".into(), Accumulator::Min(Expr::field("v"))),
-                    ("hi".into(), Accumulator::Max(Expr::field("v"))),
-                ],
-            },
-        ];
-        let columnar = run(&slab, &cs, &body);
-        let row = crate::agg::execute_streaming(docs, &body, None).unwrap();
-        assert_eq!(columnar, row);
+        let f = Filter::gte("v", 10.0f64);
+        let group = Stage::Group {
+            id: GroupId::Expr(Expr::field("g")),
+            fields: vec![
+                ("n".into(), Accumulator::count()),
+                ("avg".into(), Accumulator::avg_field("v")),
+                ("lo".into(), Accumulator::Min(Expr::field("v"))),
+                ("hi".into(), Accumulator::Max(Expr::field("v"))),
+            ],
+        };
+        assert_eq!(run(&slab, &cs, &f, &group), streamed(&slab, &f, &group));
     }
 
     #[test]
-    fn exotic_cells_force_identical_row_fallback() {
-        // Array / mixed-type cells in the grouped columns.
-        let docs = vec![
-            doc! {"g" => 1i64, "v" => 1i64},
-            doc! {"g" => 1i64, "v" => Value::Array(vec![Value::Int64(5)])},
+    fn exotic_chunks_keep_the_filter_and_feed_documents() {
+        // Two chunks: the first all typed cells, the second with array
+        // and mixed-type cells in the filtered and the grouped columns.
+        let mut docs: Vec<Document> =
+            (0..SCAN_CHUNK as i64).map(|i| doc! {"g" => i % 4, "v" => i % 10}).collect();
+        docs.extend([
+            doc! {"g" => 1i64, "v" => Value::Array(vec![Value::Int64(5), Value::Int64(1)])},
             doc! {"g" => Value::Array(vec![Value::Int64(2)]), "v" => 3i64},
             doc! {"g" => 2i64, "v" => 4.5f64},
             doc! {"g" => 2i64},
-        ];
-        let slab = slab_of(docs.clone());
+            doc! {"g" => 3i64, "v" => 9i64},
+        ]);
+        let slab = slab_of(docs);
         let cs = cs_over(&slab, &["g", "v"]);
-        let body = [Stage::Group {
+        let f = Filter::lt("v", 5i64);
+        let group = Stage::Group {
             id: GroupId::Expr(Expr::field("g")),
-            fields: vec![("s".into(), Accumulator::sum_field("v"))],
-        }];
-        let columnar = run(&slab, &cs, &body);
-        let row = crate::agg::execute_streaming(docs, &body, None).unwrap();
-        assert_eq!(columnar, row);
+            fields: vec![
+                ("s".into(), Accumulator::sum_field("v")),
+                ("last".into(), Accumulator::Last(Expr::field("v"))),
+            ],
+        };
+        assert_eq!(run(&slab, &cs, &f, &group), streamed(&slab, &f, &group));
+        let count = Stage::Count("n".into());
+        assert_eq!(run(&slab, &cs, &f, &count), streamed(&slab, &f, &count));
     }
 
     #[test]
     fn count_terminal_counts_and_emits_on_empty() {
         let slab = slab_of(vec![doc! {"k" => 1i64}, doc! {"k" => 2i64}, doc! {"k" => 3i64}]);
         let cs = cs_over(&slab, &["k"]);
-        let body = [
-            Stage::Match(Filter::gt("k", 1i64)),
-            Stage::Count("n".into()),
-        ];
-        let out = run(&slab, &cs, &body);
-        assert_eq!(out, vec![doc! {"n" => 2i64}]);
+        let count = Stage::Count("n".into());
+        assert_eq!(run(&slab, &cs, &Filter::gt("k", 1i64), &count), vec![doc! {"n" => 2i64}]);
         // Zero matches still emit the count document.
-        let body = [
-            Stage::Match(Filter::gt("k", 99i64)),
-            Stage::Count("n".into()),
-        ];
-        assert_eq!(run(&slab, &cs, &body), vec![doc! {"n" => 0i64}]);
-    }
-
-    #[test]
-    fn parallel_chunks_match_serial() {
-        let docs: Vec<Document> = (0..500)
-            .map(|i| doc! {"g" => i % 7, "v" => i * 2})
-            .collect();
-        let slab = slab_of(docs);
-        let cs = cs_over(&slab, &["g", "v"]);
-        let body = [
-            Stage::Match(Filter::lt("v", 800i64)),
-            Stage::Group {
-                id: GroupId::Expr(Expr::field("g")),
-                fields: vec![
-                    ("n".into(), Accumulator::count()),
-                    ("sum".into(), Accumulator::sum_field("v")),
-                    ("first".into(), Accumulator::First(Expr::field("v"))),
-                    ("last".into(), Accumulator::Last(Expr::field("v"))),
-                ],
-            },
-        ];
-        let p = plan(&body, &cs).expect("covered");
-        let serial = execute(&cs, &slab, &p, 1, 16).unwrap();
-        for workers in [2, 4, 8] {
-            for chunk in [3, 17, 64] {
-                let par = execute(&cs, &slab, &p, workers, chunk).unwrap();
-                assert_eq!(par, serial, "workers={workers} chunk={chunk}");
-            }
-        }
+        assert_eq!(run(&slab, &cs, &Filter::gt("k", 99i64), &count), vec![doc! {"n" => 0i64}]);
     }
 
     /// All slots `scan` selects for `f`, with the rows it examined.
@@ -1608,40 +1458,28 @@ mod tests {
     }
 
     #[test]
-    fn uncovered_pipelines_are_not_planned() {
+    fn only_a_covered_filter_feeding_a_covered_terminal_is_planned() {
         let slab = slab_of(vec![doc! {"k" => 1i64}]);
         let cs = cs_over(&slab, &["k"]);
-        // Match on an undeclared field with no covered terminal.
-        let body = [Stage::Match(Filter::eq("other", 1i64))];
-        assert!(plan(&body, &cs).is_none());
-        // Leading $sort: nothing to vectorize.
-        let body = [Stage::Sort(vec![("k".into(), 1)])];
-        assert!(plan(&body, &cs).is_none());
-        // Empty pipeline.
-        assert!(plan(&[], &cs).is_none());
-    }
-
-    #[test]
-    fn plan_rest_is_the_uncovered_suffix() {
-        let slab = slab_of(vec![doc! {"k" => 1i64}]);
-        let cs = cs_over(&slab, &["k"]);
-        let body = [
-            Stage::Match(Filter::gt("k", 0i64)),
-            Stage::Group { id: GroupId::Null, fields: vec![("n".into(), Accumulator::count())] },
-            Stage::Sort(vec![("n".into(), 1)]),
-        ];
-        let p = plan(&body, &cs).expect("covered prefix");
-        assert_eq!(p.rest, &body[2..]);
-        // A $group with a computed id is uncovered: it (and everything
-        // after) becomes the rest, run on the streaming executor.
-        let body = [
-            Stage::Match(Filter::gt("k", 0i64)),
-            Stage::Group {
-                id: GroupId::Expr(Expr::Add(vec![Expr::field("k"), Expr::lit(1i64)])),
-                fields: vec![("n".into(), Accumulator::count())],
-            },
-        ];
-        let p = plan(&body, &cs).expect("match still covered");
-        assert_eq!(p.rest, &body[1..]);
+        let covered = |f: &Filter, t: Option<&Stage>| plan(f, &compile(f), t, &cs).is_some();
+        let on_k = Filter::gt("k", 0i64);
+        let count = Stage::Count("n".into());
+        let group = |id: Expr, input: Expr| Stage::Group {
+            id: GroupId::Expr(id),
+            fields: vec![("n".into(), Accumulator::count()), ("s".into(), Accumulator::Sum(input))],
+        };
+        assert!(covered(&on_k, Some(&count)));
+        assert!(covered(&Filter::True, Some(&count)), "no path to cover");
+        assert!(covered(&on_k, Some(&group(Expr::field("k"), Expr::field("k")))));
+        // A filter path, a group key or an accumulator input without a
+        // column, a computed key, or any other next stage: row path.
+        assert!(!covered(&Filter::eq("other", 1i64), Some(&count)));
+        assert!(!covered(&on_k, Some(&group(Expr::field("other"), Expr::field("k")))));
+        assert!(!covered(&on_k, Some(&group(Expr::field("k"), Expr::field("other")))));
+        let computed = Expr::Add(vec![Expr::field("k"), Expr::lit(1i64)]);
+        assert!(!covered(&on_k, Some(&group(computed.clone(), Expr::field("k")))));
+        assert!(!covered(&on_k, Some(&group(Expr::field("k"), computed))));
+        assert!(!covered(&on_k, Some(&Stage::Sort(vec![("k".into(), 1)]))));
+        assert!(!covered(&on_k, None));
     }
 }

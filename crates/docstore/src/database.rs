@@ -1,13 +1,11 @@
 //! Databases: named sets of collections, plus `$out` materialization
 //! and the cost-based `$in` semi-join rewrite over `$lookup` pipelines.
 
-use crate::agg::exec::{LookupMeta, LookupSource};
-use crate::agg::{Pipeline, Stage};
+use crate::agg::{LookupMeta, LookupSource, Pipeline, Stage};
 use crate::collection::Collection;
 use crate::error::{Error, Result};
 use crate::ordvalue::OrdValue;
 use crate::query::filter::{CmpOp, Filter};
-use crate::stats::{planner_mode, PlannerMode};
 use crate::wal::{Wal, WalRecord};
 use doclite_bson::{Document, Value};
 use parking_lot::RwLock;
@@ -145,7 +143,7 @@ impl Database {
         let rewritten = self.rewrite_semijoin(pipeline);
         let effective = rewritten.as_ref().unwrap_or(pipeline);
         let results = source.aggregate_with(effective, Some(self))?;
-        if let Some(Stage::Out(target)) = pipeline.stages().last() {
+        if let Some(target) = pipeline.out_target() {
             self.try_drop_collection(target)?;
             let out = self.collection(target);
             // Move the result set into the target collection instead of
@@ -162,8 +160,8 @@ impl Database {
     /// *selective* dimension filter, filter the dimension first and
     /// pre-filter the fact side with an `$in` over the surviving join
     /// keys. Returns the rewritten pipeline, or `None` when the shape
-    /// does not apply, the planner is in rule mode, or the cost gate
-    /// says the dimension match is too broad to pay off.
+    /// does not apply or the cost gate says the dimension match is too
+    /// broad to pay off.
     ///
     /// The rewrite only *inserts* a `Match($in)` in front of the
     /// `$lookup`; every original stage is kept, so an over-approximate
@@ -172,9 +170,6 @@ impl Database {
     /// shapes whose `$in` probe semantics could under-approximate the
     /// join's null ↔ missing / whole-array equality.
     pub fn rewrite_semijoin(&self, pipeline: &Pipeline) -> Option<Pipeline> {
-        if planner_mode() != PlannerMode::Cost {
-            return None;
-        }
         let stages = pipeline.stages();
         let i = stages.iter().position(|s| matches!(s, Stage::Lookup { .. }))?;
         let Stage::Lookup { from, local_field, foreign_field, as_field } = &stages[i] else {
@@ -344,6 +339,19 @@ mod tests {
         // $out replaces on re-run rather than appending.
         db.aggregate("src", &p).unwrap();
         assert_eq!(db.get_collection("dst").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn out_anywhere_but_last_is_rejected_and_writes_nothing() {
+        let db = Database::new("test");
+        db.collection("src").insert_one(doc! {"k" => 1i64}).unwrap();
+        let p = Pipeline::new().out("dst").limit(1);
+        let err = db.aggregate("src", &p).unwrap_err();
+        assert!(matches!(err, Error::InvalidQuery(_)), "{err}");
+        assert_eq!(err.to_string(), "invalid query: $out can only be the final stage of a pipeline");
+        assert!(!db.has_collection("dst"));
+        let src = db.get_collection("src").unwrap();
+        assert!(src.aggregate(&p).is_err() && src.explain_aggregate(&p, None).is_err());
     }
 
     #[test]

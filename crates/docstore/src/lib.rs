@@ -44,13 +44,12 @@ pub mod views;
 pub mod wal;
 
 pub use agg::{
-    auto_morsel_size, default_exec_mode, execute_parallel_with, parallel_morsel_size,
-    set_default_exec_mode, set_parallel_morsel_size, Accumulator, CompiledExpr, CompiledSortSpec,
-    ExecMode, Expr, GroupId, LookupMeta, Pipeline, ProjectField, Stage,
+    auto_morsel_size, Accumulator, CompiledExpr, CompiledSortSpec, Expr, GroupId, LookupMeta,
+    Pipeline, ProjectField, Stage,
 };
 pub use collection::{project_paths, AggExplain, Collection, Explain, FindOptions, StageExplain};
-pub use stats::{planner_mode, set_planner_mode, CollStats, PlannerMode};
-pub use pool::{parallel_for, parallel_workers, set_parallel_workers};
+pub use stats::CollStats;
+pub use pool::{parallel_for, parallel_workers};
 pub use database::Database;
 pub use dump::{dump_collection, dump_database, restore_collection, restore_database, DumpReader};
 pub use error::{Error, Result};

@@ -31,27 +31,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
-/// Hard ceiling on pool threads, far above any sane worker-count knob;
-/// a runaway `set_parallel_workers` cannot fork-bomb the process.
+/// Hard ceiling on pool threads, far above any sane worker count a
+/// caller passes to [`parallel_for`]; a runaway argument cannot
+/// fork-bomb the process.
 const MAX_POOL_THREADS: usize = 64;
 
-/// Process-wide worker-count override; 0 = auto (available parallelism).
-static WORKER_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide worker count for parallel execution (the
-/// stress driver and benches sweep this). `0` restores auto-detection.
-/// Values are clamped to [`MAX_POOL_THREADS`].
-pub fn set_parallel_workers(n: usize) {
-    WORKER_OVERRIDE.store(n.min(MAX_POOL_THREADS), Ordering::Relaxed);
-}
-
-/// The effective worker count: the override if set, otherwise the
-/// machine's available parallelism (1 if unknown).
+/// The worker count callers without a reason to choose one pass to
+/// [`parallel_for`]: the machine's available parallelism (1 if unknown).
 pub fn parallel_workers() -> usize {
-    match WORKER_OVERRIDE.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
-        n => n,
-    }
+    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
 /// The caller's borrowed task closure with its lifetime erased to
@@ -293,14 +281,6 @@ mod tests {
         }));
         assert!(r.is_err(), "panic must re-raise on the caller");
         assert_eq!(ran.load(Ordering::Relaxed), 16, "batch drains fully");
-    }
-
-    #[test]
-    fn worker_override_round_trips() {
-        set_parallel_workers(3);
-        assert_eq!(parallel_workers(), 3);
-        set_parallel_workers(0);
-        assert!(parallel_workers() >= 1);
     }
 
     #[test]

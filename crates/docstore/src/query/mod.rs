@@ -7,4 +7,4 @@ pub mod planner;
 
 pub use filter::{CmpOp, Filter};
 pub use matcher::{compile, matches, matches_compiled, CompiledFilter};
-pub use planner::{conjunctive_constraints, plan, PathConstraint, Plan, PlanKind};
+pub use planner::{conjunctive_constraints, PathConstraint, Plan, PlanKind};

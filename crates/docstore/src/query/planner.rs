@@ -173,8 +173,10 @@ impl Plan {
 /// collection scan.
 const MAX_POINT_LOOKUPS: usize = 1024;
 
-/// Picks the best plan for a filter over the available indexes.
-pub fn plan(filter: &Filter, indexes: &[Index]) -> Plan {
+/// Picks the best plan for a filter over the available indexes by the
+/// prefix rule alone ("any usable index prefix wins") — what
+/// [`plan_with_stats`] falls back to for collections too small to price.
+fn plan(filter: &Filter, indexes: &[Index]) -> Plan {
     let constraints = conjunctive_constraints(filter);
     let mut best: Option<(usize, PlanKind)> = None; // (score, kind)
 
@@ -268,11 +270,12 @@ pub const COST_SEEK: f64 = 16.0;
 /// Per-row cost of evaluating a filter over typed columns, from the
 /// recorded ~8× batch-vs-row speedup on scan-heavy shapes
 /// (BENCH_columnar). A column scan pays it for every live row, then
-/// [`COST_FETCH_ROW`] for each row it expects to match.
+/// [`COST_FETCH_ROW`] for each row it expects to match — unless the
+/// caller consumes the selection without fetching documents.
 pub const COST_COLUMNAR_ROW: f64 = 0.15;
 
-/// Below this live-document count the cost model defers to the rule
-/// planner: every choice is noise at this scale, and deferring keeps
+/// At or below this live-document count the cost model defers to the
+/// prefix rule: every choice is noise at this scale, and deferring keeps
 /// small-fixture behavior (and its `explain` counters) unchanged.
 pub const SMALL_COLLECTION: usize = 256;
 
@@ -288,19 +291,24 @@ pub struct CostedPlan {
     pub cost: f64,
 }
 
-/// Cost-based planning: enumerates the same candidates as [`plan`] plus
-/// the collection scan and — when `has_column` holds for *every* path
-/// the filter reads — the column scan, prices each with the per-field
-/// statistics, and picks the cheapest. The residual filter is always the
-/// full filter, so any choice returns identical results — a misestimate
-/// costs time, not correctness. Collections under [`SMALL_COLLECTION`]
-/// documents defer to the rule planner.
+/// Cost-based planning: enumerates the index candidates of the prefix
+/// rule plus the collection scan and — when `has_column` holds for
+/// *every* path the filter reads — the column scan, prices each with the
+/// per-field statistics, and picks the cheapest. `fetch` says whether the
+/// caller reads the matching documents (every `find` / `update` /
+/// streamed pipeline) or only the columns (the aggregation driver's
+/// covered terminal), in which case a column scan pays no per-match
+/// fetch. The residual filter is always the full filter, so any choice
+/// returns identical results — a misestimate costs time, not
+/// correctness. Collections under [`SMALL_COLLECTION`] documents defer
+/// to the rule planner.
 pub fn plan_with_stats(
     filter: &Filter,
     indexes: &[Index],
     stats: &crate::stats::CollStats,
     live: usize,
     has_column: &dyn Fn(&str) -> bool,
+    fetch: bool,
 ) -> CostedPlan {
     let est_fraction = stats.estimate_fraction(filter);
     let est_rows = (est_fraction * live as f64).round() as u64;
@@ -323,7 +331,8 @@ pub fn plan_with_stats(
     }
     let paths = filter.referenced_paths();
     if !paths.is_empty() && paths.iter().all(|p| has_column(p)) {
-        let cost = live as f64 * COST_COLUMNAR_ROW + est_rows as f64 * COST_FETCH_ROW;
+        let fetched = if fetch { est_rows as f64 * COST_FETCH_ROW } else { 0.0 };
+        let cost = live as f64 * COST_COLUMNAR_ROW + fetched;
         if cost < best_cost {
             best_cost = cost;
             best_kind =

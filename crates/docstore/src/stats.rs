@@ -12,10 +12,6 @@
 //! ([`CollStats::needs_rebuild`]). They serialize into the checkpoint
 //! manifest so a recovered database plans as well as it did before the
 //! restart.
-//!
-//! The process-wide [`PlannerMode`] selects between the legacy
-//! rule-based planner ("any usable index prefix wins") and the
-//! cost-based planner that consumes these stats; `Cost` is the default.
 
 use crate::ordvalue::OrdValue;
 use crate::query::filter::Filter;
@@ -24,36 +20,6 @@ use crate::storage::Slab;
 use doclite_bson::{Document, Value};
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// How plans are chosen, process-wide (mirrors `ExecMode`'s default).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlannerMode {
-    /// Legacy rule: any usable index prefix wins, everywhere — including
-    /// under `ExecMode::Columnar`, where an indexable `$match` forces
-    /// the row path. Never plans a column scan, so it doubles as the
-    /// row-only reference.
-    Rule,
-    /// Statistics-driven: index vs collection scan vs column scan by
-    /// estimated selectivity, `$lookup` strategy by build/probe sizes,
-    /// `$in` semi-join rewrite when the dimension filter is selective.
-    Cost,
-}
-
-static PLANNER_MODE: AtomicU8 = AtomicU8::new(1); // Cost
-
-/// Sets the process-wide planner mode.
-pub fn set_planner_mode(mode: PlannerMode) {
-    PLANNER_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The process-wide planner mode (default [`PlannerMode::Cost`]).
-pub fn planner_mode() -> PlannerMode {
-    match PLANNER_MODE.load(Ordering::Relaxed) {
-        0 => PlannerMode::Rule,
-        _ => PlannerMode::Cost,
-    }
-}
 
 /// Collection scans that must read a path before the collection builds
 /// a column for it. The first scan may be a one-off (an ad-hoc query, a
@@ -672,14 +638,5 @@ mod tests {
             s.record_insert(&doc! {"_id" => (100 + i) as i64});
         }
         assert!(s.needs_rebuild(1035));
-    }
-
-    #[test]
-    fn planner_mode_knob_round_trips() {
-        assert_eq!(planner_mode(), PlannerMode::Cost);
-        set_planner_mode(PlannerMode::Rule);
-        assert_eq!(planner_mode(), PlannerMode::Rule);
-        set_planner_mode(PlannerMode::Cost);
-        assert_eq!(planner_mode(), PlannerMode::Cost);
     }
 }

@@ -41,7 +41,7 @@ use std::sync::Arc;
 use doclite_bson::{Document, Value};
 use parking_lot::Mutex;
 
-use crate::agg::exec::sort_documents;
+use crate::agg::sort_documents;
 use crate::agg::{Accumulator, Expr, GroupId, Pipeline, Stage};
 use crate::changes::{watch, ChangeCursor, ChangeScope};
 use crate::database::Database;

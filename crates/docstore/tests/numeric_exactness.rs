@@ -3,14 +3,15 @@
 //! through `f64`, so `i64` values past 2^53 collided — `i64::MAX` and
 //! `i64::MAX - 1` landed in one `$group` bucket, deduped in
 //! `$addToSet`, tied in `$sort`, and shared hashed-index entries.
-//! These tests pin the exact semantics on every consumer, across all
-//! executor modes.
+//! These tests pin the exact semantics on every consumer — for
+//! aggregations, on the driver (covered terminal and streamed) and on
+//! the reference interpreter alike.
 
 use doclite_bson::{doc, Document, Value};
+use doclite_docstore::agg::reference;
 use doclite_docstore::query::matches;
 use doclite_docstore::{
-    compile, matches_compiled, Accumulator, Collection, ExecMode, Expr, Filter, GroupId,
-    IndexDef, Pipeline,
+    compile, matches_compiled, Accumulator, Collection, Expr, Filter, GroupId, IndexDef, Pipeline,
 };
 
 const BIG: i64 = 1 << 53;
@@ -38,31 +39,35 @@ fn coll() -> Collection {
     c
 }
 
-const ALL_MODES: [ExecMode; 4] = [
-    ExecMode::Legacy,
-    ExecMode::Streaming,
-    ExecMode::Parallel,
-    ExecMode::Columnar,
-];
+/// The pipeline's result by each route: the driver over a collection
+/// whose every path has a column, the driver over one with none, and the
+/// reference interpreter.
+fn by_every_route(p: &Pipeline) -> [(&'static str, Vec<Document>); 3] {
+    let plain = Collection::new("numeric_exactness_rows");
+    plain.insert_many(big_int_docs()).expect("insert");
+    [
+        ("columns", coll().aggregate(p).expect("aggregate")),
+        ("rows", plain.aggregate(p).expect("aggregate")),
+        ("reference", reference::run(big_int_docs(), p.stages(), None).expect("reference")),
+    ]
+}
 
 #[test]
 fn group_separates_large_integer_keys() {
-    let c = coll();
     let p = Pipeline::new()
         .group(
             GroupId::Expr(Expr::field("k")),
             [("n", Accumulator::count()), ("sum_v", Accumulator::sum_field("v"))],
         )
         .sort([("_id", 1)]);
-    for mode in ALL_MODES {
-        let out = c.aggregate_with_mode(&p, None, mode).expect("aggregate");
+    for (route, out) in by_every_route(&p) {
         // Distinct keys: MIN, MIN+1, 2^53 (int unifies with the equal
         // double — they are exactly equal), 2^53+1, MAX-1, MAX.
-        assert_eq!(out.len(), 6, "mode {mode:?}: {out:?}");
+        assert_eq!(out.len(), 6, "{route}: {out:?}");
         let find = |k: &Value| {
             out.iter()
                 .find(|d| d.get("_id").unwrap().canonical_eq(k))
-                .unwrap_or_else(|| panic!("no group for {k:?} in mode {mode:?}"))
+                .unwrap_or_else(|| panic!("no group for {k:?} in {route}"))
         };
         assert_eq!(find(&Value::Int64(i64::MAX)).get("n"), Some(&Value::Int64(2)));
         assert_eq!(
@@ -83,18 +88,16 @@ fn group_separates_large_integer_keys() {
 
 #[test]
 fn add_to_set_keeps_large_integers_distinct() {
-    let c = coll();
     let p = Pipeline::new().group(
         GroupId::Null,
         [("ks", Accumulator::AddToSet(Expr::field("k")))],
     );
-    for mode in ALL_MODES {
-        let out = c.aggregate_with_mode(&p, None, mode).expect("aggregate");
+    for (route, out) in by_every_route(&p) {
         assert_eq!(out.len(), 1);
         let ks = out[0].get("ks").and_then(Value::as_array).expect("ks array");
         // 8 inputs, one true duplicate pair (MAX twice) and one exact
         // cross-type unification (2^53 int == 2^53 double).
-        assert_eq!(ks.len(), 6, "mode {mode:?}: {ks:?}");
+        assert_eq!(ks.len(), 6, "{route}: {ks:?}");
         assert!(ks.iter().any(|v| v.canonical_eq(&Value::Int64(i64::MAX))));
         assert!(ks.iter().any(|v| v.canonical_eq(&Value::Int64(i64::MAX - 1))));
         assert!(ks.iter().any(|v| v.canonical_eq(&Value::Int64(BIG + 1))));
@@ -124,16 +127,14 @@ fn in_set_probe_is_exact() {
 
 #[test]
 fn sort_orders_large_integers_exactly() {
-    let c = coll();
     let p = Pipeline::new().sort([("k", 1), ("_id", 1)]);
-    for mode in ALL_MODES {
-        let out = c.aggregate_with_mode(&p, None, mode).expect("aggregate");
+    for (route, out) in by_every_route(&p) {
         let ids: Vec<i64> =
             out.iter().map(|d| d.get("_id").unwrap().as_i64().unwrap()).collect();
         // MIN < MIN+1 < 2^53(int, _id 3) = 2^53(double, _id 5) < 2^53+1
         // < MAX-1 < MAX(_id 0) < MAX(_id 2); the equal pair falls back
         // to the _id tiebreak.
-        assert_eq!(ids, vec![6, 7, 3, 5, 4, 1, 0, 2], "mode {mode:?}");
+        assert_eq!(ids, vec![6, 7, 3, 5, 4, 1, 0, 2], "{route}");
     }
 }
 

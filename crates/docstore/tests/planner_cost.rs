@@ -1,160 +1,19 @@
-//! Property tests: the cost-based planner chooses *physical plans*
-//! only — results and error strings must be identical to the forced
-//! rule-based planner across every `ExecMode` — plus regressions
-//! pinning the decisions the cost model exists to make (a
-//! low-selectivity predicate on an indexed field must drop the index
-//! and take the full-scan path).
-//!
-//! The planner mode is a process-wide knob, so every test here
-//! serializes on one mutex and restores the default (`Cost`) before
-//! releasing it.
+//! Regressions pinning the decisions the cost model exists to make: a
+//! low-selectivity predicate on an indexed field drops the index for a
+//! sequential pass, a column scan is planned only when every path is
+//! covered and it is the cheapest, columns are earned per path and
+//! bounded per slot. That no decision changes a result is
+//! `plan_vs_reference.rs`'s job.
 
-use doclite_bson::{doc, json::to_json, Document, Value};
-use doclite_docstore::{
-    set_planner_mode, Accumulator, Database, ExecMode, Expr, Filter, GroupId, IndexDef, Pipeline,
-    PlannerMode,
-};
-use proptest::prelude::*;
-
-static MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Serializes planner-mode flips across the tests in this binary (a
-/// poisoned lock just means an earlier case failed — the guard is
-/// still the right thing to hold).
-fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
-    MODE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Documents over a small colliding domain; `k` is the indexed field
-/// the planner decides about, `grp`/`v` feed `$group`.
-fn arb_doc() -> BoxedStrategy<Document> {
-    (0..40i64, 0..5i64, 0..50i64)
-        .prop_map(|(k, grp, v)| doc! {"k" => k, "grp" => grp, "v" => v})
-        .boxed()
-}
-
-/// Filters over the indexed field at wildly different selectivities,
-/// plus shapes the planner can only partially estimate (untracked
-/// fields, disjunction, conjunction).
-fn arb_filter() -> BoxedStrategy<Filter> {
-    let leaf = prop_oneof![
-        (0..40i64).prop_map(|k| Filter::eq("k", k)),
-        (0..41i64).prop_map(|k| Filter::lt("k", k)),
-        (0..41i64).prop_map(|k| Filter::gte("k", k)),
-        prop::collection::vec(0..40i64, 0..6).prop_map(|ks| Filter::is_in("k", ks)),
-        (0..5i64).prop_map(|g| Filter::eq("grp", g)),
-        Just(Filter::True),
-    ];
-    leaf.prop_recursive(2, 8, 2, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..3).prop_map(Filter::and),
-            prop::collection::vec(inner, 1..3).prop_map(Filter::or),
-        ]
-    })
-    .boxed()
-}
-
-fn multiset(docs: &[Document]) -> Vec<String> {
-    let mut v: Vec<String> = docs.iter().map(to_json).collect();
-    v.sort();
-    v
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Whatever access path the cost model picks, the residual filter
-    /// is always the full filter — so flipping the planner can never
-    /// change what a pipeline returns, in any execution mode.
-    #[test]
-    fn cost_and_rule_plans_agree_across_exec_modes(
-        docs in prop::collection::vec(arb_doc(), 200..420),
-        filter in arb_filter(),
-        group in any::<bool>(),
-    ) {
-        let _g = mode_lock();
-        let db = Database::new("t");
-        let coll = db.collection("c");
-        coll.insert_many(docs).map_err(|(_, e)| e).unwrap();
-        coll.create_index(IndexDef::single("k")).unwrap();
-        coll.enable_columnar(["k", "grp", "v"]);
-        let p = if group {
-            Pipeline::new().match_stage(filter).group(
-                GroupId::Expr(Expr::field("grp")),
-                [("n", Accumulator::count()), ("s", Accumulator::sum_field("v"))],
-            )
-        } else {
-            Pipeline::new().match_stage(filter)
-        };
-        for mode in [ExecMode::Streaming, ExecMode::Legacy, ExecMode::Parallel, ExecMode::Columnar]
-        {
-            set_planner_mode(PlannerMode::Rule);
-            let rule = coll.aggregate_with_mode(&p, None, mode);
-            set_planner_mode(PlannerMode::Cost);
-            let cost = coll.aggregate_with_mode(&p, None, mode);
-            match (rule, cost) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(
-                    multiset(&a), multiset(&b),
-                    "results diverged under {:?}", mode
-                ),
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.to_string(), b.to_string(),
-                    "errors diverged under {:?}", mode
-                ),
-                (a, b) => prop_assert!(
-                    false,
-                    "divergent fallibility under {:?}: rule {:?}, cost {:?}",
-                    mode, a.map(|_| ()), b.map(|_| ())
-                ),
-            }
-        }
-        set_planner_mode(PlannerMode::Cost);
-    }
-}
-
-/// Pipelines that fail must fail with the *same* error string under
-/// both planners in every mode (an input-independent error, so scan
-/// order cannot change which document surfaces it).
-#[test]
-fn error_strings_match_across_planner_modes() {
-    let _g = mode_lock();
-    let db = Database::new("t");
-    let coll = db.collection("c");
-    for i in 0..400i64 {
-        coll.insert_one(doc! {"k" => i % 40, "v" => i}).unwrap();
-    }
-    coll.create_index(IndexDef::single("k")).unwrap();
-    coll.enable_columnar(["k", "v"]);
-    // Every matching document probes `$in` against a literal scalar:
-    // the type error is the same whichever document the executor
-    // reaches first.
-    let p = Pipeline::new().match_stage(Filter::lt("k", 30i64)).group(
-        GroupId::Null,
-        [(
-            "x",
-            Accumulator::Sum(Expr::In(
-                Box::new(Expr::Literal(Value::Int64(1))),
-                Box::new(Expr::Literal(Value::Int64(0))),
-            )),
-        )],
-    );
-    for mode in [ExecMode::Streaming, ExecMode::Legacy, ExecMode::Parallel, ExecMode::Columnar] {
-        set_planner_mode(PlannerMode::Rule);
-        let rule = coll.aggregate_with_mode(&p, None, mode).unwrap_err().to_string();
-        set_planner_mode(PlannerMode::Cost);
-        let cost = coll.aggregate_with_mode(&p, None, mode).unwrap_err().to_string();
-        assert_eq!(rule, cost, "error diverged under {mode:?}");
-    }
-    set_planner_mode(PlannerMode::Cost);
-}
+use doclite_bson::{doc, Value};
+use doclite_docstore::{Accumulator, Database, Expr, Filter, GroupId, IndexDef, Pipeline};
 
 /// The regression the cost model exists for: a predicate on an indexed
 /// field that matches ~90% of the collection must take the full scan
-/// (rule mode blindly keeps the index), while a selective predicate
-/// still seeks the index under both planners.
+/// (the prefix rule alone would keep the index), while a selective
+/// predicate still seeks the index.
 #[test]
 fn low_selectivity_indexed_predicate_prefers_full_scan() {
-    let _g = mode_lock();
     let db = Database::new("t");
     let coll = db.collection("c");
     for i in 0..4000i64 {
@@ -164,57 +23,42 @@ fn low_selectivity_indexed_predicate_prefers_full_scan() {
     let wide = Filter::lt("k", 900i64); // ~90% of rows
     let narrow = Filter::eq("k", 7i64); // ~0.1% of rows
 
-    set_planner_mode(PlannerMode::Cost);
     let ex = coll.explain(&wide);
     assert!(!ex.used_index, "90% predicate must drop the index, got {}", ex.plan);
     assert_eq!(ex.plan, "COLLSCAN");
-    let est = ex.est_rows.expect("cost mode reports an estimate");
     assert!(
-        (1800..=7200).contains(&est),
-        "estimate {est} wildly off actual {}",
+        (1800..=7200).contains(&ex.est_rows),
+        "estimate {} wildly off actual {}",
+        ex.est_rows,
         ex.docs_returned
     );
     let ex = coll.explain(&narrow);
     assert!(ex.used_index, "selective predicate must keep the index, got {}", ex.plan);
-
-    // Rule mode: any usable prefix wins, estimates are not computed.
-    set_planner_mode(PlannerMode::Rule);
-    let ex = coll.explain(&wide);
-    assert!(ex.used_index, "rule mode must blindly keep the index");
-    assert!(ex.est_rows.is_none());
-    set_planner_mode(PlannerMode::Cost);
 }
 
-/// Same pin at the aggregation layer: under `ExecMode::Columnar` the
-/// wide predicate must stay on the full-scan (columnar kernel) path —
-/// visible through the explain decision — and produce kernel results
-/// identical to the streaming row path.
+/// Same pin at the aggregation layer: the wide predicate stays off the
+/// index, and with its `$group` covered by columns the driver computes
+/// both off the columns — visible through the explain decisions.
 #[test]
-fn columnar_keeps_full_scan_kernel_for_wide_indexed_predicate() {
-    let _g = mode_lock();
+fn wide_indexed_predicate_under_a_covered_group_runs_off_the_columns() {
     let db = Database::new("t");
     let coll = db.collection("c");
     for i in 0..4000i64 {
         coll.insert_one(doc! {"k" => i % 1000, "grp" => i % 8, "v" => i % 100}).unwrap();
     }
     coll.create_index(IndexDef::single("k")).unwrap();
-    coll.enable_columnar(["k", "grp", "v"]);
     let p = Pipeline::new().match_stage(Filter::lt("k", 900i64)).group(
         GroupId::Expr(Expr::field("grp")),
         [("n", Accumulator::count()), ("s", Accumulator::sum_field("v"))],
     );
-
-    set_planner_mode(PlannerMode::Cost);
-    let ex = coll.explain_aggregate(&p, None).unwrap();
-    assert_eq!(ex.stages[0].decision.as_deref(), Some("COLLSCAN"));
-    let cols = coll.aggregate_with_mode(&p, None, ExecMode::Columnar).unwrap();
-    let rows = coll.aggregate_with_mode(&p, None, ExecMode::Streaming).unwrap();
-    assert_eq!(multiset(&cols), multiset(&rows));
-
-    set_planner_mode(PlannerMode::Rule);
-    let ex = coll.explain_aggregate(&p, None).unwrap();
-    assert_eq!(ex.stages[0].decision.as_deref(), Some("IXSCAN { k_1 } (range)"));
-    set_planner_mode(PlannerMode::Cost);
+    let decisions = || -> Vec<Option<String>> {
+        coll.explain_aggregate(&p, None).unwrap().stages.into_iter().map(|s| s.decision).collect()
+    };
+    assert_eq!(decisions(), [Some("COLLSCAN".to_string()), None]);
+    let rows = coll.aggregate(&p).unwrap();
+    coll.enable_columnar(["k", "grp", "v"]);
+    assert_eq!(decisions(), [Some("COLSCAN { k }".to_string()), Some("COLUMNS".to_string())]);
+    assert_eq!(coll.aggregate(&p).unwrap(), rows);
 }
 
 /// A collection big enough to earn columns: `k` (1000 values, indexed
@@ -236,14 +80,11 @@ fn big_collection(db: &Database, n: i64) -> std::sync::Arc<doclite_docstore::Col
     coll
 }
 
-/// The column scan is a plan like any other: offered only by the cost
-/// planner, only when every path the filter reads has a column, priced
-/// against the indexes, and reported by `explain` with the collection
-/// scan's row counts.
+/// The column scan is a plan like any other: offered only when every
+/// path the filter reads has a column, priced against the indexes, and
+/// reported by `explain` with the collection scan's row counts.
 #[test]
 fn column_scan_is_planned_only_when_covered_and_cheapest() {
-    let _g = mode_lock();
-    set_planner_mode(PlannerMode::Cost);
     let db = Database::new("t");
     let coll = big_collection(&db, 8000);
     let narrow = Filter::and([Filter::eq("grp", 3i64), Filter::lt("v", 10i64)]);
@@ -275,13 +116,6 @@ fn column_scan_is_planned_only_when_covered_and_cheapest() {
     let ex = coll.explain(&Filter::and([Filter::lt("k", 900i64), Filter::eq("grp", 3i64)]));
     assert_eq!(ex.plan, "COLSCAN { k, grp }", "90% of the index is worse than the columns");
     assert_eq!(ex.docs_examined, 8000);
-
-    // The rule planner never plans it, so it stays the row-only side of
-    // every rule-vs-cost comparison.
-    set_planner_mode(PlannerMode::Rule);
-    assert_eq!(coll.explain(&narrow).plan, "COLLSCAN");
-    assert!(coll.explain(&Filter::lt("k", 900i64)).used_index);
-    set_planner_mode(PlannerMode::Cost);
 }
 
 /// Columns are per path and earned by traffic: the second scan of a path
@@ -289,8 +123,6 @@ fn column_scan_is_planned_only_when_covered_and_cheapest() {
 /// disturbing the first, and `enable_columnar` adds to what is there.
 #[test]
 fn columns_are_built_per_path_and_never_discarded_by_a_later_shape() {
-    let _g = mode_lock();
-    set_planner_mode(PlannerMode::Cost);
     let db = Database::new("t");
     let coll = big_collection(&db, 6000);
     let by_grp = Filter::eq("grp", 2i64);
@@ -331,8 +163,6 @@ fn columns_are_built_per_path_and_never_discarded_by_a_later_shape() {
 /// no column at all and is not retried.
 #[test]
 fn sidecar_memory_is_bounded_per_slot() {
-    let _g = mode_lock();
-    set_planner_mode(PlannerMode::Cost);
     let db = Database::new("t");
     let n = 20_000;
     let coll = big_collection(&db, n);

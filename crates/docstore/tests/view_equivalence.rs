@@ -4,10 +4,10 @@
 //! 1. **View ≡ recompute at every watermark.** A generated op sequence
 //!    (inserts, updates, deletes, checkpoints) interleaved with refresh
 //!    points: after each refresh the view's served materialization must
-//!    equal a fresh execution of the registered pipeline under *all
-//!    four* executor modes — so the incremental accumulate/retract
-//!    state, the dirty-group recompute, and the truncation-rebuild
-//!    fallback all agree with every engine the store ships.
+//!    equal a fresh execution of the registered pipeline — so the
+//!    incremental accumulate/retract state, the dirty-group recompute,
+//!    and the truncation-rebuild fallback all agree with the aggregation
+//!    driver.
 //! 2. **Resume tokens cut at every boundary.** For every frame boundary
 //!    in a generated history, a cursor resumed at that token replays
 //!    exactly the suffix — no lost frames, no duplicates — or reports
@@ -17,8 +17,7 @@
 use doclite_bson::doc;
 use doclite_docstore::wal::{DurableDb, SyncPolicy, WalOptions};
 use doclite_docstore::{
-    watch, Accumulator, ChangeScope, Error, ExecMode, Expr, Filter, GroupId, Pipeline,
-    UpdateSpec, ViewSet,
+    watch, Accumulator, ChangeScope, Error, Expr, Filter, GroupId, Pipeline, UpdateSpec, ViewSet,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -92,9 +91,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// Drains the view set completely (each refresh call is bounded), then
-/// asserts the served snapshot equals a fresh pipeline execution under
-/// every executor mode.
-fn assert_view_matches_all_modes(ddb: &DurableDb, views: &ViewSet) {
+/// asserts the served snapshot equals a fresh pipeline execution.
+fn assert_view_matches_recompute(ddb: &DurableDb, views: &ViewSet) {
     loop {
         let stats = views.refresh().expect("refresh");
         if stats.frames_applied == 0 {
@@ -102,22 +100,15 @@ fn assert_view_matches_all_modes(ddb: &DurableDb, views: &ViewSet) {
         }
     }
     let (served, _) = views.read("v").expect("view read");
-    let coll = ddb.db().collection("sales");
-    let pipeline = view_pipeline();
-    for mode in [ExecMode::Streaming, ExecMode::Legacy, ExecMode::Parallel, ExecMode::Columnar] {
-        let fresh = coll
-            .aggregate_with_mode(&pipeline, None, mode)
-            .expect("recompute");
-        assert_eq!(&*served, &fresh, "mode {mode:?}");
-    }
+    let fresh = ddb.db().collection("sales").aggregate(&view_pipeline()).expect("recompute");
+    assert_eq!(&*served, &fresh);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The headline property: at every refresh watermark the view is
-    /// byte-identical to recomputing its pipeline, whichever executor
-    /// recomputes it.
+    /// byte-identical to recomputing its pipeline.
     #[test]
     fn view_equals_recompute_at_every_watermark(
         ops in prop::collection::vec(arb_op(), 1..60),
@@ -161,10 +152,10 @@ proptest! {
                 }
                 Op::Update { .. } | Op::Delete { .. } => {}
                 Op::Checkpoint => ddb.checkpoint().expect("checkpoint"),
-                Op::Refresh => assert_view_matches_all_modes(&ddb, &views),
+                Op::Refresh => assert_view_matches_recompute(&ddb, &views),
             }
         }
-        assert_view_matches_all_modes(&ddb, &views);
+        assert_view_matches_recompute(&ddb, &views);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -742,12 +742,12 @@ impl Mongos {
         )
     }
 
-    /// Per-leg `limit`s for a sorted multi-shard window. Under the cost
-    /// planner each leg is capped near 1.5× its share of the window —
-    /// share taken from the chunk accounting's resident-document counts
-    /// — floored at an even split, instead of everyone shipping the
-    /// full `skip + limit`. Rule mode, unsorted reads, unlimited reads,
-    /// and collections without accounting keep the full window.
+    /// Per-leg `limit`s for a sorted multi-shard window. Each leg is
+    /// capped near 1.5× its share of the window — share taken from the
+    /// chunk accounting's resident-document counts — floored at an even
+    /// split, instead of everyone shipping the full `skip + limit`.
+    /// Unsorted reads, unlimited reads, and collections without
+    /// accounting keep the full window.
     fn optimistic_leg_limits(
         &self,
         collection: &str,
@@ -756,11 +756,7 @@ impl Mongos {
         full_window: usize,
     ) -> Vec<usize> {
         let n = shard_ids.len();
-        if full_window == 0
-            || opts.sort.is_empty()
-            || n < 2
-            || doclite_docstore::planner_mode() != doclite_docstore::PlannerMode::Cost
-        {
+        if full_window == 0 || opts.sort.is_empty() || n < 2 {
             return vec![full_window; n];
         }
         let Some(meta) = self.config.meta(collection) else {
@@ -1299,14 +1295,10 @@ impl Mongos {
     }
 
     fn aggregate_once(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
-        let stages = pipeline.stages();
         let leading: Vec<&Filter> = pipeline.leading_matches();
         let push_down = Filter::and(leading.iter().map(|f| (*f).clone()));
-        let rest = &stages[leading.len()..];
-        let (rest, out_target): (&[Stage], Option<&str>) = match rest.last() {
-            Some(Stage::Out(name)) => (&rest[..rest.len() - 1], Some(name)),
-            _ => (rest, None),
-        };
+        let rest = &pipeline.body()?[leading.len()..];
+        let out_target = pipeline.out_target();
 
         // Shard-side pipeline: the coalesced $match plus, when the
         // remaining stages open with a finite sort/limit window, the
@@ -1674,8 +1666,8 @@ mod tests {
     fn scatter_leg_order_is_stable_regardless_of_completion_order() {
         // Legs finish in reverse submission order (the earliest leg
         // sleeps longest); results must still come back in shard_ids
-        // order, which the (leg, pos) merge invariant depends on.
-        doclite_docstore::set_parallel_workers(4);
+        // order, which the (leg, pos) merge invariant depends on: the
+        // slots order the legs at any worker count.
         let r = cluster(4);
         let ids = [0usize, 1, 2, 3];
         for _ in 0..20 {
@@ -1691,7 +1683,20 @@ mod tests {
             );
             assert_eq!(out, vec![0, 1, 2, 3]);
         }
-        doclite_docstore::set_parallel_workers(0);
+    }
+
+    #[test]
+    fn out_anywhere_but_last_is_rejected_and_writes_nothing() {
+        let r = cluster(2);
+        r.insert_one("src", doc! {"k" => 1i64}).unwrap();
+        let p = Pipeline::new().match_stage(Filter::True).out("dst").limit(1);
+        let err = r.aggregate("src", &p).unwrap_err();
+        assert_eq!(err.to_string(), "invalid query: $out can only be the final stage of a pipeline");
+        assert!(r.shards().iter().all(|s| s.db().get_collection("dst").is_err()));
+        // The trailing form still materializes on the primary.
+        let out = r.aggregate("src", &Pipeline::new().limit(1).out("dst")).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(r.shards()[0].db().get_collection("dst").unwrap().len(), 1);
     }
 
     #[test]
@@ -2006,7 +2011,6 @@ mod tests {
 
     #[test]
     fn optimistic_leg_limits_keep_sorted_window_exact() {
-        doclite_docstore::set_planner_mode(doclite_docstore::PlannerMode::Cost);
         let r = skewed_cluster();
         let opts = FindOptions {
             sort: vec![("v".to_string(), 1)],
@@ -2049,7 +2053,6 @@ mod tests {
 
     #[test]
     fn explain_route_reports_targeting_and_leg_limits() {
-        doclite_docstore::set_planner_mode(doclite_docstore::PlannerMode::Cost);
         let r = skewed_cluster();
 
         // Point read: targeted, single leg, full window pushed.

@@ -12,9 +12,6 @@
 //! * `DOCLITE_STRESS_SECS` — measured seconds per cell (default 1.2;
 //!   smoke 0.3).
 //! * `DOCLITE_STRESS_SEED` — root RNG seed (default 53441).
-//! * `DOCLITE_STRESS_EXEC` — aggregation executor: `parallel`
-//!   (default: PR 6's morsel-driven executor) or `streaming` (the
-//!   serial baseline).
 //! * `DOCLITE_STRESS_REQUIRE_SCALING=1` — fail (exit 1) if the
 //!   standalone read-only max-throughput scaling from 1 to 4 threads
 //!   comes in under 1.5×. Only enforced when the machine actually has
@@ -27,7 +24,6 @@
 //! overlaps, and the read-only scaling cells measure exactly that.
 
 use doclite_core::{Deployment, SetupOptions};
-use doclite_docstore::{set_default_exec_mode, ExecMode};
 use doclite_sharding::NetworkModel;
 use doclite_stress::{
     run_stress, validate_report, CellResult, OpMix, RateMode, Scaling, StressConfig, StressEnv,
@@ -61,16 +57,6 @@ fn main() {
     let thread_counts: Vec<usize> = if smoke { vec![1, 2, 4] } else { vec![1, 2, 4, 8] };
     let warmup = Duration::from_secs_f64((secs * 0.25).max(0.05));
     let duration = Duration::from_secs_f64(secs);
-
-    // Aggregations run on the morsel-parallel executor by default; the
-    // serial streaming executor stays one env var away for A/B runs.
-    let exec = std::env::var("DOCLITE_STRESS_EXEC").unwrap_or_else(|_| "parallel".into());
-    match exec.as_str() {
-        "parallel" => set_default_exec_mode(ExecMode::Parallel),
-        "streaming" => set_default_exec_mode(ExecMode::Streaming),
-        other => panic!("DOCLITE_STRESS_EXEC must be parallel|streaming, got '{other}'"),
-    }
-    eprintln!("aggregation executor: {exec}");
 
     let mut report = StressReport {
         sf,

@@ -12,7 +12,7 @@ use doclite_core::{
     denormalized_pipeline, setup_environment, DataModel, Deployment, Environment, ExperimentSpec,
     SetupOptions,
 };
-use doclite_docstore::{Filter, IndexDef, Pipeline, Result, Stage, UpdateSpec};
+use doclite_docstore::{Filter, IndexDef, Pipeline, Result, UpdateSpec};
 use doclite_tpcds::gen::LINES_PER_TICKET;
 use doclite_tpcds::{Generator, QueryId, QueryParams, TableId};
 use rand::rngs::SmallRng;
@@ -202,16 +202,8 @@ impl StressEnv {
 /// instead of materializing into a shared collection (which concurrent
 /// runs would drop and rebuild under each other).
 fn strip_trailing_out(p: &Pipeline) -> Pipeline {
-    let stages = p.stages();
-    let keep = match stages.last() {
-        Some(Stage::Out(_)) => &stages[..stages.len() - 1],
-        _ => stages,
-    };
-    let mut out = Pipeline::new();
-    for s in keep {
-        out = out.stage(s.clone());
-    }
-    out
+    let body = p.body().expect("a workload pipeline's only $out is its last stage");
+    body.iter().cloned().fold(Pipeline::new(), Pipeline::stage)
 }
 
 /// `$in` lookup batch size (Query 50 probes tickets in small batches).
@@ -298,6 +290,7 @@ impl Workload for MixedWorkload<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doclite_docstore::Stage;
     use rand::SeedableRng;
 
     #[test]

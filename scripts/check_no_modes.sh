@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# CI guard for "one aggregate driver, one planner" (PR 16): the retired
+# mode enums, setters and entry points must not come back in code, CI or
+# skill files (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md
+# may name them), docstore keeps no process-wide atomic, and the
+# reference interpreter stays independent of the compiled kernel and out
+# of every product path.
+set -u
+cd "$(dirname "$0")/.."
+fail=0
+complain() { echo "check_no_modes: $1" >&2; fail=1; }
+
+retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC'
+grep -rnE "$retired" crates src examples tests benchmark/src .github .claude \
+    && complain "a retired identifier is back (see above)"
+grep -rnE 'static +[A-Z_]+ *: *[A-Za-z:]*Atomic' crates/docstore/src \
+    && complain "docstore grew a process-wide atomic: make it a parameter"
+[ -e crates/docstore/src/agg/exec.rs ] && complain "agg/exec.rs is back"
+grep -nE '^\s*(pub )?use .*(kernel::|matcher|CompiledPath|compile)' crates/docstore/src/agg/reference.rs \
+    && complain "agg/reference.rs imports a compiled evaluator"
+grep -rnE '\breference::' crates/*/src src examples benchmark/src --include='*.rs' \
+    | grep -v '^crates/docstore/src/agg/' \
+    && complain "agg::reference is a test oracle: no product or benchmark code may call it"
+exit $fail

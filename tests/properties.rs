@@ -153,7 +153,7 @@ proptest! {
         docs in prop::collection::vec(arb_document(), 0..20),
         filter in arb_filter(),
     ) {
-        use doclite::docstore::agg::exec::sort_documents;
+        use doclite::docstore::agg::sort_documents;
         let spec = vec![("a".to_owned(), 1), ("b".to_owned(), -1)];
 
         let mut sorted_first: Vec<Document> = docs.clone();
