@@ -4,8 +4,8 @@
 //! 2. hashed vs. range sharding for `store_sales` (distribution, jumbo
 //!    chunks, and targetability — thesis Section 2.1.3.3);
 //! 3. one `$in` semi-join vs. per-key point queries (Fig 4.8 step ii);
-//! 4. parallel vs. sequential scatter-gather (the thesis's future-work
-//!    multithreading suggestion);
+//! 4. overlapped vs. serial scatter-gather legs (the thesis's future-work
+//!    multithreading suggestion), both clocks read from one run;
 //! 5. embedding only aggregation-relevant dimensions vs. all dimensions
 //!    (the Fig 4.8 step-iii optimization);
 //! 6. durability cost and recovery time: WAL sync-policy overhead on a
@@ -23,7 +23,7 @@ use doclite_core::queries::{filter_dim_pks, semi_join_into};
 use doclite_core::store::Store;
 use doclite_core::{fmt_duration, TextTable};
 use doclite_docstore::{Database, DurableDb, Filter, IndexDef, SyncPolicy, WalOptions};
-use doclite_sharding::{NetworkModel, ScatterMode, ShardKey, ShardedCluster};
+use doclite_sharding::{NetworkModel, ShardKey, ShardedCluster};
 use doclite_tpcds::{Generator, QueryParams, TableId};
 use std::time::Instant;
 
@@ -41,7 +41,7 @@ fn main() {
     ablation_dim_index(sf, &params);
     ablation_shard_key(sf);
     ablation_semi_join(sf, &params);
-    ablation_scatter_mode(sf);
+    ablation_scatter_overlap(sf);
     ablation_embed_scope(sf, &params);
     ablation_durability(sf);
 }
@@ -164,38 +164,31 @@ fn ablation_semi_join(sf: f64, params: &QueryParams) {
     println!("{}", t.render());
 }
 
-/// 4. Parallel vs sequential scatter-gather on a broadcast find.
-fn ablation_scatter_mode(sf: f64) {
+/// 4. Overlapped vs serial scatter-gather legs on a broadcast find: one
+///    run under the LAN model records both clocks — the serial one sums
+///    the legs, the parallel one advances by the slowest.
+fn ablation_scatter_overlap(sf: f64) {
     let gen = Generator::new(sf);
-    let mut results = Vec::new();
-    for mode in [ScatterMode::Parallel, ScatterMode::Sequential] {
-        let mut cluster = ShardedCluster::new(3, "abl4", NetworkModel::free());
-        cluster
-            .shard_collection("store_sales", ShardKey::range(["ss_ticket_number"]), 256 * 1024)
-            .expect("shard");
-        cluster
-            .router()
-            .insert_many(
-                "store_sales",
-                gen.documents(TableId::StoreSales).collect::<Vec<_>>(),
-            )
-            .expect("load");
-        cluster.balance().expect("balance");
-        cluster.router_mut().set_scatter_mode(mode);
-        // Broadcast: predicate not on the shard key.
-        let (n, took) = time(|| {
-            cluster
-                .router()
-                .find("store_sales", &Filter::gt("ss_quantity", 50i64))
-                .len()
-        });
-        results.push((format!("{mode:?}"), took, n));
-    }
-    let mut t = TextTable::new(["scatter-gather (broadcast find)", "time", "rows"]);
-    for (label, took, n) in results {
-        t.row([label, fmt_duration(took), n.to_string()]);
-    }
+    let cluster = ShardedCluster::new(3, "abl4", NetworkModel::lan());
+    cluster
+        .shard_collection("store_sales", ShardKey::range(["ss_ticket_number"]), 256 * 1024)
+        .expect("shard");
+    cluster
+        .router()
+        .insert_many("store_sales", gen.documents(TableId::StoreSales).collect::<Vec<_>>())
+        .expect("load");
+    cluster.balance().expect("balance");
+    let stats = cluster.router().net_stats();
+    stats.reset();
+    // Broadcast: predicate not on the shard key.
+    let (n, cpu) =
+        time(|| cluster.router().find("store_sales", &Filter::gt("ss_quantity", 50i64)).len());
+    let mut t = TextTable::new(["scatter-gather (broadcast find)", "modelled network", "rows"]);
+    let ms = |d: std::time::Duration| format!("{:.2} ms", d.as_secs_f64() * 1e3);
+    t.row(["legs overlap (slowest leg)".to_owned(), ms(stats.parallel_time()), n.to_string()]);
+    t.row(["legs in sequence (sum of legs)".to_owned(), ms(stats.serial_time()), n.to_string()]);
     println!("{}", t.render());
+    println!("({} legs; shard and router CPU for the same find: {})\n", stats.exchanges(), ms(cpu));
 }
 
 /// 5. Embed only the aggregation-relevant dimension vs every dimension.

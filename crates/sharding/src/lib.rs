@@ -28,10 +28,10 @@ pub mod cluster;
 pub mod config;
 pub mod network;
 pub mod replica;
+pub mod route;
 pub mod router;
 pub mod shard;
 pub mod shardkey;
-pub mod targeting;
 
 pub use balancer::{Balancer, Migration};
 pub use capacity::{plan_cluster, ClusterPlan, ShardingFactors};
@@ -44,10 +44,10 @@ pub use cluster::{ClusterConfig, DurabilityConfig, ShardedCluster};
 pub use config::{CollectionMeta, ConfigServer, ShardEntry};
 pub use network::{FaultKind, Faults, NetMode, NetStats, NetworkModel, RetryPolicy};
 pub use replica::{MemberState, ReadPreference, ReplicaSet, WriteConcern};
-pub use router::{DegradedReads, Mongos, RouteExplain, ScatterMode};
+pub use route::{target, FindPlan, Merge, Targeting};
+pub use router::{DegradedReads, Mongos, RouteExplain};
 pub use shard::Shard;
 pub use shardkey::{Partitioning, ShardKey};
-pub use targeting::{target, Targeting};
 
 /// Compile-time proof that everything the router shares across worker
 /// threads is `Send + Sync`. Never called; a violation fails the build

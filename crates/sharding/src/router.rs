@@ -1,34 +1,38 @@
 //! The query router (`mongos`, thesis Section 2.1.3.1 component iii):
 //! routes reads and writes to the right shards, gathers and merges
 //! results, and triggers chunk splits.
+//!
+//! Every operation is *plan → legs → merge*: a pure plan ([`crate::route`])
+//! derived from one metadata snapshot per attempt, run by one read-leg
+//! runner (`Mongos::read_legs`) or one write exchange
+//! (`Mongos::write_leg`) under one retry loop (`Mongos::retrying`).
+//!
+//! Stale routing is one protocol with five roles. The shard-side
+//! surrendered-range table is the *state*. The ownership check is the
+//! *read* of it: before a write applies ([`Shard::owned_write`], under
+//! the ownership lock, so a bounced write has applied nothing), after a
+//! read returns (on the plan's point key — a scan cannot hold the lock,
+//! so it is checked once the result exists). [`Error::StaleRoute`] is
+//! the *signal*, the retry loop's re-plan from a fresh snapshot is the
+//! *reaction*, and the owed list of `Mongos::update_grouped` is the
+//! write side's *memory* of what already applied.
 
 use crate::chunk::{KeyBound, ShardId};
-use crate::config::{CollectionMeta, ConfigServer};
+use crate::config::ConfigServer;
 use crate::network::{Faults, NetMode, NetStats, NetworkModel, RetryPolicy};
 use crate::replica::{ReadPreference, ReplicaSet, WriteConcern};
+use crate::route::{self, FindPlan, Merge, Owed, Targeting};
 use crate::shard::Shard;
-use crate::targeting::{target, Targeting};
 use doclite_bson::{codec::encoded_size, Document};
 use doclite_docstore::agg::stream;
 use doclite_docstore::{
-    compile, project_paths, BulkUpdate, CompoundKey, Error, Filter, FindOptions, IndexDef,
-    Pipeline, Result, Stage, UpdateResult, UpdateSpec,
+    compile, project_paths, BulkUpdate, Collection, CompoundKey, Error, Filter, FindOptions,
+    IndexDef, Pipeline, Result, UpdateResult, UpdateSpec,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Whether scatter-gather legs run concurrently (one thread per shard,
-/// as a real mongos overlaps shard I/O) or one after another (the
-/// baseline the thesis's future-work section contrasts against).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ScatterMode {
-    #[default]
-    Parallel,
-    Sequential,
-}
 
 /// What the router does when a whole shard stays unreachable after
 /// retries during a scatter-gather read — the caller's choice between
@@ -43,19 +47,26 @@ pub enum DegradedReads {
     Partial,
 }
 
-/// Router-level explain for a find: which shards a read would contact,
-/// how many documents each is estimated to hold (chunk accounting), and
-/// the per-leg `limit` the cost-based sizing would request from each.
-#[derive(Clone, Debug)]
-pub struct RouteExplain {
-    /// `true` when the filter pinned the shard key (no broadcast).
-    pub targeted: bool,
-    /// The legs the read would contact, in leg order.
-    pub shards: Vec<ShardId>,
-    /// Approximate resident documents per contacted shard.
-    pub est_docs: Vec<usize>,
-    /// The `limit` each leg would be asked for (0 = unlimited).
-    pub leg_limits: Vec<usize>,
+/// Router-level explain for a find: the plan itself.
+pub type RouteExplain = FindPlan;
+
+/// What `Mongos::retrying` retries, and so where the fault plan sits
+/// relative to the operation.
+enum Retried<'a, T> {
+    /// An operation that re-plans from fresh metadata on every call,
+    /// retried on [`Error::StaleRoute`] (chunk moved, shard left). The
+    /// retry *is* the refresh: once the migration's config flip lands
+    /// the operation re-targets the new owner.
+    Stale,
+    /// A read leg: it runs, then the exchange — sized by its response —
+    /// is subjected to the fault plan, and a faulted leg runs again.
+    Read(ShardId, &'a dyn Fn(&T) -> usize),
+    /// A write: the exchange — sized by the request — is checked
+    /// *before* the operation, so a dropped or timed-out write retries
+    /// without ever being half-applied, and the operation runs at most
+    /// once: its own errors (duplicate key, write concern) surface
+    /// unretried, since retrying those would re-apply a committed write.
+    Write(ShardId, usize),
 }
 
 /// The router. All application traffic flows through here, as in the
@@ -70,7 +81,6 @@ pub struct Mongos {
     config: Arc<ConfigServer>,
     network: NetworkModel,
     stats: Arc<NetStats>,
-    scatter: ScatterMode,
     /// Unsharded collections live on this shard (MongoDB's "primary
     /// shard" for a database).
     primary: ShardId,
@@ -110,7 +120,6 @@ impl Mongos {
             config,
             network,
             stats: Arc::new(NetStats::new()),
-            scatter: ScatterMode::default(),
             primary: 0,
             faults: Arc::new(Faults::new()),
             retry: RetryPolicy::default(),
@@ -121,11 +130,6 @@ impl Mongos {
             migration: Mutex::new(()),
             entropy: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the scatter-gather execution mode.
-    pub fn set_scatter_mode(&mut self, mode: ScatterMode) {
-        self.scatter = mode;
     }
 
     /// Sets the retry/backoff policy for faulted exchanges.
@@ -233,211 +237,201 @@ impl Mongos {
             .ok_or_else(|| Error::StaleRoute(format!("shard {id} is not part of the cluster")))
     }
 
-    /// Waits out one stale-route retry: charges the jittered backoff to
-    /// the stats (which sleeps under [`NetMode::Sleep`]) and really
-    /// sleeps otherwise — unlike modelled network time, this wait is
-    /// load-bearing: it gives the in-flight migration wall-clock time
-    /// to flip the routing table before the operation re-resolves.
-    fn stale_backoff(&self, attempt: u32) -> Duration {
-        let entropy = self.entropy.fetch_add(1, Ordering::Relaxed);
-        let d = self.retry.jittered_backoff(attempt, entropy);
-        self.stats.record_retry(&self.network, d);
-        if self.network.mode != NetMode::Sleep && !d.is_zero() {
-            std::thread::sleep(d);
-        }
-        d
-    }
-
-    /// Runs an operation whose closure re-resolves routing from the
-    /// config server on every call, retrying on [`Error::StaleRoute`]
-    /// (chunk moved, shard left) under the bounded retry policy and
-    /// per-op deadline. The retry *is* the refresh: each attempt reads
-    /// fresh metadata, so once the migration's config flip lands the
-    /// operation re-targets the new owner.
-    fn with_stale_retry<T>(&self, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-        let mut attempt = 0u32;
-        let mut waited = Duration::ZERO;
-        loop {
-            match op() {
-                Err(Error::StaleRoute(msg)) => {
-                    if attempt >= self.retry.max_retries || self.retry.deadline_exceeded(waited) {
-                        return Err(Error::Unavailable(format!(
-                            "stale routing not resolved after {attempt} retries: {msg}"
-                        )));
-                    }
-                    attempt += 1;
-                    waited += self.stale_backoff(attempt);
-                }
-                done => return done,
-            }
-        }
-    }
-
-    /// Runs a read leg against `shard` under the injected fault plan:
-    /// the leg executes, then the exchange (sized by its response) is
-    /// subjected to the plan, and a faulted exchange is retried with
-    /// bounded exponential backoff. Replica-set-level errors (no
-    /// reachable member) surface immediately — retries address
-    /// *network* faults; member faults are the replica set's problem
-    /// (election, read failover). With no faults active this adds a
-    /// single branch on one relaxed atomic load to the healthy path.
-    fn read_exchange<T>(
-        &self,
-        shard: ShardId,
-        op: impl Fn() -> Result<T>,
-        bytes_of: impl Fn(&T) -> usize,
-    ) -> Result<T> {
-        if !self.faults.active() {
+    /// The one retry loop: bounded attempts, jittered exponential
+    /// backoff and the per-op deadline, whatever is being retried (see
+    /// `Retried`). Replica-set-level errors (no reachable member)
+    /// surface immediately — retries address *network* faults and stale
+    /// routes; member faults are the replica set's problem (election,
+    /// read failover). With no faults active an exchange adds a single
+    /// branch on one relaxed atomic load to the healthy path.
+    fn retrying<T>(&self, what: Retried<'_, T>, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+        let stale = matches!(what, Retried::Stale);
+        if !stale && !self.faults.active() {
             return op();
         }
+        let fault = |shard: ShardId, bytes: usize| {
+            let kind = self.faults.check(shard, &self.network, bytes).err()?;
+            self.stats.record_fault(&self.network, kind);
+            Some(format!("Shard{} unreachable: {kind}", shard + 1))
+        };
         let mut attempt = 0u32;
         let mut waited = Duration::ZERO;
         loop {
-            let v = op()?;
-            match self.faults.check(shard, &self.network, bytes_of(&v)) {
-                Ok(()) => return Ok(v),
-                Err(kind) => {
-                    self.stats.record_fault(&self.network, kind);
-                    if attempt >= self.retry.max_retries || self.retry.deadline_exceeded(waited) {
-                        return Err(Error::Unavailable(format!(
-                            "Shard{} unreachable: {kind} (gave up after {attempt} retries)",
-                            shard + 1
-                        )));
+            let failed = match &what {
+                Retried::Stale => match op() {
+                    Err(Error::StaleRoute(msg)) => {
+                        format!("stale routing not resolved after {attempt} retries: {msg}")
                     }
-                    attempt += 1;
-                    let entropy = self.entropy.fetch_add(1, Ordering::Relaxed);
-                    let backoff = self.retry.jittered_backoff(attempt, entropy);
-                    waited += backoff;
-                    self.stats.record_retry(&self.network, backoff);
+                    done => return done,
+                },
+                Retried::Read(shard, bytes_of) => {
+                    let v = op()?;
+                    match fault(*shard, bytes_of(&v)) {
+                        None => return Ok(v),
+                        Some(why) => format!("{why} (gave up after {attempt} retries)"),
+                    }
                 }
+                Retried::Write(shard, request_bytes) => match fault(*shard, *request_bytes) {
+                    None => return op(),
+                    Some(why) => format!("{why} (gave up after {attempt} retries)"),
+                },
+            };
+            if attempt >= self.retry.max_retries || self.retry.deadline_exceeded(waited) {
+                return Err(Error::Unavailable(failed));
             }
+            attempt += 1;
+            let entropy = self.entropy.fetch_add(1, Ordering::Relaxed);
+            let backoff = self.retry.jittered_backoff(attempt, entropy);
+            self.stats.record_retry(&self.network, backoff);
+            // Unlike modelled network time, the wait before a re-plan is
+            // load-bearing: it gives the in-flight migration wall-clock
+            // time to flip the routing table, so it really sleeps even
+            // where the stats only account.
+            if stale && self.network.mode != NetMode::Sleep && !backoff.is_zero() {
+                std::thread::sleep(backoff);
+            }
+            waited += backoff;
         }
     }
 
-    /// Runs a write against `shard` under the fault plan. The exchange
-    /// is checked *before* the operation applies (sized by the
-    /// request), so a dropped or timed-out write retries without ever
-    /// being half-applied; once the request goes through,
-    /// operation-level errors (duplicate key, write concern) surface
-    /// unretried — retrying those would re-apply a committed write.
-    fn write_exchange<T>(
+    /// Runs one closure per leg and charges one network leg per shard,
+    /// sized by that leg's payload *after* any shard-side
+    /// sort/limit/projection — a pushed-down limit is charged for the
+    /// truncated result it actually ships, not for everything that
+    /// matched. The serial clock advances by the sum of the legs, the
+    /// parallel clock by the slowest.
+    ///
+    /// Several legs run on the shared worker pool (bounded at the pool's
+    /// worker count; `parallel_for` runs inline on one worker or a busy pool).
+    /// Each leg writes its result into a per-leg slot, so the returned
+    /// vector is always in leg order no matter which legs finish first
+    /// — the deterministic `(leg, pos)` order downstream merges rely on.
+    fn scatter_legs<T, F, B>(&self, legs: usize, run: F, bytes_of: B) -> Vec<T>
+    where
+        T: Send + Sync,
+        F: Fn(usize) -> T + Sync,
+        B: Fn(&T) -> usize,
+    {
+        let results: Vec<T> = if legs == 1 {
+            // A single leg has nothing to overlap: skip the pool and its
+            // worker-count probe (a syscall and two cgroup reads — the
+            // dominant cost of a point read under the stress driver).
+            vec![run(0)]
+        } else {
+            let slots: Vec<OnceLock<T>> = (0..legs).map(|_| OnceLock::new()).collect();
+            doclite_docstore::parallel_for(doclite_docstore::parallel_workers(), legs, &|i| {
+                let _ = slots[i].set(run(i));
+            });
+            slots.into_iter().map(|s| s.into_inner().expect("pool ran every leg")).collect()
+        };
+        let leg_bytes: Vec<usize> = results.iter().map(bytes_of).collect();
+        self.stats.charge_parallel(&self.network, &leg_bytes);
+        results
+    }
+
+    /// The one read leg, run once per shard of `shards`: picks the
+    /// member by read preference, runs `run(leg, collection)` (a missing
+    /// collection reads as `T::default()`), and — for a point-targeted
+    /// read — re-checks ownership of `point_key` *after* the scan: if the
+    /// chunk was surrendered to a migration meanwhile, the scan may have
+    /// observed post-flip state through a stale routing view, so it
+    /// surfaces `StaleRoute` for the retry loop to re-plan instead of
+    /// silently missing the row.
+    ///
+    /// Then the degraded-read policy: under [`DegradedReads::Fail`] the
+    /// first unreachable shard fails the whole read; under
+    /// [`DegradedReads::Partial`] its leg reads as `T::default()` and a
+    /// warning is recorded. Stale routing is a router-level condition,
+    /// not a shard outage: it always propagates, never degrades to
+    /// partial results that silently miss a migrating chunk.
+    fn read_legs<T: Default + Send + Sync>(
         &self,
-        shard: ShardId,
-        request_bytes: usize,
-        op: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        if !self.faults.active() {
-            return op();
-        }
-        let mut op = Some(op);
-        let mut attempt = 0u32;
-        let mut waited = Duration::ZERO;
-        loop {
-            match self.faults.check(shard, &self.network, request_bytes) {
-                Ok(()) => return op.take().expect("write attempted once")(),
-                Err(kind) => {
-                    self.stats.record_fault(&self.network, kind);
-                    if attempt >= self.retry.max_retries || self.retry.deadline_exceeded(waited) {
-                        return Err(Error::Unavailable(format!(
-                            "Shard{} unreachable: {kind} (gave up after {attempt} retries)",
-                            shard + 1
+        collection: &str,
+        shards: &[ShardId],
+        point_key: Option<&CompoundKey>,
+        run: impl Fn(usize, &Collection) -> Result<T> + Sync,
+        bytes_of: impl Fn(&T) -> usize + Sync,
+    ) -> Result<Vec<T>> {
+        let legs = self.scatter_legs(
+            shards.len(),
+            |i| {
+                self.retrying(Retried::Read(shards[i], &bytes_of), || {
+                    let shard = self.shard(shards[i])?;
+                    let db = shard.read_db(self.read_pref)?;
+                    let v = match db.get_collection(collection) {
+                        Ok(coll) => run(i, &coll)?,
+                        Err(_) => T::default(),
+                    };
+                    if point_key.is_some_and(|key| !shard.owns(collection, key)) {
+                        return Err(Error::StaleRoute(format!(
+                            "read of '{collection}' raced a chunk migration"
                         )));
                     }
-                    attempt += 1;
-                    let entropy = self.entropy.fetch_add(1, Ordering::Relaxed);
-                    let backoff = self.retry.jittered_backoff(attempt, entropy);
-                    waited += backoff;
-                    self.stats.record_retry(&self.network, backoff);
-                }
-            }
-        }
-    }
-
-    /// Applies the degraded-read policy to scatter legs: under
-    /// [`DegradedReads::Fail`] the first unreachable shard fails the
-    /// whole read; under [`DegradedReads::Partial`] reachable legs are
-    /// kept and a warning is recorded per missing shard.
-    fn gather<T>(&self, legs: Vec<Result<T>>) -> Result<Vec<T>> {
-        let mut out = Vec::with_capacity(legs.len());
-        for leg in legs {
-            match leg {
-                Ok(v) => out.push(v),
-                // Stale routing is a router-level condition, not a
-                // shard outage: always propagate so the stale-retry
-                // loop re-resolves, instead of degrading to partial
-                // results that silently miss a migrating chunk.
-                Err(e @ Error::StaleRoute(_)) => return Err(e),
-                Err(e) => match self.degraded {
-                    DegradedReads::Fail => return Err(e),
+                    Ok(v)
+                })
+            },
+            |leg| leg.as_ref().map_or(0, &bytes_of),
+        );
+        legs.into_iter()
+            .map(|leg| match leg {
+                Err(e) if !matches!(e, Error::StaleRoute(_)) => match self.degraded {
+                    DegradedReads::Fail => Err(e),
                     DegradedReads::Partial => {
-                        self.warn(format!("{e}; returning partial results"))
+                        self.warn(format!("{e}; returning partial results"));
+                        Ok(T::default())
                     }
                 },
-            }
-        }
-        Ok(out)
+                leg => leg,
+            })
+            .collect()
+    }
+
+    /// The one router→shard write exchange: `op` runs at most once,
+    /// behind the fault plan, and a completed exchange is charged its
+    /// request bytes.
+    fn write_leg<T>(
+        &self,
+        shard: ShardId,
+        bytes: usize,
+        op: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let mut op = Some(op);
+        let r = self.retrying(Retried::Write(shard, bytes), || {
+            op.take().expect("a write runs at most once")()
+        })?;
+        self.stats.charge(&self.network, bytes);
+        Ok(r)
     }
 
     /// Routes and stores one document without charging the network;
     /// returns the bytes written. Triggers a chunk split when the target
     /// chunk crosses the size threshold.
     ///
-    /// The write is ownership-checked on the target shard
-    /// ([`Shard::owned_write`]): if the chunk migrated away between the
-    /// routing snapshot and the write landing, the shard bounces it
-    /// with [`Error::StaleRoute`] and the loop re-routes from fresh
+    /// The write is ownership-checked on the target shard: if the chunk
+    /// migrated away between the routing snapshot and the write landing,
+    /// the shard bounces it and the next attempt re-routes from fresh
     /// metadata. Both the fault check and the ownership check run
     /// *before* the store consumes the document, so a bounced attempt
     /// retries the original document without ever cloning it.
+    /// (Unsharded collections live on the primary shard, which is never
+    /// removable — no key, no ownership protocol.)
     fn insert_routed(&self, collection: &str, doc: Document) -> Result<usize> {
         let bytes = encoded_size(&doc);
-        if !self.config.is_sharded(collection) {
-            // Unsharded collections live on the primary shard, which is
-            // never removable — no ownership protocol needed.
-            let primary = self.shard(self.primary)?;
-            self.write_exchange(self.primary, bytes, || {
-                primary
-                    .replica_set()
-                    .insert_one(collection, doc, self.write_concern)
-            })?;
-            return Ok(bytes);
-        }
         let mut slot = Some(doc);
-        let mut attempt = 0u32;
-        let mut waited = Duration::ZERO;
-        let key = loop {
-            let meta = self
-                .config
-                .meta(collection)
-                .ok_or_else(|| Error::NoSuchCollection(collection.to_owned()))?;
-            let key = meta.key.extract(slot.as_ref().expect("document not yet consumed"));
-            let shard_id = meta.chunks[meta.chunk_for(&key)].shard;
-            let routed = self.shard(shard_id).and_then(|shard| {
-                self.write_exchange(shard_id, bytes, || {
-                    shard.owned_write(collection, std::slice::from_ref(&key), || {
-                        shard.replica_set().insert_one(
-                            collection,
-                            slot.take().expect("document consumed at most once"),
-                            self.write_concern,
-                        )
-                    })
+        let key = self.retrying(Retried::Stale, || {
+            let doc = slot.as_ref().expect("a bounced insert has not consumed the document");
+            let meta = self.config.meta(collection);
+            let (shard_id, key) = route::document_target(meta.as_ref(), self.primary, doc);
+            let shard = self.shard(shard_id)?;
+            self.retrying(Retried::Write(shard_id, bytes), || {
+                shard.owned_write(collection, key.as_slice(), || {
+                    let doc = slot.take().expect("document consumed at most once");
+                    shard.replica_set().insert_one(collection, doc, self.write_concern)
                 })
-            });
-            match routed {
-                Ok(()) => break key,
-                Err(Error::StaleRoute(msg)) => {
-                    debug_assert!(slot.is_some(), "stale-routed insert must not consume the doc");
-                    if attempt >= self.retry.max_retries || self.retry.deadline_exceeded(waited) {
-                        return Err(Error::Unavailable(format!(
-                            "stale routing not resolved after {attempt} retries: {msg}"
-                        )));
-                    }
-                    attempt += 1;
-                    waited += self.stale_backoff(attempt);
-                }
-                Err(e) => return Err(e),
-            }
-        };
+            })?;
+            Ok(key)
+        })?;
+        let Some(key) = key else { return Ok(bytes) };
         // Re-derive the target chunk *by key, under the config
         // lock*: a concurrent split or migration may have shifted chunk
         // indices since the routing snapshot above, and charging
@@ -559,13 +553,7 @@ impl Mongos {
     }
 
     /// Routes a find: targeted when the filter pins the shard key,
-    /// scatter-gather otherwise.
-    ///
-    /// Sort, limit, and (when safe) projection are pushed to the shards:
-    /// each leg sorts locally and returns at most `skip + limit`
-    /// documents, so a sorted-and-limited broadcast transfers O(limit)
-    /// bytes per leg instead of every matching document. The router then
-    /// merges the pre-sorted legs and applies the global window.
+    /// scatter-gather otherwise, per the [`route::plan_find`] plan.
     pub fn find_with(
         &self,
         collection: &str,
@@ -586,7 +574,7 @@ impl Mongos {
         filter: &Filter,
         opts: &FindOptions,
     ) -> Result<Vec<Document>> {
-        self.with_stale_retry(|| self.find_once(collection, filter, opts))
+        self.retrying(Retried::Stale, || self.find_once(collection, filter, opts))
     }
 
     fn find_once(
@@ -595,90 +583,38 @@ impl Mongos {
         filter: &Filter,
         opts: &FindOptions,
     ) -> Result<Vec<Document>> {
-        let shard_ids = self.route(collection, filter);
-        // A single-shard point read is ownership-checked *after* the
-        // scan (key derived the way upsert seeding does): if the chunk
-        // was surrendered to a migration meanwhile, the scan may have
-        // observed post-flip state through a stale routing view —
-        // surface `StaleRoute` so the retry loop re-targets against
-        // fresh metadata instead of silently missing the row.
-        let point_key = self.point_key(collection, filter, &shard_ids);
+        let plan = self.explain_route(collection, filter, opts);
         // Compile the filter once at the router; every leg shares it.
         let compiled = compile(filter);
-
-        // A single leg serves the global result verbatim: the whole
-        // window — skip included — and the projection go to the shard,
-        // so the skipped prefix never crosses the network.
-        if shard_ids.len() == 1 {
-            let leg_opts = vec![opts.clone()];
-            let legs = self.run_find_legs(
+        let doc_bytes = |docs: &Vec<Document>| docs.iter().map(encoded_size).sum();
+        let mut legs = self.read_legs(
+            collection,
+            &plan.shards,
+            plan.point_key.as_ref(),
+            |i, coll| Ok(coll.find_with_shared(filter, &compiled, &plan.leg_opts[i])),
+            doc_bytes,
+        )?;
+        // Optimistic per-leg limits can under-fetch: re-run the legs
+        // that may be hiding rows the global window needs.
+        let saturated = plan.saturated_legs(&legs);
+        if !saturated.is_empty() {
+            let ids: Vec<ShardId> = saturated.iter().map(|&i| plan.shards[i]).collect();
+            let full = plan.full_window_opts();
+            let refreshed = self.read_legs(
                 collection,
-                &shard_ids,
-                filter,
-                &compiled,
-                &point_key,
-                &leg_opts,
-            );
-            let legs = self.gather(legs)?;
-            return Ok(legs.into_iter().flatten().collect());
-        }
-
-        // A document outside the first `skip + limit` of its own shard's
-        // sorted run cannot appear in the global window either.
-        let full_window = if opts.limit > 0 {
-            opts.skip.saturating_add(opts.limit)
-        } else {
-            0
-        };
-        // Projection goes shard-side unless the router's merge would
-        // then be missing a sort path the projection strips.
-        let push_projection = opts.projection.is_empty()
-            || opts.sort.is_empty()
-            || opts.sort.iter().all(|(p, _)| {
-                p == "_id" || opts.projection.iter().any(|q| q == p)
-            });
-        let leg_limits = self.optimistic_leg_limits(collection, &shard_ids, opts, full_window);
-        let mk_leg_opts = |limit: usize| FindOptions {
-            sort: opts.sort.clone(),
-            skip: 0,
-            limit,
-            projection: if push_projection {
-                opts.projection.clone()
-            } else {
-                Vec::new()
-            },
-        };
-        let per_leg: Vec<FindOptions> = leg_limits.iter().map(|&l| mk_leg_opts(l)).collect();
-        let mut legs =
-            self.run_find_legs(collection, &shard_ids, filter, &compiled, &point_key, &per_leg);
-
-        // Optimistic per-leg limits can under-fetch: a leg that filled
-        // its cap (saturated) may be hiding rows the global window
-        // needs. Retry exactly those legs with the full window, so the
-        // sizing only ever affects bytes shipped, never results.
-        let retry = Self::saturated_legs_needing_retry(&legs, &leg_limits, opts, full_window);
-        if !retry.is_empty() {
-            let retry_ids: Vec<ShardId> = retry.iter().map(|&i| shard_ids[i]).collect();
-            let full_opts: Vec<FindOptions> =
-                retry_ids.iter().map(|_| mk_leg_opts(full_window)).collect();
-            let refreshed = self.run_find_legs(
-                collection,
-                &retry_ids,
-                filter,
-                &compiled,
-                &point_key,
-                &full_opts,
-            );
-            for (slot, leg) in retry.into_iter().zip(refreshed) {
+                &ids,
+                None,
+                |_, coll| Ok(coll.find_with_shared(filter, &compiled, &full)),
+                doc_bytes,
+            )?;
+            for (slot, leg) in saturated.into_iter().zip(refreshed) {
                 legs[slot] = leg;
             }
         }
-
-        let legs = self.gather(legs)?;
-        let mut docs: Vec<Document> = if opts.sort.is_empty() {
-            legs.into_iter().flatten().collect()
-        } else {
-            merge_sorted_legs(legs, &opts.sort)
+        let mut docs: Vec<Document> = match plan.merge {
+            Merge::Single => return Ok(legs.into_iter().flatten().collect()),
+            Merge::Concat => legs.into_iter().flatten().collect(),
+            Merge::Sorted => merge_sorted_legs(legs, &opts.sort),
         };
         if opts.skip > 0 {
             docs.drain(..opts.skip.min(docs.len()));
@@ -686,142 +622,13 @@ impl Mongos {
         if opts.limit > 0 {
             docs.truncate(opts.limit);
         }
-        if !push_projection {
+        if !plan.push_projection {
             docs = docs
                 .iter()
                 .map(|d| project_paths(d, &opts.projection))
                 .collect();
         }
         Ok(docs)
-    }
-
-    /// Runs one find leg per shard (in `shard_ids` order) with per-leg
-    /// options, sharing the router-compiled filter and the point-read
-    /// ownership check.
-    fn run_find_legs(
-        &self,
-        collection: &str,
-        shard_ids: &[ShardId],
-        filter: &Filter,
-        compiled: &doclite_docstore::CompiledFilter,
-        point_key: &Option<CompoundKey>,
-        leg_opts: &[FindOptions],
-    ) -> Vec<Result<Vec<Document>>> {
-        self.scatter_legs(
-            shard_ids,
-            |id| {
-                let i = shard_ids
-                    .iter()
-                    .position(|&s| s == id)
-                    .expect("leg id comes from shard_ids");
-                self.read_exchange(
-                    id,
-                    || {
-                        let shard = self.shard(id)?;
-                        let db = shard.read_db(self.read_pref)?;
-                        let docs = match db.get_collection(collection) {
-                            Ok(coll) => coll.find_with_shared(filter, compiled, &leg_opts[i]),
-                            Err(_) => Vec::new(),
-                        };
-                        if let Some(key) = point_key {
-                            if !shard.owns(collection, key) {
-                                return Err(Error::StaleRoute(format!(
-                                    "read of '{collection}' raced a chunk migration"
-                                )));
-                            }
-                        }
-                        Ok(docs)
-                    },
-                    |docs| docs.iter().map(encoded_size).sum(),
-                )
-            },
-            |leg: &Result<Vec<Document>>| match leg {
-                Ok(docs) => docs.iter().map(encoded_size).sum(),
-                Err(_) => 0,
-            },
-        )
-    }
-
-    /// Per-leg `limit`s for a sorted multi-shard window. Each leg is
-    /// capped near 1.5× its share of the window — share taken from the
-    /// chunk accounting's resident-document counts — floored at an even
-    /// split, instead of everyone shipping the full `skip + limit`.
-    /// Unsorted reads, unlimited reads, and collections without
-    /// accounting keep the full window.
-    fn optimistic_leg_limits(
-        &self,
-        collection: &str,
-        shard_ids: &[ShardId],
-        opts: &FindOptions,
-        full_window: usize,
-    ) -> Vec<usize> {
-        let n = shard_ids.len();
-        if full_window == 0 || opts.sort.is_empty() || n < 2 {
-            return vec![full_window; n];
-        }
-        let Some(meta) = self.config.meta(collection) else {
-            return vec![full_window; n];
-        };
-        let per_shard = meta.docs_per_shard();
-        let total: usize = per_shard.values().sum();
-        if total == 0 {
-            return vec![full_window; n];
-        }
-        let floor = (full_window / n).max(1);
-        shard_ids
-            .iter()
-            .map(|id| {
-                let share = per_shard.get(id).copied().unwrap_or(0) as f64 / total as f64;
-                let sized = (full_window as f64 * share * 1.5).ceil() as usize;
-                sized.clamp(floor, full_window)
-            })
-            .collect()
-    }
-
-    /// Indices of legs whose optimistic cap may have cut the global
-    /// window: the leg filled its cap AND its worst returned document
-    /// does not sort strictly past the window cutoff computed over
-    /// everything returned so far (hidden rows of any *other* leg can
-    /// only push the true cutoff earlier, so "strictly past" stays
-    /// sound).
-    fn saturated_legs_needing_retry(
-        legs: &[Result<Vec<Document>>],
-        leg_limits: &[usize],
-        opts: &FindOptions,
-        full_window: usize,
-    ) -> Vec<usize> {
-        use doclite_docstore::agg::CompiledSortSpec;
-        if full_window == 0 || leg_limits.iter().all(|&l| l >= full_window) {
-            return Vec::new();
-        }
-        let cs = CompiledSortSpec::new(&opts.sort);
-        let mut all_keys: Vec<Vec<doclite_bson::Value>> = Vec::new();
-        for docs in legs.iter().flatten() {
-            all_keys.extend(docs.iter().map(|d| cs.key_owned(d)));
-        }
-        all_keys.sort_by(|a, b| cs.compare_values(a, b));
-        let cutoff = if all_keys.len() >= full_window {
-            Some(&all_keys[full_window - 1])
-        } else {
-            None
-        };
-        (0..legs.len())
-            .filter(|&i| {
-                let Ok(docs) = &legs[i] else { return false };
-                if leg_limits[i] >= full_window || docs.len() < leg_limits[i] {
-                    return false; // unconstrained or exhausted: complete
-                }
-                match (cutoff, docs.last()) {
-                    // Fewer returned rows than the window needs: any
-                    // saturated leg may be hiding the missing ones.
-                    (None, _) => true,
-                    (Some(c), Some(last)) => {
-                        cs.compare_values(&cs.key_owned(last), c) != std::cmp::Ordering::Greater
-                    }
-                    (Some(_), None) => false,
-                }
-            })
-            .collect()
     }
 
     /// `find` with default options.
@@ -832,122 +639,18 @@ impl Mongos {
     /// The routing decision for a filter (exposed for tests/benches and
     /// explain-style reporting).
     pub fn explain_targeting(&self, collection: &str, filter: &Filter) -> Targeting {
-        self.targeting_in(self.config.meta(collection).as_ref(), filter)
+        route::target(self.config.meta(collection).as_ref(), self.primary, filter)
     }
 
-    fn targeting_in(&self, meta: Option<&CollectionMeta>, filter: &Filter) -> Targeting {
-        match meta {
-            None => Targeting::Targeted(vec![self.primary]),
-            Some(meta) => target(meta, filter),
-        }
-    }
-
-    fn route(&self, collection: &str, filter: &Filter) -> Vec<ShardId> {
-        self.route_in(self.config.meta(collection).as_ref(), filter)
-    }
-
-    /// [`Mongos::route`] against an already-fetched metadata snapshot
-    /// (`None` = unsharded), so a bulk write routes every statement
-    /// from one snapshot.
-    fn route_in(&self, meta: Option<&CollectionMeta>, filter: &Filter) -> Vec<ShardId> {
-        let shards = self.targeting_in(meta, filter).shards().to_vec();
-        if shards.is_empty() {
-            vec![self.primary]
-        } else {
-            shards
-        }
-    }
-
-    /// Router-level explain for a find: the targeting decision, the
-    /// chunk-accounting document estimate per contacted shard, and the
-    /// per-leg `limit` each leg would be asked for — without running
-    /// the query.
+    /// Router-level explain for a find — the plan [`Mongos::find_with`]
+    /// executes, from one metadata snapshot, without running the query.
     pub fn explain_route(
         &self,
         collection: &str,
         filter: &Filter,
         opts: &FindOptions,
     ) -> RouteExplain {
-        let targeted = self.explain_targeting(collection, filter).is_targeted();
-        let shards = self.route(collection, filter);
-        let per_shard = self
-            .config
-            .meta(collection)
-            .map(|m| m.docs_per_shard())
-            .unwrap_or_default();
-        let est_docs = shards
-            .iter()
-            .map(|id| per_shard.get(id).copied().unwrap_or(0))
-            .collect();
-        let full_window = if opts.limit > 0 {
-            opts.skip.saturating_add(opts.limit)
-        } else {
-            0
-        };
-        let leg_limits = if shards.len() == 1 {
-            vec![opts.limit]
-        } else {
-            self.optimistic_leg_limits(collection, &shards, opts, full_window)
-        };
-        RouteExplain {
-            targeted,
-            shards,
-            est_docs,
-            leg_limits,
-        }
-    }
-
-    /// Runs one closure per shard leg (parallel or sequential per
-    /// [`ScatterMode`]) and charges one network leg per shard, sized by
-    /// that leg's payload *after* any shard-side sort/limit/projection —
-    /// a pushed-down limit is charged for the truncated result it
-    /// actually ships, not for everything that matched.
-    ///
-    /// Parallel legs run on the shared worker pool (bounded at the
-    /// pool's worker count) instead of spawning a thread per leg. Each
-    /// leg writes its result into a per-leg slot, so the returned vector
-    /// is always in `shard_ids` order no matter which legs finish first
-    /// — the deterministic `(leg, pos)` order downstream merges rely on.
-    fn scatter_legs<T, F, B>(&self, shard_ids: &[ShardId], run: F, bytes_of: B) -> Vec<T>
-    where
-        T: Send + Sync,
-        F: Fn(ShardId) -> T + Sync,
-        B: Fn(&T) -> usize,
-    {
-        // A targeted single-leg read has nothing to overlap: run it
-        // inline instead of touching the pool at all (the dominant cost
-        // for point reads under the stress driver).
-        let results: Vec<T> = match self.scatter {
-            ScatterMode::Sequential => shard_ids.iter().map(|&id| run(id)).collect(),
-            ScatterMode::Parallel if shard_ids.len() == 1 => vec![run(shard_ids[0])],
-            ScatterMode::Parallel => {
-                let slots: Vec<OnceLock<T>> =
-                    (0..shard_ids.len()).map(|_| OnceLock::new()).collect();
-                doclite_docstore::parallel_for(
-                    doclite_docstore::parallel_workers(),
-                    shard_ids.len(),
-                    &|i| {
-                        let _ = slots[i].set(run(shard_ids[i]));
-                    },
-                );
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("pool ran every leg"))
-                    .collect()
-            }
-        };
-        let leg_bytes: Vec<usize> = results.iter().map(&bytes_of).collect();
-        match self.scatter {
-            ScatterMode::Parallel => {
-                self.stats.charge_parallel(&self.network, &leg_bytes);
-            }
-            ScatterMode::Sequential => {
-                for b in leg_bytes {
-                    self.stats.charge(&self.network, b);
-                }
-            }
-        }
-        results
+        route::plan_find(self.config.meta(collection).as_ref(), self.primary, filter, opts)
     }
 
     /// Counts matching documents across the targeted shards.
@@ -960,79 +663,29 @@ impl Mongos {
     /// [`DegradedReads::Partial`] unreachable shards are skipped with a
     /// warning and the count covers the reachable ones.
     pub fn try_count(&self, collection: &str, filter: &Filter) -> Result<usize> {
-        self.with_stale_retry(|| self.count_once(collection, filter))
-    }
-
-    /// The shard-key point a single-shard filter pins, if any — the
-    /// ownership-check anchor shared by point reads, counts, and
-    /// updates. `None` for broadcasts, unsharded collections, and
-    /// filters that reach one shard without pinning every key field by
-    /// equality (a range, an `$in`): those have no single key to anchor
-    /// on, and a key padded with nulls would test the ownership of the
-    /// lowest chunk instead.
-    fn point_key(
-        &self,
-        collection: &str,
-        filter: &Filter,
-        shard_ids: &[ShardId],
-    ) -> Option<CompoundKey> {
-        Self::point_key_in(self.config.meta(collection).as_ref(), filter, shard_ids)
-    }
-
-    fn point_key_in(
-        meta: Option<&CollectionMeta>,
-        filter: &Filter,
-        shard_ids: &[ShardId],
-    ) -> Option<CompoundKey> {
-        if shard_ids.len() != 1 {
-            return None;
-        }
-        let meta = meta?;
-        let seed = doclite_docstore::update::upsert_seed(filter);
-        let pinned = meta.key.fields().iter().all(|f| seed.get_path(f).is_some());
-        pinned.then(|| meta.key.extract(&seed))
-    }
-
-    fn count_once(&self, collection: &str, filter: &Filter) -> Result<usize> {
-        let shard_ids = self.route(collection, filter);
-        let point_key = self.point_key(collection, filter, &shard_ids);
-        let mut n = 0;
-        for id in shard_ids {
-            let leg = self.read_exchange(
-                id,
-                || {
-                    let shard = self.shard(id)?;
-                    let db = shard.read_db(self.read_pref)?;
-                    let c = db
-                        .get_collection(collection)
-                        .map(|c| c.count(filter))
-                        .unwrap_or(0);
-                    if let Some(key) = &point_key {
-                        if !shard.owns(collection, key) {
-                            return Err(Error::StaleRoute(format!(
-                                "count on '{collection}' raced a chunk migration"
-                            )));
-                        }
-                    }
-                    Ok(c)
-                },
+        self.retrying(Retried::Stale, || {
+            let t = self.explain_targeting(collection, filter);
+            let legs = self.read_legs(
+                collection,
+                &t.shards,
+                t.point_key.as_ref(),
+                |_, coll| Ok(coll.count(filter)),
                 |_| 16,
-            );
-            match leg {
-                Ok(c) => n += c,
-                Err(e @ Error::StaleRoute(_)) => return Err(e),
-                Err(e) => match self.degraded {
-                    DegradedReads::Fail => return Err(e),
-                    DegradedReads::Partial => self.warn(format!("{e}; count may be partial")),
-                },
-            }
-            self.stats.charge(&self.network, 16);
-        }
-        Ok(n)
+            )?;
+            Ok(legs.into_iter().sum())
+        })
     }
 
     /// Routes an update to the shards its filter targets, retrying
     /// stale routes against refreshed metadata.
+    ///
+    /// A `multi` update is a bulk update of one statement, so a bounced
+    /// leg is re-sent only where it is still owed — re-running the
+    /// whole statement would apply an `$inc` or `$push` twice on the
+    /// shards that already have it. A `multi: false` update walks its
+    /// shards and stops at the first match, so nothing has applied
+    /// before a bounce and the walk simply starts over. An upsert that
+    /// matched nothing lands on the shard owning the seed document's key.
     pub fn update(
         &self,
         collection: &str,
@@ -1041,7 +694,38 @@ impl Mongos {
         upsert: bool,
         multi: bool,
     ) -> Result<UpdateResult> {
-        self.with_stale_retry(|| self.update_once(collection, filter, spec, upsert, multi))
+        let mut total = UpdateResult::default();
+        if multi {
+            let op = BulkUpdate { filter: filter.clone(), spec: spec.clone(), multi };
+            self.update_grouped(collection, &[&op], &mut total)?;
+        } else {
+            total = self.retrying(Retried::Stale, || {
+                let t = self.explain_targeting(collection, filter);
+                let mut total = UpdateResult::default();
+                for &id in &t.shards {
+                    let keys = t.point_key.as_slice();
+                    total.absorb(&self.update_leg(id, collection, keys, spec.payload_size(), |rs| {
+                        rs.update(collection, filter, spec, false, false, self.write_concern)
+                    })?);
+                    if total.matched > 0 {
+                        break;
+                    }
+                }
+                Ok(total)
+            })?;
+        }
+        if total.matched == 0 && upsert {
+            let r = self.retrying(Retried::Stale, || {
+                let meta = self.config.meta(collection);
+                let seed = doclite_docstore::update::upsert_seed(filter);
+                let (id, key) = route::document_target(meta.as_ref(), self.primary, &seed);
+                self.update_leg(id, collection, key.as_slice(), spec.payload_size(), |rs| {
+                    rs.update(collection, filter, spec, true, multi, self.write_concern)
+                })
+            })?;
+            total.upserted_id = r.upserted_id;
+        }
+        Ok(total)
     }
 
     /// Request-header bytes of one update exchange; the statements'
@@ -1054,6 +738,8 @@ impl Mongos {
     /// of the shard's ownership lock *before* `run` applies anything
     /// (so a bounced request has applied nothing and can be re-sent),
     /// and the network is charged the header plus `payload` bytes.
+    /// Broadcast legs carry no key — they reach a migration's
+    /// destination copy through its own shard anyway.
     fn update_leg(
         &self,
         shard_id: ShardId,
@@ -1063,63 +749,9 @@ impl Mongos {
         run: impl FnOnce(&ReplicaSet) -> Result<UpdateResult>,
     ) -> Result<UpdateResult> {
         let shard = self.shard(shard_id)?;
-        let bytes = Self::UPDATE_HEADER + payload;
-        let r = self.write_exchange(shard_id, bytes, || {
+        self.write_leg(shard_id, Self::UPDATE_HEADER + payload, || {
             shard.owned_write(collection, keys, || run(shard.replica_set()))
-        })?;
-        self.stats.charge(&self.network, bytes);
-        Ok(r)
-    }
-
-    fn update_once(
-        &self,
-        collection: &str,
-        filter: &Filter,
-        spec: &UpdateSpec,
-        upsert: bool,
-        multi: bool,
-    ) -> Result<UpdateResult> {
-        let shard_ids = self.route(collection, filter);
-        // A single-shard update is ownership-checked against the key
-        // the filter pins (derived the same way upsert seeding does),
-        // so it can't land on a shard mid-way through surrendering the
-        // chunk. Broadcast updates skip the check — they reach the
-        // migration's destination copy through its own shard anyway.
-        let point_key = self.point_key(collection, filter, &shard_ids);
-        let mut total = UpdateResult::default();
-        for id in &shard_ids {
-            let r = self.update_leg(
-                *id,
-                collection,
-                point_key.as_slice(),
-                spec.payload_size(),
-                |rs| rs.update(collection, filter, spec, false, multi, self.write_concern),
-            )?;
-            total.absorb(&r);
-            if !multi && total.matched > 0 {
-                break;
-            }
-        }
-        if total.matched == 0 && upsert {
-            // Upsert lands on the shard owning the seed document's key.
-            let seed = doclite_docstore::update::upsert_seed(filter);
-            let (shard_id, seed_key) = match self.config.meta(collection) {
-                Some(meta) => {
-                    let key = meta.key.extract(&seed);
-                    (meta.chunks[meta.chunk_for(&key)].shard, Some(key))
-                }
-                None => (self.primary, None),
-            };
-            let r = self.update_leg(
-                shard_id,
-                collection,
-                seed_key.as_slice(),
-                spec.payload_size(),
-                |rs| rs.update(collection, filter, spec, true, multi, self.write_concern),
-            )?;
-            total.upserted_id = r.upserted_id;
-        }
-        Ok(total)
+        })
     }
 
     /// Routes an ordered bulk update (statements never upsert).
@@ -1142,7 +774,7 @@ impl Mongos {
         let mut run: Vec<&BulkUpdate> = Vec::with_capacity(ops.len());
         let meta = self.config.meta(collection);
         for op in ops {
-            if !op.multi && self.route_in(meta.as_ref(), &op.filter).len() > 1 {
+            if !op.multi && route::target(meta.as_ref(), self.primary, &op.filter).shards.len() > 1 {
                 self.update_grouped(collection, &run, &mut total)?;
                 run.clear();
                 total.absorb(&self.update(collection, &op.filter, &op.spec, false, false)?);
@@ -1165,13 +797,11 @@ impl Mongos {
         if ops.is_empty() {
             return Ok(());
         }
-        // (statement, the one shard it is still owed to — `None` =
-        // wherever fresh routing sends it), in statement order.
-        let mut owed: Vec<(usize, Option<ShardId>)> = (0..ops.len()).map(|i| (i, None)).collect();
-        self.with_stale_retry(|| self.update_round(collection, ops, &mut owed, total))
+        let mut owed: Vec<Owed> = (0..ops.len()).map(|i| (i, None)).collect();
+        self.retrying(Retried::Stale, || self.update_round(collection, ops, &mut owed, total))
     }
 
-    /// One routing round of [`Mongos::update_grouped`]: routes every
+    /// One routing round of `Mongos::update_grouped`: routes every
     /// owed statement from one fresh metadata snapshot and sends each
     /// shard its group. A bounced exchange applied nothing, so it and
     /// the rest of that shard's group go back on the owed list — point
@@ -1182,26 +812,15 @@ impl Mongos {
         &self,
         collection: &str,
         ops: &[&BulkUpdate],
-        owed: &mut Vec<(usize, Option<ShardId>)>,
+        owed: &mut Vec<Owed>,
         total: &mut UpdateResult,
     ) -> Result<()> {
+        // A shard that left the cluster was drained into the others,
+        // which have the statements owed to it already.
+        owed.retain(|(_, only)| only.is_none_or(|id| self.shard(id).is_ok()));
         let meta = self.config.meta(collection);
-        let mut groups: BTreeMap<ShardId, Vec<(usize, Option<CompoundKey>)>> = BTreeMap::new();
-        for (i, only) in owed.drain(..) {
-            match only {
-                // A shard that left the cluster was drained into the
-                // others, which have this statement already.
-                Some(id) if self.shard(id).is_err() => {}
-                Some(id) => groups.entry(id).or_default().push((i, None)),
-                None => {
-                    let targets = self.route_in(meta.as_ref(), &ops[i].filter);
-                    let key = Self::point_key_in(meta.as_ref(), &ops[i].filter, &targets);
-                    for id in targets {
-                        groups.entry(id).or_default().push((i, key.clone()));
-                    }
-                }
-            }
-        }
+        let groups =
+            route::group_writes(meta.as_ref(), self.primary, |i| &ops[i].filter, owed.drain(..));
         let mut stale = None;
         for (id, group) in groups {
             let mut sent = 0;
@@ -1249,17 +868,13 @@ impl Mongos {
     /// [`Mongos::delete_many`], surfacing shard unavailability (writes
     /// never degrade to partial application silently).
     pub fn try_delete_many(&self, collection: &str, filter: &Filter) -> Result<usize> {
-        self.with_stale_retry(|| {
-            let shard_ids = self.route(collection, filter);
+        self.retrying(Retried::Stale, || {
             let mut n = 0;
-            for id in shard_ids {
+            for id in self.explain_targeting(collection, filter).shards {
                 let shard = self.shard(id)?;
-                n += self.write_exchange(id, 16, || {
-                    shard
-                        .replica_set()
-                        .delete_many(collection, filter, self.write_concern)
+                n += self.write_leg(id, 16, || {
+                    shard.replica_set().delete_many(collection, filter, self.write_concern)
                 })?;
-                self.stats.charge(&self.network, 16);
             }
             Ok(n)
         })
@@ -1270,82 +885,43 @@ impl Mongos {
     /// index-backed reads after failover).
     pub fn create_index(&self, collection: &str, def: IndexDef) -> Result<()> {
         for shard in self.shards() {
-            self.write_exchange(shard.id(), 64, || {
+            self.write_leg(shard.id(), 64, || {
                 shard.replica_set().create_index(collection, def.clone())
             })?;
-            self.stats.charge(&self.network, 64);
         }
         Ok(())
     }
 
     /// Runs an aggregation pipeline against a (possibly sharded)
-    /// collection.
-    ///
-    /// Mirroring MongoDB 3.0's split execution: the leading `$match`
-    /// run is pushed down to the targeted shards — and when the
-    /// router-side stages begin with a bounded `$sort`/`$limit` window,
-    /// that sort and the combined limit travel down too, so each leg
-    /// ships at most the window's worth of documents. The surviving
-    /// documents travel to the router, which executes the remaining
-    /// stages and materializes any `$out` target on the primary shard.
-    /// This transfer of intermediate data is precisely the "expensive
-    /// process" of aggregating from multiple nodes the thesis measures.
+    /// collection, per the [`route::plan_aggregate`] plan: the surviving
+    /// documents of each leg travel to the router, which executes the
+    /// remaining stages and materializes any `$out` target on the
+    /// primary shard. This transfer of intermediate data is precisely
+    /// the "expensive process" of aggregating from multiple nodes the
+    /// thesis measures.
     pub fn aggregate(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
-        self.with_stale_retry(|| self.aggregate_once(collection, pipeline))
+        self.retrying(Retried::Stale, || self.aggregate_once(collection, pipeline))
     }
 
     fn aggregate_once(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
-        let leading: Vec<&Filter> = pipeline.leading_matches();
-        let push_down = Filter::and(leading.iter().map(|f| (*f).clone()));
-        let rest = &pipeline.body()?[leading.len()..];
-        let out_target = pipeline.out_target();
-
-        // Shard-side pipeline: the coalesced $match plus, when the
-        // remaining stages open with a finite sort/limit window, the
-        // same sort and the combined `skip + limit` bound. The router
-        // re-runs the full window over the merged legs, so each leg
-        // only ever needs its local top `skip + limit`.
-        let mut leg_pipe = Pipeline::new();
-        if !matches!(push_down, Filter::True) {
-            leg_pipe = leg_pipe.match_stage(push_down.clone());
-        }
-        if let Some(w) = shard_window(rest) {
-            if let Some(spec) = w.sort {
-                leg_pipe = leg_pipe.sort(spec.to_vec());
-            }
-            leg_pipe = leg_pipe.limit(w.end);
-        }
-
-        let shard_ids = self.route(collection, &push_down);
-        let legs = self.scatter_legs(
-            &shard_ids,
-            |id| {
-                self.read_exchange(
-                    id,
-                    || {
-                        let db = self.shard(id)?.read_db(self.read_pref)?;
-                        match db.get_collection(collection) {
-                            Ok(coll) => coll.aggregate_with(&leg_pipe, None),
-                            Err(_) => Ok(Vec::new()),
-                        }
-                    },
-                    |docs| docs.iter().map(encoded_size).sum(),
-                )
-            },
-            |leg: &Result<Vec<Document>>| match leg {
-                Ok(docs) => docs.iter().map(encoded_size).sum(),
-                Err(_) => 0,
-            },
-        );
-        let merged: Vec<Document> = self.gather(legs)?.into_iter().flatten().collect();
+        let meta = self.config.meta(collection);
+        let plan = route::plan_aggregate(meta.as_ref(), self.primary, pipeline)?;
+        let legs = self.read_legs(
+            collection,
+            &plan.route.shards,
+            plan.route.point_key.as_ref(),
+            |_, coll| coll.aggregate_with(&plan.leg_pipe, None),
+            |docs| docs.iter().map(encoded_size).sum(),
+        )?;
+        let merged: Vec<Document> = legs.into_iter().flatten().collect();
         // $lookup resolves against the primary shard, where unsharded
         // collections live (MongoDB requires the from-collection of a
         // $lookup to be unsharded).
         let primary = self.shard(self.primary)?;
         let lookup_db = primary.db();
-        let results = stream::execute_streaming(merged, rest, Some(&*lookup_db))?;
+        let results = stream::execute_streaming(merged, plan.rest, Some(&*lookup_db))?;
 
-        if let Some(name) = out_target {
+        if let Some(name) = pipeline.out_target() {
             let out_bytes: usize = results.iter().map(encoded_size).sum();
             let rs = primary.replica_set();
             rs.drop_collection(name);
@@ -1353,10 +929,9 @@ impl Mongos {
             // member; the returned documents are re-read from the
             // store, so pipeline outputs without an _id gain a
             // store-assigned ObjectId.
-            self.write_exchange(self.primary, out_bytes, || {
+            self.write_leg(self.primary, out_bytes, || {
                 rs.insert_many(name, results, self.write_concern)
             })?;
-            self.stats.charge(&self.network, out_bytes);
             return Ok(rs.db().get_collection(name)?.all_docs());
         }
         Ok(results)
@@ -1612,45 +1187,6 @@ fn merge_sorted_legs(legs: Vec<Vec<Document>>, spec: &[(String, i32)]) -> Vec<Do
     out
 }
 
-/// A shard-pushable window at the head of the router-side stages.
-struct ShardWindow<'a> {
-    /// Sort spec to push ahead of the limit, when the window is sorted.
-    sort: Option<&'a [(String, i32)]>,
-    /// Upper bound (`skip + limit`) each leg must retain.
-    end: usize,
-}
-
-/// Inspects the router-side stages for a shard-pushable window: a
-/// leading `$sort` (optionally) followed by `$skip`/`$limit` stages
-/// composing a finite `[start, end)` window, or a bare windowed
-/// `$skip`/`$limit` run. An unbounded window (no `$limit`) returns
-/// `None` — nothing to truncate.
-fn shard_window(rest: &[Stage]) -> Option<ShardWindow<'_>> {
-    let mut i = 0;
-    let sort_spec = match rest.first() {
-        Some(Stage::Sort(spec)) => {
-            i = 1;
-            Some(spec.as_slice())
-        }
-        _ => None,
-    };
-    let mut start = 0usize;
-    let mut end = usize::MAX;
-    loop {
-        match rest.get(i) {
-            Some(Stage::Skip(n)) => start = start.saturating_add(*n),
-            Some(Stage::Limit(n)) => end = end.min(start.saturating_add(*n)),
-            _ => break,
-        }
-        i += 1;
-    }
-    if end == usize::MAX {
-        None
-    } else {
-        Some(ShardWindow { sort: sort_spec, end })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1672,7 +1208,7 @@ mod tests {
         let ids = [0usize, 1, 2, 3];
         for _ in 0..20 {
             let out = r.scatter_legs(
-                &ids,
+                ids.len(),
                 |id| {
                     std::thread::sleep(std::time::Duration::from_millis(
                         (ids.len() - 1 - id) as u64 * 3,
@@ -1683,6 +1219,117 @@ mod tests {
             );
             assert_eq!(out, vec![0, 1, 2, 3]);
         }
+    }
+
+    /// A router whose retry loop gives up after two instant retries,
+    /// and a counter of how often the retried operation ran.
+    fn two_retries() -> (Mongos, std::cell::Cell<u32>) {
+        let mut r = cluster(2);
+        r.set_retry_policy(RetryPolicy {
+            max_retries: 2,
+            initial_backoff: Duration::ZERO,
+            ..RetryPolicy::default()
+        });
+        (r, std::cell::Cell::new(0))
+    }
+
+    #[test]
+    fn stale_operations_replan_until_the_retries_run_out() {
+        let (r, runs) = two_retries();
+        let err = r
+            .retrying(Retried::Stale, || -> Result<()> {
+                runs.set(runs.get() + 1);
+                Err(Error::StaleRoute("chunk moved".into()))
+            })
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unavailable: stale routing not resolved after 2 retries: chunk moved"
+        );
+        assert_eq!((runs.get(), r.net_stats().retries()), (3, 2));
+        // Anything else — success or another error — ends the loop.
+        let err = r.retrying(Retried::Stale, || -> Result<()> { Err(Error::InvalidQuery("no".into())) });
+        assert_eq!(err.unwrap_err().to_string(), "invalid query: no");
+        assert_eq!(r.net_stats().retries(), 2);
+    }
+
+    #[test]
+    fn a_faulted_read_leg_runs_again() {
+        let (r, runs) = two_retries();
+        let leg = || {
+            runs.set(runs.get() + 1);
+            Ok(7usize)
+        };
+        // Healthy: straight through, the fault plan is never consulted.
+        assert_eq!(r.retrying(Retried::Read(1, &|_| 16), leg).unwrap(), 7);
+        assert_eq!(runs.get(), 1);
+        r.faults().set_partitioned(1, true);
+        let err = r.retrying(Retried::Read(1, &|_| 16), leg).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unavailable: Shard2 unreachable: network partition (gave up after 2 retries)"
+        );
+        assert_eq!((runs.get(), r.net_stats().partitioned()), (1 + 3, 3));
+        assert_eq!(r.retrying(Retried::Read(0, &|_| 16), leg).unwrap(), 7, "shard 0 is reachable");
+    }
+
+    #[test]
+    fn a_write_runs_at_most_once() {
+        let (mut r, runs) = two_retries();
+        let write = || {
+            runs.set(runs.get() + 1);
+            Ok(())
+        };
+        // Behind a partition the request never arrives...
+        r.faults().set_partitioned(1, true);
+        let err = r.write_leg(1, 16, write).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unavailable: Shard2 unreachable: network partition (gave up after 2 retries)"
+        );
+        assert_eq!((runs.get(), r.net_stats().exchanges()), (0, 0));
+        // ...and over a link that drops 9 requests in 10 it is re-sent
+        // until it arrives, applies once and is charged once.
+        r.faults().clear();
+        r.faults().set_seed(7);
+        r.faults().set_drop_probability(0.9);
+        r.set_retry_policy(RetryPolicy { max_retries: 500, ..r.retry_policy() });
+        for sent in 1..=20 {
+            r.write_leg(1, 16, write).unwrap();
+            assert_eq!((runs.get(), r.net_stats().exchanges()), (sent, sent as u64));
+        }
+        assert!(r.net_stats().dropped() > 20);
+        assert_eq!(r.net_stats().retries(), 2 + r.net_stats().dropped());
+    }
+
+    /// A shard that has surrendered a range (here: a migration that never
+    /// flips the config) must not answer a point read of it from the
+    /// surrendered copy, whichever read it is: find, count and aggregate
+    /// re-plan until the retries run out. Reads that pin no point —
+    /// ranges, broadcasts — have no key to check and answer.
+    #[test]
+    fn point_reads_of_a_surrendered_range_bounce_whichever_read_it_is() {
+        let (r, _) = two_retries();
+        r.config().shard_collection("facts", ShardKey::range(["k"]), 0);
+        for i in 0..20i64 {
+            r.insert_one("facts", doc! {"k" => i}).unwrap();
+        }
+        r.shards()[0].surrender_range("facts", KeyBound::MinKey, KeyBound::MaxKey);
+        let point = Filter::eq("k", 3i64);
+        let errors = [
+            r.try_find_with("facts", &point, &FindOptions::default()).unwrap_err(),
+            r.try_count("facts", &point).unwrap_err(),
+            r.aggregate("facts", &Pipeline::new().match_stage(point.clone()).limit(5)).unwrap_err(),
+        ];
+        for e in errors {
+            assert_eq!(
+                e.to_string(),
+                "unavailable: stale routing not resolved after 2 retries: \
+                 read of 'facts' raced a chunk migration"
+            );
+        }
+        assert_eq!(r.find("facts", &Filter::lt("k", 5i64)).len(), 5);
+        assert_eq!(r.aggregate("facts", &Pipeline::new().limit(5)).unwrap().len(), 5);
     }
 
     #[test]
@@ -1764,21 +1411,6 @@ mod tests {
         assert!(!t.is_targeted());
         assert_eq!(r.find("facts", &Filter::eq("v", 10i64)).len(), 1);
         assert_eq!(r.collection_len("facts"), 300);
-    }
-
-    #[test]
-    fn scatter_modes_agree() {
-        let mut r = cluster(3);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::hashed("k"), 0, 1024);
-        for i in 0..200i64 {
-            r.insert_one("facts", doc! {"k" => i, "grp" => i % 3}).unwrap();
-        }
-        let f = Filter::eq("grp", 1i64);
-        let parallel = r.find("facts", &f).len();
-        r.set_scatter_mode(ScatterMode::Sequential);
-        let sequential = r.find("facts", &f).len();
-        assert_eq!(parallel, sequential);
     }
 
     #[test]
@@ -2051,42 +1683,19 @@ mod tests {
         assert_eq!(vs, expect);
     }
 
+    /// The plan over *live* chunk accounting (the pure cases are
+    /// `route`'s table): inserts fed `est_docs`, which sizes the legs.
     #[test]
     fn explain_route_reports_targeting_and_leg_limits() {
         let r = skewed_cluster();
-
-        // Point read: targeted, single leg, full window pushed.
-        let opts = FindOptions {
-            sort: Vec::new(),
-            skip: 0,
-            limit: 3,
-            projection: Vec::new(),
-        };
-        let ex = r.explain_route("facts", &Filter::eq("k", 5i64), &opts);
+        let ex = r.explain_route("facts", &Filter::eq("k", 5i64), &FindOptions::new().with_limit(3));
         assert!(ex.targeted);
-        assert_eq!(ex.shards.len(), 1);
-        assert_eq!(ex.leg_limits, vec![3]);
-
-        // Broadcast sorted+limited read: per-leg limits follow the
-        // chunk-accounting skew — the small shard is capped below the
-        // window, no leg exceeds it.
-        let opts = FindOptions {
-            sort: vec![("v".to_string(), 1)],
-            skip: 0,
-            limit: 10,
-            projection: Vec::new(),
-        };
-        let ex = r.explain_route("facts", &Filter::True, &opts);
+        assert_eq!((ex.shards, ex.est_docs, ex.leg_limits), (vec![0], vec![10], vec![3]));
+        let top10 = FindOptions::new().sort_by("v", 1).with_limit(10);
+        let ex = r.explain_route("facts", &Filter::True, &top10);
         assert!(!ex.targeted);
-        assert_eq!(ex.shards, vec![0, 1]);
-        assert_eq!(ex.est_docs, vec![10, 500]);
-        assert!(ex.leg_limits.iter().all(|&l| l <= 10));
-        assert!(
-            ex.leg_limits[0] < 10,
-            "small shard should be capped below the window, got {:?}",
-            ex.leg_limits
-        );
-        assert_eq!(ex.leg_limits[1], 10);
+        // The small shard is capped below the window (at the even split).
+        assert_eq!((ex.shards, ex.est_docs, ex.leg_limits), (vec![0, 1], vec![10, 500], vec![5, 10]));
     }
 }
 

@@ -238,3 +238,30 @@ fn single_shard_range_operations_survive_the_lowest_chunk_moving_away() {
     assert_eq!(router.try_find_with("r", &tail, &FindOptions::new()).unwrap().len(), 3);
     assert_eq!(router.count("r", &Filter::eq("n", 2i64)), 3);
 }
+
+/// A broadcast `multi` update is a bulk update of one statement: a leg
+/// that bounces is re-sent only where it is still owed. Here the routing
+/// table still names a shard that has left the live set (it was drained
+/// into the others); re-running the whole statement for that one stale
+/// leg applied the `$inc` again on every shard that already had it, and
+/// then gave up.
+#[test]
+fn broadcast_update_applies_once_when_a_routed_shard_has_left() {
+    let cluster = cluster(RetryPolicy::default());
+    let router = cluster.router();
+    router.remove_shard(2).unwrap();
+    assert_eq!(router.explain_targeting("r", &Filter::True).shards(), [0, 1, 2]);
+
+    let inc = UpdateSpec::Ops(vec![UpdateOp::Inc("n".into(), 1.0)]);
+    let r = router.update("r", &Filter::True, &inc, false, true).unwrap();
+    let survivors: Vec<Document> = router
+        .shards()
+        .iter()
+        .flat_map(|s| s.db().get_collection("r").unwrap().all_docs())
+        .collect();
+    assert!(!survivors.is_empty() && survivors.len() < DOCS as usize);
+    assert_eq!(r.modified, survivors.len());
+    for d in survivors {
+        assert_eq!(d.get("n"), Some(&doclite_bson::Value::Int64(1)), "{:?}", d.get("k"));
+    }
+}

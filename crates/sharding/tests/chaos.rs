@@ -283,7 +283,7 @@ fn writes_fail_over_to_new_primary() {
 /// A request timeout fails oversized responses; slimmer exchanges pass.
 #[test]
 fn request_timeouts_fail_oversized_scatter_legs() {
-    let mut cluster = ShardedCluster::with_config(ClusterConfig {
+    let cluster = ShardedCluster::with_config(ClusterConfig {
         n_shards: 2,
         replicas_per_shard: 1,
         db_name: "chaos_t".into(),
@@ -295,7 +295,6 @@ fn request_timeouts_fail_oversized_scatter_legs() {
         retry: RetryPolicy::none(),
         ..ClusterConfig::default()
     });
-    cluster.router_mut().set_scatter_mode(doclite_sharding::ScatterMode::Sequential);
     cluster
         .shard_collection("facts", ShardKey::range(["k"]), 4 * 1024)
         .unwrap();

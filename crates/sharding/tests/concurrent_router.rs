@@ -3,7 +3,7 @@
 //! when many worker threads share one `Mongos`.
 
 use doclite_bson::{doc, Value};
-use doclite_docstore::{BulkUpdate, Filter, UpdateOp, UpdateSpec};
+use doclite_docstore::{BulkUpdate, Filter, Pipeline, UpdateOp, UpdateSpec};
 use doclite_sharding::{
     check_content, ClusterConfig, DegradedReads, NetworkModel, RetryPolicy, ShardKey,
     ShardedCluster,
@@ -116,7 +116,13 @@ fn chunk_migration_is_atomic_under_concurrent_inserts() {
         for w in 0..WRITERS {
             s.spawn(move || {
                 for i in 0..DOCS {
-                    router.insert_one("sales", derive(w * DOCS + i)).unwrap();
+                    let id = w * DOCS + i;
+                    router.insert_one("sales", derive(id)).unwrap();
+                    // Read it back through a point-targeted aggregate: a
+                    // leg that scanned the source after the migration
+                    // deleted its copies must re-plan, not answer short.
+                    let point = Pipeline::new().match_stage(Filter::eq("t", id));
+                    assert_eq!(router.aggregate("sales", &point).unwrap().len(), 1, "ticket {id}");
                 }
             });
         }
