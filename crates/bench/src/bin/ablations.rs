@@ -137,8 +137,9 @@ fn ablation_semi_join(sf: f64, params: &QueryParams) {
     );
 
     let (n_in, via_in) = time(|| {
-        semi_join_into(&db, "store_sales", &[("ss_sold_date_sk", &date_pks)], Filter::True, "i1")
+        semi_join_into(&db, "store_sales", &[("ss_sold_date_sk", &date_pks)], Filter::True, "i1", &[])
             .expect("semi-join")
+            .0
     });
     let (n_pt, via_points) = time(|| {
         db.drop_collection("i2");
@@ -242,6 +243,7 @@ fn ablation_embed_scope(sf: f64, params: &QueryParams) {
             &[("ss_cdemo_sk", &cd_pks), ("ss_sold_date_sk", &date_pks)],
             Filter::exists("ss_item_sk"),
             "abl5_intermediate",
+            &[],
         )
         .expect("semi-join");
         let (n, took) = time(|| {

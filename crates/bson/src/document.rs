@@ -52,17 +52,16 @@ impl Document {
 
     /// Sets a field, replacing any existing value and keeping its
     /// position; appends otherwise.
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<Value>) {
-        let key = key.into();
+    pub fn set(&mut self, key: impl AsRef<str> + Into<String>, value: impl Into<Value>) {
         let value = value.into();
-        match self.fields.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.fields.push((key, value)),
+        match self.get_mut(key.as_ref()) {
+            Some(v) => *v = value,
+            None => self.fields.push((key.into(), value)),
         }
     }
 
     /// Builder-style `set`.
-    pub fn with(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn with(mut self, key: impl AsRef<str> + Into<String>, value: impl Into<Value>) -> Self {
         self.set(key, value);
         self
     }

@@ -84,14 +84,18 @@ pub fn filter_dim_pks(store: &dyn Store, dim: &str, filter: &Filter, pk: &str) -
 
 /// Step ii: semi-joins the fact collection against the filtered
 /// dimension keys with `$in`, materializing matching fact documents into
-/// the intermediate collection (Fig 4.8 step 7). Returns the row count.
+/// the intermediate collection (Fig 4.8 step 7). Returns the row count
+/// and, per field of `referenced`, the distinct values the materialized
+/// rows hold there (in canonical order, read off the rows already in
+/// hand) — the only dimension keys step iii's embeds can match.
 pub fn semi_join_into(
     store: &dyn Store,
     fact: &str,
     constraints: &[(&str, &[Value])],
     extra: Filter,
     intermediate: &str,
-) -> Result<usize> {
+    referenced: &[&str],
+) -> Result<(usize, Vec<Vec<Value>>)> {
     let mut parts: Vec<Filter> = constraints
         .iter()
         .map(|(field, values)| Filter::In {
@@ -107,7 +111,17 @@ pub fn semi_join_into(
     for d in &mut docs {
         d.remove("_id"); // fresh ids in the intermediate collection
     }
-    store.insert_many(intermediate, docs)
+    let keys = referenced.iter().map(|field| distinct_values(&docs, field)).collect();
+    Ok((store.insert_many(intermediate, docs)?, keys))
+}
+
+/// The distinct values of top-level `field` over `docs`, in canonical
+/// order.
+pub fn distinct_values(docs: &[Document], field: &str) -> Vec<Value> {
+    let mut values: Vec<Value> = docs.iter().filter_map(|d| d.get(field).cloned()).collect();
+    values.sort_by(|a, b| a.canonical_cmp(b));
+    values.dedup_by(|a, b| a.canonical_eq(b));
+    values
 }
 
 #[cfg(test)]
@@ -138,12 +152,13 @@ mod tests {
             .unwrap();
         let a_keys = [Value::Int64(1), Value::Int64(2)];
         let b_keys = [Value::Int64(0), Value::Int64(1)];
-        let n = semi_join_into(
+        let (n, keys) = semi_join_into(
             &db,
             "fact",
             &[("a", &a_keys), ("b", &b_keys)],
             Filter::True,
             "inter",
+            &["b", "v"],
         )
         .unwrap();
         let expected = (0..20i64)
@@ -151,8 +166,11 @@ mod tests {
             .count();
         assert_eq!(n, expected);
         assert_eq!(db.get_collection("inter").unwrap().len(), expected);
+        // The referenced keys are the distinct values of the kept rows.
+        assert_eq!(keys[0], b_keys);
+        assert_eq!(keys[1].len(), expected, "v is unique per row");
         // re-running replaces, not appends
-        semi_join_into(&db, "fact", &[("a", &a_keys), ("b", &b_keys)], Filter::True, "inter")
+        semi_join_into(&db, "fact", &[("a", &a_keys), ("b", &b_keys)], Filter::True, "inter", &[])
             .unwrap();
         assert_eq!(db.get_collection("inter").unwrap().len(), expected);
     }

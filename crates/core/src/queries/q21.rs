@@ -108,6 +108,7 @@ pub fn run_normalized(store: &dyn Store, p: &Q21Params) -> Result<Vec<Document>>
         &[("inv_item_sk", &item_pks), ("inv_date_sk", &date_pks)],
         Filter::exists("inv_warehouse_sk"),
         intermediate,
+        &[],
     )?;
 
     // Step iii: embed the aggregation-relevant dimensions — warehouse

@@ -3,7 +3,7 @@
 //! ticket, keeping customers who bought in a city other than their
 //! current one.
 
-use super::{filter_dim_pks, output_collection, semi_join_into};
+use super::{distinct_values, filter_dim_pks, output_collection, semi_join_into};
 use crate::denormalize::embed_documents_from;
 use crate::store::Store;
 use doclite_bson::{Document, Value};
@@ -138,9 +138,10 @@ pub fn run_normalized(store: &dyn Store, p: &Q46Params) -> Result<Vec<Document>>
         "hd_demo_sk",
     );
 
-    // Step ii: semi-join store_sales.
+    // Step ii: semi-join store_sales, keeping the address and customer
+    // keys its rows reference.
     let intermediate = "query46_intermediate";
-    semi_join_into(
+    let (_, referenced) = semi_join_into(
         store,
         "store_sales",
         &[
@@ -150,14 +151,23 @@ pub fn run_normalized(store: &dyn Store, p: &Q46Params) -> Result<Vec<Document>>
         ],
         Filter::and([Filter::exists("ss_addr_sk"), Filter::exists("ss_customer_sk")]),
         intermediate,
+        &["ss_addr_sk", "ss_customer_sk"],
     )?;
+    let [bought_addr_pks, customer_pks]: [Vec<Value>; 2] =
+        referenced.try_into().expect("one key list per referenced field");
 
     // Step iii: embed the aggregation-relevant dimensions — the bought
     // address (ca_city groups the inner query) and the customer with the
     // customer's *current* address expanded (the outer query's
-    // `current_addr` join).
-    let addresses = store.find("customer_address", &Filter::True);
-    let mut customers = store.find("customer", &Filter::True);
+    // `current_addr` join). Only the referenced customers are fetched,
+    // and only the addresses they or the sales rows point at: a
+    // statement for any other key could match nothing.
+    let mut customers =
+        store.find("customer", &Filter::In { path: "c_customer_sk".into(), values: customer_pks });
+    let mut addr_pks = distinct_values(&customers, "c_current_addr_sk");
+    addr_pks.extend(bought_addr_pks.iter().cloned());
+    let addresses =
+        store.find("customer_address", &Filter::In { path: "ca_address_sk".into(), values: addr_pks });
     // Expand c_current_addr_sk in memory (customer ⋈ current_addr).
     let addr_by_pk: std::collections::HashMap<i64, &Document> = addresses
         .iter()
@@ -173,8 +183,14 @@ pub fn run_normalized(store: &dyn Store, p: &Q46Params) -> Result<Vec<Document>>
         }
     }
     // Both embeds consume their rows, so the addresses are handed over
-    // only after the expansion above has read them.
-    embed_documents_from(store, intermediate, "ss_addr_sk", "ca_address_sk", addresses)?;
+    // only after the expansion above has read them — and only the ones a
+    // sales row bought at.
+    let bought = |a: &Document| {
+        a.get("ca_address_sk")
+            .is_some_and(|k| bought_addr_pks.binary_search_by(|pk| pk.canonical_cmp(k)).is_ok())
+    };
+    let bought_addresses = addresses.into_iter().filter(bought).collect();
+    embed_documents_from(store, intermediate, "ss_addr_sk", "ca_address_sk", bought_addresses)?;
     embed_documents_from(store, intermediate, "ss_customer_sk", "c_customer_sk", customers)?;
 
     // Step iv: flatten and aggregate (same tail as denormalized).

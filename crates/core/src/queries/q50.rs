@@ -6,7 +6,7 @@
 //! key (ticket number), which is why it is the one query the thesis
 //! found *faster* on the sharded deployment (Section 4.3 item iii).
 
-use super::{output_collection, semi_join_into};
+use super::{distinct_values, output_collection, semi_join_into};
 use crate::denormalize::embed_documents_from;
 use crate::store::Store;
 use doclite_bson::{Document, Value};
@@ -148,15 +148,7 @@ pub fn run_normalized(store: &dyn Store, p: &Q50Params) -> Result<Vec<Document>>
     );
 
     // Step ii-b: semi-join store_sales on the returns' ticket numbers.
-    let tickets: Vec<Value> = {
-        let mut t: Vec<Value> = returns
-            .iter()
-            .filter_map(|r| r.get("sr_ticket_number").cloned())
-            .collect();
-        t.sort_by(|a, b| a.canonical_cmp(b));
-        t.dedup_by(|a, b| a.canonical_eq(b));
-        t
-    };
+    let tickets = distinct_values(&returns, "sr_ticket_number");
     let intermediate = "query50_intermediate";
     semi_join_into(
         store,
@@ -169,6 +161,7 @@ pub fn run_normalized(store: &dyn Store, p: &Q50Params) -> Result<Vec<Document>>
             Filter::exists("ss_customer_sk"),
         ]),
         intermediate,
+        &[],
     )?;
 
     // Step iii-a: embed each return into its matching sale line (ticket,

@@ -128,6 +128,7 @@ fn run_after_dim_filter(
         ],
         Filter::exists("ss_item_sk"),
         intermediate,
+        &[],
     )?;
 
     // Step iii: embed only the dimension used by the aggregation (item,

@@ -3,6 +3,8 @@
 use crate::agg::{kernel, stream, CompiledSortSpec, LookupMeta, LookupSource, Pipeline, Stage};
 use crate::columnar;
 use crate::error::{Error, Result};
+use crate::index::hashed::hash_key;
+use crate::index::keys::for_each_single_key;
 use crate::index::{extract_keys, Index, IndexDef, IndexKind, SortOrder};
 use crate::ordvalue::CompoundKey;
 use crate::query::filter::Filter;
@@ -12,7 +14,7 @@ use crate::stats::{self, CollStats};
 use crate::storage::{DocId, Slab};
 use crate::update::{apply_update, upsert_seed, BulkUpdate, UpdateResult, UpdateSpec};
 use crate::wal::{delete_records_chunked, Wal, WalRecord};
-use doclite_bson::{codec::encoded_size, Document, Value, MAX_DOCUMENT_SIZE};
+use doclite_bson::{codec::encoded_size, CompiledPath, Document, Value, MAX_DOCUMENT_SIZE};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -113,19 +115,146 @@ pub struct AggExplain {
     pub view_staleness: Option<u64>,
 }
 
-/// Name of the transient index a bulk update may build for its own
-/// duration (`Collection::install_batch_probe`). It exists only while
-/// the write lock is held, so no reader, `explain` or `index_defs` call
-/// can ever see it.
-const BATCH_PROBE: &str = "$batch_probe";
+/// The routing half of a bulk update: a hash join of the batch's
+/// statements against the collection (DESIGN.md, *Bulk updates: route by
+/// join, apply in place*). The statements that pin one shared path to a
+/// single value are hashed by that value; one slot-order pass over the
+/// collection reads each document's cell at the path and hands the slot
+/// to every such statement. A statement's candidates are a superset of
+/// what its scan would match — a document's keys are the ones a
+/// single-field index on the path holds for it ([`for_each_single_key`]:
+/// a missing field as null, an array once per element) — and the full
+/// filter is re-applied to each, so the join decides cost, never
+/// results. It lives for one `update_ordered` call, under the write lock.
+struct StatementJoin {
+    /// The equality path most statements of the batch pin.
+    path: String,
+    compiled: CompiledPath,
+    /// Per statement, its entry in `groups`; `None` for a statement that
+    /// does not pin `path` to one value and goes through the planner.
+    group_of: Vec<Option<usize>>,
+    /// One entry per distinct pinned value.
+    groups: Vec<JoinGroup>,
+    /// `hash_key` of a pinned value → the groups it may be.
+    by_hash: HashMap<u64, Vec<usize>>,
+    /// [`family_bit`]s of the pinned values: a cell of another family
+    /// (the document an embed has just written over its key) is not
+    /// even hashed.
+    families: u8,
+}
 
-/// Fewest statements of one bulk update that must share an unindexed
-/// equality path before the batch-scoped probe is built. Building the
-/// probe and re-keying it for every modified document costs, per
-/// document, about what 200 residual-filter evaluations do when each
-/// document is rewritten with a wide embedded value (measured 4.3 µs
-/// against 21 ns) — below that many statements their scans are cheaper.
-const PROBE_MIN_STATEMENTS: usize = 256;
+struct JoinGroup {
+    key: Value,
+    /// Candidate slots in slot order, each once.
+    slots: Vec<DocId>,
+}
+
+/// One bit per family of values that can be canonically equal.
+fn family_bit(v: &Value) -> u8 {
+    match v {
+        Value::Null => 1,
+        Value::Int32(_) | Value::Int64(_) | Value::Double(_) => 2,
+        Value::String(_) => 4,
+        Value::Document(_) => 8,
+        Value::Array(_) => 16,
+        Value::Bool(_) => 32,
+        Value::ObjectId(_) => 64,
+        Value::DateTime(_) => 128,
+    }
+}
+
+impl StatementJoin {
+    /// Routes `ops` over `slab`, or `None` when fewer than two of them
+    /// pin a common path to a single value — then every statement plans
+    /// for itself. The path is the one most statements pin, the
+    /// alphabetically first on a tie; a path any statement compares to
+    /// a whole array is never joined (a document's keys are its array's
+    /// elements, so the join would miss what that statement's scan
+    /// finds).
+    fn over(slab: &Slab, ops: &[(&Filter, &UpdateSpec, bool)]) -> Option<Self> {
+        if ops.len() < 2 {
+            return None;
+        }
+        let mut constraints: Vec<_> =
+            ops.iter().map(|&(filter, ..)| conjunctive_constraints(filter)).collect();
+        let mut pinned: HashMap<&str, Option<usize>> = HashMap::new();
+        for (path, c) in constraints.iter().flatten() {
+            let Some(eq) = &c.eq_set else { continue };
+            let tally = pinned.entry(path).or_insert(Some(0));
+            if eq.iter().any(|v| matches!(v, Value::Array(_))) {
+                *tally = None;
+            } else if let ([_], Some(n)) = (eq.as_slice(), tally) {
+                *n += 1;
+            }
+        }
+        let (_, Reverse(path)) = pinned
+            .into_iter()
+            .filter_map(|(path, n)| Some((n.filter(|n| *n >= 2)?, Reverse(path))))
+            .max()?;
+        let mut join = StatementJoin {
+            path: path.to_owned(),
+            compiled: CompiledPath::new(path),
+            group_of: Vec::with_capacity(ops.len()),
+            groups: Vec::new(),
+            by_hash: HashMap::new(),
+            families: 0,
+        };
+        for statement in &mut constraints {
+            let pin = statement
+                .remove(&join.path)
+                .and_then(|c| c.eq_set)
+                .and_then(|eq| <[Value; 1]>::try_from(eq).ok());
+            let group = pin.map(|[key]| join.group_for(key));
+            join.group_of.push(group);
+        }
+        for (id, doc) in slab.iter() {
+            join.enlist(id, doc);
+        }
+        Some(join)
+    }
+
+    /// The group of statements pinning `key`, created on first sight.
+    fn group_for(&mut self, key: Value) -> usize {
+        let bucket = self.by_hash.entry(hash_key(&key)).or_default();
+        if let Some(&g) = bucket.iter().find(|&&g| self.groups[g].key.canonical_eq(&key)) {
+            return g;
+        }
+        bucket.push(self.groups.len());
+        self.families |= family_bit(&key);
+        self.groups.push(JoinGroup { key, slots: Vec::new() });
+        self.groups.len() - 1
+    }
+
+    /// Hands slot `id` to every group pinning one of `doc`'s keys, in
+    /// slot position and once: the collection pass, and again whenever a
+    /// statement rewrites the joined path, for the statements after it.
+    /// Entries a rewrite leaves stale are dropped by the re-applied
+    /// filter.
+    fn enlist(&mut self, id: DocId, doc: &Document) {
+        let Self { compiled, groups, by_hash, families, .. } = self;
+        for_each_single_key(doc, compiled, |key| {
+            if family_bit(key) & *families == 0 {
+                return;
+            }
+            let Some(bucket) = by_hash.get(&hash_key(key)) else { return };
+            let Some(&g) = bucket.iter().find(|&&g| groups[g].key.canonical_eq(key)) else { return };
+            let slots = &mut groups[g].slots;
+            if slots.last().is_none_or(|&last| last < id) {
+                slots.push(id);
+            } else if let Err(at) = slots.binary_search(&id) {
+                slots.insert(at, id);
+            }
+        });
+    }
+
+    /// Statement `at`'s candidate slots; `None` when it is not keyed.
+    fn candidates(&self, at: usize) -> Option<&[DocId]> {
+        self.group_of[at].map(|g| self.groups[g].slots.as_slice())
+    }
+}
+
+/// The keys a document had in one index before an edit, and has after.
+type KeyMove = (Vec<CompoundKey>, Vec<CompoundKey>);
 
 /// What an update call keeps while a WAL is attached: the frames its
 /// group commit appends, and what a failed append has to undo.
@@ -723,9 +852,9 @@ impl Collection {
     /// before it stays applied and logged. A failed WAL append rolls
     /// back every statement of the batch. Returns the summed counts.
     ///
-    /// Statements that share an equality path no index serves probe one
-    /// batch-scoped hashed index over that path instead of each scanning
-    /// the collection (see `install_batch_probe`).
+    /// Statements that pin one shared path by equality are routed by one
+    /// pass over the collection instead of each planning and fetching
+    /// for itself (see [`StatementJoin`]).
     pub fn update_batch<'a>(
         &self,
         ops: impl IntoIterator<Item = &'a BulkUpdate>,
@@ -744,7 +873,7 @@ impl Collection {
     ) -> Result<UpdateResult> {
         let wal = self.wal_handle();
         let mut inner = self.inner.write();
-        let probe = Self::install_batch_probe(&mut inner, ops);
+        let mut join = StatementJoin::over(&inner.slab, ops);
         let mut log = wal.as_ref().map(|_| UpdateLog::default());
 
         // Applied post-images are logged even when a later document or
@@ -752,8 +881,9 @@ impl Collection {
         // survive a crash.
         let outcome = (|| -> Result<UpdateResult> {
             let mut total = UpdateResult::default();
-            for &(filter, spec, multi) in ops {
-                self.apply_statement(&mut inner, filter, spec, multi, log.as_mut(), &mut total)?;
+            for (at, &statement) in ops.iter().enumerate() {
+                let join = join.as_mut().map(|j| (j, at));
+                self.apply_statement(&mut inner, statement, join, log.as_mut(), &mut total)?;
             }
             if total.matched == 0 && upsert {
                 let (filter, spec, _) = ops[0];
@@ -773,12 +903,6 @@ impl Collection {
             Ok(total)
         })();
 
-        // The probe leaves before anything else can observe the
-        // collection: it is never logged and never rolled back into.
-        if probe {
-            let dropped = inner.indexes.pop();
-            debug_assert!(dropped.is_some_and(|i| i.def.name == BATCH_PROBE));
-        }
         if let (Some(wal), Some(log)) = (wal, log) {
             if !log.records.is_empty() {
                 if let Err(e) = wal.append_batch(&log.records) {
@@ -807,67 +931,107 @@ impl Collection {
         outcome
     }
 
-    /// Runs one update statement under the held write lock: plan, fetch
-    /// candidates, re-apply the filter, and replace each match with its
-    /// updated copy, maintaining indexes, the columnar sidecar and
-    /// statistics. With `log` present (a WAL is attached) it records the
-    /// post-image frames and the pre-images a rollback needs. Counts go
-    /// into `total` as they happen.
+    /// Runs one update statement under the held write lock: take its
+    /// candidates from the batch's join (`join` carries it and the
+    /// statement's position) or plan and fetch them, re-apply the filter,
+    /// and edit each match where it lies, adjusting the indexes, columns
+    /// and statistics over the paths the spec touches and no others.
+    /// With `log` present (a WAL is attached) it records the post-image
+    /// frames and the pre-images a rollback needs. Counts go into `total`
+    /// as they happen.
     fn apply_statement(
         &self,
         inner: &mut Inner,
-        filter: &Filter,
-        spec: &UpdateSpec,
-        multi: bool,
+        (filter, spec, multi): (&Filter, &UpdateSpec, bool),
+        mut join: Option<(&mut StatementJoin, usize)>,
         mut log: Option<&mut UpdateLog>,
         total: &mut UpdateResult,
     ) -> Result<()> {
-        let (plan, _) = Self::plan(inner, filter, true);
+        let keyed = join.as_ref().and_then(|(j, at)| j.candidates(*at));
+        if keyed.is_some_and(<[DocId]>::is_empty) {
+            return Ok(());
+        }
         let compiled = compile(filter);
-        let mut ids = Self::fetch_candidates(inner, &plan, &compiled);
-        if Self::note_scan(inner, &plan) {
-            Self::build_due_columns(inner, &plan.residual);
-        }
-        if plan.uses_index() {
-            // Visit index candidates the way a scan would — in slot
-            // order, once each — so which document a single-document
-            // update picks, and how often a multikey match is updated,
-            // never depends on which index (or the batch probe) served.
-            ids.sort_unstable();
-            ids.dedup();
-        }
+        // Either way the candidates come in slot order, once each — what
+        // a scan would visit — so which document a single-document
+        // update picks, and how often a multikey match is updated, never
+        // depends on what found them.
+        let ids = match keyed {
+            Some(slots) => slots.to_vec(),
+            None => {
+                let (plan, _) = Self::plan(inner, filter, true);
+                let mut ids = Self::fetch_candidates(inner, &plan, &compiled);
+                if Self::note_scan(inner, &plan) {
+                    Self::build_due_columns(inner, &plan.residual);
+                }
+                if plan.uses_index() {
+                    ids.sort_unstable();
+                    ids.dedup();
+                }
+                ids
+            }
+        };
         let Inner { slab, indexes, columnar, stats } = inner;
+        let stats = stats.get_mut();
+        let touched: Vec<usize> = (0..indexes.len())
+            .filter(|&i| indexes[i].def.fields.iter().any(|(field, _)| spec.touches(field)))
+            .collect();
+        let stat_fields = stats.touched_fields(|path| spec.touches(path));
+        let rejoins = join.as_ref().is_some_and(|(j, _)| spec.touches(&j.path));
+        // A statement applies to a document fully or not at all. One
+        // operator fails before it changes anything, so a copy to
+        // restore from is taken only when something else can refuse the
+        // edited document — a later operator, a unique or compound index
+        // over a touched path, the size cap (checked per document below)
+        // — or when the WAL needs it as the undo entry anyway.
+        let refusable = log.is_some()
+            || !matches!(spec, UpdateSpec::Ops(ops) if ops.len() == 1)
+            || touched.iter().any(|&i| indexes[i].def.unique || indexes[i].def.fields.len() > 1);
+        let max_growth = spec.max_growth();
         for id in ids {
             let Some(doc) = slab.get(id) else { continue };
             if !matches_compiled(&compiled, doc) {
                 continue;
             }
             total.matched += 1;
-            let mut updated = doc.clone();
-            if apply_update(&mut updated, spec)? {
-                let size = encoded_size(&updated);
-                if size > MAX_DOCUMENT_SIZE {
-                    return Err(Error::DocumentTooLarge { size, max: MAX_DOCUMENT_SIZE });
+            let old_stats: Vec<_> = stat_fields.iter().map(|path| doc.get_path(path)).collect();
+            let edited = slab
+                .edit(id, |doc, size| {
+                    let pre_image = (refusable || size + max_growth > MAX_DOCUMENT_SIZE)
+                        .then(|| doc.clone());
+                    match Self::edit_document(doc, size, spec, id, indexes, &touched) {
+                        Ok(None) => Ok((0, None)),
+                        Ok(Some((delta, keys))) => Ok((delta, Some((pre_image, keys)))),
+                        Err(e) => {
+                            if let Some(pre_image) = pre_image {
+                                *doc = pre_image;
+                            }
+                            Err(e)
+                        }
+                    }
+                })
+                .expect("doc exists")?;
+            if let Some((pre_image, keys)) = edited {
+                for (&i, (old, new)) in touched.iter().zip(keys) {
+                    if old != new {
+                        indexes[i].rekey(id, &old, new);
+                    }
                 }
-                // The slab takes the only copy; everything below reads
-                // it back in place.
-                let old = slab.replace(id, updated).expect("doc exists");
-                let updated = slab.get(id).expect("just replaced");
-                for idx in indexes.iter_mut() {
-                    idx.remove(id, &old);
-                    idx.insert(id, updated)?;
-                }
+                let doc = slab.get(id).expect("just edited");
                 if let Some(cs) = columnar {
-                    cs.set_row(id, updated);
+                    cs.set_cells(id, doc, |path| spec.touches(path));
                 }
-                stats.get_mut().record_update(&old, updated);
+                stats.record_edit(&stat_fields, old_stats, doc);
+                if let (true, Some((join, _))) = (rejoins, &mut join) {
+                    join.enlist(id, doc);
+                }
                 // Log the post-image so replay is independent of how
                 // the update expression computed it.
                 if let Some(log) = &mut log {
-                    log.undo.push((id, old));
+                    log.undo.push((id, pre_image.expect("taken whenever a WAL is attached")));
                     log.records.push(WalRecord::Update {
                         coll: self.name.clone(),
-                        doc: updated.clone(),
+                        doc: doc.clone(),
                     });
                 }
                 total.modified += 1;
@@ -879,56 +1043,45 @@ impl Collection {
         Ok(())
     }
 
-    /// Builds the batch-scoped probe index when it pays: at least
-    /// [`PROBE_MIN_STATEMENTS`] statements constrain one common path to
-    /// a single value and the planner would serve them by a collection
-    /// scan. The transient hashed index goes where the planner,
-    /// `fetch_candidates` and the per-update index maintenance see it,
-    /// so statements run exactly as they would against a real index — a
-    /// statement that rewrites the probed field re-keys the document for
-    /// the ones after it, and the full filter is still re-applied to
-    /// every candidate. The caller removes it before releasing the write
-    /// lock. Returns whether an index was installed.
-    fn install_batch_probe(inner: &mut Inner, ops: &[(&Filter, &UpdateSpec, bool)]) -> bool {
-        if ops.len() < PROBE_MIN_STATEMENTS
-            || inner.indexes.iter().any(|i| i.def.name == BATCH_PROBE)
-        {
-            return false;
+    /// The fallible half of an in-place update: applies `spec` to `doc`
+    /// (of encoded size `size`, in slot `id`) and decides whether the
+    /// result may stay — under the size cap, and with keys every touched
+    /// index accepts, all checked before any index is changed. `None`
+    /// when the document did not change; otherwise the size delta and,
+    /// per index of `touched`, the keys the document had and has. On
+    /// `Err` the document may be half-edited: the caller restores it.
+    fn edit_document(
+        doc: &mut Document,
+        size: usize,
+        spec: &UpdateSpec,
+        id: DocId,
+        indexes: &[Index],
+        touched: &[usize],
+    ) -> Result<Option<(isize, Vec<KeyMove>)>> {
+        let old_keys: Vec<_> = touched
+            .iter()
+            .map(|&i| extract_keys(doc, &indexes[i].def).unwrap_or_default())
+            .collect();
+        let before = spec.touched_size(doc);
+        if !apply_update(doc, spec)? {
+            return Ok(None);
         }
-        // Per equality path: how many statements would scan for it, or
-        // `None` once any statement compares the path to a whole array —
-        // arrays index per element, so an index lookup would miss what
-        // that statement's scan finds.
-        let mut scanned: HashMap<String, Option<usize>> = HashMap::new();
-        for &(filter, ..) in ops {
-            let scans = !Self::plan(inner, filter, true).0.uses_index();
-            for (path, c) in conjunctive_constraints(filter) {
-                let Some(eq) = c.eq_set else { continue };
-                let tally = scanned.entry(path).or_insert(Some(0));
-                if eq.iter().any(|v| matches!(v, Value::Array(_))) {
-                    *tally = None;
-                } else if let (true, [_], Some(n)) = (scans, eq.as_slice(), tally) {
-                    *n += 1;
+        let delta = spec.touched_size(doc) as isize - before as isize;
+        let size = size.saturating_add_signed(delta);
+        if size > MAX_DOCUMENT_SIZE {
+            return Err(Error::DocumentTooLarge { size, max: MAX_DOCUMENT_SIZE });
+        }
+        let mut keys = Vec::with_capacity(touched.len());
+        for (&i, old) in touched.iter().zip(old_keys) {
+            let new = extract_keys(doc, &indexes[i].def)?;
+            if indexes[i].def.unique {
+                if let Some(taken) = indexes[i].conflict(id, &new) {
+                    return Err(Error::DuplicateId(format!("{:?}", taken.0)));
                 }
             }
+            keys.push((old, new));
         }
-        // The most-shared path; the alphabetically first on a tie.
-        let Some((_, Reverse(path))) = scanned
-            .into_iter()
-            .filter_map(|(path, n)| Some((n.filter(|n| *n >= PROBE_MIN_STATEMENTS)?, Reverse(path))))
-            .max()
-        else {
-            return false;
-        };
-        let mut probe = Index::new(IndexDef { name: BATCH_PROBE.to_owned(), ..IndexDef::hashed(path) })
-            .expect("single-field hashed definition is valid");
-        for (id, doc) in inner.slab.iter() {
-            probe
-                .insert(id, doc)
-                .expect("a non-unique single-field index accepts every document");
-        }
-        inner.indexes.push(probe);
-        true
+        Ok(Some((delta, keys)))
     }
 
     /// Deletes matching documents, returning the count removed. A WAL
@@ -1091,8 +1244,9 @@ impl Collection {
     /// Plans `filter` and snapshots its candidate documents under the
     /// read lock as shared handles (refcount bumps, no clones), releasing
     /// it before anything is sorted, paged or aggregated. The snapshot is
-    /// consistent — documents are immutable in place, updates swap whole
-    /// slots — and lock-free execution means an analytical scan does not
+    /// consistent — a held document never changes: an update edits a
+    /// slot in place only when nobody else holds it, and a copy otherwise
+    /// ([`Slab::edit`]) — and lock-free execution means an analytical scan does not
     /// convoy concurrent writers (or `$lookup` re-entry into this
     /// collection) behind it. What is evaluated under the lock depends on
     /// the plan: nothing for a collection scan or an index (the caller
@@ -1513,59 +1667,199 @@ mod tests {
     }
 
     #[test]
-    fn batch_probe_is_built_only_for_enough_unindexed_equalities() {
-        let n = PROBE_MIN_STATEMENTS as i64;
-        let installs = |c: &Collection, ops: &[BulkUpdate]| {
-            let mut inner = c.inner.write();
-            let built = Collection::install_batch_probe(&mut inner, &as_refs(ops));
-            if built {
-                assert_eq!(inner.indexes.pop().unwrap().def.name, BATCH_PROBE);
-            }
-            built
-        };
+    fn statements_are_joined_on_the_path_two_or_more_of_them_pin() {
         let c = seeded();
-        assert!(installs(&c, &embed_statements(n)));
-        assert!(!installs(&c, &embed_statements(n - 1)), "too few statements to repay it");
-        // One whole-array comparison on the path rules the probe out:
-        // an index lookup would miss what that statement's scan finds.
-        let mut with_array = embed_statements(n);
+        let inner = c.inner.read();
+        let route = |ops: &[BulkUpdate]| StatementJoin::over(&inner.slab, &as_refs(ops));
+        assert!(route(&embed_statements(1)).is_none(), "one statement plans for itself");
+        assert!(route(&[]).is_none());
+
+        let mut ops = embed_statements(3);
+        ops.push(BulkUpdate {
+            filter: Filter::lt("val", 10i64),
+            spec: UpdateSpec::set("flag", true),
+            multi: true,
+        });
+        ops.push(BulkUpdate {
+            filter: Filter::and([Filter::eq("grp", 1i32), Filter::gt("val", 50i64)]),
+            spec: UpdateSpec::set("flag", true),
+            multi: true,
+        });
+        ops.push(BulkUpdate {
+            filter: Filter::is_in("grp", [1i64, 2i64]),
+            spec: UpdateSpec::set("flag", true),
+            multi: true,
+        });
+        let join = route(&ops).expect("four statements pin grp");
+        assert_eq!(join.path, "grp");
+        // Statement 4 pins the value statement 1 does (across numeric
+        // types) and shares its candidates; a range and a two-valued
+        // `$in` are not keyed.
+        assert_eq!(join.group_of, vec![Some(0), Some(1), Some(2), None, Some(1), None]);
+        assert_eq!(join.candidates(1).unwrap(), [1, 11, 21, 31, 41, 51, 61, 71, 81, 91]);
+        assert_eq!(join.candidates(3), None);
+
+        // The most-pinned path wins, the alphabetically first on a tie.
+        let two_paths: Vec<BulkUpdate> = (0..2i64)
+            .map(|i| BulkUpdate {
+                filter: Filter::and([Filter::eq("val", i), Filter::eq("grp", i)]),
+                spec: UpdateSpec::set("flag", true),
+                multi: true,
+            })
+            .collect();
+        assert_eq!(route(&two_paths).unwrap().path, "grp");
+        // One whole-array comparison rules its path out: a document's
+        // keys are its array's elements, so the join would miss what
+        // that statement's scan finds.
+        let mut with_array = embed_statements(4);
         with_array[3].filter = Filter::eq("grp", doclite_bson::array![1i64, 2i64]);
-        assert!(!installs(&c, &with_array));
-        // A real index already serves the statements.
-        c.create_index(IndexDef::single("grp")).unwrap();
-        assert!(!installs(&c, &embed_statements(n)));
+        assert!(route(&with_array).is_none());
     }
 
     #[test]
-    fn update_batch_applies_in_order_and_leaves_no_probe_behind() {
-        let c = seeded();
-        let mut ops = embed_statements(PROBE_MIN_STATEMENTS as i64);
-        // A chain through the probed field: grp 3 → 4 happens before the
-        // statement that embeds grp 4, which must then see those rows.
-        ops.insert(
-            0,
-            BulkUpdate {
-                filter: Filter::eq("grp", 3i64),
-                spec: UpdateSpec::set("grp", 4i64),
-                multi: true,
-            },
-        );
-        let r = c.update_batch(&ops).unwrap();
-        assert_eq!((r.matched, r.modified), (110, 110));
-        assert_eq!(c.count(&Filter::eq("grp.pk", 4i64)), 20);
-        assert_eq!(c.count(&Filter::eq("grp.pk", 3i64)), 0);
-        assert_eq!(c.index_defs().len(), 1, "only _id_: the probe is gone");
-        assert!(!c.explain(&Filter::eq("grp", 5i64)).used_index);
+    fn joined_batch_applies_in_order_and_leaves_nothing_behind() {
+        for indexed in [false, true] {
+            let c = seeded();
+            if indexed {
+                c.create_index(IndexDef::single("grp")).unwrap();
+            }
+            let defs = c.index_defs();
+            let mut ops = embed_statements(10);
+            // A chain through the joined field: grp 3 → 4 happens before
+            // the statement that embeds grp 4, which must then see those
+            // rows — and the statement that embeds grp 3 must not.
+            ops.insert(
+                0,
+                BulkUpdate {
+                    filter: Filter::eq("grp", 3i64),
+                    spec: UpdateSpec::set("grp", 4i64),
+                    multi: true,
+                },
+            );
+            let r = c.update_batch(&ops).unwrap();
+            assert_eq!((r.matched, r.modified), (110, 110));
+            assert_eq!(c.count(&Filter::eq("grp.pk", 4i64)), 20);
+            assert_eq!(c.count(&Filter::eq("grp.pk", 3i64)), 0);
+            assert_eq!(c.index_defs(), defs);
+            assert_eq!(c.explain(&Filter::eq("grp.pk", 4i64)).docs_returned, 20);
+            assert_eq!(c.explain(&Filter::eq("grp", 5i64)).used_index, indexed);
 
-        // A statement error stops the batch, keeps what came before it,
-        // and still removes the probe.
+            // A statement error stops the batch and keeps what came
+            // before it.
+            let c = seeded();
+            let mut ops = embed_statements(10);
+            ops[2].spec = UpdateSpec::set("_id", 0i64);
+            let err = c.update_batch(&ops).unwrap_err();
+            assert_eq!(err.to_string(), "invalid query: _id is immutable");
+            assert_eq!(c.count(&Filter::exists("grp.pk")), 20, "statements 0 and 1 applied");
+            assert_eq!(c.index_defs().len(), 1);
+        }
+    }
+
+    /// Index contents as lookups see them: per probed key, the `_id`s an
+    /// index-served equality returns.
+    fn lookups(c: &Collection, path: &str, keys: impl IntoIterator<Item = Value>) -> Vec<Vec<i64>> {
+        keys.into_iter()
+            .map(|k| {
+                let filter = Filter::eq(path, k);
+                assert!(c.explain(&filter).used_index, "{path} is indexed");
+                c.find(&filter).iter().map(|d| d.get("_id").unwrap().as_i64().unwrap()).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refused_update_leaves_the_document_and_every_index_as_they_were() {
+        let fresh = || {
+            let c = Collection::new("t");
+            c.create_index(IndexDef::single("v")).unwrap();
+            c.create_index(IndexDef::single("u").unique()).unwrap();
+            c.insert_many([
+                doc! {"_id" => 0i64, "u" => 1i64, "v" => 10i64},
+                doc! {"_id" => 1i64, "u" => 2i64, "v" => 20i64},
+                doc! {"_id" => 2i64, "u" => 3i64, "v" => 30i64},
+            ])
+            .unwrap();
+            c
+        };
+        let state = |c: &Collection| {
+            (
+                c.all_docs(),
+                lookups(c, "u", (1..=4i64).map(Value::Int64)),
+                lookups(c, "v", [10i64, 20, 21, 30].map(Value::Int64)),
+                c.data_size(),
+            )
+        };
+        // `v` is indexed ahead of `u`: it used to be re-keyed before `u`
+        // refused the document.
+        let collide = UpdateSpec::set("v", 21i64).and_set("u", 1i64);
+
+        let c = fresh();
+        let before = state(&c);
+        let err = c.update(&Filter::eq("u", 2i64), &collide, false, true).unwrap_err();
+        assert!(matches!(err, Error::DuplicateId(_)), "{err}");
+        assert_eq!(state(&c), before);
+
+        // As statement 2 of 3: statement 1 stays, statement 3 never runs.
+        let c = fresh();
+        let ops = [
+            BulkUpdate { filter: Filter::eq("u", 3i64), spec: UpdateSpec::set("u", 4i64), multi: true },
+            BulkUpdate { filter: Filter::eq("u", 2i64), spec: collide.clone(), multi: true },
+            BulkUpdate { filter: Filter::eq("u", 1i64), spec: UpdateSpec::set("v", 11i64), multi: true },
+        ];
+        assert!(matches!(c.update_batch(&ops), Err(Error::DuplicateId(_))));
+        let expected = fresh();
+        expected.update(&ops[0].filter, &ops[0].spec, false, true).unwrap();
+        assert_eq!(state(&c), state(&expected));
+        assert_eq!(lookups(&c, "u", [Value::Int64(4)]), [[2]]);
+    }
+
+    #[test]
+    fn in_place_update_is_copy_on_write_for_a_reader_holding_the_document() {
         let c = seeded();
-        let mut ops = embed_statements(PROBE_MIN_STATEMENTS as i64);
-        ops[2].spec = UpdateSpec::set("_id", 0i64);
-        let err = c.update_batch(&ops).unwrap_err();
-        assert_eq!(err.to_string(), "invalid query: _id is immutable");
-        assert_eq!(c.count(&Filter::exists("grp.pk")), 20, "statements 0 and 1 applied");
-        assert_eq!(c.index_defs().len(), 1);
+        let filter = Filter::eq("_id", 7i64);
+        let (held, _) = c.snapshot_candidates(&filter, &compile(&filter), usize::MAX);
+        let spec = UpdateSpec::set("grp", doc! {"pk" => 7i64});
+        assert_eq!(c.update(&filter, &spec, false, true).unwrap().modified, 1);
+        assert_eq!(held[0].get("grp"), Some(&Value::Int64(7)), "the handle keeps the pre-image");
+        let now = c.find_one(&filter).unwrap();
+        assert_eq!(now.get_path("grp.pk"), Some(Value::Int64(7)), "the collection serves the post-image");
+        // `$set` of an existing key keeps its position; a new key appends.
+        c.update(&filter, &UpdateSpec::set("flag", true), false, true).unwrap();
+        let keys: Vec<String> = c.find_one(&filter).unwrap().keys().cloned().collect();
+        assert_eq!(keys, ["_id", "grp", "val", "flag"]);
+    }
+
+    #[test]
+    fn update_rekeys_only_the_indexes_over_the_paths_it_touches() {
+        let c = Collection::new("t");
+        for def in [IndexDef::single("a"), IndexDef::single("a.b"), IndexDef::single("c")] {
+            c.create_index(def).unwrap();
+        }
+        c.insert_many((0..4i64).map(|i| doc! {"_id" => i, "a" => doc! {"b" => i}, "c" => i % 2}))
+            .unwrap();
+        let entries = |c: &Collection| -> Vec<usize> {
+            c.inner.read().indexes.iter().map(Index::entry_count).collect()
+        };
+        // The untouched indexes are not visited at all: emptied behind
+        // the collection's back, they stay empty through the update.
+        {
+            let mut inner = c.inner.write();
+            for i in [0, 3] {
+                let def = inner.indexes[i].def.clone();
+                inner.indexes[i] = Index::new(def).unwrap();
+            }
+        }
+        c.update(&Filter::eq("a.b", 1i64), &UpdateSpec::set("a.b", 9i64), false, true).unwrap();
+        assert_eq!(entries(&c), [0, 4, 4, 0], "_id_ and c_1 were not re-keyed");
+        assert_eq!(lookups(&c, "a.b", [1i64, 9].map(Value::Int64)), [vec![], vec![1]]);
+        assert_eq!(lookups(&c, "a", [Value::Document(doc! {"b" => 9i64})]), [[1]]);
+
+        let unset = UpdateSpec::Ops(vec![crate::update::UpdateOp::Unset("a".into())]);
+        c.update(&Filter::eq("a.b", 9i64), &unset, false, true).unwrap();
+        assert_eq!(entries(&c), [0, 4, 4, 0]);
+        assert_eq!(lookups(&c, "a.b", [Value::Int64(9), Value::Null]), [vec![], vec![1]]);
+        assert_eq!(lookups(&c, "a", [Value::Null]), [[1]]);
     }
 
     #[test]
@@ -1602,6 +1896,19 @@ mod tests {
             c.insert_one(doc! {"s" => big}),
             Err(Error::DocumentTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn update_past_the_size_cap_is_refused_and_leaves_the_document() {
+        let c = Collection::new("t");
+        c.insert_one(doc! {"_id" => 1i64, "s" => "x".repeat(MAX_DOCUMENT_SIZE - 100)}).unwrap();
+        let before = (c.all_docs(), c.data_size());
+        let by_id = Filter::eq("_id", 1i64);
+        let err = c.update(&by_id, &UpdateSpec::set("t", "y".repeat(200)), false, true).unwrap_err();
+        assert!(matches!(err, Error::DocumentTooLarge { size, .. } if size > MAX_DOCUMENT_SIZE), "{err}");
+        assert_eq!((c.all_docs(), c.data_size()), before);
+        assert_eq!(c.update(&by_id, &UpdateSpec::set("t", "y"), false, true).unwrap().modified, 1);
+        assert_eq!(c.data_size(), before.1 + "t".len() + 2 + 4 + "y".len() + 1);
     }
 
     #[test]

@@ -422,14 +422,21 @@ impl ColumnSet {
         }
     }
 
-    /// Writes one document's cells (insert, update, or delete-rollback).
+    /// Writes one document's cells (insert, whole-document rollback).
     pub fn set_row(&mut self, slot: DocId, doc: &Document) {
-        let slot = slot as usize;
-        self.rows = self.rows.max(slot + 1);
-        self.live.set(slot);
-        for ((_, path), col) in self.fields.iter().zip(&mut self.cols) {
-            let resolved = path.resolve(doc);
-            col.set_cell(slot, resolved.as_ref().map(Resolved::as_value));
+        self.rows = self.rows.max(slot as usize + 1);
+        self.live.set(slot as usize);
+        self.set_cells(slot, doc, |_| true);
+    }
+
+    /// Rewrites a live row's cells in the columns whose path `touched`
+    /// selects — all an in-place update can have changed.
+    pub(crate) fn set_cells(&mut self, slot: DocId, doc: &Document, touched: impl Fn(&str) -> bool) {
+        for ((field, path), col) in self.fields.iter().zip(&mut self.cols) {
+            if touched(field) {
+                let resolved = path.resolve(doc);
+                col.set_cell(slot as usize, resolved.as_ref().map(Resolved::as_value));
+            }
         }
     }
 

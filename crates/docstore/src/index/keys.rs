@@ -3,7 +3,7 @@
 use super::IndexDef;
 use crate::error::{Error, Result};
 use crate::ordvalue::CompoundKey;
-use doclite_bson::{Document, Value};
+use doclite_bson::{CompiledPath, Document, Resolved, Value};
 
 /// Extracts the index keys a document contributes under a definition.
 ///
@@ -57,6 +57,22 @@ pub fn extract_keys(doc: &Document, def: &IndexDef) -> Result<Vec<CompoundKey>> 
     }
 }
 
+/// Visits the keys a document contributes to a single-field index on
+/// `path` — exactly [`extract_keys`]'s values for such a definition
+/// (missing field and empty array as `Null`, an array once per element)
+/// — borrowed from the document, so a scalar cell allocates nothing.
+/// The bulk-update join routes by these, which is what makes its
+/// candidates the ones an index on the path would return.
+pub(crate) fn for_each_single_key(doc: &Document, path: &CompiledPath, mut visit: impl FnMut(&Value)) {
+    let resolved = path.resolve(doc);
+    match resolved.as_ref().map(Resolved::as_value) {
+        None => visit(&Value::Null),
+        Some(Value::Array(items)) if items.is_empty() => visit(&Value::Null),
+        Some(Value::Array(items)) => items.iter().for_each(visit),
+        Some(v) => visit(v),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,6 +117,34 @@ mod tests {
         let def = IndexDef::compound(["a", "b"]);
         let d = doc! {"a" => array![1i64], "b" => array![2i64]};
         assert!(extract_keys(&d, &def).is_err());
+    }
+
+    #[test]
+    fn single_keys_are_the_single_field_index_keys() {
+        let docs = [
+            doc! {"a" => 1i64},
+            doc! {"b" => 1i64},
+            doc! {"a" => Value::Null},
+            doc! {"a" => Value::Array(vec![])},
+            doc! {"a" => array![1i64, "x", Value::Null]},
+            doc! {"a" => array![array![1i64], 2i64]},
+            doc! {"a" => doc! {"b" => 2i64}},
+            doc! {"a" => array![doc! {"b" => 1i64}, doc! {"c" => 2i64}, doc! {"b" => array![3i64]}]},
+        ];
+        for path in ["a", "a.b", "a.0"] {
+            let def = IndexDef::hashed(path);
+            let compiled = CompiledPath::new(path);
+            for d in &docs {
+                let mut got = Vec::new();
+                for_each_single_key(d, &compiled, |v| got.push(v.clone()));
+                let expected: Vec<Value> = extract_keys(d, &def)
+                    .unwrap()
+                    .into_iter()
+                    .map(|k| k.0.into_iter().next().unwrap().into_value())
+                    .collect();
+                assert_eq!(got, expected, "{path} over {d:?}");
+            }
+        }
     }
 
     #[test]

@@ -182,6 +182,31 @@ impl Index {
         }
     }
 
+    /// The first of `keys` that a document other than `id` holds — what
+    /// a unique index refuses. An in-place update checks this before it
+    /// changes any index, so a refused update leaves nothing behind.
+    pub(crate) fn conflict<'k>(&self, id: DocId, keys: &'k [CompoundKey]) -> Option<&'k CompoundKey> {
+        keys.iter().find(|k| self.lookup_eq(k).iter().any(|&held| held != id))
+    }
+
+    /// Moves document `id`'s entries from the keys it had to the keys it
+    /// has now, both from [`extract_keys`]; the caller has ruled out a
+    /// unique [`conflict`](Self::conflict).
+    pub(crate) fn rekey(&mut self, id: DocId, old: &[CompoundKey], new: Vec<CompoundKey>) {
+        for k in old {
+            match &mut self.backing {
+                Backing::BTree(b) => b.remove(k, id),
+                Backing::Hashed(h) => h.remove(k, id),
+            }
+        }
+        for k in new {
+            match &mut self.backing {
+                Backing::BTree(b) => b.insert(k, id),
+                Backing::Hashed(h) => h.insert(k, id),
+            }
+        }
+    }
+
     fn contains_key(&self, key: &CompoundKey) -> bool {
         match &self.backing {
             Backing::BTree(b) => !b.lookup_eq(key).is_empty(),

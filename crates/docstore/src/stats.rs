@@ -454,6 +454,34 @@ impl CollStats {
         self.record(new, 1);
     }
 
+    /// The tracked paths an in-place update must re-count, given which
+    /// paths its spec touches — none until the statistics are built,
+    /// like every other increment.
+    pub(crate) fn touched_fields(&self, touches: impl Fn(&str) -> bool) -> Vec<String> {
+        if !self.built {
+            return Vec::new();
+        }
+        self.fields.keys().filter(|path| touches(path)).cloned().collect()
+    }
+
+    /// Adjusts stats for a document edited in place: `fields` are the
+    /// [`touched_fields`](Self::touched_fields) of the edit and `old`
+    /// what they resolved to before it, in that order. The untouched
+    /// fields' counts are already right. Drift is counted as for
+    /// [`record_update`](Self::record_update).
+    pub(crate) fn record_edit(&mut self, fields: &[String], old: Vec<Option<Value>>, new: &Document) {
+        if !self.built {
+            return;
+        }
+        for (path, old) in fields.iter().zip(old) {
+            if let Some(fs) = self.fields.get_mut(path) {
+                fs.record(old.as_ref(), -1);
+                fs.record(new.get_path(path).as_ref(), 1);
+            }
+        }
+        self.writes_since_build += 2;
+    }
+
     fn record(&mut self, doc: &Document, delta: i64) {
         // Until the first rebuild the distributions are empty and every
         // estimate falls back to defaults, so incremental maintenance

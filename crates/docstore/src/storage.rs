@@ -237,12 +237,18 @@ pub type DocId = u64;
 ///
 /// Slots hold `Arc<Document>` so readers can snapshot a document set
 /// with cheap refcount bumps and release the collection lock before
-/// scanning — documents are immutable in place (updates replace the
-/// whole slot), so a snapshotted `Arc` stays consistent no matter what
-/// writers do to the slab afterwards.
+/// scanning. A handle never changes under its holder: a whole-slot
+/// [`replace`](Slab::replace) swaps the `Arc`, and an in-place
+/// [`edit`](Slab::edit) goes through `Arc::make_mut`, which copies the
+/// document first when anyone else still holds it — so a snapshotted
+/// `Arc` stays consistent no matter what writers do afterwards.
 #[derive(Debug, Default)]
 pub struct Slab {
     slots: Vec<Option<Arc<Document>>>,
+    /// Encoded size of each slot's document (stale for an empty slot),
+    /// so an edit can move `data_size` by a delta and check the document
+    /// cap without re-measuring the whole document.
+    sizes: Vec<usize>,
     free: Vec<DocId>,
     live: usize,
     data_size: usize,
@@ -256,14 +262,17 @@ impl Slab {
 
     /// Stores a document, returning its id.
     pub fn insert(&mut self, doc: Document) -> DocId {
-        self.data_size += encoded_size(&doc);
+        let size = encoded_size(&doc);
+        self.data_size += size;
         self.live += 1;
         let doc = Arc::new(doc);
         if let Some(id) = self.free.pop() {
             self.slots[id as usize] = Some(doc);
+            self.sizes[id as usize] = size;
             id
         } else {
             self.slots.push(Some(doc));
+            self.sizes.push(size);
             (self.slots.len() - 1) as DocId
         }
     }
@@ -286,20 +295,47 @@ impl Slab {
         self.slots.iter().filter_map(Clone::clone).collect()
     }
 
-    /// Replaces a document in place, returning the old one.
+    /// Replaces a whole document, returning the old one.
     pub fn replace(&mut self, id: DocId, doc: Document) -> Option<Document> {
         let slot = self.slots.get_mut(id as usize)?;
         let old = slot.take()?;
-        self.data_size = self.data_size - encoded_size(&old) + encoded_size(&doc);
+        let size = encoded_size(&doc);
+        self.data_size = self.data_size - self.sizes[id as usize] + size;
+        self.sizes[id as usize] = size;
         *slot = Some(Arc::new(doc));
         Some(Arc::unwrap_or_clone(old))
+    }
+
+    /// Edits the document in slot `id` where it lies — the update
+    /// path's one mutation entry. `edit` is handed the document and its
+    /// encoded size and returns by how many bytes it moved that size;
+    /// when it fails it must leave the document as it found it. Nothing
+    /// is copied unless a reader still holds the slot's handle, and that
+    /// reader keeps the document it took.
+    pub fn edit<T, E>(
+        &mut self,
+        id: DocId,
+        edit: impl FnOnce(&mut Document, usize) -> Result<(isize, T), E>,
+    ) -> Option<Result<T, E>> {
+        let doc = Arc::make_mut(self.slots.get_mut(id as usize)?.as_mut()?);
+        let size = &mut self.sizes[id as usize];
+        let outcome = edit(doc, *size).map(|(delta, out)| {
+            *size = size.checked_add_signed(delta).expect("an edit shrinks a document by at most its size");
+            self.data_size = self
+                .data_size
+                .checked_add_signed(delta)
+                .expect("the slab holds at least the edited document's bytes");
+            out
+        });
+        debug_assert_eq!(*size, encoded_size(doc), "the edit's size delta is exact");
+        Some(outcome)
     }
 
     /// Removes a document by id.
     pub fn remove(&mut self, id: DocId) -> Option<Document> {
         let slot = self.slots.get_mut(id as usize)?;
         let old = slot.take()?;
-        self.data_size -= encoded_size(&old);
+        self.data_size -= self.sizes[id as usize];
         self.live -= 1;
         self.free.push(id);
         Some(Arc::unwrap_or_clone(old))
@@ -385,6 +421,44 @@ mod tests {
         assert_eq!(snap[0].get("i"), Some(&Value::Int64(0)));
         assert_eq!(snap[1].get("i"), Some(&Value::Int64(1)));
         assert_eq!(s.get(b).unwrap().get("i"), Some(&Value::Int64(9)));
+    }
+
+    #[test]
+    fn edit_is_in_place_copy_on_write_and_moves_the_size_by_its_delta() {
+        let mut s = Slab::new();
+        let id = s.insert(doc! {"a" => 1i64});
+        let other = s.insert(doc! {"b" => "x"});
+        let recomputed = |s: &Slab| s.iter().map(|(_, d)| encoded_size(d)).sum::<usize>();
+        let set_c = |doc: &mut Document, size: usize| -> Result<(isize, ()), &'static str> {
+            assert_eq!(size, encoded_size(doc), "handed the document's size");
+            doc.set("c", "a longer string value");
+            Ok((encoded_size(doc) as isize - size as isize, ()))
+        };
+        let unset_c = |doc: &mut Document, size: usize| -> Result<(isize, ()), &'static str> {
+            doc.remove("c");
+            Ok((encoded_size(doc) as isize - size as isize, ()))
+        };
+
+        // Nobody else holds the document: it is edited where it lies.
+        let at = s.get(id).unwrap() as *const Document;
+        assert_eq!(s.edit(id, set_c), Some(Ok(())));
+        assert_eq!(s.get(id).unwrap() as *const Document, at);
+        assert_eq!(s.data_size(), recomputed(&s));
+
+        // A reader holds it: the reader keeps what it took.
+        let held = s.get_shared(id).unwrap();
+        assert_eq!(s.edit(id, unset_c), Some(Ok(())));
+        assert!(held.get("c").is_some());
+        assert!(s.get(id).unwrap().get("c").is_none());
+        assert_eq!(s.data_size(), recomputed(&s));
+
+        // A refused edit moves nothing; an empty slot has nothing to edit.
+        assert_eq!(s.edit(other, |_, _| Err::<(isize, ()), _>("refused")), Some(Err("refused")));
+        assert_eq!(s.data_size(), recomputed(&s));
+        s.remove(other);
+        assert_eq!(s.edit(other, set_c), None);
+        assert_eq!(s.edit(99, set_c), None);
+        assert_eq!(s.data_size(), recomputed(&s));
     }
 
     #[test]

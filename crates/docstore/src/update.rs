@@ -8,7 +8,7 @@
 use crate::error::{Error, Result};
 use crate::query::filter::{CmpOp, Filter};
 use doclite_bson::codec::{encoded_size, encoded_value_size};
-use doclite_bson::{Document, Value};
+use doclite_bson::{Document, Resolved, Value};
 
 /// A single update operator application.
 #[derive(Clone, Debug, PartialEq)]
@@ -23,6 +23,23 @@ pub enum UpdateOp {
     /// `{$push: {path: value}}` — missing fields become 1-element arrays;
     /// non-array targets are an error.
     Push(String, Value),
+}
+
+impl UpdateOp {
+    /// The dotted path the operator writes.
+    pub(crate) fn path(&self) -> &str {
+        match self {
+            UpdateOp::Set(p, _) | UpdateOp::Unset(p) | UpdateOp::Inc(p, _) | UpdateOp::Push(p, _) => p,
+        }
+    }
+}
+
+/// True when a write at dotted path `a` can change what path `b`
+/// resolves to: the paths are equal or one is a dotted prefix of the
+/// other (`a.b` and `a`, either way round — never `ab` and `a`).
+fn paths_overlap(a: &str, b: &str) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    long.strip_prefix(short).is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
 }
 
 /// An update specification: operator list or full replacement.
@@ -78,6 +95,53 @@ impl UpdateSpec {
                     UpdateOp::Set(_, v) | UpdateOp::Push(_, v) => encoded_value_size(v),
                     UpdateOp::Inc(..) => 8, // one double
                     UpdateOp::Unset(_) => 0,
+                })
+                .sum(),
+        }
+    }
+
+    /// True when applying this spec can change what `field` resolves to
+    /// — the rule that decides which indexes, columns and statistics an
+    /// in-place update has to adjust. A replacement touches everything.
+    pub(crate) fn touches(&self, field: &str) -> bool {
+        match self {
+            UpdateSpec::Replace(_) => true,
+            UpdateSpec::Ops(ops) => ops.iter().any(|op| paths_overlap(op.path(), field)),
+        }
+    }
+
+    /// Upper bound on the bytes applying this spec adds to a document's
+    /// encoded size: the values it carries plus, per operator, an
+    /// element header for every path segment it may have to create and
+    /// slack for a `$push` index key or an `$inc` widening its target.
+    pub(crate) fn max_growth(&self) -> usize {
+        let headers = match self {
+            UpdateSpec::Replace(_) => 0,
+            UpdateSpec::Ops(ops) => ops
+                .iter()
+                .map(|op| op.path().len() + 7 * op.path().split('.').count() + 32)
+                .sum(),
+        };
+        self.payload_size() + headers
+    }
+
+    /// Encoded size of the part of `doc` this spec can change: the whole
+    /// document for a replacement, otherwise the top-level elements its
+    /// operators' paths start at (each once). Measured before and after
+    /// an edit, the difference is the document's size delta.
+    pub(crate) fn touched_size(&self, doc: &Document) -> usize {
+        fn head(op: &UpdateOp) -> &str {
+            op.path().split('.').next().unwrap_or_default()
+        }
+        match self {
+            UpdateSpec::Replace(_) => encoded_size(doc),
+            UpdateSpec::Ops(ops) => ops
+                .iter()
+                .enumerate()
+                .filter(|(i, op)| !ops[..*i].iter().any(|earlier| head(earlier) == head(op)))
+                .filter_map(|(_, op)| {
+                    let key = head(op);
+                    doc.get(key).map(|v| 2 + key.len() + encoded_value_size(v))
                 })
                 .sum(),
         }
@@ -171,8 +235,9 @@ fn apply_op(doc: &mut Document, op: &UpdateOp) -> Result<bool> {
             if path == "_id" {
                 return Err(Error::InvalidQuery("_id is immutable".into()));
             }
-            let before = doc.get_path(path);
-            if before.as_ref() == Some(value) {
+            // Compared where it lies: an owned `get_path` of an embedded
+            // document would deep-clone it to learn it is different.
+            if doc.get_path_ref(path).is_some_and(|before| before.as_value() == value) {
                 return Ok(false);
             }
             if !doc.set_path(path, value.clone()) {
@@ -184,8 +249,8 @@ fn apply_op(doc: &mut Document, op: &UpdateOp) -> Result<bool> {
         }
         UpdateOp::Unset(path) => Ok(remove_path(doc, path)),
         UpdateOp::Inc(path, by) => {
-            let current = doc.get_path(path);
-            let new_value = match &current {
+            let current = doc.get_path_ref(path);
+            let new_value = match current.as_ref().map(Resolved::as_value) {
                 None => Value::Double(*by),
                 Some(v) => match v.as_f64() {
                     Some(n) => {
@@ -212,7 +277,7 @@ fn apply_op(doc: &mut Document, op: &UpdateOp) -> Result<bool> {
             };
             // $inc by 0 (or a cancelling float) leaves the stored value
             // as-is: report unmodified, like $set on an equal value.
-            if current.as_ref() == Some(&new_value) {
+            if current.is_some_and(|v| *v.as_value() == new_value) {
                 return Ok(false);
             }
             if !doc.set_path(path, new_value) {
@@ -379,6 +444,41 @@ mod tests {
         assert_eq!(d.get("_id"), Some(&Value::Int64(7)));
         assert_eq!(d.get("a"), None);
         assert_eq!(d.get("b"), Some(&Value::Int64(2)));
+    }
+
+    #[test]
+    fn touches_is_equal_or_dotted_prefix_either_way() {
+        let spec = UpdateSpec::set("a.b", 1i64).and_unset("x");
+        for field in ["a", "a.b", "a.b.c", "x", "x.y"] {
+            assert!(spec.touches(field), "{field}");
+        }
+        for field in ["ab", "a.c", "a.bc", "b", "_id"] {
+            assert!(!spec.touches(field), "{field}");
+        }
+        assert!(UpdateSpec::Replace(doc! {"z" => 1i64}).touches("anything"));
+    }
+
+    #[test]
+    fn touched_size_delta_is_the_document_delta_and_within_max_growth() {
+        let base = doc! {"_id" => 1i64, "a" => doc! {"b" => 1i32}, "n" => 5i32, "xs" => array![1i64], "s" => "text"};
+        let specs = [
+            UpdateSpec::set("a", doc! {"wide" => "embedded dimension document", "pk" => 7i64}),
+            UpdateSpec::set("a.b", "longer than an int32"),
+            UpdateSpec::set("fresh.deep.path", 1i64),
+            UpdateSpec::set("a.b", 2i64).and_set("a.c", 3i64).and_unset("s"),
+            UpdateSpec::Ops(vec![UpdateOp::Unset("a.b".into())]),
+            UpdateSpec::Ops(vec![UpdateOp::Inc("n".into(), 0.5), UpdateOp::Inc("m".into(), 1.0)]),
+            UpdateSpec::Ops(vec![UpdateOp::Push("xs".into(), Value::from("y")), UpdateOp::Push("ys".into(), Value::Null)]),
+            UpdateSpec::Replace(doc! {"only" => "this"}),
+        ];
+        for spec in specs {
+            let mut d = base.clone();
+            let before = spec.touched_size(&d);
+            assert!(apply_update(&mut d, &spec).unwrap());
+            let delta = spec.touched_size(&d) as isize - before as isize;
+            assert_eq!(delta, encoded_size(&d) as isize - encoded_size(&base) as isize, "{spec:?}");
+            assert!(delta <= spec.max_growth() as isize, "{spec:?}");
+        }
     }
 
     #[test]

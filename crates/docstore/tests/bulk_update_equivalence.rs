@@ -1,26 +1,33 @@
 //! Property tests: `Collection::update_batch` is the `update` loop.
 //!
 //! An ordered bulk update changes what a batch of statements *costs*
-//! (one lock, one group commit, one batch-scoped probe index instead of
-//! a scan per statement) and nothing else. For random statement lists —
-//! mixed `$set`/`$inc`/`$unset`, statements that rewrite the probed
+//! (one lock, one group commit, one pass over the collection routing
+//! every statement that pins the shared path instead of a plan and a
+//! fetch per statement) and nothing else. For random statement lists —
+//! mixed `$set`/`$inc`/`$unset`, statements that rewrite the joined
 //! field so later ones chase the re-keyed documents, `multi` on and off,
-//! a statement that fails mid-batch — over random collections with and
-//! without a real index, the batch must equal the loop in final
-//! contents, result totals and returned error string; with a WAL
-//! attached, in what recovery rebuilds; and a failed group commit must
-//! leave memory, log and index set exactly as they were.
+//! a statement that fails mid-batch or runs into a unique index — over
+//! random collections with and without a real index on the joined path,
+//! the batch must equal the loop in final contents, result totals and
+//! returned error string; with a WAL attached, in what recovery
+//! rebuilds; and a failed group commit must leave memory, log and index
+//! set exactly as they were.
 //!
-//! Half the cases carry enough same-path statements to build the probe
-//! and enough documents to leave the small-collection rule planner, so
-//! both sides of each decision are covered.
+//! The join is decided by the batch alone — two or more statements
+//! pinning one path — so the lists come in the sizes on both sides of
+//! that (0–3 statements, a couple of dozen, about 300), mix keyed
+//! statements with ones only the planner can serve, and the collections
+//! come small and large enough to leave the small-collection rule
+//! planner.
 
-use doclite_bson::{array, doc, json::to_json, Document, Value};
+use doclite_bson::{array, codec::encoded_size, doc, json::to_json, Document, Value};
+use doclite_docstore::query::matcher::matches;
 use doclite_docstore::wal::{db_fingerprint, DurableDb, SyncPolicy, WalOptions};
 use doclite_docstore::{
     BulkUpdate, Collection, Filter, IndexDef, StorageFaults, UpdateOp, UpdateResult, UpdateSpec,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,7 +44,7 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// Values of the probed field `k`: a small colliding integer domain,
+/// Values of the joined field `k`: a small colliding integer domain,
 /// plus null, a string and an embedded document.
 fn arb_k() -> BoxedStrategy<Value> {
     prop_oneof![
@@ -50,7 +57,8 @@ fn arb_k() -> BoxedStrategy<Value> {
 }
 
 /// Documents: `k` may be missing or an array (multikey), `s` is a string
-/// so `$inc s` is the statement that fails.
+/// so `$inc s` is the statement that fails. `seed` adds `u`, the
+/// document's position, which a case may index uniquely.
 fn arb_doc() -> BoxedStrategy<Document> {
     let k = prop_oneof![
         8 => arb_k().prop_map(Some),
@@ -82,7 +90,7 @@ fn arb_filter() -> BoxedStrategy<Filter> {
 
 fn arb_spec() -> BoxedStrategy<UpdateSpec> {
     prop_oneof![
-        // Rewrites the probed field: later statements must find the
+        // Rewrites the joined field: later statements must find the
         // document under its new key and not under the old one.
         6 => arb_k().prop_map(|v| UpdateSpec::set("k", v)),
         3 => (-5..5i64).prop_map(|n| UpdateSpec::set("n", n)),
@@ -90,6 +98,11 @@ fn arb_spec() -> BoxedStrategy<UpdateSpec> {
         1 => Just(UpdateSpec::Ops(vec![UpdateOp::Unset("k".into())])),
         1 => Just(UpdateSpec::Ops(vec![UpdateOp::Unset("g".into())])),
         2 => (arb_k(), -2..3i64).prop_map(|(v, d)| UpdateSpec::set("k", v).and_inc("n", d as f64)),
+        // Collides with another document's `u` more often than not: with
+        // the unique index the statement is refused part-way through
+        // its matches, and, as its second operator, after `k` was set.
+        1 => (0..300i64).prop_map(|u| UpdateSpec::set("u", u)),
+        1 => (arb_k(), 0..300i64).prop_map(|(v, u)| UpdateSpec::set("k", v).and_set("u", u)),
     ]
     .boxed()
 }
@@ -109,32 +122,53 @@ fn failing_statement() -> BulkUpdate {
     }
 }
 
-/// The statement list of one case: short (no probe) or long enough that
-/// the common path `k` crosses the probe threshold; `fail_at` splices
-/// the failing statement in at that fraction of the list.
-fn statements(
-    short: Vec<BulkUpdate>,
-    long: Vec<BulkUpdate>,
-    use_long: bool,
-    fail_at: Option<usize>,
-) -> Vec<BulkUpdate> {
-    let mut ops = if use_long { long } else { short };
+/// Statement lists on both sides of the join decision: too few to join,
+/// exactly enough, a couple of dozen, and about 300.
+fn arb_statements() -> BoxedStrategy<Vec<BulkUpdate>> {
+    prop_oneof![
+        1 => prop::collection::vec(arb_statement(), 0..2),
+        2 => prop::collection::vec(arb_statement(), 2..4),
+        2 => prop::collection::vec(arb_statement(), 4..24),
+        3 => prop::collection::vec(arb_statement(), 290..320),
+    ]
+    .boxed()
+}
+
+/// `fail_at` splices the failing statement in at that fraction of the
+/// list.
+fn with_failure(mut ops: Vec<BulkUpdate>, fail_at: Option<usize>) -> Vec<BulkUpdate> {
     if let Some(per_mille) = fail_at {
         ops.insert(ops.len() * per_mille / 1000, failing_statement());
     }
     ops
 }
 
-fn seed(c: &Collection, docs: &[Document], indexed: bool) {
+/// What a case puts beside the `_id_` index: a real index on the joined
+/// path `k`, and a unique one on `u`.
+#[derive(Clone, Copy, Debug)]
+struct Indexes {
+    k: bool,
+    unique_u: bool,
+}
+
+fn arb_indexes() -> impl Strategy<Value = Indexes> {
+    (any::<bool>(), 0..10u8).prop_map(|(k, u)| Indexes { k, unique_u: u < 3 })
+}
+
+fn seed(c: &Collection, docs: &[Document], indexes: Indexes) {
     c.insert_many(docs.iter().enumerate().map(|(i, d)| {
         let mut d = d.clone();
         d.set("_id", i as i64);
+        d.set("u", i as i64);
         d
     }))
     .map_err(|(_, e)| e)
     .unwrap();
-    if indexed {
+    if indexes.k {
         c.create_index(IndexDef::single("k")).unwrap();
+    }
+    if indexes.unique_u {
+        c.create_index(IndexDef::single("u").unique()).unwrap();
     }
 }
 
@@ -160,16 +194,15 @@ proptest! {
     /// In memory: same contents, same totals, same error, same indexes.
     #[test]
     fn batch_equals_update_loop(
-        docs in prop::collection::vec(arb_doc(), 0..40),
-        extra_docs in prop::collection::vec(arb_doc(), 260..300),
-        short in prop::collection::vec(arb_statement(), 0..24),
-        long in prop::collection::vec(arb_statement(), 330..360),
-        big in any::<bool>(),
-        indexed in any::<bool>(),
+        docs in prop_oneof![
+            prop::collection::vec(arb_doc(), 0..40),
+            prop::collection::vec(arb_doc(), 260..300),
+        ],
+        ops in arb_statements(),
+        indexed in arb_indexes(),
         fail_at in prop_oneof![2 => Just(None), 1 => (0..1000usize).prop_map(Some)],
     ) {
-        let docs = if big { extra_docs } else { docs };
-        let ops = statements(short, long, big, fail_at);
+        let ops = with_failure(ops, fail_at);
         let (by_loop, by_batch) = (Collection::new("c"), Collection::new("c"));
         seed(&by_loop, &docs, indexed);
         seed(&by_batch, &docs, indexed);
@@ -178,8 +211,24 @@ proptest! {
         let got = by_batch.update_batch(&ops).map_err(|e| e.to_string());
         prop_assert_eq!(&got, &expected);
         prop_assert_eq!(contents(&by_batch), contents(&by_loop));
-        // The batch-scoped probe never outlives the call.
+        // Routing the batch leaves nothing behind.
         prop_assert_eq!(by_batch.index_defs(), by_loop.index_defs());
+        // Every index still answers for what is stored, and the running
+        // size is the sum it stands for.
+        for c in [&by_batch, &by_loop] {
+            let docs = c.all_docs();
+            // (As sets: an index lookup returns a document once per
+            // equal element of a multikey array.)
+            let ids = |docs: &[Document]| -> BTreeSet<i64> {
+                docs.iter().map(|d| d.get("_id").unwrap().as_i64().unwrap()).collect()
+            };
+            for (path, key) in [("k", Value::Int64(2)), ("k", Value::Null), ("u", Value::Int64(7))] {
+                let filter = Filter::eq(path, key);
+                let held: Vec<Document> = docs.iter().filter(|d| matches(&filter, d)).cloned().collect();
+                prop_assert_eq!(ids(&c.find(&filter)), ids(&held), "{} lookup", path);
+            }
+            prop_assert_eq!(c.data_size(), docs.iter().map(encoded_size).sum::<usize>());
+        }
     }
 }
 
@@ -192,11 +241,11 @@ proptest! {
     #[test]
     fn batch_recovers_like_update_loop(
         docs in prop::collection::vec(arb_doc(), 270..300),
-        ops in prop::collection::vec(arb_statement(), 330..350),
-        indexed in any::<bool>(),
+        ops in arb_statements(),
+        indexed in arb_indexes(),
         fail_at in prop_oneof![Just(None), (0..1000usize).prop_map(Some)],
     ) {
-        let ops = statements(Vec::new(), ops, true, fail_at);
+        let ops = with_failure(ops, fail_at);
         let opts = || WalOptions { sync: SyncPolicy::Never, faults: None };
         let (loop_dir, batch_dir) = (tmp("loop"), tmp("batch"));
         let live = {
@@ -217,7 +266,7 @@ proptest! {
         prop_assert_eq!(
             b.db().collection("c").index_defs(),
             l.db().collection("c").index_defs(),
-            "the probe was never logged"
+            "routing logs nothing"
         );
         drop((l, b));
         std::fs::remove_dir_all(&loop_dir).unwrap();
@@ -225,12 +274,14 @@ proptest! {
     }
 
     /// A failed group commit undoes the whole batch — every statement,
-    /// every index entry, the probe — so memory rejoins the rewound log.
+    /// every index entry — so memory rejoins the rewound log.
     #[test]
     fn failed_group_commit_rolls_the_batch_back(
         docs in prop::collection::vec(arb_doc(), 270..300),
-        ops in prop::collection::vec(arb_statement(), 330..350),
-        indexed in any::<bool>(),
+        ops in arb_statements(),
+        // No unique index: this property is about the commit failing,
+        // so no statement may.
+        indexed in any::<bool>().prop_map(|k| Indexes { k, unique_u: false }),
     ) {
         let dir = tmp("eio");
         let faults = StorageFaults::new();

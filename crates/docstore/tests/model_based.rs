@@ -171,13 +171,18 @@ proptest! {
 
 // ----- column scans against a slot-ordered model -----------------------
 //
-// The same idea on a collection big enough to earn columns. No secondary
-// indexes: every read and write is a collection scan until a path has
-// been scanned twice, a column scan afterwards, and both visit documents
-// in slot order — so unlike the workload above, *order* is checked too:
-// `find` order, the page an unsorted `limit` returns, and which document
-// a `multi: false` update picks. The model therefore mirrors the slab's
-// slot reuse (last freed, first reused) instead of appending.
+// The same idea on a collection big enough to earn columns. No index
+// serves a path the operations filter on: every read and write is a
+// collection scan until a path has been scanned twice, a column scan
+// afterwards — or, for the statements of an `update_batch` that pin `k`,
+// the batch's join — and all three visit documents in slot order. So
+// unlike the workload above, *order* is checked too: `find` order, the
+// page an unsorted `limit` returns, and which document a `multi: false`
+// update picks. The model therefore mirrors the slab's slot reuse (last
+// freed, first reused) instead of appending. The one secondary index is
+// unique, on `u` (the `_id` again): an update that would duplicate a `u`
+// is refused, in the model as in the engine, with everything before it
+// kept.
 
 /// Documents loaded before the random operations start, a handful short
 /// of the size at which the collection starts building columns, so the
@@ -207,7 +212,8 @@ impl SlotModel {
     }
 
     /// `(matched, modified)`, or the first error — which, as in the
-    /// engine, leaves the documents before it modified.
+    /// engine, leaves the documents before it modified and the one it
+    /// arose on untouched.
     fn update(
         &mut self,
         filter: &Filter,
@@ -215,13 +221,23 @@ impl SlotModel {
         multi: bool,
     ) -> Result<(usize, usize), String> {
         let (mut matched, mut modified) = (0, 0);
-        for d in self.slots.iter_mut().flatten() {
-            if matches(filter, d) {
-                matched += 1;
-                modified += usize::from(apply_update(d, spec).map_err(|e| e.to_string())?);
-                if !multi {
-                    break;
+        for slot in 0..self.slots.len() {
+            let Some(d) = self.slots[slot].as_ref().filter(|d| matches(filter, d)) else { continue };
+            matched += 1;
+            let mut updated = d.clone();
+            if apply_update(&mut updated, spec).map_err(|e| e.to_string())? {
+                let u = updated.get("u").expect("every document has u");
+                let taken = |(other, d): (usize, &Option<Document>)| {
+                    other != slot && d.as_ref().is_some_and(|d| d.get("u") == Some(u))
+                };
+                if self.slots.iter().enumerate().any(taken) {
+                    return Err(format!("duplicate _id: [OrdValue({u:?})]"));
                 }
+                self.slots[slot] = Some(updated);
+                modified += 1;
+            }
+            if !multi {
+                break;
             }
         }
         Ok((matched, modified))
@@ -275,11 +291,37 @@ enum ColOp {
     SetA { k: i64, value: Value, multi: bool },
     IncA { k: i64, multi: bool },
     Delete { k: i64 },
+    /// One ordered `update_batch`: `(k, change, multi)` per statement,
+    /// each selecting `{k: k}`.
+    UpdateBatch { statements: Vec<(i64, Change, bool)> },
+}
+
+/// What one statement of a batch writes.
+#[derive(Clone, Debug)]
+enum Change {
+    SetA(Value),
+    /// Rewrites the path the batch is joined on: later statements must
+    /// find the document under its new `k` only.
+    MoveK(i64),
+    /// Collides with a filler's `u`, or (10 000 and up) with nothing
+    /// until another document took the same value.
+    SetU(i64),
+}
+
+fn arb_change(clean: bool) -> BoxedStrategy<Change> {
+    prop_oneof![
+        3 => arb_value(clean, false).prop_map(Change::SetA),
+        3 => (0..6i64).prop_map(Change::MoveK),
+        1 => prop_oneof![0..4000i64, 10_000..10_003i64].prop_map(Change::SetU),
+    ]
+    .boxed()
 }
 
 fn arb_col_op(clean: bool) -> BoxedStrategy<ColOp> {
     let opt = |s: BoxedStrategy<Value>| prop_oneof![1 => Just(None), 5 => s.prop_map(Some)];
     prop_oneof![
+        2 => prop::collection::vec((0..6i64, arb_change(clean), any::<bool>()), 1..6)
+            .prop_map(|statements| ColOp::UpdateBatch { statements }),
         5 => (0..6i64, opt(arb_value(clean, false)), opt(arb_value(clean, true)))
             .prop_map(|(k, a, b)| ColOp::Insert { k, a, b }),
         2 => (0..6i64, arb_value(clean, false), any::<bool>())
@@ -296,13 +338,15 @@ fn by_id_desc(mut docs: Vec<Document>) -> Vec<Document> {
 }
 
 fn run_column_workload(ops: &[ColOp], short_by: usize) {
-    use doclite_docstore::{project_paths, FindOptions, UpdateOp};
+    use doclite_docstore::{project_paths, BulkUpdate, FindOptions, UpdateOp};
 
     let coll = Collection::new("sut");
+    coll.create_index(IndexDef::single("u").unique()).expect("index u");
     let mut model = SlotModel::default();
     let mut next_id = 0i64;
     let mut insert = |coll: &Collection, model: &mut SlotModel, mut doc: Document| {
         doc.set("_id", Value::Int64(next_id));
+        doc.set("u", Value::Int64(next_id));
         next_id += 1;
         coll.insert_one(doc.clone()).expect("fresh _id");
         model.insert(doc);
@@ -362,7 +406,35 @@ fn run_column_workload(ops: &[ColOp], short_by: usize) {
                 let filter = Filter::eq("k", *k);
                 assert_eq!(coll.delete_many(&filter), model.delete(&filter), "delete at {op:?}");
             }
+            ColOp::UpdateBatch { statements } => {
+                let ops: Vec<BulkUpdate> = statements
+                    .iter()
+                    .map(|(k, change, multi)| BulkUpdate {
+                        filter: Filter::eq("k", *k),
+                        spec: match change {
+                            Change::SetA(value) => UpdateSpec::set("a", value.clone()),
+                            Change::MoveK(to) => UpdateSpec::set("k", *to),
+                            Change::SetU(u) => UpdateSpec::set("u", *u),
+                        },
+                        multi: *multi,
+                    })
+                    .collect();
+                let sut = coll
+                    .update_batch(&ops)
+                    .map(|r| (r.matched, r.modified))
+                    .map_err(|e| e.to_string());
+                let expected = ops.iter().try_fold((0, 0), |(matched, modified), op| {
+                    let (m, n) = model.update(&op.filter, &op.spec, op.multi)?;
+                    Ok((matched + m, modified + n))
+                });
+                assert_eq!(sut, expected, "batch divergence at {op:?}");
+            }
         }
+        assert_eq!(
+            coll.find(&Filter::eq("u", 10_000i64)),
+            model.find(&Filter::eq("u", 10_000i64)),
+            "unique index lookup after {op:?}"
+        );
         for probe in &probes {
             let expected = model.find(probe);
             assert_eq!(coll.find(probe), expected, "find {probe:?} after {op:?}");

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# CI guard for "one aggregate driver, one planner" (PR 16) and "one route
-# plan, one leg runner, one retry loop" (PR 18): the retired mode enums,
-# setters and entry points must not come back in code, CI or skill files
+# CI guard for "one aggregate driver, one planner" (PR 16), "one route
+# plan, one leg runner, one retry loop" (PR 18) and "bulk updates route by
+# join" (PR 19: the batch probe index and its statement threshold): the
+# retired mode enums, setters, constants and entry points must not come
+# back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
 # them), docstore keeps no process-wide atomic, the reference interpreter
 # stays independent of the compiled kernel and out of every product path,
@@ -12,7 +14,7 @@ cd "$(dirname "$0")/.."
 fail=0
 complain() { echo "check_no_modes: $1" >&2; fail=1; }
 
-retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode'
+retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe'
 grep -rnE "$retired" crates src examples tests benchmark/src .github .claude \
     && complain "a retired identifier is back (see above)"
 grep -rnE 'static +[A-Z_]+ *: *[A-Za-z:]*Atomic' crates/docstore/src \
