@@ -166,6 +166,41 @@ fn bench_wal_overhead(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
+fn bench_wal_commit(c: &mut Criterion) {
+    // The log's write path alone, per commit: stage `n` generated
+    // `store_sales` rows from borrows, then number, checksum, write (one
+    // `write` per commit) and publish them. Divide the 1,024-row time by
+    // 1,024 for the per-record cost; the 1-row commit is what a single
+    // `insert_one` pays. `Never` leaves out fsync; the default policy
+    // syncs every 64th commit.
+    use doclite_docstore::{SyncPolicy, Wal, WalBatch, WalOptions};
+    use doclite_tpcds::{Generator, TableId};
+    let rows: Vec<Document> = Generator::new(0.001).documents(TableId::StoreSales).take(1024).collect();
+    let scratch = std::env::temp_dir().join(format!("doclite_walcommit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let mut g = c.benchmark_group("wal_commit");
+    for (policy, sync) in [("never", SyncPolicy::Never), ("default", WalOptions::default().sync)] {
+        for n in [1usize, 1024] {
+            let label = format!("{n}_docs_sync_{policy}");
+            let wal = Wal::open(scratch.join(format!("{label}.log")), WalOptions { sync, faults: None })
+                .expect("open scratch log");
+            g.bench_function(&label, |b| {
+                b.iter(|| {
+                    let mut batch = WalBatch::new();
+                    for row in &rows[..n] {
+                        batch.insert("store_sales", row);
+                    }
+                    wal.commit(batch).unwrap()
+                })
+            });
+            // Keep the scratch file from growing across groups.
+            wal.truncate().expect("truncate scratch log");
+        }
+    }
+    g.finish();
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
 criterion_group!(
     benches,
     bench_codec,
@@ -174,6 +209,7 @@ criterion_group!(
     bench_insert,
     bench_pipeline,
     bench_agg_streaming,
-    bench_wal_overhead
+    bench_wal_overhead,
+    bench_wal_commit
 );
 criterion_main!(benches);

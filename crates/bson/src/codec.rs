@@ -54,8 +54,77 @@ impl std::error::Error for CodecError {}
 /// Encodes a document into its binary representation.
 pub fn encode_document(doc: &Document) -> Vec<u8> {
     let mut buf = Vec::with_capacity(encoded_size(doc));
-    write_document(&mut buf, doc);
+    encode_document_into(&mut buf, doc);
     buf
+}
+
+/// Appends a document's binary representation to `buf` — the bytes
+/// [`encode_document`] returns, written where the caller wants them (the
+/// WAL encodes a whole group commit into one buffer this way).
+pub fn encode_document_into(buf: &mut Vec<u8>, doc: &Document) {
+    let mut w = DocWriter::new(buf);
+    for (k, v) in doc.iter() {
+        w.value(k, v);
+    }
+    w.finish();
+}
+
+/// Writes one document element by element into a caller's buffer, from
+/// borrowed parts: what lets an envelope such as the WAL's
+/// `{"op", "c", "d"}` be encoded around a document without first
+/// assembling (and cloning into) a `Document` of its own. The bytes are
+/// the ones [`encode_document`] gives for a document with the same
+/// elements in the same order. [`DocWriter::finish`] closes the document;
+/// one that is dropped unfinished leaves its bytes unterminated.
+pub struct DocWriter<'a> {
+    buf: &'a mut Vec<u8>,
+    start: usize,
+}
+
+impl<'a> DocWriter<'a> {
+    /// Opens a document at the end of `buf`.
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        let start = buf.len();
+        buf.extend_from_slice(&[0u8; 4]); // length back-patched by `finish`
+        DocWriter { buf, start }
+    }
+
+    fn key(&mut self, type_byte: u8, key: &[u8]) {
+        self.buf.push(type_byte);
+        self.buf.extend_from_slice(key);
+        self.buf.push(0);
+    }
+
+    /// Appends `key: v`.
+    pub fn value(&mut self, key: &str, v: &Value) {
+        self.key(type_byte(v), key.as_bytes());
+        write_payload(self.buf, v);
+    }
+
+    /// Appends `key: s` as a string element.
+    pub fn str(&mut self, key: &str, s: &str) {
+        self.key(T_STRING, key.as_bytes());
+        write_str(self.buf, s);
+    }
+
+    /// Appends `key: doc` as an embedded document.
+    pub fn document(&mut self, key: &str, doc: &Document) {
+        self.key(T_DOCUMENT, key.as_bytes());
+        encode_document_into(self.buf, doc);
+    }
+
+    /// Appends `key: [items…]` as an array.
+    pub fn array<'v>(&mut self, key: &str, items: impl IntoIterator<Item = &'v Value>) {
+        self.key(T_ARRAY, key.as_bytes());
+        write_array(self.buf, items);
+    }
+
+    /// Terminates the document and patches its length in.
+    pub fn finish(self) {
+        self.buf.push(0);
+        let len = (self.buf.len() - self.start) as u32;
+        self.buf[self.start..self.start + 4].copy_from_slice(&len.to_le_bytes());
+    }
 }
 
 /// The encoded size of a document in bytes, computed without allocating.
@@ -125,22 +194,22 @@ fn write_itoa(buf: &mut [u8; 20], mut i: usize) -> usize {
     digits
 }
 
-fn write_document(buf: &mut Vec<u8>, doc: &Document) {
-    let start = buf.len();
-    buf.extend_from_slice(&[0u8; 4]); // length back-patched below
-    for (k, v) in doc.iter() {
-        write_element(buf, k, v);
+/// An array is a document keyed by decimal positions.
+fn write_array<'v>(buf: &mut Vec<u8>, items: impl IntoIterator<Item = &'v Value>) {
+    let mut w = DocWriter::new(buf);
+    let mut idx_buf = itoa_buffer();
+    for (i, item) in items.into_iter().enumerate() {
+        let digits = write_itoa(&mut idx_buf, i);
+        w.key(type_byte(item), &idx_buf[..digits]);
+        write_payload(w.buf, item);
     }
-    buf.push(0);
-    let len = (buf.len() - start) as u32;
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    w.finish();
 }
 
-fn write_element(buf: &mut Vec<u8>, key: &str, v: &Value) {
-    buf.push(type_byte(v));
-    buf.extend_from_slice(key.as_bytes());
+fn write_str(buf: &mut Vec<u8>, s: &str) {
+    buf.extend_from_slice(&((s.len() + 1) as u32).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
     buf.push(0);
-    write_payload(buf, v);
 }
 
 fn type_byte(v: &Value) -> u8 {
@@ -167,19 +236,9 @@ fn write_payload(buf: &mut Vec<u8>, v: &Value) {
         Value::Double(d) => buf.extend_from_slice(&d.to_le_bytes()),
         Value::DateTime(ms) => buf.extend_from_slice(&ms.to_le_bytes()),
         Value::ObjectId(oid) => buf.extend_from_slice(oid.bytes()),
-        Value::String(s) => {
-            buf.extend_from_slice(&((s.len() + 1) as u32).to_le_bytes());
-            buf.extend_from_slice(s.as_bytes());
-            buf.push(0);
-        }
-        Value::Document(d) => write_document(buf, d),
-        Value::Array(items) => {
-            let mut arr_doc = Document::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                arr_doc.set(i.to_string(), item.clone());
-            }
-            write_document(buf, &arr_doc);
-        }
+        Value::String(s) => write_str(buf, s),
+        Value::Document(d) => encode_document_into(buf, d),
+        Value::Array(items) => write_array(buf, items),
     }
 }
 
@@ -351,6 +410,32 @@ mod tests {
         let bytes = encode_document(&d);
         assert_eq!(encoded_size(&d), bytes.len());
         assert_eq!(decode_document(&bytes).unwrap(), d);
+    }
+
+    #[test]
+    fn doc_writer_writes_what_encode_document_would() {
+        let inner = sample();
+        let ids = [Value::Int64(7), Value::from("x"), array![1i32, array![]]];
+        let assembled = doc! {
+            "op" => "insert",
+            "d" => inner.clone(),
+            "ids" => Value::Array(ids.to_vec()),
+            "n" => Value::Null,
+        };
+        // Appended after bytes already in the buffer, which stay put.
+        let mut buf = b"head".to_vec();
+        let mut w = DocWriter::new(&mut buf);
+        w.str("op", "insert");
+        w.document("d", &inner);
+        w.array("ids", &ids);
+        w.value("n", &Value::Null);
+        w.finish();
+        assert_eq!(&buf[..4], b"head");
+        assert_eq!(&buf[4..], encode_document(&assembled).as_slice());
+
+        let mut buf = encode_document(&inner);
+        encode_document_into(&mut buf, &Document::new());
+        assert_eq!(buf[encoded_size(&inner)..], [5, 0, 0, 0, 0]);
     }
 
     #[test]

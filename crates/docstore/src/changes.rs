@@ -13,8 +13,9 @@
 //! caller processed. A cursor opened with token `t` replays every
 //! committed frame with `seq > t`, then follows live writes. Frames are
 //! served from two places: the in-memory [`ChangeHub`] ring buffer
-//! (newest frames, survives log truncation) and the log file itself
-//! (everything since the last checkpoint truncation). When a checkpoint
+//! (the newest frames as the bytes the log holds, decoded when read;
+//! survives log truncation) and the log file itself (everything since
+//! the last checkpoint truncation). When a checkpoint
 //! has truncated past `t` *and* the ring has evicted the gap, the
 //! cursor reports [`Error::TruncatedToken`] so the caller can fall back
 //! to a full re-read — exactly the contract replica log shipping and
@@ -61,16 +62,20 @@ impl ChangeScope {
 /// downstream without consulting the source.
 pub type ChangeEvent = Frame;
 
-/// The in-memory tail of committed frames, owned by the [`Wal`].
-/// Publishing happens under the WAL's append lock, so the buffer order
-/// is the sequence order; eviction is FIFO once `capacity` is reached.
+/// The in-memory tail of committed frames, owned by the [`Wal`]: a ring
+/// of encoded frame bodies — the bytes the log file holds, which a
+/// reader decodes with the function the recovery scan uses — so a commit
+/// copies bytes into it and never a document. Publishing happens under
+/// the WAL's append lock, so the buffer order is the sequence order;
+/// eviction is FIFO once `capacity` is reached, which bounds the ring at
+/// `capacity` frames × their body bytes.
 pub(crate) struct ChangeHub {
     state: Mutex<HubState>,
     cv: Condvar,
 }
 
 struct HubState {
-    buf: VecDeque<Frame>,
+    buf: VecDeque<(u64, Arc<[u8]>)>,
     capacity: usize,
     /// Sequence number of the most recently published frame (0 before
     /// the first publish in this process).
@@ -97,35 +102,42 @@ impl ChangeHub {
         }
     }
 
-    /// Appends committed frames and wakes blocked cursors.
-    pub(crate) fn publish(&self, frames: impl Iterator<Item = Frame>) {
+    /// Appends the `count` frames of one commit, given as `(seq, body)`
+    /// in order, and wakes blocked cursors. Only the newest `capacity`
+    /// of them are copied (and then push out everything older): the rest
+    /// would be evicted before anyone could read them.
+    pub(crate) fn publish<'a>(&self, count: usize, frames: impl Iterator<Item = (u64, &'a [u8])>) {
         let mut st = self.state.lock().expect("change hub poisoned");
-        for f in frames {
-            st.last_pub = f.seq;
-            st.buf.push_back(f);
-            if st.buf.len() > st.capacity {
+        let skipped = count.saturating_sub(st.capacity);
+        for (at, (seq, body)) in frames.enumerate() {
+            st.last_pub = seq;
+            if at < skipped {
+                continue;
+            }
+            if st.buf.len() >= st.capacity {
                 st.buf.pop_front();
             }
+            st.buf.push_back((seq, Arc::from(body)));
         }
         drop(st);
         self.cv.notify_all();
     }
 
-    /// All buffered frames with `seq > token`, or `None` when the ring
-    /// has already evicted part of that range (the caller then falls
-    /// back to the log file).
-    pub(crate) fn buffered_after(&self, token: u64) -> Option<Vec<Frame>> {
+    /// The encoded bodies of all buffered frames with `seq > token`, or
+    /// `None` when the ring has already evicted part of that range (the
+    /// caller then falls back to the log file).
+    pub(crate) fn buffered_after(&self, token: u64) -> Option<Vec<(u64, Arc<[u8]>)>> {
         let st = self.state.lock().expect("change hub poisoned");
-        let first = st.buf.front()?.seq;
+        let first = st.buf.front()?.0;
         if token + 1 < first {
             return None;
         }
-        Some(st.buf.iter().filter(|f| f.seq > token).cloned().collect())
+        Some(st.buf.iter().filter(|(seq, _)| *seq > token).cloned().collect())
     }
 
     /// Sequence number of the oldest buffered frame, if any.
     pub(crate) fn oldest_buffered(&self) -> Option<u64> {
-        self.state.lock().expect("change hub poisoned").buf.front().map(|f| f.seq)
+        self.state.lock().expect("change hub poisoned").buf.front().map(|(seq, _)| *seq)
     }
 
     /// Blocks until a frame with `seq > token` has been published or
@@ -357,6 +369,48 @@ mod tests {
             cur.try_next().unwrap().unwrap().record,
             WalRecord::Insert { .. }
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_commit_larger_than_the_ring_leaves_exactly_its_newest_frames() {
+        let dir = tmpdir("big-commit");
+        let (ddb, _) = DurableDb::open("db", &dir, opts()).unwrap();
+        let wal = ddb.wal();
+        let c = ddb.db().collection("c");
+        c.insert_one(doc! {"_id" => -1i64}).unwrap();
+        c.insert_many((0..10_000i64).map(|i| doc! {"_id" => i})).unwrap();
+        let tip = wal.last_seq();
+        assert_eq!(tip, 10_001);
+        let capacity = crate::wal::DEFAULT_CHANGE_BUFFER as u64;
+        let hub = wal.change_hub();
+        assert_eq!(hub.oldest_buffered(), Some(tip - capacity + 1));
+        assert_eq!(hub.buffered_after(tip - capacity).map(|f| f.len()), Some(capacity as usize));
+        assert!(hub.buffered_after(tip - capacity - 1).is_none(), "the ring holds no more");
+
+        // The ring serves what it holds, the file the rest, both in full.
+        let id_of = |f: &Frame| match &f.record {
+            WalRecord::Insert { doc, .. } => doc.get("_id").cloned(),
+            _ => None,
+        };
+        let from_ring = wal.frames_since(tip - 3).unwrap();
+        assert_eq!(from_ring.iter().map(|f| f.seq).collect::<Vec<_>>(), [tip - 2, tip - 1, tip]);
+        assert_eq!(id_of(&from_ring[2]), Some(9_999i64.into()));
+        let from_file = wal.frames_since(1).unwrap();
+        assert_eq!(from_file.len(), 10_000);
+        assert_eq!((from_file[0].seq, id_of(&from_file[0])), (2, Some(0i64.into())));
+        assert!(wal.frames_since(tip).unwrap().is_empty());
+
+        // Once a checkpoint truncates the file, only the ring is left.
+        ddb.checkpoint().unwrap();
+        let tip = wal.last_seq();
+        assert_eq!(wal.frames_since(tip - capacity).unwrap().len(), capacity as usize);
+        let err = wal.frames_since(tip - capacity - 1).unwrap_err();
+        assert!(
+            matches!(err, Error::TruncatedToken { token, oldest }
+                if token == tip - capacity - 1 && oldest == tip - capacity),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

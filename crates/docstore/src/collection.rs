@@ -13,11 +13,11 @@ use crate::query::planner::{conjunctive_constraints, plan_with_stats, Plan, Plan
 use crate::stats::{self, CollStats};
 use crate::storage::{DocId, Slab};
 use crate::update::{apply_update, upsert_seed, BulkUpdate, UpdateResult, UpdateSpec};
-use crate::wal::{delete_records_chunked, Wal, WalRecord};
+use crate::wal::{Wal, WalBatch};
 use doclite_bson::{codec::encoded_size, CompiledPath, Document, Value, MAX_DOCUMENT_SIZE};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Options for a `find`: sort, skip, limit, projection.
@@ -260,9 +260,9 @@ type KeyMove = (Vec<CompoundKey>, Vec<CompoundKey>);
 /// group commit appends, and what a failed append has to undo.
 #[derive(Default)]
 struct UpdateLog {
-    /// Post-images of modified documents (and an upsert's insert), in
-    /// apply order.
-    records: Vec<WalRecord>,
+    /// Post-image frames of modified documents (and an upsert's insert),
+    /// in apply order, each encoded from the document where it lies.
+    batch: WalBatch,
     /// Pre-images of the replaced documents, in apply order.
     undo: Vec<(DocId, Document)>,
     /// Slot of the document an upsert created.
@@ -372,15 +372,13 @@ impl Collection {
             return Err(Error::DocumentTooLarge { size, max: MAX_DOCUMENT_SIZE });
         }
         let wal = self.wal_handle();
-        let logged = wal.as_ref().map(|_| doc.clone());
         let mut inner = self.inner.write();
-        let slot = Self::insert_locked(&mut inner, doc)?;
+        let (slot, stored) = Self::insert_locked(&mut inner, doc)?;
         if let Some(wal) = wal {
-            if let Err(e) = wal.append(&WalRecord::Insert {
-                coll: self.name.clone(),
-                doc: logged.expect("cloned when wal attached"),
-            }) {
-                // The append rewound the log; undo the apply too, so the
+            let mut batch = WalBatch::new();
+            batch.insert(&self.name, stored);
+            if let Err(e) = wal.commit(batch) {
+                // The commit rewound the log; undo the apply too, so the
                 // errored insert is absent everywhere.
                 Self::rollback_inserts(&mut inner, &[slot]);
                 return Err(e);
@@ -391,7 +389,7 @@ impl Collection {
 
     /// Inserts many documents; stops at the first error, returning the
     /// count inserted so far alongside the error. If the batch's WAL
-    /// append fails, every insert of this call is rolled back (memory
+    /// commit fails, every insert of this call is rolled back (memory
     /// rejoins the rewound log) and the count reported is 0.
     pub fn insert_many(
         &self,
@@ -400,59 +398,52 @@ impl Collection {
         let wal = self.wal_handle();
         let mut inner = self.inner.write();
         let mut n = 0;
-        let mut logged: Vec<WalRecord> = Vec::new();
+        // With a WAL: one frame per applied insert, encoded from the
+        // stored document, and the slots a failed commit has to empty.
+        let mut batch = WalBatch::new();
         let mut applied: Vec<DocId> = Vec::new();
-        // The successfully-inserted prefix is logged (as one group
-        // commit) even when a later document errors: those inserts are
-        // applied and must survive a crash.
-        let flush = |records: &[WalRecord]| -> Result<()> {
-            match &wal {
-                Some(w) if !records.is_empty() => w.append_batch(records).map(|_| ()),
-                _ => Ok(()),
-            }
-        };
+        let mut failed = None;
         for mut doc in docs {
             doc.ensure_id();
             let size = encoded_size(&doc);
             if size > MAX_DOCUMENT_SIZE {
-                return match flush(&logged) {
-                    Ok(()) => Err((n, Error::DocumentTooLarge { size, max: MAX_DOCUMENT_SIZE })),
-                    Err(e) => {
-                        Self::rollback_inserts(&mut inner, &applied);
-                        Err((0, e))
-                    }
-                };
-            }
-            if wal.is_some() {
-                logged.push(WalRecord::Insert { coll: self.name.clone(), doc: doc.clone() });
+                failed = Some(Error::DocumentTooLarge { size, max: MAX_DOCUMENT_SIZE });
+                break;
             }
             match Self::insert_locked(&mut inner, doc) {
-                Ok(slot) => {
+                Ok((slot, stored)) => {
                     if wal.is_some() {
+                        batch.insert(&self.name, stored);
                         applied.push(slot);
                     }
                 }
                 Err(e) => {
-                    logged.pop();
-                    return match flush(&logged) {
-                        Ok(()) => Err((n, e)),
-                        Err(le) => {
-                            Self::rollback_inserts(&mut inner, &applied);
-                            Err((0, le))
-                        }
-                    };
+                    failed = Some(e);
+                    break;
                 }
             }
             n += 1;
         }
-        if let Err(e) = flush(&logged) {
-            Self::rollback_inserts(&mut inner, &applied);
-            return Err((0, e));
+        // The successfully-inserted prefix is logged (as one group
+        // commit) even when a later document errored: those inserts are
+        // applied and must survive a crash.
+        if let Some(wal) = wal {
+            if !batch.is_empty() {
+                if let Err(e) = wal.commit(batch) {
+                    Self::rollback_inserts(&mut inner, &applied);
+                    return Err((0, e));
+                }
+            }
         }
-        Ok(n)
+        match failed {
+            Some(e) => Err((n, e)),
+            None => Ok(n),
+        }
     }
 
-    fn insert_locked(inner: &mut Inner, doc: Document) -> Result<DocId> {
+    /// Stores `doc` and indexes it; returns its slot and the stored
+    /// document, which the caller logs from where it now lies.
+    fn insert_locked(inner: &mut Inner, doc: Document) -> Result<(DocId, &Document)> {
         // Validate unique indexes before touching state.
         for idx in &inner.indexes {
             if idx.def.unique {
@@ -476,7 +467,7 @@ impl Collection {
             cs.set_row(id, doc_ref);
         }
         stats.get_mut().record_insert(doc_ref);
-        Ok(id)
+        Ok((id, doc_ref))
     }
 
     /// Undoes applied-but-unlogged inserts after a WAL append failure
@@ -508,22 +499,17 @@ impl Collection {
             }
             return Err(Error::IndexConflict(def.name));
         }
-        let logged = wal.as_ref().map(|_| def.clone());
         let tracked: Vec<String> = def.field_names().iter().map(|s| (*s).to_owned()).collect();
         let mut idx = Index::new(def)?;
         for (id, doc) in inner.slab.iter() {
             idx.insert(id, doc)?;
         }
-        inner.indexes.push(idx);
         if let Some(wal) = wal {
-            if let Err(e) = wal.append(&WalRecord::CreateIndex {
-                coll: self.name.clone(),
-                def: logged.expect("cloned when wal attached"),
-            }) {
-                inner.indexes.pop();
-                return Err(e);
-            }
+            let mut batch = WalBatch::new();
+            batch.create_index(&self.name, &idx.def);
+            wal.commit(batch)?;
         }
+        inner.indexes.push(idx);
         // Indexed fields are exactly the ones the cost model needs
         // selectivities for; tracking forces a rebuild before the next
         // cost-based plan.
@@ -545,10 +531,9 @@ impl Collection {
             .ok_or_else(|| Error::NoSuchIndex(name.to_owned()))?;
         let removed = inner.indexes.remove(pos);
         if let Some(wal) = wal {
-            if let Err(e) = wal.append(&WalRecord::DropIndex {
-                coll: self.name.clone(),
-                name: name.to_owned(),
-            }) {
+            let mut batch = WalBatch::new();
+            batch.drop_index(&self.name, name);
+            if let Err(e) = wal.commit(batch) {
                 inner.indexes.insert(pos, removed);
                 return Err(e);
             }
@@ -606,6 +591,17 @@ impl Collection {
             }
             n
         }
+        /// An index's ids, each document once and in the order the index
+        /// gave them. Only a multikey index can repeat one (an array
+        /// with equal elements under one key, or with elements under
+        /// several keys of the lookup), so only it pays for the set.
+        fn once_each(idx: &Index, mut ids: Vec<DocId>) -> Vec<DocId> {
+            if idx.is_multikey() {
+                let mut seen = HashSet::with_capacity(ids.len());
+                ids.retain(|id| seen.insert(*id));
+            }
+            ids
+        }
         match &plan.kind {
             PlanKind::CollScan => visit_ids(inner.slab.iter().map(|(id, _)| id), &mut visit),
             PlanKind::ColumnScan { .. } => {
@@ -618,7 +614,7 @@ impl Collection {
                 for key in keys {
                     ids.extend(idx.lookup_eq(key));
                 }
-                visit_ids(ids.into_iter(), &mut visit)
+                visit_ids(once_each(idx, ids).into_iter(), &mut visit)
             }
             PlanKind::IndexRange { index, min, max } => {
                 let idx = Self::index_by_name(inner, index);
@@ -628,7 +624,7 @@ impl Collection {
                         max.as_ref().map(|(v, i)| (v, *i)),
                     )
                     .unwrap_or_default();
-                visit_ids(ids.into_iter(), &mut visit)
+                visit_ids(once_each(idx, ids).into_iter(), &mut visit)
             }
         }
     }
@@ -890,13 +886,10 @@ impl Collection {
                 let mut seed = upsert_seed(filter);
                 apply_update(&mut seed, spec)?;
                 let id = seed.ensure_id();
-                let record = log
-                    .is_some()
-                    .then(|| WalRecord::Insert { coll: self.name.clone(), doc: seed.clone() });
-                let slot = Self::insert_locked(&mut inner, seed)?;
-                if let (Some(log), Some(r)) = (&mut log, record) {
+                let (slot, stored) = Self::insert_locked(&mut inner, seed)?;
+                if let Some(log) = &mut log {
                     log.upserted = Some(slot);
-                    log.records.push(r);
+                    log.batch.insert(&self.name, stored);
                 }
                 total.upserted_id = Some(id);
             }
@@ -904,9 +897,9 @@ impl Collection {
         })();
 
         if let (Some(wal), Some(log)) = (wal, log) {
-            if !log.records.is_empty() {
-                if let Err(e) = wal.append_batch(&log.records) {
-                    // The append rewound the log; undo the applies in
+            if !log.batch.is_empty() {
+                if let Err(e) = wal.commit(log.batch) {
+                    // The commit rewound the log; undo the applies in
                     // reverse order so memory rejoins it.
                     if let Some(slot) = log.upserted {
                         Self::rollback_inserts(&mut inner, &[slot]);
@@ -1028,11 +1021,11 @@ impl Collection {
                 // Log the post-image so replay is independent of how
                 // the update expression computed it.
                 if let Some(log) = &mut log {
-                    log.undo.push((id, pre_image.expect("taken whenever a WAL is attached")));
-                    log.records.push(WalRecord::Update {
-                        coll: self.name.clone(),
-                        doc: doc.clone(),
-                    });
+                    let pre_image = pre_image.ok_or_else(|| {
+                        Error::Storage("a logged update kept no pre-image to roll back to".into())
+                    })?;
+                    log.undo.push((id, pre_image));
+                    log.batch.update(&self.name, doc);
                 }
                 total.modified += 1;
             }
@@ -1107,7 +1100,8 @@ impl Collection {
             Self::build_due_columns(&mut inner, &plan.residual);
         }
         let mut removed = 0;
-        let mut removed_ids: Vec<Value> = Vec::new();
+        // With a WAL: the removed documents, which the frames take their
+        // `_id`s from and a failed commit reinserts.
         let mut undo: Vec<Document> = Vec::new();
         for id in ids {
             let is_match = inner
@@ -1126,17 +1120,15 @@ impl Collection {
             }
             inner.stats.get_mut().record_delete(&old);
             if wal.is_some() {
-                if let Some(doc_id) = old.id() {
-                    removed_ids.push(doc_id.clone());
-                }
                 undo.push(old);
             }
             removed += 1;
         }
         if let Some(wal) = wal {
-            if !removed_ids.is_empty() {
-                let records = delete_records_chunked(&self.name, removed_ids);
-                if let Err(e) = wal.append_batch(&records) {
+            let mut batch = WalBatch::new();
+            batch.delete(&self.name, undo.iter().filter_map(Document::id));
+            if !batch.is_empty() {
+                if let Err(e) = wal.commit(batch) {
                     for doc in undo.into_iter().rev() {
                         Self::insert_locked(&mut inner, doc)
                             .expect("rollback reinserts a doc that was just removed");

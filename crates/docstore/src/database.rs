@@ -6,7 +6,7 @@ use crate::collection::Collection;
 use crate::error::{Error, Result};
 use crate::ordvalue::OrdValue;
 use crate::query::filter::{CmpOp, Filter};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{Wal, WalBatch};
 use doclite_bson::{Document, Value};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
@@ -110,7 +110,9 @@ impl Database {
         let mut map = self.collections.write();
         let Some(coll) = map.remove(name) else { return Ok(false) };
         if let Some(wal) = self.wal_handle() {
-            if let Err(e) = wal.append(&WalRecord::DropCollection { coll: name.to_owned() }) {
+            let mut batch = WalBatch::new();
+            batch.drop_collection(name);
+            if let Err(e) = wal.commit(batch) {
                 map.insert(name.to_owned(), coll);
                 return Err(e);
             }

@@ -131,6 +131,10 @@ impl IndexDef {
 pub struct Index {
     pub def: IndexDef,
     backing: Backing,
+    /// Set once any document has contributed more than one key (an
+    /// array under an indexed field) and never cleared: from then on a
+    /// lookup spanning several keys can name one document repeatedly.
+    multikey: bool,
 }
 
 #[derive(Debug)]
@@ -147,7 +151,7 @@ impl Index {
             IndexKind::BTree => Backing::BTree(BTreeIndex::new()),
             IndexKind::Hashed => Backing::Hashed(HashedIndex::new()),
         };
-        Ok(Index { def, backing })
+        Ok(Index { def, backing, multikey: false })
     }
 
     /// Indexes a document under its id. Returns `DuplicateId` for unique
@@ -161,6 +165,7 @@ impl Index {
                 }
             }
         }
+        self.multikey |= keys.len() > 1;
         for k in keys {
             match &mut self.backing {
                 Backing::BTree(b) => b.insert(k, id),
@@ -168,6 +173,15 @@ impl Index {
             }
         }
         Ok(())
+    }
+
+    /// True once some document has held several keys here, so the ids a
+    /// lookup returns may repeat (`{k: [2, 2]}` sits twice under key 2,
+    /// `{k: [1, 2]}` once under each key of a range). A reader that
+    /// wants each document once deduplicates exactly then; an index of
+    /// scalars never pays for it.
+    pub(crate) fn is_multikey(&self) -> bool {
+        self.multikey
     }
 
     /// Removes a document's entries.
@@ -199,6 +213,7 @@ impl Index {
                 Backing::Hashed(h) => h.remove(k, id),
             }
         }
+        self.multikey |= new.len() > 1;
         for k in new {
             match &mut self.backing {
                 Backing::BTree(b) => b.insert(k, id),

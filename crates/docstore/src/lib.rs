@@ -62,7 +62,7 @@ pub use changes::{watch, ChangeCursor, ChangeEvent, ChangeScope};
 pub use views::{ViewSet, ViewStats};
 pub use wal::{
     apply_record, db_fingerprint, scan_wal, DurableDb, Frame, RecoveryReport, SyncPolicy, Wal,
-    WalOptions, WalRecord,
+    WalBatch, WalOptions, WalRecord,
 };
 
 /// Compile-time proof that the types worker threads share by reference

@@ -11,8 +11,13 @@ use std::sync::Arc;
 
 /// CRC-32 (IEEE 802.3, the zlib/`crc32fast` polynomial), table-driven.
 /// Used for WAL frame checksums and the `DLDUMP2` per-document trailers.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+///
+/// `CRC_TABLES[0]` is the classic one-byte-at-a-time table; `[k][b]` is
+/// the checksum state after byte `b` and then `k` zero bytes, which lets
+/// [`Crc32::update`] fold eight input bytes per step ("slice-by-8")
+/// instead of chaining eight dependent table lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -21,10 +26,20 @@ const CRC_TABLE: [u32; 256] = {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// Incremental CRC-32 hasher (feed chunks, then [`Crc32::finish`]).
@@ -37,11 +52,26 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Feeds bytes into the checksum.
+    /// Feeds bytes into the checksum. How the input is split across
+    /// calls never changes the result.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
         let mut crc = self.0;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
         }
         self.0 = crc;
     }
@@ -108,6 +138,8 @@ pub struct StorageFaults {
     eio_budget: AtomicU64,
     /// Set once a simulated crash fired: all subsequent writes fail.
     crashed: AtomicBool,
+    /// Calls of [`StorageFaults::write_all`] so far, faulted or not.
+    writes: AtomicU64,
 }
 
 impl StorageFaults {
@@ -161,6 +193,13 @@ impl StorageFaults {
         self.crashed.load(Ordering::Relaxed)
     }
 
+    /// How many writes the layer above has issued through
+    /// [`StorageFaults::write_all`] — one per WAL group commit, which is
+    /// what the tests that count it pin.
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Relaxed)
+    }
+
     /// Clears every fault, including a fired crash ("the process was
     /// restarted").
     pub fn clear(&self) {
@@ -182,6 +221,7 @@ impl StorageFaults {
     /// before the error returns, so the file holds exactly what a real
     /// interrupted process would have persisted.
     pub fn write_all(&self, w: &mut impl Write, buf: &[u8]) -> io::Result<()> {
+        self.writes.fetch_add(1, Ordering::Relaxed);
         if !self.active() {
             return w.write_all(buf);
         }
@@ -493,6 +533,59 @@ mod tests {
         inc.update(b"1234");
         inc.update(b"56789");
         assert_eq!(inc.finish(), 0xCBF4_3926);
+    }
+
+    /// The one-byte-at-a-time CRC-32 the sliced [`Crc32::update`] must
+    /// agree with, written without any table.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference_at_every_length_alignment_and_split() {
+        // A fixed xorshift stream: every run checks the same bytes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let pool: Vec<u8> = (0..64 + 8 + 4096)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect();
+        for len in 0..=64 {
+            for align in 0..8 {
+                let input = &pool[align..align + len];
+                let want = crc32_bytewise(input);
+                assert_eq!(crc32(input), want, "len {len} at offset {align}");
+                for split in 0..=len {
+                    let mut h = Crc32::new();
+                    h.update(&input[..split]);
+                    h.update(&input[split..]);
+                    assert_eq!(h.finish(), want, "len {len} at offset {align} split at {split}");
+                }
+            }
+        }
+        // A long input fed in ragged pieces (lengths 0, 1, 2, … cycling
+        // through every residue of 8).
+        let long = &pool[3..];
+        let mut h = Crc32::new();
+        let (mut at, mut step) = (0, 0);
+        while at < long.len() {
+            let end = (at + step % 23).min(long.len());
+            h.update(&long[at..end]);
+            at = end;
+            step += 1;
+        }
+        assert_eq!(h.finish(), crc32_bytewise(long));
+        assert_eq!(crc32(long), crc32_bytewise(long));
     }
 
     #[test]

@@ -26,15 +26,21 @@
 //! overwritten by a shorter successor cannot resurface. The body is a
 //! BSON document describing one logical operation ([`WalRecord`]).
 //!
-//! ## Sync policy and group commit
+//! ## Staging, group commit and sync policy
 //!
-//! Frames are written (flushed to the OS) on every append — a process
-//! kill never loses an acknowledged write. [`SyncPolicy`] controls how
-//! often `fsync` pushes them to the platter, which is what a *power*
-//! loss is bounded by: `Always` syncs per commit, `EveryN(n)` amortizes
-//! one sync over `n` commits, `Never` leaves it to the OS. A batch
-//! append ([`Wal::append_batch`]) is one commit: its frames share a
-//! single sync decision (group commit).
+//! The log stores bytes, not documents. A write path stages its frames
+//! in a [`WalBatch`] while it applies them: each frame is encoded once,
+//! straight from the borrowed document, behind a header whose sequence
+//! number and checksum are still blank. [`Wal::commit`] then, under the
+//! log mutex, numbers and checksums the frames and hands the whole
+//! buffer to **one** `write` — a process kill never loses an
+//! acknowledged write, and a batch torn by one lands as a prefix of its
+//! bytes, which the recovery scan reads as the whole frames before the
+//! cut. [`SyncPolicy`] controls how often `fsync` pushes commits to the
+//! platter, which is what a *power* loss is bounded by: `Always` syncs
+//! per commit, `EveryN(n)` amortizes one sync over `n` commits, `Never`
+//! leaves it to the OS. A batch is one commit: its frames share a single
+//! sync decision (group commit).
 
 use crate::collection::Collection;
 use crate::database::Database;
@@ -43,7 +49,7 @@ use crate::error::{Error, Result};
 use crate::index::{IndexDef, IndexKind, SortOrder};
 use crate::query::filter::Filter;
 use crate::storage::{crc32, fsync_dir, Crc32, StorageFaults};
-use doclite_bson::codec::encoded_value_size;
+use doclite_bson::codec::{encoded_value_size, DocWriter};
 use doclite_bson::{codec, doc, Document, Value, MAX_DOCUMENT_SIZE};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -169,77 +175,219 @@ impl WalRecord {
         }
     }
 
-    /// Encodes the record as its BSON frame body.
-    pub fn to_doc(&self) -> Document {
-        match self {
-            WalRecord::Insert { coll, doc } => {
-                doc! {"op" => "insert", "c" => coll.as_str(), "d" => Value::Document(doc.clone())}
+    /// Decodes a frame body, taking the payload out of `d` rather than
+    /// copying it; `None` on any malformed shape.
+    fn from_doc(mut d: Document) -> Option<WalRecord> {
+        fn string(d: &mut Document, key: &str) -> Option<String> {
+            match d.remove(key)? {
+                Value::String(s) => Some(s),
+                _ => None,
             }
-            WalRecord::Update { coll, doc } => {
-                doc! {"op" => "update", "c" => coll.as_str(), "d" => Value::Document(doc.clone())}
-            }
-            WalRecord::Delete { coll, ids } => {
-                doc! {"op" => "delete", "c" => coll.as_str(), "ids" => Value::Array(ids.clone())}
-            }
-            WalRecord::CreateIndex { coll, def } => {
-                doc! {"op" => "create_index", "c" => coll.as_str(),
-                      "def" => Value::Document(index_def_to_doc(def))}
-            }
-            WalRecord::DropIndex { coll, name } => {
-                doc! {"op" => "drop_index", "c" => coll.as_str(), "name" => name.as_str()}
-            }
-            WalRecord::DropCollection { coll } => {
-                doc! {"op" => "drop_coll", "c" => coll.as_str()}
-            }
-            WalRecord::Seal { fingerprint } => {
-                doc! {"op" => "seal", "fp" => Value::Document(fingerprint.clone())}
-            }
-            WalRecord::Noop => doc! {"op" => "noop"},
         }
-    }
-
-    /// Decodes a frame body; `None` on any malformed shape.
-    pub fn from_doc(d: &Document) -> Option<WalRecord> {
-        let op = match d.get("op")? {
-            Value::String(s) => s.as_str(),
-            _ => return None,
-        };
-        let coll = || match d.get("c") {
-            Some(Value::String(s)) => Some(s.clone()),
-            _ => None,
-        };
-        let body = || match d.get("d") {
-            Some(Value::Document(doc)) => Some(doc.clone()),
-            _ => None,
-        };
-        Some(match op {
-            "insert" => WalRecord::Insert { coll: coll()?, doc: body()? },
-            "update" => WalRecord::Update { coll: coll()?, doc: body()? },
-            "delete" => match d.get("ids")? {
-                Value::Array(ids) => WalRecord::Delete { coll: coll()?, ids: ids.clone() },
+        fn document(d: &mut Document, key: &str) -> Option<Document> {
+            match d.remove(key)? {
+                Value::Document(doc) => Some(doc),
+                _ => None,
+            }
+        }
+        let d = &mut d;
+        Some(match string(d, "op")?.as_str() {
+            "insert" => WalRecord::Insert { coll: string(d, "c")?, doc: document(d, "d")? },
+            "update" => WalRecord::Update { coll: string(d, "c")?, doc: document(d, "d")? },
+            "delete" => match d.remove("ids")? {
+                Value::Array(ids) => WalRecord::Delete { coll: string(d, "c")?, ids },
                 _ => return None,
             },
-            "create_index" => match d.get("def")? {
-                Value::Document(def) => {
-                    WalRecord::CreateIndex { coll: coll()?, def: index_def_from_doc(def)? }
-                }
-                _ => return None,
+            "create_index" => WalRecord::CreateIndex {
+                coll: string(d, "c")?,
+                def: index_def_from_doc(&document(d, "def")?)?,
             },
-            "drop_index" => match d.get("name")? {
-                Value::String(name) => {
-                    WalRecord::DropIndex { coll: coll()?, name: name.clone() }
-                }
-                _ => return None,
-            },
-            "drop_coll" => WalRecord::DropCollection { coll: coll()? },
-            "seal" => match d.get("fp")? {
-                Value::Document(fp) => WalRecord::Seal { fingerprint: fp.clone() },
-                _ => return None,
-            },
+            "drop_index" => WalRecord::DropIndex { coll: string(d, "c")?, name: string(d, "name")? },
+            "drop_coll" => WalRecord::DropCollection { coll: string(d, "c")? },
+            "seal" => WalRecord::Seal { fingerprint: document(d, "fp")? },
             "noop" => WalRecord::Noop,
             _ => return None,
         })
     }
+
+    /// Decodes an encoded frame body — what the recovery scan and the
+    /// change hub's byte ring both hold.
+    pub(crate) fn decode(body: &[u8]) -> Option<WalRecord> {
+        WalRecord::from_doc(codec::decode_document(body).ok()?)
+    }
+}
+
+/// The frames of one group commit while they are being staged: whole
+/// frames back to back in one buffer, each encoded where it lies from
+/// borrowed parts — no [`WalRecord`] is built and no document cloned.
+/// A frame's header carries its body length from the start; the sequence
+/// number and checksum stay zero until [`Wal::commit`] assigns them under
+/// the log mutex. Staging never fails: a frame over the scan cap is
+/// remembered and refused by the commit, before any byte is written.
+#[derive(Debug, Default)]
+pub struct WalBatch {
+    buf: Vec<u8>,
+    frames: usize,
+    /// Body length of the first staged frame that exceeded
+    /// [`MAX_FRAME_BODY`] (its bytes are not kept).
+    oversized: Option<usize>,
+}
+
+impl WalBatch {
+    /// An empty batch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of frames staged.
+    pub fn len(&self) -> usize {
+        self.frames
+    }
+
+    /// True when nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.frames == 0 && self.oversized.is_none()
+    }
+
+    /// Stages one frame whose body is the document `body` writes.
+    fn frame(&mut self, body: impl FnOnce(&mut DocWriter<'_>)) {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0u8; FRAME_HEADER]);
+        let mut w = DocWriter::new(&mut self.buf);
+        body(&mut w);
+        w.finish();
+        let len = self.buf.len() - start - FRAME_HEADER;
+        if len > MAX_FRAME_BODY {
+            // A frame over the scan cap would be written fine but
+            // rejected — along with everything after it — by the next
+            // recovery scan as a torn tail.
+            self.buf.truncate(start);
+            self.oversized.get_or_insert(len);
+            return;
+        }
+        self.buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.frames += 1;
+    }
+
+    /// Stages the insert of `doc` into `coll`.
+    pub fn insert(&mut self, coll: &str, doc: &Document) {
+        self.document_frame("insert", coll, doc);
+    }
+
+    /// Stages the replacement of a document of `coll` by the post-image
+    /// `doc`.
+    pub fn update(&mut self, coll: &str, doc: &Document) {
+        self.document_frame("update", coll, doc);
+    }
+
+    /// One `{"op", "c", "d"}` frame around the borrowed `doc`.
+    fn document_frame(&mut self, op: &str, coll: &str, doc: &Document) {
+        self.frame(|w| {
+            w.str("op", op);
+            w.str("c", coll);
+            w.document("d", doc);
+        });
+    }
+
+    /// Stages the deletion of `ids` from `coll`, split into as many
+    /// frames as keep each encoded body within the scan cap — a delete
+    /// of any size then logs as several bounded frames of one group
+    /// commit instead of one oversized frame the commit would refuse.
+    pub fn delete<'a>(&mut self, coll: &str, ids: impl IntoIterator<Item = &'a Value>) {
+        let mut ids = ids.into_iter().peekable();
+        while ids.peek().is_some() {
+            self.delete_frame(coll, &mut ids, Some(MAX_DOCUMENT_SIZE));
+        }
+    }
+
+    /// One `Delete` frame of the leading `ids` that fit `budget` bytes
+    /// (at least one; all of them without a budget).
+    fn delete_frame<'a>(
+        &mut self,
+        coll: &str,
+        ids: &mut std::iter::Peekable<impl Iterator<Item = &'a Value>>,
+        budget: Option<usize>,
+    ) {
+        // Per-element cost: type byte + array index key (≤ 20 digits) +
+        // NUL + payload. Budgeting chunks to MAX_DOCUMENT_SIZE leaves
+        // the frame's fixed fields comfortably inside MAX_FRAME_BODY's
+        // slack.
+        let cost = |v: &Value| 1 + 20 + 1 + encoded_value_size(v);
+        let mut used = 0usize;
+        let chunk = std::iter::from_fn(|| {
+            let c = cost(ids.peek()?);
+            if used > 0 && budget.is_some_and(|b| used + c > b) {
+                return None;
+            }
+            used += c;
+            ids.next()
+        });
+        self.frame(|w| {
+            w.str("op", "delete");
+            w.str("c", coll);
+            w.array("ids", chunk);
+        });
+    }
+
+    /// Stages the creation of index `def` on `coll`.
+    pub fn create_index(&mut self, coll: &str, def: &IndexDef) {
+        self.frame(|w| {
+            w.str("op", "create_index");
+            w.str("c", coll);
+            w.document("def", &index_def_to_doc(def));
+        });
+    }
+
+    /// Stages the drop of index `name` from `coll`.
+    pub fn drop_index(&mut self, coll: &str, name: &str) {
+        self.frame(|w| {
+            w.str("op", "drop_index");
+            w.str("c", coll);
+            w.str("name", name);
+        });
+    }
+
+    /// Stages the drop of `coll`.
+    pub fn drop_collection(&mut self, coll: &str) {
+        self.frame(|w| {
+            w.str("op", "drop_coll");
+            w.str("c", coll);
+        });
+    }
+
+    /// Stages an already-built record as exactly one frame (a `Delete`
+    /// is not split: what [`Wal::append`] is given is what the log
+    /// holds, or the commit refuses it).
+    pub fn record(&mut self, record: &WalRecord) {
+        match record {
+            WalRecord::Insert { coll, doc } => self.insert(coll, doc),
+            WalRecord::Update { coll, doc } => self.update(coll, doc),
+            WalRecord::Delete { coll, ids } => {
+                self.delete_frame(coll, &mut ids.iter().peekable(), None)
+            }
+            WalRecord::CreateIndex { coll, def } => self.create_index(coll, def),
+            WalRecord::DropIndex { coll, name } => self.drop_index(coll, name),
+            WalRecord::DropCollection { coll } => self.drop_collection(coll),
+            WalRecord::Seal { fingerprint } => self.frame(|w| {
+                w.str("op", "seal");
+                w.document("fp", fingerprint);
+            }),
+            WalRecord::Noop => self.frame(|w| w.str("op", "noop")),
+        }
+    }
+}
+
+/// The `(seq, body)` of every frame in `bytes`, a buffer of whole sealed
+/// frames (what [`Wal::commit`] has just written).
+fn sealed_frames(mut bytes: &[u8]) -> impl Iterator<Item = (u64, &[u8])> {
+    std::iter::from_fn(move || {
+        let (header, rest) = bytes.split_first_chunk::<FRAME_HEADER>()?;
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        let seq = u64::from_le_bytes(header[4..12].try_into().ok()?);
+        let (body, rest) = rest.split_at_checked(len)?;
+        bytes = rest;
+        Some((seq, body))
+    })
 }
 
 struct WalInner {
@@ -263,7 +411,7 @@ struct WalInner {
 
 /// Default in-memory change-hub retention, in frames (see
 /// [`Wal::set_change_capacity`]).
-const DEFAULT_CHANGE_BUFFER: usize = 1024;
+pub(crate) const DEFAULT_CHANGE_BUFFER: usize = 1024;
 
 /// The write-ahead log: an append-only checksummed frame stream.
 pub struct Wal {
@@ -282,23 +430,28 @@ impl Wal {
     /// a torn tail left by a crash is truncated away.
     pub fn open(path: impl Into<PathBuf>, opts: WalOptions) -> Result<Arc<Wal>> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let (valid_len, next_seq, file_floor) = if path.exists() {
-            let scan = scan_wal(&path)?;
-            let next = scan.frames.last().map_or(1, |f| f.seq + 1);
-            let floor = scan.frames.first().map_or(next - 1, |f| f.seq - 1);
-            (scan.valid_len, next, floor)
-        } else {
-            let mut f = File::create(&path)?;
-            f.write_all(WAL_MAGIC)?;
-            f.sync_data()?;
-            (WAL_MAGIC.len() as u64, 1, 0)
+        let tail = if path.exists() { Some(scan_wal(&path)?.tail()) } else { None };
+        Self::open_at(path, opts, tail)
+    }
+
+    /// [`Wal::open`] for a caller that has scanned the file itself
+    /// (recovery, which replays what the scan decoded): `tail` is that
+    /// scan's [`WalScan::tail`], `None` when there is no file yet.
+    fn open_at(path: PathBuf, opts: WalOptions, tail: Option<LogTail>) -> Result<Arc<Wal>> {
+        let tail = match tail {
+            Some(tail) => tail,
+            None => {
+                if let Some(parent) = path.parent() {
+                    std::fs::create_dir_all(parent)?;
+                }
+                let mut f = File::create(&path)?;
+                f.write_all(WAL_MAGIC)?;
+                f.sync_data()?;
+                LogTail { valid_len: WAL_MAGIC.len() as u64, next_seq: 1, file_floor: 0 }
+            }
         };
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        file.set_len(valid_len)?;
-        let mut file = file;
+        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        file.set_len(tail.valid_len)?;
         file.seek(SeekFrom::End(0))?;
         Ok(Arc::new(Wal {
             path,
@@ -306,11 +459,11 @@ impl Wal {
             faults: opts.faults,
             inner: Mutex::new(WalInner {
                 file,
-                next_seq,
+                next_seq: tail.next_seq,
                 commits_since_sync: 0,
-                len: valid_len,
+                len: tail.valid_len,
                 poisoned: None,
-                file_floor,
+                file_floor: tail.file_floor,
             }),
             hub: crate::changes::ChangeHub::new(DEFAULT_CHANGE_BUFFER),
         }))
@@ -382,8 +535,18 @@ impl Wal {
         // The hub's ring buffer holds the newest frames; prefer it (no
         // I/O). The file covers everything since the last truncation,
         // including what the ring already evicted.
-        if let Some(frames) = self.hub.buffered_after(token) {
-            return Ok(frames);
+        if let Some(bodies) = self.hub.buffered_after(token) {
+            // Decoding needs no lock: the bodies are shared and frozen.
+            drop(inner);
+            return bodies
+                .into_iter()
+                .map(|(seq, body)| {
+                    let record = WalRecord::decode(&body).ok_or_else(|| {
+                        Error::Storage(format!("change hub holds an undecodable body for frame {seq}"))
+                    })?;
+                    Ok(Frame { seq, record })
+                })
+                .collect();
         }
         if token >= inner.file_floor {
             let scan = scan_wal(&self.path)?;
@@ -407,46 +570,11 @@ impl Wal {
         }
     }
 
-    fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
-        let body = codec::encode_document(&record.to_doc());
-        let mut frame = Vec::with_capacity(FRAME_HEADER + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&seq.to_le_bytes());
-        let mut crc = Crc32::new();
-        crc.update(&seq.to_le_bytes());
-        crc.update(&body);
-        frame.extend_from_slice(&crc.finish().to_le_bytes());
-        frame.extend_from_slice(&body);
-        frame
-    }
-
-    fn write_frame(&self, inner: &mut WalInner, record: &WalRecord) -> Result<u64> {
-        let seq = inner.next_seq;
-        let frame = Self::encode_frame(seq, record);
-        let body_len = frame.len() - FRAME_HEADER;
-        if body_len > MAX_FRAME_BODY {
-            // A frame over the scan cap would be written fine but
-            // rejected — along with everything after it — by the next
-            // recovery scan as a torn tail. Refuse it up front.
-            return Err(Error::Storage(format!(
-                "WAL frame body of {body_len} bytes exceeds the {MAX_FRAME_BODY} byte cap"
-            )));
-        }
-        match &self.faults {
-            Some(f) => f.write_all(&mut inner.file, &frame)?,
-            None => inner.file.write_all(&frame)?,
-        }
-        inner.len += frame.len() as u64;
-        inner.next_seq += 1;
-        Ok(seq)
-    }
-
-    /// Restores the file to its pre-append state after a failed frame
-    /// write: a torn frame left at the tail would make every *later*
-    /// append unreachable to the recovery scan. Poisons the log when the
-    /// truncation itself fails.
-    fn rewind(&self, inner: &mut WalInner, start_len: u64, start_seq: u64, cause: &Error) {
-        inner.next_seq = start_seq;
+    /// Restores the file to its pre-commit state after a failed write
+    /// (the sequence counter has not moved yet): torn bytes left at the
+    /// tail would make every *later* commit unreachable to the recovery
+    /// scan. Poisons the log when the truncation itself fails.
+    fn rewind(&self, inner: &mut WalInner, start_len: u64, cause: &Error) {
         if self.faults.as_ref().is_some_and(|f| f.crashed()) {
             // A (simulated) crash means the process is dead: a real one
             // never cleans its own tail, so leave the torn bytes for the
@@ -469,7 +597,8 @@ impl Wal {
         }
     }
 
-    fn commit(&self, inner: &mut WalInner) -> Result<()> {
+    /// Counts one commit against the sync policy and syncs when due.
+    fn sync_if_due(&self, inner: &mut WalInner) -> Result<()> {
         inner.commits_since_sync += 1;
         let due = match self.sync {
             SyncPolicy::Always => true,
@@ -487,32 +616,63 @@ impl Wal {
     }
 
     /// Appends one record as one commit; returns its sequence number.
-    /// On failure the log is rewound to its pre-append state (or
-    /// poisoned if even that fails), so an error here means "nothing was
-    /// logged", never "something half was".
+    /// The rare records (index and collection drops, seals, heartbeats)
+    /// and callers that hold a [`WalRecord`] anyway come through here;
+    /// the write paths stage a [`WalBatch`] from borrowed documents.
+    /// Failure semantics as in [`Wal::commit`].
     pub fn append(&self, record: &WalRecord) -> Result<u64> {
-        self.append_batch(std::slice::from_ref(record))
+        let mut batch = WalBatch::new();
+        batch.record(record);
+        self.commit(batch)
     }
 
-    /// Appends a batch of records as a *single* commit (group commit):
-    /// all frames are written, then the sync policy is consulted once.
-    /// Returns the sequence number of the last frame. Failure semantics
-    /// as in [`Wal::append`]: the whole batch is rewound.
-    pub fn append_batch(&self, records: &[WalRecord]) -> Result<u64> {
+    /// Commits a staged batch as a *single* commit (group commit): under
+    /// the log mutex its frames take the next sequence numbers and their
+    /// checksums, the whole buffer goes to the file in one `write`, and
+    /// the sync policy is consulted once. Returns the sequence number of
+    /// the last frame (the current tip for an empty batch). On failure
+    /// the log is rewound to its pre-commit state (or poisoned if even
+    /// that fails), so an error here means "nothing was logged", never
+    /// "something half was"; a batch holding a frame over the scan cap
+    /// is refused before any byte is written.
+    pub fn commit(&self, batch: WalBatch) -> Result<u64> {
+        let WalBatch { mut buf, frames, oversized } = batch;
         let mut inner = self.inner.lock();
         Self::ensure_usable(&inner)?;
-        let (start_len, start_seq) = (inner.len, inner.next_seq);
-        let mut last = inner.next_seq;
-        for r in records {
-            match self.write_frame(&mut inner, r) {
-                Ok(seq) => last = seq,
-                Err(e) => {
-                    self.rewind(&mut inner, start_len, start_seq, &e);
-                    return Err(e);
-                }
-            }
+        if let Some(len) = oversized {
+            return Err(Error::Storage(format!(
+                "WAL frame body of {len} bytes exceeds the {MAX_FRAME_BODY} byte cap"
+            )));
         }
-        if let Err(e) = self.commit(&mut inner) {
+        let (start_len, start_seq) = (inner.len, inner.next_seq);
+        if frames == 0 {
+            return Ok(start_seq - 1);
+        }
+        let mut seq = start_seq;
+        let mut rest = buf.as_mut_slice();
+        while let Some((header, tail)) = rest.split_first_chunk_mut::<FRAME_HEADER>() {
+            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+            let (body, tail) = tail.split_at_mut(len);
+            header[4..12].copy_from_slice(&seq.to_le_bytes());
+            let mut crc = Crc32::new();
+            crc.update(&header[4..12]);
+            crc.update(body);
+            header[12..16].copy_from_slice(&crc.finish().to_le_bytes());
+            seq += 1;
+            rest = tail;
+        }
+        let written = match &self.faults {
+            Some(f) => f.write_all(&mut inner.file, &buf),
+            None => inner.file.write_all(&buf),
+        };
+        if let Err(e) = written {
+            let e = Error::from(e);
+            self.rewind(&mut inner, start_len, &e);
+            return Err(e);
+        }
+        inner.len += buf.len() as u64;
+        inner.next_seq = seq;
+        if let Err(e) = self.sync_if_due(&mut inner) {
             // The frames reached the OS but their durability is unknown
             // (a failed fsync makes no promise about earlier commits
             // either); refusing further writes is the only honest state.
@@ -522,13 +682,8 @@ impl Wal {
         // Publish only after the whole batch committed: a rewound batch
         // must never surface as change events. The `inner` lock is
         // still held, so subscribers observe frames in sequence order.
-        self.hub.publish(
-            records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| Frame { seq: start_seq + i as u64, record: r.clone() }),
-        );
-        Ok(last)
+        self.hub.publish(frames, sealed_frames(&buf));
+        Ok(seq - 1)
     }
 
     /// Forces an fsync regardless of policy.
@@ -565,34 +720,6 @@ impl Wal {
     }
 }
 
-/// Splits a list of deleted `_id`s into [`WalRecord::Delete`] frames
-/// whose encoded bodies each stay within the scan cap — a delete of any
-/// size then logs as several bounded frames (one group commit via
-/// [`Wal::append_batch`]) instead of one oversized frame a recovery
-/// scan would reject as a torn tail.
-pub fn delete_records_chunked(coll: &str, ids: Vec<Value>) -> Vec<WalRecord> {
-    // Per-element cost: type byte + array index key (≤ 20 digits) + NUL
-    // + payload. Budgeting chunks to MAX_DOCUMENT_SIZE leaves the
-    // frame's fixed fields comfortably inside MAX_FRAME_BODY's slack.
-    let cost = |v: &Value| 1 + 20 + 1 + encoded_value_size(v);
-    let mut records = Vec::new();
-    let mut chunk: Vec<Value> = Vec::new();
-    let mut chunk_size = 0usize;
-    for id in ids {
-        let c = cost(&id);
-        if !chunk.is_empty() && chunk_size + c > MAX_DOCUMENT_SIZE {
-            records.push(WalRecord::Delete { coll: coll.to_owned(), ids: std::mem::take(&mut chunk) });
-            chunk_size = 0;
-        }
-        chunk_size += c;
-        chunk.push(id);
-    }
-    if !chunk.is_empty() {
-        records.push(WalRecord::Delete { coll: coll.to_owned(), ids: chunk });
-    }
-    records
-}
-
 /// One decoded frame.
 #[derive(Clone, Debug)]
 pub struct Frame {
@@ -612,6 +739,24 @@ pub struct WalScan {
     /// Whether bytes beyond `valid_len` were present and discarded — a
     /// torn tail from a crash mid-append (or tail corruption).
     pub torn_tail: bool,
+}
+
+/// Where appending resumes in a scanned log file.
+#[derive(Clone, Copy, Debug)]
+struct LogTail {
+    valid_len: u64,
+    next_seq: u64,
+    /// The file holds exactly the frames with seq in `(file_floor,
+    /// next_seq)`.
+    file_floor: u64,
+}
+
+impl WalScan {
+    fn tail(&self) -> LogTail {
+        let next_seq = self.frames.last().map_or(1, |f| f.seq + 1);
+        let file_floor = self.frames.first().map_or(next_seq - 1, |f| f.seq - 1);
+        LogTail { valid_len: self.valid_len, next_seq, file_floor }
+    }
 }
 
 /// Scans a WAL file up to the last intact frame. A frame is intact when
@@ -642,8 +787,7 @@ pub fn scan_wal(path: &Path) -> Result<WalScan> {
         if hasher.finish() != crc {
             break;
         }
-        let Ok(doc) = codec::decode_document(body) else { break };
-        let Some(record) = WalRecord::from_doc(&doc) else { break };
+        let Some(record) = WalRecord::decode(body) else { break };
         frames.push(Frame { seq, record });
         last_seq = seq;
         pos += FRAME_HEADER + len;
@@ -655,36 +799,44 @@ pub fn scan_wal(path: &Path) -> Result<WalScan> {
     })
 }
 
-/// Applies one logged record to a database. Recovery replay calls this
-/// on a database that does *not* have a WAL attached yet (replay must
-/// not re-log itself); replica log shipping calls it on a live member,
-/// where re-logging into the member's own WAL is exactly the point.
+/// Applies one logged record to a database. Replica log shipping calls
+/// this on a live member, where re-logging into the member's own WAL is
+/// exactly the point; the record stays with the caller's frame, so the
+/// member's copy is made here.
 pub fn apply_record(db: &Database, record: &WalRecord) -> Result<()> {
+    replay_record(db, record.clone())
+}
+
+/// [`apply_record`] for a caller that owns the record: its document
+/// moves into the collection. Recovery replay calls this on a database
+/// that does *not* have a WAL attached yet (replay must not re-log
+/// itself).
+fn replay_record(db: &Database, record: WalRecord) -> Result<()> {
     match record {
         WalRecord::Insert { coll, doc } => {
-            db.collection(coll).insert_one(doc.clone())?;
+            db.collection(&coll).insert_one(doc)?;
         }
         WalRecord::Update { coll, doc } => {
-            let c = db.collection(coll);
+            let c = db.collection(&coll);
             if let Some(id) = doc.id() {
                 c.delete_many(&Filter::eq("_id", id.clone()));
             }
-            c.insert_one(doc.clone())?;
+            c.insert_one(doc)?;
         }
         WalRecord::Delete { coll, ids } => {
-            let c = db.collection(coll);
+            let c = db.collection(&coll);
             for id in ids {
-                c.delete_many(&Filter::eq("_id", id.clone()));
+                c.delete_many(&Filter::eq("_id", id));
             }
         }
         WalRecord::CreateIndex { coll, def } => {
-            db.collection(coll).create_index(def.clone())?;
+            db.collection(&coll).create_index(def)?;
         }
         WalRecord::DropIndex { coll, name } => {
-            db.collection(coll).drop_index(name)?;
+            db.collection(&coll).drop_index(&name)?;
         }
         WalRecord::DropCollection { coll } => {
-            db.drop_collection(coll);
+            db.drop_collection(&coll);
         }
         WalRecord::Seal { .. } | WalRecord::Noop => {}
     }
@@ -794,26 +946,29 @@ impl DurableDb {
         }
 
         // 2. Replay the log, skipping frames the checkpoint already
-        //    contains. `Wal::open` re-scans and truncates the torn
-        //    tail; scanning here first yields the frames to apply.
+        //    contains. The file is read and decoded once: the scan's
+        //    records move into the collections, and its end position is
+        //    where `Wal::open_at` resumes (truncating a torn tail).
         let wal_path = dir.join("wal.log");
+        let mut tail = None;
         let mut sealed_fp = None;
         if wal_path.exists() {
-            let scan = scan_wal(&wal_path)?;
+            let mut scan = scan_wal(&wal_path)?;
             report.torn_tail = scan.torn_tail;
-            for frame in &scan.frames {
+            tail = Some(scan.tail());
+            if let Some(Frame { record: WalRecord::Seal { fingerprint }, .. }) =
+                scan.frames.last_mut()
+            {
+                sealed_fp = Some(std::mem::take(fingerprint));
+            }
+            for frame in scan.frames {
                 if frame.seq <= watermark {
                     report.frames_skipped += 1;
                     continue;
                 }
-                apply_record(&db, &frame.record)?;
+                replay_record(&db, frame.record)?;
                 report.frames_replayed += 1;
                 report.last_seq = frame.seq;
-            }
-            if let Some(Frame { record: WalRecord::Seal { fingerprint }, .. }) =
-                scan.frames.last()
-            {
-                sealed_fp = Some(fingerprint.clone());
             }
         }
 
@@ -831,7 +986,7 @@ impl DurableDb {
             report.sealed = true;
         }
 
-        let wal = Wal::open(&wal_path, opts.clone())?;
+        let wal = Wal::open_at(wal_path, opts.clone(), tail)?;
         // An empty (checkpoint-truncated) log would restart numbering at
         // 1; keep it past the watermark so new frames are never skipped.
         wal.reserve_seq(watermark + 1);
@@ -1009,6 +1164,7 @@ fn restore_checkpoint(
 mod tests {
     use super::*;
     use crate::update::UpdateSpec;
+    use doclite_bson::codec::encoded_size;
     use doclite_bson::doc;
 
     fn tmp(tag: &str) -> PathBuf {
@@ -1022,20 +1178,275 @@ mod tests {
         WalOptions { sync: SyncPolicy::Always, faults: None }
     }
 
-    #[test]
-    fn wal_record_roundtrip() {
-        let records = vec![
+    /// The frame body as the log's first writer built it (PR 3 – PR 19):
+    /// an owned envelope document holding a clone of everything, handed
+    /// to `encode_document`. Kept as the golden reference the borrowed
+    /// encoder must reproduce byte for byte.
+    fn parent_to_doc(record: &WalRecord) -> Document {
+        match record {
+            WalRecord::Insert { coll, doc } => {
+                doc! {"op" => "insert", "c" => coll.as_str(), "d" => Value::Document(doc.clone())}
+            }
+            WalRecord::Update { coll, doc } => {
+                doc! {"op" => "update", "c" => coll.as_str(), "d" => Value::Document(doc.clone())}
+            }
+            WalRecord::Delete { coll, ids } => {
+                doc! {"op" => "delete", "c" => coll.as_str(), "ids" => Value::Array(ids.clone())}
+            }
+            WalRecord::CreateIndex { coll, def } => {
+                doc! {"op" => "create_index", "c" => coll.as_str(),
+                      "def" => Value::Document(index_def_to_doc(def))}
+            }
+            WalRecord::DropIndex { coll, name } => {
+                doc! {"op" => "drop_index", "c" => coll.as_str(), "name" => name.as_str()}
+            }
+            WalRecord::DropCollection { coll } => {
+                doc! {"op" => "drop_coll", "c" => coll.as_str()}
+            }
+            WalRecord::Seal { fingerprint } => {
+                doc! {"op" => "seal", "fp" => Value::Document(fingerprint.clone())}
+            }
+            WalRecord::Noop => doc! {"op" => "noop"},
+        }
+    }
+
+    /// One frame as the parent's `encode_frame` laid it out.
+    fn parent_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
+        let body = codec::encode_document(&parent_to_doc(record));
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&seq.to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.update(&seq.to_le_bytes());
+        crc.update(&body);
+        frame.extend_from_slice(&crc.finish().to_le_bytes());
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    /// The log file the parent would hold after appending `records` to a
+    /// fresh log.
+    fn parent_log(records: &[WalRecord]) -> Vec<u8> {
+        let mut bytes = WAL_MAGIC.to_vec();
+        for (i, r) in records.iter().enumerate() {
+            bytes.extend(parent_frame(i as u64 + 1, r));
+        }
+        bytes
+    }
+
+    fn every_variant() -> Vec<WalRecord> {
+        let nested = doc! {
+            "_id" => doclite_bson::ObjectId::from_parts(7, 8, 9),
+            "s" => "x",
+            "i" => 1i32,
+            "l" => i64::MIN,
+            "f" => -0.5f64,
+            "b" => false,
+            "n" => Value::Null,
+            "t" => Value::DateTime(1_430_000_000_000),
+            "e" => Document::new(),
+            "a" => Value::Array(vec![
+                Value::Array(vec![]),
+                Value::Document(doc! {"k" => Value::Array((0..12).map(Value::Int32).collect())}),
+            ]),
+        };
+        vec![
             WalRecord::Insert { coll: "a".into(), doc: doc! {"_id" => 1i64, "v" => "x"} },
-            WalRecord::Update { coll: "a".into(), doc: doc! {"_id" => 1i64, "v" => "y"} },
-            WalRecord::Delete { coll: "a".into(), ids: vec![Value::Int64(1)] },
+            WalRecord::Insert { coll: "a".into(), doc: Document::new() },
+            WalRecord::Update { coll: "a".into(), doc: nested },
+            WalRecord::Delete { coll: "a".into(), ids: vec![Value::Int64(1), Value::from("two")] },
+            WalRecord::Delete { coll: "a".into(), ids: vec![] },
             WalRecord::CreateIndex { coll: "a".into(), def: IndexDef::single("v") },
+            WalRecord::CreateIndex { coll: "a".into(), def: IndexDef::compound(["v", "w"]).unique() },
+            WalRecord::CreateIndex { coll: "a".into(), def: IndexDef::hashed("h") },
             WalRecord::DropIndex { coll: "a".into(), name: "v_1".into() },
             WalRecord::DropCollection { coll: "a".into() },
             WalRecord::Seal { fingerprint: doc! {"collections" => Value::Array(vec![])} },
-        ];
-        for r in records {
-            assert_eq!(WalRecord::from_doc(&r.to_doc()), Some(r));
+            WalRecord::Noop,
+        ]
+    }
+
+    #[test]
+    fn wal_record_roundtrip() {
+        for r in every_variant() {
+            assert_eq!(WalRecord::from_doc(parent_to_doc(&r)).as_ref(), Some(&r));
+            let mut batch = WalBatch::new();
+            batch.record(&r);
+            let (_, body) = sealed_frames(&batch.buf).next().unwrap();
+            assert_eq!(WalRecord::decode(body), Some(r));
         }
+    }
+
+    #[test]
+    fn the_log_file_is_byte_identical_to_the_parents_for_every_record_variant() {
+        let dir = tmp("golden");
+        let records = every_variant();
+
+        // One commit per record, through `Wal::append`.
+        let path = dir.join("appended.log");
+        let wal = Wal::open(&path, opts_always()).unwrap();
+        for r in &records {
+            wal.append(r).unwrap();
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), parent_log(&records));
+
+        // One group commit of all of them, staged through the borrowing
+        // calls the write paths use.
+        let path = dir.join("staged.log");
+        let wal = Wal::open(&path, opts_always()).unwrap();
+        let mut batch = WalBatch::new();
+        for r in &records {
+            match r {
+                WalRecord::Insert { coll, doc } => batch.insert(coll, doc),
+                WalRecord::Update { coll, doc } => batch.update(coll, doc),
+                WalRecord::Delete { coll, ids } if !ids.is_empty() => batch.delete(coll, ids),
+                WalRecord::CreateIndex { coll, def } => batch.create_index(coll, def),
+                WalRecord::DropIndex { coll, name } => batch.drop_index(coll, name),
+                WalRecord::DropCollection { coll } => batch.drop_collection(coll),
+                other => batch.record(other),
+            }
+        }
+        assert_eq!(batch.len(), records.len());
+        assert_eq!(wal.commit(batch).unwrap(), records.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), parent_log(&records));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    mod golden_documents {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_scalar() -> BoxedStrategy<Value> {
+            prop_oneof![
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::Bool),
+                any::<i32>().prop_map(Value::Int32),
+                any::<i64>().prop_map(Value::Int64),
+                any::<i64>().prop_map(|n| Value::Double(n as f64 / 7.0)),
+                any::<i64>().prop_map(Value::DateTime),
+                (any::<u32>(), any::<u64>(), any::<u32>())
+                    .prop_map(|(a, b, c)| Value::ObjectId(doclite_bson::ObjectId::from_parts(a, b, c))),
+                "[a-z é]{0,12}".prop_map(Value::String),
+            ]
+            .boxed()
+        }
+
+        fn arb_value() -> BoxedStrategy<Value> {
+            arb_scalar().prop_recursive(3, 32, 4, |inner| {
+                prop_oneof![
+                    prop::collection::vec(inner.clone(), 0..12).prop_map(Value::Array),
+                    arb_fields(inner).prop_map(Value::Document),
+                ]
+            })
+        }
+
+        fn arb_fields(value: BoxedStrategy<Value>) -> BoxedStrategy<Document> {
+            prop::collection::vec(("[a-z_]{1,6}", value), 0..6)
+                .prop_map(|fields| fields.into_iter().collect())
+                .boxed()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn borrowed_frames_equal_the_parents_for_generated_documents(
+                docs in prop::collection::vec(arb_fields(arb_value()), 1..5),
+                first_seq in 1u64..1_000_000,
+            ) {
+                let mut batch = WalBatch::new();
+                let mut records = Vec::new();
+                for (i, d) in docs.iter().enumerate() {
+                    if i % 2 == 0 {
+                        batch.insert("store_sales", d);
+                        records.push(WalRecord::Insert { coll: "store_sales".into(), doc: d.clone() });
+                    } else {
+                        batch.update("c", d);
+                        records.push(WalRecord::Update { coll: "c".into(), doc: d.clone() });
+                    }
+                }
+                let ids: Vec<Value> = docs.iter().flat_map(|d| d.values().cloned()).collect();
+                if !ids.is_empty() {
+                    batch.delete("c", &ids);
+                    records.push(WalRecord::Delete { coll: "c".into(), ids });
+                }
+
+                let dir = tmp(&format!("golden-prop-{first_seq}-{}", docs.len()));
+                let path = dir.join("wal.log");
+                let wal = Wal::open(&path, opts_always()).unwrap();
+                wal.reserve_seq(first_seq);
+                wal.commit(batch).unwrap();
+                let mut want = WAL_MAGIC.to_vec();
+                for (i, r) in records.iter().enumerate() {
+                    want.extend(parent_frame(first_seq + i as u64, r));
+                }
+                prop_assert_eq!(std::fs::read(&path).unwrap(), want);
+                // And the records come back out of the file.
+                let scan = scan_wal(&path).unwrap();
+                prop_assert!(!scan.torn_tail);
+                let read: Vec<WalRecord> = scan.frames.into_iter().map(|f| f.record).collect();
+                prop_assert_eq!(read, records);
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_body_within_reach_of_the_frame_cap_is_logged_as_the_parent_would() {
+        // A document of exactly MAX_DOCUMENT_SIZE: its frame body is the
+        // largest an insert can produce, and fits the cap's slack.
+        let overhead = encoded_size(&doc! {"_id" => 1i64, "pad" => ""});
+        let big = doc! {"_id" => 1i64, "pad" => "p".repeat(MAX_DOCUMENT_SIZE - overhead)};
+        assert_eq!(encoded_size(&big), MAX_DOCUMENT_SIZE);
+        let dir = tmp("near-cap");
+        let path = dir.join("wal.log");
+        let wal = Wal::open(&path, opts_always()).unwrap();
+        let mut batch = WalBatch::new();
+        batch.insert("c", &big);
+        wal.commit(batch).unwrap();
+        let record = WalRecord::Insert { coll: "c".into(), doc: big };
+        assert!(std::fs::read(&path).unwrap() == parent_log(std::slice::from_ref(&record)));
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.frames.len(), 1);
+        assert!(scan.frames[0].record == record);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_log_written_by_the_parent_opens_replays_and_reseals() {
+        let dir = tmp("parent-log");
+        let records = vec![
+            WalRecord::Insert { coll: "c".into(), doc: doc! {"_id" => 1i64, "v" => "a"} },
+            WalRecord::Insert { coll: "c".into(), doc: doc! {"_id" => 2i64, "v" => "b"} },
+            WalRecord::CreateIndex { coll: "c".into(), def: IndexDef::single("v") },
+            WalRecord::Update { coll: "c".into(), doc: doc! {"_id" => 1i64, "v" => "z"} },
+            WalRecord::Insert { coll: "gone".into(), doc: doc! {"_id" => 1i64} },
+            WalRecord::DropCollection { coll: "gone".into() },
+            WalRecord::Delete { coll: "c".into(), ids: vec![Value::Int64(2)] },
+            WalRecord::Noop,
+        ];
+        std::fs::write(dir.join("wal.log"), parent_log(&records)).unwrap();
+        {
+            let (d, report) = DurableDb::open("db", &dir, opts_always()).unwrap();
+            assert_eq!(report.frames_replayed, records.len() as u64);
+            assert!(!report.torn_tail && !report.sealed);
+            let c = d.db().get_collection("c").unwrap();
+            assert_eq!(c.all_docs(), vec![doc! {"_id" => 1i64, "v" => "z"}]);
+            assert!(c.index_defs().iter().any(|x| x.name == "v_1"));
+            assert!(!d.db().has_collection("gone"));
+            assert_eq!(d.wal().next_seq(), records.len() as u64 + 1);
+            // The change appends to the parent's log and seals it…
+            c.insert_one(doc! {"_id" => 3i64, "v" => "c"}).unwrap();
+            d.seal().unwrap();
+        }
+        // …and what it appended is what the parent would have written.
+        let mut all = records;
+        all.push(WalRecord::Insert { coll: "c".into(), doc: doc! {"_id" => 3i64, "v" => "c"} });
+        let (d, report) = DurableDb::open("db", &dir, opts_always()).unwrap();
+        assert!(report.sealed);
+        all.push(WalRecord::Seal { fingerprint: db_fingerprint(d.db()) });
+        assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), parent_log(&all));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1207,8 +1618,26 @@ mod tests {
         wal.append(&WalRecord::DropCollection { coll: "a".into() }).unwrap();
         let huge: Vec<Value> =
             (0..18).map(|_| Value::String("x".repeat(1024 * 1024))).collect();
-        assert!(wal.append(&WalRecord::Delete { coll: "c".into(), ids: huge }).is_err());
+        assert!(wal.append(&WalRecord::Delete { coll: "c".into(), ids: huge.clone() }).is_err());
         assert!(wal.poisoned().is_none(), "refused up front, not a poison event");
+        // Refused as a whole, and before any byte is written, when it
+        // rides in a group commit between frames that would fit.
+        let faults = StorageFaults::new();
+        let counted = Wal::open(
+            dir.join("counted.log"),
+            WalOptions { sync: SyncPolicy::Always, faults: Some(Arc::clone(&faults)) },
+        )
+        .unwrap();
+        let mut batch = WalBatch::new();
+        batch.drop_collection("x");
+        batch.record(&WalRecord::Delete { coll: "c".into(), ids: huge });
+        batch.drop_collection("y");
+        assert!(!batch.is_empty());
+        let err = counted.commit(batch).unwrap_err();
+        assert!(err.to_string().contains("byte cap"), "unexpected error: {err}");
+        assert_eq!(faults.writes(), 0);
+        assert_eq!(std::fs::read(dir.join("counted.log")).unwrap(), WAL_MAGIC);
+        assert_eq!(counted.next_seq(), 1);
         wal.append(&WalRecord::DropCollection { coll: "b".into() }).unwrap();
         let scan = scan_wal(&dir.join("wal.log")).unwrap();
         assert!(!scan.torn_tail);
@@ -1223,18 +1652,23 @@ mod tests {
         let ids: Vec<Value> = (0..40)
             .map(|i| Value::String(format!("{i:04}-{}", "x".repeat(1024 * 1024))))
             .collect();
-        let records = delete_records_chunked("c", ids.clone());
-        assert!(records.len() > 1, "a ~40 MB delete must split");
+        let mut batch = WalBatch::new();
+        batch.delete("c", &ids);
+        assert!(batch.len() > 1, "a ~40 MB delete must split");
+        assert!(batch.oversized.is_none());
         let mut flattened = Vec::new();
-        for r in &records {
-            let body = codec::encode_document(&r.to_doc());
+        for (_, body) in sealed_frames(&batch.buf) {
             assert!(body.len() <= MAX_FRAME_BODY, "chunk body {} over the cap", body.len());
-            let WalRecord::Delete { coll, ids } = r else { panic!("non-delete record") };
+            let Some(WalRecord::Delete { coll, ids }) = WalRecord::decode(body) else {
+                panic!("non-delete record")
+            };
             assert_eq!(coll, "c");
-            flattened.extend(ids.iter().cloned());
+            flattened.extend(ids);
         }
-        assert_eq!(flattened, ids);
-        assert!(delete_records_chunked("c", Vec::new()).is_empty());
+        assert!(flattened == ids);
+        let mut empty = WalBatch::new();
+        empty.delete("c", &[]);
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -1303,11 +1737,13 @@ mod tests {
             WalOptions { sync: SyncPolicy::EveryN(1000), faults: None },
         )
         .unwrap();
-        let records: Vec<WalRecord> = (0..100i64)
-            .map(|i| WalRecord::Insert { coll: "c".into(), doc: doc! {"_id" => i} })
-            .collect();
-        let last = wal.append_batch(&records).unwrap();
+        let mut batch = WalBatch::new();
+        for i in 0..100i64 {
+            batch.insert("c", &doc! {"_id" => i});
+        }
+        let last = wal.commit(batch).unwrap();
         assert_eq!(last, 100);
+        assert_eq!(wal.commit(WalBatch::new()).unwrap(), 100, "an empty batch commits nothing");
         let scan = scan_wal(&dir.join("wal.log")).unwrap();
         assert_eq!(scan.frames.len(), 100);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -6,7 +6,7 @@
 
 use doclite_bson::doc;
 use doclite_docstore::wal::{db_fingerprint, DurableDb, SyncPolicy, WalOptions};
-use doclite_docstore::{BulkUpdate, Filter, StorageFaults, UpdateSpec};
+use doclite_docstore::{watch, BulkUpdate, ChangeScope, Filter, StorageFaults, UpdateSpec};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,6 +120,101 @@ proptest! {
         std::fs::remove_dir_all(&base).unwrap();
         std::fs::remove_dir_all(&trial).unwrap();
     }
+}
+
+/// A group commit is one buffer handed to one `write`. Killing the
+/// process at every byte of a three-frame commit: the caller gets an
+/// `Err`, and memory, the live log and the change stream all show
+/// nothing of the batch; what reached the file is a prefix of the
+/// buffer, which recovery reads as the whole frames before the cut —
+/// never a later frame without the earlier ones. A commit that fails
+/// without a crash (transient EIO) leaves the file byte-for-byte as it
+/// was.
+#[test]
+fn a_three_frame_commit_cut_at_every_byte_recovers_a_prefix_of_whole_frames() {
+    let batch = || (10..13i64).map(|i| doc! {"_id" => i, "v" => "x".repeat(i as usize)});
+    // A clean run gives the batch's frame boundaries.
+    let clean = tmp("batch-clean");
+    {
+        let (d, _) = DurableDb::open("db", &clean, opts()).unwrap();
+        let c = d.db().collection("c");
+        c.insert_one(doc! {"_id" => 1i64}).unwrap();
+        c.insert_many(batch()).unwrap();
+    }
+    let bytes = std::fs::read(clean.join("wal.log")).unwrap();
+    let bounds = frame_boundaries(&bytes);
+    assert_eq!(bounds.len() - 1, 4, "one earlier frame, then the batch's three");
+    let (start, end) = (bounds[1], bounds[4]);
+
+    for cut in 0..end - start {
+        let dir = tmp("batch-cut");
+        let faults = StorageFaults::new();
+        {
+            let (d, _) = DurableDb::open(
+                "db",
+                &dir,
+                WalOptions { sync: SyncPolicy::Always, faults: Some(faults.clone()) },
+            )
+            .unwrap();
+            let c = d.db().collection("c");
+            c.insert_one(doc! {"_id" => 1i64}).unwrap();
+            let mut stream = watch(d.wal(), ChangeScope::Database, None).unwrap();
+            let writes = faults.writes();
+            faults.crash_after_bytes(cut as u64);
+            let (inserted, _) = c.insert_many(batch()).unwrap_err();
+            assert_eq!(faults.writes() - writes, 1, "the batch is one write");
+            assert_eq!(inserted, 0, "cut {cut}: nothing is acknowledged");
+            assert_eq!(c.len(), 1, "cut {cut}: memory shows nothing of the batch");
+            assert_eq!(d.wal().last_seq(), 1, "cut {cut}: no sequence number was issued");
+            assert!(stream.try_next().unwrap().is_none(), "cut {cut}: no change event");
+            assert!(d.wal().poisoned().is_some(), "a dead process appends nothing more");
+        }
+        let on_disk = std::fs::read(dir.join("wal.log")).unwrap();
+        assert_eq!(on_disk, bytes[..start + cut], "cut {cut}: the file holds a prefix of the buffer");
+        let whole = bounds[1..].iter().filter(|&&b| b > start && b <= start + cut).count();
+        let (d, report) = DurableDb::open("db", &dir, opts()).unwrap();
+        assert_eq!(report.frames_replayed as usize, 1 + whole, "cut {cut}");
+        assert_eq!(report.torn_tail, !bounds.contains(&(start + cut)), "cut {cut}");
+        let ids: Vec<i64> = d
+            .db()
+            .collection("c")
+            .all_docs()
+            .iter()
+            .map(|doc| match doc.get("_id") {
+                Some(doclite_bson::Value::Int64(i)) => *i,
+                other => panic!("unexpected _id {other:?}"),
+            })
+            .collect();
+        let expect: Vec<i64> = std::iter::once(1).chain((10..13).take(whole)).collect();
+        assert_eq!(ids, expect, "cut {cut}: a prefix of the batch, in order");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // Not a crash: the failed commit writes nothing and the retry lands
+    // where it would have.
+    let dir = tmp("batch-eio");
+    let faults = StorageFaults::new();
+    {
+        let (d, _) = DurableDb::open(
+            "db",
+            &dir,
+            WalOptions { sync: SyncPolicy::Always, faults: Some(faults.clone()) },
+        )
+        .unwrap();
+        let c = d.db().collection("c");
+        c.insert_one(doc! {"_id" => 1i64}).unwrap();
+        let mut stream = watch(d.wal(), ChangeScope::Database, None).unwrap();
+        faults.transient_eio(1);
+        assert!(c.insert_many(batch()).is_err());
+        assert_eq!(c.len(), 1);
+        assert!(stream.try_next().unwrap().is_none());
+        assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), bytes[..start]);
+        c.insert_many(batch()).unwrap();
+        assert_eq!(stream.drain().unwrap().len(), 3);
+    }
+    assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), bytes);
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&clean).unwrap();
 }
 
 /// A torn write (half the frame hits disk, then the process dies) rolls

@@ -13,20 +13,34 @@ use proptest::prelude::*;
 /// One step of the random workload.
 #[derive(Clone, Debug)]
 enum Op {
-    Insert { id: i64, a: i64, b: String },
+    /// `t` is an array whose elements often repeat (`[2, 2]`) or span
+    /// several keys of one probe (`[1, 2]`): under a multikey index one
+    /// document then sits in several posting-list entries.
+    Insert { id: i64, a: i64, b: String, t: Vec<i64> },
     UpdateSetA { filter_b: String, new_a: i64, multi: bool },
+    SetT { filter_b: String, t: Vec<i64> },
     IncA { filter_a: i64 },
     Delete { filter_a: i64 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..200i64, 0..10i64, "[xyz]").prop_map(|(id, a, b)| Op::Insert { id, a, b }),
+        (0..200i64, 0..10i64, "[xyz]", arb_tags())
+            .prop_map(|(id, a, b, t)| Op::Insert { id, a, b, t }),
         ("[xyz]", 0..10i64, any::<bool>())
             .prop_map(|(filter_b, new_a, multi)| Op::UpdateSetA { filter_b, new_a, multi }),
+        ("[xyz]", arb_tags()).prop_map(|(filter_b, t)| Op::SetT { filter_b, t }),
         (0..10i64).prop_map(|filter_a| Op::IncA { filter_a }),
         (0..10i64).prop_map(|filter_a| Op::Delete { filter_a }),
     ]
+}
+
+fn arb_tags() -> impl Strategy<Value = Vec<i64>> {
+    prop::collection::vec(0..3i64, 0..4)
+}
+
+fn tags(t: &[i64]) -> Value {
+    Value::Array(t.iter().copied().map(Value::Int64).collect())
 }
 
 /// The naive model: a vector of documents, every operation a full scan.
@@ -71,11 +85,12 @@ impl Model {
     }
 }
 
-fn doc_for(id: i64, a: i64, b: &str) -> Document {
+fn doc_for(id: i64, a: i64, b: &str, t: &[i64]) -> Document {
     let mut d = Document::new();
     d.set("_id", Value::Int64(id));
     d.set("a", Value::Int64(a));
     d.set("b", Value::from(b));
+    d.set("t", tags(t));
     d
 }
 
@@ -88,8 +103,11 @@ fn sorted_by_id(mut docs: Vec<Document>) -> Vec<Document> {
     docs
 }
 
-fn run_workload(ops: &[Op], index_a: bool, index_b: bool) {
+fn run_workload(ops: &[Op], index_a: bool, index_b: bool, index_t: bool) {
     let coll = Collection::new("sut");
+    if index_t {
+        coll.create_index(IndexDef::single("t")).expect("index t");
+    }
     if index_a {
         coll.create_index(IndexDef::single("a")).expect("index a");
     }
@@ -100,8 +118,8 @@ fn run_workload(ops: &[Op], index_a: bool, index_b: bool) {
 
     for op in ops {
         match op {
-            Op::Insert { id, a, b } => {
-                let doc = doc_for(*id, *a, b);
+            Op::Insert { id, a, b, t } => {
+                let doc = doc_for(*id, *a, b, t);
                 let sut = coll.insert_one(doc.clone()).is_ok();
                 let expected = model.insert(doc);
                 assert_eq!(sut, expected, "insert divergence at {op:?}");
@@ -123,6 +141,12 @@ fn run_workload(ops: &[Op], index_a: bool, index_b: bool) {
                     assert_eq!(sut.matched > 0, model_would_match, "match divergence at {op:?}");
                     model.docs = coll.all_docs();
                 }
+            }
+            Op::SetT { filter_b, t } => {
+                let filter = Filter::eq("b", filter_b.as_str());
+                let spec = UpdateSpec::set("t", tags(t));
+                let sut = coll.update(&filter, &spec, false, true).expect("update");
+                assert_eq!(sut.modified, model.update(&filter, &spec, true), "at {op:?}");
             }
             Op::IncA { filter_a } => {
                 let filter = Filter::eq("a", *filter_a);
@@ -148,10 +172,17 @@ fn run_workload(ops: &[Op], index_a: bool, index_b: bool) {
             Filter::gt("a", 5i64),
             Filter::eq("b", "y"),
             Filter::and([Filter::eq("b", "x"), Filter::lte("a", 7i64)]),
+            // Point, several-point and range lookups over the array
+            // field: each matching document comes back once, however
+            // many of its elements the lookup hits.
+            Filter::eq("t", 2i64),
+            Filter::is_in("t", [1i64, 2]),
+            Filter::gte("t", 1i64),
         ] {
             let sut = sorted_by_id(coll.find(&probe));
             let expected = sorted_by_id(model.find(&probe));
             assert_eq!(sut, expected, "find divergence on {probe:?} after {op:?}");
+            assert_eq!(coll.count(&probe), expected.len(), "count {probe:?} after {op:?}");
         }
     }
 }
@@ -163,10 +194,25 @@ proptest! {
     fn collection_matches_naive_model(ops in prop::collection::vec(arb_op(), 1..40)) {
         // Same workload under three index configurations: results must be
         // identical (plans differ, answers don't).
-        run_workload(&ops, false, false);
-        run_workload(&ops, true, false);
-        run_workload(&ops, true, true);
+        run_workload(&ops, false, false, false);
+        run_workload(&ops, true, false, false);
+        run_workload(&ops, true, true, true);
     }
+}
+
+/// An index-served `find` / `count` returns a document once, not once
+/// per element of a multikey array the lookup reaches.
+#[test]
+fn a_multikey_index_returns_each_document_once() {
+    let ops = [
+        Op::Insert { id: 1, a: 0, b: "x".into(), t: vec![2, 2] },
+        Op::Insert { id: 2, a: 0, b: "y".into(), t: vec![1, 2] },
+        Op::Insert { id: 3, a: 0, b: "z".into(), t: vec![0] },
+        // An update moves a document onto repeated keys too.
+        Op::SetT { filter_b: "z".into(), t: vec![1, 1, 2] },
+    ];
+    run_workload(&ops, false, false, true);
+    run_workload(&ops, true, true, true);
 }
 
 // ----- column scans against a slot-ordered model -----------------------

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI guard for "one aggregate driver, one planner" (PR 16), "one route
-# plan, one leg runner, one retry loop" (PR 18) and "bulk updates route by
-# join" (PR 19: the batch probe index and its statement threshold): the
+# plan, one leg runner, one retry loop" (PR 18), "bulk updates route by
+# join" (PR 19: the batch probe index and its statement threshold) and
+# "the WAL logs bytes, not documents" (PR 20: the write paths stage frames
+# from borrowed documents; no owned record is built to be logged): the
 # retired mode enums, setters, constants and entry points must not come
 # back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
@@ -32,4 +34,8 @@ for once in 'max_retries' '\.owns\('; do
     [ "$(router_product | grep -cE "$once")" -le 1 ] \
         || complain "router.rs has more than one '$once' above its tests: use the one retry loop / read-leg runner"
 done
+grep -nE 'WalRecord::(Insert|Update)' crates/docstore/src/collection.rs crates/docstore/src/database.rs \
+    && complain "a write path builds an owned WalRecord to log: stage the frame from the borrowed document (WalBatch)"
+sed '/^#\[cfg(test)\]/,$d' crates/docstore/src/wal.rs | grep -nE '\bto_doc\(|\bappend_batch\b' \
+    && complain "wal.rs encodes through an owned envelope document again: frames are written in place (WalBatch::frame)"
 exit $fail
