@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the document-store engine: the codec,
 //! filter evaluation (interpreted vs compiled), indexed vs scanned
-//! lookups, and the aggregation pipeline.
+//! lookups, the aggregation pipeline, the WAL write path and what
+//! sharded set-up pays per chunk split and migration.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use doclite_bson::{codec, doc, Document, Value};
@@ -201,6 +202,61 @@ fn bench_wal_commit(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
+fn bench_shard_setup(c: &mut Criterion) {
+    // One chunk split and one chunk migration on a shard holding 30,000
+    // ~100-byte documents. A split reads the chunk's key counts off the
+    // shard-key index; a migration reads its documents the same way and
+    // the source drops them with one `_id $in` delete. Neither should
+    // grow with the 30,000.
+    use doclite_docstore::CompoundKey;
+    use doclite_sharding::{ConfigServer, Mongos, NetworkModel, Shard, ShardKey};
+    use std::sync::Arc;
+    const DOCS: i64 = 30_000;
+    let key = |k: i64| CompoundKey::from_values(vec![Value::Int64(k)]);
+    let row = |k: i64| doc! {"k" => k, "pad" => "x".repeat(64)};
+    let router = || {
+        let shards = (0..2).map(|i| Arc::new(Shard::new(i, "shard_setup"))).collect();
+        Mongos::new(shards, Arc::new(ConfigServer::new()), NetworkModel::free())
+    };
+    let mut g = c.benchmark_group("shard_setup");
+
+    // [10k, 20k) holds 10,000 documents, ≈ 1 MB: at the threshold, so the
+    // next insert into it splits it. Each iteration restores that table.
+    let r = router();
+    r.shard_collection("facts", ShardKey::range(["k"]), 1 << 30).expect("shard");
+    r.insert_many("facts", (0..DOCS).map(row)).expect("load");
+    r.config().split_chunk("facts", 0, key(10_000), 1.0 / 3.0);
+    r.config().split_chunk("facts", 1, key(20_000), 0.5);
+    r.config().with_meta_mut("facts", |m| m.max_chunk_size = m.chunks[1].bytes);
+    let table = r.config().meta("facts").expect("sharded");
+    let mut k = 10_000i64;
+    g.bench_function("split_1mb_chunk_of_30k", |b| {
+        b.iter_batched(
+            || r.config().with_meta_mut("facts", |m| m.clone_from(&table)),
+            |_| {
+                k += 1;
+                r.insert_one("facts", row(k)).expect("insert")
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // [10k, 11k) — 1,000 documents — moves to the other shard and back.
+    let r = router();
+    r.shard_collection("moves", ShardKey::range(["k"]), 1 << 30).expect("shard");
+    r.insert_many("moves", (0..DOCS).map(row)).expect("load");
+    r.config().split_chunk("moves", 0, key(10_000), 1.0 / 3.0);
+    r.config().split_chunk("moves", 1, key(11_000), 0.05);
+    let mut to = 0;
+    g.bench_function("move_1k_of_30k", |b| {
+        b.iter(|| {
+            to = 1 - to;
+            assert_eq!(r.move_chunk("moves", 1, to).expect("move"), 1_000);
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_codec,
@@ -210,6 +266,7 @@ criterion_group!(
     bench_pipeline,
     bench_agg_streaming,
     bench_wal_overhead,
-    bench_wal_commit
+    bench_wal_commit,
+    bench_shard_setup
 );
 criterion_main!(benches);

@@ -241,9 +241,8 @@ mod tests {
     #[test]
     fn mongos_implements_store() {
         let shards: Vec<Arc<Shard>> = (0..2).map(|i| Arc::new(Shard::new(i, "t"))).collect();
-        let cfg = Arc::new(ConfigServer::new());
-        cfg.shard_collection_with_chunk_size("c", ShardKey::range(["k"]), 0, 1024);
-        let router = Mongos::new(shards, cfg, NetworkModel::free());
+        let router = Mongos::new(shards, Arc::new(ConfigServer::new()), NetworkModel::free());
+        router.shard_collection("c", ShardKey::range(["k"]), 1024).unwrap();
         exercise(&router);
     }
 }

@@ -9,7 +9,9 @@ use crate::index::{extract_keys, Index, IndexDef, IndexKind, SortOrder};
 use crate::ordvalue::CompoundKey;
 use crate::query::filter::Filter;
 use crate::query::matcher::{compile, matches_compiled, CompiledFilter};
-use crate::query::planner::{conjunctive_constraints, plan_with_stats, Plan, PlanKind};
+use crate::query::planner::{
+    conjunctive_constraints, plan_with_stats, unique_point_plan, Plan, PlanKind,
+};
 use crate::stats::{self, CollStats};
 use crate::storage::{DocId, Slab};
 use crate::update::{apply_update, upsert_seed, BulkUpdate, UpdateResult, UpdateSpec};
@@ -113,6 +115,28 @@ pub struct AggExplain {
     /// watermark lags behind the WAL head (0 = fresh). `None` for a
     /// direct collection read.
     pub view_staleness: Option<u64>,
+}
+
+/// One index of a collection and the documents its slots name, as
+/// [`Collection::read_index`] hands them out under the shared lock.
+pub struct IndexRead<'a> {
+    index: &'a Index,
+    slab: &'a Slab,
+}
+
+impl<'a> IndexRead<'a> {
+    /// The index's distinct keys with their slots ([`Index::keys_from`]).
+    pub fn keys_from(
+        &self,
+        from: Option<&CompoundKey>,
+    ) -> Box<dyn Iterator<Item = (&'a CompoundKey, &'a [DocId])> + 'a> {
+        self.index.keys_from(from)
+    }
+
+    /// The document in slot `id`.
+    pub fn doc(&self, id: DocId) -> Option<&'a Document> {
+        self.slab.get(id)
+    }
 }
 
 /// The routing half of a bulk update: a hash join of the batch's
@@ -648,21 +672,29 @@ impl Collection {
             .expect("planner only names existing indexes")
     }
 
-    /// Plans `filter`: refreshes stale statistics and prices index
-    /// candidates and the column scan against the collection scan,
-    /// returning the row estimate that drove the choice. `fetch` is false
-    /// only for the aggregation driver's covered terminal, which reads
-    /// the selection off the columns and fetches no document. The plan's
-    /// residual is the full filter, so the choice can never change
-    /// results.
+    /// Plans `filter`: a unique index pinned on every field is the plan
+    /// outright ([`unique_point_plan`]); otherwise refreshes stale
+    /// statistics and prices index candidates and the column scan against
+    /// the collection scan. Returns the row estimate that drove the
+    /// choice. `fetch` is false only for the aggregation driver's covered
+    /// terminal, which reads the selection off the columns and fetches no
+    /// document. The plan's residual is the full filter, so the choice can
+    /// never change results.
     fn plan(inner: &Inner, filter: &Filter, fetch: bool) -> (Plan, u64) {
         let live = inner.slab.len();
-        let mut st = inner.stats.lock();
-        if st.needs_rebuild(live) {
-            st.rebuild(&inner.slab);
-        }
-        let has_column = |p: &str| inner.columnar.as_ref().is_some_and(|cs| cs.has_column(p));
-        let costed = plan_with_stats(filter, &inner.indexes, &st, live, &has_column, fetch);
+        let constraints = conjunctive_constraints(filter);
+        let costed = match unique_point_plan(filter, &constraints, &inner.indexes, live) {
+            Some(point) => point,
+            None => {
+                let mut st = inner.stats.lock();
+                if st.needs_rebuild(live) {
+                    st.rebuild(&inner.slab);
+                }
+                let has_column =
+                    |p: &str| inner.columnar.as_ref().is_some_and(|cs| cs.has_column(p));
+                plan_with_stats(filter, &constraints, &inner.indexes, &st, live, &has_column, fetch)
+            }
+        };
         (costed.plan, costed.est_rows)
     }
 
@@ -1282,6 +1314,21 @@ impl Collection {
             _ => unreachable!("prefix is all $match"),
         }));
         (filter, &body[n_match..])
+    }
+
+    /// Runs `read` over index `name` and the documents its slots name,
+    /// under one hold of the shared lock, so a key and the document it
+    /// names cannot come apart (a slot freed by a concurrent delete and
+    /// refilled by an insert). Fails with [`Error::NoSuchIndex`] when the
+    /// collection has no index of that name.
+    pub fn read_index<R>(&self, name: &str, read: impl FnOnce(IndexRead<'_>) -> R) -> Result<R> {
+        let inner = self.inner.read();
+        let index = inner
+            .indexes
+            .iter()
+            .find(|i| i.def.name == name)
+            .ok_or_else(|| Error::NoSuchIndex(name.to_owned()))?;
+        Ok(read(IndexRead { index, slab: &inner.slab }))
     }
 
     /// Visits every document without cloning (shared lock held for the

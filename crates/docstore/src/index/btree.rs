@@ -122,9 +122,17 @@ impl BTreeIndex {
         out
     }
 
-    /// Iterates (key, ids) in ascending order — used by chunk splitting.
-    pub fn iter(&self) -> impl Iterator<Item = (&CompoundKey, &Vec<DocId>)> {
-        self.map.iter()
+    /// Iterates (key, ids) in ascending key order from `from` (inclusive;
+    /// `None` = the first key) — how a chunk split or migration reads the
+    /// chunk's keys.
+    pub fn iter_from(
+        &self,
+        from: Option<&CompoundKey>,
+    ) -> impl Iterator<Item = (&CompoundKey, &[DocId])> {
+        let lower = from.map_or(Bound::Unbounded, Bound::Included);
+        self.map
+            .range::<CompoundKey, _>((lower, Bound::Unbounded))
+            .map(|(k, ids)| (k, ids.as_slice()))
     }
 }
 

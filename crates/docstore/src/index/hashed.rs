@@ -118,6 +118,11 @@ impl HashedIndex {
         self.entries
     }
 
+    /// Iterates (key, ids) over every distinct key, arbitrary order.
+    pub fn iter(&self) -> impl Iterator<Item = (&CompoundKey, &[DocId])> {
+        self.map.values().flatten().map(|(k, ids)| (k, ids.as_slice()))
+    }
+
     /// All ids, arbitrary order.
     pub fn all_ids(&self) -> Vec<DocId> {
         let mut out = Vec::with_capacity(self.entries);

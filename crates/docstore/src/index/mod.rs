@@ -266,6 +266,20 @@ impl Index {
         }
     }
 
+    /// The distinct keys with the slots holding each. A B-tree walks in
+    /// ascending key order from `from` (inclusive; `None` = the first
+    /// key). A hashed index has no order to start from: it yields every
+    /// key, in no particular order, and ignores `from`.
+    pub fn keys_from<'a>(
+        &'a self,
+        from: Option<&CompoundKey>,
+    ) -> Box<dyn Iterator<Item = (&'a CompoundKey, &'a [DocId])> + 'a> {
+        match &self.backing {
+            Backing::BTree(b) => Box::new(b.iter_from(from)),
+            Backing::Hashed(h) => Box::new(h.iter()),
+        }
+    }
+
     /// All ids in key order (B-tree) or arbitrary order (hashed); used by
     /// ordered-scan plans.
     pub fn all_ids_ordered(&self) -> Vec<DocId> {

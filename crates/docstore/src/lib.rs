@@ -47,7 +47,9 @@ pub use agg::{
     auto_morsel_size, Accumulator, CompiledExpr, CompiledSortSpec, Expr, GroupId, LookupMeta,
     Pipeline, ProjectField, Stage,
 };
-pub use collection::{project_paths, AggExplain, Collection, Explain, FindOptions, StageExplain};
+pub use collection::{
+    project_paths, AggExplain, Collection, Explain, FindOptions, IndexRead, StageExplain,
+};
 pub use stats::CollStats;
 pub use pool::{parallel_for, parallel_workers};
 pub use database::Database;

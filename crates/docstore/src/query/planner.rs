@@ -40,7 +40,7 @@ impl PathConstraint {
 
     fn add_in(&mut self, values: &[Value]) {
         match &mut self.eq_set {
-            None => self.eq_set = Some(values.to_vec()),
+            None => self.eq_set = Some(distinct(values)),
             Some(set) => set.retain(|x| values.iter().any(|v| v.canonical_eq(x))),
         }
     }
@@ -84,17 +84,42 @@ impl PathConstraint {
     }
 }
 
+/// `values` without canonical repeats (`2`, `2.0` and `Int32(2)` are one
+/// value), each kept at its first occurrence. A repeat in an equality set
+/// would be a second point lookup returning the same documents again.
+/// Positions are sorted on `canonical_cmp`, so a 4,096-key semi-join list
+/// costs O(n log n), and the set keeps the caller's order. A list already
+/// strictly ascending (semi-join key lists usually are) is recognised in
+/// one pass.
+fn distinct(values: &[Value]) -> Vec<Value> {
+    if values.windows(2).all(|w| w[0].canonical_cmp(&w[1]) == Ordering::Less) {
+        return values.to_vec();
+    }
+    let mut order: Vec<usize> = (0..values.len()).collect();
+    order.sort_unstable_by(|&a, &b| values[a].canonical_cmp(&values[b]).then(a.cmp(&b)));
+    let mut first = vec![false; values.len()];
+    first[order[0]] = true;
+    for w in order.windows(2) {
+        first[w[1]] = values[w[0]].canonical_cmp(&values[w[1]]) != Ordering::Equal;
+    }
+    values.iter().zip(first).filter(|(_, first)| *first).map(|(v, _)| v.clone()).collect()
+}
+
 /// Extracts per-path constraints from the top-level conjunction of a
 /// filter. Disjunctions (`$or`/`$nor`/`$not`) contribute nothing — they
 /// cannot narrow an index scan conservatively. Also used by the sharding
 /// router to decide targeted-vs-broadcast (thesis Section 4.3 item iii).
-pub fn conjunctive_constraints(filter: &Filter) -> HashMap<String, PathConstraint> {
-    let mut map: HashMap<String, PathConstraint> = HashMap::new();
+pub fn conjunctive_constraints(filter: &Filter) -> Constraints {
+    let mut map = Constraints::new();
     collect(filter, &mut map);
     map
 }
 
-fn collect(filter: &Filter, map: &mut HashMap<String, PathConstraint>) {
+/// The per-path constraints of one filter, as [`conjunctive_constraints`]
+/// derives them.
+pub type Constraints = HashMap<String, PathConstraint>;
+
+fn collect(filter: &Filter, map: &mut Constraints) {
     match filter {
         Filter::And(fs) => {
             for f in fs {
@@ -176,12 +201,11 @@ const MAX_POINT_LOOKUPS: usize = 1024;
 /// Picks the best plan for a filter over the available indexes by the
 /// prefix rule alone ("any usable index prefix wins") — what
 /// [`plan_with_stats`] falls back to for collections too small to price.
-fn plan(filter: &Filter, indexes: &[Index]) -> Plan {
-    let constraints = conjunctive_constraints(filter);
+fn plan(filter: &Filter, constraints: &Constraints, indexes: &[Index]) -> Plan {
     let mut best: Option<(usize, PlanKind)> = None; // (score, kind)
 
     for idx in indexes {
-        let Some(candidate) = plan_for_index(idx, &constraints) else {
+        let Some(candidate) = plan_for_index(idx, constraints) else {
             continue;
         };
         let score = score(&candidate, idx);
@@ -214,29 +238,15 @@ fn score(kind: &PlanKind, idx: &Index) -> usize {
     }
 }
 
-fn plan_for_index(
-    idx: &Index,
-    constraints: &HashMap<String, PathConstraint>,
-) -> Option<PlanKind> {
-    let fields = idx.def.field_names();
-
+fn plan_for_index(idx: &Index, constraints: &Constraints) -> Option<PlanKind> {
     // Case 1: equality on every index field → point lookups.
-    let eq_sets: Option<Vec<&Vec<Value>>> = fields
-        .iter()
-        .map(|f| constraints.get(*f).and_then(|c| c.eq_set.as_ref()))
-        .collect();
-    if let Some(eq_sets) = eq_sets {
-        let combos: usize = eq_sets.iter().map(|s| s.len().max(1)).product();
-        if combos > 0 && combos <= MAX_POINT_LOOKUPS && eq_sets.iter().all(|s| !s.is_empty())
-        {
-            let keys = cartesian(&eq_sets);
-            return Some(PlanKind::IndexEq { index: idx.def.name.clone(), keys });
-        }
+    if let Some(keys) = point_keys(idx, constraints) {
+        return Some(PlanKind::IndexEq { index: idx.def.name.clone(), keys });
     }
 
     // Case 2 (B-tree only): range or equality on the first field.
     if idx.def.kind == IndexKind::BTree {
-        if let Some(c) = constraints.get(fields[0]) {
+        if let Some(c) = constraints.get(idx.def.fields[0].0.as_str()) {
             if let Some(eq) = &c.eq_set {
                 if eq.len() == 1 {
                     let v = eq[0].clone();
@@ -257,6 +267,23 @@ fn plan_for_index(
     }
 
     None
+}
+
+/// The point lookups of `idx` when every one of its fields is pinned by
+/// `$eq` / `$in` to at least one value: one key per combination, at most
+/// `MAX_POINT_LOOKUPS` of them — except on a single-field unique index,
+/// which takes any number of values because each key names at most one
+/// document.
+fn point_keys(idx: &Index, constraints: &Constraints) -> Option<Vec<CompoundKey>> {
+    let eq_sets = idx
+        .def
+        .fields
+        .iter()
+        .map(|(f, _)| constraints.get(f.as_str())?.eq_set.as_ref())
+        .collect::<Option<Vec<&Vec<Value>>>>()?;
+    let combos: usize = eq_sets.iter().map(|s| s.len()).product();
+    let uncapped = idx.def.unique && eq_sets.len() == 1;
+    (combos > 0 && (uncapped || combos <= MAX_POINT_LOOKUPS)).then(|| cartesian(&eq_sets))
 }
 
 /// Per-row cost of the full collection scan (the baseline unit).
@@ -301,26 +328,27 @@ pub struct CostedPlan {
 /// fetch. The residual filter is always the full filter, so any choice
 /// returns identical results — a misestimate costs time, not
 /// correctness. Collections under [`SMALL_COLLECTION`] documents defer
-/// to the rule planner.
+/// to the rule planner. `constraints` are the filter's, derived once by
+/// the caller (which tried [`unique_point_plan`] on them first).
 pub fn plan_with_stats(
     filter: &Filter,
+    constraints: &Constraints,
     indexes: &[Index],
     stats: &crate::stats::CollStats,
     live: usize,
     has_column: &dyn Fn(&str) -> bool,
     fetch: bool,
 ) -> CostedPlan {
-    let est_fraction = stats.estimate_fraction(filter);
+    let est_fraction = stats.constraints_fraction(constraints);
     let est_rows = (est_fraction * live as f64).round() as u64;
     if live <= SMALL_COLLECTION {
-        let plan = plan(filter, indexes);
+        let plan = plan(filter, constraints, indexes);
         return CostedPlan { plan, est_fraction, est_rows, cost: live as f64 };
     }
-    let constraints = conjunctive_constraints(filter);
     let mut best_kind = PlanKind::CollScan;
     let mut best_cost = live as f64 * COST_SCAN_ROW;
     for idx in indexes {
-        let Some(candidate) = plan_for_index(idx, &constraints) else {
+        let Some(candidate) = plan_for_index(idx, constraints) else {
             continue;
         };
         let cost = index_cost(&candidate, idx, stats, live);
@@ -345,6 +373,36 @@ pub fn plan_with_stats(
         est_rows,
         cost: best_cost,
     }
+}
+
+/// The `_id` fast path (MongoDB's IDHACK): when a unique index has a point
+/// plan (every field pinned by `$eq` / `$in` to at least one value), that
+/// plan is the plan. Each key names at most one document, so no other
+/// access path can fetch fewer, and the caller skips the statistics
+/// entirely. A field pinned to no common value (`{u: 1}` and `{u: 2}`) is
+/// left to the cost planner: a multikey document `{u: [1, 2]}` matches
+/// both.
+pub fn unique_point_plan(
+    filter: &Filter,
+    constraints: &Constraints,
+    indexes: &[Index],
+    live: usize,
+) -> Option<CostedPlan> {
+    let (idx, keys) = indexes
+        .iter()
+        .filter(|idx| idx.def.unique)
+        .find_map(|idx| Some((idx, point_keys(idx, constraints)?)))?;
+    let est_rows = keys.len().min(live);
+    let cost = keys.len() as f64 * COST_SEEK + est_rows as f64 * COST_FETCH_ROW;
+    Some(CostedPlan {
+        plan: Plan {
+            kind: PlanKind::IndexEq { index: idx.def.name.clone(), keys },
+            residual: filter.clone(),
+        },
+        est_fraction: if live == 0 { 0.0 } else { est_rows as f64 / live as f64 },
+        est_rows: est_rows as u64,
+        cost,
+    })
 }
 
 /// Prices an index candidate: seeks plus estimated candidate fetches.
@@ -430,6 +488,62 @@ mod tests {
     fn or_contributes_no_constraints() {
         let f = Filter::or([Filter::eq("a", 1i64), Filter::eq("b", 2i64)]);
         assert!(conjunctive_constraints(&f).is_empty());
+    }
+
+    #[test]
+    fn in_sets_drop_canonical_repeats_and_keep_first_occurrence_order() {
+        let f = Filter::In {
+            path: "k".into(),
+            values: vec![
+                Value::Int64(3),
+                Value::Int64(2),
+                Value::Double(3.0),
+                Value::Int32(2),
+                Value::Int64(1),
+                Value::Int64(2),
+            ],
+        };
+        let eq = conjunctive_constraints(&f)["k"].eq_set.clone().unwrap();
+        assert_eq!(eq, vec![Value::Int64(3), Value::Int64(2), Value::Int64(1)]);
+        let p = plan(&f, &indexes_of(&[IndexDef::single("k")]));
+        assert!(matches!(&p.kind, PlanKind::IndexEq { keys, .. } if keys.len() == 3));
+    }
+
+    fn indexes_of(defs: &[IndexDef]) -> Vec<Index> {
+        defs.iter().cloned().map(idx).collect()
+    }
+
+    fn plan(f: &Filter, indexes: &[Index]) -> Plan {
+        super::plan(f, &conjunctive_constraints(f), indexes)
+    }
+
+    #[test]
+    fn a_pinned_unique_index_is_the_plan_whatever_else_the_filter_pins() {
+        let indexes = indexes_of(&[IndexDef::compound(["a", "b"]), IndexDef::single("u").unique()]);
+        let point =
+            |f: &Filter| unique_point_plan(f, &conjunctive_constraints(f), &indexes, 10_000);
+        // The prefix rule would take the compound index (score 120 > 110).
+        let f = Filter::and([Filter::eq("a", 1i64), Filter::eq("b", 2i64), Filter::eq("u", 7i64)]);
+        let p = point(&f).expect("u is pinned");
+        let PlanKind::IndexEq { index, keys } = &p.plan.kind else { panic!("{p:?}") };
+        assert_eq!((index.as_str(), keys.len()), ("u_1", 1));
+        assert_eq!((p.est_rows, p.plan.residual.clone()), (1, f));
+        // Any number of values on a single-field unique index.
+        let many = Filter::is_in("u", 0..5_000i64);
+        let lookups = |f: &Filter| match point(f).map(|p| p.plan.kind) {
+            Some(PlanKind::IndexEq { keys, .. }) => Some(keys.len()),
+            _ => None,
+        };
+        assert_eq!(lookups(&many), Some(5_000));
+        // Pinned to nothing: a multikey `{u: [1, 2]}` matches, so the
+        // statistics decide.
+        let nothing = Filter::and([Filter::eq("u", 1i64), Filter::eq("u", 2i64)]);
+        assert_eq!(lookups(&nothing), None);
+        let disjoint = Filter::and([Filter::is_in("u", [1i64]), Filter::is_in("u", [2i64])]);
+        assert_eq!(lookups(&disjoint), None);
+        // Not pinned: the statistics decide.
+        assert!(point(&Filter::gt("u", 7i64)).is_none());
+        assert!(point(&Filter::eq("a", 1i64)).is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::ordvalue::OrdValue;
 use crate::query::filter::Filter;
-use crate::query::planner::{conjunctive_constraints, PathConstraint};
+use crate::query::planner::{conjunctive_constraints, Constraints, PathConstraint};
 use crate::storage::Slab;
 use doclite_bson::{Document, Value};
 use std::collections::BTreeMap;
@@ -530,9 +530,14 @@ impl CollStats {
         if matches!(filter, Filter::True) {
             return 1.0;
         }
-        let constraints = conjunctive_constraints(filter);
+        self.constraints_fraction(&conjunctive_constraints(filter))
+    }
+
+    /// [`Self::estimate_fraction`] over constraints the caller already
+    /// derived (the planner derives them once per plan).
+    pub fn constraints_fraction(&self, constraints: &Constraints) -> f64 {
         let mut frac = 1.0;
-        for (path, c) in &constraints {
+        for (path, c) in constraints {
             frac *= self.constraint_fraction(path, c);
         }
         frac.clamp(0.0, 1.0)

@@ -102,8 +102,9 @@ impl UpdateSpec {
 
     /// True when applying this spec can change what `field` resolves to
     /// — the rule that decides which indexes, columns and statistics an
-    /// in-place update has to adjust. A replacement touches everything.
-    pub(crate) fn touches(&self, field: &str) -> bool {
+    /// in-place update has to adjust, and the one a sharded router checks
+    /// a shard-key field against. A replacement touches everything.
+    pub fn touches(&self, field: &str) -> bool {
         match self {
             UpdateSpec::Replace(_) => true,
             UpdateSpec::Ops(ops) => ops.iter().any(|op| paths_overlap(op.path(), field)),

@@ -178,6 +178,9 @@ fn run_workload(ops: &[Op], index_a: bool, index_b: bool, index_t: bool) {
             Filter::eq("t", 2i64),
             Filter::is_in("t", [1i64, 2]),
             Filter::gte("t", 1i64),
+            // An `$in` that repeats a value, exactly or across numeric
+            // types: still one point lookup per distinct value.
+            Filter::is_in("a", [Value::Int64(2), Value::Int64(2), Value::Double(2.0)]),
         ] {
             let sut = sorted_by_id(coll.find(&probe));
             let expected = sorted_by_id(model.find(&probe));
@@ -213,6 +216,50 @@ fn a_multikey_index_returns_each_document_once() {
     ];
     run_workload(&ops, false, false, true);
     run_workload(&ops, true, true, true);
+}
+
+/// `{a: {$in: [2, 2]}}` over an index of scalars plans one lookup per
+/// distinct value, so a matching document comes back once.
+#[test]
+fn an_in_list_that_repeats_a_value_returns_each_document_once() {
+    let ops = [
+        Op::Insert { id: 1, a: 2, b: "x".into(), t: vec![] },
+        Op::Insert { id: 2, a: 3, b: "y".into(), t: vec![] },
+    ];
+    run_workload(&ops, true, false, false);
+    run_workload(&ops, true, true, true);
+}
+
+/// A unique index may be multikey: `{u: [1, 2]}` matches both `{u: 1}`
+/// and `{u: 2}`, so a conjunction pinning `u` to no common value still
+/// finds it, counts it, updates it and deletes it.
+#[test]
+fn a_unique_multikey_index_pinned_to_no_common_value_still_matches() {
+    let coll = Collection::new("sut");
+    coll.create_index(IndexDef::single("u").unique()).expect("index u");
+    let mut model = Model::default();
+    for (id, u) in [(1, tags(&[1, 2])), (2, Value::Int64(5)), (3, tags(&[3, 4]))] {
+        let mut d = Document::new();
+        d.set("_id", Value::Int64(id));
+        d.set("u", u);
+        coll.insert_one(d.clone()).expect("distinct keys");
+        assert!(model.insert(d));
+    }
+    for probe in [
+        Filter::and([Filter::eq("u", 1i64), Filter::eq("u", 2i64)]),
+        Filter::and([Filter::is_in("u", [1i64]), Filter::is_in("u", [2i64])]),
+    ] {
+        let expected = sorted_by_id(model.find(&probe));
+        assert_eq!(expected.len(), 1, "the model matches {{u: [1, 2]}} on {probe:?}");
+        assert_eq!(sorted_by_id(coll.find(&probe)), expected, "find {probe:?}");
+        assert_eq!(coll.count(&probe), 1, "count {probe:?}");
+    }
+    let probe = Filter::and([Filter::eq("u", 1i64), Filter::eq("u", 2i64)]);
+    let spec = UpdateSpec::set("seen", true);
+    let sut = coll.update(&probe, &spec, false, true).expect("update");
+    assert_eq!(sut.modified, model.update(&probe, &spec, true));
+    assert_eq!(coll.delete_many(&probe), model.delete(&probe));
+    assert_eq!(sorted_by_id(coll.all_docs()), sorted_by_id(model.docs));
 }
 
 // ----- column scans against a slot-ordered model -----------------------

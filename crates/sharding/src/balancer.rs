@@ -110,6 +110,9 @@ impl Balancer {
             else {
                 break; // only jumbo chunks left; nothing movable
             };
+            // Not held across the migration, whose routing flip would
+            // otherwise copy the chunk table on this snapshot's account.
+            drop(meta);
             let docs_moved = router.move_chunk(collection, chunk_index, to)?;
             migrations.push(Migration {
                 collection: collection.to_owned(),
@@ -181,6 +184,7 @@ impl Balancer {
                     .iter()
                     .min_by_key(|(id, n)| (**n, **id))
                     .expect("checked non-empty");
+                drop(meta);
                 let mut attempt = 0u32;
                 let docs_moved = loop {
                     match router.move_chunk(&collection, chunk_index, to) {
@@ -226,12 +230,7 @@ mod tests {
             .map(|i| Arc::new(Shard::new(i, "test")))
             .collect();
         let r = Mongos::new(shards, Arc::new(ConfigServer::new()), NetworkModel::free());
-        r.config().shard_collection_with_chunk_size(
-            "facts",
-            ShardKey::range(["k"]),
-            0,
-            2 * 1024,
-        );
+        r.shard_collection("facts", ShardKey::range(["k"]), 2 * 1024).unwrap();
         for i in 0..docs {
             r.insert_one("facts", doc! {"k" => i, "pad" => "p".repeat(40)})
                 .unwrap();
@@ -285,12 +284,7 @@ mod tests {
     #[test]
     fn balance_all_covers_every_sharded_collection() {
         let r = loaded_router(2, 200);
-        r.config().shard_collection_with_chunk_size(
-            "other",
-            ShardKey::range(["k"]),
-            0,
-            1024,
-        );
+        r.shard_collection("other", ShardKey::range(["k"]), 1024).unwrap();
         for i in 0..100i64 {
             r.insert_one("other", doc! {"k" => i, "pad" => "q".repeat(40)})
                 .unwrap();

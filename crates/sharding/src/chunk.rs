@@ -1,7 +1,14 @@
 //! Chunks: contiguous, non-overlapping shard-key ranges (thesis
 //! Section 2.1.3.3, Figures 2.6/2.7).
+//!
+//! What a chunk holds on its shard is read off the shard-key index
+//! ([`Chunk::key_counts`], [`Chunk::documents`]), never by scanning the
+//! collection, so a split or a migration costs the chunk's keys and
+//! documents, not the collection's.
 
-use doclite_docstore::CompoundKey;
+use crate::shardkey::{Partitioning, ShardKey};
+use doclite_bson::Document;
+use doclite_docstore::{Collection, CompoundKey, DocId, IndexRead, Result};
 use std::cmp::Ordering;
 
 /// Identifies a shard within the cluster.
@@ -94,6 +101,122 @@ impl Chunk {
         };
         below_hi && above_lo
     }
+
+    /// How many documents of `coll` hold each of the chunk's shard-key
+    /// values, in ascending key order — read off the shard-key index, no
+    /// document touched. Fails when `coll` has no such index.
+    pub fn key_counts(
+        &self,
+        coll: &Collection,
+        key: &ShardKey,
+    ) -> Result<Vec<(CompoundKey, usize)>> {
+        coll.read_index(&key.index_def().name, |ix| {
+            let mut counts = Vec::new();
+            self.for_each_entry(key, &ix, |k, ids| counts.push((k.clone(), ids.len())));
+            if key.partitioning() == Partitioning::Hashed {
+                // Hashed keys arrive unordered, and two values can hash alike.
+                counts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                counts.dedup_by(|b, a| {
+                    let same = a.0 == b.0;
+                    if same {
+                        a.1 += b.1;
+                    }
+                    same
+                });
+            }
+            counts
+        })
+    }
+
+    /// The chunk's documents in `coll`, in slot order (the order a
+    /// collection scan visits them), read off the shard-key index under
+    /// one hold of the collection's shared lock. Fails when `coll` has no
+    /// such index.
+    pub fn documents(&self, coll: &Collection, key: &ShardKey) -> Result<Vec<Document>> {
+        coll.read_index(&key.index_def().name, |ix| {
+            let mut slots: Vec<DocId> = Vec::new();
+            self.for_each_entry(key, &ix, |_, ids| slots.extend_from_slice(ids));
+            slots.sort_unstable();
+            slots.dedup();
+            slots.into_iter().filter_map(|id| ix.doc(id).cloned()).collect()
+        })
+    }
+
+    /// Visits the shard-key index entries inside the chunk as (chunk
+    /// keyspace key, slots). A range key's index is a B-tree over the key
+    /// itself, walked from the chunk's lower bound until its upper bound;
+    /// a hashed key's index holds the raw values, so every distinct value
+    /// is hashed into the keyspace and kept if the chunk contains it.
+    fn for_each_entry<'a>(
+        &self,
+        key: &ShardKey,
+        ix: &IndexRead<'a>,
+        mut visit: impl FnMut(&CompoundKey, &'a [DocId]),
+    ) {
+        match key.partitioning() {
+            Partitioning::Range => {
+                let from = match &self.min {
+                    KeyBound::Key(k) => Some(k),
+                    _ => None,
+                };
+                for (k, ids) in ix.keys_from(from) {
+                    if self.max.cmp_key(k) != Ordering::Greater {
+                        break;
+                    }
+                    visit(k, ids);
+                }
+            }
+            Partitioning::Hashed => {
+                for (k, ids) in ix.keys_from(None) {
+                    let hashed = key.keyspace_value(std::slice::from_ref(k.0[0].value()));
+                    if self.contains(&hashed) {
+                        visit(&hashed, ids);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where the chunk splits, from its [`Chunk::key_counts`]: at the
+    /// median key, advanced past the chunk's lower bound so the left
+    /// chunk is not empty — MongoDB's split vector.
+    pub fn split_point(&self, counts: &[(CompoundKey, usize)]) -> SplitPoint {
+        let total: usize = counts.iter().map(|(_, n)| n).sum();
+        if total < 2 {
+            return SplitPoint::Keep;
+        }
+        if counts.len() == 1 {
+            return SplitPoint::Jumbo;
+        }
+        // The median is the key at sorted position total / 2; `below`
+        // counts the documents under key `at`.
+        let (mut at, mut below) = (0, 0);
+        while below + counts[at].1 <= total / 2 {
+            below += counts[at].1;
+            at += 1;
+        }
+        if self.min.cmp_key(&counts[at].0) == Ordering::Equal {
+            below += counts[at].1;
+            at += 1;
+            if at == counts.len() {
+                return SplitPoint::Keep;
+            }
+        }
+        SplitPoint::At { key: counts[at].0.clone(), left_fraction: below as f64 / total as f64 }
+    }
+}
+
+/// A chunk's split decision ([`Chunk::split_point`]).
+#[derive(Clone, Debug, PartialEq)]
+pub enum SplitPoint {
+    /// Nothing to split: fewer than two documents, or none above a
+    /// median that is the chunk's lower bound.
+    Keep,
+    /// Every document shares one shard-key value, so no split point
+    /// exists: the chunk is **jumbo** (thesis Fig 2.7).
+    Jumbo,
+    /// Split at `key`; `left_fraction` of the documents sort below it.
+    At { key: CompoundKey, left_fraction: f64 },
 }
 
 #[cfg(test)]

@@ -127,9 +127,7 @@ impl ShardedCluster {
         // the whole cluster, which is redundant here.
         for name in self.router.config().sharded_collections() {
             if let Some(meta) = self.router.config().meta(&name) {
-                shard
-                    .replica_set()
-                    .create_index(&name, shard_key_index(&meta.key))?;
+                shard.replica_set().create_index(&name, meta.key.index_def())?;
             }
         }
         self.router.config().register_shard(shard_entry(&shard));
@@ -215,19 +213,15 @@ impl ShardedCluster {
         self.router.shards().len()
     }
 
-    /// Shards a collection and creates the supporting shard-key index on
-    /// every shard (MongoDB requires the index to exist).
+    /// Shards a collection: the shard-key index on every shard, then the
+    /// metadata ([`Mongos::shard_collection`]).
     pub fn shard_collection(
         &self,
         name: &str,
         key: ShardKey,
         max_chunk_size: usize,
     ) -> Result<()> {
-        self.router.create_index(name, shard_key_index(&key))?;
-        self.router
-            .config()
-            .shard_collection_with_chunk_size(name, key, 0, max_chunk_size);
-        Ok(())
+        self.router.shard_collection(name, key, max_chunk_size)
     }
 
     /// Runs a balancing round over all sharded collections.
@@ -269,17 +263,6 @@ fn shard_entry(s: &Shard) -> crate::config::ShardEntry {
         replica_set: s.replica_set().name().to_owned(),
         members: s.member_count(),
         draining: false,
-    }
-}
-
-/// The supporting index MongoDB requires for a shard key.
-fn shard_key_index(key: &ShardKey) -> doclite_docstore::IndexDef {
-    use doclite_docstore::IndexDef;
-    match key.partitioning() {
-        crate::shardkey::Partitioning::Range => {
-            IndexDef::compound(key.fields().iter().map(String::as_str))
-        }
-        crate::shardkey::Partitioning::Hashed => IndexDef::hashed(key.fields()[0].clone()),
     }
 }
 

@@ -6,6 +6,7 @@ use crate::shardkey::ShardKey;
 use doclite_docstore::CompoundKey;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Sharding metadata for one collection: the shard key and the ordered,
 /// contiguous chunk list.
@@ -130,9 +131,14 @@ pub struct ShardEntry {
 /// registry. In the paper's cluster this is a dedicated `mongod`; here
 /// it is an in-process metadata service the router consults on every
 /// operation.
+///
+/// A collection's metadata is shared, not copied: [`ConfigServer::meta`]
+/// hands out the `Arc` (a refcount bump per routed operation), and a
+/// mutation copies the chunk table only while some snapshot of it is
+/// still held ([`ConfigServer::with_meta_mut`]).
 #[derive(Default)]
 pub struct ConfigServer {
-    collections: RwLock<BTreeMap<String, CollectionMeta>>,
+    collections: RwLock<BTreeMap<String, Arc<CollectionMeta>>>,
     shards: RwLock<Vec<ShardEntry>>,
     /// Next shard id to hand out. Ids are never reused after a removal,
     /// so a late-arriving event addressed to a removed shard can only
@@ -257,7 +263,7 @@ impl ConfigServer {
             chunks: vec![Chunk::full_range(initial_shard)],
             max_chunk_size,
         };
-        self.collections.write().insert(name.into(), meta);
+        self.collections.write().insert(name.into(), Arc::new(meta));
     }
 
     /// True if the collection is sharded.
@@ -265,8 +271,9 @@ impl ConfigServer {
         self.collections.read().contains_key(name)
     }
 
-    /// Snapshot of a collection's metadata.
-    pub fn meta(&self, name: &str) -> Option<CollectionMeta> {
+    /// Snapshot of a collection's metadata: the shared table itself,
+    /// which later mutations never change under its holder.
+    pub fn meta(&self, name: &str) -> Option<Arc<CollectionMeta>> {
         self.collections.read().get(name).cloned()
     }
 
@@ -275,14 +282,16 @@ impl ConfigServer {
         self.collections.read().keys().cloned().collect()
     }
 
-    /// Mutates a collection's metadata under the config lock.
+    /// Mutates a collection's metadata under the config lock,
+    /// copy-on-write: the table is copied first only if a snapshot of it
+    /// is still held, and that holder keeps the table it took.
     pub fn with_meta_mut<R>(
         &self,
         name: &str,
         f: impl FnOnce(&mut CollectionMeta) -> R,
     ) -> Option<R> {
         let mut map = self.collections.write();
-        map.get_mut(name).map(f)
+        map.get_mut(name).map(|meta| f(Arc::make_mut(meta)))
     }
 
     /// Splits a chunk at `split_key`: `[min, split)` stays, `[split, max)`
@@ -406,6 +415,20 @@ mod tests {
         assert_eq!(meta.chunk_for(&k(50)), 1);
         assert_eq!(meta.chunks[0].bytes + meta.chunks[1].bytes, 100);
         assert_eq!(meta.chunks[0].docs, 4);
+    }
+
+    #[test]
+    fn snapshots_are_shared_and_mutations_copy_only_what_is_held() {
+        let cfg = setup();
+        let held = cfg.meta("c").unwrap();
+        assert!(Arc::ptr_eq(&held, &cfg.meta("c").unwrap()), "a snapshot is the table itself");
+        assert!(cfg.split_chunk("c", 0, k(50), 0.5));
+        // The holder keeps the table it took; the config has a new one.
+        assert_eq!((held.chunks.len(), cfg.meta("c").unwrap().chunks.len()), (1, 2));
+        drop(held);
+        let before = Arc::as_ptr(&cfg.meta("c").unwrap());
+        assert!(cfg.move_chunk("c", 1, 1));
+        assert_eq!(Arc::as_ptr(&cfg.meta("c").unwrap()), before, "nothing held: edited in place");
     }
 
     #[test]

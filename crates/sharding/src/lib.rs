@@ -39,7 +39,7 @@ pub use chaos::{
     check_content, check_convergence, check_convergence_with_content, heal_all,
     ChaosSchedule, ContentReport, FaultAction, FaultEvent,
 };
-pub use chunk::{Chunk, KeyBound, ShardId, DEFAULT_CHUNK_SIZE};
+pub use chunk::{Chunk, KeyBound, ShardId, SplitPoint, DEFAULT_CHUNK_SIZE};
 pub use cluster::{ClusterConfig, DurabilityConfig, ShardedCluster};
 pub use config::{CollectionMeta, ConfigServer, ShardEntry};
 pub use network::{FaultKind, Faults, NetMode, NetStats, NetworkModel, RetryPolicy};

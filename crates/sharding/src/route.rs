@@ -152,19 +152,21 @@ fn cartesian(sets: &[&Vec<Value>]) -> Vec<Vec<Value>> {
 
 /// Where a document lives — an insert, or an upsert's seed: the shard
 /// owning its key, and that key for the write's ownership check (an
-/// unsharded collection has neither: the primary shard, no key).
+/// unsharded collection has neither: the primary shard, no key). A
+/// document whose shard key holds an array has no home and is refused
+/// ([`crate::shardkey::ShardKey::extract`]).
 pub fn document_target(
     meta: Option<&CollectionMeta>,
     primary: ShardId,
     doc: &Document,
-) -> (ShardId, Option<CompoundKey>) {
-    match meta {
+) -> Result<(ShardId, Option<CompoundKey>)> {
+    Ok(match meta {
         None => (primary, None),
         Some(meta) => {
-            let key = meta.key.extract(doc);
+            let key = meta.key.extract(doc)?;
             (meta.chunks[meta.chunk_for(&key)].shard, Some(key))
         }
-    }
+    })
 }
 
 /// How the router combines a find's legs.
@@ -445,7 +447,7 @@ mod tests {
                 chunk.docs = docs;
             }
         });
-        cfg.meta("c").unwrap()
+        std::sync::Arc::unwrap_or_clone(cfg.meta("c").unwrap())
     }
 
     /// What the table pins of a [`FindPlan`].

@@ -17,12 +17,13 @@
 //! *reaction*, and the owed list of `Mongos::update_grouped` is the
 //! write side's *memory* of what already applied.
 
-use crate::chunk::{KeyBound, ShardId};
+use crate::chunk::{ShardId, SplitPoint};
 use crate::config::ConfigServer;
 use crate::network::{Faults, NetMode, NetStats, NetworkModel, RetryPolicy};
 use crate::replica::{ReadPreference, ReplicaSet, WriteConcern};
 use crate::route::{self, FindPlan, Merge, Owed, Targeting};
 use crate::shard::Shard;
+use crate::shardkey::ShardKey;
 use doclite_bson::{codec::encoded_size, Document};
 use doclite_docstore::agg::stream;
 use doclite_docstore::{
@@ -163,7 +164,8 @@ impl Mongos {
         self.retry
     }
 
-    /// Drains the warnings recorded by degraded reads.
+    /// Drains the warnings recorded by degraded reads and by chunks that
+    /// cannot split.
     pub fn take_warnings(&self) -> Vec<String> {
         std::mem::take(&mut self.warnings.lock())
     }
@@ -421,7 +423,10 @@ impl Mongos {
         let key = self.retrying(Retried::Stale, || {
             let doc = slot.as_ref().expect("a bounced insert has not consumed the document");
             let meta = self.config.meta(collection);
-            let (shard_id, key) = route::document_target(meta.as_ref(), self.primary, doc);
+            let (shard_id, key) = route::document_target(meta.as_deref(), self.primary, doc)?;
+            // Released before the write, so a concurrent chunk-accounting
+            // update has no snapshot to copy on its account.
+            drop(meta);
             let shard = self.shard(shard_id)?;
             self.retrying(Retried::Write(shard_id, bytes), || {
                 shard.owned_write(collection, key.as_slice(), || {
@@ -494,6 +499,15 @@ impl Mongos {
     /// shares one key value the chunk is marked **jumbo** and left alone
     /// (thesis Fig 2.7).
     ///
+    /// The split vector comes from the per-key counts of the chunk's keys
+    /// in the owning shard's shard-key index
+    /// ([`crate::chunk::Chunk::key_counts`]): no document is read. A
+    /// shard without the index (it is created with the collection's
+    /// sharding, [`Mongos::shard_collection`]; a collection registered on
+    /// the config server alone has none) has nothing to derive a split
+    /// from: the chunk is marked jumbo, with a warning, so it is reported
+    /// once and not retried on every insert.
+    ///
     /// The chunk is addressed by a resident key rather than by index:
     /// concurrent splits reshuffle chunk indices, so the final split is
     /// re-located and re-validated against the size threshold under the
@@ -505,51 +519,41 @@ impl Mongos {
         // between the snapshot and now, simply skip it.
         let Ok(shard) = self.shard(chunk.shard) else { return };
         let Ok(coll) = shard.db().get_collection(collection) else { return };
-
-        // Collect the chunk's resident keys from the owning shard.
-        let mut keys: Vec<CompoundKey> = Vec::new();
-        coll.for_each(|doc| {
-            let k = meta.key.extract(doc);
-            if chunk.contains(&k) {
-                keys.push(k);
+        let split = match chunk.key_counts(&coll, &meta.key) {
+            Ok(counts) => {
+                // One metadata round-trip to the shard for the split vector.
+                self.stats.charge(&self.network, counts.iter().map(|(_, n)| n).sum::<usize>() * 16);
+                chunk.split_point(&counts)
             }
-        });
-        // One metadata round-trip to the shard for the split vector.
-        self.stats.charge(&self.network, keys.len() * 16);
-        if keys.len() < 2 {
-            return;
-        }
-        keys.sort();
-        let median = keys[keys.len() / 2].clone();
-        if keys.first() == keys.last() {
-            // Unsplittable: same shard-key value throughout. Re-locate
+            Err(e) => {
+                self.warn(format!(
+                    "chunk of '{collection}' on shard {} cannot split: {e}",
+                    chunk.shard
+                ));
+                SplitPoint::Jumbo
+            }
+        };
+        // No snapshot is held across the update, so it copies nothing.
+        drop(meta);
+        match split {
+            SplitPoint::Keep => {}
+            // Unsplittable: same shard-key value throughout, or no
+            // shard-key index to read one from. Re-locate
             // by key and re-check the threshold under the lock so a
             // concurrently shrunk chunk isn't frozen by mistake.
-            self.config.with_meta_mut(collection, |m| {
-                let idx = m.chunk_for(key);
-                let c = &mut m.chunks[idx];
-                if c.bytes > m.max_chunk_size {
-                    c.jumbo = true;
-                }
-            });
-            return;
-        }
-        // If the median equals the minimum, advance to the first greater
-        // key so the left chunk is non-empty.
-        let split_key = if KeyBound::Key(median.clone()) == chunk.min
-            || chunk.min.cmp_key(&median) == std::cmp::Ordering::Equal
-        {
-            match keys.iter().find(|k| **k > median) {
-                Some(k) => k.clone(),
-                None => return,
+            SplitPoint::Jumbo => {
+                self.config.with_meta_mut(collection, |m| {
+                    let idx = m.chunk_for(key);
+                    let c = &mut m.chunks[idx];
+                    if c.bytes > m.max_chunk_size {
+                        c.jumbo = true;
+                    }
+                });
             }
-        } else {
-            median
-        };
-        let left = keys.iter().filter(|k| **k < split_key).count();
-        let left_fraction = left as f64 / keys.len() as f64;
-        self.config
-            .split_chunk_at_key(collection, key, split_key, left_fraction);
+            SplitPoint::At { key: split_key, left_fraction } => {
+                self.config.split_chunk_at_key(collection, key, split_key, left_fraction);
+            }
+        }
     }
 
     /// Routes a find: targeted when the filter pins the shard key,
@@ -639,7 +643,7 @@ impl Mongos {
     /// The routing decision for a filter (exposed for tests/benches and
     /// explain-style reporting).
     pub fn explain_targeting(&self, collection: &str, filter: &Filter) -> Targeting {
-        route::target(self.config.meta(collection).as_ref(), self.primary, filter)
+        route::target(self.config.meta(collection).as_deref(), self.primary, filter)
     }
 
     /// Router-level explain for a find — the plan [`Mongos::find_with`]
@@ -650,7 +654,7 @@ impl Mongos {
         filter: &Filter,
         opts: &FindOptions,
     ) -> RouteExplain {
-        route::plan_find(self.config.meta(collection).as_ref(), self.primary, filter, opts)
+        route::plan_find(self.config.meta(collection).as_deref(), self.primary, filter, opts)
     }
 
     /// Counts matching documents across the targeted shards.
@@ -686,6 +690,8 @@ impl Mongos {
     /// shards and stops at the first match, so nothing has applied
     /// before a bounce and the walk simply starts over. An upsert that
     /// matched nothing lands on the shard owning the seed document's key.
+    /// An update that can write an array into a shard-key field is
+    /// refused before any shard sees it ([`ShardKey::check_update`]).
     pub fn update(
         &self,
         collection: &str,
@@ -694,6 +700,9 @@ impl Mongos {
         upsert: bool,
         multi: bool,
     ) -> Result<UpdateResult> {
+        if let Some(meta) = self.config.meta(collection) {
+            meta.key.check_update(spec)?;
+        }
         let mut total = UpdateResult::default();
         if multi {
             let op = BulkUpdate { filter: filter.clone(), spec: spec.clone(), multi };
@@ -718,7 +727,7 @@ impl Mongos {
             let r = self.retrying(Retried::Stale, || {
                 let meta = self.config.meta(collection);
                 let seed = doclite_docstore::update::upsert_seed(filter);
-                let (id, key) = route::document_target(meta.as_ref(), self.primary, &seed);
+                let (id, key) = route::document_target(meta.as_deref(), self.primary, &seed)?;
                 self.update_leg(id, collection, key.as_slice(), spec.payload_size(), |rs| {
                     rs.update(collection, filter, spec, true, multi, self.write_concern)
                 })
@@ -769,12 +778,18 @@ impl Mongos {
     /// the first shard that matches (the [`Mongos::update`] rule), which
     /// per-shard groups cannot express: it runs alone, in order, between
     /// the grouped runs.
+    ///
+    /// A batch with a statement that can write an array into a shard-key
+    /// field is refused whole, before any statement is sent.
     pub fn update_batch(&self, collection: &str, ops: &[BulkUpdate]) -> Result<UpdateResult> {
         let mut total = UpdateResult::default();
         let mut run: Vec<&BulkUpdate> = Vec::with_capacity(ops.len());
         let meta = self.config.meta(collection);
+        if let Some(m) = &meta {
+            ops.iter().try_for_each(|op| m.key.check_update(&op.spec))?;
+        }
         for op in ops {
-            if !op.multi && route::target(meta.as_ref(), self.primary, &op.filter).shards.len() > 1 {
+            if !op.multi && route::target(meta.as_deref(), self.primary, &op.filter).shards.len() > 1 {
                 self.update_grouped(collection, &run, &mut total)?;
                 run.clear();
                 total.absorb(&self.update(collection, &op.filter, &op.spec, false, false)?);
@@ -820,7 +835,7 @@ impl Mongos {
         owed.retain(|(_, only)| only.is_none_or(|id| self.shard(id).is_ok()));
         let meta = self.config.meta(collection);
         let groups =
-            route::group_writes(meta.as_ref(), self.primary, |i| &ops[i].filter, owed.drain(..));
+            route::group_writes(meta.as_deref(), self.primary, |i| &ops[i].filter, owed.drain(..));
         let mut stale = None;
         for (id, group) in groups {
             let mut sent = 0;
@@ -905,7 +920,7 @@ impl Mongos {
 
     fn aggregate_once(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
         let meta = self.config.meta(collection);
-        let plan = route::plan_aggregate(meta.as_ref(), self.primary, pipeline)?;
+        let plan = route::plan_aggregate(meta.as_deref(), self.primary, pipeline)?;
         let legs = self.read_legs(
             collection,
             &plan.route.shards,
@@ -963,6 +978,23 @@ impl Mongos {
             .sum()
     }
 
+    /// Shards a collection — the one registration path: the shard-key
+    /// index on every shard first (MongoDB requires it; splits and
+    /// migrations read chunks off it, [`crate::chunk::Chunk::key_counts`]),
+    /// then the metadata, one full-range chunk on the primary shard that
+    /// splits past `max_chunk_size` bytes.
+    pub fn shard_collection(
+        &self,
+        collection: &str,
+        key: ShardKey,
+        max_chunk_size: usize,
+    ) -> Result<()> {
+        self.create_index(collection, key.index_def())?;
+        self.config
+            .shard_collection_with_chunk_size(collection, key, self.primary, max_chunk_size);
+        Ok(())
+    }
+
     /// Shards an *existing, populated* collection: gathers its documents
     /// from wherever they live (the primary shard for a previously
     /// unsharded collection), registers the shard-key metadata, and
@@ -974,7 +1006,7 @@ impl Mongos {
     pub fn reshard_collection(
         &self,
         collection: &str,
-        key: crate::shardkey::ShardKey,
+        key: ShardKey,
         max_chunk_size: usize,
     ) -> Result<usize> {
         // Gather all documents currently stored anywhere, then drop the
@@ -987,16 +1019,7 @@ impl Mongos {
             }
             shard.replica_set().drop_collection(collection);
         }
-        // Shard-key index plus metadata, then reload through the router.
-        let def = match key.partitioning() {
-            crate::shardkey::Partitioning::Range => {
-                IndexDef::compound(key.fields().iter().map(String::as_str))
-            }
-            crate::shardkey::Partitioning::Hashed => IndexDef::hashed(key.fields()[0].clone()),
-        };
-        self.create_index(collection, def)?;
-        self.config
-            .shard_collection_with_chunk_size(collection, key, self.primary, max_chunk_size);
+        self.shard_collection(collection, key, max_chunk_size)?;
         self.insert_many(collection, docs)
     }
 
@@ -1013,21 +1036,27 @@ impl Mongos {
     ///    surrender returns, and every later write bounces with
     ///    [`Error::StaleRoute`] (the router retries it until step 4
     ///    re-targets it at the destination).
-    /// 2. **Scan** the source for the chunk's resident documents —
-    ///    complete by step 1 — and **copy** them to the destination,
-    ///    which reclaims the range (in case it migrated away from there
+    /// 2. **Read** the chunk's resident documents — complete by step 1 —
+    ///    off the source's shard-key index
+    ///    ([`crate::chunk::Chunk::documents`]: the chunk's keys, not the
+    ///    collection) and **copy** them to the destination, which
+    ///    reclaims the range (in case it migrated away from there
     ///    earlier) only once the copies have landed.
     /// 3. **Flip** the routing table. New traffic now targets the
     ///    destination, where the copies already are.
-    /// 4. **Delete** the copied documents from the source by `_id`.
+    /// 4. **Delete** the copied documents from the source: one
+    ///    `{_id: {$in: ids}}` statement, which the planner serves by
+    ///    point lookups on the `_id` index.
     ///
     /// Between steps 2 and 4 both sides hold the documents; targeted
     /// reads are unaffected (they see exactly one side), broadcast
     /// reads can transiently observe duplicates — the same orphan
     /// window MongoDB's `moveChunk` has before orphan cleanup.
     ///
-    /// Migration replicates at W1 (primaries only): it is internal
-    /// data movement; a down member catches up at recovery resync.
+    /// Migration writes at W1: every healthy member applies the copy and
+    /// the cleanup, but only the primary's acknowledgement is awaited
+    /// (it is internal data movement; a down member catches up at
+    /// recovery resync).
     pub fn move_chunk(&self, collection: &str, chunk_idx: usize, to: ShardId) -> Result<usize> {
         let _one_at_a_time = self.migration.lock();
         let meta = self
@@ -1048,21 +1077,27 @@ impl Mongos {
         // Step 1: close the source side of the range to new writes.
         src.surrender_range(collection, chunk.min.clone(), chunk.max.clone());
 
-        // Step 2: the scan now sees every write that ever passed an
+        // Step 2: the index now holds every write that ever passed an
         // ownership check for this range.
-        let src_coll = src.replica_set().db().collection(collection);
-        let mut moving: Vec<Document> = Vec::new();
-        src_coll.for_each(|doc| {
-            if chunk.contains(&meta.key.extract(doc)) {
-                moving.push(doc.clone());
+        let moving = match src.replica_set().db().get_collection(collection) {
+            Ok(coll) => chunk.documents(&coll, &meta.key),
+            Err(_) => Ok(Vec::new()), // nothing was ever stored there
+        };
+        // No snapshot is held across the flip, so it copies nothing.
+        drop(meta);
+        let moving = match moving {
+            Ok(docs) => docs,
+            Err(e) => {
+                src.reclaim_range(collection, &chunk.min, &chunk.max);
+                return Err(e);
             }
-        });
+        };
         let bytes: usize = moving.iter().map(encoded_size).sum();
         let n = moving.len();
-        let ids: Vec<_> = moving
-            .iter()
-            .map(|d| d.id().expect("stored docs have _id").clone())
-            .collect();
+        let ids = Filter::is_in(
+            "_id",
+            moving.iter().map(|d| d.id().expect("stored docs have _id").clone()),
+        );
 
         if let Err(e) = dest
             .replica_set()
@@ -1071,13 +1106,7 @@ impl Mongos {
             // Copy failed: roll back. Remove whatever partial copy
             // landed, reopen the source range, leave routing untouched
             // — the migration never happened.
-            for id in &ids {
-                let _ = dest.replica_set().delete_many(
-                    collection,
-                    &Filter::eq("_id", id.clone()),
-                    WriteConcern::W1,
-                );
-            }
+            let _ = dest.replica_set().delete_many(collection, &ids, WriteConcern::W1);
             src.reclaim_range(collection, &chunk.min, &chunk.max);
             return Err(e);
         }
@@ -1103,17 +1132,12 @@ impl Mongos {
         });
 
         // Step 4: drop the source copies; routing no longer reaches them.
-        for id in ids {
-            if let Err(e) =
-                src.replica_set()
-                    .delete_many(collection, &Filter::eq("_id", id), WriteConcern::W1)
-            {
-                // The chunk has moved; stragglers on the source are
-                // unreachable by targeted traffic but would show up in
-                // broadcasts. Surface loudly rather than failing the
-                // already-committed migration.
-                self.warn(format!("orphan cleanup after chunk move failed: {e}"));
-            }
+        if let Err(e) = src.replica_set().delete_many(collection, &ids, WriteConcern::W1) {
+            // The chunk has moved; stragglers on the source are
+            // unreachable by targeted traffic but would show up in
+            // broadcasts. Surface loudly rather than failing the
+            // already-committed migration.
+            self.warn(format!("orphan cleanup after chunk move failed: {e}"));
         }
 
         // Source→destination transfer plus two metadata round-trips.
@@ -1190,7 +1214,7 @@ fn merge_sorted_legs(legs: Vec<Vec<Document>>, spec: &[(String, i32)]) -> Vec<Do
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shardkey::ShardKey;
+    use crate::chunk::{KeyBound, DEFAULT_CHUNK_SIZE};
     use doclite_bson::doc;
 
     fn cluster(n: usize) -> Mongos {
@@ -1310,7 +1334,7 @@ mod tests {
     #[test]
     fn point_reads_of_a_surrendered_range_bounce_whichever_read_it_is() {
         let (r, _) = two_retries();
-        r.config().shard_collection("facts", ShardKey::range(["k"]), 0);
+        r.shard_collection("facts", ShardKey::range(["k"]), DEFAULT_CHUNK_SIZE).unwrap();
         for i in 0..20i64 {
             r.insert_one("facts", doc! {"k" => i}).unwrap();
         }
@@ -1358,12 +1382,7 @@ mod tests {
     #[test]
     fn sharded_insert_routes_and_splits() {
         let r = cluster(3);
-        r.config().shard_collection_with_chunk_size(
-            "facts",
-            ShardKey::range(["k"]),
-            0,
-            4 * 1024, // tiny threshold to force splits
-        );
+        r.shard_collection("facts", ShardKey::range(["k"]), 4 * 1024).unwrap();
         for i in 0..500i64 {
             r.insert_one("facts", doc! {"k" => i, "pad" => "x".repeat(40)})
                 .unwrap();
@@ -1377,8 +1396,7 @@ mod tests {
     #[test]
     fn jumbo_chunk_detected_for_single_valued_key() {
         let r = cluster(2);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::range(["k"]), 0, 2 * 1024);
+        r.shard_collection("facts", ShardKey::range(["k"]), 2 * 1024).unwrap();
         for _ in 0..200 {
             r.insert_one("facts", doc! {"k" => 36i64, "pad" => "y".repeat(40)})
                 .unwrap();
@@ -1390,8 +1408,7 @@ mod tests {
     #[test]
     fn targeted_vs_broadcast_find() {
         let r = cluster(3);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::range(["k"]), 0, 2 * 1024);
+        r.shard_collection("facts", ShardKey::range(["k"]), 2 * 1024).unwrap();
         for i in 0..300i64 {
             r.insert_one("facts", doc! {"k" => i, "v" => i * 2, "pad" => "z".repeat(30)})
                 .unwrap();
@@ -1417,8 +1434,7 @@ mod tests {
     fn aggregate_pushes_match_down_and_materializes_out() {
         use doclite_docstore::{Accumulator, GroupId};
         let r = cluster(2);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::range(["k"]), 0, 1024);
+        r.shard_collection("facts", ShardKey::range(["k"]), 1024).unwrap();
         for i in 0..100i64 {
             r.insert_one("facts", doc! {"k" => i, "grp" => i % 5, "v" => 1i64})
                 .unwrap();
@@ -1444,8 +1460,7 @@ mod tests {
     #[test]
     fn update_and_delete_route() {
         let r = cluster(2);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::range(["k"]), 0, 1024);
+        r.shard_collection("facts", ShardKey::range(["k"]), 1024).unwrap();
         for i in 0..50i64 {
             r.insert_one("facts", doc! {"k" => i}).unwrap();
         }
@@ -1466,8 +1481,7 @@ mod tests {
     #[test]
     fn create_index_reaches_every_shard() {
         let r = cluster(3);
-        r.config()
-            .shard_collection("facts", ShardKey::range(["k"]), 0);
+        r.shard_collection("facts", ShardKey::range(["k"]), DEFAULT_CHUNK_SIZE).unwrap();
         r.insert_one("facts", doc! {"k" => 1i64}).unwrap();
         r.create_index("facts", IndexDef::single("v")).unwrap();
         for s in r.shards() {
@@ -1479,8 +1493,7 @@ mod tests {
     #[test]
     fn move_chunk_relocates_documents() {
         let r = cluster(2);
-        r.config()
-            .shard_collection("facts", ShardKey::range(["k"]), 0);
+        r.shard_collection("facts", ShardKey::range(["k"]), DEFAULT_CHUNK_SIZE).unwrap();
         for i in 0..20i64 {
             r.insert_one("facts", doc! {"k" => i}).unwrap();
         }
@@ -1495,8 +1508,7 @@ mod tests {
     #[test]
     fn sorted_limited_find_transfers_o_limit_bytes_per_leg() {
         let r = cluster(3);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::hashed("k"), 0, 1024);
+        r.shard_collection("facts", ShardKey::hashed("k"), 1024).unwrap();
         for i in 0..300i64 {
             r.insert_one("facts", doc! {"k" => i, "v" => i, "pad" => "x".repeat(400)})
                 .unwrap();
@@ -1527,8 +1539,7 @@ mod tests {
     #[test]
     fn sorted_skip_limit_find_matches_unpushed_semantics() {
         let r = cluster(3);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::hashed("k"), 0, 1024);
+        r.shard_collection("facts", ShardKey::hashed("k"), 1024).unwrap();
         for i in 0..100i64 {
             r.insert_one("facts", doc! {"k" => i, "v" => (i * 37) % 100})
                 .unwrap();
@@ -1554,8 +1565,7 @@ mod tests {
     #[test]
     fn aggregate_pushes_sort_limit_window_to_shards() {
         let r = cluster(3);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::hashed("k"), 0, 1024);
+        r.shard_collection("facts", ShardKey::hashed("k"), 1024).unwrap();
         for i in 0..300i64 {
             r.insert_one("facts", doc! {"k" => i, "v" => i, "pad" => "y".repeat(400)})
                 .unwrap();
@@ -1575,8 +1585,7 @@ mod tests {
     #[test]
     fn find_projection_applies_through_router() {
         let r = cluster(2);
-        r.config()
-            .shard_collection_with_chunk_size("facts", ShardKey::hashed("k"), 0, 1024);
+        r.shard_collection("facts", ShardKey::hashed("k"), 1024).unwrap();
         for i in 0..40i64 {
             r.insert_one("facts", doc! {"k" => i, "v" => i, "w" => i * 2})
                 .unwrap();
@@ -1609,8 +1618,7 @@ mod tests {
     #[test]
     fn network_stats_accumulate_per_leg() {
         let r = cluster(3);
-        r.config()
-            .shard_collection("facts", ShardKey::range(["k"]), 0);
+        r.shard_collection("facts", ShardKey::range(["k"]), DEFAULT_CHUNK_SIZE).unwrap();
         r.insert_one("facts", doc! {"k" => 1i64}).unwrap();
         let before = r.net_stats().exchanges();
         r.find("facts", &Filter::eq("nonkey", 0i64)); // broadcast: 1 leg per chunk-holding shard
@@ -1623,7 +1631,7 @@ mod tests {
     /// re-fetch it — the final window still has to be exact.
     fn skewed_cluster() -> Mongos {
         let r = cluster(2);
-        r.config().shard_collection("facts", ShardKey::range(["k"]), 0);
+        r.shard_collection("facts", ShardKey::range(["k"]), DEFAULT_CHUNK_SIZE).unwrap();
         r.config().split_chunk(
             "facts",
             0,
@@ -1702,10 +1710,6 @@ mod tests {
 #[cfg(test)]
 mod reshard_tests {
     use super::*;
-    use crate::config::ConfigServer;
-    use crate::network::NetworkModel;
-    use crate::shard::Shard;
-    use crate::shardkey::ShardKey;
     use doclite_bson::doc;
 
     #[test]

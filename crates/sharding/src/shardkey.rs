@@ -3,7 +3,8 @@
 
 use doclite_bson::{Document, Value};
 use doclite_docstore::index::hashed::hash_key;
-use doclite_docstore::CompoundKey;
+use doclite_docstore::update::apply_update;
+use doclite_docstore::{CompoundKey, Error, IndexDef, Result, UpdateSpec};
 
 /// How shard-key values map onto the chunk keyspace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,19 +55,55 @@ impl ShardKey {
     /// Extracts the *chunk keyspace* key for a document: the raw field
     /// values for range partitioning, or the 64-bit hash (stored as
     /// `Int64`, exactly like MongoDB's hashed shard keys) for hashed.
-    /// Missing fields key as `Null`.
-    pub fn extract(&self, doc: &Document) -> CompoundKey {
-        match self.partitioning {
-            Partitioning::Range => CompoundKey::from_values(
-                self.fields
-                    .iter()
-                    .map(|f| doc.get_path(f).unwrap_or(Value::Null))
-                    .collect(),
-            ),
-            Partitioning::Hashed => {
-                let v = doc.get_path(&self.fields[0]).unwrap_or(Value::Null);
-                CompoundKey::from_values(vec![Value::Int64(hash_key(&v) as i64)])
+    /// Missing fields key as `Null`. A field holding an array is refused,
+    /// as MongoDB refuses it: the shard-key index holds one entry per
+    /// element, so no single chunk could own the document.
+    pub fn extract(&self, doc: &Document) -> Result<CompoundKey> {
+        let values = self
+            .fields
+            .iter()
+            .map(|f| match doc.get_path(f) {
+                Some(Value::Array(_)) => Err(Error::InvalidQuery(format!(
+                    "shard key field '{f}' holds an array; shard key values cannot be arrays"
+                ))),
+                v => Ok(v.unwrap_or(Value::Null)),
+            })
+            .collect::<Result<Vec<Value>>>()?;
+        Ok(match self.partitioning {
+            Partitioning::Range => CompoundKey::from_values(values),
+            Partitioning::Hashed => self.keyspace_value(&values),
+        })
+    }
+
+    /// Refuses an update that can write an array into a key field, as
+    /// [`ShardKey::extract`] refuses a document holding one. A
+    /// replacement is checked as the document it is. Operators that touch
+    /// a key field are applied to an empty document: no stored key field
+    /// is an array, so an operator that makes one an array does so there
+    /// too (`$push` always does). One that fails there fails on every
+    /// document, and the shard reports it.
+    pub fn check_update(&self, spec: &UpdateSpec) -> Result<()> {
+        match spec {
+            UpdateSpec::Replace(body) => self.extract(body).map(drop),
+            UpdateSpec::Ops(_) if self.fields.iter().any(|f| spec.touches(f)) => {
+                let mut written = Document::new();
+                match apply_update(&mut written, spec) {
+                    Ok(_) => self.extract(&written).map(drop),
+                    Err(_) => Ok(()),
+                }
             }
+            UpdateSpec::Ops(_) => Ok(()),
+        }
+    }
+
+    /// The index every shard holds on the key — MongoDB requires it, and
+    /// splits and migrations read chunks off it: a compound ascending
+    /// B-tree over the fields for range partitioning, a hashed index for
+    /// hashed.
+    pub fn index_def(&self) -> IndexDef {
+        match self.partitioning {
+            Partitioning::Range => IndexDef::compound(self.fields.iter().map(String::as_str)),
+            Partitioning::Hashed => IndexDef::hashed(self.fields[0].clone()),
         }
     }
 
@@ -96,7 +133,7 @@ mod tests {
     #[test]
     fn range_key_extracts_raw_values() {
         let k = ShardKey::range(["a", "b"]);
-        let key = k.extract(&doc! {"a" => 1i64, "b" => "x"});
+        let key = k.extract(&doc! {"a" => 1i64, "b" => "x"}).unwrap();
         assert_eq!(key.0[0].value(), &Value::Int64(1));
         assert_eq!(key.0[1].value(), &Value::from("x"));
     }
@@ -104,26 +141,69 @@ mod tests {
     #[test]
     fn missing_fields_key_as_null() {
         let k = ShardKey::range(["a"]);
-        let key = k.extract(&doc! {"b" => 1i64});
+        let key = k.extract(&doc! {"b" => 1i64}).unwrap();
         assert_eq!(key.0[0].value(), &Value::Null);
+    }
+
+    #[test]
+    fn array_values_are_refused_whatever_the_partitioning() {
+        use doclite_bson::array;
+        for k in [ShardKey::range(["a", "b"]), ShardKey::hashed("b")] {
+            let err = k.extract(&doc! {"a" => 1i64, "b" => array![1i64, 2i64]}).unwrap_err();
+            assert!(matches!(&err, Error::InvalidQuery(m) if m.contains("array")), "{k:?}: {err}");
+        }
+        let nested = doc! {"b" => array![doc! {"c" => 1i64}]};
+        assert!(ShardKey::range(["b.c"]).extract(&nested).is_err());
+    }
+
+    #[test]
+    fn updates_that_write_an_array_into_a_key_field_are_refused() {
+        use doclite_bson::array;
+        let k = ShardKey::range(["a", "b.c"]);
+        for spec in [
+            UpdateSpec::set("a", array![1i64]),
+            UpdateSpec::set("b", doc! {"c" => array![1i64]}),
+            UpdateSpec::set("b", array![doc! {"c" => 1i64}]),
+            UpdateSpec::set("x", 1i64).and_push("b.c", 2i64),
+            UpdateSpec::Replace(doc! {"a" => array![1i64], "b" => doc! {"c" => 1i64}}),
+        ] {
+            assert!(
+                matches!(k.check_update(&spec), Err(Error::InvalidQuery(m)) if m.contains("array")),
+                "{spec:?}"
+            );
+        }
+        for spec in [
+            UpdateSpec::set("a", 2i64).and_set("b.c", "x"),
+            UpdateSpec::set("t", array![1i64]).and_push("u", 1i64),
+            UpdateSpec::set("a", 1i64).and_inc("a", 1.0),
+            UpdateSpec::Replace(doc! {"a" => 1i64, "t" => array![1i64]}),
+        ] {
+            assert_eq!(k.check_update(&spec), Ok(()), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn index_defs_are_the_conventional_shard_key_indexes() {
+        assert_eq!(ShardKey::range(["a", "b"]).index_def(), IndexDef::compound(["a", "b"]));
+        assert_eq!(ShardKey::hashed("a").index_def().name, "a_hashed");
     }
 
     #[test]
     fn hashed_key_is_int64_hash() {
         let k = ShardKey::hashed("a");
-        let key = k.extract(&doc! {"a" => 42i64});
+        let key = k.extract(&doc! {"a" => 42i64}).unwrap();
         assert!(matches!(key.0[0].value(), Value::Int64(_)));
         // deterministic
-        assert_eq!(key, k.extract(&doc! {"a" => 42i64}));
+        assert_eq!(key, k.extract(&doc! {"a" => 42i64}).unwrap());
         // equal raw values of different numeric types hash identically
-        assert_eq!(key, k.extract(&doc! {"a" => 42.0f64}));
+        assert_eq!(key, k.extract(&doc! {"a" => 42.0f64}).unwrap());
     }
 
     #[test]
     fn hashed_scatters_nearby_values() {
         let k = ShardKey::hashed("a");
-        let k1 = k.extract(&doc! {"a" => 1i64});
-        let k2 = k.extract(&doc! {"a" => 2i64});
+        let k1 = k.extract(&doc! {"a" => 1i64}).unwrap();
+        let k2 = k.extract(&doc! {"a" => 2i64}).unwrap();
         let (Value::Int64(h1), Value::Int64(h2)) = (k1.0[0].value(), k2.0[0].value()) else {
             panic!("hashed keys are Int64")
         };

@@ -74,7 +74,7 @@ fn chunk_accounting_is_exact_under_concurrent_splits() {
             .get_collection("facts")
             .unwrap();
         coll.for_each(|d| {
-            if chunk.contains(&meta.key.extract(d)) {
+            if chunk.contains(&meta.key.extract(d).unwrap()) {
                 resident += 1;
             }
         });

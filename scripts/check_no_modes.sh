@@ -3,7 +3,9 @@
 # plan, one leg runner, one retry loop" (PR 18), "bulk updates route by
 # join" (PR 19: the batch probe index and its statement threshold) and
 # "the WAL logs bytes, not documents" (PR 20: the write paths stage frames
-# from borrowed documents; no owned record is built to be logged): the
+# from borrowed documents; no owned record is built to be logged) and
+# "splits and migrations read the shard-key index" (no collection scan
+# in a split or a migration, no deep clone of the chunk table): the
 # retired mode enums, setters, constants and entry points must not come
 # back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
@@ -38,4 +40,15 @@ grep -nE 'WalRecord::(Insert|Update)' crates/docstore/src/collection.rs crates/d
     && complain "a write path builds an owned WalRecord to log: stage the frame from the borrowed document (WalBatch)"
 sed '/^#\[cfg(test)\]/,$d' crates/docstore/src/wal.rs | grep -nE '\bto_doc\(|\bappend_batch\b' \
     && complain "wal.rs encodes through an owned envelope document again: frames are written in place (WalBatch::frame)"
+fn_body() { # file fn-name: the function's lines, up to its closing brace
+    awk -v f="fn $2(" 'index($0, f) { on = 1 } on { print } on && /^    }$/ { exit }' "$1"
+}
+for f in try_split move_chunk; do
+    fn_body crates/sharding/src/router.rs "$f" | grep -nE '\.(for_each|all_docs)\(' \
+        && complain "Mongos::$f scans the collection again: read the chunk off the shard-key index (Chunk::key_counts / Chunk::documents)"
+done
+sed '/^#\[cfg(test)\]/,$d' crates/sharding/src/chunk.rs | grep -nE '\.(for_each|all_docs)\(' \
+    && complain "chunk.rs scans a collection: a chunk's keys and documents come off the shard-key index"
+grep -nE 'fn meta\(.*-> *Option<CollectionMeta>' crates/sharding/src/config.rs \
+    && complain "ConfigServer::meta returns an owned CollectionMeta again: hand out the Arc"
 exit $fail
