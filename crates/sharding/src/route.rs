@@ -333,19 +333,26 @@ impl FindPlan {
     }
 }
 
-/// The plan of one aggregation, mirroring MongoDB 3.0's split
-/// execution: the coalesced leading `$match` run picks the shards and
-/// travels down to them, the rest runs at the router over the merged legs.
+/// The plan of one aggregation. The coalesced leading `$match` run picks
+/// the shards. A route with one leg — an unsharded collection (on the
+/// primary shard), a point-targeted `$match`, a range or `$in` reaching
+/// one shard — runs the whole pipeline on that shard, where its data
+/// lives, as MongoDB runs an unsharded collection's pipeline on its
+/// primary shard: only the results travel. A route with several legs
+/// sends the `$match` and a bounded sort/limit window down and runs the
+/// rest at the router over the merged legs; splitting a `$group` into
+/// shard-side partials and a router-side merge is not done.
 pub struct AggPlan<'p> {
     /// The shards the pushed-down `$match` reaches.
     pub route: Targeting,
-    /// Shard-side pipeline: the coalesced `$match` plus, when `rest`
-    /// opens with a finite sort/limit window, the same sort and the
-    /// combined `skip + limit` bound. The router re-runs the full
-    /// window over the merged legs, so each leg only ever needs its
-    /// local top `skip + limit`.
+    /// Shard-side pipeline. One leg: the whole body. Several: the
+    /// coalesced `$match` plus, when `rest` opens with a finite
+    /// sort/limit window, the same sort and the combined `skip + limit`
+    /// bound — the router re-runs the full window over the merged legs,
+    /// so each leg only ever needs its local top `skip + limit`. Never a
+    /// `$out`.
     pub leg_pipe: Pipeline,
-    /// Router-side stages (no `$out`).
+    /// Router-side stages: empty for one leg (no `$out`).
     pub rest: &'p [Stage],
 }
 
@@ -355,10 +362,15 @@ pub fn plan_aggregate<'p>(
     primary: ShardId,
     pipeline: &'p Pipeline,
 ) -> Result<AggPlan<'p>> {
+    let body = pipeline.body()?;
     let leading = pipeline.leading_matches();
     let push_down = Filter::and(leading.iter().map(|f| (*f).clone()));
-    let rest = &pipeline.body()?[leading.len()..];
     let route = target(meta, primary, &push_down);
+    if route.shards.len() == 1 {
+        let leg_pipe = body.iter().cloned().fold(Pipeline::new(), Pipeline::stage);
+        return Ok(AggPlan { route, leg_pipe, rest: &[] });
+    }
+    let rest = &body[leading.len()..];
     let leg_pipe = match push_down {
         Filter::True => Pipeline::new(),
         push_down => Pipeline::new().match_stage(push_down),
@@ -567,29 +579,67 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_plan_pushes_the_match_and_the_window() {
+    fn aggregate_plans_are_a_function_of_snapshot_and_pipeline() {
+        const PRIMARY: ShardId = 7;
         let range = three_chunks(ShardKey::range(["k"]));
-        let p = Pipeline::new()
-            .match_stage(Filter::eq("k", 150i64))
-            .match_stage(Filter::gt("v", 1i64))
-            .sort([("v", 1)])
-            .skip(2)
-            .limit(3)
-            .count("n")
-            .out("dst");
-        let plan = plan_aggregate(Some(&range), 0, &p).unwrap();
-        assert_eq!((plan.route.shards(), &plan.route.point_key), (&[1][..], &Some(k(150))));
-        let want = Pipeline::new()
-            .match_stage(Filter::and([Filter::eq("k", 150i64), Filter::gt("v", 1i64)]))
-            .sort([("v", 1)])
-            .limit(5);
-        assert_eq!(plan.leg_pipe, want);
-        assert!(matches!(plan.rest, [Stage::Sort(_), Stage::Skip(2), Stage::Limit(3), Stage::Count(_)]));
-        // No leading $match, no window: every shard ships everything.
-        let p = Pipeline::new().sort([("v", 1)]);
-        let plan = plan_aggregate(Some(&range), 0, &p).unwrap();
-        assert!(!plan.route.is_targeted() && plan.leg_pipe.stages().is_empty());
-        assert!(plan_aggregate(None, 0, &Pipeline::new().out("x").limit(1)).is_err());
+        let everything = [0, 1, 2];
+        // `head` $match stages, then a window, a $count and a $out.
+        let windowed = |head: Vec<Filter>| {
+            let p = head.into_iter().fold(Pipeline::new(), Pipeline::match_stage);
+            p.match_stage(Filter::gt("v", 1i64)).sort([("v", 1)]).skip(2).limit(3).count("n").out("dst")
+        };
+        let tail = || {
+            let sort = Stage::Sort(vec![("v".into(), 1)]);
+            vec![sort, Stage::Skip(2), Stage::Limit(3), Stage::Count("n".into())]
+        };
+        // What a broadcast sends down: the coalesced $match and the window.
+        let pushed = |f: Filter| Pipeline::new().match_stage(f).sort([("v", 1)]).limit(5);
+        let body = |p: &Pipeline| p.body().unwrap().to_vec();
+        let point = windowed(vec![Filter::eq("k", 150i64)]);
+        let one_range = windowed(vec![Filter::between("k", 120i64, 180i64)]);
+        let empty_range = windowed(vec![Filter::gt("k", 300i64), Filter::lt("k", -5i64)]);
+        let off_key = windowed(vec![Filter::eq("w", 1i64)]);
+        let two_shards = windowed(vec![Filter::is_in("k", [50i64, 250i64])]);
+        let sort_only = Pipeline::new().sort([("v", 1)]);
+        let and_v = |f: Filter| Filter::and([f, Filter::gt("v", 1i64)]);
+        /// What, snapshot, pipeline, shards, leg pipeline stages, router-side stages.
+        type Case<'a> =
+            (&'a str, Option<&'a CollectionMeta>, &'a Pipeline, &'a [ShardId], Vec<Stage>, Vec<Stage>);
+        let cases: Vec<Case> = vec![
+            // One leg: the whole body runs where the data lives.
+            ("an unsharded collection runs whole on the primary", None, &off_key, &[PRIMARY],
+                body(&off_key), vec![]),
+            ("a point-targeted $match runs whole on its shard", Some(&range), &point, &[1],
+                body(&point), vec![]),
+            ("a range reaching one shard runs whole there", Some(&range), &one_range, &[1],
+                body(&one_range), vec![]),
+            ("an empty key range runs whole on the primary", Some(&range), &empty_range, &[PRIMARY],
+                body(&empty_range), vec![]),
+            // Several legs: the $match and the window go down, the rest stays.
+            ("a broadcast pushes the $match and the window", Some(&range), &off_key, &everything,
+                pushed(and_v(Filter::eq("w", 1i64))).stages().to_vec(), tail()),
+            ("an $in over two shards pushes the same", Some(&range), &two_shards, &[0, 2],
+                pushed(and_v(Filter::is_in("k", [50i64, 250i64]))).stages().to_vec(), tail()),
+            ("no $match and no window: every shard ships everything", Some(&range), &sort_only,
+                &everything, vec![], sort_only.stages().to_vec()),
+        ];
+        for (what, meta, pipeline, shards, leg, rest) in cases {
+            let plan = plan_aggregate(meta, PRIMARY, pipeline).unwrap();
+            assert_eq!(plan.route.shards(), shards, "{what}");
+            assert_eq!(plan.leg_pipe.stages(), &leg[..], "{what}");
+            assert_eq!(plan.rest, &rest[..], "{what}");
+            let out = |s: &Stage| matches!(s, Stage::Out(_));
+            assert!(!plan.leg_pipe.stages().iter().any(out) && !plan.rest.iter().any(out), "{what}");
+        }
+        // A point route keeps its key for the leg's ownership check.
+        let plan = plan_aggregate(Some(&range), PRIMARY, &point).unwrap();
+        assert_eq!(plan.route.point_key, Some(k(150)));
+        // A $out anywhere but last is refused, whatever the route.
+        let misplaced = Pipeline::new().match_stage(Filter::eq("k", 150i64)).out("x").limit(1);
+        for meta in [None, Some(&range)] {
+            let err = plan_aggregate(meta, PRIMARY, &misplaced).err().unwrap();
+            assert_eq!(err.to_string(), "invalid query: $out can only be the final stage of a pipeline");
+        }
     }
 
     #[test]

@@ -343,9 +343,11 @@ impl Mongos {
     /// Then the degraded-read policy: under [`DegradedReads::Fail`] the
     /// first unreachable shard fails the whole read; under
     /// [`DegradedReads::Partial`] its leg reads as `T::default()` and a
-    /// warning is recorded. Stale routing is a router-level condition,
-    /// not a shard outage: it always propagates, never degrades to
-    /// partial results that silently miss a migrating chunk.
+    /// warning is recorded. Only an unreachable shard
+    /// ([`Error::Unavailable`]) degrades. Stale routing is a
+    /// router-level condition, not a shard outage, and a query error (a
+    /// failing `$project` in a shard-side pipeline) is the answer: both
+    /// always propagate, never degrade to partial or empty results.
     fn read_legs<T: Default + Send + Sync>(
         &self,
         collection: &str,
@@ -376,13 +378,10 @@ impl Mongos {
         );
         legs.into_iter()
             .map(|leg| match leg {
-                Err(e) if !matches!(e, Error::StaleRoute(_)) => match self.degraded {
-                    DegradedReads::Fail => Err(e),
-                    DegradedReads::Partial => {
-                        self.warn(format!("{e}; returning partial results"));
-                        Ok(T::default())
-                    }
-                },
+                Err(e @ Error::Unavailable(_)) if self.degraded == DegradedReads::Partial => {
+                    self.warn(format!("{e}; returning partial results"));
+                    Ok(T::default())
+                }
                 leg => leg,
             })
             .collect()
@@ -908,12 +907,13 @@ impl Mongos {
     }
 
     /// Runs an aggregation pipeline against a (possibly sharded)
-    /// collection, per the [`route::plan_aggregate`] plan: the surviving
-    /// documents of each leg travel to the router, which executes the
-    /// remaining stages and materializes any `$out` target on the
-    /// primary shard. This transfer of intermediate data is precisely
-    /// the "expensive process" of aggregating from multiple nodes the
-    /// thesis measures.
+    /// collection, per the [`route::plan_aggregate`] plan: a single leg
+    /// runs the whole pipeline on its shard and ships only the results;
+    /// the surviving documents of several legs travel to the router,
+    /// which executes the remaining stages. Any `$out` target is
+    /// materialized on the primary shard. The transfer of intermediate
+    /// data from several nodes is precisely the "expensive process" of
+    /// aggregating from multiple nodes the thesis measures.
     pub fn aggregate(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
         self.retrying(Retried::Stale, || self.aggregate_once(collection, pipeline))
     }
@@ -921,20 +921,23 @@ impl Mongos {
     fn aggregate_once(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
         let meta = self.config.meta(collection);
         let plan = route::plan_aggregate(meta.as_deref(), self.primary, pipeline)?;
+        // $lookup resolves against the primary shard, where unsharded
+        // collections live (MongoDB requires the from-collection of a
+        // $lookup to be unsharded), whether it runs in a leg or here.
+        let primary = self.shard(self.primary)?;
+        let lookup_db = primary.db();
         let legs = self.read_legs(
             collection,
             &plan.route.shards,
             plan.route.point_key.as_ref(),
-            |_, coll| coll.aggregate_with(&plan.leg_pipe, None),
+            |_, coll| coll.aggregate_with(&plan.leg_pipe, Some(&*lookup_db)),
             |docs| docs.iter().map(encoded_size).sum(),
         )?;
         let merged: Vec<Document> = legs.into_iter().flatten().collect();
-        // $lookup resolves against the primary shard, where unsharded
-        // collections live (MongoDB requires the from-collection of a
-        // $lookup to be unsharded).
-        let primary = self.shard(self.primary)?;
-        let lookup_db = primary.db();
-        let results = stream::execute_streaming(merged, plan.rest, Some(&*lookup_db))?;
+        let results = match plan.rest {
+            [] => merged,
+            rest => stream::execute_streaming(merged, rest, Some(&*lookup_db))?,
+        };
 
         if let Some(name) = pipeline.out_target() {
             let out_bytes: usize = results.iter().map(encoded_size).sum();
