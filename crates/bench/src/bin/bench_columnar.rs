@@ -25,7 +25,8 @@
 //! cell is timed as best-of-N with the columnar result asserted equal to
 //! the row result before timing (per-cell result equality is the whole
 //! point of the sidecar contract). Written to
-//! `reports/BENCH_columnar.json` and schema-validated before exit.
+//! `reports/BENCH_columnar.json` once every timing and speedup is checked
+//! positive and finite and `find_in` returns under 1 % of its rows.
 //! `DOCLITE_COLUMNAR_SMOKE=1` shrinks the dataset and rep count for CI.
 
 use doclite_bson::{doc, Document};
@@ -33,28 +34,64 @@ use doclite_docstore::agg::stream::{run_streaming, DocStream};
 use doclite_docstore::{
     compile, matches_compiled, Accumulator, Collection, Expr, Filter, GroupId, Pipeline,
 };
-use doclite_stress::report::{parse_json, Json};
-use std::fmt::Write as _;
-use std::time::Instant;
+use doclite_bench::{best_of, best_of_after, check_positive, report_header};
+use doclite_stress::report::{write_report, Json};
 
-/// Schema tag the validator pins. v2 dropped the parallel-columnar
-/// cells with the fan-out they measured.
+/// Schema tag of the report. v2 dropped the parallel-columnar cells with
+/// the fan-out they measured.
 const SCHEMA: &str = "doclite-columnar/v2";
 
-fn best_of<R>(n: usize, f: impl FnMut() -> R) -> f64 {
-    best_of_after(n, || {}, f)
+/// Row-scan and columnar seconds of one timed cell.
+#[derive(Clone, Copy)]
+struct Pair {
+    row_s: f64,
+    columnar_s: f64,
 }
 
-/// Best-of-`n` of `f`, with `prep` run (untimed) before each repetition.
-fn best_of_after<R>(n: usize, mut prep: impl FnMut(), mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        prep();
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
+impl Pair {
+    fn speedup(&self) -> f64 {
+        self.row_s / self.columnar_s
     }
-    best
+
+    fn check(&self, section: &str) -> Result<(), String> {
+        let speedup = ("columnar_speedup", self.speedup());
+        check_positive(section, &[("row_s", self.row_s), ("columnar_s", self.columnar_s), speedup])
+    }
+}
+
+/// The `find_in` probe: rows scanned, rows returned, warm and cold.
+struct FindIn {
+    rows: usize,
+    returned: usize,
+    warm: Pair,
+    cold: Pair,
+}
+
+impl FindIn {
+    fn check(&self) -> Result<(), String> {
+        self.warm.check("find_in")?;
+        self.cold.check("find_in.cold")?;
+        if self.returned == 0 || self.returned as f64 >= self.rows as f64 * 0.01 {
+            return Err(format!(
+                "'find_in' must return some but under 1% of its rows, returned {} of {}",
+                self.returned, self.rows
+            ));
+        }
+        Ok(())
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("rows", self.rows.into()),
+            ("returned", self.returned.into()),
+            ("row_s", Json::rounded(self.warm.row_s, 6)),
+            ("columnar_s", Json::rounded(self.warm.columnar_s, 6)),
+            ("columnar_speedup", Json::rounded(self.warm.speedup(), 2)),
+            ("row_cold_s", Json::rounded(self.cold.row_s, 6)),
+            ("columnar_cold_s", Json::rounded(self.cold.columnar_s, 6)),
+            ("columnar_cold_speedup", Json::rounded(self.cold.speedup(), 2)),
+        ])
+    }
 }
 
 /// Inventory-shaped facts: two foreign keys, a third one and a measure.
@@ -65,8 +102,8 @@ fn fact_docs(n: i64) -> Vec<Document> {
 }
 
 /// The `find_in` shape: row scan vs column scan of one semi-join probe,
-/// warm and cold. Returns the JSON section body.
-fn find_in(n: i64, reps: usize, others: &[&Collection]) -> String {
+/// warm and cold.
+fn find_in(n: i64, reps: usize, others: &[&Collection]) -> FindIn {
     let facts = Collection::new("facts");
     facts.insert_many(fact_docs(n)).expect("insert");
     facts.enable_columnar(["a", "b"]);
@@ -101,19 +138,15 @@ fn find_in(n: i64, reps: usize, others: &[&Collection]) -> String {
     let plan = facts.explain(&probe).plan;
     assert_eq!(plan, "COLSCAN { a, b }");
     assert_eq!(facts.find(&probe), expected, "find_in: column scan result diverged");
-    let col_s = best_of(reps, || facts.find(&probe));
-    let col_cold_s = best_of_after(reps, evict, || facts.find(&probe));
-
-    let mut json = String::new();
-    let _ = writeln!(json, "    \"rows\": {n},");
-    let _ = writeln!(json, "    \"returned\": {},", expected.len());
-    let _ = writeln!(json, "    \"row_s\": {row_s:.6},");
-    let _ = writeln!(json, "    \"columnar_s\": {col_s:.6},");
-    let _ = writeln!(json, "    \"columnar_speedup\": {:.2},", row_s / col_s);
-    let _ = writeln!(json, "    \"row_cold_s\": {row_cold_s:.6},");
-    let _ = writeln!(json, "    \"columnar_cold_s\": {col_cold_s:.6},");
-    let _ = writeln!(json, "    \"columnar_cold_speedup\": {:.2}", row_cold_s / col_cold_s);
-    json
+    FindIn {
+        rows: facts.len(),
+        returned: expected.len(),
+        warm: Pair { row_s, columnar_s: best_of(reps, || facts.find(&probe)) },
+        cold: Pair {
+            row_s: row_cold_s,
+            columnar_s: best_of_after(reps, evict, || facts.find(&probe)),
+        },
+    }
 }
 
 fn bench_docs(n: i64) -> Vec<Document> {
@@ -147,7 +180,6 @@ fn main() {
     let smoke = std::env::var("DOCLITE_COLUMNAR_SMOKE").map(|v| v == "1").unwrap_or(false);
     let reps = if smoke { 2 } else { 7 };
     let n: i64 = if smoke { 20_000 } else { 400_000 };
-    let cores = doclite_docstore::parallel_workers();
 
     // Deliberately no secondary index: an index-served `$match` would
     // reorder the scan and hide the kernel-vs-matcher delta.
@@ -156,15 +188,9 @@ fn main() {
     coll.insert_many(docs.clone()).expect("insert");
     coll.enable_columnar(["k", "grp", "v"]);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(json, "  \"docs\": {n},");
-
-    let shapes = shapes();
-    for shape in &shapes {
+    let mut report = report_header(SCHEMA, smoke);
+    report.push(("docs".into(), docs.len().into()));
+    for shape in shapes() {
         let p = &shape.pipeline;
         // Row-at-a-time streaming over the documents is the 1.0×
         // baseline.
@@ -177,83 +203,46 @@ fn main() {
         let explain = coll.explain_aggregate(p, None).unwrap();
         assert_eq!(explain.stages[1].decision.as_deref(), Some("COLUMNS"), "{}", shape.name);
         assert_eq!(coll.aggregate(p).unwrap(), expected, "{}: columnar result diverged", shape.name);
-        let col_s = best_of(reps, || coll.aggregate(p).unwrap());
+        let cell = Pair { row_s, columnar_s: best_of(reps, || coll.aggregate(p).unwrap()) };
 
-        let _ = writeln!(json, "  \"{}\": {{", shape.name);
-        let _ = writeln!(json, "    \"row_s\": {row_s:.6},");
-        let _ = writeln!(json, "    \"columnar_s\": {col_s:.6},");
-        let _ = writeln!(json, "    \"columnar_speedup\": {:.2}", row_s / col_s);
-        let _ = writeln!(json, "  }},");
+        cell.check(shape.name).expect("BENCH_columnar.json gates");
+        report.push((
+            shape.name.into(),
+            Json::obj([
+                ("row_s", Json::rounded(cell.row_s, 6)),
+                ("columnar_s", Json::rounded(cell.columnar_s, 6)),
+                ("columnar_speedup", Json::rounded(cell.speedup(), 2)),
+            ]),
+        ));
     }
     // The semi-join probe, with the aggregation collection (and a copy
     // of it) standing in for the rest of a query mix's working set.
     let other = Collection::new("bench_columnar_other");
     other.insert_many(bench_docs(n)).expect("insert");
     let facts_n = if smoke { n } else { 120_000 };
-    let _ = writeln!(json, "  \"find_in\": {{\n{}  }}", find_in(facts_n, reps, &[&coll, &other]));
-    json.push_str("}\n");
-
-    validate_report(&json).expect("BENCH_columnar.json schema");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports/BENCH_columnar.json");
-    std::fs::write(path, &json).expect("write report");
-    println!("{json}");
-    println!("wrote {path}");
+    let probe = find_in(facts_n, reps, &[&coll, &other]);
+    probe.check().expect("BENCH_columnar.json gates");
+    report.push(("find_in".into(), probe.to_json()));
+    write_report("BENCH_columnar.json", &Json::Obj(report));
 }
 
-/// Validates the emitted report: schema tag, both aggregation shapes and
-/// the `find_in` probe present with positive finite timings and
-/// speedups, the probe returning under 1 % of its rows.
-fn validate_report(text: &str) -> Result<(), String> {
-    let root = parse_json(text)?;
-    if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag must be '{SCHEMA}'"));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn probe(returned: usize) -> FindIn {
+        let pair = Pair { row_s: 0.006, columnar_s: 0.001 };
+        FindIn { rows: 120_000, returned, warm: pair, cold: pair }
     }
-    match root.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => return Err(format!("'mode' must be smoke|full, got {other:?}")),
-    }
-    for key in ["available_parallelism", "docs"] {
-        let v = root.get(key).and_then(Json::as_num).ok_or(format!("'{key}' missing"))?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(format!("'{key}' must be positive, got {v}"));
+
+    #[test]
+    fn check_wants_find_in_to_return_under_one_percent_of_its_rows() {
+        probe(140).check().unwrap();
+        for returned in [0, 1_200] {
+            assert!(probe(returned).check().unwrap_err().contains("1%"));
         }
+        let mut p = probe(140);
+        p.cold.columnar_s = 0.0;
+        assert!(p.check().unwrap_err().contains("'find_in.cold.columnar_s'"));
     }
-    for shape in ["match_scan", "group_q7"] {
-        let section = root.get(shape).ok_or(format!("'{shape}' section missing"))?;
-        for key in ["row_s", "columnar_s", "columnar_speedup"] {
-            let v = section
-                .get(key)
-                .and_then(Json::as_num)
-                .ok_or(format!("'{shape}.{key}' missing"))?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("'{shape}.{key}' must be positive, got {v}"));
-            }
-        }
-    }
-    let section = root.get("find_in").ok_or("'find_in' section missing")?;
-    let num = |key: &str| -> Result<f64, String> {
-        let v = section
-            .get(key)
-            .and_then(Json::as_num)
-            .ok_or(format!("'find_in.{key}' missing"))?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(format!("'find_in.{key}' must be positive, got {v}"));
-        }
-        Ok(v)
-    };
-    for key in [
-        "row_s",
-        "columnar_s",
-        "columnar_speedup",
-        "row_cold_s",
-        "columnar_cold_s",
-        "columnar_cold_speedup",
-    ] {
-        num(key)?;
-    }
-    if num("returned")? >= num("rows")? * 0.01 {
-        return Err("'find_in' must return under 1% of its rows".into());
-    }
-    Ok(())
 }

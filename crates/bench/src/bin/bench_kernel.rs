@@ -1,8 +1,8 @@
 //! Execution-kernel baseline: interpreted evaluation vs the
 //! compile-once kernel, per shape, written to
-//! `reports/BENCH_kernel.json` and schema-validated before the process
-//! exits (CI runs the smoke mode the same way it runs the stress
-//! smoke).
+//! `reports/BENCH_kernel.json` once every timing and speedup is checked
+//! positive and finite (CI runs the smoke mode the same way it runs the
+//! stress smoke).
 //!
 //! Four measurements:
 //!
@@ -28,25 +28,16 @@ use doclite_bson::{doc, Document};
 use doclite_docstore::agg::stream::{run_streaming, DocStream};
 use doclite_docstore::query::{compile, matches, matches_compiled};
 use doclite_docstore::{Accumulator, Collection, Expr, Filter, GroupId, IndexDef, Pipeline};
-use doclite_stress::report::{parse_json, Json};
-use std::fmt::Write as _;
-use std::time::Instant;
+use doclite_bench::{best_of, check_positive, report_header};
+use doclite_stress::report::{write_report, Json};
 
-/// Schema tag the validator pins. v3 replaced the per-executor-mode
-/// pipeline cells with `row_s` (function level) and `driver_s`.
+/// Schema tag of the report. v3 replaced the per-executor-mode pipeline
+/// cells with `row_s` (function level) and `driver_s`.
 const SCHEMA: &str = "doclite-kernel/v3";
 
-/// Best-of-n wall time in seconds (the thesis reports best-of-5 with
-/// warm caches; so do we — smoke mode drops to best-of-2).
-fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
+/// The timings of an evaluator cell and of a pipeline cell.
+const EVALUATORS: [&str; 2] = ["interpreted_s", "kernel_s"];
+const PIPELINES: [&str; 2] = ["row_s", "driver_s"];
 
 fn bench_docs(n: i64) -> Vec<Document> {
     (0..n)
@@ -54,17 +45,36 @@ fn bench_docs(n: i64) -> Vec<Document> {
         .collect()
 }
 
-/// One interpreted-vs-kernel cell.
+/// One baseline-vs-fast cell; `keys` name its two timings.
 struct Cell {
     name: &'static str,
     docs: usize,
-    interpreted_s: f64,
-    kernel_s: f64,
+    keys: [&'static str; 2],
+    base_s: f64,
+    fast_s: f64,
 }
 
 impl Cell {
     fn speedup(&self) -> f64 {
-        self.interpreted_s / self.kernel_s
+        self.base_s / self.fast_s
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let [base, fast] = self.keys;
+        check_positive(
+            self.name,
+            &[(base, self.base_s), (fast, self.fast_s), ("speedup", self.speedup())],
+        )
+    }
+
+    fn to_json(&self) -> Json {
+        let [base, fast] = self.keys;
+        Json::obj([
+            ("docs", self.docs.into()),
+            (base, Json::rounded(self.base_s, 6)),
+            (fast, Json::rounded(self.fast_s, 6)),
+            ("speedup", Json::rounded(self.speedup(), 2)),
+        ])
     }
 }
 
@@ -89,10 +99,11 @@ fn main() {
     let match_scan = Cell {
         name: "match_scan",
         docs: docs.len(),
-        interpreted_s: best_of(reps, || {
+        keys: EVALUATORS,
+        base_s: best_of(reps, || {
             docs.iter().filter(|d| matches(&filter, d)).count()
         }),
-        kernel_s: best_of(reps, || {
+        fast_s: best_of(reps, || {
             docs.iter().filter(|d| matches_compiled(&compiled, d)).count()
         }),
     };
@@ -107,10 +118,11 @@ fn main() {
     let semi_join = Cell {
         name: "semi_join_in",
         docs: docs.len(),
-        interpreted_s: best_of(reps, || {
+        keys: EVALUATORS,
+        base_s: best_of(reps, || {
             docs.iter().filter(|d| matches(&in_filter, d)).count()
         }),
-        kernel_s: best_of(reps, || {
+        fast_s: best_of(reps, || {
             docs.iter().filter(|d| matches_compiled(&in_compiled, d)).count()
         }),
     };
@@ -120,14 +132,20 @@ fn main() {
     let coll = Collection::new("bench");
     coll.insert_many(pipe_docs.clone()).expect("insert");
     coll.create_index(IndexDef::single("grp")).expect("index");
-    let pipeline_cell = |p: &Pipeline| {
+    let pipeline_cell = |name, p: &Pipeline| {
         let row = || run_streaming(DocStream::from_slice(&pipe_docs), p.stages(), None).unwrap();
         // Two warm-up runs: the third execution of an unindexed filter
         // is the first that can be served from its column.
         for _ in 0..2 {
             assert_eq!(coll.aggregate(p).unwrap(), row(), "driver result diverged");
         }
-        (best_of(reps, row), best_of(reps, || coll.aggregate(p).unwrap()))
+        Cell {
+            name,
+            docs: pipe_docs.len(),
+            keys: PIPELINES,
+            base_s: best_of(reps, row),
+            fast_s: best_of(reps, || coll.aggregate(p).unwrap()),
+        }
     };
 
     let q7 = Pipeline::new()
@@ -138,7 +156,7 @@ fn main() {
         )
         .sort([("_id", 1)])
         .limit(100);
-    let (q7_row, q7_driver) = pipeline_cell(&q7);
+    let pipeline_q7 = pipeline_cell("pipeline_q7", &q7);
 
     let semi = Pipeline::new()
         .match_stage(Filter::is_in("k", keys))
@@ -147,88 +165,12 @@ fn main() {
             [("n", Accumulator::count()), ("sum_v", Accumulator::sum_field("v"))],
         )
         .sort([("_id", 1)]);
-    let (semi_row, semi_driver) = pipeline_cell(&semi);
+    let pipeline_semi_join = pipeline_cell("pipeline_semi_join", &semi);
 
-    // --- report -----------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    let _ = writeln!(json, "  \"available_parallelism\": {},", doclite_docstore::parallel_workers());
-    for cell in [&match_scan, &semi_join] {
-        let _ = writeln!(
-            json,
-            "  \"{}\": {{\n    \"docs\": {},\n    \"interpreted_s\": {:.6},\n    \
-             \"kernel_s\": {:.6},\n    \"speedup\": {:.2}\n  }},",
-            cell.name,
-            cell.docs,
-            cell.interpreted_s,
-            cell.kernel_s,
-            cell.speedup()
-        );
+    let mut report = report_header(SCHEMA, smoke);
+    for cell in [match_scan, semi_join, pipeline_q7, pipeline_semi_join] {
+        cell.check().expect("BENCH_kernel.json gates");
+        report.push((cell.name.into(), cell.to_json()));
     }
-    for (name, row, driver) in [
-        ("pipeline_q7", q7_row, q7_driver),
-        ("pipeline_semi_join", semi_row, semi_driver),
-    ] {
-        let _ = writeln!(
-            json,
-            "  \"{}\": {{\n    \"docs\": {},\n    \"row_s\": {:.6},\n    \
-             \"driver_s\": {:.6},\n    \"speedup\": {:.2}\n  }}{}",
-            name,
-            pipe_n,
-            row,
-            driver,
-            row / driver,
-            if name == "pipeline_semi_join" { "" } else { "," }
-        );
-    }
-    json.push_str("}\n");
-
-    validate_report(&json).expect("BENCH_kernel.json schema");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports/BENCH_kernel.json");
-    std::fs::write(path, &json).expect("write report");
-    println!("{json}");
-    println!("wrote {path}");
-}
-
-fn section_num(root: &Json, section: &str, key: &str) -> Result<f64, String> {
-    root.get(section)
-        .and_then(|s| s.get(key))
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("'{section}.{key}' must be a number"))
-}
-
-/// Validates the emitted report: schema tag, core count, all four
-/// sections with positive timings, and finite speedups.
-fn validate_report(text: &str) -> Result<(), String> {
-    let root = parse_json(text)?;
-    if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag must be '{SCHEMA}'"));
-    }
-    match root.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => return Err(format!("'mode' must be smoke|full, got {other:?}")),
-    }
-    if root.get("available_parallelism").and_then(Json::as_num).is_none_or(|v| v < 1.0) {
-        return Err("'available_parallelism' must be a positive number".into());
-    }
-    for section in ["match_scan", "semi_join_in"] {
-        for key in ["docs", "interpreted_s", "kernel_s", "speedup"] {
-            let v = section_num(&root, section, key)?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("'{section}.{key}' must be positive, got {v}"));
-            }
-        }
-    }
-    for section in ["pipeline_q7", "pipeline_semi_join"] {
-        for key in ["docs", "row_s", "driver_s", "speedup"] {
-            let v = section_num(&root, section, key)?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("'{section}.{key}' must be positive, got {v}"));
-            }
-        }
-    }
-    Ok(())
+    write_report("BENCH_kernel.json", &Json::Obj(report));
 }

@@ -7,8 +7,9 @@
 //! `workers × morsel_size` on two analytical shapes (a Q7-style grouped
 //! aggregation and a top-k `$sort` + `$limit`), against the serial
 //! streaming executor over the same borrowed documents as the 1.0×
-//! baseline. Written to `reports/BENCH_parallel.json` and
-//! schema-validated before exit, like the other report binaries.
+//! baseline. Written to `reports/BENCH_parallel.json` once every timing
+//! and speedup is checked positive and finite, like the other report
+//! binaries.
 //!
 //! On a single-core box the pool degrades to inline execution and every
 //! ratio flattens to ~1.0×; the report records
@@ -20,25 +21,14 @@ use doclite_bson::{doc, Document};
 use doclite_docstore::agg::run_parallel;
 use doclite_docstore::agg::stream::{run_streaming, DocStream};
 use doclite_docstore::{Accumulator, Expr, Filter, GroupId, Pipeline};
-use doclite_stress::report::{parse_json, Json};
-use std::fmt::Write as _;
-use std::time::Instant;
+use doclite_bench::{best_of, check_positive, report_header};
+use doclite_stress::report::{write_report, Json};
 
-/// Schema tag the validator pins.
+/// Schema tag of the report.
 const SCHEMA: &str = "doclite-parallel/v1";
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const MORSEL_SWEEP: [usize; 3] = [256, 1024, 4096];
-
-fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 fn bench_docs(n: i64) -> Vec<Document> {
     (0..n)
@@ -49,6 +39,41 @@ fn bench_docs(n: i64) -> Vec<Document> {
 struct Shape {
     name: &'static str,
     pipeline: Pipeline,
+}
+
+/// One shape's sweep: the serial time and `(workers, morsel, seconds)`
+/// per cell.
+struct Sweep {
+    serial_s: f64,
+    cells: Vec<(usize, usize, f64)>,
+}
+
+impl Sweep {
+    fn check(&self, shape: &str) -> Result<(), String> {
+        check_positive(shape, &[("serial_s", self.serial_s)])?;
+        for (i, &(_, _, s)) in self.cells.iter().enumerate() {
+            check_positive(
+                &format!("{shape}.cells[{i}]"),
+                &[("parallel_s", s), ("speedup", self.serial_s / s)],
+            )?;
+        }
+        Ok(())
+    }
+
+    fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|&(workers, morsel, s)| {
+            Json::obj([
+                ("workers", workers.into()),
+                ("morsel", morsel.into()),
+                ("parallel_s", Json::rounded(s, 6)),
+                ("speedup", Json::rounded(self.serial_s / s, 2)),
+            ])
+        });
+        Json::obj([
+            ("serial_s", Json::rounded(self.serial_s, 6)),
+            ("cells", Json::Arr(cells.collect())),
+        ])
+    }
 }
 
 fn shapes() -> Vec<Shape> {
@@ -78,107 +103,26 @@ fn main() {
     let smoke = std::env::var("DOCLITE_PARALLEL_SMOKE").map(|v| v == "1").unwrap_or(false);
     let reps = if smoke { 2 } else { 5 };
     let n: i64 = if smoke { 20_000 } else { 200_000 };
-    let cores = doclite_docstore::parallel_workers();
-
     let docs = bench_docs(n);
     let refs: Vec<&Document> = docs.iter().collect();
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(json, "  \"docs\": {n},");
-
-    let shapes = shapes();
-    for (si, shape) in shapes.iter().enumerate() {
+    let mut report = report_header(SCHEMA, smoke);
+    report.push(("docs".into(), docs.len().into()));
+    for shape in shapes() {
         // Serial streaming is the 1.0× baseline every cell normalizes to.
         let stages = shape.pipeline.stages();
         let serial = || run_streaming(DocStream::from_slice(&docs), stages, None).unwrap();
         let expected = serial();
-        let serial_s = best_of(reps, serial);
-
-        let _ = writeln!(json, "  \"{}\": {{", shape.name);
-        let _ = writeln!(json, "    \"serial_s\": {serial_s:.6},");
-        let _ = writeln!(json, "    \"cells\": [");
-        let total = WORKER_SWEEP.len() * MORSEL_SWEEP.len();
-        let mut cell = 0usize;
+        let mut sweep = Sweep { serial_s: best_of(reps, serial), cells: Vec::new() };
         for workers in WORKER_SWEEP {
             for morsel in MORSEL_SWEEP {
                 let parallel = || run_parallel(&refs, stages, None, workers, morsel).unwrap();
                 assert_eq!(parallel(), expected, "{}: parallel result diverged", shape.name);
-                let s = best_of(reps, parallel);
-                cell += 1;
-                let _ = writeln!(
-                    json,
-                    "      {{\"workers\": {workers}, \"morsel\": {morsel}, \
-                     \"parallel_s\": {s:.6}, \"speedup\": {:.2}}}{}",
-                    serial_s / s,
-                    if cell == total { "" } else { "," }
-                );
+                sweep.cells.push((workers, morsel, best_of(reps, parallel)));
             }
         }
-        let _ = writeln!(json, "    ]");
-        let _ = writeln!(json, "  }}{}", if si + 1 == shapes.len() { "" } else { "," });
+        sweep.check(shape.name).expect("BENCH_parallel.json gates");
+        report.push((shape.name.into(), sweep.to_json()));
     }
-    json.push_str("}\n");
-
-    validate_report(&json).expect("BENCH_parallel.json schema");
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports/BENCH_parallel.json");
-    std::fs::write(path, &json).expect("write report");
-    println!("{json}");
-    println!("wrote {path}");
-}
-
-/// Validates the emitted report: schema tag, both shapes present, every
-/// sweep cell with positive finite timings.
-fn validate_report(text: &str) -> Result<(), String> {
-    let root = parse_json(text)?;
-    if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag must be '{SCHEMA}'"));
-    }
-    match root.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => return Err(format!("'mode' must be smoke|full, got {other:?}")),
-    }
-    for key in ["available_parallelism", "docs"] {
-        let v = root.get(key).and_then(Json::as_num).ok_or(format!("'{key}' missing"))?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(format!("'{key}' must be positive, got {v}"));
-        }
-    }
-    for shape in ["group_q7", "topk_sort"] {
-        let section = root.get(shape).ok_or(format!("'{shape}' section missing"))?;
-        let serial = section
-            .get("serial_s")
-            .and_then(Json::as_num)
-            .ok_or(format!("'{shape}.serial_s' missing"))?;
-        if !(serial.is_finite() && serial > 0.0) {
-            return Err(format!("'{shape}.serial_s' must be positive"));
-        }
-        let cells = match section.get("cells") {
-            Some(Json::Arr(cells)) => cells,
-            _ => return Err(format!("'{shape}.cells' must be an array")),
-        };
-        if cells.len() != WORKER_SWEEP.len() * MORSEL_SWEEP.len() {
-            return Err(format!(
-                "'{shape}.cells' must have {} entries, got {}",
-                WORKER_SWEEP.len() * MORSEL_SWEEP.len(),
-                cells.len()
-            ));
-        }
-        for (i, cell) in cells.iter().enumerate() {
-            for key in ["workers", "morsel", "parallel_s", "speedup"] {
-                let v = cell
-                    .get(key)
-                    .and_then(Json::as_num)
-                    .ok_or(format!("'{shape}.cells[{i}].{key}' missing"))?;
-                if !(v.is_finite() && v > 0.0) {
-                    return Err(format!("'{shape}.cells[{i}].{key}' must be positive, got {v}"));
-                }
-            }
-        }
-    }
-    Ok(())
+    write_report("BENCH_parallel.json", &Json::Obj(report));
 }

@@ -17,20 +17,20 @@
 //! run, takes the covered aggregate there — which is where the ≥2×
 //! separation from the row scan comes from.
 //!
-//! Written to `reports/BENCH_planner.json` and schema-validated before
-//! exit. `DOCLITE_PLANNER_SMOKE=1` shrinks the dataset and rep count
-//! for CI; the estimation-error gate applies in both modes.
+//! Written to `reports/BENCH_planner.json` once every cell has a plan,
+//! positive timings and an estimate within `MAX_EST_ERROR` of the truth.
+//! `DOCLITE_PLANNER_SMOKE=1` shrinks the dataset and rep count for CI;
+//! the estimation-error gate applies in both modes.
 
 use doclite_bson::{doc, json::to_json, Document};
-use doclite_core::selectivity::plan_quality;
+use doclite_bench::{best_of, check_positive, report_header};
+use doclite_core::selectivity::{plan_quality, PlanQuality};
 use doclite_docstore::agg::stream::{run_streaming, DocStream};
 use doclite_docstore::{Accumulator, Collection, Expr, Filter, GroupId, IndexDef, Pipeline};
-use doclite_stress::report::{parse_json, Json};
-use std::fmt::Write as _;
-use std::time::Instant;
+use doclite_stress::report::{write_report, Json};
 
-/// Schema tag the validator pins. v2: one planner, so one plan per
-/// shape, timed against a function-level row scan.
+/// Schema tag of the report. v2: one planner, so one plan per shape,
+/// timed against a function-level row scan.
 const SCHEMA: &str = "doclite-planner/v2";
 
 /// CI gate: the cost model's row estimate must stay within this factor
@@ -40,16 +40,6 @@ const MAX_EST_ERROR: f64 = 8.0;
 /// Full-run gate: the chosen plan may not be slower than the plain row
 /// scan beyond this timing-noise allowance.
 const NOISE: f64 = 1.3;
-
-fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// `k` takes 1000 distinct values uniformly, so `k < c` retrieves c/10
 /// percent of the rows; `grp`/`v` feed the `$group`.
@@ -62,6 +52,57 @@ fn bench_docs(n: i64) -> Vec<Document> {
 struct Shape {
     name: &'static str,
     filter: Filter,
+}
+
+/// One swept shape: the cost model's estimate against the measured
+/// cardinality, the plan the driver chose, and its time against a row
+/// scan's.
+struct Cell {
+    name: &'static str,
+    quality: PlanQuality,
+    plan: String,
+    row_s: f64,
+    plan_s: f64,
+}
+
+impl Cell {
+    fn speedup(&self) -> f64 {
+        self.row_s / self.plan_s
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let (name, q) = (self.name, self.quality);
+        check_positive(
+            name,
+            &[
+                ("est_rows", q.est_rows as f64),
+                ("actual_rows", q.actual_rows as f64),
+                ("row_s", self.row_s),
+                ("plan_s", self.plan_s),
+                ("speedup", self.speedup()),
+            ],
+        )?;
+        let err = q.error_factor();
+        if !(1.0..=MAX_EST_ERROR).contains(&err) {
+            return Err(format!("'{name}.est_row_error' {err} outside [1, {MAX_EST_ERROR}]"));
+        }
+        if self.plan.is_empty() {
+            return Err(format!("'{name}.plan' must be a non-empty string"));
+        }
+        Ok(())
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("est_rows", self.quality.est_rows.into()),
+            ("actual_rows", self.quality.actual_rows.into()),
+            ("est_row_error", Json::rounded(self.quality.error_factor(), 3)),
+            ("plan", self.plan.as_str().into()),
+            ("row_s", Json::rounded(self.row_s, 6)),
+            ("plan_s", Json::rounded(self.plan_s, 6)),
+            ("speedup", Json::rounded(self.speedup(), 2)),
+        ])
+    }
 }
 
 fn shapes() -> Vec<Shape> {
@@ -93,24 +134,17 @@ fn main() {
     coll.create_index(IndexDef::single("k")).expect("index");
     coll.enable_columnar(["k", "grp", "v"]);
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    let _ = writeln!(json, "  \"available_parallelism\": {},", doclite_docstore::parallel_workers());
-    let _ = writeln!(json, "  \"docs\": {n},");
-
-    let shapes = shapes();
+    let mut report = report_header(SCHEMA, smoke);
+    report.push(("docs".into(), docs.len().into()));
     let mut max_speedup = 0.0f64;
     let mut violations: Vec<String> = Vec::new();
 
-    for (si, shape) in shapes.iter().enumerate() {
+    for shape in shapes() {
         let pipeline = Pipeline::new().match_stage(shape.filter.clone()).group(
             GroupId::Expr(Expr::field("grp")),
             [("n", Accumulator::count()), ("avg_v", Accumulator::avg_field("v"))],
         );
-        let q = plan_quality(&coll, &shape.filter);
-        let err = q.error_factor();
+        let quality = plan_quality(&coll, &shape.filter);
 
         let row = || run_streaming(DocStream::from_slice(&docs), pipeline.stages(), None).unwrap();
         let expected = row();
@@ -126,27 +160,15 @@ fn main() {
         let explain = coll.explain_aggregate(&pipeline, None).unwrap();
         let decisions: Vec<&str> =
             explain.stages.iter().filter_map(|st| st.decision.as_deref()).collect();
-        let plan = decisions.join(" -> ");
+        let cell = Cell { name: shape.name, quality, plan: decisions.join(" -> "), row_s, plan_s };
 
-        let speedup = row_s / plan_s;
-        max_speedup = max_speedup.max(speedup);
+        max_speedup = max_speedup.max(cell.speedup());
         if plan_s > row_s * NOISE {
             violations.push(format!("{}: plan {plan_s:.6}s vs row scan {row_s:.6}s", shape.name));
         }
-
-        let _ = writeln!(json, "  \"{}\": {{", shape.name);
-        let _ = writeln!(json, "    \"est_rows\": {},", q.est_rows);
-        let _ = writeln!(json, "    \"actual_rows\": {},", q.actual_rows);
-        let _ = writeln!(json, "    \"est_row_error\": {err:.3},");
-        let _ = writeln!(json, "    \"plan\": \"{plan}\",");
-        let _ = writeln!(json, "    \"row_s\": {row_s:.6},");
-        let _ = writeln!(json, "    \"plan_s\": {plan_s:.6},");
-        let _ = writeln!(json, "    \"speedup\": {speedup:.2}");
-        let _ = writeln!(json, "  }}{}", if si + 1 == shapes.len() { "" } else { "," });
+        cell.check().expect("BENCH_planner.json gates");
+        report.push((shape.name.into(), cell.to_json()));
     }
-    json.push_str("}\n");
-
-    validate_report(&json).expect("BENCH_planner.json schema");
 
     // Acceptance gates. Timing-dependent gates are advisory in smoke
     // mode (CI machines are noisy); the full run enforces them.
@@ -160,53 +182,31 @@ fn main() {
         eprintln!("note (smoke): cells beyond noise allowance: {violations:?}");
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports/BENCH_planner.json");
-    std::fs::write(path, &json).expect("write report");
-    println!("{json}");
-    println!("wrote {path}");
+    write_report("BENCH_planner.json", &Json::Obj(report));
 }
 
-/// Validates the emitted report: schema tag, every swept shape present
-/// with a plan and positive finite timings, and the estimation-error
-/// gate (`MAX_EST_ERROR`) on every shape.
-fn validate_report(text: &str) -> Result<(), String> {
-    let root = parse_json(text)?;
-    if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag must be '{SCHEMA}'"));
-    }
-    match root.get("mode").and_then(Json::as_str) {
-        Some("smoke") | Some("full") => {}
-        other => return Err(format!("'mode' must be smoke|full, got {other:?}")),
-    }
-    for key in ["available_parallelism", "docs"] {
-        let v = root.get(key).and_then(Json::as_num).ok_or(format!("'{key}' missing"))?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(format!("'{key}' must be positive, got {v}"));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cell(est_rows: u64, plan: &str) -> Cell {
+        Cell {
+            name: "sel_1",
+            quality: PlanQuality { est_rows, actual_rows: 100 },
+            plan: plan.into(),
+            row_s: 0.02,
+            plan_s: 0.01,
         }
     }
-    for shape in ["sel_0p1", "sel_1", "sel_10", "sel_50", "sel_90"] {
-        let section = root.get(shape).ok_or(format!("'{shape}' section missing"))?;
-        for key in ["est_rows", "actual_rows", "row_s", "plan_s", "speedup"] {
-            let v = section
-                .get(key)
-                .and_then(Json::as_num)
-                .ok_or(format!("'{shape}.{key}' missing"))?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("'{shape}.{key}' must be positive, got {v}"));
-            }
+
+    #[test]
+    fn check_gates_the_estimation_error_and_the_plan() {
+        cell(100, "IXSCAN { k_1 } (range)").check().unwrap();
+        cell(800, "COLSCAN { k } -> COLUMNS").check().unwrap();
+        for est_rows in [801, 12] {
+            let err = cell(est_rows, "COLSCAN { k }").check().unwrap_err();
+            assert!(err.contains("est_row_error"), "{err}");
         }
-        let err = section
-            .get("est_row_error")
-            .and_then(Json::as_num)
-            .ok_or(format!("'{shape}.est_row_error' missing"))?;
-        if !(err.is_finite() && (1.0..=MAX_EST_ERROR).contains(&err)) {
-            return Err(format!(
-                "'{shape}.est_row_error' {err} outside [1, {MAX_EST_ERROR}]"
-            ));
-        }
-        if section.get("plan").and_then(Json::as_str).is_none_or(str::is_empty) {
-            return Err(format!("'{shape}.plan' must be a non-empty string"));
-        }
+        assert!(cell(100, "").check().unwrap_err().contains("'sel_1.plan'"));
     }
-    Ok(())
 }

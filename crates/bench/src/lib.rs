@@ -1,6 +1,7 @@
 //! Shared harness for the report binaries and criterion benches: scale
 //! factors, the paper's published numbers (for side-by-side printing),
-//! and shape checks.
+//! shape checks, and the timing rule, header and gate of the
+//! `BENCH_*.json` bench reports.
 //!
 //! Absolute runtimes are not expected to match the paper — its substrate
 //! was a 5-node EC2 cluster with EBS disks, ours is an in-process
@@ -10,8 +11,9 @@
 pub mod figures;
 
 use doclite_core::experiment::QueryTiming;
+use doclite_stress::report::Json;
 use doclite_tpcds::QueryId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Scale factor standing in for the paper's 1 GB dataset
 /// (`DOCLITE_SF_SMALL`, default 0.01 — `store_sales` ≈ 28.8k rows).
@@ -35,6 +37,43 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// Best-of-`n` wall time of `f` in seconds (the thesis reports best-of-5
+/// with warm caches; the bench bins' smoke modes take fewer).
+pub fn best_of<R>(n: usize, f: impl FnMut() -> R) -> f64 {
+    best_of_after(n, || {}, f)
+}
+
+/// [`best_of`] with `prep` run, untimed, before each repetition.
+pub fn best_of_after<R>(n: usize, mut prep: impl FnMut(), mut f: impl FnMut() -> R) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..n {
+        prep();
+        let t0 = Instant::now();
+        std::hint::black_box(f());
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// The members every bench report opens with: its schema tag, the
+/// configuration it ran (`smoke` or `full`), and the cores it had.
+pub fn report_header(schema: &str, smoke: bool) -> Vec<(String, Json)> {
+    vec![
+        ("schema".into(), schema.into()),
+        ("mode".into(), (if smoke { "smoke" } else { "full" }).into()),
+        ("available_parallelism".into(), doclite_docstore::parallel_workers().into()),
+    ]
+}
+
+/// The gate on a bench report's numbers: fails unless each named timing
+/// or speedup of `section` is positive and finite.
+pub fn check_positive(section: &str, values: &[(&str, f64)]) -> Result<(), String> {
+    match values.iter().find(|(_, v)| !(v.is_finite() && *v > 0.0)) {
+        Some((key, v)) => Err(format!("'{section}.{key}' must be positive, got {v}")),
+        None => Ok(()),
+    }
 }
 
 /// The paper's Table 4.5 (query execution runtimes, seconds), rows =
@@ -169,6 +208,15 @@ mod tests {
         // Q50 inversion.
         assert!(PAPER_TABLE_4_5[0][3] < PAPER_TABLE_4_5[1][3]);
         assert!(PAPER_TABLE_4_5[3][3] < PAPER_TABLE_4_5[4][3]);
+    }
+
+    #[test]
+    fn check_positive_rejects_zero_negative_and_non_finite_numbers() {
+        assert!(check_positive("s", &[("a_s", 0.1), ("speedup", 2.0)]).is_ok());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = check_positive("s", &[("a_s", 0.1), ("b_s", bad)]).unwrap_err();
+            assert!(err.contains("'s.b_s'"), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::store::Store;
 use doclite_bson::{Document, Value};
-use doclite_docstore::{BulkUpdate, Filter, IndexDef, OrdValue, Result, UpdateSpec};
+use doclite_docstore::{BulkUpdate, Filter, OrdValue, Result, UpdateSpec};
 use doclite_tpcds::schema::{foreign_keys_of, TableId};
 use std::collections::HashMap;
 
@@ -78,9 +78,11 @@ pub fn denormalized_name(fact: TableId) -> String {
 
 /// `Create Denormalized Collection` — Fig 4.6: copies the fact collection
 /// and embeds every dimension its foreign keys reference (per the FK
-/// catalog of thesis Figs 3.2–3.4). Indexes each FK field first so the
-/// per-dimension updates hit the `O(log m)` index path the complexity
-/// analysis assumes.
+/// catalog of thesis Figs 3.2–3.4). The complexity analysis prices each
+/// update as an `O(log m)` lookup on an indexed FK field; no FK index is
+/// built here, because [`Store::update_batch`] joins the batch on the FK
+/// field in one slot-order pass without one, and an index on it would
+/// only be re-keyed, by the whole embedded document, on every embed.
 pub fn create_denormalized(store: &dyn Store, fact: TableId, out: &str) -> Result<EmbedReport> {
     store.drop_collection(out);
     let docs = store.find(fact.name(), &Filter::True);
@@ -93,7 +95,6 @@ pub fn create_denormalized(store: &dyn Store, fact: TableId, out: &str) -> Resul
 
     let mut total = EmbedReport::default();
     for fk in foreign_keys_of(fact) {
-        store.create_index(out, IndexDef::single(fk.column))?;
         // Snowflake expansion: the dimension's own foreign keys are
         // expanded in memory first (customer → customer_address etc.), so
         // the denormalized fact exposes paths like
@@ -134,10 +135,9 @@ fn expanded_dimension_docs(store: &dyn Store, dim: TableId) -> Vec<Document> {
 /// The Query 50 extension: embeds each (already denormalized) return
 /// document into its matching sale document under `ss_return`, joining on
 /// ticket number and item — the fact-to-fact join of Fig 3.8, realized
-/// the same way dimension joins are (one targeted multi-update per
-/// return).
+/// the same way dimension joins are (one multi-update per return, sent as
+/// one batch that `update_batch` joins on `ss_ticket_number`).
 pub fn embed_store_returns(store: &dyn Store, sales_dn: &str, returns_dn: &str) -> Result<usize> {
-    store.create_index(sales_dn, IndexDef::single("ss_ticket_number"))?;
     let mut ops = Vec::new();
     for mut ret in store.find(returns_dn, &Filter::True) {
         ret.remove("_id");

@@ -468,9 +468,10 @@ impl CollStats {
     /// [`touched_fields`](Self::touched_fields) of the edit and `old`
     /// what they resolved to before it, in that order. The untouched
     /// fields' counts are already right. Drift is counted as for
-    /// [`record_update`](Self::record_update).
+    /// [`record_update`](Self::record_update), except that an edit
+    /// touching no tracked field moves no distribution and counts none.
     pub(crate) fn record_edit(&mut self, fields: &[String], old: Vec<Option<Value>>, new: &Document) {
-        if !self.built {
+        if !self.built || fields.is_empty() {
             return;
         }
         for (path, old) in fields.iter().zip(old) {
@@ -660,6 +661,25 @@ mod tests {
             let b = restored.eq_value_fraction("k", &Value::Int64(v));
             assert!((a - b).abs() < 1e-9, "{v}: {a} vs {b}");
         }
+    }
+
+    #[test]
+    fn edits_of_an_untracked_path_are_no_drift() {
+        let slab = slab_of((0..4000).map(|i| doc! {"_id" => i as i64, "g" => (i % 10) as i64}));
+        let mut s = built(&slab, &["g"]);
+        for i in 0..600 {
+            let fields = s.touched_fields(|path| path == "u");
+            assert!(fields.is_empty());
+            s.record_edit(&fields, Vec::new(), &doc! {"_id" => i as i64, "g" => 1i64, "u" => 1i64});
+        }
+        assert!(!s.needs_rebuild(4000), "600 edits of an untracked path forced a rebuild");
+        // An edit of a tracked path still counts.
+        for i in 0..600 {
+            let fields = s.touched_fields(|path| path == "g");
+            let old = vec![Some(Value::Int64(i % 10))];
+            s.record_edit(&fields, old, &doc! {"_id" => i, "g" => 3i64});
+        }
+        assert!(s.needs_rebuild(4000));
     }
 
     #[test]

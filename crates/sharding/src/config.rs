@@ -1,7 +1,7 @@
 //! The config server: cluster metadata mapping chunks to shards
 //! (thesis Section 2.1.3.1 component ii).
 
-use crate::chunk::{Chunk, KeyBound, ShardId, DEFAULT_CHUNK_SIZE};
+use crate::chunk::{Chunk, KeyBound, ShardId};
 use crate::shardkey::ShardKey;
 use doclite_docstore::CompoundKey;
 use parking_lot::RwLock;
@@ -238,20 +238,13 @@ impl ConfigServer {
     }
 
     /// Registers a collection as sharded, with a single full-range chunk
-    /// on `initial_shard`.
-    pub fn shard_collection(
-        &self,
-        name: impl Into<String>,
-        key: ShardKey,
-        initial_shard: ShardId,
-    ) {
-        self.shard_collection_with_chunk_size(name, key, initial_shard, DEFAULT_CHUNK_SIZE);
-    }
-
-    /// As [`Self::shard_collection`] but with a custom split threshold —
-    /// the experiments use small thresholds so scaled-down datasets still
-    /// split into multi-chunk distributions.
-    pub fn shard_collection_with_chunk_size(
+    /// on `initial_shard` that splits past `max_chunk_size` bytes — the
+    /// experiments use small thresholds so scaled-down datasets still
+    /// split into multi-chunk distributions. The metadata half of
+    /// [`crate::Mongos::shard_collection`], the one public registration
+    /// path: a collection registered here alone has no shard-key index to
+    /// split or migrate by.
+    pub(crate) fn shard_collection_with_chunk_size(
         &self,
         name: impl Into<String>,
         key: ShardKey,
@@ -378,6 +371,7 @@ fn do_split(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::DEFAULT_CHUNK_SIZE;
     use doclite_bson::Value;
 
     fn k(v: i64) -> CompoundKey {
@@ -386,7 +380,7 @@ mod tests {
 
     fn setup() -> ConfigServer {
         let cfg = ConfigServer::new();
-        cfg.shard_collection("c", ShardKey::range(["k"]), 0);
+        cfg.shard_collection_with_chunk_size("c", ShardKey::range(["k"]), 0, DEFAULT_CHUNK_SIZE);
         cfg
     }
 

@@ -438,6 +438,7 @@ pub fn group_writes<'f>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::DEFAULT_CHUNK_SIZE;
     use crate::config::ConfigServer;
     use crate::shardkey::ShardKey;
 
@@ -449,7 +450,7 @@ mod tests {
     /// [100,200)→1 holding 500, [200,+inf)→2 holding 490.
     fn three_chunks(key: ShardKey) -> CollectionMeta {
         let cfg = ConfigServer::new();
-        cfg.shard_collection("c", key, 0);
+        cfg.shard_collection_with_chunk_size("c", key, 0, DEFAULT_CHUNK_SIZE);
         cfg.split_chunk("c", 0, k(100), 0.5);
         cfg.split_chunk("c", 1, k(200), 0.5);
         cfg.move_chunk("c", 1, 1);

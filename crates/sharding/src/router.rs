@@ -1408,6 +1408,24 @@ mod tests {
         assert!(meta.chunks.iter().any(|c| c.jumbo), "expected a jumbo chunk");
     }
 
+    /// A collection registered on the config server alone has no
+    /// shard-key index to split by: its full chunk is marked jumbo with
+    /// one warning, not retried in silence on every insert.
+    #[test]
+    fn a_chunk_without_the_shard_key_index_is_jumbo_with_a_warning() {
+        let r = cluster(2);
+        r.config().shard_collection_with_chunk_size("c", ShardKey::range(["k"]), 0, 1024);
+        for i in 0..200i64 {
+            r.insert_one("c", doc! {"_id" => i, "k" => i, "pad" => "p".repeat(24)}).unwrap();
+        }
+        let meta = r.config().meta("c").unwrap();
+        assert_eq!(meta.chunks.len(), 1);
+        assert!(meta.chunks[0].jumbo && meta.chunks[0].bytes > 1024);
+        let warnings = r.take_warnings();
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("k_1"), "{warnings:?}");
+    }
+
     #[test]
     fn targeted_vs_broadcast_find() {
         let r = cluster(3);

@@ -169,29 +169,6 @@ fn a_collection_without_the_shard_key_index_has_no_chunk_to_read() {
     assert!(chunk.documents(&coll, &ShardKey::hashed("k")).is_err());
 }
 
-/// A collection registered on the config server alone has no shard-key
-/// index to split by: its full chunk is marked jumbo with one warning,
-/// not retried in silence on every insert.
-#[test]
-fn a_chunk_without_the_shard_key_index_is_jumbo_with_a_warning() {
-    let cluster = ShardedCluster::new(2, "bare", NetworkModel::free());
-    let router = cluster.router();
-    router
-        .config()
-        .shard_collection_with_chunk_size("c", ShardKey::range(["k"]), 0, 1024);
-    for i in 0..200i64 {
-        router
-            .insert_one("c", doc! {"_id" => i, "k" => i, "pad" => "p".repeat(24)})
-            .unwrap();
-    }
-    let meta = router.config().meta("c").unwrap();
-    assert_eq!(meta.chunks.len(), 1);
-    assert!(meta.chunks[0].jumbo && meta.chunks[0].bytes > 1024);
-    let warnings = router.take_warnings();
-    assert_eq!(warnings.len(), 1, "{warnings:?}");
-    assert!(warnings[0].contains("k_1"), "{warnings:?}");
-}
-
 /// A broadcast `delete_many` (its filter does not name the shard key)
 /// racing chunk migrations back and forth removes nothing outside its
 /// filter: every other document ends up on exactly one shard, and once

@@ -25,9 +25,9 @@
 
 use doclite_core::{Deployment, SetupOptions};
 use doclite_sharding::NetworkModel;
+use doclite_stress::report::write_report;
 use doclite_stress::{
-    run_stress, validate_report, CellResult, OpMix, RateMode, Scaling, StressConfig, StressEnv,
-    StressReport,
+    run_stress, CellResult, OpMix, RateMode, Scaling, StressConfig, StressEnv, StressReport,
 };
 use std::time::Duration;
 
@@ -158,18 +158,8 @@ fn main() {
         }
     }
 
-    let json = report.to_json();
-    validate_report(&json).expect("emitted report must satisfy its own schema");
-
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports");
-    std::fs::create_dir_all(dir).expect("create reports dir");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../reports/BENCH_stress.json"
-    );
-    std::fs::write(path, &json).expect("write report");
-    println!("wrote {path}");
-    println!("{json}");
+    report.check().expect("BENCH_stress.json gates");
+    write_report("BENCH_stress.json", &report.to_json());
 
     // Optional scaling gate (report is written first so a failing run
     // still leaves its evidence behind): standalone read-only must reach

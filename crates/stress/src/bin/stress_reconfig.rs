@@ -15,9 +15,8 @@
 //! * `DOCLITE_RECONFIG_SEED` — root seed for document derivation and
 //!   op mixing (default 90210).
 
-use doclite_stress::{
-    validate_reconfig_report, ReconfigConfig, ReconfigReport, ReconfigScenario, run_scenario,
-};
+use doclite_stress::report::write_report;
+use doclite_stress::{run_scenario, ReconfigConfig, ReconfigReport, ReconfigScenario};
 use std::time::Duration;
 
 fn env_f64(name: &str, default: f64) -> f64 {
@@ -60,18 +59,8 @@ fn main() {
         report.scenarios.push(r);
     }
 
-    let json = report.to_json();
-    validate_reconfig_report(&json).expect("emitted report must satisfy its own schema");
-
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports");
-    std::fs::create_dir_all(dir).expect("create reports dir");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../reports/BENCH_reconfig.json"
-    );
-    std::fs::write(path, &json).expect("write report");
-    println!("wrote {path}");
-    println!("{json}");
+    report.check().expect("BENCH_reconfig.json gates");
+    write_report("BENCH_reconfig.json", &report.to_json());
 
     let bad = report.validation_errors();
     if bad > 0 {

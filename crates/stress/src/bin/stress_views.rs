@@ -1,9 +1,10 @@
 //! The materialized-view stress binary: seeded writers churn a sales
 //! collection while a refresher maintains a Q7-shaped incremental view,
 //! then quiesced drills check divergence, checkpoint-truncation
-//! fallback, and idle heartbeats. Writes `reports/BENCH_views.json`.
-//! Exits non-zero on any view-vs-recompute divergence, or when the
-//! view's read speedup over recomputation falls below 10x.
+//! fallback, and idle heartbeats. Writes `reports/BENCH_views.json` once
+//! the run passes `ViewsReport::check` (no view-vs-recompute divergence,
+//! both drills ran) and exits non-zero otherwise, or when the view's
+//! read speedup over recomputation falls below 10x.
 //!
 //! Knobs (environment variables):
 //!
@@ -18,7 +19,8 @@
 //! * `DOCLITE_VIEWS_MAX_WRITES` — hard cap on concurrent-phase writes
 //!   (default 300000; smoke 100000) bounding the WAL and final drain.
 
-use doclite_stress::{run_views, validate_views_report, ViewsConfig};
+use doclite_stress::report::write_report;
+use doclite_stress::{run_views, ViewsConfig};
 use std::time::Duration;
 
 fn env_f64(name: &str, default: f64) -> f64 {
@@ -67,20 +69,9 @@ fn main() {
         report.divergences,
     );
 
-    let json = report.to_json();
-    validate_views_report(&json).expect("emitted report must satisfy its own schema");
+    report.check().expect("BENCH_views.json gates");
+    write_report("BENCH_views.json", &report.to_json());
 
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports");
-    std::fs::create_dir_all(dir).expect("create reports dir");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports/BENCH_views.json");
-    std::fs::write(path, &json).expect("write report");
-    println!("wrote {path}");
-    println!("{json}");
-
-    if report.divergences > 0 {
-        eprintln!("FAILED: view diverged from recompute {} time(s)", report.divergences);
-        std::process::exit(1);
-    }
     if report.speedup_mean < 10.0 {
         eprintln!(
             "FAILED: view read speedup {:.1}x is below the 10x acceptance bar",

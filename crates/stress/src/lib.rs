@@ -34,12 +34,12 @@ pub mod workload;
 pub use dist::Distribution;
 pub use driver::{run_stress, worker_seed, StressConfig, StressResult, Workload};
 pub use hist::LogHistogram;
-pub use views::{run_views, validate_views_report, ViewsConfig, ViewsReport, VIEWS_SCHEMA};
+pub use views::{run_views, ViewsConfig, ViewsReport, VIEWS_SCHEMA};
 pub use reconfig::{
-    derive_sale_doc, run_scenario, validate_reconfig_report, IntervalStat, ReconfigConfig,
-    ReconfigReport, ReconfigScenario, ScenarioResult, RECONFIG_SCHEMA,
+    derive_sale_doc, run_scenario, IntervalStat, ReconfigConfig, ReconfigReport,
+    ReconfigScenario, ScenarioResult, RECONFIG_SCHEMA,
 };
-pub use report::{validate_report, CellResult, Scaling, StressReport, SCHEMA};
+pub use report::{CellResult, Scaling, StressReport, SCHEMA};
 pub use sched::{RateLimiter, RateMode};
 pub use workload::{MixedWorkload, OpKind, OpMix, StressEnv};
 

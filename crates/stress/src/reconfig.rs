@@ -13,14 +13,13 @@
 
 use crate::driver::worker_seed;
 use crate::hist::LogHistogram;
-use crate::report::{escape_json, parse_json, Json};
+use crate::report::Json;
 use doclite_bson::codec::encode_document;
 use doclite_bson::{doc, Document};
 use doclite_docstore::Filter;
 use doclite_sharding::{
     chaos, check_content, ClusterConfig, NetworkModel, RetryPolicy, ShardKey, ShardedCluster,
 };
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -425,137 +424,66 @@ pub struct ReconfigReport {
     pub scenarios: Vec<ScenarioResult>,
 }
 
-fn fnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_owned()
-    }
-}
-
 impl ReconfigReport {
     /// Total validation errors across every scenario — the number CI
-    /// gates on.
+    /// gates on, after the report is written.
     pub fn validation_errors(&self) -> usize {
         self.scenarios.iter().map(|s| s.validation_errors).sum()
     }
 
-    /// Serializes to the `doclite-reconfig/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{RECONFIG_SCHEMA}\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"duration_s\": {},", fnum(self.duration_s));
-        s.push_str("  \"scenarios\": [\n");
-        for (i, sc) in self.scenarios.iter().enumerate() {
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"scenario\": \"{}\",", escape_json(&sc.scenario));
-            let _ = writeln!(s, "      \"threads\": {},", sc.threads);
-            let _ = writeln!(s, "      \"ops\": {},", sc.ops);
-            let _ = writeln!(s, "      \"errors\": {},", sc.errors);
-            let _ = writeln!(s, "      \"elapsed_s\": {},", fnum(sc.elapsed_s));
-            let _ = writeln!(
-                s,
-                "      \"throughput_ops_s\": {},",
-                fnum(sc.throughput_ops_s)
-            );
-            let _ = writeln!(s, "      \"p99_us\": {},", fnum(sc.p99_us));
-            let _ = writeln!(s, "      \"validated_rows\": {},", sc.validated_rows);
-            let _ = writeln!(s, "      \"validation_errors\": {},", sc.validation_errors);
-            s.push_str("      \"intervals\": [\n");
-            for (j, iv) in sc.intervals.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "        {{\"t_s\": {}, \"ops\": {}, \"errors\": {}, \
-                     \"throughput_ops_s\": {}, \"p99_us\": {}}}",
-                    fnum(iv.t_s),
-                    iv.ops,
-                    iv.errors,
-                    fnum(iv.throughput_ops_s),
-                    fnum(iv.p99_us),
-                );
-                s.push_str(if j + 1 < sc.intervals.len() { ",\n" } else { "\n" });
+    /// The gates a run must pass before its report is written: all four
+    /// scenarios present, each with an interval curve and at least one
+    /// validated row.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        for want in ReconfigScenario::ALL {
+            if !self.scenarios.iter().any(|s| s.scenario == want.name()) {
+                return Err(format!("scenario '{}' missing from report", want.name()));
             }
-            s.push_str("      ]\n");
-            s.push_str("    }");
-            s.push_str(if i + 1 < self.scenarios.len() { ",\n" } else { "\n" });
         }
-        s.push_str("  ]\n}\n");
-        s
+        for sc in &self.scenarios {
+            if sc.intervals.is_empty() {
+                return Err(format!("scenario '{}' has an empty interval curve", sc.scenario));
+            }
+            if sc.validated_rows < 1 {
+                return Err(format!("scenario '{}' validated no rows", sc.scenario));
+            }
+        }
+        Ok(())
     }
-}
 
-/// Validates a serialized report against the `doclite-reconfig/v1`
-/// schema: tag, all four scenarios present, every numeric field in
-/// place, non-empty interval curves, and non-negative validation
-/// counters. Does *not* fail on `validation_errors > 0` — that verdict
-/// belongs to the caller (the binary exits non-zero; CI checks both).
-pub fn validate_reconfig_report(text: &str) -> std::result::Result<(), String> {
-    let root = parse_json(text)?;
-    if root.get("schema").and_then(Json::as_str) != Some(RECONFIG_SCHEMA) {
-        return Err(format!("schema tag must be '{RECONFIG_SCHEMA}'"));
+    /// The `doclite-reconfig/v1` document.
+    pub fn to_json(&self) -> Json {
+        let scenarios = self.scenarios.iter().map(|sc| {
+            let intervals = sc.intervals.iter().map(|iv| {
+                Json::obj([
+                    ("t_s", Json::rounded(iv.t_s, 3)),
+                    ("ops", iv.ops.into()),
+                    ("errors", iv.errors.into()),
+                    ("throughput_ops_s", Json::rounded(iv.throughput_ops_s, 3)),
+                    ("p99_us", Json::rounded(iv.p99_us, 3)),
+                ])
+            });
+            Json::obj([
+                ("scenario", sc.scenario.as_str().into()),
+                ("threads", sc.threads.into()),
+                ("ops", sc.ops.into()),
+                ("errors", sc.errors.into()),
+                ("elapsed_s", Json::rounded(sc.elapsed_s, 3)),
+                ("throughput_ops_s", Json::rounded(sc.throughput_ops_s, 3)),
+                ("p99_us", Json::rounded(sc.p99_us, 3)),
+                ("validated_rows", sc.validated_rows.into()),
+                ("validation_errors", sc.validation_errors.into()),
+                ("intervals", Json::Arr(intervals.collect())),
+            ])
+        });
+        Json::obj([
+            ("schema", RECONFIG_SCHEMA.into()),
+            ("seed", self.seed.into()),
+            ("threads", self.threads.into()),
+            ("duration_s", Json::rounded(self.duration_s, 3)),
+            ("scenarios", Json::Arr(scenarios.collect())),
+        ])
     }
-    for key in ["seed", "threads", "duration_s"] {
-        root.get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field '{key}'"))?;
-    }
-    let scenarios = root
-        .get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("'scenarios' must be an array")?;
-    let mut seen: Vec<&str> = Vec::new();
-    for sc in scenarios {
-        let name = sc
-            .get("scenario")
-            .and_then(Json::as_str)
-            .ok_or("scenario missing string field 'scenario'")?;
-        seen.push(name);
-        for key in [
-            "threads",
-            "ops",
-            "errors",
-            "elapsed_s",
-            "throughput_ops_s",
-            "p99_us",
-            "validated_rows",
-            "validation_errors",
-        ] {
-            let v = sc
-                .get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("scenario '{name}' missing numeric '{key}'"))?;
-            if v < 0.0 {
-                return Err(format!("scenario '{name}': '{key}' must be >= 0"));
-            }
-        }
-        let rows = sc.get("validated_rows").and_then(Json::as_num).expect("checked");
-        if rows < 1.0 {
-            return Err(format!("scenario '{name}' validated no rows"));
-        }
-        let intervals = sc
-            .get("intervals")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("scenario '{name}' missing 'intervals' array"))?;
-        if intervals.is_empty() {
-            return Err(format!("scenario '{name}' has an empty interval curve"));
-        }
-        for iv in intervals {
-            for key in ["t_s", "ops", "errors", "throughput_ops_s", "p99_us"] {
-                iv.get(key)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("scenario '{name}' interval missing '{key}'"))?;
-            }
-        }
-    }
-    for want in ReconfigScenario::ALL {
-        if !seen.contains(&want.name()) {
-            return Err(format!("scenario '{}' missing from report", want.name()));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -651,31 +579,29 @@ mod tests {
     }
 
     #[test]
-    fn reconfig_report_roundtrip_validates() {
-        validate_reconfig_report(&full_report().to_json()).unwrap();
+    fn a_full_reconfig_report_passes_its_checks_and_reads_back() {
+        let r = full_report();
+        r.check().unwrap();
+        let json = r.to_json();
+        assert_eq!(crate::report::parse_json(&json.render()), Ok(json.clone()));
+        assert_eq!(json.get("schema").and_then(Json::as_str), Some(RECONFIG_SCHEMA));
     }
 
     #[test]
-    fn reconfig_validator_rejects_missing_scenario() {
+    fn reconfig_check_rejects_missing_scenario() {
         let mut r = full_report();
         r.scenarios.retain(|s| s.scenario != "drain_remove");
-        let err = validate_reconfig_report(&r.to_json()).unwrap_err();
+        let err = r.check().unwrap_err();
         assert!(err.contains("drain_remove"), "{err}");
     }
 
     #[test]
-    fn reconfig_validator_rejects_empty_intervals_and_zero_rows() {
+    fn reconfig_check_rejects_empty_intervals_and_zero_rows() {
         let mut r = full_report();
         r.scenarios[0].intervals.clear();
-        assert!(validate_reconfig_report(&r.to_json()).is_err());
+        assert!(r.check().unwrap_err().contains("empty interval curve"));
         let mut r = full_report();
         r.scenarios[1].validated_rows = 0;
-        assert!(validate_reconfig_report(&r.to_json()).is_err());
-    }
-
-    #[test]
-    fn reconfig_validator_rejects_wrong_schema() {
-        let json = full_report().to_json().replace(RECONFIG_SCHEMA, "other/v0");
-        assert!(validate_reconfig_report(&json).is_err());
+        assert!(r.check().unwrap_err().contains("validated no rows"));
     }
 }

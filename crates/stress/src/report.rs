@@ -1,13 +1,15 @@
-//! The stress report: one JSON document per run
-//! (`reports/BENCH_stress.json`), plus a schema validator built on a
-//! minimal self-contained JSON parser (the workspace deliberately has no
-//! JSON dependency). CI runs the smoke stress and validates the emitted
-//! file against the same checks.
+//! The stress report (`reports/BENCH_stress.json`), and the JSON value
+//! every `BENCH_*.json` report is built as: one writer
+//! ([`Json::render`]), one parser ([`parse_json`]) and
+//! [`write_report`]. The workspace deliberately has no JSON dependency.
+//! A report's structure is its type's; what a run must show before its
+//! report is written is that report's `check()`.
 
 use crate::driver::StressResult;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// Schema tag the validator pins.
+/// Schema tag of the stress report.
 pub const SCHEMA: &str = "doclite-stress/v1";
 
 /// One workload × deployment × thread-count × mode measurement.
@@ -77,14 +79,6 @@ pub struct StressReport {
     pub scaling: Vec<Scaling>,
 }
 
-fn fnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_owned()
-    }
-}
-
 /// Escapes a string for embedding inside a JSON string literal: quotes,
 /// backslashes, and every control character U+0000–U+001F (as `\n` /
 /// `\t` / `\r` or `\u00XX`). The writers used to interpolate raw —
@@ -108,62 +102,88 @@ pub fn escape_json(s: &str) -> String {
 }
 
 impl StressReport {
-    /// Serializes to the `doclite-stress/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"sf\": {},", fnum(self.sf));
-        let threads: Vec<String> = self.thread_counts.iter().map(|t| t.to_string()).collect();
-        let _ = writeln!(s, "  \"thread_counts\": [{}],", threads.join(", "));
-        s.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"workload\": \"{}\", \"deployment\": \"{}\", \"threads\": {}, \
-                 \"mode\": \"{}\", \"ops\": {}, \"errors\": {}, \"elapsed_s\": {}, \
-                 \"throughput_ops_s\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \
-                 \"p999_us\": {}, \"max_us\": {}, \"mean_us\": {}}}",
-                escape_json(&c.workload),
-                escape_json(&c.deployment),
-                c.threads,
-                escape_json(&c.mode),
-                c.ops,
-                c.errors,
-                fnum(c.elapsed_s),
-                fnum(c.throughput_ops_s),
-                fnum(c.p50_us),
-                fnum(c.p90_us),
-                fnum(c.p99_us),
-                fnum(c.p999_us),
-                fnum(c.max_us),
-                fnum(c.mean_us),
-            );
-            s.push_str(if i + 1 < self.cells.len() { ",\n" } else { "\n" });
+    /// The gates a run must pass before its report is written: every
+    /// cell's percentiles in order, and each of the two deployments
+    /// measured at two or more thread counts.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        let mut threads_by_deployment: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+        for c in &self.cells {
+            let (p50, p90, p99, p999, max) = (c.p50_us, c.p90_us, c.p99_us, c.p999_us, c.max_us);
+            if !(p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= max) {
+                return Err(format!(
+                    "percentiles out of order: p50={p50} p90={p90} p99={p99} p99.9={p999} max={max}"
+                ));
+            }
+            threads_by_deployment.entry(&c.deployment).or_default().insert(c.threads);
         }
-        s.push_str("  ],\n");
-        s.push_str("  \"scaling\": [\n");
-        for (i, sc) in self.scaling.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"workload\": \"{}\", \"deployment\": \"{}\", \"threads_lo\": {}, \
-                 \"threads_hi\": {}, \"ratio\": {}}}",
-                escape_json(&sc.workload),
-                escape_json(&sc.deployment),
-                sc.threads_lo,
-                sc.threads_hi,
-                fnum(sc.ratio),
-            );
-            s.push_str(if i + 1 < self.scaling.len() { ",\n" } else { "\n" });
+        for dep in ["standalone", "sharded"] {
+            let counts = threads_by_deployment
+                .get(dep)
+                .ok_or_else(|| format!("no cells for deployment '{dep}'"))?;
+            if counts.len() < 2 {
+                return Err(format!(
+                    "deployment '{dep}' needs >=2 distinct thread counts, got {counts:?}"
+                ));
+            }
         }
-        s.push_str("  ]\n}\n");
-        s
+        Ok(())
+    }
+
+    /// The `doclite-stress/v1` document.
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::obj([
+                ("workload", c.workload.as_str().into()),
+                ("deployment", c.deployment.as_str().into()),
+                ("threads", c.threads.into()),
+                ("mode", c.mode.as_str().into()),
+                ("ops", c.ops.into()),
+                ("errors", c.errors.into()),
+                ("elapsed_s", Json::rounded(c.elapsed_s, 3)),
+                ("throughput_ops_s", Json::rounded(c.throughput_ops_s, 3)),
+                ("p50_us", Json::rounded(c.p50_us, 3)),
+                ("p90_us", Json::rounded(c.p90_us, 3)),
+                ("p99_us", Json::rounded(c.p99_us, 3)),
+                ("p999_us", Json::rounded(c.p999_us, 3)),
+                ("max_us", Json::rounded(c.max_us, 3)),
+                ("mean_us", Json::rounded(c.mean_us, 3)),
+            ])
+        });
+        let scaling = self.scaling.iter().map(|s| {
+            Json::obj([
+                ("workload", s.workload.as_str().into()),
+                ("deployment", s.deployment.as_str().into()),
+                ("threads_lo", s.threads_lo.into()),
+                ("threads_hi", s.threads_hi.into()),
+                ("ratio", Json::rounded(s.ratio, 3)),
+            ])
+        });
+        Json::obj([
+            ("schema", SCHEMA.into()),
+            ("sf", Json::rounded(self.sf, 3)),
+            ("thread_counts", Json::Arr(self.thread_counts.iter().map(|&t| t.into()).collect())),
+            ("cells", Json::Arr(cells.collect())),
+            ("scaling", Json::Arr(scaling.collect())),
+        ])
     }
 }
 
-// ----- minimal JSON parser (validation only) ---------------------------
+/// Renders `report`, writes it to `reports/<file>` at the repository
+/// root and prints it and the path. For the report binaries: an I/O
+/// error is a panic.
+pub fn write_report(file: &str, report: &Json) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../reports");
+    std::fs::create_dir_all(dir).expect("create reports dir");
+    let path = format!("{dir}/{file}");
+    let text = report.render();
+    std::fs::write(&path, &text).expect("write report");
+    println!("{text}");
+    println!("wrote {path}");
+}
 
-/// A parsed JSON value. Objects keep insertion order; numbers are `f64`.
+// ----- JSON values: the one writer and a minimal parser -----------------
+
+/// A JSON value. Objects keep insertion order; numbers are `f64`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
@@ -206,12 +226,123 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object with `members` in the order given.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// `v` rounded to `decimals` places: a report states a measurement
+    /// to the precision it means.
+    pub fn rounded(v: f64, decimals: i32) -> Json {
+        let scale = 10f64.powi(decimals);
+        Json::Num((v * scale).round() / scale)
+    }
+
+    /// The value as JSON text — the one writer of every `BENCH_*.json`.
+    /// Strings go through [`escape_json`], finite numbers print in Rust's
+    /// shortest round-trip form and non-finite ones as `null`, object
+    /// members keep their order. A nested array or object that holds
+    /// only scalars sits on one line; any other container puts each
+    /// member on its own line, indented two spaces per level. For a value
+    /// whose numbers are finite, `parse_json(&v.render()) == Ok(v)`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn render_into(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => render_str(out, s),
+            Json::Arr(items) => {
+                render_members(out, depth, ['[', ']'], items.iter().map(|v| (None, v)))
+            }
+            Json::Obj(members) => render_members(
+                out,
+                depth,
+                ['{', '}'],
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
+        }
+    }
 }
+
+fn render_str(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&escape_json(s));
+    out.push('"');
+}
+
+fn render_members<'a>(
+    out: &mut String,
+    depth: usize,
+    [open, close]: [char; 2],
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+) {
+    let inline = members.len() == 0
+        || depth > 0 && members.clone().all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n("  ", depth));
+    };
+    out.push(open);
+    for (i, (key, v)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if !inline {
+            newline(out, depth + 1);
+        } else if i > 0 {
+            out.push(' ');
+        }
+        if let Some(key) = key {
+            render_str(out, key);
+            out.push_str(": ");
+        }
+        v.render_into(out, depth + 1);
+    }
+    if !inline {
+        newline(out, depth);
+    }
+    out.push(close);
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+/// Counts in a report stay far below 2^53, where `f64` is exact.
+macro_rules! json_from_count {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+
+json_from_count!(u64, usize, i64);
 
 /// Parses a JSON text. Supports the full value grammar the reports use,
 /// including `\uXXXX` escapes; raw control characters inside strings
-/// are rejected (RFC 8259 forbids them), which is how `validate_report`
-/// catches writers that forgot to escape.
+/// are rejected (RFC 8259 forbids them).
 pub fn parse_json(text: &str) -> std::result::Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
@@ -384,89 +515,10 @@ fn parse_number(b: &[u8], pos: &mut usize) -> std::result::Result<Json, String> 
         .ok_or_else(|| format!("invalid number at byte {start}"))
 }
 
-// ----- schema validation -----------------------------------------------
-
-fn cell_num(cell: &Json, key: &str) -> std::result::Result<f64, String> {
-    cell.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("cell missing numeric field '{key}'"))
-}
-
-/// Validates a serialized report against the `doclite-stress/v1` schema:
-/// required fields, percentile ordering, ≥2 distinct thread counts per
-/// deployment, and both deployments present.
-pub fn validate_report(text: &str) -> std::result::Result<(), String> {
-    let root = parse_json(text)?;
-    if root.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag must be '{SCHEMA}'"));
-    }
-    root.get("sf")
-        .and_then(Json::as_num)
-        .filter(|sf| *sf > 0.0)
-        .ok_or("'sf' must be a positive number")?;
-    let cells = root
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("'cells' must be an array")?;
-    if cells.is_empty() {
-        return Err("'cells' must be non-empty".into());
-    }
-    let mut threads_by_deployment: std::collections::BTreeMap<String, std::collections::BTreeSet<u64>> =
-        Default::default();
-    for cell in cells {
-        for key in ["workload", "deployment", "mode"] {
-            cell.get(key)
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("cell missing string field '{key}'"))?;
-        }
-        let threads = cell_num(cell, "threads")?;
-        if threads < 1.0 {
-            return Err("cell 'threads' must be >= 1".into());
-        }
-        for key in ["ops", "errors", "elapsed_s", "throughput_ops_s", "mean_us"] {
-            cell_num(cell, key)?;
-        }
-        let p50 = cell_num(cell, "p50_us")?;
-        let p90 = cell_num(cell, "p90_us")?;
-        let p99 = cell_num(cell, "p99_us")?;
-        let p999 = cell_num(cell, "p999_us")?;
-        let max = cell_num(cell, "max_us")?;
-        if !(p50 <= p90 && p90 <= p99 && p99 <= p999 && p999 <= max) {
-            return Err(format!(
-                "percentiles out of order: p50={p50} p90={p90} p99={p99} p99.9={p999} max={max}"
-            ));
-        }
-        let dep = cell.get("deployment").and_then(Json::as_str).expect("checked");
-        threads_by_deployment
-            .entry(dep.to_owned())
-            .or_default()
-            .insert(threads as u64);
-    }
-    for dep in ["standalone", "sharded"] {
-        let counts = threads_by_deployment
-            .get(dep)
-            .ok_or_else(|| format!("no cells for deployment '{dep}'"))?;
-        if counts.len() < 2 {
-            return Err(format!(
-                "deployment '{dep}' needs >=2 distinct thread counts, got {counts:?}"
-            ));
-        }
-    }
-    let scaling = root
-        .get("scaling")
-        .and_then(Json::as_arr)
-        .ok_or("'scaling' must be an array")?;
-    for sc in scaling {
-        cell_num(sc, "ratio")?;
-        cell_num(sc, "threads_lo")?;
-        cell_num(sc, "threads_hi")?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cell(dep: &str, threads: usize) -> CellResult {
         CellResult {
@@ -508,9 +560,13 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_report_validates() {
-        let json = full_report().to_json();
-        validate_report(&json).unwrap();
+    fn a_full_report_passes_its_checks_and_reads_back() {
+        let r = full_report();
+        r.check().unwrap();
+        let json = r.to_json();
+        assert_eq!(parse_json(&json.render()), Ok(json.clone()));
+        let Json::Obj(members) = &json else { panic!("not an object") };
+        assert_eq!(members[0], ("schema".to_owned(), Json::from(SCHEMA)));
     }
 
     #[test]
@@ -528,32 +584,27 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_missing_deployment() {
+    fn check_rejects_missing_deployment() {
         let mut r = full_report();
         r.cells.retain(|c| c.deployment != "sharded");
-        let err = validate_report(&r.to_json()).unwrap_err();
+        let err = r.check().unwrap_err();
         assert!(err.contains("sharded"), "{err}");
     }
 
     #[test]
-    fn validator_rejects_single_thread_count() {
+    fn check_rejects_single_thread_count() {
         let mut r = full_report();
         r.cells.retain(|c| c.deployment != "standalone" || c.threads == 1);
-        let err = validate_report(&r.to_json()).unwrap_err();
+        let err = r.check().unwrap_err();
         assert!(err.contains("thread counts"), "{err}");
     }
 
     #[test]
-    fn validator_rejects_unordered_percentiles() {
+    fn check_rejects_unordered_percentiles() {
         let mut r = full_report();
         r.cells[0].p99_us = 5.0; // below p90
-        assert!(validate_report(&r.to_json()).is_err());
-    }
-
-    #[test]
-    fn validator_rejects_wrong_schema_tag() {
-        let json = full_report().to_json().replace(SCHEMA, "other/v0");
-        assert!(validate_report(&json).is_err());
+        let err = r.check().unwrap_err();
+        assert!(err.contains("out of order"), "{err}");
     }
 
     #[test]
@@ -566,11 +617,71 @@ mod tests {
         for s in &mut r.scaling {
             s.workload = nasty.to_owned();
         }
-        let json = r.to_json();
-        validate_report(&json).expect("escaped report validates");
-        let parsed = parse_json(&json).unwrap();
+        let parsed = parse_json(&r.to_json().render()).unwrap();
         let cell0 = &parsed.get("cells").unwrap().as_arr().unwrap()[0];
         assert_eq!(cell0.get("workload").and_then(Json::as_str), Some(nasty));
+    }
+
+    #[test]
+    fn render_puts_scalar_only_containers_on_one_line() {
+        let v = Json::obj([
+            ("a", 1u64.into()),
+            ("b", Json::obj([("c", "x".into()), ("t", Json::rounded(0.013_052_4, 6))])),
+            ("d", Json::Arr(vec![Json::obj([("e", 0.5.into())]), Json::Arr(vec![])])),
+            ("f", Json::obj([])),
+        ]);
+        assert_eq!(
+            v.render(),
+            "{\n  \"a\": 1,\n  \"b\": {\"c\": \"x\", \"t\": 0.013052},\n  \"d\": [\n    \
+             {\"e\": 0.5},\n    []\n  ],\n  \"f\": {}\n}\n"
+        );
+        assert_eq!(Json::obj([]).render(), "{}\n");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        let v = Json::Arr(vec![f64::NAN.into(), f64::INFINITY.into(), f64::NEG_INFINITY.into()]);
+        assert_eq!(v.render(), "[\n  null,\n  null,\n  null\n]\n");
+        assert_eq!(Json::rounded(f64::NAN, 3).render(), "null\n");
+    }
+
+    /// Characters that must be escaped, ASCII, the BMP and beyond it.
+    fn arb_string() -> impl Strategy<Value = String> {
+        let ch = prop_oneof![
+            (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            Just('"'),
+            Just('\\'),
+            (0x20u32..0x80).prop_map(|c| char::from_u32(c).unwrap()),
+            any::<char>(),
+            (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap()),
+        ];
+        prop::collection::vec(ch, 0..8).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    fn arb_json() -> impl Strategy<Value = Json> {
+        let leaf = prop_oneof![
+            Just(Json::Null),
+            any::<bool>().prop_map(Json::Bool),
+            any::<f64>().prop_map(|n| Json::Num(if n.is_finite() { n } else { 0.0 })),
+            any::<i64>().prop_map(|n| Json::Num(n as f64)),
+            (0.0..1.0e3).prop_map(Json::Num),
+            arb_string().prop_map(Json::Str),
+        ];
+        leaf.prop_recursive(3, 24, 4, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..4).prop_map(Json::Arr),
+                prop::collection::vec((arb_string(), inner), 0..4).prop_map(Json::Obj),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn render_then_parse_is_the_identity(v in arb_json()) {
+            prop_assert_eq!(parse_json(&v.render()), Ok(v));
+        }
     }
 
     #[test]

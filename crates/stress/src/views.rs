@@ -19,7 +19,7 @@
 use crate::dist::Distribution;
 use crate::driver::worker_seed;
 use crate::hist::LogHistogram;
-use crate::report::{escape_json, parse_json, Json};
+use crate::report::Json;
 use doclite_bson::{doc, Document};
 use doclite_docstore::wal::{DurableDb, SyncPolicy, WalOptions};
 use doclite_docstore::{
@@ -27,7 +27,6 @@ use doclite_docstore::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -127,96 +126,48 @@ pub struct ViewsReport {
 }
 
 impl ViewsReport {
-    /// Renders the report as JSON (hand-rolled; no serde in-tree).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n  \"schema\": \"{VIEWS_SCHEMA}\",\n  \"seed\": {},\n  \"threads\": {},\n  \
-             \"duration_s\": {},\n  \"key_dist\": \"{}\",\n  \"preload\": {},\n  \
-             \"writes\": {},\n  \"frames_applied\": {},\n  \"full_rebuilds\": {},\n  \
-             \"groups_recomputed\": {},\n  \"heartbeats\": {},\n  \
-             \"staleness_max_frames\": {},\n  \"view_groups\": {},\n  \
-             \"view_read_p50_us\": {},\n  \"view_read_p99_us\": {},\n  \
-             \"view_read_mean_us\": {:.3},\n  \"recompute_p50_us\": {},\n  \
-             \"recompute_p99_us\": {},\n  \"recompute_mean_us\": {:.3},\n  \
-             \"speedup_mean\": {:.2},\n  \"divergences\": {}\n}}\n",
-            self.seed,
-            self.threads,
-            self.duration_s,
-            escape_json(&self.key_dist),
-            self.preload,
-            self.writes,
-            self.frames_applied,
-            self.full_rebuilds,
-            self.groups_recomputed,
-            self.heartbeats,
-            self.staleness_max_frames,
-            self.view_groups,
-            self.view_read_p50_us,
-            self.view_read_p99_us,
-            self.view_read_mean_us,
-            self.recompute_p50_us,
-            self.recompute_p99_us,
-            self.recompute_mean_us,
-            self.speedup_mean,
-            self.divergences,
-        );
-        s
-    }
-}
-
-/// Checks a rendered report against the `doclite-views/v1` schema.
-pub fn validate_views_report(text: &str) -> std::result::Result<(), String> {
-    let root = parse_json(text)?;
-    if root.get("schema").and_then(Json::as_str) != Some(VIEWS_SCHEMA) {
-        return Err(format!("schema tag must be '{VIEWS_SCHEMA}'"));
-    }
-    root.get("key_dist")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'key_dist'")?;
-    for key in [
-        "seed",
-        "threads",
-        "duration_s",
-        "preload",
-        "writes",
-        "frames_applied",
-        "full_rebuilds",
-        "groups_recomputed",
-        "heartbeats",
-        "staleness_max_frames",
-        "view_groups",
-        "view_read_p50_us",
-        "view_read_p99_us",
-        "view_read_mean_us",
-        "recompute_p50_us",
-        "recompute_p99_us",
-        "recompute_mean_us",
-        "speedup_mean",
-        "divergences",
-    ] {
-        let v = root
-            .get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field '{key}'"))?;
-        if v < 0.0 {
-            return Err(format!("'{key}' must be >= 0"));
+    /// The gates a run must pass before its report is written: no
+    /// divergence, and both drills ran — the heartbeat drill sent a
+    /// heartbeat and the truncation drill forced a full rebuild.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        if self.divergences != 0 {
+            return Err(format!("view diverged from recompute {} time(s)", self.divergences));
         }
+        if self.heartbeats < 1 {
+            return Err("heartbeat drill did not run".into());
+        }
+        if self.full_rebuilds < 1 {
+            return Err("truncation drill did not force a rebuild".into());
+        }
+        Ok(())
     }
-    let div = root.get("divergences").and_then(Json::as_num).expect("checked");
-    if div != 0.0 {
-        return Err(format!("view diverged from recompute {div} time(s)"));
+
+    /// The `doclite-views/v1` document.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("schema", VIEWS_SCHEMA.into()),
+            ("seed", self.seed.into()),
+            ("threads", self.threads.into()),
+            ("duration_s", self.duration_s.into()),
+            ("key_dist", self.key_dist.as_str().into()),
+            ("preload", self.preload.into()),
+            ("writes", self.writes.into()),
+            ("frames_applied", self.frames_applied.into()),
+            ("full_rebuilds", self.full_rebuilds.into()),
+            ("groups_recomputed", self.groups_recomputed.into()),
+            ("heartbeats", self.heartbeats.into()),
+            ("staleness_max_frames", self.staleness_max_frames.into()),
+            ("view_groups", self.view_groups.into()),
+            ("view_read_p50_us", self.view_read_p50_us.into()),
+            ("view_read_p99_us", self.view_read_p99_us.into()),
+            ("view_read_mean_us", Json::rounded(self.view_read_mean_us, 3)),
+            ("recompute_p50_us", self.recompute_p50_us.into()),
+            ("recompute_p99_us", self.recompute_p99_us.into()),
+            ("recompute_mean_us", Json::rounded(self.recompute_mean_us, 3)),
+            ("speedup_mean", Json::rounded(self.speedup_mean, 2)),
+            ("divergences", self.divergences.into()),
+        ])
     }
-    let hb = root.get("heartbeats").and_then(Json::as_num).expect("checked");
-    if hb < 1.0 {
-        return Err("heartbeat drill did not run".into());
-    }
-    let reb = root.get("full_rebuilds").and_then(Json::as_num).expect("checked");
-    if reb < 1.0 {
-        return Err("truncation drill did not force a rebuild".into());
-    }
-    Ok(())
 }
 
 /// Compares the view's served snapshot against a fresh pipeline
@@ -461,24 +412,26 @@ mod tests {
         assert!(report.frames_applied > 0);
         assert!(report.full_rebuilds >= 1, "truncation drill must rebuild");
         assert!(report.heartbeats >= 1);
-        let json = report.to_json();
-        validate_views_report(&json).unwrap();
     }
 
     #[test]
-    fn validator_rejects_divergence_and_missing_drills() {
+    fn check_rejects_divergence_and_missing_drills() {
         let mut report = ViewsReport {
             heartbeats: 1,
             full_rebuilds: 1,
             key_dist: "uniform(0..9)".into(),
             ..ViewsReport::default()
         };
-        validate_views_report(&report.to_json()).unwrap();
+        report.check().unwrap();
+        let json = report.to_json();
+        assert_eq!(crate::report::parse_json(&json.render()), Ok(json));
         report.divergences = 1;
-        assert!(validate_views_report(&report.to_json()).is_err());
+        assert!(report.check().unwrap_err().contains("diverged"));
         report.divergences = 0;
         report.heartbeats = 0;
-        assert!(validate_views_report(&report.to_json()).is_err());
-        assert!(validate_views_report("{}").is_err());
+        assert!(report.check().unwrap_err().contains("heartbeat"));
+        report.heartbeats = 1;
+        report.full_rebuilds = 0;
+        assert!(report.check().unwrap_err().contains("rebuild"));
     }
 }

@@ -5,9 +5,11 @@
 # "the WAL logs bytes, not documents" (PR 20: the write paths stage frames
 # from borrowed documents; no owned record is built to be logged) and
 # "splits and migrations read the shard-key index" (no collection scan
-# in a split or a migration, no deep clone of the chunk table): the
-# retired mode enums, setters, constants and entry points must not come
-# back in code, CI or skill files
+# in a split or a migration, no deep clone of the chunk table) and
+# "reports are values" (every BENCH_*.json is a `Json` written by one
+# renderer and gated by its typed `check()`, with one best-of-N rule): the
+# retired mode enums, setters, constants, validators and entry points must
+# not come back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
 # them), docstore keeps no process-wide atomic, the reference interpreter
 # stays independent of the compiled kernel and out of every product path,
@@ -18,7 +20,7 @@ cd "$(dirname "$0")/.."
 fail=0
 complain() { echo "check_no_modes: $1" >&2; fail=1; }
 
-retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe'
+retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report'
 grep -rnE "$retired" crates src examples tests benchmark/src .github .claude \
     && complain "a retired identifier is back (see above)"
 grep -rnE 'static +[A-Z_]+ *: *[A-Za-z:]*Atomic' crates/docstore/src \
@@ -51,4 +53,9 @@ sed '/^#\[cfg(test)\]/,$d' crates/sharding/src/chunk.rs | grep -nE '\.(for_each|
     && complain "chunk.rs scans a collection: a chunk's keys and documents come off the shard-key index"
 grep -nE 'fn meta\(.*-> *Option<CollectionMeta>' crates/sharding/src/config.rs \
     && complain "ConfigServer::meta returns an owned CollectionMeta again: hand out the Arc"
+grep -rnE '\bfn +fnum\b' crates src examples tests benchmark/src --include='*.rs' \
+    && complain "a report formats its own numbers again: build a Json value (Json::rounded) and render it"
+grep -rnE '\bfn +best_of' crates src examples tests benchmark/src --include='*.rs' \
+    | grep -v '^crates/bench/src/lib.rs:' \
+    && complain "a second best-of-N timer: use doclite_bench::best_of / best_of_after"
 exit $fail

@@ -3,7 +3,7 @@
 use doclite::bson::{codec, Document, Value};
 use doclite::docstore::query::matcher::{compile, matches, matches_compiled};
 use doclite::docstore::{CompoundKey, Filter, OrdValue};
-use doclite::sharding::{ConfigServer, ShardKey};
+use doclite::sharding::{NetworkModel, ShardKey, ShardedCluster};
 use proptest::prelude::*;
 
 // ----- generators -------------------------------------------------------
@@ -128,8 +128,9 @@ proptest! {
     fn chunk_map_invariants_survive_random_splits_and_moves(
         splits in prop::collection::vec((any::<i64>(), 0usize..8), 0..12),
     ) {
-        let cfg = ConfigServer::new();
-        cfg.shard_collection("c", ShardKey::range(["k"]), 0);
+        let cluster = ShardedCluster::new(3, "props", NetworkModel::free());
+        cluster.shard_collection("c", ShardKey::range(["k"]), 1 << 20).unwrap();
+        let cfg = cluster.router().config();
         for (key, chunk_hint) in splits {
             let meta = cfg.meta("c").unwrap();
             let idx = chunk_hint % meta.chunks.len();
