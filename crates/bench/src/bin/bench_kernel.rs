@@ -18,8 +18,7 @@
 //!   label stays true after any number of scans), `driver_s` is
 //!   `Collection::aggregate` with whatever access path the planner
 //!   picks (the `grp` index for Q7; a column scan of `k` for the
-//!   semi-join once its column is built). The morsel exchange is
-//!   measured by `bench_parallel`.
+//!   semi-join once its column is built).
 //!
 //! Run with `cargo run --release -p doclite-bench --bin bench_kernel`;
 //! set `DOCLITE_KERNEL_SMOKE=1` for the fast CI configuration.

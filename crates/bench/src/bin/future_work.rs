@@ -2,9 +2,10 @@
 //!
 //! 1. **Denormalized model on the sharded cluster** — "the denormalized
 //!    data model can be deployed on the sharded cluster and its
-//!    performance can be studied": the denormalized fact collections are
-//!    resharded by the same keys as their normalized counterparts and
-//!    the four queries run through the router.
+//!    performance can be studied": `setup_environment` reshards the
+//!    denormalized fact collections by the same keys as their normalized
+//!    counterparts and balances them, and the four queries run through
+//!    the router — each leg ships its partial, the router merges.
 //! 2. **Multithreaded dimension filtering** — "individual threads can be
 //!    used to query each collection in parallel": Query 7's step-i
 //!    filters run one thread per dimension.
@@ -18,7 +19,6 @@ use doclite_core::experiment::{
 };
 use doclite_core::queries::q7;
 use doclite_core::{fmt_duration, TextTable};
-use doclite_sharding::ShardKey;
 use doclite_tpcds::{QueryId, QueryParams};
 use std::time::Instant;
 
@@ -42,15 +42,6 @@ fn main() {
         &opts,
     )
     .expect("sharded setup");
-    // Reshard the denormalized facts so they actually live across the
-    // cluster (they were materialized on the primary shard).
-    let router = sharded.cluster().expect("sharded").router();
-    router
-        .reshard_collection("store_sales_dn", ShardKey::range(["ss_ticket_number"]), opts.max_chunk_size)
-        .expect("reshard ss_dn");
-    router
-        .reshard_collection("inventory_dn", ShardKey::hashed("inv_warehouse_sk"), opts.max_chunk_size)
-        .expect("reshard inv_dn");
 
     let mut t = TextTable::new(["", "Query 7", "Query 21", "Query 46", "Query 50"]);
     for (label, env) in [("Denorm / Stand-alone", &standalone), ("Denorm / Sharded", &sharded)] {

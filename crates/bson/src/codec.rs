@@ -157,14 +157,17 @@ fn value_payload_size(v: &Value) -> usize {
         Value::ObjectId(_) => 12,
         Value::String(s) => 4 + s.len() + 1,
         Value::Document(d) => encoded_size(d),
-        Value::Array(items) => array_encoded_size(items),
+        Value::Array(items) => encoded_array_size(items),
     }
 }
 
-fn array_encoded_size(items: &[Value]) -> usize {
+/// The encoded payload size of an array of `items` — what
+/// [`encoded_value_size`] gives for a `Value::Array` of them — for
+/// callers whose values are not held in one.
+pub fn encoded_array_size<'v>(items: impl IntoIterator<Item = &'v Value>) -> usize {
     let mut n = 4 + 1; // length prefix + terminator
     let mut idx_buf = itoa_buffer();
-    for (i, v) in items.iter().enumerate() {
+    for (i, v) in items.into_iter().enumerate() {
         let key_len = write_itoa(&mut idx_buf, i);
         n += 1 + key_len + 1 + value_payload_size(v);
     }

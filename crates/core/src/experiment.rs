@@ -213,10 +213,18 @@ pub fn setup_environment(spec: &ExperimentSpec, opts: &SetupOptions) -> Result<E
                 &gen,
                 spec.model == DataModel::Denormalized,
             )?;
-            cluster.balance()?;
             if spec.model == DataModel::Denormalized {
+                // The thesis's future work (Section 5.2): the denormalized
+                // facts, materialized on the primary shard, are resharded
+                // by their normalized counterparts' keys, and balanced with
+                // the rest, so the queries over them run across the cluster.
                 crate::fastdn::build_denormalized_fast(cluster.router())?;
+                for (table, key) in fact_shard_keys() {
+                    let name = denormalized_name(table);
+                    cluster.router().reshard_collection(&name, key, opts.max_chunk_size)?;
+                }
             }
+            cluster.balance()?;
             Ok(Environment::Sharded(Box::new(cluster)))
         }
     }

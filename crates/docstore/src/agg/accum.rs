@@ -7,6 +7,7 @@
 use super::expr::Expr;
 use crate::error::Result;
 use crate::ordvalue::OrdValue;
+use doclite_bson::codec::{encoded_array_size, encoded_value_size};
 use doclite_bson::{Document, Resolved, Value};
 
 /// An accumulator specification: the operator plus its argument
@@ -136,15 +137,15 @@ impl AccState {
         }
     }
 
-    /// Merges `other` — the state of the *later* morsel in document
-    /// order — into `self`. Every accumulator is associative over
-    /// ordered partitions: order-insensitive ones (`$sum`, `$avg`,
-    /// `$min`, `$max`, `$addToSet`'s membership) combine freely, and the
-    /// order-sensitive ones (`$first`, `$last`, `$push`, `$addToSet`'s
-    /// first-seen ordering) are correct exactly because morsels merge in
-    /// document order. Only the float running sums (`$sum`/`$avg` over
-    /// doubles) can differ from serial execution, by the usual ULP-level
-    /// non-associativity of f64 addition.
+    /// Merges `other` — the state of the *later* part in document
+    /// order ([`super::Split`]) — into `self`. Every accumulator is
+    /// associative over ordered partitions: order-insensitive ones
+    /// (`$sum`, `$avg`, `$min`, `$max`, `$addToSet`'s membership) combine
+    /// freely, and the order-sensitive ones (`$first`, `$last`, `$push`,
+    /// `$addToSet`'s first-seen ordering) are correct exactly because
+    /// parts merge in document order. Only the float running sums
+    /// (`$sum`/`$avg` over doubles) can differ from serial execution, by
+    /// the usual ULP-level non-associativity of f64 addition.
     pub fn merge(&mut self, other: AccState) {
         match (self, other) {
             (
@@ -198,6 +199,22 @@ impl AccState {
                 }
             }
             _ => unreachable!("merging accumulator states of different kinds"),
+        }
+    }
+
+    /// The payload bytes this state ships in a partial `$group`: one
+    /// number for `$sum`, a sum and a count for `$avg`, the kept value
+    /// for `$min` / `$max` / `$first` / `$last` (nothing before one is
+    /// seen), the array so far for `$push` / `$addToSet`.
+    pub fn encoded_size(&self) -> usize {
+        match self {
+            AccState::Sum { .. } => 8,
+            AccState::Avg { .. } => 16,
+            AccState::Min(v) | AccState::Max(v) | AccState::First(v) | AccState::Last(v) => {
+                v.as_ref().map_or(0, encoded_value_size)
+            }
+            AccState::Push(items) => encoded_array_size(items),
+            AccState::AddToSet(set) => encoded_array_size(set.iter().map(|ov| &ov.0)),
         }
     }
 

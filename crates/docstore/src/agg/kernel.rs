@@ -37,6 +37,7 @@ use super::expr::{self, Expr};
 use super::stage::{GroupId, ProjectField};
 use crate::error::{Error, Result};
 use crate::keybytes;
+use doclite_bson::codec::encoded_value_size;
 use doclite_bson::{CompiledPath, Document, Resolved, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -329,8 +330,8 @@ impl<'p> GroupKernel<'p> {
         &mut self.states[slot]
     }
 
-    /// Merges `other` — the kernel of the *later* morsel in document
-    /// order — into `self`, bucket-wise by key bytes. A representative
+    /// Merges `other` — the kernel of the *later* part in document
+    /// order ([`super::Split`]) — into `self`, bucket-wise by key bytes. A representative
     /// key `Value` re-encodes to exactly the byte key of its slot, so
     /// probing with `other`'s representatives finds `self`'s matching
     /// buckets; unseen keys append in `other`'s first-appearance order,
@@ -353,6 +354,27 @@ impl<'p> GroupKernel<'p> {
                 }
             }
         }
+    }
+
+    /// The bytes the kernel ships as a partial `$group`: per bucket, one
+    /// document holding `_id` and every accumulator's running state
+    /// ([`AccState::encoded_size`]). For `$sum`, `$min`, `$max`, `$first`
+    /// and `$last` over integers that is the size of the document the
+    /// bucket finishes to.
+    pub fn encoded_size(&self) -> usize {
+        self.order
+            .iter()
+            .zip(&self.states)
+            .map(|(key, states)| {
+                let fields: usize = self
+                    .fields
+                    .iter()
+                    .zip(states)
+                    .map(|((name, _), state)| 1 + name.len() + 1 + state.encoded_size())
+                    .sum();
+                4 + (1 + 3 + 1 + encoded_value_size(key)) + fields + 1
+            })
+            .sum()
     }
 
     /// Emits one output document per group, in first-appearance order.
@@ -434,17 +456,13 @@ impl CompiledSortSpec {
 }
 
 /// Stable multi-key sort under canonical order; missing paths sort as
-/// `Null` (i.e. first ascending), matching MongoDB. Compiles the spec
-/// and delegates to the decorate–sort–undecorate pass below.
+/// `Null` (i.e. first ascending), matching MongoDB. Decorate–sort–
+/// undecorate: the spec is compiled once, keys are extracted once per
+/// document, an index permutation is sorted, and the documents are
+/// permuted by `mem::take` — no per-comparison path resolution, no
+/// document clones.
 pub fn sort_documents(docs: &mut [Document], spec: &[(String, i32)]) {
-    sort_documents_compiled(docs, &CompiledSortSpec::new(spec));
-}
-
-/// Stable in-place sort of owned documents under a compiled spec: keys
-/// are extracted once per document, an index permutation is sorted, and
-/// the documents are permuted by `mem::take` — no per-comparison path
-/// resolution, no document clones.
-pub(crate) fn sort_documents_compiled(docs: &mut [Document], spec: &CompiledSortSpec) {
+    let spec = CompiledSortSpec::new(spec);
     let perm = {
         let keys: Vec<Vec<Resolved<'_>>> = docs.iter().map(|d| spec.key_refs(d)).collect();
         let mut perm: Vec<usize> = (0..docs.len()).collect();

@@ -5,14 +5,14 @@
 pub mod accum;
 pub mod expr;
 pub mod kernel;
-pub mod parallel;
 pub mod reference;
+pub mod split;
 pub mod stage;
 pub mod stream;
 
 pub use accum::Accumulator;
 pub use expr::Expr;
 pub use kernel::{sort_documents, CompiledExpr, CompiledSortSpec, LookupMeta, LookupSource};
-pub use parallel::{auto_morsel_size, run_parallel};
+pub use split::{Partial, Split};
 pub use stage::{GroupId, Pipeline, ProjectField, Stage};
 pub use stream::{execute_streaming, DocStream};

@@ -168,11 +168,11 @@ pub fn run_streaming<'a>(
 /// Applies one *per-document* stage — `$match`, `$project`, `$unwind` —
 /// as a fused stream adapter. These are the stages whose output for a
 /// document depends on that document alone, which is exactly what makes
-/// them partitionable: the parallel executor applies the same adapters
-/// per morsel.
+/// them partitionable: a split runs them where each part lives
+/// ([`super::Split`]).
 ///
 /// Panics on any other stage; callers route barrier stages themselves.
-pub(crate) fn apply_per_doc_stage<'a>(docs: DocStream<'a>, stage: &'a Stage) -> DocStream<'a> {
+fn apply_per_doc_stage<'a>(docs: DocStream<'a>, stage: &'a Stage) -> DocStream<'a> {
     match stage {
         Stage::Match(filter) => {
             let c = compile(filter);
@@ -252,8 +252,8 @@ fn sort_window<'a>(
 
 /// Sorts `docs` by the compiled spec (stable via index tiebreak) and
 /// returns the input indices of the `[start, end)` window survivors in
-/// output order. Shared with the parallel executor's per-morsel sort.
-pub(crate) fn sorted_window_indices(
+/// output order.
+fn sorted_window_indices(
     cs: &CompiledSortSpec,
     docs: &[&Document],
     start: usize,

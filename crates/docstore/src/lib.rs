@@ -44,8 +44,8 @@ pub mod views;
 pub mod wal;
 
 pub use agg::{
-    auto_morsel_size, Accumulator, CompiledExpr, CompiledSortSpec, Expr, GroupId, LookupMeta,
-    Pipeline, ProjectField, Stage,
+    Accumulator, CompiledExpr, CompiledSortSpec, Expr, GroupId, LookupMeta, Pipeline, ProjectField,
+    Stage,
 };
 pub use collection::{
     project_paths, AggExplain, Collection, Explain, FindOptions, IndexRead, StageExplain,

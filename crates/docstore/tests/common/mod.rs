@@ -7,10 +7,11 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
-use doclite_bson::{doc, Document, Value};
+use doclite_bson::{doc, json::to_json, Document, Value};
 use doclite_docstore::agg::Expr;
-use doclite_docstore::{CmpOp, Filter};
+use doclite_docstore::{Accumulator, CmpOp, Filter, GroupId, Pipeline, ProjectField, Stage};
 use proptest::prelude::*;
+use proptest::strategy::Union;
 
 /// Scalar values over a domain small enough that equality, set probes,
 /// and range endpoints all collide, mixing numeric types so the
@@ -178,4 +179,203 @@ pub fn arb_expr() -> BoxedStrategy<Expr> {
         ]
     })
     .boxed()
+}
+
+// ---- pipelines -------------------------------------------------------
+//
+// Documents × pipelines over all ten stages, with fallible `$project` /
+// `$group` keys, `$lookup` into `dim` and a `$out` in any position: the
+// generator `plan_vs_reference.rs` holds the aggregation driver to the
+// reference interpreter with, and `sharding/tests/aggregate_legs.rs`
+// holds the router to `Database::aggregate` with.
+
+/// [`arb_document`]'s documents (`a` and `n.c` hold anything) with `b` replaced
+/// by a small integer or nothing — what sums, the index and `dim.k`
+/// read — `xs` in every `$unwind` input shape, and a `tag`.
+pub fn arb_doc() -> BoxedStrategy<Document> {
+    (arb_document(), opt((0..4i64).boxed()), 0..5u8, prop::collection::vec(0..5i64, 0..3), "[xyz]")
+        .prop_map(|(mut d, b, xs_kind, xs, tag)| {
+            d.remove("b");
+            if let Some(b) = b {
+                d.set("b", b);
+            }
+            match xs_kind {
+                0 => d.set("xs", Value::Array(xs.into_iter().map(Value::Int64).collect())),
+                1 => d.set("xs", Value::Null),
+                2 => d.set("xs", 7i64),
+                3 => d.set("xs", "s"),
+                _ => {}
+            }
+            d.set("tag", tag);
+            d
+        })
+        .boxed()
+}
+
+/// `$add: ["$xs", 1]`: an error on the array and string shapes of `xs`
+/// (two different strings), null on the missing and null ones.
+pub fn fallible_inc() -> Expr {
+    Expr::Add(vec![Expr::field("xs"), Expr::lit(1i64)])
+}
+
+/// `ordered` pipelines may depend on the order documents arrive in
+/// (`$first`, `$push`, first-seen group representatives, which error
+/// comes first, `$skip` / `$limit`); the others may not.
+pub fn arb_group(ordered: bool) -> BoxedStrategy<Stage> {
+    (0..7usize, any::<bool>())
+        .prop_map(move |(id, computed)| {
+            let id = match (id, ordered) {
+                (0, _) => GroupId::Null,
+                (1, _) => GroupId::Expr(Expr::field("b")),
+                (2, _) => GroupId::Expr(Expr::field("tag")),
+                (3, _) => GroupId::Expr(Expr::Doc(vec![
+                    ("b".into(), Expr::field("b")),
+                    ("t".into(), Expr::field("tag")),
+                ])),
+                (4, true) => GroupId::Expr(Expr::field("a")),
+                (5, true) => GroupId::Expr(Expr::field("n.c")),
+                (6, true) => GroupId::Expr(fallible_inc()),
+                _ => GroupId::Expr(Expr::field("b")),
+            };
+            let mut fields = vec![
+                ("n".to_string(), Accumulator::count()),
+                ("sum_b".to_string(), Accumulator::sum_field("b")),
+                ("avg_b".to_string(), Accumulator::avg_field("b")),
+                ("min_b".to_string(), Accumulator::Min(Expr::field("b"))),
+                ("max_b".to_string(), Accumulator::Max(Expr::field("b"))),
+            ];
+            if ordered {
+                fields.extend([
+                    ("min_a".to_string(), Accumulator::Min(Expr::field("a"))),
+                    ("first_a".to_string(), Accumulator::First(Expr::field("a"))),
+                    ("last_c".to_string(), Accumulator::Last(Expr::field("n.c"))),
+                    ("push_b".to_string(), Accumulator::Push(Expr::field("b"))),
+                    ("set_a".to_string(), Accumulator::AddToSet(Expr::field("a"))),
+                ]);
+            }
+            if computed {
+                let inc = Expr::Add(vec![Expr::field("b"), Expr::lit(1i64)]);
+                fields.push(("inc".to_string(), Accumulator::Sum(inc)));
+            }
+            Stage::Group { id, fields }
+        })
+        .boxed()
+}
+
+pub fn include(paths: &[&str]) -> Vec<(String, ProjectField)> {
+    paths.iter().map(|p| (p.to_string(), ProjectField::Include)).collect()
+}
+
+pub fn arb_project(ordered: bool) -> BoxedStrategy<Stage> {
+    let mut arms = vec![
+        Just(Stage::Project(include(&["a", "tag", "n.c"]))).boxed(),
+        Just(Stage::Project(vec![
+            ("xs".to_string(), ProjectField::Exclude),
+            ("n.c".to_string(), ProjectField::Exclude),
+        ]))
+        .boxed(),
+        Just(Stage::Project(vec![
+            ("b".to_string(), ProjectField::Include),
+            ("_id".to_string(), ProjectField::Exclude),
+            ("s.t".to_string(), ProjectField::Compute(Expr::field("a"))),
+        ]))
+        .boxed(),
+    ];
+    if ordered {
+        let compute = |e: Expr| {
+            let mut fields = include(&["b", "xs"]);
+            fields.push(("y".to_string(), ProjectField::Compute(e)));
+            Stage::Project(fields)
+        };
+        arms.push(Just(compute(fallible_inc())).boxed());
+        arms.push(arb_expr().prop_map(compute).boxed());
+    }
+    Union::new(arms).boxed()
+}
+
+pub fn arb_sort() -> BoxedStrategy<Stage> {
+    prop_oneof![
+        Just(vec![("a", 1)]),
+        Just(vec![("b", -1), ("a", 1)]),
+        Just(vec![("tag", 1), ("n.c", -1)]),
+        Just(vec![("n", -1), ("_id", 1)]),
+    ]
+    .prop_map(|spec| Stage::Sort(spec.into_iter().map(|(p, d)| (p.to_string(), d)).collect()))
+    .boxed()
+}
+
+pub fn arb_stage(ordered: bool) -> BoxedStrategy<Stage> {
+    let lookup = |local: &str| Stage::Lookup {
+        from: "dim".into(),
+        local_field: local.into(),
+        foreign_field: "k".into(),
+        as_field: "j".into(),
+    };
+    let mut arms = vec![
+        arb_filter().prop_map(Stage::Match).boxed(),
+        arb_project(ordered),
+        arb_group(ordered),
+        arb_sort(),
+        prop_oneof![Just("xs"), Just("$xs"), Just("a")]
+            .prop_map(|p| Stage::Unwind(p.to_string()))
+            .boxed(),
+        Just(Stage::Count("n".to_string())).boxed(),
+        prop_oneof![Just(lookup("a")), Just(lookup("b")), Just(lookup("n.c"))].boxed(),
+        Just(Stage::Out("dst".to_string())).boxed(),
+    ];
+    if ordered {
+        arms.push((0..15usize).prop_map(Stage::Limit).boxed());
+        arms.push((0..8usize).prop_map(Stage::Skip).boxed());
+    }
+    Union::new(arms).boxed()
+}
+
+/// A leading `$match` run, then — often — a `$group` or `$count` (the
+/// shapes the driver may compute off the columns), then anything.
+pub fn arb_pipeline(ordered: bool) -> BoxedStrategy<Pipeline> {
+    let next = prop_oneof![
+        arb_group(ordered),
+        Just(Stage::Count("n".to_string())).boxed(),
+        arb_stage(ordered),
+    ];
+    (
+        prop::collection::vec(arb_filter().prop_map(Stage::Match), 0..3),
+        prop::collection::vec(next, 0..2),
+        prop::collection::vec(arb_stage(ordered), 0..3),
+    )
+        .prop_map(|(head, next, tail)| {
+            head.into_iter().chain(next).chain(tail).fold(Pipeline::new(), Pipeline::stage)
+        })
+        .boxed()
+}
+
+/// The foreign side of `$lookup`: `k` over `b`'s domain and beyond —
+/// null, missing, whole arrays.
+pub fn arb_dim() -> BoxedStrategy<Vec<Document>> {
+    let k = prop_oneof![
+        3 => (0..4i64).prop_map(Value::Int64),
+        2 => arb_scalar(),
+        1 => prop::collection::vec(arb_scalar(), 0..3).prop_map(Value::Array),
+    ];
+    prop::collection::vec(opt(k.boxed()), 0..8).prop_map(dim_docs).boxed()
+}
+
+pub fn dim_docs(ks: Vec<Option<Value>>) -> Vec<Document> {
+    ks.into_iter()
+        .enumerate()
+        .map(|(i, k)| {
+            let mut d = doc! {"_id" => i as i64, "v" => (i % 3) as i64};
+            if let Some(k) = k {
+                d.set("k", k);
+            }
+            d
+        })
+        .collect()
+}
+
+/// Documents as sorted JSON strings: equality regardless of order.
+pub fn multiset(docs: Vec<Document>) -> Vec<String> {
+    let mut v: Vec<String> = docs.iter().map(to_json).collect();
+    v.sort();
+    v
 }

@@ -15,9 +15,9 @@ use crate::chunk::ShardId;
 use crate::config::CollectionMeta;
 use crate::shardkey::Partitioning;
 use doclite_bson::{Document, Value};
-use doclite_docstore::agg::CompiledSortSpec;
+use doclite_docstore::agg::{CompiledSortSpec, Split};
 use doclite_docstore::query::planner::conjunctive_constraints;
-use doclite_docstore::{CompoundKey, Filter, FindOptions, Pipeline, Result, Stage};
+use doclite_docstore::{CompoundKey, Filter, FindOptions, Pipeline, Result};
 use std::collections::BTreeMap;
 
 /// The routing decision for one filter.
@@ -339,21 +339,17 @@ impl FindPlan {
 /// one shard — runs the whole pipeline on that shard, where its data
 /// lives, as MongoDB runs an unsharded collection's pipeline on its
 /// primary shard: only the results travel. A route with several legs
-/// sends the `$match` and a bounded sort/limit window down and runs the
-/// rest at the router over the merged legs; splitting a `$group` into
-/// shard-side partials and a router-side merge is not done.
+/// splits the body with the legs as its parts ([`Split::new`]): each
+/// shard runs the per-document prefix and ships its partial — a
+/// `$group`'s running states, a `$count`'s count, its top `skip + limit`
+/// of a sorted window — and the router merges them in leg order and runs
+/// the rest.
 pub struct AggPlan<'p> {
-    /// The shards the pushed-down `$match` reaches.
+    /// The shards the leading `$match` reaches, in leg order.
     pub route: Targeting,
-    /// Shard-side pipeline. One leg: the whole body. Several: the
-    /// coalesced `$match` plus, when `rest` opens with a finite
-    /// sort/limit window, the same sort and the combined `skip + limit`
-    /// bound — the router re-runs the full window over the merged legs,
-    /// so each leg only ever needs its local top `skip + limit`. Never a
-    /// `$out`.
-    pub leg_pipe: Pipeline,
-    /// Router-side stages: empty for one leg (no `$out`).
-    pub rest: &'p [Stage],
+    /// What each leg runs and ships, and what the router runs over the
+    /// merged legs: [`Split::whole`] for one leg. Never a `$out`.
+    pub split: Split<'p>,
 }
 
 /// Plans an aggregation; fails on a `$out` anywhere but last.
@@ -363,46 +359,10 @@ pub fn plan_aggregate<'p>(
     pipeline: &'p Pipeline,
 ) -> Result<AggPlan<'p>> {
     let body = pipeline.body()?;
-    let leading = pipeline.leading_matches();
-    let push_down = Filter::and(leading.iter().map(|f| (*f).clone()));
+    let push_down = Filter::and(pipeline.leading_matches().iter().map(|f| (*f).clone()));
     let route = target(meta, primary, &push_down);
-    if route.shards.len() == 1 {
-        let leg_pipe = body.iter().cloned().fold(Pipeline::new(), Pipeline::stage);
-        return Ok(AggPlan { route, leg_pipe, rest: &[] });
-    }
-    let rest = &body[leading.len()..];
-    let leg_pipe = match push_down {
-        Filter::True => Pipeline::new(),
-        push_down => Pipeline::new().match_stage(push_down),
-    };
-    let leg_pipe = with_shard_window(leg_pipe, rest);
-    Ok(AggPlan { route, leg_pipe, rest })
-}
-
-/// Appends the shard-pushable window at the head of the router-side
-/// stages to a leg pipeline: a leading `$sort` (optionally) followed by
-/// `$skip`/`$limit` stages composing a finite `[start, end)` window, or
-/// a bare windowed `$skip`/`$limit` run, travels as that sort plus
-/// `$limit end`. An unbounded window (no `$limit`) pushes nothing —
-/// there is nothing to truncate.
-fn with_shard_window(leg_pipe: Pipeline, rest: &[Stage]) -> Pipeline {
-    let (sort, window) = match rest.first() {
-        Some(Stage::Sort(spec)) => (Some(spec), &rest[1..]),
-        _ => (None, rest),
-    };
-    let (mut start, mut end) = (0usize, usize::MAX);
-    for stage in window {
-        match stage {
-            Stage::Skip(n) => start = start.saturating_add(*n),
-            Stage::Limit(n) => end = end.min(start.saturating_add(*n)),
-            _ => break,
-        }
-    }
-    match (end, sort) {
-        (usize::MAX, _) => leg_pipe,
-        (end, Some(spec)) => leg_pipe.sort(spec.clone()).limit(end),
-        (end, None) => leg_pipe.limit(end),
-    }
+    let split = if route.shards.len() == 1 { Split::whole(body) } else { Split::new(body) };
+    Ok(AggPlan { route, split })
 }
 
 /// A statement still to be applied, by its index in the batch, and the
@@ -441,6 +401,7 @@ mod tests {
     use crate::chunk::DEFAULT_CHUNK_SIZE;
     use crate::config::ConfigServer;
     use crate::shardkey::ShardKey;
+    use doclite_docstore::{Accumulator, Expr, GroupId, ProjectField, Stage};
 
     fn k(v: i64) -> CompoundKey {
         CompoundKey::from_values(vec![Value::Int64(v)])
@@ -593,8 +554,12 @@ mod tests {
             let sort = Stage::Sort(vec![("v".into(), 1)]);
             vec![sort, Stage::Skip(2), Stage::Limit(3), Stage::Count("n".into())]
         };
-        // What a broadcast sends down: the coalesced $match and the window.
-        let pushed = |f: Filter| Pipeline::new().match_stage(f).sort([("v", 1)]).limit(5);
+        // What a broadcast leg runs of `windowed`: the $match run and its
+        // own top `skip + limit`.
+        let pushed = |f: Filter| {
+            let p = Pipeline::new().match_stage(f).match_stage(Filter::gt("v", 1i64));
+            p.sort([("v", 1)]).limit(5).stages().to_vec()
+        };
         let body = |p: &Pipeline| p.body().unwrap().to_vec();
         let point = windowed(vec![Filter::eq("k", 150i64)]);
         let one_range = windowed(vec![Filter::between("k", 120i64, 180i64)]);
@@ -602,7 +567,18 @@ mod tests {
         let off_key = windowed(vec![Filter::eq("w", 1i64)]);
         let two_shards = windowed(vec![Filter::is_in("k", [50i64, 250i64])]);
         let sort_only = Pipeline::new().sort([("v", 1)]);
-        let and_v = |f: Filter| Filter::and([f, Filter::gt("v", 1i64)]);
+        let w1 = || Pipeline::new().match_stage(Filter::eq("w", 1i64));
+        let grouped = w1()
+            .group(GroupId::Expr(Expr::field("g")), [("n", Accumulator::count())])
+            .sort([("_id", 1)]);
+        let key_and_input = w1().project([
+            ("_id", ProjectField::Exclude),
+            ("k", ProjectField::Compute(Expr::field("g"))),
+            ("a0", ProjectField::Compute(Expr::lit(1i64))),
+        ]);
+        let unwound = w1().unwind("xs").limit(4);
+        let projected = w1().project([("v", ProjectField::Include)]).limit(4);
+        let counted = w1().unwind("xs").count("n");
         /// What, snapshot, pipeline, shards, leg pipeline stages, router-side stages.
         type Case<'a> =
             (&'a str, Option<&'a CollectionMeta>, &'a Pipeline, &'a [ShardId], Vec<Stage>, Vec<Stage>);
@@ -616,21 +592,29 @@ mod tests {
                 body(&one_range), vec![]),
             ("an empty key range runs whole on the primary", Some(&range), &empty_range, &[PRIMARY],
                 body(&empty_range), vec![]),
-            // Several legs: the $match and the window go down, the rest stays.
-            ("a broadcast pushes the $match and the window", Some(&range), &off_key, &everything,
-                pushed(and_v(Filter::eq("w", 1i64))).stages().to_vec(), tail()),
-            ("an $in over two shards pushes the same", Some(&range), &two_shards, &[0, 2],
-                pushed(and_v(Filter::is_in("k", [50i64, 250i64]))).stages().to_vec(), tail()),
+            // Several legs: each runs the prefix and its partial, the
+            // router merges and runs the rest.
+            ("a broadcast ships its top skip + limit", Some(&range), &off_key, &everything,
+                pushed(Filter::eq("w", 1i64)), tail()),
+            ("an $in over two shards ships the same", Some(&range), &two_shards, &[0, 2],
+                pushed(Filter::is_in("k", [50i64, 250i64])), tail()),
             ("no $match and no window: every shard ships everything", Some(&range), &sort_only,
                 &everything, vec![], sort_only.stages().to_vec()),
+            ("a $group ships its key and inputs' running states", Some(&range), &grouped,
+                &everything, key_and_input.stages().to_vec(), vec![Stage::Sort(vec![("_id".into(), 1)])]),
+            ("a $count ships a count", Some(&range), &counted, &everything, body(&counted), vec![]),
+            ("a bare $limit behind infallible stages travels", Some(&range), &unwound, &everything,
+                body(&unwound), vec![Stage::Limit(4)]),
+            ("a bare $limit behind a $project stays with it at the router", Some(&range), &projected,
+                &everything, w1().stages().to_vec(), body(&projected)[1..].to_vec()),
         ];
         for (what, meta, pipeline, shards, leg, rest) in cases {
             let plan = plan_aggregate(meta, PRIMARY, pipeline).unwrap();
             assert_eq!(plan.route.shards(), shards, "{what}");
-            assert_eq!(plan.leg_pipe.stages(), &leg[..], "{what}");
-            assert_eq!(plan.rest, &rest[..], "{what}");
+            assert_eq!(plan.split.part().stages(), &leg[..], "{what}");
+            assert_eq!(plan.split.rest(), &rest[..], "{what}");
             let out = |s: &Stage| matches!(s, Stage::Out(_));
-            assert!(!plan.leg_pipe.stages().iter().any(out) && !plan.rest.iter().any(out), "{what}");
+            assert!(!plan.split.part().stages().iter().any(out) && !plan.split.rest().iter().any(out), "{what}");
         }
         // A point route keeps its key for the leg's ownership check.
         let plan = plan_aggregate(Some(&range), PRIMARY, &point).unwrap();

@@ -25,7 +25,7 @@ use crate::route::{self, FindPlan, Merge, Owed, Targeting};
 use crate::shard::Shard;
 use crate::shardkey::ShardKey;
 use doclite_bson::{codec::encoded_size, Document};
-use doclite_docstore::agg::stream;
+use doclite_docstore::agg::Partial;
 use doclite_docstore::{
     compile, project_paths, BulkUpdate, Collection, CompoundKey, Error, Filter, FindOptions,
     IndexDef, Pipeline, Result, UpdateResult, UpdateSpec,
@@ -909,11 +909,13 @@ impl Mongos {
     /// Runs an aggregation pipeline against a (possibly sharded)
     /// collection, per the [`route::plan_aggregate`] plan: a single leg
     /// runs the whole pipeline on its shard and ships only the results;
-    /// the surviving documents of several legs travel to the router,
-    /// which executes the remaining stages. Any `$out` target is
+    /// several legs each run the per-document prefix and ship a partial
+    /// (`docstore::agg::Split`), which the router merges in leg order
+    /// before it executes the remaining stages. Any `$out` target is
     /// materialized on the primary shard. The transfer of intermediate
     /// data from several nodes is precisely the "expensive process" of
-    /// aggregating from multiple nodes the thesis measures.
+    /// aggregating from multiple nodes the thesis measures; each leg is
+    /// charged its partial's [`Partial::encoded_size`].
     pub fn aggregate(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
         self.retrying(Retried::Stale, || self.aggregate_once(collection, pipeline))
     }
@@ -921,23 +923,22 @@ impl Mongos {
     fn aggregate_once(&self, collection: &str, pipeline: &Pipeline) -> Result<Vec<Document>> {
         let meta = self.config.meta(collection);
         let plan = route::plan_aggregate(meta.as_deref(), self.primary, pipeline)?;
+        let split = &plan.split;
         // $lookup resolves against the primary shard, where unsharded
         // collections live (MongoDB requires the from-collection of a
         // $lookup to be unsharded), whether it runs in a leg or here.
         let primary = self.shard(self.primary)?;
         let lookup_db = primary.db();
+        // A leg that reads as `None` (a missing collection, a degraded
+        // shard) contributes nothing to the merge.
         let legs = self.read_legs(
             collection,
             &plan.route.shards,
             plan.route.point_key.as_ref(),
-            |_, coll| coll.aggregate_with(&plan.leg_pipe, Some(&*lookup_db)),
-            |docs| docs.iter().map(encoded_size).sum(),
+            |_, coll| split.partial(coll.aggregate_with(split.part(), Some(&*lookup_db))?).map(Some),
+            |leg| leg.as_ref().map_or(0, Partial::encoded_size),
         )?;
-        let merged: Vec<Document> = legs.into_iter().flatten().collect();
-        let results = match plan.rest {
-            [] => merged,
-            rest => stream::execute_streaming(merged, rest, Some(&*lookup_db))?,
-        };
+        let results = split.merge(legs.into_iter().flatten(), Some(&*lookup_db))?;
 
         if let Some(name) = pipeline.out_target() {
             let out_bytes: usize = results.iter().map(encoded_size).sum();
@@ -1004,6 +1005,8 @@ impl Mongos {
     /// re-routes every document through the normal insert path so chunks
     /// split and distribute as if the data had been loaded sharded.
     ///
+    /// Every index the collection had is rebuilt on every shard.
+    ///
     /// This backs the thesis's future-work scenario (Section 5.2): "the
     /// denormalized data model can be deployed on the sharded cluster".
     pub fn reshard_collection(
@@ -1012,17 +1015,26 @@ impl Mongos {
         key: ShardKey,
         max_chunk_size: usize,
     ) -> Result<usize> {
-        // Gather all documents currently stored anywhere, then drop the
-        // collection on every replica-set member so no stale copy
-        // survives the reshard.
+        // Gather all documents currently stored anywhere and the indexes
+        // over them, then drop the collection on every replica-set member
+        // so no stale copy survives the reshard.
         let mut docs: Vec<Document> = Vec::new();
+        let mut indexes: Vec<IndexDef> = Vec::new();
         for shard in self.shards() {
             if let Ok(coll) = shard.db().get_collection(collection) {
                 docs.extend(coll.all_docs());
+                for def in coll.index_defs() {
+                    if !indexes.contains(&def) {
+                        indexes.push(def);
+                    }
+                }
             }
             shard.replica_set().drop_collection(collection);
         }
         self.shard_collection(collection, key, max_chunk_size)?;
+        for def in indexes {
+            self.create_index(collection, def)?;
+        }
         self.insert_many(collection, docs)
     }
 
@@ -1754,5 +1766,25 @@ mod reshard_tests {
         // Targeted routing now works on the new key.
         assert!(r.explain_targeting("dn", &Filter::eq("k", 7i64)).is_targeted());
         assert_eq!(r.find("dn", &Filter::eq("k", 7i64)).len(), 1);
+    }
+
+    #[test]
+    fn reshard_keeps_every_secondary_index_on_every_shard() {
+        let shards: Vec<Arc<Shard>> = (0..3).map(|i| Arc::new(Shard::new(i, "t"))).collect();
+        let r = Mongos::new(shards, Arc::new(ConfigServer::new()), NetworkModel::free());
+        for i in 0..400i64 {
+            r.insert_one("dn", doc! {"k" => i, "e" => doc! {"y" => i % 7}}).unwrap();
+        }
+        let secondary = [IndexDef::single("e.y"), IndexDef::compound(["e.y", "k"])];
+        for def in &secondary {
+            r.create_index("dn", def.clone()).unwrap();
+        }
+        r.reshard_collection("dn", ShardKey::range(["k"]), 4 * 1024).unwrap();
+        for shard in r.shards() {
+            let defs = shard.db().get_collection("dn").unwrap().index_defs();
+            for def in secondary.iter().chain([&ShardKey::range(["k"]).index_def()]) {
+                assert!(defs.contains(def), "{}: {def:?} missing from {defs:?}", shard.name());
+            }
+        }
     }
 }

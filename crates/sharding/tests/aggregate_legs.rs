@@ -2,27 +2,39 @@
 //! `Database::aggregate` returns over the same documents — the results,
 //! their order and the error strings — whichever route it takes. One leg
 //! (an unsharded collection, a point-targeted `$match`, a range reaching
-//! one shard) runs the whole pipeline on its shard; a broadcast runs the
-//! `$match` and a sort/limit window on every shard and the rest at the
-//! router. Each placement runs over one shard and over three.
+//! one shard) runs the whole pipeline on its shard; a broadcast splits it
+//! (`docstore::agg::Split`): every shard runs the per-document prefix and
+//! ships a partial — `$group` states, a count, a sorted window's top
+//! `skip + limit` — and the router merges them in leg order and runs the
+//! rest. Each placement runs over one shard and over three.
 //!
 //! The facts are inserted in shard-key order after the chunks are placed,
 //! so every shard holds its documents in insertion order and the legs,
 //! concatenated in leg order, are the stand-alone collection's slot
 //! order: first-seen `$group` order and sort ties agree exactly.
 //!
-//! Also pinned: a single leg ships only its results (`NetStats` bytes),
-//! and under `DegradedReads::Partial` only an unreachable shard degrades
-//! — a query error in a shard-side stage is returned, never emptied.
+//! Also pinned: a leg ships only its results or its partial (`NetStats`
+//! bytes), no fixed body ships more than before the split, a lazy
+//! `$project` behind a bare `$limit` stays lazy, the first error is the
+//! stand-alone one, and under `DegradedReads::Partial` only an
+//! unreachable shard degrades — a query error in a shard-side stage is
+//! returned, never emptied. Last, `plan_vs_reference`'s generator drives
+//! the router over one and three shards, range and hashed keys.
 
-use doclite_bson::{codec::encoded_size, doc, Document, Value};
+#[path = "../../docstore/tests/common/mod.rs"]
+mod common;
+
+use common::{arb_dim, arb_doc, arb_pipeline, multiset};
+use doclite_bson::{array, codec::encoded_size, doc, Document, Value};
 use doclite_docstore::{
     Accumulator, CompoundKey, Database, Expr, Filter, GroupId, Pipeline, ProjectField, Result,
     Stage,
 };
 use doclite_sharding::{
-    ClusterConfig, DegradedReads, NetworkModel, RetryPolicy, ShardKey, ShardedCluster,
+    ClusterConfig, DegradedReads, NetworkModel, Partitioning, RetryPolicy, ShardKey,
+    ShardedCluster,
 };
+use proptest::prelude::*;
 
 const FACTS: &str = "facts";
 const DIMS: &str = "dims";
@@ -178,6 +190,16 @@ fn key(k: i64) -> CompoundKey {
 /// over one shard — or unsharded) and the dimension (unsharded), plus a
 /// stand-alone database holding the same documents in the same order.
 fn setup(n_shards: usize, sharded: bool, config: ClusterConfig) -> (ShardedCluster, Database) {
+    setup_with(n_shards, sharded, config, (0..N_FACTS).map(fact).collect())
+}
+
+/// [`setup`] over other facts: 120 of them, `k = _id / 20` as in [`fact`].
+fn setup_with(
+    n_shards: usize,
+    sharded: bool,
+    config: ClusterConfig,
+    facts: Vec<Document>,
+) -> (ShardedCluster, Database) {
     let cluster = ShardedCluster::with_config(ClusterConfig { n_shards, ..config });
     let router = cluster.router();
     if sharded {
@@ -192,10 +214,7 @@ fn setup(n_shards: usize, sharded: bool, config: ClusterConfig) -> (ShardedClust
         }
     }
     let standalone = Database::new("standalone");
-    for (name, docs) in [
-        (FACTS, (0..N_FACTS).map(fact).collect::<Vec<_>>()),
-        (DIMS, (0..3).map(dim).collect()),
-    ] {
+    for (name, docs) in [(FACTS, facts), (DIMS, (0..3).map(dim).collect())] {
         router.insert_many(name, docs.clone()).unwrap();
         standalone.collection(name).insert_many(docs).unwrap();
     }
@@ -212,15 +231,15 @@ fn setup(n_shards: usize, sharded: bool, config: ClusterConfig) -> (ShardedClust
     (cluster, standalone)
 }
 
+fn free_config() -> ClusterConfig {
+    ClusterConfig {
+        network: NetworkModel::free(),
+        ..ClusterConfig::default()
+    }
+}
+
 fn free(n_shards: usize, sharded: bool) -> (ShardedCluster, Database) {
-    setup(
-        n_shards,
-        sharded,
-        ClusterConfig {
-            network: NetworkModel::free(),
-            ..ClusterConfig::default()
-        },
-    )
+    setup(n_shards, sharded, free_config())
 }
 
 fn pipeline(head: Option<Filter>, body: &[Stage]) -> Pipeline {
@@ -290,8 +309,10 @@ fn every_route_returns_what_the_standalone_database_returns() {
 }
 
 /// A single leg ships its results and nothing else: one exchange of
-/// exactly their encoded size. A broadcast still ships every matching
-/// document to the router, which groups them.
+/// exactly their encoded size. A broadcast ships one partial per leg:
+/// each shard's group states, which for these integer accumulators are
+/// the size of the documents the shard's own `$group` would return —
+/// not the 120 facts the router grouped before the split.
 #[test]
 fn a_single_leg_group_ships_only_its_results() {
     let (cluster, standalone) = free(3, true);
@@ -303,6 +324,14 @@ fn a_single_leg_group_ships_only_its_results() {
         .iter()
         .map(encoded_size)
         .sum();
+    let group = pipeline(None, &[group_by_g()]);
+    let partials_bytes: usize = router
+        .shards()
+        .iter()
+        .flat_map(|s| s.db().aggregate(FACTS, &group).unwrap())
+        .map(|d| encoded_size(&d))
+        .sum();
+    assert!(partials_bytes * 10 < facts_bytes, "{partials_bytes} vs {facts_bytes}");
     let cases = [
         ("point", Placement::Point.head(), 1),
         ("one-shard range", Placement::OneShardRange.head(), 1),
@@ -317,10 +346,98 @@ fn a_single_leg_group_ships_only_its_results() {
         let shipped = if legs == 1 {
             results_bytes
         } else {
-            facts_bytes
+            partials_bytes
         };
         assert_eq!(router.net_stats().bytes(), shipped as u64, "{what}");
         assert_eq!(router.net_stats().exchanges(), legs, "{what}");
+    }
+}
+
+/// What each body's broadcast over three shards shipped before the
+/// split, when only the `$match` and a sort/limit window went down and
+/// every other matching fact came back: none ships more now.
+#[test]
+fn no_broadcast_ships_more_than_before_the_split() {
+    let before = [
+        ("$match", 6171),
+        ("$group", 11280),
+        ("$group + $sort", 11280),
+        ("$sort + $skip + $limit", 2820),
+        ("$limit", 1410),
+        ("$project", 11280),
+        ("$unwind", 11280),
+        ("$count", 3124),
+        ("$lookup", 11280),
+        ("$out", 11502),
+        ("a $project that fails", 11280),
+    ];
+    let (cluster, _) = free(3, true);
+    let router = cluster.router();
+    for ((what, body), (named, bytes)) in bodies().into_iter().zip(before) {
+        assert_eq!(what, named);
+        router.net_stats().reset();
+        let _ = router.aggregate(FACTS, &pipeline(None, &body));
+        let now = router.net_stats().bytes();
+        assert!(now <= bytes, "{what}: {now} bytes, {bytes} before the split");
+    }
+}
+
+/// Facts whose `xs` takes `$add` for the first five only: a fallible
+/// `$project` behind a bare `$limit` must evaluate only what the limit
+/// pulls — an eager shard-side `$project` would fail on the other legs.
+#[test]
+fn a_bare_limit_keeps_a_fallible_project_lazy_across_legs() {
+    let facts = (0..N_FACTS)
+        .map(|i| {
+            let xs = if i < 5 { Value::Int64(1) } else { array![1i64] };
+            doc! {"_id" => i, "k" => i / 20, "xs" => xs}
+        })
+        .collect();
+    let (cluster, standalone) = setup_with(3, true, free_config(), facts);
+    let inc = Expr::Add(vec![Expr::field("xs"), Expr::lit(1i64)]);
+    let body = [
+        Stage::Match(Filter::gte("_id", 0i64)),
+        Stage::Project(vec![("y".into(), ProjectField::Compute(inc))]),
+        Stage::Limit(5),
+    ];
+    let p = pipeline(None, &body);
+    let want = standalone.aggregate(FACTS, &p).unwrap();
+    assert_eq!(want.len(), 5);
+    assert_eq!(cluster.router().aggregate(FACTS, &p).unwrap(), want);
+}
+
+/// The first failing document in slot order (57, on the middle shard,
+/// a string) decides the error, over later ones on every leg (arrays),
+/// and over a shard-side `$project` that fails on a later document of
+/// the same leg (63).
+#[test]
+fn the_first_error_is_the_standalone_first_error() {
+    let facts = (0..N_FACTS)
+        .map(|i| {
+            let g = match i {
+                57 => Value::from("s"),
+                i if i > 57 && i % 10 == 7 => array![1i64],
+                i => Value::Int64(i % 5),
+            };
+            let h = if i == 63 { array![1i64] } else { Value::Int64(i) };
+            doc! {"_id" => i, "k" => i / 20, "g" => g, "h" => h}
+        })
+        .collect();
+    let (cluster, standalone) = setup_with(3, true, free_config(), facts);
+    let plus_one = |path: &str| Expr::Add(vec![Expr::field(path), Expr::lit(1i64)]);
+    let group = Stage::Group {
+        id: GroupId::Expr(plus_one("g")),
+        fields: vec![("n".into(), Accumulator::count())],
+    };
+    let project = Stage::Project(vec![
+        ("g".into(), ProjectField::Include),
+        ("y".into(), ProjectField::Compute(plus_one("h"))),
+    ]);
+    for body in [vec![group.clone()], vec![project, group]] {
+        let p = pipeline(None, &body);
+        let want = standalone.aggregate(FACTS, &p).unwrap_err().to_string();
+        assert!(want.ends_with("got string"), "{want}");
+        assert_eq!(cluster.router().aggregate(FACTS, &p).unwrap_err().to_string(), want);
     }
 }
 
@@ -391,4 +508,102 @@ fn partial_reads_skip_a_partitioned_shard_with_a_warning() {
         router.aggregate(FACTS, &pipeline(None, &body)).unwrap(),
         whole
     );
+}
+
+/// A cluster of `n_shards` with `c` sharded on `_id` by `key` — over
+/// three shards, cut into thirds: `_id` 13 and 26 for a range key, a
+/// third of the hash space for a hashed one — and `dim` unsharded, plus a
+/// stand-alone database holding the same documents in the same order.
+/// Each document's `_id` is its position.
+fn split_cluster(
+    n_shards: usize,
+    shard_key: ShardKey,
+    docs: Vec<Document>,
+    dim: Vec<Document>,
+) -> (ShardedCluster, Database) {
+    let cluster = ShardedCluster::with_config(ClusterConfig { n_shards, ..free_config() });
+    let router = cluster.router();
+    let cuts = match shard_key.partitioning() {
+        Partitioning::Range => [13, 26],
+        Partitioning::Hashed => [i64::MIN / 3, i64::MAX / 3],
+    };
+    cluster.shard_collection("c", shard_key, 1 << 30).unwrap();
+    if n_shards == 3 {
+        for (chunk, cut) in cuts.into_iter().enumerate() {
+            router.config().split_chunk("c", chunk, key(cut), 0.5);
+            router.move_chunk("c", chunk + 1, chunk + 1).unwrap();
+        }
+    }
+    let docs: Vec<Document> = (0i64..)
+        .zip(docs)
+        .map(|(id, mut d)| {
+            d.set("_id", id);
+            d
+        })
+        .collect();
+    let standalone = Database::new("standalone");
+    for (name, docs) in [("c", docs), ("dim", dim)] {
+        router.insert_many(name, docs.clone()).unwrap();
+        standalone.collection(name).insert_many(docs).unwrap();
+    }
+    (cluster, standalone)
+}
+
+/// The results, with the ObjectIds a `$out` mints for `_id`-less
+/// documents removed (each side mints its own).
+fn minted_ids_removed(r: Result<Vec<Document>>) -> std::result::Result<Vec<Document>, String> {
+    outcome(r).map(|docs| {
+        docs.into_iter()
+            .map(|mut d| {
+                if matches!(d.get("_id"), Some(Value::ObjectId(_))) {
+                    d.remove("_id");
+                }
+                d
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Leg order is slot order — one shard under either key, three
+    /// `_id` ranges in shard order — so the router returns the
+    /// stand-alone sequence and error string exactly.
+    #[test]
+    fn router_equals_database_where_leg_order_is_slot_order(
+        layout in prop_oneof![
+            Just((1, ShardKey::range(["_id"]))),
+            Just((1, ShardKey::hashed("_id"))),
+            Just((3, ShardKey::range(["_id"]))),
+        ],
+        pipeline in arb_pipeline(true),
+        docs in prop::collection::vec(arb_doc(), 0..40),
+        dim in arb_dim(),
+    ) {
+        let (n_shards, shard_key) = layout;
+        let (cluster, standalone) = split_cluster(n_shards, shard_key, docs, dim);
+        let want = minted_ids_removed(standalone.aggregate("c", &pipeline));
+        let got = minted_ids_removed(cluster.router().aggregate("c", &pipeline));
+        prop_assert_eq!(got, want, "{:?}", pipeline);
+    }
+
+    /// A hashed `_id` over three shards scatters slot order: pipelines
+    /// that do not depend on input order agree as multisets, and their
+    /// errors agree. (Trailing `$out`s are dropped: which duplicate `_id`
+    /// one meets first depends on the order.)
+    #[test]
+    fn router_equals_database_as_multisets_under_a_hashed_key(
+        pipeline in arb_pipeline(false),
+        docs in prop::collection::vec(arb_doc(), 0..40),
+        dim in arb_dim(),
+    ) {
+        let stages = pipeline.stages();
+        let kept = stages.iter().rposition(|s| !matches!(s, Stage::Out(_))).map_or(0, |i| i + 1);
+        let pipeline = stages[..kept].iter().cloned().fold(Pipeline::new(), Pipeline::stage);
+        let (cluster, standalone) = split_cluster(3, ShardKey::hashed("_id"), docs, dim);
+        let want = outcome(standalone.aggregate("c", &pipeline)).map(multiset);
+        let got = outcome(cluster.router().aggregate("c", &pipeline)).map(multiset);
+        prop_assert_eq!(got, want, "{:?}", pipeline);
+    }
 }

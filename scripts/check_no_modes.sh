@@ -7,7 +7,9 @@
 # "splits and migrations read the shard-key index" (no collection scan
 # in a split or a migration, no deep clone of the chunk table) and
 # "reports are values" (every BENCH_*.json is a `Json` written by one
-# renderer and gated by its typed `check()`, with one best-of-N rule): the
+# renderer and gated by its typed `check()`, with one best-of-N rule) and
+# "one way to split an aggregation" (`agg::Split`: the morsel executor, its
+# sweep and the router's own sort/limit window are gone): the
 # retired mode enums, setters, constants, validators and entry points must
 # not come back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
@@ -20,12 +22,15 @@ cd "$(dirname "$0")/.."
 fail=0
 complain() { echo "check_no_modes: $1" >&2; fail=1; }
 
-retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report'
+retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report|run_parallel|auto_morsel_size|with_shard_window|bench_parallel|DOCLITE_PARALLEL_SMOKE'
 grep -rnE "$retired" crates src examples tests benchmark/src .github .claude \
     && complain "a retired identifier is back (see above)"
 grep -rnE 'static +[A-Z_]+ *: *[A-Za-z:]*Atomic' crates/docstore/src \
     && complain "docstore grew a process-wide atomic: make it a parameter"
 [ -e crates/docstore/src/agg/exec.rs ] && complain "agg/exec.rs is back"
+[ -e crates/docstore/src/agg/parallel.rs ] && complain "agg/parallel.rs is back: a pipeline splits one way, agg::Split"
+sed '/^#\[cfg(test)\]/,$d' crates/sharding/src/route.rs | grep -nE '\.(sort|limit|skip)\(|Stage::(Sort|Limit|Skip)' \
+    && complain "route.rs builds a leg window itself: what a leg runs is agg::Split's part"
 grep -nE '^\s*(pub )?use .*(kernel::|matcher|CompiledPath|compile)' crates/docstore/src/agg/reference.rs \
     && complain "agg/reference.rs imports a compiled evaluator"
 grep -rnE '\breference::' crates/*/src src examples benchmark/src --include='*.rs' \
