@@ -8,6 +8,10 @@
 //! and the aggregation pipeline (`$match`, `$project`, `$group`, `$sort`,
 //! `$limit`, `$skip`, `$unwind`, `$count`, `$out`).
 //!
+//! The engine starts no threads and keeps no process-wide state:
+//! concurrency is its callers' (client threads, the router's scatter
+//! legs), and every type they share is `Send + Sync`.
+//!
 //! ```
 //! use doclite_docstore::{Database, Filter, Pipeline, Accumulator, GroupId, Expr, IndexDef};
 //! use doclite_bson::doc;
@@ -35,7 +39,6 @@ pub mod error;
 pub mod index;
 pub mod keybytes;
 pub mod ordvalue;
-pub mod pool;
 pub mod query;
 pub mod stats;
 pub mod storage;
@@ -51,7 +54,6 @@ pub use collection::{
     project_paths, AggExplain, Collection, Explain, FindOptions, IndexRead, StageExplain,
 };
 pub use stats::CollStats;
-pub use pool::{parallel_for, parallel_workers};
 pub use database::Database;
 pub use dump::{dump_collection, dump_database, restore_collection, restore_database, DumpReader};
 pub use error::{Error, Result};
@@ -66,6 +68,12 @@ pub use wal::{
     apply_record, db_fingerprint, scan_wal, DurableDb, Frame, RecoveryReport, SyncPolicy, Wal,
     WalBatch, WalOptions, WalRecord,
 };
+
+/// The machine's available parallelism (1 if unknown), as reports
+/// record it.
+pub fn parallel_workers() -> usize {
+    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
+}
 
 /// Compile-time proof that the types worker threads share by reference
 /// in the stress driver are `Send + Sync`. Never called; a violation

@@ -3,7 +3,8 @@
 //! The sharded-cluster substrate of the reproduction: shard keys with
 //! range and hashed partitioning, chunks with splitting and jumbo
 //! detection, a config server holding the chunk→shard map, a `mongos`
-//! query router with targeted vs. scatter-gather execution, a
+//! query router with targeted vs. scatter-gather execution (a scatter's
+//! legs overlap on scoped threads, the caller running the first), a
 //! chunk-count balancer, and a network cost model standing in for the
 //! paper's EC2 cluster links.
 //!
@@ -49,9 +50,9 @@ pub use router::{DegradedReads, Mongos, RouteExplain};
 pub use shard::Shard;
 pub use shardkey::{Partitioning, ShardKey};
 
-/// Compile-time proof that everything the router shares across worker
-/// threads is `Send + Sync`. Never called; a violation fails the build
-/// here instead of deep inside a downstream `thread::scope`.
+/// Compile-time proof that everything the router shares across client
+/// and scatter-leg threads is `Send + Sync`. Never called; a violation
+/// fails the build here instead of deep inside a `thread::scope`.
 #[allow(dead_code)]
 fn assert_shared_types_are_send_sync() {
     fn check<T: Send + Sync>() {}

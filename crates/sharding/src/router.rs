@@ -31,8 +31,9 @@ use doclite_docstore::{
     IndexDef, Pipeline, Result, UpdateResult, UpdateSpec,
 };
 use parking_lot::{Mutex, RwLock};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What the router does when a whole shard stays unreachable after
@@ -296,49 +297,25 @@ impl Mongos {
         }
     }
 
-    /// Runs one closure per leg and charges one network leg per shard,
-    /// sized by that leg's payload *after* any shard-side
-    /// sort/limit/projection — a pushed-down limit is charged for the
-    /// truncated result it actually ships, not for everything that
-    /// matched. The serial clock advances by the sum of the legs, the
-    /// parallel clock by the slowest.
+    /// The one read leg, run once per shard of `shards` (a route plan
+    /// has at least one): picks the member by read preference, runs
+    /// `run(leg, collection)` (a missing collection reads as
+    /// `T::default()`), and — for a point-targeted read — re-checks
+    /// ownership of `point_key` *after* the scan: if the chunk was
+    /// surrendered to a migration meanwhile, the scan may have observed
+    /// post-flip state through a stale routing view, so it surfaces
+    /// `StaleRoute` for the retry loop to re-plan instead of silently
+    /// missing the row.
     ///
-    /// Several legs run on the shared worker pool (bounded at the pool's
-    /// worker count; `parallel_for` runs inline on one worker or a busy pool).
-    /// Each leg writes its result into a per-leg slot, so the returned
-    /// vector is always in leg order no matter which legs finish first
-    /// — the deterministic `(leg, pos)` order downstream merges rely on.
-    fn scatter_legs<T, F, B>(&self, legs: usize, run: F, bytes_of: B) -> Vec<T>
-    where
-        T: Send + Sync,
-        F: Fn(usize) -> T + Sync,
-        B: Fn(&T) -> usize,
-    {
-        let results: Vec<T> = if legs == 1 {
-            // A single leg has nothing to overlap: skip the pool and its
-            // worker-count probe (a syscall and two cgroup reads — the
-            // dominant cost of a point read under the stress driver).
-            vec![run(0)]
-        } else {
-            let slots: Vec<OnceLock<T>> = (0..legs).map(|_| OnceLock::new()).collect();
-            doclite_docstore::parallel_for(doclite_docstore::parallel_workers(), legs, &|i| {
-                let _ = slots[i].set(run(i));
-            });
-            slots.into_iter().map(|s| s.into_inner().expect("pool ran every leg")).collect()
-        };
-        let leg_bytes: Vec<usize> = results.iter().map(bytes_of).collect();
-        self.stats.charge_parallel(&self.network, &leg_bytes);
-        results
-    }
-
-    /// The one read leg, run once per shard of `shards`: picks the
-    /// member by read preference, runs `run(leg, collection)` (a missing
-    /// collection reads as `T::default()`), and — for a point-targeted
-    /// read — re-checks ownership of `point_key` *after* the scan: if the
-    /// chunk was surrendered to a migration meanwhile, the scan may have
-    /// observed post-flip state through a stale routing view, so it
-    /// surfaces `StaleRoute` for the retry loop to re-plan instead of
-    /// silently missing the row.
+    /// The legs overlap, as the paper's shards do: the caller runs leg 0
+    /// and every further leg gets a scoped thread. Results are joined in
+    /// leg order, so the returned vector is in leg order whichever leg
+    /// finishes first — the `(leg, pos)` order downstream merges rely on
+    /// — and a panicking leg resumes on the caller with its own payload
+    /// once every other leg has finished. Each shard is charged one
+    /// network leg, sized by the payload it ships *after* any shard-side
+    /// sort/limit/projection: the serial clock advances by the sum of the
+    /// legs, the parallel clock by the slowest.
     ///
     /// Then the degraded-read policy: under [`DegradedReads::Fail`] the
     /// first unreachable shard fails the whole read; under
@@ -348,7 +325,7 @@ impl Mongos {
     /// router-level condition, not a shard outage, and a query error (a
     /// failing `$project` in a shard-side pipeline) is the answer: both
     /// always propagate, never degrade to partial or empty results.
-    fn read_legs<T: Default + Send + Sync>(
+    fn read_legs<T: Default + Send>(
         &self,
         collection: &str,
         shards: &[ShardId],
@@ -356,26 +333,30 @@ impl Mongos {
         run: impl Fn(usize, &Collection) -> Result<T> + Sync,
         bytes_of: impl Fn(&T) -> usize + Sync,
     ) -> Result<Vec<T>> {
-        let legs = self.scatter_legs(
-            shards.len(),
-            |i| {
-                self.retrying(Retried::Read(shards[i], &bytes_of), || {
-                    let shard = self.shard(shards[i])?;
-                    let db = shard.read_db(self.read_pref)?;
-                    let v = match db.get_collection(collection) {
-                        Ok(coll) => run(i, &coll)?,
-                        Err(_) => T::default(),
-                    };
-                    if point_key.is_some_and(|key| !shard.owns(collection, key)) {
-                        return Err(Error::StaleRoute(format!(
-                            "read of '{collection}' raced a chunk migration"
-                        )));
-                    }
-                    Ok(v)
-                })
-            },
-            |leg| leg.as_ref().map_or(0, &bytes_of),
-        );
+        let leg = |i: usize| {
+            self.retrying(Retried::Read(shards[i], &bytes_of), || {
+                let shard = self.shard(shards[i])?;
+                let db = shard.read_db(self.read_pref)?;
+                let v = match db.get_collection(collection) {
+                    Ok(coll) => run(i, &coll)?,
+                    Err(_) => T::default(),
+                };
+                if point_key.is_some_and(|key| !shard.owns(collection, key)) {
+                    return Err(Error::StaleRoute(format!(
+                        "read of '{collection}' raced a chunk migration"
+                    )));
+                }
+                Ok(v)
+            })
+        };
+        let legs: Vec<Result<T>> = std::thread::scope(|s| {
+            let rest: Vec<_> = (1..shards.len()).map(|i| s.spawn(move || leg(i))).collect();
+            let first = leg(0);
+            let rest = rest.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+            std::iter::once(first).chain(rest).collect()
+        });
+        let leg_bytes: Vec<usize> = legs.iter().map(|l| l.as_ref().map_or(0, &bytes_of)).collect();
+        self.stats.charge_parallel(&self.network, &leg_bytes);
         legs.into_iter()
             .map(|leg| match leg {
                 Err(e @ Error::Unavailable(_)) if self.degraded == DegradedReads::Partial => {
@@ -1231,32 +1212,82 @@ mod tests {
     use super::*;
     use crate::chunk::{KeyBound, DEFAULT_CHUNK_SIZE};
     use doclite_bson::doc;
+    use std::sync::atomic::AtomicUsize;
 
     fn cluster(n: usize) -> Mongos {
         let shards: Vec<Arc<Shard>> = (0..n).map(|i| Arc::new(Shard::new(i, "test"))).collect();
         Mongos::new(shards, Arc::new(ConfigServer::new()), NetworkModel::free())
     }
 
+    /// A router over four shards that each hold an empty collection `c`,
+    /// so every read leg runs its closure.
+    fn four_shards_with_c() -> Mongos {
+        let r = cluster(4);
+        for s in r.shards() {
+            s.db().collection("c");
+        }
+        r
+    }
+
+    #[test]
+    fn every_read_leg_runs_exactly_once() {
+        let r = four_shards_with_c();
+        for shards in [&[0usize][..], &[2, 0], &[0, 1, 2, 3]] {
+            let runs: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+            let run = |leg: usize, _: &Collection| {
+                runs[shards[leg]].fetch_add(1, Ordering::Relaxed);
+                Ok(leg)
+            };
+            let out = r.read_legs("c", shards, None, run, |_| 0).unwrap();
+            assert_eq!(out, (0..shards.len()).collect::<Vec<_>>());
+            for (id, n) in runs.iter().enumerate() {
+                let want = usize::from(shards.contains(&id));
+                assert_eq!(n.load(Ordering::Relaxed), want, "shard {id} of {shards:?}");
+            }
+        }
+    }
+
     #[test]
     fn scatter_leg_order_is_stable_regardless_of_completion_order() {
-        // Legs finish in reverse submission order (the earliest leg
-        // sleeps longest); results must still come back in shard_ids
-        // order, which the (leg, pos) merge invariant depends on: the
-        // slots order the legs at any worker count.
-        let r = cluster(4);
+        // Leg i may finish only once leg i + 1 has, so the legs finish in
+        // reverse; results must still come back in leg order, which the
+        // (leg, pos) merge invariant depends on.
+        let r = four_shards_with_c();
         let ids = [0usize, 1, 2, 3];
-        for _ in 0..20 {
-            let out = r.scatter_legs(
-                ids.len(),
-                |id| {
-                    std::thread::sleep(std::time::Duration::from_millis(
-                        (ids.len() - 1 - id) as u64 * 3,
-                    ));
-                    id
-                },
-                |_| 0,
-            );
-            assert_eq!(out, vec![0, 1, 2, 3]);
+        let finished = Mutex::new(Vec::new());
+        let run = |leg: usize, _: &Collection| {
+            while leg + 1 < ids.len() && !finished.lock().contains(&(leg + 1)) {
+                std::thread::yield_now();
+            }
+            finished.lock().push(leg);
+            Ok(leg)
+        };
+        assert_eq!(r.read_legs("c", &ids, None, run, |_| 0).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(*finished.lock(), vec![3, 2, 1, 0]);
+    }
+
+    #[test]
+    fn a_panicking_leg_reraises_on_the_caller_after_the_other_legs_finish() {
+        let r = four_shards_with_c();
+        let ids = [0usize, 1, 2, 3];
+        for bad in ids {
+            let finished = AtomicUsize::new(0);
+            let run = |leg: usize, _: &Collection| {
+                if leg == bad {
+                    panic!("leg {leg} failed");
+                }
+                // Outlast the panic: a re-raise that did not wait for
+                // the other legs would count fewer than three.
+                std::thread::sleep(Duration::from_millis(5));
+                finished.fetch_add(1, Ordering::Relaxed);
+                Ok(leg)
+            };
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                r.read_legs("c", &ids, None, run, |_| 0)
+            }))
+            .unwrap_err();
+            assert_eq!(payload.downcast_ref::<String>(), Some(&format!("leg {bad} failed")));
+            assert_eq!(finished.load(Ordering::Relaxed), 3, "leg {bad}: the others finished");
         }
     }
 

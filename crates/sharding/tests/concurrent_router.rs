@@ -94,11 +94,19 @@ fn chunk_accounting_is_exact_under_concurrent_splits() {
 /// per-op deadline), so once everyone joins, every ticket must exist
 /// exactly once with exactly its derived bytes — a missing or doubled
 /// document means the migration critical section leaked a racing write.
+///
+/// The mover waits for `PACE` more completed writes before each move.
+/// A move surrenders the range for its whole copy, so back-to-back moves
+/// would keep the chunk unowned most of the time and starve a
+/// point-targeted read of its stale-route retries: a liveness failure,
+/// not the atomicity this test checks.
 #[test]
 fn chunk_migration_is_atomic_under_concurrent_inserts() {
     const WRITERS: i64 = 8;
     const DOCS: i64 = 150;
     const MOVES: usize = 30;
+    const PACE: usize = 20; // MOVES * PACE stays below WRITERS * DOCS
+    let written = &AtomicUsize::new(0);
     let derive = |id: i64| doc! {"_id" => id, "t" => id, "pad" => "m".repeat(32)};
     let cluster = ShardedCluster::with_config(ClusterConfig {
         n_shards: 2,
@@ -113,25 +121,34 @@ fn chunk_migration_is_atomic_under_concurrent_inserts() {
         .unwrap();
     let router = cluster.router();
     std::thread::scope(|s| {
-        for w in 0..WRITERS {
-            s.spawn(move || {
-                for i in 0..DOCS {
-                    let id = w * DOCS + i;
-                    router.insert_one("sales", derive(id)).unwrap();
-                    // Read it back through a point-targeted aggregate: a
-                    // leg that scanned the source after the migration
-                    // deleted its copies must re-plan, not answer short.
-                    let point = Pipeline::new().match_stage(Filter::eq("t", id));
-                    assert_eq!(router.aggregate("sales", &point).unwrap().len(), 1, "ticket {id}");
-                }
-            });
-        }
-        s.spawn(|| {
-            for m in 0..MOVES {
-                let to = (m % 2 == 0) as usize; // bounce 1, 0, 1, 0, …
-                router.move_chunk("sales", 0, to).unwrap();
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                s.spawn(move || {
+                    for i in 0..DOCS {
+                        let id = w * DOCS + i;
+                        router.insert_one("sales", derive(id)).unwrap();
+                        // Read it back through a point-targeted aggregate:
+                        // a leg that scanned the source after the migration
+                        // deleted its copies must re-plan, not answer short.
+                        let point = Pipeline::new().match_stage(Filter::eq("t", id));
+                        let found = router.aggregate("sales", &point).unwrap();
+                        assert_eq!(found.len(), 1, "ticket {id}");
+                        written.fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            })
+            .collect();
+        // The mover. A writer that panicked stops the count, so the
+        // wait also ends once every writer has finished.
+        for m in 0..MOVES {
+            while written.load(Ordering::Relaxed) < (m + 1) * PACE
+                && !writers.iter().all(|h| h.is_finished())
+            {
+                std::thread::sleep(std::time::Duration::from_micros(100));
             }
-        });
+            let to = (m % 2 == 0) as usize; // bounce 1, 0, 1, 0, …
+            router.move_chunk("sales", 0, to).unwrap();
+        }
     });
 
     let total = (WRITERS * DOCS) as usize;

@@ -9,11 +9,13 @@
 # "reports are values" (every BENCH_*.json is a `Json` written by one
 # renderer and gated by its typed `check()`, with one best-of-N rule) and
 # "one way to split an aggregation" (`agg::Split`: the morsel executor, its
-# sweep and the router's own sort/limit window are gone): the
+# sweep and the router's own sort/limit window are gone) and "scatter legs
+# run on scoped threads" (the worker pool is gone): the
 # retired mode enums, setters, constants, validators and entry points must
 # not come back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
-# them), docstore keeps no process-wide atomic, the reference interpreter
+# them), docstore keeps no process-wide static but constant `Value`s, no
+# crate's source holds `unsafe`, the reference interpreter
 # stays independent of the compiled kernel and out of every product path,
 # the route plan stays pure, and the router keeps one copy of the retry
 # bookkeeping and of the read-side ownership check.
@@ -22,11 +24,15 @@ cd "$(dirname "$0")/.."
 fail=0
 complain() { echo "check_no_modes: $1" >&2; fail=1; }
 
-retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report|run_parallel|auto_morsel_size|with_shard_window|bench_parallel|DOCLITE_PARALLEL_SMOKE'
+retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report|run_parallel|auto_morsel_size|with_shard_window|bench_parallel|DOCLITE_PARALLEL_SMOKE|parallel_for|MAX_POOL_THREADS|docstore::pool'
 grep -rnE "$retired" crates src examples tests benchmark/src .github .claude \
     && complain "a retired identifier is back (see above)"
-grep -rnE 'static +[A-Z_]+ *: *[A-Za-z:]*Atomic' crates/docstore/src \
-    && complain "docstore grew a process-wide atomic: make it a parameter"
+grep -rnE '^\s*(pub(\([a-z]+\))? +)?static +(mut +)?\w+ *:' crates/docstore/src \
+    | grep -vE 'static +\w+ *: *Value *=' \
+    && complain "docstore grew a process-wide static: make it a parameter"
+grep -rnw unsafe crates/*/src \
+    && complain "unsafe code in a crate's source: use a safe primitive (std::thread::scope, not a lifetime transmute)"
+[ -e crates/docstore/src/pool.rs ] && complain "docstore/src/pool.rs is back: scatter legs run on std::thread::scope"
 [ -e crates/docstore/src/agg/exec.rs ] && complain "agg/exec.rs is back"
 [ -e crates/docstore/src/agg/parallel.rs ] && complain "agg/parallel.rs is back: a pipeline splits one way, agg::Split"
 sed '/^#\[cfg(test)\]/,$d' crates/sharding/src/route.rs | grep -nE '\.(sort|limit|skip)\(|Stage::(Sort|Limit|Skip)' \
@@ -39,7 +45,7 @@ grep -rnE '\breference::' crates/*/src src examples benchmark/src --include='*.r
 grep -nE '^\s*(pub )?use .*(Shard\b|ReplicaSet|NetStats|Faults|parking_lot|std::thread)' crates/sharding/src/route.rs \
     && complain "route.rs is the pure plan: it may not hold a shard, count, lock or sleep"
 router_product() { sed '/^#\[cfg(test)\]/,$d' crates/sharding/src/router.rs; }
-for once in 'max_retries' '\.owns\('; do
+for once in 'max_retries' '\.owns\(' 'thread::(scope|spawn)'; do
     [ "$(router_product | grep -cE "$once")" -le 1 ] \
         || complain "router.rs has more than one '$once' above its tests: use the one retry loop / read-leg runner"
 done
