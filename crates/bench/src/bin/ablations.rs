@@ -15,16 +15,16 @@
 //! Run with `cargo run --release -p doclite-bench --bin ablations`.
 
 use doclite_bench::sf_small;
-use doclite_core::denormalize::embed_documents_from;
 use doclite_core::experiment::{
     setup_environment, DataModel, Deployment, ExperimentSpec, SetupOptions,
 };
-use doclite_core::queries::{filter_dim_pks, semi_join_into};
+use doclite_core::normalize::Embed;
+use doclite_core::queries::{denormalized_pipeline, fact_of, filter_dim_pks, semi_join_into};
 use doclite_core::store::Store;
-use doclite_core::{fmt_duration, TextTable};
+use doclite_core::{fmt_duration, normalize, TextTable};
 use doclite_docstore::{Database, DurableDb, Filter, IndexDef, SyncPolicy, WalOptions};
 use doclite_sharding::{NetworkModel, ShardKey, ShardedCluster};
-use doclite_tpcds::{Generator, QueryParams, TableId};
+use doclite_tpcds::{Generator, QueryId, QueryParams, TableId};
 use std::time::Instant;
 
 fn time<R>(f: impl FnOnce() -> R) -> (R, std::time::Duration) {
@@ -206,59 +206,21 @@ fn ablation_embed_scope(sf: f64, params: &QueryParams) {
     .expect("setup");
     let store = env.store();
 
-    // Build the Q7 intermediate once.
-    let cd_pks = filter_dim_pks(
-        store,
-        "customer_demographics",
-        &Filter::and([
-            Filter::eq("cd_gender", params.q7.gender),
-            Filter::eq("cd_marital_status", params.q7.marital_status),
-            Filter::eq("cd_education_status", params.q7.education_status),
-        ]),
-        "cd_demo_sk",
+    // Q7's derived plan: its step i once, then step ii afresh per row.
+    let (_, pipeline) = denormalized_pipeline(QueryId::Q7, params);
+    let relevant = normalize(fact_of(QueryId::Q7), &pipeline).expect("Q7 derives");
+    let keys: Vec<_> = relevant.dim_filters.iter().map(|d| d.keys(store)).collect();
+    let mut every = relevant.clone();
+    every.embeds.extend(
+        relevant.dim_filters.iter().map(|d| Embed { fk: d.fk.clone(), nested: Vec::new() }),
     );
-    let date_pks = filter_dim_pks(
-        store,
-        "date_dim",
-        &Filter::eq("d_year", params.q7.year),
-        "d_date_sk",
-    );
-
-    let embeds_relevant: [(&str, TableId, &str); 1] = [("ss_item_sk", TableId::Item, "i_item_sk")];
-    let embeds_all: [(&str, TableId, &str); 4] = [
-        ("ss_item_sk", TableId::Item, "i_item_sk"),
-        ("ss_cdemo_sk", TableId::CustomerDemographics, "cd_demo_sk"),
-        ("ss_sold_date_sk", TableId::DateDim, "d_date_sk"),
-        ("ss_promo_sk", TableId::Promotion, "p_promo_sk"),
-    ];
 
     let mut t = TextTable::new(["Q7 embedding scope", "time", "dims embedded"]);
-    for (label, embeds) in [
-        ("aggregation-relevant only (thesis)", &embeds_relevant[..]),
-        ("every joined dimension", &embeds_all[..]),
-    ] {
-        semi_join_into(
-            store,
-            "store_sales",
-            &[("ss_cdemo_sk", &cd_pks), ("ss_sold_date_sk", &date_pks)],
-            Filter::exists("ss_item_sk"),
-            "abl5_intermediate",
-            &[],
-        )
-        .expect("semi-join");
-        let (n, took) = time(|| {
-            let mut n = 0;
-            for (field, dim, pk) in embeds {
-                store
-                    .create_index("abl5_intermediate", IndexDef::single(*field))
-                    .expect("index");
-                let dims = store.find(dim.name(), &Filter::True);
-                n += embed_documents_from(store, "abl5_intermediate", field, pk, dims)
-                    .expect("embed")
-                    .dim_docs;
-            }
-            n
-        });
+    for (label, plan) in
+        [("aggregation-relevant only (thesis)", &relevant), ("every joined dimension", &every)]
+    {
+        let referenced = plan.semi_join(store, &keys).expect("semi-join");
+        let (n, took) = time(|| plan.embed(store, referenced).expect("embed"));
         t.row([label.to_owned(), fmt_duration(took), n.to_string()]);
     }
     println!("{}", t.render());

@@ -9,10 +9,11 @@
 //! document — exactly the algorithm's step 10, submitted as one ordered
 //! bulk write ([`Store::update_batch`]) the way a driver batches them.
 
+use crate::queries::distinct_values;
 use crate::store::Store;
 use doclite_bson::{Document, Value};
 use doclite_docstore::{BulkUpdate, Filter, OrdValue, Result, UpdateSpec};
-use doclite_tpcds::schema::{foreign_keys_of, TableId};
+use doclite_tpcds::schema::{foreign_keys_of, ForeignKey, TableId};
 use std::collections::HashMap;
 
 /// One embedding instruction: replace `fact_field` in `fact` documents by
@@ -41,8 +42,9 @@ pub fn embed_documents(store: &dyn Store, fact: &str, spec: &EmbedSpec) -> Resul
 }
 
 /// The embedding loop over an explicit dimension document set — reused by
-/// the normalized-model translator (Fig 4.8 step iii), which embeds only
-/// pre-filtered dimension documents.
+/// the normalized-model plan (Fig 4.8 step iii,
+/// [`crate::normalize::run_plan`]), which embeds only the dimension
+/// documents its intermediate rows reference.
 pub fn embed_documents_from(
     store: &dyn Store,
     fact: &str,
@@ -100,7 +102,7 @@ pub fn create_denormalized(store: &dyn Store, fact: TableId, out: &str) -> Resul
         // the denormalized fact exposes paths like
         // `ss_customer_sk.c_current_addr_sk.ca_city` (Query 46's outer
         // join target).
-        let dim_docs = expanded_dimension_docs(store, fk.ref_table);
+        let dim_docs = expanded_dimension_docs(store, &fk, None, &foreign_keys_of(fk.ref_table));
         let report =
             embed_documents_from(store, out, fk.column, fk.ref_column, dim_docs)?;
         total.dim_docs += report.dim_docs;
@@ -109,23 +111,36 @@ pub fn create_denormalized(store: &dyn Store, fact: TableId, out: &str) -> Resul
     Ok(total)
 }
 
-/// Fetches a dimension's documents with their own dimension references
-/// expanded (one level — the snowflake edges of the FK catalog).
-fn expanded_dimension_docs(store: &dyn Store, dim: TableId) -> Vec<Document> {
-    let mut docs = store.find(dim.name(), &Filter::True);
-    for fk in foreign_keys_of(dim) {
+/// Fetches the documents `fk` references — those whose key is one of
+/// `keys`, or every one if `keys` is `None` — with the dimension's own
+/// foreign keys `nested` expanded in memory (one level: the snowflake
+/// edges of the FK catalog). With `keys`, a nested dimension is fetched
+/// only for the keys the fetched documents reference.
+pub(crate) fn expanded_dimension_docs(
+    store: &dyn Store,
+    fk: &ForeignKey,
+    keys: Option<Vec<Value>>,
+    nested: &[ForeignKey],
+) -> Vec<Document> {
+    let fetch = |fk: &ForeignKey, keys: Option<Vec<Value>>| {
+        let path = fk.ref_column.to_owned();
+        let filter = keys.map_or(Filter::True, |values| Filter::In { path, values });
+        store.find(fk.ref_table.name(), &filter)
+    };
+    let by_key = keys.is_some();
+    let mut docs = fetch(fk, keys);
+    for inner in nested {
         let mut by_pk: HashMap<OrdValue, Document> = HashMap::new();
-        for mut d in store.find(fk.ref_table.name(), &Filter::True) {
+        for mut d in fetch(inner, by_key.then(|| distinct_values(&docs, inner.column))) {
             d.remove("_id");
-            if let Some(pk) = d.get(fk.ref_column).cloned() {
+            if let Some(pk) = d.get(inner.ref_column).cloned() {
                 by_pk.insert(OrdValue(pk), d);
             }
         }
         for doc in &mut docs {
-            if let Some(v) = doc.get(fk.column).cloned() {
-                if let Some(inner) = by_pk.get(&OrdValue(v)) {
-                    doc.set(fk.column, Value::Document(inner.clone()));
-                }
+            let found = doc.get(inner.column).and_then(|v| by_pk.get(&OrdValue(v.clone())));
+            if let Some(found) = found.cloned() {
+                doc.set(inner.column, Value::Document(found));
             }
         }
     }

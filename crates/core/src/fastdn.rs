@@ -10,42 +10,21 @@
 //! `fast_path_matches_algorithmic_path` test), built in one pass per
 //! fact.
 
-use crate::denormalize::denormalized_name;
+use crate::denormalize::{denormalized_name, expanded_dimension_docs};
 use crate::store::Store;
 use doclite_bson::{Document, Value};
 use doclite_docstore::{Filter, IndexDef, OrdValue, Result};
-use doclite_tpcds::schema::{foreign_keys_of, TableId};
+use doclite_tpcds::schema::{foreign_keys_of, ForeignKey, TableId};
 use std::collections::HashMap;
 
 /// A dimension lookup table: pk → document (without `_id`), with the
 /// dimension's own FK fields expanded one level (snowflake).
-fn dimension_map(store: &dyn Store, dim: TableId, pk: &str) -> HashMap<OrdValue, Document> {
-    let mut docs = store.find(dim.name(), &Filter::True);
-    for fk in foreign_keys_of(dim) {
-        let inner = dimension_map_flat(store, fk.ref_table, fk.ref_column);
-        for d in &mut docs {
-            if let Some(v) = d.get(fk.column).cloned() {
-                if let Some(emb) = inner.get(&OrdValue(v)) {
-                    d.set(fk.column, Value::Document(emb.clone()));
-                }
-            }
-        }
-    }
-    docs.into_iter()
-        .filter_map(|mut d| {
-            d.remove("_id");
-            d.get(pk).cloned().map(|k| (OrdValue(k), d))
-        })
-        .collect()
-}
-
-fn dimension_map_flat(store: &dyn Store, dim: TableId, pk: &str) -> HashMap<OrdValue, Document> {
-    store
-        .find(dim.name(), &Filter::True)
+fn dimension_map(store: &dyn Store, fk: &ForeignKey) -> HashMap<OrdValue, Document> {
+    expanded_dimension_docs(store, fk, None, &foreign_keys_of(fk.ref_table))
         .into_iter()
         .filter_map(|mut d| {
             d.remove("_id");
-            d.get(pk).cloned().map(|k| (OrdValue(k), d))
+            d.get(fk.ref_column).cloned().map(|k| (OrdValue(k), d))
         })
         .collect()
 }
@@ -55,7 +34,7 @@ pub fn create_denormalized_fast(store: &dyn Store, fact: TableId, out: &str) -> 
     store.drop_collection(out);
     let joins: Vec<(&'static str, HashMap<OrdValue, Document>)> = foreign_keys_of(fact)
         .into_iter()
-        .map(|fk| (fk.column, dimension_map(store, fk.ref_table, fk.ref_column)))
+        .map(|fk| (fk.column, dimension_map(store, &fk)))
         .collect();
 
     let mut docs = store.find(fact.name(), &Filter::True);
@@ -103,7 +82,7 @@ pub fn build_denormalized_fast(store: &dyn Store) -> Result<()> {
     let joins: Vec<(&'static str, HashMap<OrdValue, Document>)> =
         foreign_keys_of(TableId::StoreSales)
             .into_iter()
-            .map(|fk| (fk.column, dimension_map(store, fk.ref_table, fk.ref_column)))
+            .map(|fk| (fk.column, dimension_map(store, &fk)))
             .collect();
     let mut docs = store.find("store_sales", &Filter::True);
     for d in &mut docs {

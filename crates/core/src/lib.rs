@@ -11,6 +11,7 @@ pub mod denormalize;
 pub mod experiment;
 pub mod fastdn;
 pub mod migrate;
+pub mod normalize;
 pub mod queries;
 pub mod report;
 pub mod selectivity;
@@ -26,6 +27,7 @@ pub use experiment::{
 };
 pub use fastdn::{build_denormalized_fast, create_denormalized_fast};
 pub use migrate::{migrate_all, migrate_table, load_table_direct, MigrateError, MigrationReport};
+pub use normalize::{normalize, run_plan, Fig48Plan};
 pub use queries::{denormalized_pipeline, output_collection, run_denormalized, run_normalized};
 pub use report::{fmt_duration, TextTable};
 pub use selectivity::{measure as measure_selectivity, Selectivity};

@@ -2,21 +2,26 @@
 //! strategies:
 //!
 //! * **denormalized** — an aggregation pipeline against the denormalized
-//!   fact collection (the Appendix B scripts);
+//!   fact collection (the Appendix B scripts, `q{7,21,46,50}.rs`);
 //! * **normalized** — the Fig 4.8 translation algorithm: filter each
 //!   dimension by its WHERE predicates, semi-join the fact collection via
 //!   `$in`, store an intermediate collection, embed the
-//!   aggregation-relevant dimensions, then aggregate.
+//!   aggregation-relevant dimensions, then aggregate. The plan is derived
+//!   from the query's denormalized pipeline ([`crate::normalize`]), not
+//!   written by hand; Q50's fact-to-fact join keeps the hand plan in
+//!   [`q50::run_normalized`], which says why.
 
 pub mod q21;
 pub mod q46;
 pub mod q50;
 pub mod q7;
 
+use crate::denormalize::denormalized_name;
+use crate::normalize::{normalize, run_plan};
 use crate::store::Store;
 use doclite_bson::{Document, Value};
-use doclite_docstore::{Filter, FindOptions, Result};
-use doclite_tpcds::{QueryId, QueryParams};
+use doclite_docstore::{Error, Filter, FindOptions, Pipeline, Result};
+use doclite_tpcds::{QueryId, QueryParams, TableId};
 
 /// Runs a query against the denormalized data model (experiments 3/6).
 pub fn run_denormalized(
@@ -28,32 +33,36 @@ pub fn run_denormalized(
     store.aggregate(&source, &pipeline)
 }
 
+/// The fact table a query aggregates.
+pub fn fact_of(query: QueryId) -> TableId {
+    if query == QueryId::Q21 { TableId::Inventory } else { TableId::StoreSales }
+}
+
 /// The denormalized source collection and pipeline for a query.
-pub fn denormalized_pipeline(
-    query: QueryId,
-    params: &QueryParams,
-) -> (String, doclite_docstore::Pipeline) {
-    match query {
-        QueryId::Q7 => ("store_sales_dn".to_owned(), q7::denormalized_pipeline(&params.q7)),
-        QueryId::Q21 => ("inventory_dn".to_owned(), q21::denormalized_pipeline(&params.q21)),
-        QueryId::Q46 => ("store_sales_dn".to_owned(), q46::denormalized_pipeline(&params.q46)),
-        QueryId::Q50 => ("store_sales_dn".to_owned(), q50::denormalized_pipeline(&params.q50)),
-    }
+pub fn denormalized_pipeline(query: QueryId, params: &QueryParams) -> (String, Pipeline) {
+    let pipeline = match query {
+        QueryId::Q7 => q7::denormalized_pipeline(&params.q7),
+        QueryId::Q21 => q21::denormalized_pipeline(&params.q21),
+        QueryId::Q46 => q46::denormalized_pipeline(&params.q46),
+        QueryId::Q50 => q50::denormalized_pipeline(&params.q50),
+    };
+    (denormalized_name(fact_of(query)), pipeline)
 }
 
 /// Runs a query through the normalized-model translation algorithm
-/// (experiments 1/2/4/5).
+/// (experiments 1/2/4/5): the Fig 4.8 plan derived from its denormalized
+/// pipeline.
 pub fn run_normalized(
     store: &dyn Store,
     query: QueryId,
     params: &QueryParams,
 ) -> Result<Vec<Document>> {
-    match query {
-        QueryId::Q7 => q7::run_normalized(store, &params.q7),
-        QueryId::Q21 => q21::run_normalized(store, &params.q21),
-        QueryId::Q46 => q46::run_normalized(store, &params.q46),
-        QueryId::Q50 => q50::run_normalized(store, &params.q50),
+    if query == QueryId::Q50 {
+        return q50::run_normalized(store, &params.q50);
     }
+    let (_, pipeline) = denormalized_pipeline(query, params);
+    let plan = normalize(fact_of(query), &pipeline).map_err(|e| Error::InvalidQuery(e.0))?;
+    run_plan(store, &plan)
 }
 
 /// The `$out` collection name a query materializes into (thesis

@@ -5,6 +5,17 @@
 //! This is the query whose predicates carry the fact collections' shard
 //! key (ticket number), which is why it is the one query the thesis
 //! found *faster* on the sharded deployment (Section 4.3 item iii).
+//!
+//! It is also the one query whose normalized plan is written by hand
+//! rather than derived by [`crate::normalize`]. Its returned-month
+//! predicates sit two levels under the fact-to-fact edge
+//! (`ss_return.sr_returned_date_sk.d_year`), so step i would itself be a
+//! Fig 4.8 plan — filter `date_dim`, semi-join `store_returns` — whose
+//! ticket numbers then drive the `store_sales` semi-join: a nested
+//! semi-join, more than one catalog entry plus the two-field (ticket,
+//! item) embed key of [`crate::denormalize::embed_store_returns`].
+//! `normalize` rejects the pipeline with a `TranslateError` naming
+//! `ss_return`.
 
 use super::{distinct_values, output_collection, semi_join_into};
 use crate::denormalize::embed_documents_from;
@@ -51,14 +62,14 @@ fn bucket_acc(diff: Expr, lo: Option<i64>, hi: Option<i64>) -> Accumulator {
     Accumulator::Sum(Expr::cond(cond, Expr::lit(1i64), Expr::lit(0i64)))
 }
 
-/// The group / flatten / sort / `$out` tail shared by both strategies.
-/// `store_path(f)` locates store attribute `f`; `diff` is the
+/// The group / flatten / sort / `$out` tail shared by both strategies,
+/// over rows whose `ss_store_sk` holds the embedded store; `diff` is the
 /// days-to-return expression.
-fn tail(pipeline: Pipeline, store_path: impl Fn(&str) -> String, diff: Expr) -> Pipeline {
+fn tail(pipeline: Pipeline, diff: Expr) -> Pipeline {
     let group_id = Expr::Doc(
         STORE_FIELDS
             .iter()
-            .map(|f| (f.to_string(), Expr::field(store_path(f))))
+            .map(|f| (f.to_string(), Expr::field(format!("ss_store_sk.{f}"))))
             .collect(),
     );
     let accs: Vec<(String, Accumulator)> = BUCKETS
@@ -125,7 +136,7 @@ pub fn denormalized_pipeline(p: &Q50Params) -> Pipeline {
             ("ss_store_sk", ProjectField::Include),
         ])
         .match_stage(Filter::eq("cust_match", true));
-    tail(head, |f| format!("ss_store_sk.{f}"), Expr::field("diff"))
+    tail(head, Expr::field("diff"))
 }
 
 /// The Fig 4.8 algorithm against the normalized model, extended with the
@@ -198,6 +209,6 @@ pub fn run_normalized(store: &dyn Store, p: &Q50Params) -> Result<Vec<Document>>
     // as the SQL computes it.
     let diff = Expr::subtract(Expr::field("sr.sr_returned_date_sk"), Expr::field("ss_sold_date_sk"));
     let head = Pipeline::new().match_stage(Filter::exists("sr"));
-    let pipeline = tail(head, |f| format!("ss_store_sk.{f}"), diff);
+    let pipeline = tail(head, diff);
     store.aggregate(intermediate, &pipeline)
 }

@@ -17,10 +17,12 @@
 //! 5. handles one level of derived table by translating the inner query
 //!    and appending the outer stages.
 //!
-//! Query 7 and Query 21 translate fully mechanically (see the
-//! `translator_matches_hand_written_*` integration tests); the self-join
-//! forms of Queries 46/50 use the hand translations in
-//! [`crate::queries`], as the thesis's own implementation did.
+//! Query 7 and Query 21 translate fully mechanically
+//! (`tests/sql_translation.rs`); the self-join forms of Queries 46/50 use
+//! the Appendix B pipelines in [`crate::queries`], as the thesis's own
+//! implementation did. The normalized-model plan is derived from the
+//! pipeline ([`crate::normalize`]), so SQL → pipeline → Fig 4.8 plan is
+//! mechanical end to end for Q7 and Q21.
 
 use doclite_bson::Value;
 use doclite_docstore::{
@@ -44,9 +46,9 @@ impl fmt::Display for TranslateError {
 
 impl std::error::Error for TranslateError {}
 
-type TResult<T> = Result<T, TranslateError>;
+pub(crate) type TResult<T> = Result<T, TranslateError>;
 
-fn err<T>(msg: impl Into<String>) -> TResult<T> {
+pub(crate) fn err<T>(msg: impl Into<String>) -> TResult<T> {
     Err(TranslateError(msg.into()))
 }
 

@@ -249,7 +249,8 @@ impl AccState {
     }
 }
 
-pub(crate) fn spec_expr(spec: &Accumulator) -> &Expr {
+/// The expression an accumulator folds over its group's documents.
+pub fn spec_expr(spec: &Accumulator) -> &Expr {
     match spec {
         Accumulator::Sum(e)
         | Accumulator::Avg(e)

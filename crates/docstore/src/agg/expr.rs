@@ -85,6 +85,30 @@ impl Expr {
         Expr::Divide(Box::new(a), Box::new(b))
     }
 
+    /// Appends the field paths the expression reads, in order of
+    /// appearance.
+    pub fn collect_paths<'a>(&'a self, out: &mut Vec<&'a str>) {
+        match self {
+            Expr::Literal(_) => {}
+            Expr::Field(path) => out.push(path),
+            Expr::Doc(fields) => fields.iter().for_each(|(_, e)| e.collect_paths(out)),
+            Expr::Cond { cond, then, otherwise } => {
+                [cond, then, otherwise].into_iter().for_each(|e| e.collect_paths(out))
+            }
+            Expr::Cmp(_, a, b)
+            | Expr::Subtract(a, b)
+            | Expr::Divide(a, b)
+            | Expr::In(a, b)
+            | Expr::IfNull(a, b) => [a, b].into_iter().for_each(|e| e.collect_paths(out)),
+            Expr::Not(e) => e.collect_paths(out),
+            Expr::And(es)
+            | Expr::Or(es)
+            | Expr::Add(es)
+            | Expr::Multiply(es)
+            | Expr::Concat(es) => es.iter().for_each(|e| e.collect_paths(out)),
+        }
+    }
+
     /// Evaluates against a document. Missing fields evaluate to `Null`.
     pub fn eval(&self, doc: &Document) -> Result<Value> {
         match self {
@@ -257,6 +281,24 @@ mod tests {
 
     fn d() -> Document {
         doc! {"a" => 10i64, "b" => 4i64, "s" => "x", "nested" => doc!{"k" => 2i64}, "xs" => array![1i64, 2i64]}
+    }
+
+    #[test]
+    fn collect_paths_lists_every_field_read_in_order() {
+        let e = Expr::Doc(vec![
+            ("k".into(), Expr::field("a.b")),
+            (
+                "v".into(),
+                Expr::cond(
+                    Expr::cmp(CmpOp::Lt, Expr::field("c"), Expr::lit(1i64)),
+                    Expr::Add(vec![Expr::field("d"), Expr::lit(2i64)]),
+                    Expr::IfNull(Box::new(Expr::field("e")), Box::new(Expr::field("a.b"))),
+                ),
+            ),
+        ]);
+        let mut paths = Vec::new();
+        e.collect_paths(&mut paths);
+        assert_eq!(paths, ["a.b", "c", "d", "e", "a.b"]);
     }
 
     #[test]

@@ -41,8 +41,9 @@ use std::sync::Arc;
 use doclite_bson::{Document, Value};
 use parking_lot::Mutex;
 
+use crate::agg::accum::spec_expr;
 use crate::agg::sort_documents;
-use crate::agg::{Accumulator, Expr, GroupId, Pipeline, Stage};
+use crate::agg::{Accumulator, GroupId, Pipeline, Stage};
 use crate::changes::{watch, ChangeCursor, ChangeScope};
 use crate::database::Database;
 use crate::error::{Error, Result};
@@ -448,19 +449,6 @@ impl View {
     }
 }
 
-fn spec_expr(spec: &Accumulator) -> &Expr {
-    match spec {
-        Accumulator::Sum(e)
-        | Accumulator::Avg(e)
-        | Accumulator::Min(e)
-        | Accumulator::Max(e)
-        | Accumulator::First(e)
-        | Accumulator::Last(e)
-        | Accumulator::Push(e)
-        | Accumulator::AddToSet(e) => e,
-    }
-}
-
 struct SetInner {
     cursor: ChangeCursor,
     views: BTreeMap<String, View>,
@@ -816,6 +804,7 @@ impl ViewSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::Expr;
     use crate::query::Filter;
     use crate::update::UpdateSpec;
     use crate::wal::{SyncPolicy, WalOptions};

@@ -10,7 +10,9 @@
 # renderer and gated by its typed `check()`, with one best-of-N rule) and
 # "one way to split an aggregation" (`agg::Split`: the morsel executor, its
 # sweep and the router's own sort/limit window are gone) and "scatter legs
-# run on scoped threads" (the worker pool is gone): the
+# run on scoped threads" (the worker pool is gone) and "the Fig 4.8 plan is
+# derived, not hand-written" (`normalize` reads it off each query's
+# Appendix B pipeline; only Q50 keeps a hand plan): the
 # retired mode enums, setters, constants, validators and entry points must
 # not come back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
@@ -69,4 +71,9 @@ grep -rnE '\bfn +fnum\b' crates src examples tests benchmark/src --include='*.rs
 grep -rnE '\bfn +best_of' crates src examples tests benchmark/src --include='*.rs' \
     | grep -v '^crates/bench/src/lib.rs:' \
     && complain "a second best-of-N timer: use doclite_bench::best_of / best_of_after"
+grep -rn 'run_normalized_parallel' crates src examples tests benchmark/src scripts .github .claude \
+    | grep -v '^scripts/check_no_modes.sh:' \
+    && complain "run_normalized_parallel is back: run the derived plan's step-i filters on a thread::scope"
+grep -nE 'fn run_normalized|embed_documents_from' crates/core/src/queries/q{7,21,46}.rs \
+    && complain "a derived query has a hand-written normalized plan again: normalize derives it from the pipeline"
 exit $fail
