@@ -208,11 +208,11 @@ fn bench_shard_setup(c: &mut Criterion) {
     // shard-key index; a migration reads its documents the same way and
     // the source drops them with one `_id $in` delete. Neither should
     // grow with the 30,000.
-    use doclite_docstore::CompoundKey;
+    use doclite_docstore::Key;
     use doclite_sharding::{ConfigServer, Mongos, NetworkModel, Shard, ShardKey};
     use std::sync::Arc;
     const DOCS: i64 = 30_000;
-    let key = |k: i64| CompoundKey::from_values(vec![Value::Int64(k)]);
+    let key = |k: i64| Key::of(&Value::Int64(k));
     let row = |k: i64| doc! {"k" => k, "pad" => "x".repeat(64)};
     let router = || {
         let shards = (0..2).map(|i| Arc::new(Shard::new(i, "shard_setup"))).collect();

@@ -135,7 +135,10 @@ impl Document {
             return v.clone();
         }
         let id = Value::ObjectId(ObjectId::new());
-        // _id conventionally leads the document.
+        // _id conventionally leads the document. A document built to
+        // its exact size would double its field vector here; one more
+        // slot is all the insert needs.
+        self.fields.reserve_exact(1);
         self.fields.insert(0, ("_id".to_owned(), id.clone()));
         id
     }

@@ -21,23 +21,24 @@ pub enum Value {
     Document(Document),
 }
 
-/// Canonical type rank used for cross-type comparisons, following
-/// MongoDB's BSON comparison order: Null < Numbers < String < Document <
-/// Array < Bool < ObjectId < DateTime. (The subset of types we implement.)
-fn type_rank(v: &Value) -> u8 {
-    match v {
-        Value::Null => 0,
-        Value::Int32(_) | Value::Int64(_) | Value::Double(_) => 1,
-        Value::String(_) => 2,
-        Value::Document(_) => 3,
-        Value::Array(_) => 4,
-        Value::Bool(_) => 5,
-        Value::ObjectId(_) => 6,
-        Value::DateTime(_) => 7,
-    }
-}
-
 impl Value {
+    /// Canonical type rank used for cross-type comparisons, following
+    /// MongoDB's BSON comparison order: Null < Numbers < String <
+    /// Document < Array < Bool < ObjectId < DateTime. (The subset of
+    /// types we implement.)
+    pub fn canonical_rank(&self) -> u8 {
+        match self {
+            Value::Null => 0,
+            Value::Int32(_) | Value::Int64(_) | Value::Double(_) => 1,
+            Value::String(_) => 2,
+            Value::Document(_) => 3,
+            Value::Array(_) => 4,
+            Value::Bool(_) => 5,
+            Value::ObjectId(_) => 6,
+            Value::DateTime(_) => 7,
+        }
+    }
+
     /// Returns the value's numeric content as `f64` if it is numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
@@ -135,7 +136,7 @@ impl Value {
     /// compare by content. NaN sorts below all other doubles, making the
     /// order total — a requirement for B-tree index keys.
     pub fn canonical_cmp(&self, other: &Value) -> Ordering {
-        let (ra, rb) = (type_rank(self), type_rank(other));
+        let (ra, rb) = (self.canonical_rank(), other.canonical_rank());
         if ra != rb {
             return ra.cmp(&rb);
         }

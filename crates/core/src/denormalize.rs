@@ -12,7 +12,7 @@
 use crate::queries::distinct_values;
 use crate::store::Store;
 use doclite_bson::{Document, Value};
-use doclite_docstore::{BulkUpdate, Filter, OrdValue, Result, UpdateSpec};
+use doclite_docstore::{keybytes, BulkUpdate, Filter, Key, Result, UpdateSpec};
 use doclite_tpcds::schema::{foreign_keys_of, ForeignKey, TableId};
 use std::collections::HashMap;
 
@@ -53,18 +53,18 @@ pub fn embed_documents_from(
     dim_docs: Vec<Document>,
 ) -> Result<EmbedReport> {
     // Steps 2–8: hash pk → document (without its _id).
-    let mut map: HashMap<OrdValue, Document> = HashMap::with_capacity(dim_docs.len());
+    let mut map: HashMap<Key, Document> = HashMap::with_capacity(dim_docs.len());
     for mut doc in dim_docs {
         doc.remove("_id");
-        let Some(pk) = doc.get(dim_pk).cloned() else { continue };
-        map.insert(OrdValue(pk), doc);
+        let Some(pk) = doc.get(dim_pk).map(Key::of) else { continue };
+        map.insert(pk, doc);
     }
     // Steps 9–11: one multi-update per dimension document, sent as one
     // ordered batch.
     let ops: Vec<BulkUpdate> = map
-        .into_iter()
-        .map(|(pk, doc)| BulkUpdate {
-            filter: Filter::eq(fact_field, pk.into_value()),
+        .into_values()
+        .map(|doc| BulkUpdate {
+            filter: Filter::eq(fact_field, doc.get(dim_pk).expect("keyed by it").clone()),
             spec: UpdateSpec::set(fact_field, Value::Document(doc)),
             multi: true,
         })
@@ -130,17 +130,19 @@ pub(crate) fn expanded_dimension_docs(
     let by_key = keys.is_some();
     let mut docs = fetch(fk, keys);
     for inner in nested {
-        let mut by_pk: HashMap<OrdValue, Document> = HashMap::new();
+        let mut by_pk: HashMap<Key, Document> = HashMap::new();
         for mut d in fetch(inner, by_key.then(|| distinct_values(&docs, inner.column))) {
             d.remove("_id");
-            if let Some(pk) = d.get(inner.ref_column).cloned() {
-                by_pk.insert(OrdValue(pk), d);
+            if let Some(pk) = d.get(inner.ref_column).map(Key::of) {
+                by_pk.insert(pk, d);
             }
         }
+        let mut scratch = Vec::new();
         for doc in &mut docs {
-            let found = doc.get(inner.column).and_then(|v| by_pk.get(&OrdValue(v.clone())));
-            if let Some(found) = found.cloned() {
-                doc.set(inner.column, Value::Document(found));
+            let Some(v) = doc.get(inner.column) else { continue };
+            keybytes::encode_into(v, &mut scratch);
+            if let Some(found) = by_pk.get(scratch.as_slice()) {
+                doc.set(inner.column, Value::Document(found.clone()));
             }
         }
     }

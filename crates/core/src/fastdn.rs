@@ -13,40 +13,51 @@
 use crate::denormalize::{denormalized_name, expanded_dimension_docs};
 use crate::store::Store;
 use doclite_bson::{Document, Value};
-use doclite_docstore::{Filter, IndexDef, OrdValue, Result};
+use doclite_docstore::{keybytes, Filter, IndexDef, Key, Result};
 use doclite_tpcds::schema::{foreign_keys_of, ForeignKey, TableId};
 use std::collections::HashMap;
 
 /// A dimension lookup table: pk → document (without `_id`), with the
 /// dimension's own FK fields expanded one level (snowflake).
-fn dimension_map(store: &dyn Store, fk: &ForeignKey) -> HashMap<OrdValue, Document> {
+fn dimension_map(store: &dyn Store, fk: &ForeignKey) -> HashMap<Key, Document> {
     expanded_dimension_docs(store, fk, None, &foreign_keys_of(fk.ref_table))
         .into_iter()
         .filter_map(|mut d| {
             d.remove("_id");
-            d.get(fk.ref_column).cloned().map(|k| (OrdValue(k), d))
+            d.get(fk.ref_column).map(Key::of).map(|k| (k, d))
         })
         .collect()
+}
+
+/// The foreign-key fields of `fact` and their dimension maps.
+fn dimension_maps(store: &dyn Store, fact: TableId) -> Vec<(&'static str, HashMap<Key, Document>)> {
+    foreign_keys_of(fact)
+        .into_iter()
+        .map(|fk| (fk.column, dimension_map(store, &fk)))
+        .collect()
+}
+
+/// Replaces each foreign-key field of `d` by its dimension document,
+/// probing the maps through `scratch`.
+fn embed(d: &mut Document, joins: &[(&str, HashMap<Key, Document>)], scratch: &mut Vec<u8>) {
+    for (field, map) in joins {
+        let Some(v) = d.get(field) else { continue };
+        keybytes::encode_into(v, scratch);
+        if let Some(emb) = map.get(scratch.as_slice()) {
+            d.set(*field, Value::Document(emb.clone()));
+        }
+    }
 }
 
 /// Builds one denormalized fact collection in a single pass.
 pub fn create_denormalized_fast(store: &dyn Store, fact: TableId, out: &str) -> Result<usize> {
     store.drop_collection(out);
-    let joins: Vec<(&'static str, HashMap<OrdValue, Document>)> = foreign_keys_of(fact)
-        .into_iter()
-        .map(|fk| (fk.column, dimension_map(store, &fk)))
-        .collect();
-
+    let joins = dimension_maps(store, fact);
     let mut docs = store.find(fact.name(), &Filter::True);
+    let mut scratch = Vec::new();
     for d in &mut docs {
         d.remove("_id");
-        for (field, map) in &joins {
-            if let Some(v) = d.get(field).cloned() {
-                if let Some(emb) = map.get(&OrdValue(v)) {
-                    d.set(*field, Value::Document(emb.clone()));
-                }
-            }
-        }
+        embed(d, &joins, &mut scratch);
     }
     store.insert_many(out, docs)
 }
@@ -66,7 +77,7 @@ pub fn build_denormalized_fast(store: &dyn Store) -> Result<()> {
     // store_sales_dn with the matching return attached during assembly.
     // Key returns by (ticket, item pk) — later returns overwrite earlier
     // ones, matching the algorithmic path's update order.
-    let mut returns_by_key: HashMap<(OrdValue, OrdValue), Document> = HashMap::new();
+    let mut returns_by_key: HashMap<Key, Document> = HashMap::new();
     for mut r in store.find(&sr_dn, &Filter::True) {
         r.remove("_id");
         let (Some(t), Some(i)) = (
@@ -75,32 +86,23 @@ pub fn build_denormalized_fast(store: &dyn Store) -> Result<()> {
         ) else {
             continue;
         };
-        returns_by_key.insert((OrdValue(t), OrdValue(i)), r);
+        returns_by_key.insert(Key::from_values([&t, &i]), r);
     }
 
     store.drop_collection(&ss_dn);
-    let joins: Vec<(&'static str, HashMap<OrdValue, Document>)> =
-        foreign_keys_of(TableId::StoreSales)
-            .into_iter()
-            .map(|fk| (fk.column, dimension_map(store, &fk)))
-            .collect();
+    let joins = dimension_maps(store, TableId::StoreSales);
     let mut docs = store.find("store_sales", &Filter::True);
+    let mut scratch = Vec::new();
     for d in &mut docs {
         d.remove("_id");
-        for (field, map) in &joins {
-            if let Some(v) = d.get(field).cloned() {
-                if let Some(emb) = map.get(&OrdValue(v)) {
-                    d.set(*field, Value::Document(emb.clone()));
-                }
-            }
-        }
-        let (Some(t), Some(i)) = (
-            d.get("ss_ticket_number").cloned(),
-            d.get_path("ss_item_sk.i_item_sk"),
-        ) else {
+        embed(d, &joins, &mut scratch);
+        let (Some(t), Some(i)) = (d.get("ss_ticket_number"), d.get_path("ss_item_sk.i_item_sk"))
+        else {
             continue;
         };
-        if let Some(r) = returns_by_key.get(&(OrdValue(t), OrdValue(i))) {
+        keybytes::encode_into(t, &mut scratch);
+        keybytes::encode_value(&i, &mut scratch);
+        if let Some(r) = returns_by_key.get(scratch.as_slice()) {
             d.set("ss_return", Value::Document(r.clone()));
         }
     }

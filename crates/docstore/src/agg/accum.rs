@@ -6,7 +6,6 @@
 
 use super::expr::Expr;
 use crate::error::Result;
-use crate::ordvalue::OrdValue;
 use doclite_bson::codec::{encoded_array_size, encoded_value_size};
 use doclite_bson::{Document, Resolved, Value};
 
@@ -59,7 +58,7 @@ pub enum AccState {
     First(Option<Value>),
     Last(Option<Value>),
     Push(Vec<Value>),
-    AddToSet(Vec<OrdValue>),
+    AddToSet(Vec<Value>),
 }
 
 impl AccState {
@@ -130,8 +129,8 @@ impl AccState {
             AccState::Last(cur) => *cur = Some(v.into_value()),
             AccState::Push(items) => items.push(v.into_value()),
             AccState::AddToSet(set) => {
-                if !set.iter().any(|ov| ov.0.canonical_eq(v.as_value())) {
-                    set.push(OrdValue(v.into_value()));
+                if !set.iter().any(|m| m.canonical_eq(v.as_value())) {
+                    set.push(v.into_value());
                 }
             }
         }
@@ -192,9 +191,9 @@ impl AccState {
             }
             (AccState::Push(items), AccState::Push(more)) => items.extend(more),
             (AccState::AddToSet(set), AccState::AddToSet(more)) => {
-                for ov in more {
-                    if !set.iter().any(|have| have.0.canonical_eq(&ov.0)) {
-                        set.push(ov);
+                for v in more {
+                    if !set.iter().any(|have| have.canonical_eq(&v)) {
+                        set.push(v);
                     }
                 }
             }
@@ -214,7 +213,7 @@ impl AccState {
                 v.as_ref().map_or(0, encoded_value_size)
             }
             AccState::Push(items) => encoded_array_size(items),
-            AccState::AddToSet(set) => encoded_array_size(set.iter().map(|ov| &ov.0)),
+            AccState::AddToSet(set) => encoded_array_size(set.iter()),
         }
     }
 
@@ -242,9 +241,7 @@ impl AccState {
                 v.unwrap_or(Value::Null)
             }
             AccState::Push(items) => Value::Array(items),
-            AccState::AddToSet(set) => {
-                Value::Array(set.into_iter().map(OrdValue::into_value).collect())
-            }
+            AccState::AddToSet(set) => Value::Array(set),
         }
     }
 }

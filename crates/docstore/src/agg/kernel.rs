@@ -4,7 +4,7 @@
 //! whole-stage `Vec<Document>` copies); what remained was *interpretation*
 //! overhead: every stage re-split its dotted paths per document, resolved
 //! them into cloned `Value`s, and keyed `$group`/`$lookup` hash tables on
-//! fully cloned [`OrdValue`](crate::ordvalue::OrdValue)s. This module
+//! fully cloned key values. This module
 //! compiles the per-stage specifications once and evaluates them many
 //! times by reference:
 //!

@@ -3,10 +3,9 @@
 use crate::agg::{kernel, stream, CompiledSortSpec, LookupMeta, LookupSource, Pipeline, Stage};
 use crate::columnar;
 use crate::error::{Error, Result};
-use crate::index::hashed::hash_key;
 use crate::index::keys::for_each_single_key;
 use crate::index::{extract_keys, Index, IndexDef, IndexKind, SortOrder};
-use crate::ordvalue::CompoundKey;
+use crate::keybytes::{self, Key};
 use crate::query::filter::Filter;
 use crate::query::matcher::{compile, matches_compiled, CompiledFilter};
 use crate::query::planner::{
@@ -128,8 +127,8 @@ impl<'a> IndexRead<'a> {
     /// The index's distinct keys with their slots ([`Index::keys_from`]).
     pub fn keys_from(
         &self,
-        from: Option<&CompoundKey>,
-    ) -> Box<dyn Iterator<Item = (&'a CompoundKey, &'a [DocId])> + 'a> {
+        from: Option<&Key>,
+    ) -> Box<dyn Iterator<Item = (&'a Key, &'a [DocId])> + 'a> {
         self.index.keys_from(from)
     }
 
@@ -154,37 +153,20 @@ struct StatementJoin {
     /// The equality path most statements of the batch pin.
     path: String,
     compiled: CompiledPath,
-    /// Per statement, its entry in `groups`; `None` for a statement that
-    /// does not pin `path` to one value and goes through the planner.
+    /// Per statement, its group; `None` for a statement that does not
+    /// pin `path` to one value and goes through the planner.
     group_of: Vec<Option<usize>>,
-    /// One entry per distinct pinned value.
-    groups: Vec<JoinGroup>,
-    /// `hash_key` of a pinned value → the groups it may be.
-    by_hash: HashMap<u64, Vec<usize>>,
-    /// [`family_bit`]s of the pinned values: a cell of another family
-    /// (the document an embed has just written over its key) is not
-    /// even hashed.
-    families: u8,
-}
-
-struct JoinGroup {
-    key: Value,
-    /// Candidate slots in slot order, each once.
-    slots: Vec<DocId>,
-}
-
-/// One bit per family of values that can be canonically equal.
-fn family_bit(v: &Value) -> u8 {
-    match v {
-        Value::Null => 1,
-        Value::Int32(_) | Value::Int64(_) | Value::Double(_) => 2,
-        Value::String(_) => 4,
-        Value::Document(_) => 8,
-        Value::Array(_) => 16,
-        Value::Bool(_) => 32,
-        Value::ObjectId(_) => 64,
-        Value::DateTime(_) => 128,
-    }
+    /// Per distinct pinned value, its candidate slots in slot order,
+    /// each once.
+    groups: Vec<Vec<DocId>>,
+    /// The [`Key`] of a pinned value → its group.
+    by_key: HashMap<Key, usize>,
+    /// Type ranks of the pinned values, one bit each: a cell of another
+    /// rank (the document an embed has just written over its key) is
+    /// not even encoded.
+    ranks: u8,
+    /// The probe buffer a cell is encoded into.
+    scratch: Vec<u8>,
 }
 
 impl StatementJoin {
@@ -220,15 +202,16 @@ impl StatementJoin {
             compiled: CompiledPath::new(path),
             group_of: Vec::with_capacity(ops.len()),
             groups: Vec::new(),
-            by_hash: HashMap::new(),
-            families: 0,
+            by_key: HashMap::new(),
+            ranks: 0,
+            scratch: Vec::new(),
         };
         for statement in &mut constraints {
             let pin = statement
                 .remove(&join.path)
                 .and_then(|c| c.eq_set)
                 .and_then(|eq| <[Value; 1]>::try_from(eq).ok());
-            let group = pin.map(|[key]| join.group_for(key));
+            let group = pin.map(|[key]| join.group_for(&key));
             join.group_of.push(group);
         }
         for (id, doc) in slab.iter() {
@@ -238,15 +221,14 @@ impl StatementJoin {
     }
 
     /// The group of statements pinning `key`, created on first sight.
-    fn group_for(&mut self, key: Value) -> usize {
-        let bucket = self.by_hash.entry(hash_key(&key)).or_default();
-        if let Some(&g) = bucket.iter().find(|&&g| self.groups[g].key.canonical_eq(&key)) {
-            return g;
+    fn group_for(&mut self, key: &Value) -> usize {
+        self.ranks |= 1 << key.canonical_rank();
+        let next = self.groups.len();
+        let g = *self.by_key.entry(Key::of(key)).or_insert(next);
+        if g == next {
+            self.groups.push(Vec::new());
         }
-        bucket.push(self.groups.len());
-        self.families |= family_bit(&key);
-        self.groups.push(JoinGroup { key, slots: Vec::new() });
-        self.groups.len() - 1
+        g
     }
 
     /// Hands slot `id` to every group pinning one of `doc`'s keys, in
@@ -255,14 +237,14 @@ impl StatementJoin {
     /// Entries a rewrite leaves stale are dropped by the re-applied
     /// filter.
     fn enlist(&mut self, id: DocId, doc: &Document) {
-        let Self { compiled, groups, by_hash, families, .. } = self;
+        let Self { compiled, groups, by_key, ranks, scratch, .. } = self;
         for_each_single_key(doc, compiled, |key| {
-            if family_bit(key) & *families == 0 {
+            if (1 << key.canonical_rank()) & *ranks == 0 {
                 return;
             }
-            let Some(bucket) = by_hash.get(&hash_key(key)) else { return };
-            let Some(&g) = bucket.iter().find(|&&g| groups[g].key.canonical_eq(key)) else { return };
-            let slots = &mut groups[g].slots;
+            keybytes::encode_into(key, scratch);
+            let Some(&g) = by_key.get(scratch.as_slice()) else { return };
+            let slots = &mut groups[g];
             if slots.last().is_none_or(|&last| last < id) {
                 slots.push(id);
             } else if let Err(at) = slots.binary_search(&id) {
@@ -273,12 +255,12 @@ impl StatementJoin {
 
     /// Statement `at`'s candidate slots; `None` when it is not keyed.
     fn candidates(&self, at: usize) -> Option<&[DocId]> {
-        self.group_of[at].map(|g| self.groups[g].slots.as_slice())
+        self.group_of[at].map(|g| self.groups[g].as_slice())
     }
 }
 
 /// The keys a document had in one index before an edit, and has after.
-type KeyMove = (Vec<CompoundKey>, Vec<CompoundKey>);
+type KeyMove = (Vec<Key>, Vec<Key>);
 
 /// What an update call keeps while a WAL is attached: the frames its
 /// group commit appends, and what a failed append has to undo.
@@ -469,13 +451,9 @@ impl Collection {
     /// document, which the caller logs from where it now lies.
     fn insert_locked(inner: &mut Inner, doc: Document) -> Result<(DocId, &Document)> {
         // Validate unique indexes before touching state.
-        for idx in &inner.indexes {
-            if idx.def.unique {
-                for key in extract_keys(&doc, &idx.def)? {
-                    if !idx.lookup_eq(&key).is_empty() {
-                        return Err(Error::DuplicateId(format!("{:?}", key.0)));
-                    }
-                }
+        for idx in inner.indexes.iter().filter(|idx| idx.def.unique) {
+            if extract_keys(&doc, &idx.def)?.iter().any(|k| !idx.lookup_eq(k).is_empty()) {
+                return Err(idx.def.duplicate(&doc));
             }
         }
         // Split-borrow so the indexes can read the stored document in
@@ -636,7 +614,7 @@ impl Collection {
                 let idx = Self::index_by_name(inner, index);
                 let mut ids = Vec::new();
                 for key in keys {
-                    ids.extend(idx.lookup_eq(key));
+                    ids.extend(idx.lookup_eq(&Key::from_values(key)));
                 }
                 visit_ids(once_each(idx, ids).into_iter(), &mut visit)
             }
@@ -1099,10 +1077,8 @@ impl Collection {
         let mut keys = Vec::with_capacity(touched.len());
         for (&i, old) in touched.iter().zip(old_keys) {
             let new = extract_keys(doc, &indexes[i].def)?;
-            if indexes[i].def.unique {
-                if let Some(taken) = indexes[i].conflict(id, &new) {
-                    return Err(Error::DuplicateId(format!("{:?}", taken.0)));
-                }
+            if indexes[i].def.unique && indexes[i].conflicts(id, &new) {
+                return Err(indexes[i].def.duplicate(doc));
             }
             keys.push((old, new));
         }
@@ -1397,7 +1373,7 @@ impl Collection {
                     continue;
                 }
                 if names.len() == 1 {
-                    break 'ids idx.lookup_eq(&CompoundKey::from_values(vec![key.clone()]));
+                    break 'ids idx.lookup_eq(&Key::of(key));
                 }
                 if idx.def.kind == IndexKind::BTree {
                     if let Some(ids) = idx.lookup_range(Some((key, true)), Some((key, true))) {

@@ -46,7 +46,6 @@ use crate::agg::kernel::GroupKernel;
 use crate::agg::stage::{GroupId, Stage};
 use crate::agg::Expr;
 use crate::error::Result;
-use crate::ordvalue::OrdValue;
 use crate::query::filter::{CmpOp, Filter};
 use crate::query::matcher::{compile_set, matches_compiled, set_contains, CompiledFilter};
 use crate::storage::{DocId, Slab};
@@ -494,7 +493,7 @@ enum ColPred {
 #[derive(Clone, Debug)]
 struct MemberSet {
     /// Canonically sorted members, built exactly as the row matcher's.
-    set: Box<[OrdValue]>,
+    set: Box<[Value]>,
     has_null: bool,
     /// The members as sorted, deduplicated `i64`s when every one is an
     /// `Int32` / `Int64`: an `I64` column then probes this slice instead
@@ -934,7 +933,7 @@ fn cell_cmp_matches(cell: Cell<'_>, op: CmpOp, rhs: &Value) -> bool {
 /// a stack temporary; string cells binary-search without allocating —
 /// cross-family canonical comparison is rank-only, so a static empty
 /// string stands in for "any string" against non-string set members.
-fn cell_in_set(cell: Cell<'_>, set: &[OrdValue], has_null: bool) -> bool {
+fn cell_in_set(cell: Cell<'_>, set: &[Value], has_null: bool) -> bool {
     static STR_PROBE: Value = Value::String(String::new());
     match cell {
         // {$in: [.., null]} matches explicit nulls and missing fields.
@@ -944,7 +943,7 @@ fn cell_in_set(cell: Cell<'_>, set: &[OrdValue], has_null: bool) -> bool {
         Cell::F64(v) => set_contains(set, &Value::Double(v)),
         Cell::Bool(b) => set_contains(set, &Value::Bool(b)),
         Cell::Str(s) => set
-            .binary_search_by(|ov| match ov.value() {
+            .binary_search_by(|m| match m {
                 Value::String(m) => m.as_str().cmp(s),
                 other => other.canonical_cmp(&STR_PROBE),
             })

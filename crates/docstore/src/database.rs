@@ -4,12 +4,11 @@
 use crate::agg::{LookupMeta, LookupSource, Pipeline, Stage};
 use crate::collection::Collection;
 use crate::error::{Error, Result};
-use crate::ordvalue::OrdValue;
 use crate::query::filter::{CmpOp, Filter};
 use crate::wal::{Wal, WalBatch};
 use doclite_bson::{Document, Value};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Caps the key set materialized by the `$in` semi-join rewrite; larger
@@ -190,23 +189,20 @@ impl Database {
         if frac > SEMIJOIN_MAX_FRACTION || frac * dim_len as f64 > MAX_SEMIJOIN_KEYS as f64 {
             return None;
         }
-        let mut keys: BTreeSet<OrdValue> = BTreeSet::new();
+        let mut keys: Vec<Value> = Vec::new();
         for d in dim.find(&dim_filter) {
             match d.get_path(foreign_field) {
                 Some(Value::Null) | None => return None,
                 Some(Value::Array(_)) => return None,
-                Some(v) => {
-                    keys.insert(OrdValue(v));
-                }
-            }
-            if keys.len() > MAX_SEMIJOIN_KEYS {
-                return None;
+                Some(v) => keys.push(v),
             }
         }
-        let probe = Filter::In {
-            path: local_field.clone(),
-            values: keys.into_iter().map(OrdValue::into_value).collect(),
-        };
+        keys.sort_by(Value::canonical_cmp);
+        keys.dedup_by(|a, b| a.canonical_eq(b));
+        if keys.len() > MAX_SEMIJOIN_KEYS {
+            return None;
+        }
+        let probe = Filter::In { path: local_field.clone(), values: keys };
         let mut rewritten: Vec<Stage> = stages.to_vec();
         rewritten.insert(i, Stage::Match(probe));
         Some(rewritten.into_iter().fold(Pipeline::new(), Pipeline::stage))

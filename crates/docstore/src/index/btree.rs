@@ -1,20 +1,23 @@
 //! Ordered B-tree index backing.
 //!
 //! Thesis Section 2.1.2: "MongoDB implements indexing by storing the keys
-//! in a B-Tree data structure". We use the standard library's B-tree map
-//! keyed by [`CompoundKey`], which gives the same `O(log n)` lookup the
-//! thesis's complexity analysis (Section 4.1.3.1.1) assumes.
+//! in a B-tree data structure". We use the standard library's B-tree map
+//! keyed by the canonical key bytes ([`Key`]), which gives the same
+//! `O(log n)` lookup the thesis's complexity analysis (Section
+//! 4.1.3.1.1) assumes, with a `memcmp` per comparison. Since byte order
+//! is canonical order, a range on a compound index's first field is one
+//! contiguous span of the map.
 
-use crate::ordvalue::{CompoundKey, OrdValue};
+use crate::keybytes::Key;
 use crate::storage::DocId;
 use doclite_bson::Value;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// A B-tree mapping compound keys to posting lists of document ids.
+/// A B-tree mapping (compound) keys to posting lists of document ids.
 #[derive(Debug, Default)]
 pub struct BTreeIndex {
-    map: BTreeMap<CompoundKey, Vec<DocId>>,
+    map: BTreeMap<Key, Vec<DocId>>,
     entries: usize,
 }
 
@@ -25,13 +28,13 @@ impl BTreeIndex {
     }
 
     /// Adds an entry.
-    pub fn insert(&mut self, key: CompoundKey, id: DocId) {
+    pub fn insert(&mut self, key: Key, id: DocId) {
         self.map.entry(key).or_default().push(id);
         self.entries += 1;
     }
 
     /// Removes an entry, pruning empty posting lists.
-    pub fn remove(&mut self, key: &CompoundKey, id: DocId) {
+    pub fn remove(&mut self, key: &Key, id: DocId) {
         if let Some(list) = self.map.get_mut(key) {
             if let Some(pos) = list.iter().position(|&d| d == id) {
                 list.swap_remove(pos);
@@ -44,63 +47,38 @@ impl BTreeIndex {
     }
 
     /// Ids for an exact key.
-    pub fn lookup_eq(&self, key: &CompoundKey) -> Vec<DocId> {
+    pub fn lookup_eq(&self, key: &Key) -> Vec<DocId> {
         self.map.get(key).cloned().unwrap_or_default()
     }
 
     /// Ids whose key's *first component* falls within the bounds
     /// (inclusive flags per bound). `None` bounds are unbounded.
     ///
-    /// Compound keys are ordered lexicographically, so a first-component
-    /// range corresponds to a contiguous B-tree span: we bracket with
-    /// minimal/maximal sentinel suffixes.
+    /// Every key whose first component is `v` lies in
+    /// `[enc(v), enc(v) + 0xFF)`, so the range is one span of the map:
+    /// an inclusive bound is `enc(v)` below and `enc(v) + 0xFF` above,
+    /// an exclusive one the other way round.
     pub fn lookup_first_field_range(
         &self,
         min: Option<(&Value, bool)>,
         max: Option<(&Value, bool)>,
     ) -> Vec<DocId> {
-        let lower: Bound<CompoundKey> = match min {
+        let lower = match min {
             None => Bound::Unbounded,
-            Some((v, inclusive)) => {
-                // Null is the minimum in canonical order, so (v, Null…) is
-                // the smallest key whose first component is v.
-                let key = CompoundKey(vec![OrdValue(v.clone())]);
-                if inclusive {
-                    Bound::Included(key)
-                } else {
-                    // Smallest key strictly greater than every key whose
-                    // first component is v: rely on prefix ordering —
-                    // exclusive on (v) itself still admits (v, x) suffixes,
-                    // so filter below.
-                    Bound::Excluded(key)
-                }
-            }
+            Some((v, true)) => Bound::Included(Key::of(v)),
+            Some((v, false)) => Bound::Included(Key::of(v).prefix_end()),
         };
-        let upper: Bound<CompoundKey> = Bound::Unbounded;
-
-        let mut out = Vec::new();
-        for (k, ids) in self.map.range((lower, upper)) {
-            let first = k.0.first().map(OrdValue::value);
-            let Some(first) = first else { continue };
-            if let Some((lo, inclusive)) = min {
-                let ord = first.canonical_cmp(lo);
-                if ord == std::cmp::Ordering::Less
-                    || (!inclusive && ord == std::cmp::Ordering::Equal)
-                {
-                    continue;
-                }
+        let upper = match max {
+            None => Bound::Unbounded,
+            Some((v, true)) => Bound::Excluded(Key::of(v).prefix_end()),
+            Some((v, false)) => Bound::Excluded(Key::of(v)),
+        };
+        if let (Bound::Included(lo), Bound::Excluded(hi)) = (&lower, &upper) {
+            if lo > hi {
+                return Vec::new();
             }
-            if let Some((hi, inclusive)) = max {
-                let ord = first.canonical_cmp(hi);
-                if ord == std::cmp::Ordering::Greater
-                    || (!inclusive && ord == std::cmp::Ordering::Equal)
-                {
-                    break;
-                }
-            }
-            out.extend_from_slice(ids);
         }
-        out
+        self.map.range((lower, upper)).flat_map(|(_, ids)| ids.iter().copied()).collect()
     }
 
     /// Number of distinct keys.
@@ -125,13 +103,10 @@ impl BTreeIndex {
     /// Iterates (key, ids) in ascending key order from `from` (inclusive;
     /// `None` = the first key) — how a chunk split or migration reads the
     /// chunk's keys.
-    pub fn iter_from(
-        &self,
-        from: Option<&CompoundKey>,
-    ) -> impl Iterator<Item = (&CompoundKey, &[DocId])> {
+    pub fn iter_from(&self, from: Option<&Key>) -> impl Iterator<Item = (&Key, &[DocId])> {
         let lower = from.map_or(Bound::Unbounded, Bound::Included);
         self.map
-            .range::<CompoundKey, _>((lower, Bound::Unbounded))
+            .range::<Key, _>((lower, Bound::Unbounded))
             .map(|(k, ids)| (k, ids.as_slice()))
     }
 }
@@ -140,8 +115,8 @@ impl BTreeIndex {
 mod tests {
     use super::*;
 
-    fn k(v: i64) -> CompoundKey {
-        CompoundKey::from_values(vec![Value::Int64(v)])
+    fn k(v: i64) -> Key {
+        Key::of(&Value::Int64(v))
     }
 
     fn populated() -> BTreeIndex {
@@ -204,13 +179,70 @@ mod tests {
     #[test]
     fn range_over_compound_keys_filters_on_first_component() {
         let mut idx = BTreeIndex::new();
-        idx.insert(CompoundKey::from_values(vec![Value::Int64(1), Value::from("z")]), 1);
-        idx.insert(CompoundKey::from_values(vec![Value::Int64(2), Value::from("a")]), 2);
-        idx.insert(CompoundKey::from_values(vec![Value::Int64(2), Value::from("b")]), 3);
-        idx.insert(CompoundKey::from_values(vec![Value::Int64(3), Value::from("a")]), 4);
+        idx.insert(Key::from_values(&[Value::Int64(1), Value::from("z")]), 1);
+        idx.insert(Key::from_values(&[Value::Int64(2), Value::from("a")]), 2);
+        idx.insert(Key::from_values(&[Value::Int64(2), Value::from("b")]), 3);
+        idx.insert(Key::from_values(&[Value::Int64(3), Value::from("a")]), 4);
         let v2 = Value::Int64(2);
         let mut ids = idx.lookup_first_field_range(Some((&v2, true)), Some((&v2, true)));
         ids.sort_unstable();
         assert_eq!(ids, vec![2, 3]);
+    }
+
+    /// Second components of every type rank, up to `DateTime(i64::MAX)`
+    /// (the largest key there is): a first-field range takes every one
+    /// of them under an included head and none under an excluded one.
+    #[test]
+    fn first_field_ranges_hold_every_second_component() {
+        use doclite_bson::{array, doc, ObjectId};
+        let tails = [
+            Value::Null,
+            Value::Int64(i64::MIN),
+            Value::Double(f64::NAN),
+            Value::Int64(i64::MAX),
+            Value::from(""),
+            Value::from("\0\u{ff}"),
+            Value::Document(doc! {}),
+            Value::Document(doc! {"" => "z"}),
+            Value::Array(vec![]),
+            array![array![1i64]],
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::ObjectId(ObjectId::from_bytes([0; 12])),
+            Value::ObjectId(ObjectId::from_bytes([0xFF; 12])),
+            Value::DateTime(i64::MIN),
+            Value::DateTime(i64::MAX),
+        ];
+        let heads = [Value::Int64(1), Value::Int64(2), Value::Double(2.5), Value::Int64(3)];
+        let mut idx = BTreeIndex::new();
+        let mut entries = Vec::new();
+        for head in &heads {
+            for tail in &tails {
+                let id = entries.len() as DocId;
+                idx.insert(Key::from_values([head, tail]), id);
+                entries.push((head.clone(), id));
+            }
+        }
+        let two = Value::Int64(2);
+        let three = Value::Double(3.0);
+        let bounds = [None, Some((&two, true)), Some((&two, false)), Some((&three, true)), Some((&three, false))];
+        for min in bounds {
+            for max in bounds {
+                let mut got = idx.lookup_first_field_range(min, max);
+                got.sort_unstable();
+                let inside = |v: &Value| {
+                    min.is_none_or(|(lo, incl)| match v.canonical_cmp(lo) {
+                        std::cmp::Ordering::Equal => incl,
+                        o => o == std::cmp::Ordering::Greater,
+                    }) && max.is_none_or(|(hi, incl)| match v.canonical_cmp(hi) {
+                        std::cmp::Ordering::Equal => incl,
+                        o => o == std::cmp::Ordering::Less,
+                    })
+                };
+                let want: Vec<DocId> =
+                    entries.iter().filter(|(v, _)| inside(v)).map(|(_, id)| *id).collect();
+                assert_eq!(got, want, "min={min:?} max={max:?}");
+            }
+        }
     }
 }

@@ -1,60 +1,34 @@
 //! Hash index backing (equality lookups only).
 //!
-//! Backs the `Hashed` index kind and — through [`hash_key`] — hashed
-//! shard keys (thesis Section 2.1.3.3: "a hash is computed on the shard
-//! key value; documents with nearby shard key values are likely to reside
-//! in different chunks").
+//! A `HashMap` keyed by the canonical key bytes ([`Key`]): byte equality
+//! is canonical equality, so there is no collision chain to walk. The
+//! stable [`hash_key`] over those bytes backs hashed shard keys (thesis
+//! Section 2.1.3.3: "a hash is computed on the shard key value;
+//! documents with nearby shard key values are likely to reside in
+//! different chunks").
 
-use crate::ordvalue::CompoundKey;
+use crate::keybytes::Key;
 use crate::storage::DocId;
-use doclite_bson::Value;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
-/// Computes the stable 64-bit hash of a value used by hashed indexes and
-/// hashed shard keys. Deterministic across runs (fixed-seed FxHash-style
-/// mixing over the canonical hash), so chunk assignment is reproducible.
-pub fn hash_key(v: &Value) -> u64 {
-    let mut h = StableHasher::default();
-    // Hash the borrowed value directly with the canonical normalization
-    // OrdValue's Hash impl applies — same bytes, no per-key clone.
-    crate::ordvalue::hash_value(v, &mut h);
-    h.finish()
+/// The stable 64-bit hash of a key's bytes ([`Key::as_bytes`]) that
+/// hashed shard keys place chunks by: FNV-1a with a splitmix64
+/// finalizer, so chunk assignment is reproducible across runs and Rust
+/// releases, and nearby keys land far apart.
+pub fn hash_key(key: &[u8]) -> u64 {
+    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+    const FNV_PRIME: u64 = 0x1000_0000_01B3;
+    let h = key.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME));
+    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// A deterministic hasher (FNV-1a over the written bytes); `DefaultHasher`
-/// would also be deterministic in practice but its algorithm is not
-/// guaranteed stable across Rust releases.
-#[derive(Default)]
-struct StableHasher {
-    state: u64,
-}
-
-impl Hasher for StableHasher {
-    fn finish(&self) -> u64 {
-        // Final avalanche (splitmix64) to spread low-entropy inputs.
-        let mut z = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        const FNV_PRIME: u64 = 0x1000_0000_01B3;
-        let mut s = if self.state == 0 { 0xCBF2_9CE4_8422_2325 } else { self.state };
-        for &b in bytes {
-            s ^= u64::from(b);
-            s = s.wrapping_mul(FNV_PRIME);
-        }
-        self.state = s;
-    }
-}
-
-/// A hash index mapping key hashes to posting lists. Collisions are
-/// handled by storing the exact key alongside.
+/// A hash index mapping keys to posting lists.
 #[derive(Debug, Default)]
 pub struct HashedIndex {
-    map: HashMap<u64, Vec<(CompoundKey, Vec<DocId>)>>,
+    map: HashMap<Key, Vec<DocId>>,
     entries: usize,
 }
 
@@ -64,53 +38,33 @@ impl HashedIndex {
         Self::default()
     }
 
-    fn bucket_hash(key: &CompoundKey) -> u64 {
-        let mut h = StableHasher::default();
-        key.hash(&mut h);
-        h.finish()
-    }
-
     /// Adds an entry.
-    pub fn insert(&mut self, key: CompoundKey, id: DocId) {
-        let hash = Self::bucket_hash(&key);
-        let bucket = self.map.entry(hash).or_default();
-        match bucket.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, ids)) => ids.push(id),
-            None => bucket.push((key, vec![id])),
-        }
+    pub fn insert(&mut self, key: Key, id: DocId) {
+        self.map.entry(key).or_default().push(id);
         self.entries += 1;
     }
 
     /// Removes an entry.
-    pub fn remove(&mut self, key: &CompoundKey, id: DocId) {
-        let hash = Self::bucket_hash(key);
-        if let Some(bucket) = self.map.get_mut(&hash) {
-            if let Some((_, ids)) = bucket.iter_mut().find(|(k, _)| k == key) {
-                if let Some(pos) = ids.iter().position(|&d| d == id) {
-                    ids.swap_remove(pos);
-                    self.entries -= 1;
-                }
+    pub fn remove(&mut self, key: &Key, id: DocId) {
+        if let Some(ids) = self.map.get_mut(key) {
+            if let Some(pos) = ids.iter().position(|&d| d == id) {
+                ids.swap_remove(pos);
+                self.entries -= 1;
             }
-            bucket.retain(|(_, ids)| !ids.is_empty());
-            if bucket.is_empty() {
-                self.map.remove(&hash);
+            if ids.is_empty() {
+                self.map.remove(key);
             }
         }
     }
 
     /// Ids for an exact key.
-    pub fn lookup_eq(&self, key: &CompoundKey) -> Vec<DocId> {
-        let hash = Self::bucket_hash(key);
-        self.map
-            .get(&hash)
-            .and_then(|bucket| bucket.iter().find(|(k, _)| k == key))
-            .map(|(_, ids)| ids.clone())
-            .unwrap_or_default()
+    pub fn lookup_eq(&self, key: &Key) -> Vec<DocId> {
+        self.map.get(key).cloned().unwrap_or_default()
     }
 
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.map.len()
     }
 
     /// Number of (key, id) entries.
@@ -119,28 +73,27 @@ impl HashedIndex {
     }
 
     /// Iterates (key, ids) over every distinct key, arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&CompoundKey, &[DocId])> {
-        self.map.values().flatten().map(|(k, ids)| (k, ids.as_slice()))
+    pub fn iter(&self) -> impl Iterator<Item = (&Key, &[DocId])> {
+        self.map.iter().map(|(k, ids)| (k, ids.as_slice()))
     }
 
     /// All ids, arbitrary order.
     pub fn all_ids(&self) -> Vec<DocId> {
-        let mut out = Vec::with_capacity(self.entries);
-        for bucket in self.map.values() {
-            for (_, ids) in bucket {
-                out.extend_from_slice(ids);
-            }
-        }
-        out
+        self.map.values().flatten().copied().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doclite_bson::Value;
 
-    fn k(v: i64) -> CompoundKey {
-        CompoundKey::from_values(vec![Value::Int64(v)])
+    fn k(v: i64) -> Key {
+        Key::of(&Value::Int64(v))
+    }
+
+    fn hash(v: &Value) -> u64 {
+        hash_key(Key::of(v).as_bytes())
     }
 
     #[test]
@@ -160,17 +113,17 @@ mod tests {
 
     #[test]
     fn hash_key_is_deterministic_and_type_insensitive_for_numbers() {
-        assert_eq!(hash_key(&Value::Int64(42)), hash_key(&Value::Int64(42)));
-        assert_eq!(hash_key(&Value::Int32(42)), hash_key(&Value::Double(42.0)));
-        assert_ne!(hash_key(&Value::Int64(42)), hash_key(&Value::Int64(43)));
+        assert_eq!(hash(&Value::Int64(42)), hash(&Value::Int64(42)));
+        assert_eq!(hash(&Value::Int32(42)), hash(&Value::Double(42.0)));
+        assert_ne!(hash(&Value::Int64(42)), hash(&Value::Int64(43)));
     }
 
     #[test]
     fn hash_key_spreads_sequential_values() {
         // Nearby keys should land far apart — the property hashed sharding
         // relies on to avoid hot chunks (thesis 2.1.3.3).
-        let h1 = hash_key(&Value::Int64(1000));
-        let h2 = hash_key(&Value::Int64(1001));
+        let h1 = hash(&Value::Int64(1000));
+        let h2 = hash(&Value::Int64(1001));
         assert!(h1.abs_diff(h2) > 1 << 32);
     }
 

@@ -2,7 +2,7 @@
 
 use super::IndexDef;
 use crate::error::{Error, Result};
-use crate::ordvalue::CompoundKey;
+use crate::keybytes::Key;
 use doclite_bson::{CompiledPath, Document, Resolved, Value};
 
 /// Extracts the index keys a document contributes under a definition.
@@ -14,7 +14,7 @@ use doclite_bson::{CompiledPath, Document, Resolved, Value};
 ///   contributes one key per element (the *multikey* case of thesis
 ///   Section 2.1.2 item iv). Two array fields in one compound key are
 ///   rejected, as in MongoDB.
-pub fn extract_keys(doc: &Document, def: &IndexDef) -> Result<Vec<CompoundKey>> {
+pub fn extract_keys(doc: &Document, def: &IndexDef) -> Result<Vec<Key>> {
     let resolved: Vec<Value> = def
         .fields
         .iter()
@@ -29,26 +29,22 @@ pub fn extract_keys(doc: &Document, def: &IndexDef) -> Result<Vec<CompoundKey>> 
         .collect();
 
     match array_positions.len() {
-        0 => Ok(vec![CompoundKey::from_values(resolved)]),
+        0 => Ok(vec![Key::from_values(&resolved)]),
         1 => {
             let pos = array_positions[0];
             let Value::Array(items) = &resolved[pos] else {
                 unreachable!("position found above")
             };
+            let with = |item: &Value| {
+                Key::from_values(
+                    resolved.iter().enumerate().map(|(i, v)| if i == pos { item } else { v }),
+                )
+            };
             if items.is_empty() {
                 // An empty array indexes as Null, like MongoDB.
-                let mut vals = resolved.clone();
-                vals[pos] = Value::Null;
-                return Ok(vec![CompoundKey::from_values(vals)]);
+                return Ok(vec![with(&Value::Null)]);
             }
-            Ok(items
-                .iter()
-                .map(|item| {
-                    let mut vals = resolved.clone();
-                    vals[pos] = item.clone();
-                    CompoundKey::from_values(vals)
-                })
-                .collect())
+            Ok(items.iter().map(with).collect())
         }
         _ => Err(Error::InvalidIndex(format!(
             "cannot index parallel arrays in compound index {}",
@@ -83,33 +79,34 @@ mod tests {
     fn scalar_key() {
         let def = IndexDef::compound(["a", "b"]);
         let keys = extract_keys(&doc! {"a" => 1i64, "b" => "x"}, &def).unwrap();
-        assert_eq!(keys.len(), 1);
-        assert_eq!(keys[0].0[0].value(), &Value::Int64(1));
-        assert_eq!(keys[0].0[1].value(), &Value::from("x"));
+        assert_eq!(keys, [Key::from_values(&[Value::Int64(1), Value::from("x")])]);
     }
 
     #[test]
     fn missing_field_indexes_as_null() {
         let def = IndexDef::compound(["a", "b"]);
         let keys = extract_keys(&doc! {"a" => 1i64}, &def).unwrap();
-        assert_eq!(keys[0].0[1].value(), &Value::Null);
+        assert_eq!(keys, [Key::from_values(&[Value::Int64(1), Value::Null])]);
     }
 
     #[test]
     fn multikey_expansion() {
         let def = IndexDef::compound(["a", "tags"]);
         let keys = extract_keys(&doc! {"a" => 1i64, "tags" => array!["x", "y"]}, &def).unwrap();
-        assert_eq!(keys.len(), 2);
-        assert_eq!(keys[0].0[1].value(), &Value::from("x"));
-        assert_eq!(keys[1].0[1].value(), &Value::from("y"));
+        assert_eq!(
+            keys,
+            [
+                Key::from_values(&[Value::Int64(1), Value::from("x")]),
+                Key::from_values(&[Value::Int64(1), Value::from("y")]),
+            ]
+        );
     }
 
     #[test]
     fn empty_array_indexes_as_null() {
         let def = IndexDef::single("tags");
         let keys = extract_keys(&doc! {"tags" => Value::Array(vec![])}, &def).unwrap();
-        assert_eq!(keys.len(), 1);
-        assert_eq!(keys[0].0[0].value(), &Value::Null);
+        assert_eq!(keys, [Key::of(&Value::Null)]);
     }
 
     #[test]
@@ -136,12 +133,8 @@ mod tests {
             let compiled = CompiledPath::new(path);
             for d in &docs {
                 let mut got = Vec::new();
-                for_each_single_key(d, &compiled, |v| got.push(v.clone()));
-                let expected: Vec<Value> = extract_keys(d, &def)
-                    .unwrap()
-                    .into_iter()
-                    .map(|k| k.0.into_iter().next().unwrap().into_value())
-                    .collect();
+                for_each_single_key(d, &compiled, |v| got.push(Key::of(v)));
+                let expected = extract_keys(d, &def).unwrap();
                 assert_eq!(got, expected, "{path} over {d:?}");
             }
         }
@@ -152,6 +145,6 @@ mod tests {
         let def = IndexDef::single("addr.city");
         let keys =
             extract_keys(&doc! {"addr" => doc!{"city" => "Midway"}}, &def).unwrap();
-        assert_eq!(keys[0].0[0].value(), &Value::from("Midway"));
+        assert_eq!(keys, [Key::of(&Value::from("Midway"))]);
     }
 }

@@ -8,9 +8,9 @@ pub mod keys;
 pub mod text;
 
 use crate::error::{Error, Result};
-use crate::ordvalue::CompoundKey;
+use crate::keybytes::Key;
 use crate::storage::DocId;
-use doclite_bson::Document;
+use doclite_bson::{Document, Value};
 
 pub use btree::BTreeIndex;
 pub use hashed::HashedIndex;
@@ -106,6 +106,17 @@ impl IndexDef {
         self.fields.iter().map(|(f, _)| f.as_str()).collect()
     }
 
+    /// What a unique index refuses `doc` with: the values `doc` holds
+    /// under the indexed fields, e.g. `duplicate _id: {"u": 5}`.
+    pub(crate) fn duplicate(&self, doc: &Document) -> Error {
+        let held: Document = self
+            .fields
+            .iter()
+            .map(|(f, _)| (f.clone(), doc.get_path(f).unwrap_or(Value::Null)))
+            .collect();
+        Error::DuplicateId(held.to_string())
+    }
+
     /// Validates the definition.
     pub fn validate(&self) -> Result<()> {
         if self.fields.is_empty() {
@@ -158,12 +169,8 @@ impl Index {
     /// violations (no entries are left behind on failure).
     pub fn insert(&mut self, id: DocId, doc: &Document) -> Result<()> {
         let keys = extract_keys(doc, &self.def)?;
-        if self.def.unique {
-            for k in &keys {
-                if self.contains_key(k) {
-                    return Err(Error::DuplicateId(format!("{:?}", k.0)));
-                }
-            }
+        if self.def.unique && keys.iter().any(|k| self.contains_key(k)) {
+            return Err(self.def.duplicate(doc));
         }
         self.multikey |= keys.len() > 1;
         for k in keys {
@@ -196,17 +203,17 @@ impl Index {
         }
     }
 
-    /// The first of `keys` that a document other than `id` holds — what
-    /// a unique index refuses. An in-place update checks this before it
+    /// True if a document other than `id` holds one of `keys` — what a
+    /// unique index refuses. An in-place update checks this before it
     /// changes any index, so a refused update leaves nothing behind.
-    pub(crate) fn conflict<'k>(&self, id: DocId, keys: &'k [CompoundKey]) -> Option<&'k CompoundKey> {
-        keys.iter().find(|k| self.lookup_eq(k).iter().any(|&held| held != id))
+    pub(crate) fn conflicts(&self, id: DocId, keys: &[Key]) -> bool {
+        keys.iter().any(|k| self.lookup_eq(k).iter().any(|&held| held != id))
     }
 
     /// Moves document `id`'s entries from the keys it had to the keys it
     /// has now, both from [`extract_keys`]; the caller has ruled out a
-    /// unique [`conflict`](Self::conflict).
-    pub(crate) fn rekey(&mut self, id: DocId, old: &[CompoundKey], new: Vec<CompoundKey>) {
+    /// unique [`conflicts`](Self::conflicts).
+    pub(crate) fn rekey(&mut self, id: DocId, old: &[Key], new: Vec<Key>) {
         for k in old {
             match &mut self.backing {
                 Backing::BTree(b) => b.remove(k, id),
@@ -222,7 +229,7 @@ impl Index {
         }
     }
 
-    fn contains_key(&self, key: &CompoundKey) -> bool {
+    fn contains_key(&self, key: &Key) -> bool {
         match &self.backing {
             Backing::BTree(b) => !b.lookup_eq(key).is_empty(),
             Backing::Hashed(h) => !h.lookup_eq(key).is_empty(),
@@ -230,7 +237,7 @@ impl Index {
     }
 
     /// Ids whose key equals `key` exactly.
-    pub fn lookup_eq(&self, key: &CompoundKey) -> Vec<DocId> {
+    pub fn lookup_eq(&self, key: &Key) -> Vec<DocId> {
         match &self.backing {
             Backing::BTree(b) => b.lookup_eq(key),
             Backing::Hashed(h) => h.lookup_eq(key),
@@ -241,8 +248,8 @@ impl Index {
     /// (B-tree only; a hashed index returns `None`).
     pub fn lookup_range(
         &self,
-        min: Option<(&doclite_bson::Value, bool)>,
-        max: Option<(&doclite_bson::Value, bool)>,
+        min: Option<(&Value, bool)>,
+        max: Option<(&Value, bool)>,
     ) -> Option<Vec<DocId>> {
         match &self.backing {
             Backing::BTree(b) => Some(b.lookup_first_field_range(min, max)),
@@ -272,8 +279,8 @@ impl Index {
     /// key, in no particular order, and ignores `from`.
     pub fn keys_from<'a>(
         &'a self,
-        from: Option<&CompoundKey>,
-    ) -> Box<dyn Iterator<Item = (&'a CompoundKey, &'a [DocId])> + 'a> {
+        from: Option<&Key>,
+    ) -> Box<dyn Iterator<Item = (&'a Key, &'a [DocId])> + 'a> {
         match &self.backing {
             Backing::BTree(b) => Box::new(b.iter_from(from)),
             Backing::Hashed(h) => Box::new(h.iter()),
@@ -318,7 +325,8 @@ mod tests {
     fn unique_index_rejects_duplicates_without_partial_state() {
         let mut idx = Index::new(IndexDef::single("k").unique()).unwrap();
         idx.insert(1, &doc! {"k" => 5i64}).unwrap();
-        assert!(idx.insert(2, &doc! {"k" => 5i64}).is_err());
+        let err = idx.insert(2, &doc! {"k" => 5i64, "v" => 1i64}).unwrap_err();
+        assert_eq!(err.to_string(), r#"duplicate _id: {"k": 5}"#);
         assert_eq!(idx.entry_count(), 1);
     }
 
@@ -331,7 +339,7 @@ mod tests {
         assert_eq!(idx.entry_count(), 2);
         idx.remove(1, &d);
         assert_eq!(idx.entry_count(), 1);
-        let key = CompoundKey::from_values(vec![doclite_bson::Value::Int64(5)]);
+        let key = Key::of(&Value::Int64(5));
         assert_eq!(idx.lookup_eq(&key), vec![2]);
     }
 }

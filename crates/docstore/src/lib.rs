@@ -6,7 +6,8 @@
 //! compound / multikey indexes selected under the index-prefix rule, the
 //! match expression language, `$set`-family updates with upsert/multi,
 //! and the aggregation pipeline (`$match`, `$project`, `$group`, `$sort`,
-//! `$limit`, `$skip`, `$unwind`, `$count`, `$out`).
+//! `$limit`, `$skip`, `$unwind`, `$count`, `$out`). Every index key is a
+//! [`Key`]: the order-preserving canonical bytes of [`keybytes`].
 //!
 //! The engine starts no threads and keeps no process-wide state:
 //! concurrency is its callers' (client threads, the router's scatter
@@ -38,7 +39,6 @@ pub mod dump;
 pub mod error;
 pub mod index;
 pub mod keybytes;
-pub mod ordvalue;
 pub mod query;
 pub mod stats;
 pub mod storage;
@@ -58,7 +58,7 @@ pub use database::Database;
 pub use dump::{dump_collection, dump_database, restore_collection, restore_database, DumpReader};
 pub use error::{Error, Result};
 pub use index::{IndexDef, IndexKind, SortOrder};
-pub use ordvalue::{CompoundKey, OrdValue};
+pub use keybytes::Key;
 pub use query::{compile, matches_compiled, CmpOp, CompiledFilter, Filter};
 pub use storage::{crc32, Crc32, DocId, StorageFaults};
 pub use update::{BulkUpdate, UpdateOp, UpdateResult, UpdateSpec};

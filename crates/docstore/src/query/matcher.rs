@@ -21,7 +21,6 @@
 //! slices probed by `binary_search` against a borrowed value.
 
 use super::filter::{CmpOp, Filter};
-use crate::ordvalue::OrdValue;
 use doclite_bson::{CompiledPath, Document, Resolved, Value};
 use std::cmp::Ordering;
 
@@ -55,8 +54,8 @@ pub fn matches(filter: &Filter, doc: &Document) -> bool {
 pub enum CompiledFilter {
     True,
     Cmp { path: CompiledPath, op: CmpOp, value: Value },
-    InSet { path: CompiledPath, set: Box<[OrdValue]>, has_null: bool },
-    NinSet { path: CompiledPath, set: Box<[OrdValue]>, has_null: bool },
+    InSet { path: CompiledPath, set: Box<[Value]>, has_null: bool },
+    NinSet { path: CompiledPath, set: Box<[Value]>, has_null: bool },
     Exists { path: CompiledPath, exists: bool },
     And(Vec<CompiledFilter>),
     Or(Vec<CompiledFilter>),
@@ -68,10 +67,10 @@ pub enum CompiledFilter {
 /// membership is a binary search against a borrowed probe value.
 /// Shared with the columnar batch kernel, whose `$in` masks must probe
 /// identically-built sets.
-pub(crate) fn compile_set(values: &[Value]) -> Box<[OrdValue]> {
-    let mut set: Vec<OrdValue> = values.iter().cloned().map(OrdValue).collect();
-    set.sort();
-    set.dedup();
+pub(crate) fn compile_set(values: &[Value]) -> Box<[Value]> {
+    let mut set = values.to_vec();
+    set.sort_by(Value::canonical_cmp);
+    set.dedup_by(|a, b| a.canonical_eq(b));
     set.into_boxed_slice()
 }
 
@@ -137,13 +136,13 @@ pub fn matches_compiled(filter: &CompiledFilter, doc: &Document) -> bool {
 }
 
 /// Clone-free membership probe: canonical binary search of `v` in the
-/// sorted set, so `{$in: [1.0]}` finds `Int32(1)` through the same
-/// cross-numeric-type comparison the old `BTreeSet<OrdValue>` used.
-pub(crate) fn set_contains(set: &[OrdValue], v: &Value) -> bool {
-    set.binary_search_by(|ov| ov.0.canonical_cmp(v)).is_ok()
+/// sorted set, so `{$in: [1.0]}` finds `Int32(1)` through the
+/// cross-numeric-type comparison equality uses.
+pub(crate) fn set_contains(set: &[Value], v: &Value) -> bool {
+    set.binary_search_by(|m| m.canonical_cmp(v)).is_ok()
 }
 
-fn in_set(resolved: Option<&Value>, set: &[OrdValue], has_null: bool) -> bool {
+fn in_set(resolved: Option<&Value>, set: &[Value], has_null: bool) -> bool {
     match resolved {
         // {$in: [.., null]} matches a missing field, like {path: null}.
         None => has_null,
@@ -296,7 +295,7 @@ mod tests {
     #[test]
     fn in_set_unifies_numeric_types() {
         // Regression: the sorted-slice probe must keep the cross-type
-        // numeric unification the BTreeSet<OrdValue> representation had.
+        // numeric unification of canonical equality.
         let d = doc! {"k" => Value::Int32(1)};
         assert!(matches(&Filter::is_in("k", [1.0f64]), &d));
         assert!(matches(&Filter::is_in("k", [1i64]), &d));

@@ -10,7 +10,6 @@
 
 use super::filter::{CmpOp, Filter};
 use crate::index::{Index, IndexKind};
-use crate::ordvalue::CompoundKey;
 use doclite_bson::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -154,8 +153,10 @@ pub enum PlanKind {
     /// only the matching documents. `cols` are the paths the filter
     /// reads, each of which has a column.
     ColumnScan { cols: Vec<String> },
-    /// Point lookups on full index keys (equality on every index field).
-    IndexEq { index: String, keys: Vec<CompoundKey> },
+    /// Point lookups on full index keys (equality on every index field):
+    /// one value per index field each, looked up as its
+    /// [`Key`](crate::keybytes::Key) and priced by its values.
+    IndexEq { index: String, keys: Vec<Vec<Value>> },
     /// B-tree range scan on the index's first field.
     IndexRange {
         index: String,
@@ -274,7 +275,7 @@ fn plan_for_index(idx: &Index, constraints: &Constraints) -> Option<PlanKind> {
 /// `MAX_POINT_LOOKUPS` of them — except on a single-field unique index,
 /// which takes any number of values because each key names at most one
 /// document.
-fn point_keys(idx: &Index, constraints: &Constraints) -> Option<Vec<CompoundKey>> {
+fn point_keys(idx: &Index, constraints: &Constraints) -> Option<Vec<Vec<Value>>> {
     let eq_sets = idx
         .def
         .fields
@@ -418,8 +419,8 @@ fn index_cost(kind: &PlanKind, idx: &Index, stats: &crate::stats::CollStats, liv
             let mut frac = 0.0;
             for key in keys {
                 let mut kf = 1.0;
-                for (f, ov) in fields.iter().zip(&key.0) {
-                    kf *= stats.eq_value_fraction(f, ov.value());
+                for (f, v) in fields.iter().zip(key) {
+                    kf *= stats.eq_value_fraction(f, v);
                 }
                 frac += kf;
             }
@@ -434,7 +435,10 @@ fn index_cost(kind: &PlanKind, idx: &Index, stats: &crate::stats::CollStats, liv
     }
 }
 
-fn cartesian(sets: &[&Vec<Value>]) -> Vec<CompoundKey> {
+/// Every combination of one value from each set, in order: the point
+/// keys of a conjunction of `$eq` / `$in`s (here and in shard-key
+/// targeting).
+pub fn cartesian(sets: &[&Vec<Value>]) -> Vec<Vec<Value>> {
     let mut keys: Vec<Vec<Value>> = vec![Vec::new()];
     for set in sets {
         let mut next = Vec::with_capacity(keys.len() * set.len());
@@ -447,7 +451,7 @@ fn cartesian(sets: &[&Vec<Value>]) -> Vec<CompoundKey> {
         }
         keys = next;
     }
-    keys.into_iter().map(CompoundKey::from_values).collect()
+    keys
 }
 
 #[cfg(test)]

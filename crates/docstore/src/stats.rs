@@ -13,7 +13,7 @@
 //! manifest so a recovered database plans as well as it did before the
 //! restart.
 
-use crate::ordvalue::OrdValue;
+use crate::keybytes::Key;
 use crate::query::filter::Filter;
 use crate::query::planner::{conjunctive_constraints, Constraints, PathConstraint};
 use crate::storage::Slab;
@@ -41,17 +41,24 @@ pub const DEFAULT_EQ_FRACTION: f64 = 0.10;
 pub const DEFAULT_RANGE_FRACTION: f64 = 1.0 / 3.0;
 
 /// One equi-depth histogram bucket: values in `(prev.upper, upper]`.
+/// `upper` is the [`Key`] of `upper_value`, which the stats document
+/// persists.
 #[derive(Clone, Debug)]
 struct Bucket {
-    upper: OrdValue,
+    upper: Key,
+    upper_value: Value,
     count: u64,
     distinct: u64,
 }
 
+/// A value's key → the value first seen with it and its occurrence
+/// count.
+type Counts = BTreeMap<Key, (Value, u64)>;
+
 #[derive(Clone, Debug)]
 enum Dist {
     /// Exact value → occurrence count (≤ [`EXACT_CAP`] distinct).
-    Exact(BTreeMap<OrdValue, u64>),
+    Exact(Counts),
     /// Equi-depth buckets; counts drift incrementally, distincts are
     /// frozen at build time.
     Hist(Vec<Bucket>),
@@ -87,16 +94,16 @@ impl FieldStats {
             Some(Value::Array(_) | Value::Document(_)) => bump(&mut self.other),
             Some(v) => {
                 bump(&mut self.scalar);
-                let key = OrdValue(v.clone());
+                let key = Key::of(v);
                 match &mut self.dist {
                     Dist::Exact(map) => {
                         if delta > 0 {
-                            *map.entry(key).or_insert(0) += 1;
+                            map.entry(key).or_insert_with(|| (v.clone(), 0)).1 += 1;
                             if map.len() > EXACT_CAP {
                                 let taken = std::mem::take(map);
                                 self.dist = Dist::Hist(hist_from_counts(taken));
                             }
-                        } else if let Some(n) = map.get_mut(&key) {
+                        } else if let Some((_, n)) = map.get_mut(&key) {
                             *n = n.saturating_sub(1);
                             if *n == 0 {
                                 map.remove(&key);
@@ -106,7 +113,8 @@ impl FieldStats {
                     Dist::Hist(buckets) => {
                         if buckets.is_empty() {
                             if delta > 0 {
-                                buckets.push(Bucket { upper: key, count: 1, distinct: 1 });
+                                let upper_value = v.clone();
+                                buckets.push(Bucket { upper: key, upper_value, count: 1, distinct: 1 });
                             }
                             return;
                         }
@@ -116,7 +124,9 @@ impl FieldStats {
                         if delta > 0 {
                             buckets[i].count = buckets[i].count.saturating_add(1);
                             if key > buckets[i].upper {
-                                buckets[i].upper = key; // extend the tail bucket
+                                // extend the tail bucket
+                                buckets[i].upper = key;
+                                buckets[i].upper_value = v.clone();
                             }
                         } else {
                             buckets[i].count = buckets[i].count.saturating_sub(1);
@@ -130,9 +140,9 @@ impl FieldStats {
     /// Estimated fraction of documents whose value equals `v`.
     fn eq_fraction(&self, v: &Value) -> f64 {
         let total = self.total().max(1) as f64;
-        let key = OrdValue(v.clone());
+        let key = Key::of(v);
         match &self.dist {
-            Dist::Exact(map) => map.get(&key).copied().unwrap_or(0) as f64 / total,
+            Dist::Exact(map) => map.get(&key).map_or(0, |(_, n)| *n) as f64 / total,
             Dist::Hist(buckets) => {
                 let i = buckets.partition_point(|b| b.upper < key);
                 match buckets.get(i) {
@@ -150,18 +160,10 @@ impl FieldStats {
         max: Option<&(Value, bool)>,
     ) -> f64 {
         let total = self.total().max(1) as f64;
-        let lo = match min {
-            None => Bound::Unbounded,
-            Some((v, true)) => Bound::Included(OrdValue(v.clone())),
-            Some((v, false)) => Bound::Excluded(OrdValue(v.clone())),
-        };
-        let hi = match max {
-            None => Bound::Unbounded,
-            Some((v, true)) => Bound::Included(OrdValue(v.clone())),
-            Some((v, false)) => Bound::Excluded(OrdValue(v.clone())),
-        };
-        if let (Some((a, ai)), Some((b, bi))) = (min, max) {
-            match OrdValue(a.clone()).cmp(&OrdValue(b.clone())) {
+        let key = |b: Option<&(Value, bool)>| b.map(|(v, incl)| (Key::of(v), *incl));
+        let (min, max) = (key(min), key(max));
+        if let (Some((a, ai)), Some((b, bi))) = (&min, &max) {
+            match a.cmp(b) {
                 std::cmp::Ordering::Greater => return 0.0,
                 std::cmp::Ordering::Equal if !(*ai && *bi) => return 0.0,
                 _ => {}
@@ -169,7 +171,15 @@ impl FieldStats {
         }
         match &self.dist {
             Dist::Exact(map) => {
-                let n: u64 = map.range((lo, hi)).map(|(_, c)| *c).sum();
+                fn bound(b: &Option<(Key, bool)>) -> Bound<&Key> {
+                    match b {
+                        None => Bound::Unbounded,
+                        Some((k, true)) => Bound::Included(k),
+                        Some((k, false)) => Bound::Excluded(k),
+                    }
+                }
+                let span = map.range::<Key, _>((bound(&min), bound(&max)));
+                let n: u64 = span.map(|(_, (_, c))| *c).sum();
                 n as f64 / total
             }
             Dist::Hist(buckets) => {
@@ -177,32 +187,25 @@ impl FieldStats {
                 for (i, b) in buckets.iter().enumerate() {
                     let b_lo = if i == 0 { None } else { Some(&buckets[i - 1].upper) };
                     // Bucket entirely below the range?
-                    if let Some((v, incl)) = min {
-                        let mv = OrdValue(v.clone());
-                        if b.upper < mv || (b.upper == mv && !incl) {
+                    if let Some((mv, incl)) = &min {
+                        if b.upper < *mv || (b.upper == *mv && !incl) {
                             continue;
                         }
                     }
                     // Bucket entirely above the range?
-                    if let Some((v, _)) = max {
-                        let mv = OrdValue(v.clone());
-                        if let Some(l) = b_lo {
-                            if *l >= mv {
-                                break;
-                            }
+                    if let (Some((mv, _)), Some(l)) = (&max, b_lo) {
+                        if l >= mv {
+                            break;
                         }
                     }
-                    let covers_lo = match (min, b_lo) {
+                    let covers_lo = match (&min, b_lo) {
                         (None, _) => true,
-                        (Some((v, _)), Some(l)) => *l >= OrdValue(v.clone()),
+                        (Some((mv, _)), Some(l)) => l >= mv,
                         (Some(_), None) => false,
                     };
-                    let covers_hi = match max {
+                    let covers_hi = match &max {
                         None => true,
-                        Some((v, incl)) => {
-                            let mv = OrdValue(v.clone());
-                            b.upper < mv || (b.upper == mv && *incl)
-                        }
+                        Some((mv, incl)) => b.upper < *mv || (b.upper == *mv && *incl),
                     };
                     // Boundary buckets contribute half their mass.
                     n += if covers_lo && covers_hi {
@@ -225,20 +228,17 @@ impl FieldStats {
         match &self.dist {
             Dist::Exact(map) => {
                 d.set("t", "exact");
-                d.set(
-                    "vals",
-                    Value::Array(map.keys().map(|k| k.value().clone()).collect()),
-                );
+                d.set("vals", Value::Array(map.values().map(|(v, _)| v.clone()).collect()));
                 d.set(
                     "counts",
-                    Value::Array(map.values().map(|c| Value::Int64(*c as i64)).collect()),
+                    Value::Array(map.values().map(|(_, c)| Value::Int64(*c as i64)).collect()),
                 );
             }
             Dist::Hist(buckets) => {
                 d.set("t", "hist");
                 d.set(
                     "uppers",
-                    Value::Array(buckets.iter().map(|b| b.upper.value().clone()).collect()),
+                    Value::Array(buckets.iter().map(|b| b.upper_value.clone()).collect()),
                 );
                 d.set(
                     "counts",
@@ -275,12 +275,7 @@ impl FieldStats {
                 if vals.len() != counts.len() {
                     return None;
                 }
-                let map = vals
-                    .iter()
-                    .cloned()
-                    .map(OrdValue)
-                    .zip(counts)
-                    .collect::<BTreeMap<_, _>>();
+                let map = vals.iter().zip(counts).map(|(v, c)| (Key::of(v), (v.clone(), c))).collect();
                 fs.dist = Dist::Exact(map);
             }
             "hist" => {
@@ -299,7 +294,8 @@ impl FieldStats {
                     .zip(counts)
                     .zip(distincts)
                     .map(|((u, count), distinct)| Bucket {
-                        upper: OrdValue(u.clone()),
+                        upper: Key::of(u),
+                        upper_value: u.clone(),
                         count,
                         distinct,
                     })
@@ -313,29 +309,26 @@ impl FieldStats {
 }
 
 /// Builds equi-depth buckets from an exact (sorted) value→count map.
-fn hist_from_counts(map: BTreeMap<OrdValue, u64>) -> Vec<Bucket> {
-    let total: u64 = map.values().sum();
+fn hist_from_counts(map: Counts) -> Vec<Bucket> {
+    let total: u64 = map.values().map(|(_, c)| c).sum();
     let depth = (total / HIST_BUCKETS as u64).max(1);
     let mut buckets: Vec<Bucket> = Vec::with_capacity(HIST_BUCKETS + 1);
     let mut count = 0;
     let mut distinct = 0;
-    let mut last: Option<OrdValue> = None;
-    for (v, c) in map {
+    let mut last: Option<(Key, Value)> = None;
+    for (k, (v, c)) in map {
         count += c;
         distinct += 1;
-        last = Some(v);
+        last = Some((k, v));
         if count >= depth {
-            buckets.push(Bucket {
-                upper: last.take().expect("just set"),
-                count,
-                distinct,
-            });
+            let (upper, upper_value) = last.take().expect("just set");
+            buckets.push(Bucket { upper, upper_value, count, distinct });
             count = 0;
             distinct = 0;
         }
     }
-    if let Some(upper) = last {
-        buckets.push(Bucket { upper, count, distinct });
+    if let Some((upper, upper_value)) = last {
+        buckets.push(Bucket { upper, upper_value, count, distinct });
     }
     buckets
 }
@@ -415,7 +408,7 @@ impl CollStats {
     /// Rebuilds every tracked field's distribution from the slab.
     pub fn rebuild(&mut self, slab: &Slab) {
         for (path, fs) in self.fields.iter_mut() {
-            let mut map: BTreeMap<OrdValue, u64> = BTreeMap::new();
+            let mut map = Counts::new();
             let mut fresh = FieldStats::new();
             for (_, doc) in slab.iter() {
                 match doc.get_path(path) {
@@ -423,7 +416,7 @@ impl CollStats {
                     Some(Value::Array(_) | Value::Document(_)) => fresh.other += 1,
                     Some(v) => {
                         fresh.scalar += 1;
-                        *map.entry(OrdValue(v)).or_insert(0) += 1;
+                        map.entry(Key::of(&v)).or_insert((v, 0)).1 += 1;
                     }
                 }
             }

@@ -324,7 +324,7 @@ impl SlotModel {
                     other != slot && d.as_ref().is_some_and(|d| d.get("u") == Some(u))
                 };
                 if self.slots.iter().enumerate().any(taken) {
-                    return Err(format!("duplicate _id: [OrdValue({u:?})]"));
+                    return Err(format!("duplicate _id: {}", Document::new().with("u", u.clone())));
                 }
                 self.slots[slot] = Some(updated);
                 modified += 1;

@@ -6,9 +6,9 @@
 //! collection, so a split or a migration costs the chunk's keys and
 //! documents, not the collection's.
 
-use crate::shardkey::{Partitioning, ShardKey};
+use crate::shardkey::{hashed_key, Partitioning, ShardKey};
 use doclite_bson::Document;
-use doclite_docstore::{Collection, CompoundKey, DocId, IndexRead, Result};
+use doclite_docstore::{Collection, DocId, IndexRead, Key, Result};
 use std::cmp::Ordering;
 
 /// Identifies a shard within the cluster.
@@ -24,7 +24,7 @@ pub enum KeyBound {
     MinKey,
     /// An actual key value (inclusive as a lower bound, exclusive as an
     /// upper bound).
-    Key(CompoundKey),
+    Key(Key),
     /// Above every key.
     MaxKey,
 }
@@ -32,7 +32,7 @@ pub enum KeyBound {
 impl KeyBound {
     /// Compares the bound against a concrete key, treating the bound as a
     /// point in the extended keyspace.
-    pub fn cmp_key(&self, key: &CompoundKey) -> Ordering {
+    pub fn cmp_key(&self, key: &Key) -> Ordering {
         match self {
             KeyBound::MinKey => Ordering::Less,
             KeyBound::MaxKey => Ordering::Greater,
@@ -83,13 +83,13 @@ impl Chunk {
     }
 
     /// True if the chunk's range contains the key.
-    pub fn contains(&self, key: &CompoundKey) -> bool {
+    pub fn contains(&self, key: &Key) -> bool {
         self.min.cmp_key(key) != Ordering::Greater && self.max.cmp_key(key) == Ordering::Greater
     }
 
     /// True if the chunk's range intersects `[lo, hi]` (both inclusive;
     /// `None` = unbounded). Used for range targeting.
-    pub fn intersects(&self, lo: Option<&CompoundKey>, hi: Option<&CompoundKey>) -> bool {
+    pub fn intersects(&self, lo: Option<&Key>, hi: Option<&Key>) -> bool {
         // chunk.min <= hi and chunk.max > lo
         let below_hi = match hi {
             None => true,
@@ -109,7 +109,7 @@ impl Chunk {
         &self,
         coll: &Collection,
         key: &ShardKey,
-    ) -> Result<Vec<(CompoundKey, usize)>> {
+    ) -> Result<Vec<(Key, usize)>> {
         coll.read_index(&key.index_def().name, |ix| {
             let mut counts = Vec::new();
             self.for_each_entry(key, &ix, |k, ids| counts.push((k.clone(), ids.len())));
@@ -145,13 +145,13 @@ impl Chunk {
     /// Visits the shard-key index entries inside the chunk as (chunk
     /// keyspace key, slots). A range key's index is a B-tree over the key
     /// itself, walked from the chunk's lower bound until its upper bound;
-    /// a hashed key's index holds the raw values, so every distinct value
-    /// is hashed into the keyspace and kept if the chunk contains it.
+    /// a hashed key's index holds the values' keys, so every distinct
+    /// one is hashed into the keyspace and kept if the chunk contains it.
     fn for_each_entry<'a>(
         &self,
         key: &ShardKey,
         ix: &IndexRead<'a>,
-        mut visit: impl FnMut(&CompoundKey, &'a [DocId]),
+        mut visit: impl FnMut(&Key, &'a [DocId]),
     ) {
         match key.partitioning() {
             Partitioning::Range => {
@@ -168,7 +168,7 @@ impl Chunk {
             }
             Partitioning::Hashed => {
                 for (k, ids) in ix.keys_from(None) {
-                    let hashed = key.keyspace_value(std::slice::from_ref(k.0[0].value()));
+                    let hashed = hashed_key(k.as_bytes());
                     if self.contains(&hashed) {
                         visit(&hashed, ids);
                     }
@@ -180,7 +180,7 @@ impl Chunk {
     /// Where the chunk splits, from its [`Chunk::key_counts`]: at the
     /// median key, advanced past the chunk's lower bound so the left
     /// chunk is not empty — MongoDB's split vector.
-    pub fn split_point(&self, counts: &[(CompoundKey, usize)]) -> SplitPoint {
+    pub fn split_point(&self, counts: &[(Key, usize)]) -> SplitPoint {
         let total: usize = counts.iter().map(|(_, n)| n).sum();
         if total < 2 {
             return SplitPoint::Keep;
@@ -216,7 +216,7 @@ pub enum SplitPoint {
     /// exists: the chunk is **jumbo** (thesis Fig 2.7).
     Jumbo,
     /// Split at `key`; `left_fraction` of the documents sort below it.
-    At { key: CompoundKey, left_fraction: f64 },
+    At { key: Key, left_fraction: f64 },
 }
 
 #[cfg(test)]
@@ -224,8 +224,8 @@ mod tests {
     use super::*;
     use doclite_bson::Value;
 
-    fn k(v: i64) -> CompoundKey {
-        CompoundKey::from_values(vec![Value::Int64(v)])
+    fn k(v: i64) -> Key {
+        Key::of(&Value::Int64(v))
     }
 
     #[test]
@@ -254,8 +254,8 @@ mod tests {
 
     #[test]
     fn bound_order_is_total() {
-        use KeyBound::*;
-        let bounds = [MinKey, Key(k(1)), Key(k(2)), MaxKey];
+        use KeyBound::{MaxKey, MinKey};
+        let bounds = [MinKey, KeyBound::Key(k(1)), KeyBound::Key(k(2)), MaxKey];
         for (i, a) in bounds.iter().enumerate() {
             for (j, b) in bounds.iter().enumerate() {
                 assert_eq!(a.cmp_bound(b), i.cmp(&j), "{a:?} vs {b:?}");

@@ -3,7 +3,7 @@
 
 use crate::chunk::{Chunk, KeyBound, ShardId};
 use crate::shardkey::ShardKey;
-use doclite_docstore::CompoundKey;
+use doclite_docstore::Key;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ pub struct CollectionMeta {
 
 impl CollectionMeta {
     /// Index of the chunk containing a key.
-    pub fn chunk_for(&self, key: &CompoundKey) -> usize {
+    pub fn chunk_for(&self, key: &Key) -> usize {
         // Chunks are sorted by min and contiguous; binary search on min.
         let mut lo = 0usize;
         let mut hi = self.chunks.len();
@@ -40,8 +40,8 @@ impl CollectionMeta {
     /// `None` = unbounded), deduplicated.
     pub fn shards_for_range(
         &self,
-        lo: Option<&CompoundKey>,
-        hi: Option<&CompoundKey>,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
     ) -> Vec<ShardId> {
         let mut out: Vec<ShardId> = Vec::new();
         for c in &self.chunks {
@@ -294,7 +294,7 @@ impl ConfigServer {
         &self,
         collection: &str,
         chunk_index: usize,
-        split_key: CompoundKey,
+        split_key: Key,
         left_fraction: f64,
     ) -> bool {
         self.with_meta_mut(collection, |meta| {
@@ -311,8 +311,8 @@ impl ConfigServer {
     pub fn split_chunk_at_key(
         &self,
         collection: &str,
-        locate: &CompoundKey,
-        split_key: CompoundKey,
+        locate: &Key,
+        split_key: Key,
         left_fraction: f64,
     ) -> bool {
         self.with_meta_mut(collection, |meta| {
@@ -346,7 +346,7 @@ impl ConfigServer {
 fn do_split(
     meta: &mut CollectionMeta,
     chunk_index: usize,
-    split_key: CompoundKey,
+    split_key: Key,
     left_fraction: f64,
 ) -> bool {
     let Some(chunk) = meta.chunks.get(chunk_index) else { return false };
@@ -374,8 +374,8 @@ mod tests {
     use crate::chunk::DEFAULT_CHUNK_SIZE;
     use doclite_bson::Value;
 
-    fn k(v: i64) -> CompoundKey {
-        CompoundKey::from_values(vec![Value::Int64(v)])
+    fn k(v: i64) -> Key {
+        Key::of(&Value::Int64(v))
     }
 
     fn setup() -> ConfigServer {

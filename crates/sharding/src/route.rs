@@ -16,8 +16,8 @@ use crate::config::CollectionMeta;
 use crate::shardkey::Partitioning;
 use doclite_bson::{Document, Value};
 use doclite_docstore::agg::{CompiledSortSpec, Split};
-use doclite_docstore::query::planner::conjunctive_constraints;
-use doclite_docstore::{CompoundKey, Filter, FindOptions, Pipeline, Result};
+use doclite_docstore::query::planner::{cartesian, conjunctive_constraints};
+use doclite_docstore::{Filter, FindOptions, Key, Pipeline, Result};
 use std::collections::BTreeMap;
 
 /// The routing decision for one filter.
@@ -32,7 +32,7 @@ pub struct Targeting {
     /// anchors the ownership checks; a range or `$in` that happens to
     /// reach one shard has no such point (a key padded with nulls would
     /// test the ownership of the lowest chunk instead).
-    pub(crate) point_key: Option<CompoundKey>,
+    pub(crate) point_key: Option<Key>,
 }
 
 impl Targeting {
@@ -70,7 +70,7 @@ pub fn target(meta: Option<&CollectionMeta>, primary: ShardId, filter: &Filter) 
 fn target_sharded(
     meta: &CollectionMeta,
     filter: &Filter,
-) -> (bool, Vec<ShardId>, Option<CompoundKey>) {
+) -> (bool, Vec<ShardId>, Option<Key>) {
     let constraints = conjunctive_constraints(filter);
     let fields = meta.key.fields();
 
@@ -89,7 +89,7 @@ fn target_sharded(
             return (false, meta.all_shards(), None);
         }
         if combos > 0 && combos <= MAX_TARGET_POINTS {
-            let mut keys: Vec<CompoundKey> =
+            let mut keys: Vec<Key> =
                 cartesian(&eq_sets).iter().map(|c| meta.key.keyspace_value(c)).collect();
             let mut shards: Vec<ShardId> =
                 keys.iter().map(|k| meta.chunks[meta.chunk_for(k)].shard).collect();
@@ -104,16 +104,14 @@ fn target_sharded(
     // for range partitioning (hashed scatters ranges, thesis 2.1.3.3).
     if meta.key.partitioning() == Partitioning::Range {
         if let Some(c) = constraints.get(fields[0].as_str()) {
-            let bound = |b: &Option<(Value, bool)>| {
-                b.as_ref().map(|(v, _)| CompoundKey::from_values(vec![v.clone()]))
-            };
-            let (lo, hi) = (bound(&c.min), bound(&c.max));
+            // Every key whose first component is `v` lies in
+            // `[Key::of(v), Key::of(v).prefix_end())`; bounds on the first
+            // component alone ignore exclusivity, so a range may take an
+            // extra chunk but never misses one.
+            let lo = c.min.as_ref().map(|(v, _)| Key::of(v));
+            let hi = c.max.as_ref().map(|(v, _)| Key::of(v).prefix_end());
             if lo.is_some() || hi.is_some() {
-                // Upper bound: extend with a MaxKey-ish suffix so keys with
-                // extra components under the same first value stay inside.
-                // Using first-component-only bounds is conservative for
-                // compound keys (may include an extra chunk, never misses).
-                let shards = meta.shards_for_range(lo.as_ref(), hi_extended(hi).as_ref());
+                let shards = meta.shards_for_range(lo.as_ref(), hi.as_ref());
                 return (true, shards, None);
             }
         }
@@ -122,33 +120,6 @@ fn target_sharded(
     (false, meta.all_shards(), None)
 }
 
-/// For an inclusive upper bound on the first component of a compound key,
-/// widen the bound so larger suffixes are included: compare on a key one
-/// component long sorts *before* any two-component key with equal head,
-/// which would wrongly exclude chunks. We append a maximal sentinel.
-fn hi_extended(hi: Option<CompoundKey>) -> Option<CompoundKey> {
-    hi.map(|mut k| {
-        // DateTime(i64::MAX) is the maximal scalar in canonical order.
-        k.0.push(doclite_docstore::OrdValue(Value::DateTime(i64::MAX)));
-        k
-    })
-}
-
-fn cartesian(sets: &[&Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut combos: Vec<Vec<Value>> = vec![Vec::new()];
-    for set in sets {
-        let mut next = Vec::with_capacity(combos.len() * set.len());
-        for prefix in &combos {
-            for v in set.iter() {
-                let mut c = prefix.clone();
-                c.push(v.clone());
-                next.push(c);
-            }
-        }
-        combos = next;
-    }
-    combos
-}
 
 /// Where a document lives — an insert, or an upsert's seed: the shard
 /// owning its key, and that key for the write's ownership check (an
@@ -159,7 +130,7 @@ pub fn document_target(
     meta: Option<&CollectionMeta>,
     primary: ShardId,
     doc: &Document,
-) -> Result<(ShardId, Option<CompoundKey>)> {
+) -> Result<(ShardId, Option<Key>)> {
     Ok(match meta {
         None => (primary, None),
         Some(meta) => {
@@ -194,7 +165,7 @@ pub struct FindPlan {
     pub shards: Vec<ShardId>,
     /// See [`Targeting::point_key`]: checked against the leg's shard
     /// after the scan.
-    pub point_key: Option<CompoundKey>,
+    pub point_key: Option<Key>,
     /// Approximate resident documents per contacted shard.
     pub est_docs: Vec<usize>,
     /// The `limit` each leg is asked for (0 = unlimited).
@@ -379,8 +350,8 @@ pub fn group_writes<'f>(
     primary: ShardId,
     filter_of: impl Fn(usize) -> &'f Filter,
     owed: impl IntoIterator<Item = Owed>,
-) -> BTreeMap<ShardId, Vec<(usize, Option<CompoundKey>)>> {
-    let mut groups: BTreeMap<ShardId, Vec<(usize, Option<CompoundKey>)>> = BTreeMap::new();
+) -> BTreeMap<ShardId, Vec<(usize, Option<Key>)>> {
+    let mut groups: BTreeMap<ShardId, Vec<(usize, Option<Key>)>> = BTreeMap::new();
     for (i, only) in owed {
         match only {
             Some(id) => groups.entry(id).or_default().push((i, None)),
@@ -403,8 +374,8 @@ mod tests {
     use crate::shardkey::ShardKey;
     use doclite_docstore::{Accumulator, Expr, GroupId, ProjectField, Stage};
 
-    fn k(v: i64) -> CompoundKey {
-        CompoundKey::from_values(vec![Value::Int64(v)])
+    fn k(v: i64) -> Key {
+        Key::of(&Value::Int64(v))
     }
 
     /// `key` split at 100 and 200: (-inf,100)→0 holding 10 documents,
@@ -429,14 +400,14 @@ mod tests {
     struct Want {
         targeted: bool,
         shards: Vec<ShardId>,
-        point_key: Option<CompoundKey>,
+        point_key: Option<Key>,
         leg_limits: Vec<usize>,
         push_projection: bool,
         full_window: usize,
         merge: Merge,
     }
 
-    fn want(targeted: bool, shards: &[ShardId], point_key: Option<CompoundKey>) -> Want {
+    fn want(targeted: bool, shards: &[ShardId], point_key: Option<Key>) -> Want {
         Want {
             targeted,
             shards: shards.to_vec(),
@@ -465,7 +436,7 @@ mod tests {
                 want(true, &[1], Some(k(150)))),
             ("equality on every field of a compound key", Some(&pair),
                 Filter::and([Filter::eq("k", 150i64), Filter::eq("j", 3i64)]), plain.clone(),
-                want(true, &[1], Some(CompoundKey::from_values(vec![150i64.into(), 3i64.into()])))),
+                want(true, &[1], Some(Key::from_values(&[150i64.into(), 3i64.into()])))),
             ("equality on a key prefix broadcasts", Some(&pair), Filter::eq("k", 150i64),
                 plain.clone(), want(false, &everything, None)),
             ("a range reaching one shard pins no point", Some(&range),

@@ -27,8 +27,8 @@ use crate::shardkey::ShardKey;
 use doclite_bson::{codec::encoded_size, Document};
 use doclite_docstore::agg::Partial;
 use doclite_docstore::{
-    compile, project_paths, BulkUpdate, Collection, CompoundKey, Error, Filter, FindOptions,
-    IndexDef, Pipeline, Result, UpdateResult, UpdateSpec,
+    compile, project_paths, BulkUpdate, Collection, Error, Filter, FindOptions, IndexDef, Key,
+    Pipeline, Result, UpdateResult, UpdateSpec,
 };
 use parking_lot::{Mutex, RwLock};
 use std::panic::resume_unwind;
@@ -329,7 +329,7 @@ impl Mongos {
         &self,
         collection: &str,
         shards: &[ShardId],
-        point_key: Option<&CompoundKey>,
+        point_key: Option<&Key>,
         run: impl Fn(usize, &Collection) -> Result<T> + Sync,
         bytes_of: impl Fn(&T) -> usize + Sync,
     ) -> Result<Vec<T>> {
@@ -492,7 +492,7 @@ impl Mongos {
     /// concurrent splits reshuffle chunk indices, so the final split is
     /// re-located and re-validated against the size threshold under the
     /// config lock ([`ConfigServer::split_chunk_at_key`]).
-    fn try_split(&self, collection: &str, key: &CompoundKey) {
+    fn try_split(&self, collection: &str, key: &Key) {
         let Some(meta) = self.config.meta(collection) else { return };
         let chunk = &meta.chunks[meta.chunk_for(key)];
         // A split is advisory: if the owning shard left the cluster
@@ -733,7 +733,7 @@ impl Mongos {
         &self,
         shard_id: ShardId,
         collection: &str,
-        keys: &[CompoundKey],
+        keys: &[Key],
         payload: usize,
         run: impl FnOnce(&ReplicaSet) -> Result<UpdateResult>,
     ) -> Result<UpdateResult> {
@@ -822,7 +822,7 @@ impl Mongos {
             while sent < group.len() {
                 let exchange = &group[sent..group.len().min(sent + Self::WRITE_BATCH)];
                 let batch: Vec<&BulkUpdate> = exchange.iter().map(|(i, _)| ops[*i]).collect();
-                let keys: Vec<CompoundKey> =
+                let keys: Vec<Key> =
                     exchange.iter().filter_map(|(_, key)| key.clone()).collect();
                 let payload = batch.iter().map(|op| op.spec.payload_size()).sum();
                 match self.update_leg(id, collection, &keys, payload, |rs| {
@@ -1699,7 +1699,7 @@ mod tests {
         r.config().split_chunk(
             "facts",
             0,
-            CompoundKey::from_values(vec![doclite_bson::Value::Int64(100)]),
+            Key::of(&doclite_bson::Value::Int64(100)),
             0.5,
         );
         r.config().move_chunk("facts", 1, 1);

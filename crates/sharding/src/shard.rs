@@ -6,7 +6,7 @@
 //! reproducing Fig 2.5's replicated production topology.
 
 use crate::chunk::{KeyBound, ShardId};
-use doclite_docstore::CompoundKey;
+use doclite_docstore::Key;
 use crate::replica::{ReadPreference, ReplicaSet};
 use doclite_docstore::wal::SyncPolicy;
 use doclite_docstore::{Database, Error, Result};
@@ -154,7 +154,7 @@ impl Shard {
 
     /// True if this shard still owns `key` in `collection` (i.e. the
     /// key lies in no surrendered range).
-    pub fn owns(&self, collection: &str, key: &CompoundKey) -> bool {
+    pub fn owns(&self, collection: &str, key: &Key) -> bool {
         let table = self.surrendered.read();
         match table.get(collection) {
             None => true,
@@ -175,7 +175,7 @@ impl Shard {
     pub fn owned_write<T>(
         &self,
         collection: &str,
-        keys: &[CompoundKey],
+        keys: &[Key],
         op: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         if keys.is_empty() {
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn ownership_surrender_reclaim_roundtrip() {
         use doclite_bson::Value;
-        let key = |v: i64| CompoundKey::from_values(vec![Value::Int64(v)]);
+        let key = |v: i64| Key::of(&Value::Int64(v));
         let bound = |v: i64| KeyBound::Key(key(v));
         let s = Shard::new(0, "d");
         // Default: owns everything, and owned_write runs the op.

@@ -4,7 +4,7 @@
 use doclite_bson::{Document, Value};
 use doclite_docstore::index::hashed::hash_key;
 use doclite_docstore::update::apply_update;
-use doclite_docstore::{CompoundKey, Error, IndexDef, Result, UpdateSpec};
+use doclite_docstore::{Error, IndexDef, Key, Result, UpdateSpec};
 
 /// How shard-key values map onto the chunk keyspace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl ShardKey {
     /// Missing fields key as `Null`. A field holding an array is refused,
     /// as MongoDB refuses it: the shard-key index holds one entry per
     /// element, so no single chunk could own the document.
-    pub fn extract(&self, doc: &Document) -> Result<CompoundKey> {
+    pub fn extract(&self, doc: &Document) -> Result<Key> {
         let values = self
             .fields
             .iter()
@@ -69,10 +69,7 @@ impl ShardKey {
                 v => Ok(v.unwrap_or(Value::Null)),
             })
             .collect::<Result<Vec<Value>>>()?;
-        Ok(match self.partitioning {
-            Partitioning::Range => CompoundKey::from_values(values),
-            Partitioning::Hashed => self.keyspace_value(&values),
-        })
+        Ok(self.keyspace_value(&values))
     }
 
     /// Refuses an update that can write an array into a key field, as
@@ -109,12 +106,10 @@ impl ShardKey {
 
     /// Maps a raw shard-key *value* (not a document) into the chunk
     /// keyspace — used for query targeting.
-    pub fn keyspace_value(&self, values: &[Value]) -> CompoundKey {
+    pub fn keyspace_value(&self, values: &[Value]) -> Key {
         match self.partitioning {
-            Partitioning::Range => CompoundKey::from_values(values.to_vec()),
-            Partitioning::Hashed => {
-                CompoundKey::from_values(vec![Value::Int64(hash_key(&values[0]) as i64)])
-            }
+            Partitioning::Range => Key::from_values(values),
+            Partitioning::Hashed => hashed_key(Key::of(&values[0]).as_bytes()),
         }
     }
 
@@ -123,6 +118,13 @@ impl ShardKey {
     pub fn supports_range_targeting(&self) -> bool {
         self.partitioning == Partitioning::Range
     }
+}
+
+/// The chunk keyspace key of a hashed shard-key value encoded as
+/// `bytes` (its [`Key`], as the hashed index holds it): the `Int64` of
+/// [`hash_key`].
+pub(crate) fn hashed_key(bytes: &[u8]) -> Key {
+    Key::of(&Value::Int64(hash_key(bytes) as i64))
 }
 
 #[cfg(test)]
@@ -134,15 +136,14 @@ mod tests {
     fn range_key_extracts_raw_values() {
         let k = ShardKey::range(["a", "b"]);
         let key = k.extract(&doc! {"a" => 1i64, "b" => "x"}).unwrap();
-        assert_eq!(key.0[0].value(), &Value::Int64(1));
-        assert_eq!(key.0[1].value(), &Value::from("x"));
+        assert_eq!(key, Key::from_values(&[Value::Int64(1), Value::from("x")]));
     }
 
     #[test]
     fn missing_fields_key_as_null() {
         let k = ShardKey::range(["a"]);
         let key = k.extract(&doc! {"b" => 1i64}).unwrap();
-        assert_eq!(key.0[0].value(), &Value::Null);
+        assert_eq!(key, Key::of(&Value::Null));
     }
 
     #[test]
@@ -192,7 +193,8 @@ mod tests {
     fn hashed_key_is_int64_hash() {
         let k = ShardKey::hashed("a");
         let key = k.extract(&doc! {"a" => 42i64}).unwrap();
-        assert!(matches!(key.0[0].value(), Value::Int64(_)));
+        let hash = hash_key(Key::of(&Value::Int64(42)).as_bytes()) as i64;
+        assert_eq!(key, Key::of(&Value::Int64(hash)));
         // deterministic
         assert_eq!(key, k.extract(&doc! {"a" => 42i64}).unwrap());
         // equal raw values of different numeric types hash identically
@@ -202,12 +204,9 @@ mod tests {
     #[test]
     fn hashed_scatters_nearby_values() {
         let k = ShardKey::hashed("a");
-        let k1 = k.extract(&doc! {"a" => 1i64}).unwrap();
-        let k2 = k.extract(&doc! {"a" => 2i64}).unwrap();
-        let (Value::Int64(h1), Value::Int64(h2)) = (k1.0[0].value(), k2.0[0].value()) else {
-            panic!("hashed keys are Int64")
-        };
-        assert!(h1.abs_diff(*h2) > 1 << 32);
+        let hash = |v: i64| hash_key(Key::of(&Value::Int64(v)).as_bytes());
+        assert_eq!(k.extract(&doc! {"a" => 1i64}).unwrap(), Key::of(&Value::Int64(hash(1) as i64)));
+        assert!(hash(1).abs_diff(hash(2)) > 1 << 32);
     }
 
     #[test]

@@ -27,8 +27,7 @@ mod common;
 use common::{arb_dim, arb_doc, arb_pipeline, multiset};
 use doclite_bson::{array, codec::encoded_size, doc, Document, Value};
 use doclite_docstore::{
-    Accumulator, CompoundKey, Database, Expr, Filter, GroupId, Pipeline, ProjectField, Result,
-    Stage,
+    Accumulator, Database, Expr, Filter, GroupId, Key, Pipeline, ProjectField, Result, Stage,
 };
 use doclite_sharding::{
     ClusterConfig, DegradedReads, NetworkModel, Partitioning, RetryPolicy, ShardKey,
@@ -181,8 +180,8 @@ impl Placement {
     }
 }
 
-fn key(k: i64) -> CompoundKey {
-    CompoundKey::from_values(vec![Value::Int64(k)])
+fn key(k: i64) -> Key {
+    Key::of(&Value::Int64(k))
 }
 
 /// A cluster of `n_shards` holding the facts (sharded on `k` with chunks

@@ -4,7 +4,7 @@
 //! could not place under one key — an array shard key — is refused.
 
 use doclite_bson::{array, doc, Document, Value};
-use doclite_docstore::{BulkUpdate, Collection, CompoundKey, Error, Filter, UpdateSpec};
+use doclite_docstore::{BulkUpdate, Collection, Error, Filter, Key, UpdateSpec};
 use doclite_sharding::{Chunk, KeyBound, NetworkModel, ShardKey, ShardedCluster, SplitPoint};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// take the median (advanced past the chunk's lower bound), and call the
 /// chunk jumbo when every key is equal. Returns it with the key count.
 fn scan_split(coll: &Collection, key: &ShardKey, chunk: &Chunk) -> (SplitPoint, usize) {
-    let mut keys: Vec<CompoundKey> = Vec::new();
+    let mut keys: Vec<Key> = Vec::new();
     coll.for_each(|doc| {
         let k = key.extract(doc).unwrap();
         if chunk.contains(&k) {

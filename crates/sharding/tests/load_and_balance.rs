@@ -5,15 +5,43 @@
 //! replica set of three, every member of which ends up identical.
 
 use doclite_bson::{codec::encode_document, doc, Document, Value};
-use doclite_docstore::crc32;
+use doclite_docstore::index::hashed::hash_key;
+use doclite_docstore::{crc32, Key};
 use doclite_sharding::{ClusterConfig, KeyBound, NetworkModel, ShardKey, ShardedCluster};
+use std::collections::HashMap;
 
 const COLLECTIONS: [&str; 2] = ["stock", "tickets"];
 
 /// Tickets of a few lines each under a compound range key, keys arriving
-/// out of order; stock rows under a hashed key that one warehouse
-/// dominates (a jumbo chunk), some with the key missing and with
-/// `Int32` / `Int64` / `Double` spellings of the same warehouse.
+/// out of order.
+fn tickets() -> Vec<Document> {
+    (0..900i64)
+        .map(|i| {
+            let pad = "x".repeat((i % 50) as usize);
+            doc! {"_id" => i, "t" => (i * 37) % 75, "line" => i % 12, "pad" => pad}
+        })
+        .collect()
+}
+
+/// Stock rows under a hashed key that one warehouse dominates (a jumbo
+/// chunk), some with the key missing and with `Int32` / `Int64` /
+/// `Double` spellings of the same warehouse.
+fn stock() -> Vec<Document> {
+    (0..600i64)
+        .map(|i| {
+            let mut d = doc! {"_id" => 10_000 + i, "q" => i, "pad" => "y".repeat(20)};
+            match i % 10 {
+                0..=5 => d.set("w", Value::Int64(3)),
+                6 => {}
+                7 => d.set("w", Value::Int32((i % 40) as i32)),
+                8 => d.set("w", Value::Double((i % 40) as f64)),
+                _ => d.set("w", Value::Int64(i % 40)),
+            }
+            d
+        })
+        .collect()
+}
+
 fn load_and_balance(replicas_per_shard: usize) -> ShardedCluster {
     let cluster = ShardedCluster::with_config(ClusterConfig {
         n_shards: 3,
@@ -29,36 +57,36 @@ fn load_and_balance(replicas_per_shard: usize) -> ShardedCluster {
         .shard_collection("stock", ShardKey::hashed("w"), 8 * 1024)
         .unwrap();
     let r = cluster.router();
-    let tickets: Vec<Document> = (0..900i64)
-        .map(|i| {
-            let pad = "x".repeat((i % 50) as usize);
-            doc! {"_id" => i, "t" => (i * 37) % 75, "line" => i % 12, "pad" => pad}
-        })
-        .collect();
-    r.insert_many("tickets", tickets).unwrap();
-    for i in 0..600i64 {
-        let mut d = doc! {"_id" => 10_000 + i, "q" => i, "pad" => "y".repeat(20)};
-        match i % 10 {
-            0..=5 => d.set("w", Value::Int64(3)),
-            6 => {}
-            7 => d.set("w", Value::Int32((i % 40) as i32)),
-            8 => d.set("w", Value::Double((i % 40) as f64)),
-            _ => d.set("w", Value::Int64(i % 40)),
-        }
+    r.insert_many("tickets", tickets()).unwrap();
+    for d in stock() {
         r.insert_one("stock", d).unwrap();
     }
     cluster.balance().unwrap();
     cluster
 }
 
-fn bound(b: &KeyBound) -> String {
+/// Every chunk-keyspace key of the loaded documents, written as its
+/// values: a split point is always a key some document holds, and keys
+/// have no decoder. A hashed key is the `Int64` of its value's hash.
+fn key_names() -> HashMap<Key, String> {
+    let mut names = HashMap::new();
+    for d in tickets() {
+        let values = [d.get("t").unwrap().clone(), d.get("line").unwrap().clone()];
+        names.insert(Key::from_values(&values), format!("{:?},{:?}", values[0], values[1]));
+    }
+    for d in stock() {
+        let w = d.get("w").cloned().unwrap_or(Value::Null);
+        let hash = Value::Int64(hash_key(Key::of(&w).as_bytes()) as i64);
+        names.insert(Key::of(&hash), format!("{hash:?}"));
+    }
+    names
+}
+
+fn bound(b: &KeyBound, names: &HashMap<Key, String>) -> String {
     match b {
         KeyBound::MinKey => "MinKey".into(),
         KeyBound::MaxKey => "MaxKey".into(),
-        KeyBound::Key(k) => {
-            let parts: Vec<String> = k.0.iter().map(|v| format!("{:?}", v.value())).collect();
-            parts.join(",")
-        }
+        KeyBound::Key(k) => names[k].clone(),
     }
 }
 
@@ -67,14 +95,15 @@ fn bound(b: &KeyBound) -> String {
 /// network counters.
 fn render(cluster: &ShardedCluster) -> Vec<String> {
     let r = cluster.router();
+    let names = key_names();
     let mut out = Vec::new();
     for name in COLLECTIONS {
         let meta = r.config().meta(name).unwrap();
         for c in &meta.chunks {
             out.push(format!(
                 "{name} [{}, {}) shard={} docs={} bytes={} jumbo={}",
-                bound(&c.min),
-                bound(&c.max),
+                bound(&c.min, &names),
+                bound(&c.max, &names),
                 c.shard,
                 c.docs,
                 c.bytes,
@@ -105,12 +134,13 @@ fn render(cluster: &ShardedCluster) -> Vec<String> {
 }
 
 /// Recorded from the collection-scanning split and migration code this
-/// replaced: the index-reading code must reproduce it line for line.
+/// replaced: the index-reading code must reproduce it line for line. The
+/// `stock` bounds are hashes of the values' key bytes (`hash_key`).
 const PINNED: &[&str] = &[
-    "stock [MinKey, Int64(-2672306482673591980)) shard=1 docs=105 bytes=6818 jumbo=false",
-    "stock [Int64(-2672306482673591980), Int64(1175965839632270798)) shard=2 docs=60 bytes=4085 jumbo=false",
-    "stock [Int64(1175965839632270798), Int64(8049877390424670188)) shard=0 docs=75 bytes=5105 jumbo=false",
-    "stock [Int64(8049877390424670188), MaxKey) shard=0 docs=360 bytes=25092 jumbo=true",
+    "stock [MinKey, Int64(-3667947496507502482)) shard=1 docs=105 bytes=6846 jumbo=false",
+    "stock [Int64(-3667947496507502482), Int64(1694708738845197271)) shard=2 docs=60 bytes=4074 jumbo=false",
+    "stock [Int64(1694708738845197271), Int64(5822810291836497984)) shard=0 docs=75 bytes=5088 jumbo=false",
+    "stock [Int64(5822810291836497984), MaxKey) shard=0 docs=360 bytes=25092 jumbo=true",
     "tickets [MinKey, Int64(5),Int64(5)) shard=1 docs=63 bytes=5022 jumbo=false",
     "tickets [Int64(5),Int64(5), Int64(10),Int64(7)) shard=2 docs=63 bytes=4927 jumbo=false",
     "tickets [Int64(10),Int64(7), Int64(14),Int64(11)) shard=1 docs=51 bytes=4008 jumbo=false",
@@ -126,13 +156,13 @@ const PINNED: &[&str] = &[
     "tickets [Int64(61),Int64(7), Int64(66),Int64(0)) shard=0 docs=54 bytes=4154 jumbo=false",
     "tickets [Int64(66),Int64(0), Int64(70),Int64(7)) shard=0 docs=54 bytes=4117 jumbo=false",
     "tickets [Int64(70),Int64(7), MaxKey) shard=0 docs=54 bytes=4118 jumbo=false",
-    "shard 0 stock: n=435 bytes=30390 crc=3640996482",
+    "shard 0 stock: n=435 bytes=30330 crc=1041136099",
     "shard 0 tickets: n=270 bytes=20883 crc=2513202861",
-    "shard 1 stock: n=105 bytes=6570 crc=2982373569",
+    "shard 1 stock: n=105 bytes=6630 crc=508914600",
     "shard 1 tickets: n=339 bytes=25860 crc=183697680",
-    "shard 2 stock: n=60 bytes=4140 crc=2895678569",
+    "shard 2 stock: n=60 bytes=4140 crc=3764051600",
     "shard 2 tickets: n=291 bytes=23007 crc=3686951382",
-    "net exchanges=649 bytes=203227",
+    "net exchanges=649 bytes=203287",
 ];
 
 #[test]

@@ -12,7 +12,10 @@
 # sweep and the router's own sort/limit window are gone) and "scatter legs
 # run on scoped threads" (the worker pool is gone) and "the Fig 4.8 plan is
 # derived, not hand-written" (`normalize` reads it off each query's
-# Appendix B pipeline; only Q50 keeps a hand plan): the
+# Appendix B pipeline; only Q50 keeps a hand plan) and "one key encoding"
+# (every index key, chunk bound, statistic and join table is a
+# `keybytes::Key`; the `OrdValue` / `CompoundKey` wrappers and their
+# separate `hash_value` walk are gone): the
 # retired mode enums, setters, constants, validators and entry points must
 # not come back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
@@ -26,7 +29,7 @@ cd "$(dirname "$0")/.."
 fail=0
 complain() { echo "check_no_modes: $1" >&2; fail=1; }
 
-retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report|run_parallel|auto_morsel_size|with_shard_window|bench_parallel|DOCLITE_PARALLEL_SMOKE|parallel_for|MAX_POOL_THREADS|docstore::pool'
+retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report|run_parallel|auto_morsel_size|with_shard_window|bench_parallel|DOCLITE_PARALLEL_SMOKE|parallel_for|MAX_POOL_THREADS|docstore::pool|OrdValue|CompoundKey|hash_value|ordvalue'
 grep -rnE "$retired" crates src examples tests benchmark/src .github .claude \
     && complain "a retired identifier is back (see above)"
 grep -rnE '^\s*(pub(\([a-z]+\))? +)?static +(mut +)?\w+ *:' crates/docstore/src \
@@ -37,6 +40,7 @@ grep -rnw unsafe crates/*/src \
 [ -e crates/docstore/src/pool.rs ] && complain "docstore/src/pool.rs is back: scatter legs run on std::thread::scope"
 [ -e crates/docstore/src/agg/exec.rs ] && complain "agg/exec.rs is back"
 [ -e crates/docstore/src/agg/parallel.rs ] && complain "agg/parallel.rs is back: a pipeline splits one way, agg::Split"
+[ -e crates/docstore/src/ordvalue.rs ] && complain "docstore/src/ordvalue.rs is back: keys are keybytes::Key, one encoding"
 sed '/^#\[cfg(test)\]/,$d' crates/sharding/src/route.rs | grep -nE '\.(sort|limit|skip)\(|Stage::(Sort|Limit|Skip)' \
     && complain "route.rs builds a leg window itself: what a leg runs is agg::Split's part"
 grep -nE '^\s*(pub )?use .*(kernel::|matcher|CompiledPath|compile)' crates/docstore/src/agg/reference.rs \

@@ -2,7 +2,7 @@
 
 use doclite::bson::{codec, Document, Value};
 use doclite::docstore::query::matcher::{compile, matches, matches_compiled};
-use doclite::docstore::{CompoundKey, Filter, OrdValue};
+use doclite::docstore::{Filter, Key};
 use doclite::sharding::{NetworkModel, ShardKey, ShardedCluster};
 use proptest::prelude::*;
 
@@ -98,15 +98,12 @@ proptest! {
         let ab = a.canonical_cmp(&b);
         let ba = b.canonical_cmp(&a);
         prop_assert_eq!(ab, ba.reverse());
+        // Group and index keys are the order's bytes: equal values must
+        // key byte-identically, and unequal ones order alike.
+        let (ka, kb) = (Key::of(&a), Key::of(&b));
+        prop_assert_eq!(ka.cmp(&kb), ab);
         if ab == Ordering::Equal {
-            // equal values must hash identically (group/index keys)
-            use std::collections::hash_map::DefaultHasher;
-            use std::hash::{Hash, Hasher};
-            let mut ha = DefaultHasher::new();
-            let mut hb = DefaultHasher::new();
-            OrdValue(a.clone()).hash(&mut ha);
-            OrdValue(b.clone()).hash(&mut hb);
-            prop_assert_eq!(ha.finish(), hb.finish());
+            prop_assert_eq!(ka.as_bytes(), kb.as_bytes());
         }
     }
 
@@ -134,7 +131,7 @@ proptest! {
         for (key, chunk_hint) in splits {
             let meta = cfg.meta("c").unwrap();
             let idx = chunk_hint % meta.chunks.len();
-            let k = CompoundKey::from_values(vec![Value::Int64(key)]);
+            let k = Key::of(&Value::Int64(key));
             cfg.split_chunk("c", idx, k, 0.5);
             let meta = cfg.meta("c").unwrap();
             cfg.move_chunk("c", idx % meta.chunks.len(), (key as usize) % 3);
@@ -142,7 +139,7 @@ proptest! {
             prop_assert!(meta.check_invariants().is_ok());
             // Every key routes to exactly one chunk that contains it.
             for probe in [i64::MIN, -1, 0, 1, key, i64::MAX] {
-                let pk = CompoundKey::from_values(vec![Value::Int64(probe)]);
+                let pk = Key::of(&Value::Int64(probe));
                 let ci = meta.chunk_for(&pk);
                 prop_assert!(meta.chunks[ci].contains(&pk));
             }
