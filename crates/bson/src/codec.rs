@@ -311,20 +311,32 @@ impl<'a> Reader<'a> {
         if end > self.bytes.len() {
             return Err(CodecError::Truncated);
         }
-        let mut doc = Document::new();
-        loop {
-            let t = self.read_u8()?;
-            if t == 0 {
-                break;
+        let mut failed = None;
+        let doc: Document = std::iter::from_fn(|| match self.read_field() {
+            Ok(field) => field,
+            Err(e) => {
+                failed = Some(e);
+                None
             }
-            let key = self.read_cstring()?;
-            let v = self.read_value(t)?;
-            doc.set(key, v);
+        })
+        .collect();
+        if let Some(e) = failed {
+            return Err(e);
         }
         if self.pos != end {
             return Err(CodecError::BadLength);
         }
         Ok(doc)
+    }
+
+    /// The next `(name, value)` of a document body, `None` at its end.
+    fn read_field(&mut self) -> Result<Option<(String, Value)>, CodecError> {
+        let t = self.read_u8()?;
+        if t == 0 {
+            return Ok(None);
+        }
+        let key = self.read_cstring()?;
+        Ok(Some((key, self.read_value(t)?)))
     }
 
     fn read_value(&mut self, t: u8) -> Result<Value, CodecError> {

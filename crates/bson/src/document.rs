@@ -1,6 +1,7 @@
 //! Insertion-ordered key/value documents.
 
 use crate::{ObjectId, Value};
+use std::sync::Arc;
 
 /// An insertion-ordered map of field name → [`Value`], the basic unit of
 /// data (thesis Section 2.1). Field order is preserved — like BSON — so a
@@ -9,20 +10,28 @@ use crate::{ObjectId, Value};
 ///
 /// Lookup is a linear scan: workload documents carry a few dozen fields at
 /// most, where a scan beats hashing (no allocation, cache-friendly).
+///
+/// A document is copy-on-write: its fields sit behind an [`Arc`], so
+/// `clone` is a refcount bump whatever the document holds. The first
+/// mutation of a shared document copies its field vector (one level: the
+/// embedded documents inside stay shared) and leaves the other holders
+/// the fields they had. So a stored document can be handed to a reader,
+/// and one dimension row embedded into every fact that references it,
+/// without copying it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Document {
-    fields: Vec<(String, Value)>,
+    fields: Arc<Vec<(String, Value)>>,
 }
 
 impl Document {
     /// Creates an empty document.
     pub fn new() -> Self {
-        Self { fields: Vec::new() }
+        Self::default()
     }
 
     /// Creates an empty document with capacity for `n` fields.
     pub fn with_capacity(n: usize) -> Self {
-        Self { fields: Vec::with_capacity(n) }
+        Self { fields: Arc::new(Vec::with_capacity(n)) }
     }
 
     /// Number of fields.
@@ -40,9 +49,15 @@ impl Document {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// Mutable access to a field by exact name.
+    /// Mutable access to a field by exact name. A shared document is
+    /// copied first, and only if it has the field.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        self.fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v)
+        let idx = self.position(key)?;
+        Some(&mut Arc::make_mut(&mut self.fields)[idx].1)
+    }
+
+    fn position(&self, key: &str) -> Option<usize> {
+        self.fields.iter().position(|(k, _)| k == key)
     }
 
     /// True if a field with this exact name exists.
@@ -54,9 +69,11 @@ impl Document {
     /// position; appends otherwise.
     pub fn set(&mut self, key: impl AsRef<str> + Into<String>, value: impl Into<Value>) {
         let value = value.into();
-        match self.get_mut(key.as_ref()) {
-            Some(v) => *v = value,
-            None => self.fields.push((key.into(), value)),
+        let idx = self.position(key.as_ref());
+        let fields = Arc::make_mut(&mut self.fields);
+        match idx {
+            Some(i) => fields[i].1 = value,
+            None => fields.push((key.into(), value)),
         }
     }
 
@@ -68,8 +85,8 @@ impl Document {
 
     /// Removes a field, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let idx = self.fields.iter().position(|(k, _)| k == key)?;
-        Some(self.fields.remove(idx).1)
+        let idx = self.position(key)?;
+        Some(Arc::make_mut(&mut self.fields).remove(idx).1)
     }
 
     /// Iterates fields in insertion order.
@@ -112,15 +129,31 @@ impl Document {
                 doc.set(part, value);
                 return true;
             }
-            if !doc.contains_key(part) {
-                doc.set(part, Value::Document(Document::new()));
-            }
-            match doc.get_mut(part) {
-                Some(Value::Document(inner)) => doc = inner,
-                _ => return false,
+            match doc.child_mut(part) {
+                Some(inner) => doc = inner,
+                None => return false,
             }
         }
         false
+    }
+
+    /// The embedded document under `name`, created empty if the field is
+    /// missing; `None` if the field holds anything but a document (and
+    /// then nothing is copied or changed). One step of a path write.
+    pub(crate) fn child_mut(&mut self, name: &str) -> Option<&mut Document> {
+        let idx = self.position(name);
+        if idx.is_some_and(|i| !matches!(self.fields[i].1, Value::Document(_))) {
+            return None;
+        }
+        let fields = Arc::make_mut(&mut self.fields);
+        let i = idx.unwrap_or_else(|| {
+            fields.push((name.to_owned(), Value::Document(Document::new())));
+            fields.len() - 1
+        });
+        match &mut fields[i].1 {
+            Value::Document(inner) => Some(inner),
+            _ => None,
+        }
     }
 
     /// The document's `_id` field, if present.
@@ -138,8 +171,9 @@ impl Document {
         // _id conventionally leads the document. A document built to
         // its exact size would double its field vector here; one more
         // slot is all the insert needs.
-        self.fields.reserve_exact(1);
-        self.fields.insert(0, ("_id".to_owned(), id.clone()));
+        let fields = Arc::make_mut(&mut self.fields);
+        fields.reserve_exact(1);
+        fields.insert(0, ("_id".to_owned(), id.clone()));
         id
     }
 
@@ -166,21 +200,32 @@ fn approx_value_size(v: &Value) -> usize {
     }
 }
 
+/// Builds the field vector first and wraps it once, so a builder pays no
+/// copy-on-write check per field. A repeated name keeps its first
+/// position and its last value, as [`Document::set`] does. The vector
+/// reserves the iterator's upper bound when it has one: a row built by
+/// filtering its columns is sized as the row it was filtered from.
 impl FromIterator<(String, Value)> for Document {
     fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        let mut d = Document::new();
+        let iter = iter.into_iter();
+        let (lower, upper) = iter.size_hint();
+        let mut fields: Vec<(String, Value)> = Vec::with_capacity(upper.unwrap_or(lower));
         for (k, v) in iter {
-            d.set(k, v);
+            match fields.iter_mut().find(|(name, _)| *name == k) {
+                Some((_, old)) => *old = v,
+                None => fields.push((k, v)),
+            }
         }
-        d
+        Self { fields: Arc::new(fields) }
     }
 }
 
+/// Takes the fields out without a copy when nobody else holds them.
 impl IntoIterator for Document {
     type Item = (String, Value);
     type IntoIter = std::vec::IntoIter<(String, Value)>;
     fn into_iter(self) -> Self::IntoIter {
-        self.fields.into_iter()
+        Arc::unwrap_or_clone(self.fields).into_iter()
     }
 }
 
@@ -196,6 +241,17 @@ mod tests {
         let keys: Vec<_> = d.keys().cloned().collect();
         assert_eq!(keys, ["a", "b", "c"]);
         assert_eq!(d.get("b"), Some(&Value::Int64(99)));
+    }
+
+    #[test]
+    fn collecting_a_repeated_name_keeps_its_first_position_and_last_value() {
+        let d: Document = [("a", 1i64), ("b", 2), ("a", 3)]
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), Value::Int64(v)))
+            .collect();
+        let keys: Vec<_> = d.keys().cloned().collect();
+        assert_eq!(keys, ["a", "b"]);
+        assert_eq!(d.get("a"), Some(&Value::Int64(3)));
     }
 
     #[test]

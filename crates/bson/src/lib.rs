@@ -45,11 +45,14 @@ pub const MAX_DOCUMENT_SIZE: usize = 16 * 1024 * 1024;
 #[macro_export]
 macro_rules! doc {
     () => { $crate::Document::new() };
-    ( $( $k:expr => $v:expr ),+ $(,)? ) => {{
-        let mut d = $crate::Document::new();
-        $( d.set($k, $crate::Value::from($v)); )+
-        d
-    }};
+    ( $( $k:expr => $v:expr ),+ $(,)? ) => {
+        <$crate::Document as ::std::iter::FromIterator<_>>::from_iter([
+            $( (
+                ::std::convert::Into::<::std::string::String>::into($k),
+                $crate::Value::from($v),
+            ) ),+
+        ])
+    };
 }
 
 /// Convenience macro for building an array [`Value`] literal.

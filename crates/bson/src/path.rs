@@ -146,12 +146,9 @@ impl CompiledPath {
         let (last, init) = segments.split_last().expect("compiled paths are non-empty");
         let mut cur = doc;
         for seg in init {
-            if !cur.contains_key(&seg.name) {
-                cur.set(seg.name.as_ref(), Value::Document(Document::new()));
-            }
-            match cur.get_mut(&seg.name) {
-                Some(Value::Document(inner)) => cur = inner,
-                _ => return false,
+            match cur.child_mut(&seg.name) {
+                Some(inner) => cur = inner,
+                None => return false,
             }
         }
         cur.set(last.name.as_ref(), value);

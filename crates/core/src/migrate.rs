@@ -101,14 +101,15 @@ pub fn line_to_document(
     fields: &[Option<String>],
 ) -> Document {
     let def = table_def(table);
-    let mut doc = Document::with_capacity(fields.len());
-    for (i, field) in fields.iter().enumerate() {
-        let Some(raw) = field else { continue };
-        let Some(name) = header.get(&i) else { continue };
-        let ty = def.columns[i].ty;
-        doc.set(*name, parse_field(raw, ty));
-    }
-    doc
+    fields
+        .iter()
+        .enumerate()
+        .filter_map(|(i, field)| {
+            let raw = field.as_deref()?;
+            let name = header.get(&i)?;
+            Some(((*name).to_owned(), parse_field(raw, def.columns[i].ty)))
+        })
+        .collect()
 }
 
 /// Migrates one table's `.dat` file into a collection named after the

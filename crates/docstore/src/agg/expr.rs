@@ -115,10 +115,10 @@ impl Expr {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::Field(path) => Ok(doc.get_path(path).unwrap_or(Value::Null)),
             Expr::Doc(fields) => {
-                let mut out = Document::with_capacity(fields.len());
-                for (k, e) in fields {
-                    out.set(k.clone(), e.eval(doc)?);
-                }
+                let out = fields
+                    .iter()
+                    .map(|(k, e)| Ok((k.clone(), e.eval(doc)?)))
+                    .collect::<Result<Document>>()?;
                 Ok(Value::Document(out))
             }
             Expr::Cond { cond, then, otherwise } => {

@@ -116,10 +116,10 @@ impl CompiledExpr {
             #[allow(clippy::redundant_closure)]
             CompiledExpr::Field(path) => Ok(path.resolve(doc).unwrap_or_else(|| Resolved::null())),
             CompiledExpr::Doc(fields) => {
-                let mut out = Document::with_capacity(fields.len());
-                for (k, e) in fields {
-                    out.set(k.clone(), e.eval_ref(doc)?.into_value());
-                }
+                let out = fields
+                    .iter()
+                    .map(|(k, e)| Ok((k.clone(), e.eval_ref(doc)?.into_value())))
+                    .collect::<Result<Document>>()?;
                 Ok(Resolved::Owned(Value::Document(out)))
             }
             CompiledExpr::Cond { cond, then, otherwise } => {
@@ -383,12 +383,11 @@ impl<'p> GroupKernel<'p> {
     pub fn finish(self) -> Vec<Document> {
         let mut out = Vec::with_capacity(self.order.len());
         for (key, states) in self.order.into_iter().zip(self.states) {
-            let mut d = Document::with_capacity(self.fields.len() + 1);
-            d.set("_id", key);
-            for (state, (name, _)) in states.into_iter().zip(self.fields) {
-                d.set(name.clone(), state.finish());
-            }
-            out.push(d);
+            let finished = states
+                .into_iter()
+                .zip(self.fields)
+                .map(|(state, (name, _))| (name.clone(), state.finish()));
+            out.push(std::iter::once(("_id".to_owned(), key)).chain(finished).collect());
         }
         out
     }
@@ -459,20 +458,28 @@ impl CompiledSortSpec {
 /// `Null` (i.e. first ascending), matching MongoDB. Decorate–sort–
 /// undecorate: the spec is compiled once, keys are extracted once per
 /// document, an index permutation is sorted, and the documents are
-/// permuted by `mem::take` — no per-comparison path resolution, no
-/// document clones.
+/// permuted in place by swaps along its cycles — no per-comparison path
+/// resolution, no document touched but moved.
 pub fn sort_documents(docs: &mut [Document], spec: &[(String, i32)]) {
     let spec = CompiledSortSpec::new(spec);
-    let perm = {
+    // perm[dst] is the position whose document belongs at `dst`.
+    let mut perm = {
         let keys: Vec<Vec<Resolved<'_>>> = docs.iter().map(|d| spec.key_refs(d)).collect();
         let mut perm: Vec<usize> = (0..docs.len()).collect();
         // Index tiebreak makes the unstable sort stable.
         perm.sort_unstable_by(|&a, &b| spec.compare(&keys[a], &keys[b]).then(a.cmp(&b)));
         perm
     };
-    let mut taken: Vec<Document> = docs.iter_mut().map(std::mem::take).collect();
-    for (dst, src) in perm.into_iter().enumerate() {
-        docs[dst] = std::mem::take(&mut taken[src]);
+    for start in 0..docs.len() {
+        let mut dst = start;
+        while perm[dst] != dst {
+            let src = std::mem::replace(&mut perm[dst], dst);
+            if src == start {
+                break;
+            }
+            docs.swap(dst, src);
+            dst = src;
+        }
     }
 }
 
@@ -785,4 +792,24 @@ fn lookup_indexed(
         out.push(d);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use doclite_bson::doc;
+
+    #[test]
+    fn sort_documents_is_a_stable_permutation() {
+        // Keys with ties and cycles of every length the permutation can have.
+        for n in 0..40i64 {
+            let docs: Vec<Document> =
+                (0..n).map(|i| doc! {"k" => (i * 7 + 3) % 5, "i" => i}).collect();
+            let mut sorted = docs.clone();
+            sort_documents(&mut sorted, &[("k".to_owned(), -1)]);
+            let mut expected = docs;
+            expected.sort_by(|a, b| b.get("k").unwrap().canonical_cmp(a.get("k").unwrap()));
+            assert_eq!(sorted, expected, "{n} documents");
+        }
+    }
 }

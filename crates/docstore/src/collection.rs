@@ -1,6 +1,6 @@
 //! Collections: the unit of storage, indexing, and querying.
 
-use crate::agg::{kernel, stream, CompiledSortSpec, LookupMeta, LookupSource, Pipeline, Stage};
+use crate::agg::{kernel, sort_documents, stream, LookupMeta, LookupSource, Pipeline, Stage};
 use crate::columnar;
 use crate::error::{Error, Result};
 use crate::index::keys::for_each_single_key;
@@ -452,7 +452,7 @@ impl Collection {
     fn insert_locked(inner: &mut Inner, doc: Document) -> Result<(DocId, &Document)> {
         // Validate unique indexes before touching state.
         for idx in inner.indexes.iter().filter(|idx| idx.def.unique) {
-            if extract_keys(&doc, &idx.def)?.iter().any(|k| !idx.lookup_eq(k).is_empty()) {
+            if extract_keys(&doc, &idx.def)?.iter().any(|k| idx.contains_key(k)) {
                 return Err(idx.def.duplicate(&doc));
             }
         }
@@ -613,8 +613,13 @@ impl Collection {
             PlanKind::IndexEq { index, keys } => {
                 let idx = Self::index_by_name(inner, index);
                 let mut ids = Vec::new();
+                let mut scratch = Vec::new();
                 for key in keys {
-                    ids.extend(idx.lookup_eq(&Key::from_values(key)));
+                    scratch.clear();
+                    for v in key {
+                        keybytes::encode_value(v, &mut scratch);
+                    }
+                    ids.extend_from_slice(idx.lookup_eq(&scratch));
                 }
                 visit_ids(once_each(idx, ids).into_iter(), &mut visit)
             }
@@ -751,9 +756,9 @@ impl Collection {
 
     /// [`Collection::find_with`] with a caller-compiled filter, so hot
     /// paths that evaluate the same filter repeatedly (the sharded
-    /// router's scatter legs) compile it once. Matching candidates are
-    /// sorted and windowed as *references*; only the documents of the
-    /// final page are cloned (or projected directly from storage).
+    /// router's scatter legs) compile it once. The snapshot's documents
+    /// are the page: a stored document is copy-on-write, so returning it
+    /// copies no field (a projection builds its page from them instead).
     ///
     /// The read lock is held only long enough to plan and snapshot the
     /// candidate documents (see [`Self::snapshot_candidates`]); sorting
@@ -771,22 +776,12 @@ impl Collection {
         } else {
             usize::MAX
         };
-        let (snapshot, _) = self.snapshot_candidates(filter, compiled, want);
-        let mut matched: Vec<&Document> = snapshot
-            .iter()
-            .map(|d| &**d)
-            .filter(|d| matches_compiled(compiled, d))
-            .collect();
-
+        let (mut matched, _) = self.snapshot_candidates(filter, compiled, want);
+        if want == usize::MAX {
+            matched.retain(|d| matches_compiled(compiled, d));
+        }
         if !opts.sort.is_empty() {
-            // Stable sort over references with keys extracted once per
-            // document (borrowed, not cloned): identical ordering
-            // (including ties) to sorting the cloned documents.
-            let cs = CompiledSortSpec::new(&opts.sort);
-            let keys: Vec<_> = matched.iter().map(|d| cs.key_refs(d)).collect();
-            let mut perm: Vec<usize> = (0..matched.len()).collect();
-            perm.sort_unstable_by(|&a, &b| cs.compare(&keys[a], &keys[b]).then(a.cmp(&b)));
-            matched = perm.into_iter().map(|i| matched[i]).collect();
+            sort_documents(&mut matched, &opts.sort);
         }
         let lo = opts.skip.min(matched.len());
         let hi = if opts.limit > 0 {
@@ -794,11 +789,12 @@ impl Collection {
         } else {
             matched.len()
         };
-        let page = &matched[lo..hi];
+        matched.truncate(hi);
+        matched.drain(..lo);
         if opts.projection.is_empty() {
-            page.iter().map(|d| (*d).clone()).collect()
+            matched
         } else {
-            page.iter().map(|d| project_paths(d, &opts.projection)).collect()
+            matched.iter().map(|d| project_paths(d, &opts.projection)).collect()
         }
     }
 
@@ -1188,10 +1184,7 @@ impl Collection {
         }
         drop(inner);
         let (snapshot, _) = self.snapshot_candidates(&filter, &compiled, usize::MAX);
-        let matched = snapshot
-            .iter()
-            .map(|d| &**d)
-            .filter(move |d| matches_compiled(&compiled, d));
+        let matched = snapshot.iter().filter(move |d| matches_compiled(&compiled, d));
         stream::run_streaming(stream::DocStream::Borrowed(Box::new(matched)), rest, source)
     }
 
@@ -1242,7 +1235,7 @@ impl Collection {
     }
 
     /// Plans `filter` and snapshots its candidate documents under the
-    /// read lock as shared handles (refcount bumps, no clones), releasing
+    /// read lock (a clone each: a refcount bump, no field copied), releasing
     /// it before anything is sorted, paged or aggregated. The snapshot is
     /// consistent — a held document never changes: an update edits a
     /// slot in place only when nobody else holds it, and a copy otherwise
@@ -1250,20 +1243,20 @@ impl Collection {
     /// convoy concurrent writers (or `$lookup` re-entry into this
     /// collection) behind it. What is evaluated under the lock depends on
     /// the plan: nothing for a collection scan or an index (the caller
-    /// applies the filter to the handles), the filter over the typed
-    /// columns for a column scan, which then takes handles of the
-    /// matching documents only.
+    /// applies the filter to the snapshot), the filter over the typed
+    /// columns for a column scan, which then takes the matching
+    /// documents only.
     ///
     /// `want` bounds the snapshot to the first `want` *matching*
     /// candidates (`usize::MAX`: all candidates, unfiltered): the filter
     /// then runs under the lock on each candidate visited and the scan
-    /// stops early. Returns the handles and the rows examined.
+    /// stops early. Returns the documents and the rows examined.
     fn snapshot_candidates(
         &self,
         filter: &Filter,
         compiled: &CompiledFilter,
         want: usize,
-    ) -> (Vec<Arc<Document>>, usize) {
+    ) -> (Vec<Document>, usize) {
         let inner = self.inner.read();
         let (plan, _) = Self::plan(&inner, filter, true);
         let mut snapshot = Vec::new();
@@ -1271,7 +1264,7 @@ impl Collection {
             let keep = want == usize::MAX
                 || inner.slab.get(id).is_some_and(|d| matches_compiled(compiled, d));
             if keep {
-                snapshot.extend(inner.slab.get_shared(id));
+                snapshot.extend(inner.slab.get(id).cloned());
             }
             snapshot.len() < want
         });
@@ -1373,7 +1366,7 @@ impl Collection {
                     continue;
                 }
                 if names.len() == 1 {
-                    break 'ids idx.lookup_eq(&Key::of(key));
+                    break 'ids idx.lookup_eq(Key::of(key).as_bytes()).to_vec();
                 }
                 if idx.def.kind == IndexKind::BTree {
                     if let Some(ids) = idx.lookup_range(Some((key, true)), Some((key, true))) {

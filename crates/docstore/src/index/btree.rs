@@ -46,9 +46,10 @@ impl BTreeIndex {
         }
     }
 
-    /// Ids for an exact key.
-    pub fn lookup_eq(&self, key: &Key) -> Vec<DocId> {
-        self.map.get(key).cloned().unwrap_or_default()
+    /// Ids for an exact key, given as its bytes (a [`Key`] or a scratch
+    /// buffer it was encoded into).
+    pub fn lookup_eq(&self, key: &[u8]) -> &[DocId] {
+        self.map.get(key).map_or(&[], Vec::as_slice)
     }
 
     /// Ids whose key's *first component* falls within the bounds
@@ -130,8 +131,8 @@ mod tests {
     #[test]
     fn eq_lookup() {
         let idx = populated();
-        assert_eq!(idx.lookup_eq(&k(20)), vec![2, 3]);
-        assert!(idx.lookup_eq(&k(99)).is_empty());
+        assert_eq!(idx.lookup_eq(k(20).as_bytes()), vec![2, 3]);
+        assert!(idx.lookup_eq(k(99).as_bytes()).is_empty());
     }
 
     #[test]
@@ -163,9 +164,9 @@ mod tests {
     fn remove_prunes() {
         let mut idx = populated();
         idx.remove(&k(20), 2);
-        assert_eq!(idx.lookup_eq(&k(20)), vec![3]);
+        assert_eq!(idx.lookup_eq(k(20).as_bytes()), vec![3]);
         idx.remove(&k(20), 3);
-        assert!(idx.lookup_eq(&k(20)).is_empty());
+        assert!(idx.lookup_eq(k(20).as_bytes()).is_empty());
         assert_eq!(idx.key_count(), 3);
         assert_eq!(idx.entry_count(), 3);
     }

@@ -57,9 +57,10 @@ impl HashedIndex {
         }
     }
 
-    /// Ids for an exact key.
-    pub fn lookup_eq(&self, key: &Key) -> Vec<DocId> {
-        self.map.get(key).cloned().unwrap_or_default()
+    /// Ids for an exact key, given as its bytes (a [`Key`] or a scratch
+    /// buffer it was encoded into).
+    pub fn lookup_eq(&self, key: &[u8]) -> &[DocId] {
+        self.map.get(key).map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct keys.
@@ -102,12 +103,12 @@ mod tests {
         idx.insert(k(1), 10);
         idx.insert(k(1), 11);
         idx.insert(k(2), 12);
-        assert_eq!(idx.lookup_eq(&k(1)), vec![10, 11]);
+        assert_eq!(idx.lookup_eq(k(1).as_bytes()), vec![10, 11]);
         assert_eq!(idx.entry_count(), 3);
         idx.remove(&k(1), 10);
-        assert_eq!(idx.lookup_eq(&k(1)), vec![11]);
+        assert_eq!(idx.lookup_eq(k(1).as_bytes()), vec![11]);
         idx.remove(&k(1), 11);
-        assert!(idx.lookup_eq(&k(1)).is_empty());
+        assert!(idx.lookup_eq(k(1).as_bytes()).is_empty());
         assert_eq!(idx.key_count(), 1);
     }
 

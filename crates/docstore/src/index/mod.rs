@@ -207,7 +207,7 @@ impl Index {
     /// unique index refuses. An in-place update checks this before it
     /// changes any index, so a refused update leaves nothing behind.
     pub(crate) fn conflicts(&self, id: DocId, keys: &[Key]) -> bool {
-        keys.iter().any(|k| self.lookup_eq(k).iter().any(|&held| held != id))
+        keys.iter().any(|k| self.lookup_eq(k.as_bytes()).iter().any(|&held| held != id))
     }
 
     /// Moves document `id`'s entries from the keys it had to the keys it
@@ -229,15 +229,13 @@ impl Index {
         }
     }
 
-    fn contains_key(&self, key: &Key) -> bool {
-        match &self.backing {
-            Backing::BTree(b) => !b.lookup_eq(key).is_empty(),
-            Backing::Hashed(h) => !h.lookup_eq(key).is_empty(),
-        }
+    /// True if some document holds `key`.
+    pub(crate) fn contains_key(&self, key: &Key) -> bool {
+        !self.lookup_eq(key.as_bytes()).is_empty()
     }
 
-    /// Ids whose key equals `key` exactly.
-    pub fn lookup_eq(&self, key: &Key) -> Vec<DocId> {
+    /// Ids whose key equals `key` (a key's bytes) exactly.
+    pub fn lookup_eq(&self, key: &[u8]) -> &[DocId] {
         match &self.backing {
             Backing::BTree(b) => b.lookup_eq(key),
             Backing::Hashed(h) => h.lookup_eq(key),
@@ -340,6 +338,6 @@ mod tests {
         idx.remove(1, &d);
         assert_eq!(idx.entry_count(), 1);
         let key = Key::of(&Value::Int64(5));
-        assert_eq!(idx.lookup_eq(&key), vec![2]);
+        assert_eq!(idx.lookup_eq(key.as_bytes()), [2]);
     }
 }

@@ -340,7 +340,9 @@ pub fn plan_with_stats(
     has_column: &dyn Fn(&str) -> bool,
     fetch: bool,
 ) -> CostedPlan {
-    let est_fraction = stats.constraints_fraction(constraints);
+    // One probe-key buffer for every estimate of this plan.
+    let mut scratch = Vec::new();
+    let est_fraction = stats.constraints_fraction(constraints, &mut scratch);
     let est_rows = (est_fraction * live as f64).round() as u64;
     if live <= SMALL_COLLECTION {
         let plan = plan(filter, constraints, indexes);
@@ -352,7 +354,7 @@ pub fn plan_with_stats(
         let Some(candidate) = plan_for_index(idx, constraints) else {
             continue;
         };
-        let cost = index_cost(&candidate, idx, stats, live);
+        let cost = index_cost(&candidate, idx, stats, live, &mut scratch);
         if cost < best_cost {
             best_cost = cost;
             best_kind = candidate;
@@ -407,7 +409,13 @@ pub fn unique_point_plan(
 }
 
 /// Prices an index candidate: seeks plus estimated candidate fetches.
-fn index_cost(kind: &PlanKind, idx: &Index, stats: &crate::stats::CollStats, live: usize) -> f64 {
+fn index_cost(
+    kind: &PlanKind,
+    idx: &Index,
+    stats: &crate::stats::CollStats,
+    live: usize,
+    scratch: &mut Vec<u8>,
+) -> f64 {
     let fields = idx.def.field_names();
     match kind {
         PlanKind::CollScan | PlanKind::ColumnScan { .. } => {
@@ -420,7 +428,7 @@ fn index_cost(kind: &PlanKind, idx: &Index, stats: &crate::stats::CollStats, liv
             for key in keys {
                 let mut kf = 1.0;
                 for (f, v) in fields.iter().zip(key) {
-                    kf *= stats.eq_value_fraction(f, v);
+                    kf *= stats.eq_value_fraction(f, v, scratch);
                 }
                 frac += kf;
             }
@@ -429,7 +437,7 @@ fn index_cost(kind: &PlanKind, idx: &Index, stats: &crate::stats::CollStats, liv
         }
         PlanKind::IndexRange { min, max, .. } => {
             let c = PathConstraint { eq_set: None, min: min.clone(), max: max.clone() };
-            let frac = stats.constraint_fraction(fields[0], &c);
+            let frac = stats.constraint_fraction(fields[0], &c, scratch);
             COST_SEEK + frac * live as f64 * COST_FETCH_ROW
         }
     }

@@ -13,7 +13,7 @@
 //! manifest so a recovered database plans as well as it did before the
 //! restart.
 
-use crate::keybytes::Key;
+use crate::keybytes::{self, Key};
 use crate::query::filter::Filter;
 use crate::query::planner::{conjunctive_constraints, Constraints, PathConstraint};
 use crate::storage::Slab;
@@ -137,14 +137,16 @@ impl FieldStats {
         }
     }
 
-    /// Estimated fraction of documents whose value equals `v`.
-    fn eq_fraction(&self, v: &Value) -> f64 {
+    /// Estimated fraction of documents whose value equals `v`, probed
+    /// by `v`'s key bytes encoded into `scratch`.
+    fn eq_fraction(&self, v: &Value, scratch: &mut Vec<u8>) -> f64 {
         let total = self.total().max(1) as f64;
-        let key = Key::of(v);
+        keybytes::encode_into(v, scratch);
+        let key = scratch.as_slice();
         match &self.dist {
-            Dist::Exact(map) => map.get(&key).map_or(0, |(_, n)| *n) as f64 / total,
+            Dist::Exact(map) => map.get(key).map_or(0, |(_, n)| *n) as f64 / total,
             Dist::Hist(buckets) => {
-                let i = buckets.partition_point(|b| b.upper < key);
+                let i = buckets.partition_point(|b| b.upper.as_bytes() < key);
                 match buckets.get(i) {
                     Some(b) => b.count as f64 / b.distinct.max(1) as f64 / total,
                     None => 0.0,
@@ -153,15 +155,27 @@ impl FieldStats {
         }
     }
 
-    /// Estimated fraction of documents whose value lies in the range.
+    /// Estimated fraction of documents whose value lies in the range,
+    /// probed by the bounds' key bytes, both encoded into `scratch`.
     fn range_fraction(
         &self,
         min: Option<&(Value, bool)>,
         max: Option<&(Value, bool)>,
+        scratch: &mut Vec<u8>,
     ) -> f64 {
         let total = self.total().max(1) as f64;
-        let key = |b: Option<&(Value, bool)>| b.map(|(v, incl)| (Key::of(v), *incl));
-        let (min, max) = (key(min), key(max));
+        scratch.clear();
+        let mut spans = [0..0, 0..0];
+        for (span, bound) in spans.iter_mut().zip([min, max]) {
+            let start = scratch.len();
+            if let Some((v, _)) = bound {
+                keybytes::encode_value(v, scratch);
+            }
+            *span = start..scratch.len();
+        }
+        let [lo, hi] = spans;
+        let min = min.map(|(_, incl)| (&scratch[lo], *incl));
+        let max = max.map(|(_, incl)| (&scratch[hi], *incl));
         if let (Some((a, ai)), Some((b, bi))) = (&min, &max) {
             match a.cmp(b) {
                 std::cmp::Ordering::Greater => return 0.0,
@@ -171,24 +185,25 @@ impl FieldStats {
         }
         match &self.dist {
             Dist::Exact(map) => {
-                fn bound(b: &Option<(Key, bool)>) -> Bound<&Key> {
+                fn bound(b: Option<(&[u8], bool)>) -> Bound<&[u8]> {
                     match b {
                         None => Bound::Unbounded,
                         Some((k, true)) => Bound::Included(k),
                         Some((k, false)) => Bound::Excluded(k),
                     }
                 }
-                let span = map.range::<Key, _>((bound(&min), bound(&max)));
+                let span = map.range::<[u8], _>((bound(min), bound(max)));
                 let n: u64 = span.map(|(_, (_, c))| *c).sum();
                 n as f64 / total
             }
             Dist::Hist(buckets) => {
                 let mut n = 0.0;
                 for (i, b) in buckets.iter().enumerate() {
-                    let b_lo = if i == 0 { None } else { Some(&buckets[i - 1].upper) };
+                    let upper = b.upper.as_bytes();
+                    let b_lo = if i == 0 { None } else { Some(buckets[i - 1].upper.as_bytes()) };
                     // Bucket entirely below the range?
                     if let Some((mv, incl)) = &min {
-                        if b.upper < *mv || (b.upper == *mv && !incl) {
+                        if upper < *mv || (upper == *mv && !incl) {
                             continue;
                         }
                     }
@@ -205,7 +220,7 @@ impl FieldStats {
                     };
                     let covers_hi = match &max {
                         None => true,
-                        Some((mv, incl)) => b.upper < *mv || (b.upper == *mv && *incl),
+                        Some((mv, incl)) => upper < *mv || (upper == *mv && *incl),
                     };
                     // Boundary buckets contribute half their mass.
                     n += if covers_lo && covers_hi {
@@ -491,26 +506,35 @@ impl CollStats {
     }
 
     /// Estimated fraction of documents whose `path` equals `v`
-    /// (untracked paths use [`DEFAULT_EQ_FRACTION`]).
-    pub fn eq_value_fraction(&self, path: &str, v: &Value) -> f64 {
+    /// (untracked paths use [`DEFAULT_EQ_FRACTION`]). `scratch` is the
+    /// caller's buffer for the probe key, reused across its probes.
+    pub fn eq_value_fraction(&self, path: &str, v: &Value, scratch: &mut Vec<u8>) -> f64 {
         match self.fields.get(path) {
-            Some(fs) if self.built => fs.eq_fraction(v),
+            Some(fs) if self.built => fs.eq_fraction(v, scratch),
             _ => DEFAULT_EQ_FRACTION,
         }
     }
 
-    /// Estimated fraction of documents satisfying one path constraint.
-    pub fn constraint_fraction(&self, path: &str, c: &PathConstraint) -> f64 {
+    /// Estimated fraction of documents satisfying one path constraint;
+    /// `scratch` as in [`Self::eq_value_fraction`].
+    pub fn constraint_fraction(
+        &self,
+        path: &str,
+        c: &PathConstraint,
+        scratch: &mut Vec<u8>,
+    ) -> f64 {
         if let Some(eq) = &c.eq_set {
             if eq.is_empty() {
                 return 0.0;
             }
-            let sum: f64 = eq.iter().map(|v| self.eq_value_fraction(path, v)).sum();
+            let sum: f64 = eq.iter().map(|v| self.eq_value_fraction(path, v, scratch)).sum();
             return sum.min(1.0);
         }
         if c.min.is_some() || c.max.is_some() {
             return match self.fields.get(path) {
-                Some(fs) if self.built => fs.range_fraction(c.min.as_ref(), c.max.as_ref()),
+                Some(fs) if self.built => {
+                    fs.range_fraction(c.min.as_ref(), c.max.as_ref(), scratch)
+                }
                 _ => DEFAULT_RANGE_FRACTION,
             };
         }
@@ -524,15 +548,15 @@ impl CollStats {
         if matches!(filter, Filter::True) {
             return 1.0;
         }
-        self.constraints_fraction(&conjunctive_constraints(filter))
+        self.constraints_fraction(&conjunctive_constraints(filter), &mut Vec::new())
     }
 
     /// [`Self::estimate_fraction`] over constraints the caller already
     /// derived (the planner derives them once per plan).
-    pub fn constraints_fraction(&self, constraints: &Constraints) -> f64 {
+    pub fn constraints_fraction(&self, constraints: &Constraints, scratch: &mut Vec<u8>) -> f64 {
         let mut frac = 1.0;
         for (path, c) in constraints {
-            frac *= self.constraint_fraction(path, c);
+            frac *= self.constraint_fraction(path, c, scratch);
         }
         frac.clamp(0.0, 1.0)
     }
@@ -598,7 +622,7 @@ mod tests {
     fn exact_tier_estimates_equality_exactly() {
         let slab = slab_of((0..100).map(|i| doc! {"_id" => i as i64, "g" => (i % 10) as i64}));
         let s = built(&slab, &["g"]);
-        let f = s.eq_value_fraction("g", &Value::Int64(3));
+        let f = s.eq_value_fraction("g", &Value::Int64(3), &mut Vec::new());
         assert!((f - 0.1).abs() < 1e-9, "{f}");
         assert_eq!(s.estimate_rows(&Filter::eq("g", 3i64), 100), 10);
     }
@@ -612,7 +636,7 @@ mod tests {
         let rows = s.estimate_rows(&Filter::lt("k", 1000i64), 2000);
         assert!((800..=1200).contains(&(rows as usize)), "{rows}");
         // Point estimate lands near 1/2000.
-        let f = s.eq_value_fraction("k", &Value::Int64(500));
+        let f = s.eq_value_fraction("k", &Value::Int64(500), &mut Vec::new());
         assert!(f < 0.05, "{f}");
     }
 
@@ -623,10 +647,10 @@ mod tests {
         for i in 100..150 {
             s.record_insert(&doc! {"_id" => i as i64, "g" => 3i64});
         }
-        let f = s.eq_value_fraction("g", &Value::Int64(3));
+        let f = s.eq_value_fraction("g", &Value::Int64(3), &mut Vec::new());
         assert!((f - 60.0 / 150.0).abs() < 1e-9, "{f}");
         s.record_delete(&doc! {"_id" => 100i64, "g" => 3i64});
-        let f = s.eq_value_fraction("g", &Value::Int64(3));
+        let f = s.eq_value_fraction("g", &Value::Int64(3), &mut Vec::new());
         assert!((f - 59.0 / 149.0).abs() < 1e-9, "{f}");
     }
 
@@ -650,8 +674,8 @@ mod tests {
         let restored = CollStats::from_doc(&s.to_doc());
         assert!(restored.is_built());
         for v in [0i64, 250, 499] {
-            let a = s.eq_value_fraction("k", &Value::Int64(v));
-            let b = restored.eq_value_fraction("k", &Value::Int64(v));
+            let a = s.eq_value_fraction("k", &Value::Int64(v), &mut Vec::new());
+            let b = restored.eq_value_fraction("k", &Value::Int64(v), &mut Vec::new());
             assert!((a - b).abs() < 1e-9, "{v}: {a} vs {b}");
         }
     }

@@ -275,16 +275,17 @@ pub type DocId = u64;
 /// A slab of document slots with free-list reuse and running
 /// encoded-size accounting (feeding chunk-size and load metrics).
 ///
-/// Slots hold `Arc<Document>` so readers can snapshot a document set
-/// with cheap refcount bumps and release the collection lock before
-/// scanning. A handle never changes under its holder: a whole-slot
-/// [`replace`](Slab::replace) swaps the `Arc`, and an in-place
-/// [`edit`](Slab::edit) goes through `Arc::make_mut`, which copies the
-/// document first when anyone else still holds it — so a snapshotted
-/// `Arc` stays consistent no matter what writers do afterwards.
+/// Slots hold [`Document`]s, which are copy-on-write, so readers can
+/// snapshot a document set with cheap refcount bumps (a `clone` each)
+/// and release the collection lock before scanning. A held document
+/// never changes under its holder: a whole-slot
+/// [`replace`](Slab::replace) puts a new document in the slot, and an
+/// in-place [`edit`](Slab::edit) goes through the document's mutators,
+/// which copy a field vector first when anyone else still holds it — so
+/// a snapshot stays consistent no matter what writers do afterwards.
 #[derive(Debug, Default)]
 pub struct Slab {
-    slots: Vec<Option<Arc<Document>>>,
+    slots: Vec<Option<Document>>,
     /// Encoded size of each slot's document (stale for an empty slot),
     /// so an edit can move `data_size` by a delta and check the document
     /// cap without re-measuring the whole document.
@@ -305,7 +306,6 @@ impl Slab {
         let size = encoded_size(&doc);
         self.data_size += size;
         self.live += 1;
-        let doc = Arc::new(doc);
         if let Some(id) = self.free.pop() {
             self.slots[id as usize] = Some(doc);
             self.sizes[id as usize] = size;
@@ -317,21 +317,16 @@ impl Slab {
         }
     }
 
-    /// Reads a document by id.
+    /// Reads a document by id. Cloning it is a refcount bump, and the
+    /// clone stays valid after the collection lock is released.
     pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.slots.get(id as usize).and_then(|s| s.as_deref())
+        self.slots.get(id as usize).and_then(Option::as_ref)
     }
 
-    /// Reads a document by id as a shared handle (a refcount bump; the
-    /// handle stays valid after the collection lock is released).
-    pub fn get_shared(&self, id: DocId) -> Option<Arc<Document>> {
-        self.slots.get(id as usize).and_then(Clone::clone)
-    }
-
-    /// Snapshots all live documents in slot order as shared handles.
-    /// O(slots) refcount bumps, no document clones; the caller can drop
-    /// the collection lock and scan the snapshot at leisure.
-    pub fn snapshot(&self) -> Vec<Arc<Document>> {
+    /// Snapshots all live documents in slot order. O(slots) refcount
+    /// bumps, no field is copied; the caller can drop the collection
+    /// lock and scan the snapshot at leisure.
+    pub fn snapshot(&self) -> Vec<Document> {
         self.slots.iter().filter_map(Clone::clone).collect()
     }
 
@@ -342,22 +337,22 @@ impl Slab {
         let size = encoded_size(&doc);
         self.data_size = self.data_size - self.sizes[id as usize] + size;
         self.sizes[id as usize] = size;
-        *slot = Some(Arc::new(doc));
-        Some(Arc::unwrap_or_clone(old))
+        *slot = Some(doc);
+        Some(old)
     }
 
     /// Edits the document in slot `id` where it lies — the update
     /// path's one mutation entry. `edit` is handed the document and its
     /// encoded size and returns by how many bytes it moved that size;
     /// when it fails it must leave the document as it found it. Nothing
-    /// is copied unless a reader still holds the slot's handle, and that
+    /// is copied unless a reader still holds the slot's document, and that
     /// reader keeps the document it took.
     pub fn edit<T, E>(
         &mut self,
         id: DocId,
         edit: impl FnOnce(&mut Document, usize) -> Result<(isize, T), E>,
     ) -> Option<Result<T, E>> {
-        let doc = Arc::make_mut(self.slots.get_mut(id as usize)?.as_mut()?);
+        let doc = self.slots.get_mut(id as usize)?.as_mut()?;
         let size = &mut self.sizes[id as usize];
         let outcome = edit(doc, *size).map(|(delta, out)| {
             *size = size.checked_add_signed(delta).expect("an edit shrinks a document by at most its size");
@@ -378,7 +373,7 @@ impl Slab {
         self.data_size -= self.sizes[id as usize];
         self.live -= 1;
         self.free.push(id);
-        Some(Arc::unwrap_or_clone(old))
+        Some(old)
     }
 
     /// Number of live documents.
@@ -401,14 +396,14 @@ impl Slab {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_deref().map(|d| (i as DocId, d)))
+            .filter_map(|(i, s)| s.as_ref().map(|d| (i as DocId, d)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doclite_bson::doc;
+    use doclite_bson::{doc, Value};
 
     #[test]
     fn insert_get_remove() {
@@ -450,7 +445,6 @@ mod tests {
 
     #[test]
     fn snapshot_is_immune_to_later_slab_mutation() {
-        use doclite_bson::Value;
         let mut s = Slab::new();
         let a = s.insert(doc! {"i" => 0i64});
         let b = s.insert(doc! {"i" => 1i64});
@@ -466,7 +460,11 @@ mod tests {
     #[test]
     fn edit_is_in_place_copy_on_write_and_moves_the_size_by_its_delta() {
         let mut s = Slab::new();
-        let id = s.insert(doc! {"a" => 1i64});
+        // Room for the field `set_c` adds, so an in-place edit keeps
+        // every field where it was.
+        let mut spacious = Document::with_capacity(2);
+        spacious.set("a", 1i64);
+        let id = s.insert(spacious);
         let other = s.insert(doc! {"b" => "x"});
         let recomputed = |s: &Slab| s.iter().map(|(_, d)| encoded_size(d)).sum::<usize>();
         let set_c = |doc: &mut Document, size: usize| -> Result<(isize, ()), &'static str> {
@@ -480,14 +478,16 @@ mod tests {
         };
 
         // Nobody else holds the document: it is edited where it lies.
-        let at = s.get(id).unwrap() as *const Document;
+        let a_at = |s: &Slab| s.get(id).unwrap().get("a").unwrap() as *const Value;
+        let at = a_at(&s);
         assert_eq!(s.edit(id, set_c), Some(Ok(())));
-        assert_eq!(s.get(id).unwrap() as *const Document, at);
+        assert_eq!(a_at(&s), at);
         assert_eq!(s.data_size(), recomputed(&s));
 
         // A reader holds it: the reader keeps what it took.
-        let held = s.get_shared(id).unwrap();
+        let held = s.get(id).unwrap().clone();
         assert_eq!(s.edit(id, unset_c), Some(Ok(())));
+        assert_ne!(a_at(&s), at, "the edit copied the held fields");
         assert!(held.get("c").is_some());
         assert!(s.get(id).unwrap().get("c").is_none());
         assert_eq!(s.data_size(), recomputed(&s));
@@ -502,14 +502,29 @@ mod tests {
     }
 
     #[test]
-    fn get_shared_outlives_removal() {
+    fn a_held_document_outlives_removal() {
         let mut s = Slab::new();
         let id = s.insert(doc! {"k" => 7i64});
-        let h = s.get_shared(id).unwrap();
+        let h = s.get(id).unwrap().clone();
         let removed = s.remove(id).unwrap();
-        // The shared handle forced a clone-on-unwrap; both views agree.
-        assert_eq!(&*h, &removed);
-        assert!(s.get_shared(id).is_none());
+        assert_eq!(h, removed);
+        assert!(s.get(id).is_none());
+    }
+
+    #[test]
+    fn snapshot_keeps_the_old_embedded_value_across_an_in_place_edit() {
+        let mut s = Slab::new();
+        let dim = doc! {"city" => "Midway", "zip" => 35_709i64};
+        let id = s.insert(doc! {"k" => 1i64, "dim" => dim});
+        let snap = s.snapshot();
+        let edited = s.edit(id, |doc: &mut Document, size| -> Result<(isize, ()), ()> {
+            assert!(doc.set_path("dim.city", Value::from("Fairview")));
+            Ok((encoded_size(doc) as isize - size as isize, ()))
+        });
+        assert_eq!(edited, Some(Ok(())));
+        assert_eq!(snap[0].get_path("dim.city"), Some(Value::from("Midway")));
+        assert_eq!(s.get(id).unwrap().get_path("dim.city"), Some(Value::from("Fairview")));
+        assert_eq!(snap[0].get_path("dim.zip"), s.get(id).unwrap().get_path("dim.zip"));
     }
 
     #[test]

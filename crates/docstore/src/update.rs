@@ -201,16 +201,14 @@ impl UpdateResult {
 pub fn apply_update(doc: &mut Document, spec: &UpdateSpec) -> Result<bool> {
     match spec {
         UpdateSpec::Replace(body) => {
-            let id = doc.id().cloned();
-            let mut new_doc = body.clone();
-            if let Some(id) = id {
+            if let Some(id) = doc.id().cloned() {
                 // _id is immutable: a replacement keeps the stored id.
-                new_doc.remove("_id");
-                let mut with_id = Document::with_capacity(new_doc.len() + 1);
-                with_id.set("_id", id);
-                for (k, v) in new_doc.into_iter() {
-                    with_id.set(k, v);
-                }
+                let rest = body
+                    .iter()
+                    .filter(|(k, _)| *k != "_id")
+                    .map(|(k, v)| (k.clone(), v.clone()));
+                let with_id: Document =
+                    std::iter::once(("_id".to_owned(), id)).chain(rest).collect();
                 let changed = *doc != with_id;
                 *doc = with_id;
                 Ok(changed)

@@ -121,6 +121,10 @@ pub fn arb_cmp_op() -> BoxedStrategy<CmpOp> {
     .boxed()
 }
 
+/// The leaves of [`arb_filter`] on their own. The vendored
+/// `prop_recursive` returns a top-level leaf only 2^-depth of the time,
+/// so a property over [`arb_filter`] rarely compares two plain leaves;
+/// each such property has a companion over this strategy.
 pub fn arb_leaf_filter() -> BoxedStrategy<Filter> {
     prop_oneof![
         (arb_path(), arb_cmp_op(), arb_field_value())
@@ -152,11 +156,7 @@ pub fn arb_filter() -> BoxedStrategy<Filter> {
 /// kernel mirrors — including the fallible numeric and string ops so
 /// error behaviour is compared, not just success values.
 pub fn arb_expr() -> BoxedStrategy<Expr> {
-    let leaf = prop_oneof![
-        arb_scalar().prop_map(Expr::Literal),
-        arb_path().prop_map(Expr::Field),
-    ];
-    leaf.prop_recursive(3, 24, 3, |inner| {
+    arb_leaf_expr().prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
             prop::collection::vec(("[kq]", inner.clone()), 1..3)
                 .prop_map(|fs| Expr::Doc(fs.into_iter().collect())),
@@ -179,6 +179,12 @@ pub fn arb_expr() -> BoxedStrategy<Expr> {
         ]
     })
     .boxed()
+}
+
+/// The leaves of [`arb_expr`] on their own, for the reason given at
+/// [`arb_leaf_filter`].
+pub fn arb_leaf_expr() -> BoxedStrategy<Expr> {
+    prop_oneof![arb_scalar().prop_map(Expr::Literal), arb_path().prop_map(Expr::Field)].boxed()
 }
 
 // ---- pipelines -------------------------------------------------------

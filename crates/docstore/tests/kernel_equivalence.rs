@@ -18,11 +18,44 @@
 
 mod common;
 
-use common::{arb_document, arb_expr, arb_filter};
-use doclite_bson::{doc, Value};
+use common::{arb_document, arb_expr, arb_filter, arb_leaf_expr, arb_leaf_filter};
+use doclite_bson::{doc, Document, Value};
+use doclite_docstore::agg::Expr;
 use doclite_docstore::query::{compile, matches, matches_compiled};
 use doclite_docstore::{CompiledExpr, Filter};
 use proptest::prelude::*;
+
+fn matcher_agrees(filter: &Filter, docs: &[Document]) {
+    let compiled = compile(filter);
+    for d in docs {
+        prop_assert_eq!(
+            matches(filter, d),
+            matches_compiled(&compiled, d),
+            "filter {:?} on doc {:?}", filter, d
+        );
+    }
+}
+
+fn expr_agrees(expr: &Expr, docs: &[Document]) {
+    let compiled = CompiledExpr::new(expr);
+    for d in docs {
+        match (expr.eval(d), compiled.eval_ref(d)) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(
+                &a, b.as_value(),
+                "expr {:?} on doc {:?}", expr, d
+            ),
+            (Err(a), Err(b)) => prop_assert_eq!(
+                a.to_string(), b.to_string(),
+                "expr {:?} on doc {:?}", expr, d
+            ),
+            (a, b) => prop_assert!(
+                false,
+                "divergent fallibility for {:?} on {:?}: interpreted {:?}, compiled {:?}",
+                expr, d, a.map(|_| ()), b.map(|_| ())
+            ),
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -32,14 +65,15 @@ proptest! {
         filter in arb_filter(),
         docs in prop::collection::vec(arb_document(), 0..12),
     ) {
-        let compiled = compile(&filter);
-        for d in &docs {
-            prop_assert_eq!(
-                matches(&filter, d),
-                matches_compiled(&compiled, d),
-                "filter {:?} on doc {:?}", filter, d
-            );
-        }
+        matcher_agrees(&filter, &docs);
+    }
+
+    #[test]
+    fn compiled_matcher_agrees_with_interpreted_on_leaf_filters(
+        filter in arb_leaf_filter(),
+        docs in prop::collection::vec(arb_document(), 0..12),
+    ) {
+        matcher_agrees(&filter, &docs);
     }
 
     #[test]
@@ -47,24 +81,15 @@ proptest! {
         expr in arb_expr(),
         docs in prop::collection::vec(arb_document(), 0..8),
     ) {
-        let compiled = CompiledExpr::new(&expr);
-        for d in &docs {
-            match (expr.eval(d), compiled.eval_ref(d)) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(
-                    &a, b.as_value(),
-                    "expr {:?} on doc {:?}", expr, d
-                ),
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.to_string(), b.to_string(),
-                    "expr {:?} on doc {:?}", expr, d
-                ),
-                (a, b) => prop_assert!(
-                    false,
-                    "divergent fallibility for {:?} on {:?}: interpreted {:?}, compiled {:?}",
-                    expr, d, a.map(|_| ()), b.map(|_| ())
-                ),
-            }
-        }
+        expr_agrees(&expr, &docs);
+    }
+
+    #[test]
+    fn compiled_expr_agrees_with_interpreted_on_leaf_exprs(
+        expr in arb_leaf_expr(),
+        docs in prop::collection::vec(arb_document(), 0..8),
+    ) {
+        expr_agrees(&expr, &docs);
     }
 }
 

@@ -161,14 +161,15 @@ impl Generator {
     /// NULL columns omitted — the migration algorithm's convention).
     pub fn document(&self, table: TableId, idx: u64) -> Document {
         let def = table_def(table);
+        // Collected, so the field vector is sized for the whole row and
+        // wrapped once.
         let cells = self.row(table, idx);
-        let mut doc = Document::with_capacity(cells.len());
-        for (col, cell) in def.columns.iter().zip(cells) {
-            if cell != Cell::Null {
-                doc.set(col.name, cell.to_value());
-            }
-        }
-        doc
+        def.columns
+            .iter()
+            .zip(cells)
+            .filter(|(_, cell)| *cell != Cell::Null)
+            .map(|(col, cell)| (col.name.to_owned(), cell.to_value()))
+            .collect()
     }
 
     /// Streams all documents of a table.

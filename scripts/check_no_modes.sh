@@ -15,7 +15,9 @@
 # Appendix B pipeline; only Q50 keeps a hand plan) and "one key encoding"
 # (every index key, chunk bound, statistic and join table is a
 # `keybytes::Key`; the `OrdValue` / `CompoundKey` wrappers and their
-# separate `hash_value` walk are gone): the
+# separate `hash_value` walk are gone) and "documents are copy-on-write"
+# (a `Document` is already the shared handle: cloning one is a refcount
+# bump, so nothing wraps it in another `Arc`): the
 # retired mode enums, setters, constants, validators and entry points must
 # not come back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
@@ -41,6 +43,8 @@ grep -rnw unsafe crates/*/src \
 [ -e crates/docstore/src/agg/exec.rs ] && complain "agg/exec.rs is back"
 [ -e crates/docstore/src/agg/parallel.rs ] && complain "agg/parallel.rs is back: a pipeline splits one way, agg::Split"
 [ -e crates/docstore/src/ordvalue.rs ] && complain "docstore/src/ordvalue.rs is back: keys are keybytes::Key, one encoding"
+grep -rnE 'Arc<(doclite_bson::)?Document>' crates/*/src \
+    && complain "a Document wrapped in an Arc: a Document is copy-on-write, clone it"
 sed '/^#\[cfg(test)\]/,$d' crates/sharding/src/route.rs | grep -nE '\.(sort|limit|skip)\(|Stage::(Sort|Limit|Skip)' \
     && complain "route.rs builds a leg window itself: what a leg runs is agg::Split's part"
 grep -nE '^\s*(pub )?use .*(kernel::|matcher|CompiledPath|compile)' crates/docstore/src/agg/reference.rs \
