@@ -155,27 +155,15 @@ impl FieldStats {
         }
     }
 
-    /// Estimated fraction of documents whose value lies in the range,
-    /// probed by the bounds' key bytes, both encoded into `scratch`.
+    /// Estimated fraction of documents whose value lies in the range.
     fn range_fraction(
         &self,
         min: Option<&(Value, bool)>,
         max: Option<&(Value, bool)>,
-        scratch: &mut Vec<u8>,
     ) -> f64 {
         let total = self.total().max(1) as f64;
-        scratch.clear();
-        let mut spans = [0..0, 0..0];
-        for (span, bound) in spans.iter_mut().zip([min, max]) {
-            let start = scratch.len();
-            if let Some((v, _)) = bound {
-                keybytes::encode_value(v, scratch);
-            }
-            *span = start..scratch.len();
-        }
-        let [lo, hi] = spans;
-        let min = min.map(|(_, incl)| (&scratch[lo], *incl));
-        let max = max.map(|(_, incl)| (&scratch[hi], *incl));
+        let key = |b: Option<&(Value, bool)>| b.map(|(v, incl)| (Key::of(v), *incl));
+        let (min, max) = (key(min), key(max));
         if let (Some((a, ai)), Some((b, bi))) = (&min, &max) {
             match a.cmp(b) {
                 std::cmp::Ordering::Greater => return 0.0,
@@ -185,25 +173,24 @@ impl FieldStats {
         }
         match &self.dist {
             Dist::Exact(map) => {
-                fn bound(b: Option<(&[u8], bool)>) -> Bound<&[u8]> {
+                fn bound(b: &Option<(Key, bool)>) -> Bound<&Key> {
                     match b {
                         None => Bound::Unbounded,
                         Some((k, true)) => Bound::Included(k),
                         Some((k, false)) => Bound::Excluded(k),
                     }
                 }
-                let span = map.range::<[u8], _>((bound(min), bound(max)));
+                let span = map.range::<Key, _>((bound(&min), bound(&max)));
                 let n: u64 = span.map(|(_, (_, c))| *c).sum();
                 n as f64 / total
             }
             Dist::Hist(buckets) => {
                 let mut n = 0.0;
                 for (i, b) in buckets.iter().enumerate() {
-                    let upper = b.upper.as_bytes();
-                    let b_lo = if i == 0 { None } else { Some(buckets[i - 1].upper.as_bytes()) };
+                    let b_lo = if i == 0 { None } else { Some(&buckets[i - 1].upper) };
                     // Bucket entirely below the range?
                     if let Some((mv, incl)) = &min {
-                        if upper < *mv || (upper == *mv && !incl) {
+                        if b.upper < *mv || (b.upper == *mv && !incl) {
                             continue;
                         }
                     }
@@ -220,7 +207,7 @@ impl FieldStats {
                     };
                     let covers_hi = match &max {
                         None => true,
-                        Some((mv, incl)) => upper < *mv || (upper == *mv && *incl),
+                        Some((mv, incl)) => b.upper < *mv || (b.upper == *mv && *incl),
                     };
                     // Boundary buckets contribute half their mass.
                     n += if covers_lo && covers_hi {
@@ -532,9 +519,7 @@ impl CollStats {
         }
         if c.min.is_some() || c.max.is_some() {
             return match self.fields.get(path) {
-                Some(fs) if self.built => {
-                    fs.range_fraction(c.min.as_ref(), c.max.as_ref(), scratch)
-                }
+                Some(fs) if self.built => fs.range_fraction(c.min.as_ref(), c.max.as_ref()),
                 _ => DEFAULT_RANGE_FRACTION,
             };
         }

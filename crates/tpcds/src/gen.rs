@@ -48,13 +48,14 @@ impl Cell {
         }
     }
 
-    /// Converts to a document value (used when bypassing `.dat` files).
-    pub fn to_value(&self) -> Value {
+    /// Converts to a document value (used when bypassing `.dat` files);
+    /// a string moves into the value.
+    pub fn into_value(self) -> Value {
         match self {
             Cell::Null => Value::Null,
-            Cell::Int(i) => Value::Int64(*i),
-            Cell::Dec(d) => Value::Double(*d),
-            Cell::Str(s) => Value::String(s.clone()),
+            Cell::Int(i) => Value::Int64(i),
+            Cell::Dec(d) => Value::Double(d),
+            Cell::Str(s) => Value::String(s),
         }
     }
 
@@ -168,7 +169,7 @@ impl Generator {
             .iter()
             .zip(cells)
             .filter(|(_, cell)| *cell != Cell::Null)
-            .map(|(col, cell)| (col.name.to_owned(), cell.to_value()))
+            .map(|(col, cell)| (col.name.to_owned(), cell.into_value()))
             .collect()
     }
 

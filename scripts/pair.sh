@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Paired benchmark comparison: the working tree against a git revision.
 #
-#   scripts/pair.sh <rev> [--pairs N] [--workloads "W1 W2 ..."] [--seconds S]
-#                         [--seed N] [--out FILE]
+#   scripts/pair.sh <rev> [--pairs N] [--workloads "W1 W2 ..."] [--seed N]
+#                         [--out FILE]
 #
 # Exports <rev> with `git archive` and snapshots the working tree (tracked
-# and untracked, not ignored, files), so neither an edit made meanwhile nor
-# a worktree entry in .git is involved. Builds each side's benchmark
-# package into its own target directory, then runs
-# `benchmark/run.sh --workload W --seed S --seconds T --trace 0` from each
-# tree, pair i on seed N+i for both sides, alternating which side runs
-# first. The host's steal time (`/proc/stat`, jiffies) is read around
+# and untracked, not ignored, files that exist), so neither an edit made
+# meanwhile nor a worktree entry in .git is involved. Builds each side's
+# benchmark package into its own target directory, then runs
+# `benchmark/run.sh --workload W --seed S --trace 0` (the benchmark's own
+# run length) from each tree, pair i on seed N+i for both sides,
+# alternating which side runs first. The host's steal time (`/proc/stat`, jiffies) is read around
 # every run: a quiet 2-core run shows < 50, and at 800+ two clients share
 # one core, which says nothing about a change.
 #
@@ -39,13 +39,12 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 usage() { sed -n '2,4p' "$0" >&2; exit 2; }
 [ $# -ge 1 ] || usage
 rev=$1; shift
-pairs=10 seconds=15 seed=1 out=""
+pairs=10 seed=1 out=""
 workloads="norm_standalone norm_sharded denorm_standalone oltp_durable"
 while [ $# -gt 0 ]; do
   case "$1" in
     --pairs) pairs=$2; shift 2 ;;
     --workloads) workloads=$2; shift 2 ;;
-    --seconds) seconds=$2; shift 2 ;;
     --seed) seed=$2; shift 2 ;;
     --out) out=$2; shift 2 ;;
     *) usage ;;
@@ -59,7 +58,12 @@ dir=$(cd "$dir" && pwd)
 rm -rf "$dir/parent" "$dir/change" "$dir/runs"
 mkdir -p "$dir/parent" "$dir/change" "$dir/runs"
 git archive "$rev" | tar -x -C "$dir/parent"
-git ls-files -co --exclude-standard -z | tar --null -T - -cf - | tar -x -C "$dir/change"
+# A tracked file deleted from the working tree is still listed; skip it.
+git ls-files -co --exclude-standard -z |
+  while IFS= read -r -d '' f; do
+    if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+  done |
+  tar --null -T - -cf - | tar -x -C "$dir/change"
 
 for side in parent change; do
   echo "== building $side" >&2
@@ -73,7 +77,7 @@ run() { # side workload pair seed -> one manifest line
   local log="$dir/runs/$2.$3.$1.log" before after status=0
   before=$(steal)
   CARGO_TARGET_DIR="$dir/target-$1" bash "$dir/$1/benchmark/run.sh" \
-    --workload "$2" --seed "$4" --seconds "$seconds" --trace 0 > "$log" 2> "$log.err" || status=$?
+    --workload "$2" --seed "$4" --trace 0 > "$log" 2> "$log.err" || status=$?
   after=$(steal)
   printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$2" "$3" "$1" "$((after - before))" "$status" "$log" >> "$dir/runs/manifest.tsv"
   echo "   $2 pair $3 $1: exit $status, steal $((after - before))" >&2
@@ -88,11 +92,11 @@ for w in $workloads; do
   done
 done
 
-python3 - "$dir/runs/manifest.tsv" BENCHMARK.json "$rev" "$pairs" "$seconds" "$out" <<'EOF'
+python3 - "$dir/runs/manifest.tsv" BENCHMARK.json "$rev" "$pairs" "$out" <<'EOF'
 import json, statistics, sys
 from collections import defaultdict
 
-manifest, bench_file, rev, pairs, seconds, out = sys.argv[1:]
+manifest, bench_file, rev, pairs, out = sys.argv[1:]
 bench = json.load(open(bench_file))
 metrics = bench["end_to_end"]
 runs = defaultdict(dict)  # (workload, pair) -> side -> run
@@ -116,7 +120,7 @@ def fmt(x):
     return f"{x:.4g}" if abs(x) < 1e5 else f"{x:.0f}"
 
 report = [f"Paired runs: change (working tree) vs parent `{rev}`, {pairs} pairs, "
-          f"{seconds} s per run, alternating order, same seed per pair.", ""]
+          "alternating order, same seed per pair.", ""]
 verdicts = []
 for w in dict.fromkeys(k[0] for k in runs):
     complete = [runs[(w, i)] for i in range(int(pairs)) if len(runs.get((w, i), {})) == 2
