@@ -3,6 +3,16 @@
 //! Semantics follow MongoDB's: `$sum` and `$avg` skip non-numeric inputs
 //! (so `{$sum: {$cond: [...]}}` patterns — Query 21 and Query 50's
 //! bucketed day-range counts — behave exactly as in the thesis's scripts).
+//!
+//! The same states serve a query's `$group`, a shard's partial group
+//! ([`AccState::merge`]) and a view's incrementally maintained group
+//! ([`AccState::retract`]). Following the invertibility classes of
+//! Botoeva et al. (PAPERS.md), a state takes an input back only while
+//! doing so is exact: `$sum` and `$avg` subtract an integer input while
+//! the magnitudes of everything they hold add up to at most 2^53, where
+//! every order of adding them is exact in f64. Any other retraction — a
+//! double, a larger total, a non-null `$min` / `$max` input — reports
+//! that the group must be recomputed from its source.
 
 use super::expr::Expr;
 use crate::error::Result;
@@ -46,13 +56,44 @@ impl Accumulator {
     pub fn count() -> Self {
         Accumulator::Sum(Expr::lit(1i64))
     }
+
+    /// Whether a change stream can keep this accumulator current: `$sum`,
+    /// `$avg`, `$min` and `$max` fold inserts in and take deletes back or
+    /// recompute their group ([`AccState::retract`]). `$first`, `$last`,
+    /// `$push` and `$addToSet` depend on document order, which a change
+    /// stream does not carry.
+    pub fn is_maintainable(&self) -> bool {
+        matches!(
+            self,
+            Accumulator::Sum(_) | Accumulator::Avg(_) | Accumulator::Min(_) | Accumulator::Max(_)
+        )
+    }
 }
 
-/// Running state for one accumulator in one group.
+/// Every integer of at most this magnitude is exact in f64, and so is
+/// every sum of integers whose magnitudes add up to at most this.
+const EXACT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// What one input did to an [`AccState`]: the token [`AccState::retract`]
+/// takes back. A view keeps one per accumulator per live source document.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Contribution {
+    /// The state ignored the input (a non-numeric `$sum` / `$avg` input,
+    /// a null `$min` / `$max` one): taking it back changes nothing.
+    Skip,
+    /// An integer added to `$sum` / `$avg`.
+    Integer(f64),
+    /// Anything else: taking it back needs the group recomputed.
+    Recompute,
+}
+
+/// Running state for one accumulator in one group. `magnitude` is the
+/// sum of the integer inputs' magnitudes, and infinite once a double
+/// came in: it says whether `total` is exact and an integer.
 #[derive(Clone, Debug)]
 pub enum AccState {
-    Sum { total: f64, integral: bool, seen: bool },
-    Avg { total: f64, count: usize },
+    Sum { total: f64, magnitude: f64 },
+    Avg { total: f64, count: usize, magnitude: f64 },
     Min(Option<Value>),
     Max(Option<Value>),
     First(Option<Value>),
@@ -65,8 +106,8 @@ impl AccState {
     /// Fresh state for a spec.
     pub fn new(spec: &Accumulator) -> Self {
         match spec {
-            Accumulator::Sum(_) => AccState::Sum { total: 0.0, integral: true, seen: false },
-            Accumulator::Avg(_) => AccState::Avg { total: 0.0, count: 0 },
+            Accumulator::Sum(_) => AccState::Sum { total: 0.0, magnitude: 0.0 },
+            Accumulator::Avg(_) => AccState::Avg { total: 0.0, count: 0, magnitude: 0.0 },
             Accumulator::Min(_) => AccState::Min(None),
             Accumulator::Max(_) => AccState::Max(None),
             Accumulator::First(_) => AccState::First(None),
@@ -83,56 +124,66 @@ impl AccState {
         Ok(())
     }
 
-    /// Folds an already-evaluated input value into the state. Inspection
+    /// Folds an already-evaluated input value into the state and returns
+    /// what [`retract`](Self::retract) needs to take it back. Inspection
     /// (numeric extraction, extremum comparison, set membership) happens
     /// by reference; the value is taken by move only where the state
     /// actually retains it, so the kernel's borrowed inputs stay
     /// clone-free for `$sum`/`$avg`, rejected extrema, and set duplicates.
-    pub(crate) fn accumulate_resolved(&mut self, v: Resolved<'_>) {
+    pub(crate) fn accumulate_resolved(&mut self, v: Resolved<'_>) -> Contribution {
         match self {
-            AccState::Sum { total, integral, seen } => {
-                if let Some(n) = v.as_value().as_f64() {
-                    *total += n;
-                    *integral &= matches!(v.as_value(), Value::Int32(_) | Value::Int64(_));
-                    *seen = true;
-                }
+            AccState::Sum { total, magnitude } => add(total, magnitude, v.as_value()),
+            AccState::Avg { total, count, magnitude } => {
+                let c = add(total, magnitude, v.as_value());
+                *count += usize::from(c != Contribution::Skip);
+                c
             }
-            AccState::Avg { total, count } => {
-                if let Some(n) = v.as_value().as_f64() {
-                    *total += n;
-                    *count += 1;
-                }
-            }
-            AccState::Min(cur) => {
-                if !v.as_value().is_null()
-                    && cur
-                        .as_ref()
-                        .is_none_or(|c| v.as_value().canonical_cmp(c) == std::cmp::Ordering::Less)
-                {
-                    *cur = Some(v.into_value());
-                }
-            }
-            AccState::Max(cur) => {
-                if !v.as_value().is_null()
-                    && cur.as_ref().is_none_or(|c| {
-                        v.as_value().canonical_cmp(c) == std::cmp::Ordering::Greater
-                    })
-                {
-                    *cur = Some(v.into_value());
-                }
-            }
+            AccState::Min(cur) => extremum(cur, v, std::cmp::Ordering::Less),
+            AccState::Max(cur) => extremum(cur, v, std::cmp::Ordering::Greater),
             AccState::First(cur) => {
                 if cur.is_none() {
                     *cur = Some(v.into_value());
                 }
+                Contribution::Recompute
             }
-            AccState::Last(cur) => *cur = Some(v.into_value()),
-            AccState::Push(items) => items.push(v.into_value()),
+            AccState::Last(cur) => {
+                *cur = Some(v.into_value());
+                Contribution::Recompute
+            }
+            AccState::Push(items) => {
+                items.push(v.into_value());
+                Contribution::Recompute
+            }
             AccState::AddToSet(set) => {
                 if !set.iter().any(|m| m.canonical_eq(v.as_value())) {
                     set.push(v.into_value());
                 }
+                Contribution::Recompute
             }
+        }
+    }
+
+    /// Takes back an input that [`accumulate_resolved`](Self::accumulate_resolved)
+    /// folded in, given the token it returned. True when the state now
+    /// equals folding the remaining inputs afresh. False when it cannot
+    /// take the input back — a double, a `$sum` / `$avg` past
+    /// [`EXACT_LIMIT`], a non-null `$min` / `$max` input — and the group
+    /// must be recomputed from its source; the state is then left as it
+    /// was.
+    pub(crate) fn retract(&mut self, c: Contribution) -> bool {
+        let n = match c {
+            Contribution::Skip => return true,
+            Contribution::Recompute => return false,
+            Contribution::Integer(n) => n,
+        };
+        match self {
+            AccState::Sum { total, magnitude } => subtract(total, magnitude, n),
+            AccState::Avg { total, count, magnitude } => {
+                let exact = subtract(total, magnitude, n);
+                *count -= usize::from(exact);
+                exact
+            }
+            _ => unreachable!("only $sum and $avg hand out integer contributions"),
         }
     }
 
@@ -147,17 +198,17 @@ impl AccState {
     /// the usual ULP-level non-associativity of f64 addition.
     pub fn merge(&mut self, other: AccState) {
         match (self, other) {
+            (AccState::Sum { total, magnitude }, AccState::Sum { total: t2, magnitude: m2 }) => {
+                *total += t2;
+                *magnitude += m2;
+            }
             (
-                AccState::Sum { total, integral, seen },
-                AccState::Sum { total: t2, integral: i2, seen: s2 },
+                AccState::Avg { total, count, magnitude },
+                AccState::Avg { total: t2, count: c2, magnitude: m2 },
             ) => {
                 *total += t2;
-                *integral &= i2;
-                *seen |= s2;
-            }
-            (AccState::Avg { total, count }, AccState::Avg { total: t2, count: c2 }) => {
-                *total += t2;
                 *count += c2;
+                *magnitude += m2;
             }
             (AccState::Min(cur), AccState::Min(v)) => {
                 if let Some(v) = v {
@@ -220,17 +271,15 @@ impl AccState {
     /// Final value for the group.
     pub fn finish(self) -> Value {
         match self {
-            AccState::Sum { total, integral, seen } => {
-                if !seen {
-                    // MongoDB: $sum over no numeric inputs is 0.
-                    Value::Int64(0)
-                } else if integral && total.fract() == 0.0 && total.abs() < i64::MAX as f64 {
+            // MongoDB: $sum over no numeric inputs is 0, an integer.
+            AccState::Sum { total, magnitude } => {
+                if magnitude.is_finite() && total.fract() == 0.0 && total.abs() < i64::MAX as f64 {
                     Value::Int64(total as i64)
                 } else {
                     Value::Double(total)
                 }
             }
-            AccState::Avg { total, count } => {
+            AccState::Avg { total, count, .. } => {
                 if count == 0 {
                     Value::Null
                 } else {
@@ -244,6 +293,44 @@ impl AccState {
             AccState::AddToSet(set) => Value::Array(set),
         }
     }
+}
+
+/// Adds a `$sum` / `$avg` input: a number counts, anything else is
+/// skipped.
+fn add(total: &mut f64, magnitude: &mut f64, v: &Value) -> Contribution {
+    let Some(n) = v.as_f64() else {
+        return Contribution::Skip;
+    };
+    *total += n;
+    if matches!(v, Value::Int32(_) | Value::Int64(_)) {
+        *magnitude += n.abs();
+        Contribution::Integer(n)
+    } else {
+        *magnitude = f64::INFINITY;
+        Contribution::Recompute
+    }
+}
+
+/// Keeps a non-null `$min` / `$max` input that compares `wins` against
+/// the current one.
+fn extremum(cur: &mut Option<Value>, v: Resolved<'_>, wins: std::cmp::Ordering) -> Contribution {
+    if v.as_value().is_null() {
+        return Contribution::Skip;
+    }
+    if cur.as_ref().is_none_or(|c| v.as_value().canonical_cmp(c) == wins) {
+        *cur = Some(v.into_value());
+    }
+    Contribution::Recompute
+}
+
+/// Takes an integer back out of a `$sum` / `$avg`, if its total is exact.
+fn subtract(total: &mut f64, magnitude: &mut f64, n: f64) -> bool {
+    let exact = *magnitude <= EXACT_LIMIT;
+    if exact {
+        *total -= n;
+        *magnitude -= n.abs();
+    }
+    exact
 }
 
 /// The expression an accumulator folds over its group's documents.
@@ -264,6 +351,7 @@ pub fn spec_expr(spec: &Accumulator) -> &Expr {
 mod tests {
     use super::*;
     use doclite_bson::doc;
+    use proptest::prelude::*;
 
     fn run(spec: Accumulator, docs: &[Document]) -> Value {
         let mut st = AccState::new(&spec);
@@ -373,6 +461,83 @@ mod tests {
                 }
                 left.merge(right);
                 assert_eq!(left.finish(), serial, "{spec:?} split at {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_contribution_fits_in_16_bytes() {
+        assert!(std::mem::size_of::<Contribution>() <= 16);
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        Add(Value),
+        /// Retracts a live input picked by index.
+        Take(usize),
+    }
+
+    fn arb_input() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            8 => (-1_000i64..1_000).prop_map(Value::Int64),
+            4 => (-1_000i32..1_000).prop_map(Value::Int32),
+            // Around the exact limit, 2^53, on either side of zero.
+            2 => ((1i64 << 51)..(1i64 << 54)).prop_map(Value::Int64),
+            2 => ((1i64 << 51)..(1i64 << 54)).prop_map(|n| Value::Int64(-n)),
+            1 => any::<i64>().prop_map(Value::Int64),
+            1 => (-1e3..1e3).prop_map(Value::Double),
+            1 => (1e15..1e17).prop_map(Value::Double),
+            1 => Just(Value::Null),
+            1 => Just(Value::from("x")),
+        ]
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            arb_input().prop_map(Step::Add),
+            arb_input().prop_map(Step::Add),
+            any::<usize>().prop_map(Step::Take),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any interleaving of folds and retractions leaves a state that
+        /// finishes equal to folding the surviving inputs afresh, in
+        /// their order — or the retraction reported that it could not.
+        #[test]
+        fn a_retraction_is_exact_or_reports_the_group_dirty(
+            steps in prop::collection::vec(arb_step(), 1..40),
+        ) {
+            let specs = [
+                Accumulator::sum_field("x"),
+                Accumulator::avg_field("x"),
+                Accumulator::Min(Expr::field("x")),
+                Accumulator::Max(Expr::field("x")),
+            ];
+            for spec in &specs {
+                let mut state = AccState::new(spec);
+                let mut live: Vec<(Value, Contribution)> = Vec::new();
+                for step in &steps {
+                    match step {
+                        Step::Add(v) => {
+                            live.push((v.clone(), state.accumulate_resolved(Resolved::Borrowed(v))));
+                        }
+                        Step::Take(pick) if !live.is_empty() => {
+                            let (_, c) = live.remove(pick % live.len());
+                            if !state.retract(c) {
+                                break;
+                            }
+                        }
+                        Step::Take(_) => {}
+                    }
+                    let mut fresh = AccState::new(spec);
+                    for (v, _) in &live {
+                        fresh.accumulate_resolved(Resolved::Borrowed(v));
+                    }
+                    prop_assert_eq!(state.clone().finish(), fresh.finish(), "{:?} after {:?}", spec, step);
+                }
             }
         }
     }

@@ -248,6 +248,18 @@ fn fold_numeric(
     Ok(Resolved::Owned(acc.map_or(Value::Null, |n| expr::make_numeric(n, integral))))
 }
 
+/// A `$group`'s id expression and accumulator inputs, compiled.
+pub(crate) fn compile_group(
+    id: &GroupId,
+    fields: &[(String, Accumulator)],
+) -> (CompiledExpr, Vec<CompiledExpr>) {
+    let id = match id {
+        GroupId::Null => CompiledExpr::Literal(Value::Null),
+        GroupId::Expr(e) => CompiledExpr::new(e),
+    };
+    (id, fields.iter().map(|(_, spec)| CompiledExpr::new(spec_expr(spec))).collect())
+}
+
 /// Streaming `$group` state shared by every route through the driver:
 /// the id expression and accumulator inputs are compiled once, and the
 /// group table is keyed by canonical key bytes encoded into a reusable
@@ -267,11 +279,7 @@ pub(crate) struct GroupKernel<'p> {
 
 impl<'p> GroupKernel<'p> {
     pub fn new(id: &GroupId, fields: &'p [(String, Accumulator)]) -> Self {
-        let id = match id {
-            GroupId::Null => CompiledExpr::Literal(Value::Null),
-            GroupId::Expr(e) => CompiledExpr::new(e),
-        };
-        let accs = fields.iter().map(|(_, spec)| CompiledExpr::new(spec_expr(spec))).collect();
+        let (id, accs) = compile_group(id, fields);
         Self {
             id,
             fields,

@@ -657,8 +657,9 @@ impl Collection {
 
     /// Plans `filter`: a unique index pinned on every field is the plan
     /// outright ([`unique_point_plan`]); otherwise refreshes stale
-    /// statistics and prices index candidates and the column scan against
-    /// the collection scan. Returns the row estimate that drove the
+    /// statistics — only when the filter constrains a path, since no
+    /// estimate reaches an unconstrained choice — and prices index
+    /// candidates and the column scan against the collection scan. Returns the row estimate that drove the
     /// choice. `fetch` is false only for the aggregation driver's covered
     /// terminal, which reads the selection off the columns and fetches no
     /// document. The plan's residual is the full filter, so the choice can
@@ -670,7 +671,7 @@ impl Collection {
             Some(point) => point,
             None => {
                 let mut st = inner.stats.lock();
-                if st.needs_rebuild(live) {
+                if !constraints.is_empty() && st.needs_rebuild(live) {
                     st.rebuild(&inner.slab);
                 }
                 let has_column =
@@ -1408,12 +1409,6 @@ impl Collection {
         st.estimate_rows(filter, live)
     }
 
-    /// Registers `paths` with the statistics subsystem so the next
-    /// cost-based plan has selectivities for them.
-    pub fn track_stats_fields<'a>(&self, paths: impl IntoIterator<Item = &'a str>) {
-        self.inner.write().stats.get_mut().track_fields(paths);
-    }
-
     /// Serializes the collection's statistics for the checkpoint
     /// manifest (see [`CollStats::to_doc`]).
     pub fn stats_doc(&self) -> Document {
@@ -1935,6 +1930,21 @@ mod tests {
         // grp 4 holds _ids 4,14,…,94; val = 2*_id
         let expected: i64 = (0..10).map(|i| (4 + 10 * i) * 2).sum();
         assert_eq!(out[0].get("total"), Some(&Value::Int64(expected)));
+    }
+
+    #[test]
+    fn an_unconstrained_plan_builds_no_statistics() {
+        use crate::agg::{Accumulator, Expr, GroupId, Pipeline};
+        let c = Collection::new("t");
+        c.insert_many((0..1000i64).map(|i| doc! {"_id" => i, "g" => i % 7})).unwrap();
+        let built = || c.stats_doc().get("built") == Some(&Value::Bool(true));
+        assert_eq!(c.count(&Filter::True), 1000);
+        let by_g = Pipeline::new()
+            .group(GroupId::Expr(Expr::field("g")), [("n", Accumulator::count())]);
+        assert_eq!(c.aggregate(&by_g).unwrap().len(), 7);
+        assert!(!built(), "no estimate reaches an unconstrained plan");
+        assert_eq!(c.count(&Filter::gte("g", 3i64)), 4 * 1000 / 7);
+        assert!(built(), "a constrained plan still builds the statistics");
     }
 
     #[test]

@@ -1014,10 +1014,10 @@ pub(crate) fn execute(cs: &ColumnSet, slab: &Slab, plan: &ColPlan<'_>) -> Result
                         None => gk.bucket_for(&Value::Null),
                     };
                     for (input, st) in inputs.iter().zip(gk.bucket_states(bucket)) {
-                        match input {
-                            GroupInput::Col(c) => st.accumulate_resolved(cs.cols[*c].value_at(slot)),
-                            GroupInput::Lit(v) => st.accumulate_resolved(Resolved::Borrowed(v)),
-                        }
+                        st.accumulate_resolved(match input {
+                            GroupInput::Col(c) => cs.cols[*c].value_at(slot),
+                            GroupInput::Lit(v) => Resolved::Borrowed(v),
+                        });
                     }
                 });
             }

@@ -9,21 +9,27 @@
 //!
 //! ## Invertibility
 //!
-//! Following the expressivity bounds of Botoeva et al. (PAPERS.md),
-//! accumulators split into three classes:
+//! A view's groups hold the same [`AccState`]s a query's `$group` does,
+//! fed through the same compiled inputs. Each insert folds in and leaves
+//! a contribution token per accumulator; a delete hands the tokens back
+//! to [`AccState::retract`]. Following the expressivity bounds of
+//! Botoeva et al. (PAPERS.md), that splits the accumulators three ways:
 //!
-//! * **Invertible** — `$sum`, `$avg` (and `$sum: 1` counts): inserts
-//!   accumulate, deletes retract by subtraction. Exactness is kept by
-//!   counting numeric and double-typed inputs per group instead of
-//!   latching flags, so a group whose doubles are all retracted
-//!   finishes as an integer again, exactly like a recompute.
-//! * **Insert-only maintainable** — `$min`, `$max`: inserts fold in
-//!   directly; a retraction that removed a non-null input marks just
-//!   the affected group dirty, and the next refresh recomputes that
-//!   group (not the view) from the source collection.
+//! * **Exact while integral** — `$sum`, `$avg` (and `$sum: 1` counts):
+//!   an integer input is subtracted back out while the magnitudes the
+//!   group holds add up to at most 2^53, where f64 addition is exact in
+//!   any order. Retracting a double, or out of a larger total, marks the
+//!   group dirty instead: subtraction would not undo the rounding.
+//! * **Insert-only** — `$min`, `$max`: inserts fold in directly; a
+//!   retraction that removed a non-null input marks the group dirty.
 //! * **Recompute-only** — `$first`, `$last`, `$push`, `$addToSet`
 //!   depend on physical document order; [`ViewSet::create_view`]
-//!   rejects them.
+//!   rejects them ([`Accumulator::is_maintainable`]).
+//!
+//! The next refresh recomputes each dirty group (not the view) from the
+//! source collection, so a view reads as a recompute does; its doubles
+//! can differ only by the reassociation of f64 addition, because a view
+//! folds inserts in log order and a recompute in slot order.
 //!
 //! ## Consistency
 //!
@@ -35,19 +41,20 @@
 //! so this only happens transiently), readers keep the previous
 //! consistent snapshot and its watermark.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use doclite_bson::{Document, Value};
 use parking_lot::Mutex;
 
-use crate::agg::accum::spec_expr;
+use crate::agg::accum::{AccState, Contribution};
+use crate::agg::kernel::compile_group;
 use crate::agg::sort_documents;
-use crate::agg::{Accumulator, GroupId, Pipeline, Stage};
+use crate::agg::{Accumulator, CompiledExpr, Pipeline, Stage};
 use crate::changes::{watch, ChangeCursor, ChangeScope};
 use crate::database::Database;
 use crate::error::{Error, Result};
-use crate::keybytes;
+use crate::keybytes::Key;
 use crate::query::{compile, matches_compiled, CompiledFilter};
 use crate::wal::{DurableDb, Wal, WalRecord};
 
@@ -71,150 +78,11 @@ pub struct ViewStats {
     /// Views rebuilt from a full source scan (resume token truncated,
     /// or first build).
     pub full_rebuilds: u64,
-    /// Dirty groups recomputed from the source (non-invertible
-    /// accumulators under retraction).
+    /// Dirty groups recomputed from the source (retractions the
+    /// accumulators could not take back exactly).
     pub groups_recomputed: u64,
     /// Heartbeat frames appended because the stream was idle.
     pub heartbeats: u64,
-}
-
-/// One accumulator's input contribution from one document — what a
-/// later retraction needs in order to subtract (or to know it must mark
-/// the group dirty instead).
-#[derive(Clone, Copy, Debug)]
-enum Contrib {
-    /// Non-numeric (for `$sum`/`$avg`) or null (for `$min`/`$max`)
-    /// input: the accumulator ignored it, so retraction is free.
-    Skip,
-    /// Numeric input folded into `$sum`/`$avg`.
-    Num { n: f64, double: bool },
-    /// Non-null input folded into `$min`/`$max`: retraction dirties the
-    /// group.
-    Ext,
-}
-
-/// Running state of one accumulator in one group, with exact
-/// retraction support for the invertible kinds.
-#[derive(Clone, Debug)]
-enum ViewAcc {
-    Sum { total: f64, numeric: u64, doubles: u64 },
-    Avg { total: f64, count: u64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl ViewAcc {
-    fn new(spec: &Accumulator) -> Result<ViewAcc> {
-        match spec {
-            Accumulator::Sum(_) => Ok(ViewAcc::Sum { total: 0.0, numeric: 0, doubles: 0 }),
-            Accumulator::Avg(_) => Ok(ViewAcc::Avg { total: 0.0, count: 0 }),
-            Accumulator::Min(_) => Ok(ViewAcc::Min(None)),
-            Accumulator::Max(_) => Ok(ViewAcc::Max(None)),
-            Accumulator::First(_)
-            | Accumulator::Last(_)
-            | Accumulator::Push(_)
-            | Accumulator::AddToSet(_) => Err(Error::InvalidQuery(
-                "$first/$last/$push/$addToSet depend on document order and are not \
-                 incrementally maintainable; this accumulator is recompute-only"
-                    .into(),
-            )),
-        }
-    }
-
-    /// Folds one evaluated input in; returns the contribution to record
-    /// for retraction. Semantics mirror `AccState::accumulate_resolved`
-    /// exactly (pinned by the view-equivalence proptests).
-    fn accumulate(&mut self, v: Value) -> Contrib {
-        match self {
-            ViewAcc::Sum { total, numeric, doubles } => match v.as_f64() {
-                Some(n) => {
-                    let double = !matches!(v, Value::Int32(_) | Value::Int64(_));
-                    *total += n;
-                    *numeric += 1;
-                    *doubles += double as u64;
-                    Contrib::Num { n, double }
-                }
-                None => Contrib::Skip,
-            },
-            ViewAcc::Avg { total, count } => match v.as_f64() {
-                Some(n) => {
-                    *total += n;
-                    *count += 1;
-                    Contrib::Num { n, double: false }
-                }
-                None => Contrib::Skip,
-            },
-            ViewAcc::Min(cur) => {
-                if v.is_null() {
-                    return Contrib::Skip;
-                }
-                if cur
-                    .as_ref()
-                    .is_none_or(|c| v.canonical_cmp(c) == std::cmp::Ordering::Less)
-                {
-                    *cur = Some(v);
-                }
-                Contrib::Ext
-            }
-            ViewAcc::Max(cur) => {
-                if v.is_null() {
-                    return Contrib::Skip;
-                }
-                if cur
-                    .as_ref()
-                    .is_none_or(|c| v.canonical_cmp(c) == std::cmp::Ordering::Greater)
-                {
-                    *cur = Some(v);
-                }
-                Contrib::Ext
-            }
-        }
-    }
-
-    /// Subtracts a recorded contribution; returns whether the group
-    /// must be recomputed (`$min`/`$max` lost an input).
-    fn retract(&mut self, contrib: Contrib) -> bool {
-        match (self, contrib) {
-            (_, Contrib::Skip) => false,
-            (ViewAcc::Sum { total, numeric, doubles }, Contrib::Num { n, double }) => {
-                *total -= n;
-                *numeric -= 1;
-                *doubles -= double as u64;
-                false
-            }
-            (ViewAcc::Avg { total, count }, Contrib::Num { n, .. }) => {
-                *total -= n;
-                *count -= 1;
-                false
-            }
-            (ViewAcc::Min(_) | ViewAcc::Max(_), Contrib::Ext) => true,
-            _ => unreachable!("contribution kind mismatches accumulator kind"),
-        }
-    }
-
-    /// Final value, mirroring `AccState::finish`.
-    fn finish(&self) -> Value {
-        match self {
-            ViewAcc::Sum { total, numeric, doubles } => {
-                if *numeric == 0 {
-                    Value::Int64(0)
-                } else if *doubles == 0 && total.fract() == 0.0 && total.abs() < i64::MAX as f64
-                {
-                    Value::Int64(*total as i64)
-                } else {
-                    Value::Double(*total)
-                }
-            }
-            ViewAcc::Avg { total, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(*total / *count as f64)
-                }
-            }
-            ViewAcc::Min(v) | ViewAcc::Max(v) => v.clone().unwrap_or(Value::Null),
-        }
-    }
 }
 
 /// One group's incremental state.
@@ -224,26 +92,26 @@ struct GroupState {
     rep: Value,
     /// Documents currently contributing (passing the view filter).
     live: u64,
-    accs: Vec<ViewAcc>,
-    /// A `$min`/`$max` input was retracted; the group's accumulators
-    /// can't be trusted until recomputed from the source.
+    accs: Vec<AccState>,
+    /// An accumulator could not take an input back; the group can't be
+    /// trusted until recomputed from the source.
     dirty: bool,
 }
 
 /// Everything one document contributed, keyed for retraction.
 #[derive(Clone, Debug)]
 struct DocContrib {
-    group: Vec<u8>,
-    inputs: Vec<Contrib>,
+    group: Key,
+    inputs: Vec<Contribution>,
 }
 
 #[derive(Default)]
 struct ViewState {
-    /// Canonical-key-bytes → group; BTreeMap so materialization is in
-    /// canonical key order.
-    groups: BTreeMap<Vec<u8>, GroupState>,
-    /// `_id` key bytes → contribution, for retraction on delete/update.
-    contribs: HashMap<Vec<u8>, DocContrib>,
+    /// Groups by key; a BTreeMap so materialization is in canonical key
+    /// order.
+    groups: BTreeMap<Key, GroupState>,
+    /// `_id` key → contribution, for retraction on delete/update.
+    contribs: HashMap<Key, DocContrib>,
     dirty_groups: usize,
 }
 
@@ -251,8 +119,9 @@ struct ViewState {
 struct CompiledView {
     source: String,
     filters: Vec<CompiledFilter>,
-    id: GroupId,
+    id: CompiledExpr,
     fields: Vec<(String, Accumulator)>,
+    inputs: Vec<CompiledExpr>,
     sort: Option<Vec<(String, i32)>>,
     limit: Option<usize>,
     pipeline: Pipeline,
@@ -275,9 +144,7 @@ impl CompiledView {
         for stage in &mut stages {
             match stage {
                 Stage::Match(f) if group.is_none() => filters.push(compile(f)),
-                Stage::Group { id, fields } if group.is_none() => {
-                    group = Some((id.clone(), fields.clone()));
-                }
+                Stage::Group { id, fields } if group.is_none() => group = Some((id, fields)),
                 Stage::Sort(spec) if group.is_some() && sort.is_none() && limit.is_none() => {
                     sort = Some(spec.clone());
                 }
@@ -286,29 +153,59 @@ impl CompiledView {
             }
         }
         let (id, fields) = group.ok_or_else(shape_err)?;
-        for (_, spec) in &fields {
-            ViewAcc::new(spec)?; // rejects recompute-only accumulators
+        if !fields.iter().all(|(_, spec)| spec.is_maintainable()) {
+            return Err(Error::InvalidQuery(
+                "$first/$last/$push/$addToSet depend on document order and are not \
+                 incrementally maintainable; this accumulator is recompute-only"
+                    .into(),
+            ));
         }
+        let (id, inputs) = compile_group(id, fields);
         Ok(CompiledView {
             source: source.to_owned(),
             filters,
             id,
-            fields,
+            fields: fields.clone(),
+            inputs,
             sort,
             limit,
             pipeline: pipeline.clone(),
         })
     }
 
-    fn matches(&self, doc: &Document) -> bool {
-        self.filters.iter().all(|f| matches_compiled(f, doc))
-    }
-
-    fn eval_key(&self, doc: &Document) -> Result<Value> {
-        match &self.id {
-            GroupId::Null => Ok(Value::Null),
-            GroupId::Expr(e) => e.eval(doc),
+    /// Folds `doc` into its group, created on first sight, if it passes
+    /// the view's filters and `only` (when given) holds its group key.
+    /// Returns the group key and each accumulator's contribution. A
+    /// registration, an insert and a dirty group's recompute all fold
+    /// through here.
+    fn fold(
+        &self,
+        groups: &mut BTreeMap<Key, GroupState>,
+        doc: &Document,
+        only: Option<&BTreeSet<Key>>,
+    ) -> Result<Option<(Key, Vec<Contribution>)>> {
+        if !self.filters.iter().all(|f| matches_compiled(f, doc)) {
+            return Ok(None);
         }
+        let rep = self.id.eval_ref(doc)?;
+        let key = Key::of(rep.as_value());
+        if only.is_some_and(|keys| !keys.contains(&key)) {
+            return Ok(None);
+        }
+        let group = groups.entry(key.clone()).or_insert_with(|| GroupState {
+            rep: rep.into_value(),
+            live: 0,
+            accs: self.fields.iter().map(|(_, spec)| AccState::new(spec)).collect(),
+            dirty: false,
+        });
+        group.live += 1;
+        let inputs = group
+            .accs
+            .iter_mut()
+            .zip(&self.inputs)
+            .map(|(acc, input)| Ok(acc.accumulate_resolved(input.eval_ref(doc)?)))
+            .collect::<Result<_>>()?;
+        Ok(Some((key, inputs)))
     }
 }
 
@@ -326,7 +223,7 @@ struct View {
 }
 
 impl View {
-    fn mark_dirty(state: &mut ViewState, key: &[u8]) {
+    fn mark_dirty(state: &mut ViewState, key: &Key) {
         if let Some(g) = state.groups.get_mut(key) {
             if !g.dirty {
                 g.dirty = true;
@@ -336,48 +233,25 @@ impl View {
     }
 
     fn apply_insert(def: &CompiledView, state: &mut ViewState, doc: &Document) -> Result<()> {
-        if !def.matches(doc) {
+        let Some((group, inputs)) = def.fold(&mut state.groups, doc, None)? else {
             return Ok(());
-        }
-        let key = def.eval_key(doc)?;
-        let mut kb = Vec::new();
-        keybytes::encode_into(&key, &mut kb);
-        let group = state.groups.entry(kb.clone()).or_insert_with(|| GroupState {
-            rep: key,
-            live: 0,
-            accs: def
-                .fields
-                .iter()
-                .map(|(_, spec)| ViewAcc::new(spec).expect("validated at create_view"))
-                .collect(),
-            dirty: false,
-        });
-        group.live += 1;
-        let mut inputs = Vec::with_capacity(def.fields.len());
-        for ((_, spec), acc) in def.fields.iter().zip(group.accs.iter_mut()) {
-            let v = spec_expr(spec).eval(doc)?;
-            inputs.push(acc.accumulate(v));
-        }
+        };
         if let Some(id) = doc.id() {
-            let mut idb = Vec::new();
-            keybytes::encode_into(id, &mut idb);
-            state.contribs.insert(idb, DocContrib { group: kb, inputs });
+            state.contribs.insert(Key::of(id), DocContrib { group, inputs });
         }
         Ok(())
     }
 
     fn apply_retract(state: &mut ViewState, id: &Value) {
-        let mut idb = Vec::new();
-        keybytes::encode_into(id, &mut idb);
-        let Some(contrib) = state.contribs.remove(&idb) else {
+        let Some(contrib) = state.contribs.remove(&Key::of(id)) else {
             return; // the document never passed the view's filter
         };
         let Some(group) = state.groups.get_mut(&contrib.group) else {
             return;
         };
-        let mut needs_recompute = false;
+        let mut exact = true;
         for (acc, c) in group.accs.iter_mut().zip(contrib.inputs) {
-            needs_recompute |= acc.retract(c);
+            exact &= acc.retract(c);
         }
         group.live -= 1;
         if group.live == 0 {
@@ -388,7 +262,7 @@ impl View {
             if was_dirty {
                 state.dirty_groups -= 1;
             }
-        } else if needs_recompute {
+        } else if !exact {
             View::mark_dirty(state, &contrib.group);
         }
     }
@@ -435,7 +309,7 @@ impl View {
             let mut d = Document::new();
             d.set("_id", group.rep.clone());
             for ((name, _), acc) in self.def.fields.iter().zip(&group.accs) {
-                d.set(name.clone(), acc.finish());
+                d.set(name.clone(), acc.clone().finish());
             }
             out.push(d);
         }
@@ -727,65 +601,19 @@ impl ViewSet {
                 return;
             }
             let view = inner.views.get_mut(name).expect("checked by caller");
-            let dirty: Vec<Vec<u8>> = view
-                .state
-                .groups
-                .iter()
-                .filter(|(_, g)| g.dirty)
-                .map(|(k, _)| k.clone())
-                .collect();
-            let mut rebuilt: BTreeMap<Vec<u8>, GroupState> = BTreeMap::new();
-            let mut kb = Vec::new();
+            let groups = &mut view.state.groups;
+            let dirty: BTreeSet<Key> =
+                groups.iter().filter(|(_, g)| g.dirty).map(|(k, _)| k.clone()).collect();
+            let mut rebuilt = BTreeMap::new();
             for doc in docs {
-                if !view.def.matches(doc) {
-                    continue;
-                }
-                let key = match view.def.eval_key(doc) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        failed = Some(e);
-                        return;
-                    }
-                };
-                keybytes::encode_into(&key, &mut kb);
-                if !dirty.iter().any(|d| d == &kb) {
-                    continue;
-                }
-                let group = rebuilt.entry(kb.clone()).or_insert_with(|| GroupState {
-                    rep: key,
-                    live: 0,
-                    accs: view
-                        .def
-                        .fields
-                        .iter()
-                        .map(|(_, spec)| ViewAcc::new(spec).expect("validated"))
-                        .collect(),
-                    dirty: false,
-                });
-                group.live += 1;
-                for ((_, spec), acc) in view.def.fields.iter().zip(group.accs.iter_mut()) {
-                    match spec_expr(spec).eval(doc) {
-                        Ok(v) => {
-                            acc.accumulate(v);
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            return;
-                        }
-                    }
+                if let Err(e) = view.def.fold(&mut rebuilt, doc, Some(&dirty)) {
+                    failed = Some(e);
+                    return;
                 }
             }
-            for key in dirty {
-                match rebuilt.remove(&key) {
-                    Some(g) => {
-                        view.state.groups.insert(key, g);
-                    }
-                    None => {
-                        view.state.groups.remove(&key);
-                    }
-                }
-                stats.groups_recomputed += 1;
-            }
+            groups.retain(|_, g| !g.dirty);
+            groups.append(&mut rebuilt);
+            stats.groups_recomputed += dirty.len() as u64;
             view.state.dirty_groups = 0;
             view.touched = true;
         });
@@ -804,7 +632,7 @@ impl ViewSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::Expr;
+    use crate::agg::{Expr, GroupId};
     use crate::query::Filter;
     use crate::update::UpdateSpec;
     use crate::wal::{SyncPolicy, WalOptions};
@@ -1101,6 +929,34 @@ mod tests {
         let (docs, _) = views.read("v").unwrap();
         assert_eq!(*docs, recompute(ddb.db(), "s", &q7()));
         assert_eq!(docs[0].get("revenue"), Some(&Value::Int64(2)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn retracted_doubles_recompute_their_group_instead_of_subtracting() {
+        // In f64, 0.1 + 0.2 + 1e16 - 0.1 - 1e16 is 0.0: a view that
+        // subtracted the deleted prices would serve 0.0 where a recompute
+        // returns 0.2.
+        let dir = tmpdir("doubles");
+        let (ddb, _) = DurableDb::open("db", &dir, opts()).unwrap();
+        let c = ddb.db().collection("s");
+        for (id, price) in [(1i64, 0.1f64), (2, 0.2), (3, 1e16)] {
+            c.insert_one(doc! {"_id" => id, "price" => price}).unwrap();
+        }
+        let pipeline = Pipeline::new().group(
+            GroupId::Null,
+            [("s", Accumulator::sum_field("price")), ("a", Accumulator::avg_field("price"))],
+        );
+        let views = ViewSet::for_durable(&ddb).unwrap();
+        views.create_view("v", "s", pipeline.clone()).unwrap();
+
+        c.delete_many(&Filter::is_in("_id", [1i64, 3]));
+        let stats = views.refresh().unwrap();
+        let (docs, _) = views.read("v").unwrap();
+        assert_eq!(*docs, recompute(ddb.db(), "s", &pipeline));
+        assert_eq!(docs[0].get("s"), Some(&Value::Double(0.2)));
+        assert_eq!(docs[0].get("a"), Some(&Value::Double(0.2)));
+        assert_eq!(stats.groups_recomputed, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

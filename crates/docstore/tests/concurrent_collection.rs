@@ -7,97 +7,75 @@
 //! shaped — a writer stuck behind a long analytical scan. These tests
 //! pin the fix:
 //!
-//! * a writer completes *while* a long aggregation is still running,
-//!   instead of queueing behind it;
+//! * a writer completes *while* an aggregation's stages are still
+//!   running, instead of queueing behind it: the write comes from inside
+//!   the pipeline's own `$lookup`, so the check needs no clock;
 //! * scans started around concurrent writes see a consistent snapshot
 //!   (no torn documents, counts within the pre/post bounds).
 
-use doclite_bson::{doc, Value};
+use doclite_bson::{doc, Document, Value};
+use doclite_docstore::agg::LookupSource;
 use doclite_docstore::{
-    Accumulator, BulkUpdate, Database, Expr, Filter, GroupId, Pipeline, UpdateSpec,
+    Accumulator, BulkUpdate, Database, Filter, GroupId, Pipeline, UpdateSpec,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
-/// Builds a collection big enough that the analytical pipeline below
-/// takes at least `min_scan` of wall time, by doubling. Returns the
-/// database and the calibrated scan duration.
-fn calibrated_db(min_scan: Duration) -> (Database, Duration) {
-    let db = Database::new("bench");
-    let coll = db.collection("facts");
-    let mut n: usize = 8_192;
-    let mut inserted = 0usize;
-    loop {
-        let batch: Vec<_> = (inserted..n)
-            .map(|i| {
-                doc! {
-                    "_id" => i as i64,
-                    "grp" => (i % 1000) as i64,
-                    "v" => ((i * 31) % 9973) as i64
-                }
-            })
-            .collect();
-        coll.insert_many(batch).map_err(|(_, e)| e).unwrap();
-        inserted = n;
-        let t = Instant::now();
-        let out = db.aggregate("facts", &scan_pipeline()).unwrap();
-        let took = t.elapsed();
-        assert!(!out.is_empty());
-        if took >= min_scan || n >= 2_000_000 {
-            return (db, took);
-        }
-        n *= 2;
+/// A `$lookup` source whose join, when it asks for its table, first
+/// inserts into the collection being scanned — from inside the scan's
+/// own stream. Were the collection's read lock still held while the
+/// pipeline's stages run, that insert could never finish.
+struct InsertingSource(Arc<Database>);
+
+impl LookupSource for InsertingSource {
+    fn collection_docs(&self, name: &str) -> Option<Vec<Document>> {
+        self.0.collection_docs(name)
     }
-}
 
-fn scan_pipeline() -> Pipeline {
-    Pipeline::new()
-        .match_stage(Filter::gte("v", 0i64))
-        .group(
-            GroupId::Expr(Expr::field("grp")),
-            [("n", Accumulator::count()), ("s", Accumulator::sum_field("v"))],
-        )
-        .sort([("_id", 1)])
+    fn with_collection_docs(
+        &self,
+        name: &str,
+        f: &mut dyn for<'a> FnMut(&mut (dyn Iterator<Item = &'a Document> + 'a)),
+    ) {
+        self.0
+            .collection("facts")
+            .insert_one(doc! {"_id" => -1i64, "grp" => 0i64, "v" => 1i64})
+            .unwrap();
+        self.0.with_collection_docs(name, f);
+    }
 }
 
 #[test]
 fn writer_is_not_convoyed_behind_a_long_scan() {
-    // Calibrate so the scan comfortably covers the writer's start delay.
-    let (db, scan_time) = calibrated_db(Duration::from_millis(80));
-    let scanning = AtomicBool::new(false);
+    let db = Arc::new(Database::new("convoy"));
+    db.collection("facts")
+        .insert_many(
+            (0..4_096i64).map(|i| doc! {"_id" => i, "grp" => i % 10, "v" => (i * 31) % 9973}),
+        )
+        .map_err(|(_, e)| e)
+        .unwrap();
+    db.collection("groups")
+        .insert_many((0..10i64).map(|g| doc! {"_id" => g, "name" => format!("g{g}")}))
+        .map_err(|(_, e)| e)
+        .unwrap();
 
-    let (scan_done_at, write_done_at) = std::thread::scope(|s| {
-        let scanner = s.spawn(|| {
-            scanning.store(true, Ordering::SeqCst);
-            let out = db.aggregate("facts", &scan_pipeline()).unwrap();
-            assert!(!out.is_empty());
-            Instant::now()
-        });
-        let writer = s.spawn(|| {
-            while !scanning.load(Ordering::SeqCst) {
-                std::hint::spin_loop();
-            }
-            // Give the scanner a head start into the scan body, well
-            // under the calibrated scan duration.
-            std::thread::sleep(scan_time / 8);
-            db.collection("facts")
-                .insert_one(doc! {"_id" => -1i64, "grp" => 0i64, "v" => 1i64})
-                .unwrap();
-            Instant::now()
-        });
-        (scanner.join().unwrap(), writer.join().unwrap())
+    let (tx, rx) = mpsc::channel();
+    let source = InsertingSource(Arc::clone(&db));
+    // A plain thread, not a scoped one: a scan stuck on its own writer
+    // must fail the test below, not hang it in a join.
+    std::thread::spawn(move || {
+        let pipeline = Pipeline::new()
+            .match_stage(Filter::gte("v", 0i64))
+            .lookup("groups", "grp", "_id", "group");
+        let out = source.0.collection("facts").aggregate_with(&pipeline, Some(&source));
+        let _ = tx.send(out.map(|docs| docs.len()).map_err(|e| e.to_string()));
     });
-
-    // Pre-fix, the insert queued behind the scan's read lock and could
-    // only finish after it; post-fix it lands while the scan is still
-    // running. Comparing completion instants avoids asserting absolute
-    // latencies on a loaded (or single-core) machine.
-    assert!(
-        write_done_at < scan_done_at,
-        "writer finished {:?} after the scan — read lock held across the scan",
-        write_done_at.duration_since(scan_done_at)
-    );
+    let joined = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("an insert from inside the scan's stages never finished: read lock held across them");
+    assert_eq!(joined, Ok(4_096), "the scan streams the snapshot it took");
+    assert_eq!(db.collection("facts").count(&Filter::True), 4_097);
 }
 
 #[test]

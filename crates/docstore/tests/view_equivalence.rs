@@ -8,16 +8,22 @@
 //!    incremental accumulate/retract state, the dirty-group recompute,
 //!    and the truncation-rebuild fallback all agree with the aggregation
 //!    driver.
+//!    A second generator prices in doubles of mixed magnitude, whose
+//!    retraction the view cannot subtract exactly: it recomputes the
+//!    group instead, and each double may differ from the recompute only
+//!    by the reassociation of f64 addition (log order against slot
+//!    order).
 //! 2. **Resume tokens cut at every boundary.** For every frame boundary
 //!    in a generated history, a cursor resumed at that token replays
 //!    exactly the suffix — no lost frames, no duplicates — or reports
 //!    `TruncatedToken` (and only when the token really fell behind the
 //!    oldest retained frame).
 
-use doclite_bson::doc;
+use doclite_bson::{doc, Document, Value};
 use doclite_docstore::wal::{DurableDb, SyncPolicy, WalOptions};
 use doclite_docstore::{
-    watch, Accumulator, ChangeScope, Error, Expr, Filter, GroupId, Pipeline, UpdateSpec, ViewSet,
+    watch, Accumulator, ChangeScope, Collection, Error, Expr, Filter, GroupId, Pipeline,
+    UpdateSpec, ViewSet,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -53,14 +59,31 @@ fn view_pipeline() -> Pipeline {
         .sort([("_id", 1)])
 }
 
+/// The double-priced view: sums and averages doubles spanning 1e-3 to
+/// 1e16, where f64 addition is far from associative. It holds no `$min`
+/// / `$max`, whose retraction would recompute the group regardless.
+fn double_view_pipeline() -> Pipeline {
+    Pipeline::new()
+        .match_stage(Filter::gte("qty", 0i64))
+        .group(
+            GroupId::Expr(Expr::field("cat")),
+            [
+                ("revenue", Accumulator::sum_field("price")),
+                ("n", Accumulator::count()),
+                ("avg_price", Accumulator::avg_field("price")),
+            ],
+        )
+        .sort([("_id", 1)])
+}
+
 #[derive(Clone, Debug)]
 enum Op {
     /// Insert a fresh document (ids are sequential, so inserts never
     /// collide; `qty` may be negative, probing the `$match` filter).
-    Insert { cat: i64, price: i64, qty: i64 },
+    Insert { cat: i64, price: Value, qty: i64 },
     /// Re-price an existing document picked by index (no-op when the
     /// table is empty or the pick was already deleted).
-    Update { pick: u64, price: i64 },
+    Update { pick: u64, price: Value },
     /// Delete an existing document picked by index.
     Delete { pick: u64 },
     /// Quiesced log compaction: truncates the WAL, so a lagging view
@@ -70,19 +93,30 @@ enum Op {
     Refresh,
 }
 
-fn insert_op() -> impl Strategy<Value = Op> {
-    (0..5i64, 0..100i64, -2..20i64)
-        .prop_map(|(cat, price, qty)| Op::Insert { cat, price, qty })
+fn int_price() -> BoxedStrategy<Value> {
+    (0..100i64).prop_map(Value::Int64).boxed()
+}
+
+/// A double of magnitude 1e-3 to 1e16.
+fn double_price() -> BoxedStrategy<Value> {
+    (1.0..10.0f64, -3..16i32).prop_map(|(m, e)| Value::Double(m * 10f64.powi(e))).boxed()
+}
+
+fn insert_op(price: BoxedStrategy<Value>) -> impl Strategy<Value = Op> {
+    (0..5i64, price, -2..20i64).prop_map(|(cat, price, qty)| Op::Insert { cat, price, qty })
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    // Insert arm repeated for weight (the vendored prop_oneof! has no
-    // weighted form).
+    arb_op_priced(int_price)
+}
+
+fn arb_op_priced(price: fn() -> BoxedStrategy<Value>) -> impl Strategy<Value = Op> {
+    // Insert arm repeated for weight.
     prop_oneof![
-        insert_op(),
-        insert_op(),
-        insert_op(),
-        (any::<u64>(), 0..100i64).prop_map(|(pick, price)| Op::Update { pick, price }),
+        insert_op(price()),
+        insert_op(price()),
+        insert_op(price()),
+        (any::<u64>(), price()).prop_map(|(pick, price)| Op::Update { pick, price }),
         any::<u64>().prop_map(|pick| Op::Delete { pick }),
         Just(Op::Checkpoint),
         Just(Op::Refresh),
@@ -90,9 +124,45 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Drains the view set completely (each refresh call is bounded), then
-/// asserts the served snapshot equals a fresh pipeline execution.
-fn assert_view_matches_recompute(ddb: &DurableDb, views: &ViewSet) {
+/// Applies a write (or checkpoint) op to `sales`; `Refresh` is the
+/// caller's.
+fn apply(ddb: &DurableDb, sales: &Collection, op: &Op, next_id: &mut i64) {
+    match op {
+        Op::Insert { cat, price, qty } => {
+            let d = doc! {
+                "_id" => *next_id,
+                "cat" => format!("c{cat}"),
+                "price" => price.clone(),
+                "qty" => *qty,
+            };
+            *next_id += 1;
+            sales.insert_one(d).expect("insert");
+        }
+        Op::Update { pick, price } if *next_id > 0 => {
+            let id = (pick % *next_id as u64) as i64;
+            let _ = sales.update(
+                &Filter::eq("_id", id),
+                &UpdateSpec::set("price", price.clone()),
+                false,
+                false,
+            );
+        }
+        Op::Delete { pick } if *next_id > 0 => {
+            let id = (pick % *next_id as u64) as i64;
+            sales.delete_many(&Filter::eq("_id", id));
+        }
+        Op::Update { .. } | Op::Delete { .. } | Op::Refresh => {}
+        Op::Checkpoint => ddb.checkpoint().expect("checkpoint"),
+    }
+}
+
+/// Drains the view set completely (each refresh call is bounded) and
+/// returns the served snapshot and a fresh execution of `pipeline`.
+fn served_and_fresh(
+    ddb: &DurableDb,
+    views: &ViewSet,
+    pipeline: &Pipeline,
+) -> (Vec<Document>, Vec<Document>) {
     loop {
         let stats = views.refresh().expect("refresh");
         if stats.frames_applied == 0 {
@@ -100,8 +170,49 @@ fn assert_view_matches_recompute(ddb: &DurableDb, views: &ViewSet) {
         }
     }
     let (served, _) = views.read("v").expect("view read");
-    let fresh = ddb.db().collection("sales").aggregate(&view_pipeline()).expect("recompute");
-    assert_eq!(&*served, &fresh);
+    let fresh = ddb.db().collection("sales").aggregate(pipeline).expect("recompute");
+    ((*served).clone(), fresh)
+}
+
+/// Asserts the served snapshot equals a fresh pipeline execution.
+fn assert_view_matches_recompute(ddb: &DurableDb, views: &ViewSet) {
+    let (served, fresh) = served_and_fresh(ddb, views, &view_pipeline());
+    assert_eq!(served, fresh);
+}
+
+/// Asserts the served double-priced view has the recompute's groups,
+/// fields and types, and that each double lies within `2(n−1)·ε·Σ|x|`
+/// of the recompute's, for the `n` prices `x` of its group: two f64
+/// folds of the same `n` numbers in different orders differ by at most
+/// that.
+fn assert_double_view_near_recompute(ddb: &DurableDb, views: &ViewSet) {
+    let (served, fresh) = served_and_fresh(ddb, views, &double_view_pipeline());
+    assert_eq!(served.len(), fresh.len(), "groups: {served:?} vs {fresh:?}");
+    let sales = ddb.db().collection("sales");
+    for (got, want) in served.iter().zip(&fresh) {
+        let prices: Vec<f64> = sales
+            .find(&Filter::and([
+                Filter::eq("cat", want.get("_id").expect("_id").clone()),
+                Filter::gte("qty", 0i64),
+            ]))
+            .iter()
+            .filter_map(|d| d.get("price").and_then(Value::as_f64))
+            .collect();
+        let n = prices.len() as f64;
+        let magnitude: f64 = prices.iter().map(|x| x.abs()).sum();
+        let tolerance = 2.0 * (n - 1.0).max(0.0) * f64::EPSILON * magnitude;
+        let fields = |d: &Document| d.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+        assert_eq!(fields(got), fields(want));
+        for ((name, g), (_, w)) in got.iter().zip(want.iter()) {
+            match (g, w) {
+                (Value::Double(g), Value::Double(w)) => assert!(
+                    (g - w).abs() <= tolerance,
+                    "{name}: view {g} vs recompute {w}, tolerance {tolerance} ({got:?})"
+                ),
+                _ => assert_eq!(g, w, "{name}"),
+            }
+        }
+    }
 }
 
 proptest! {
@@ -127,35 +238,41 @@ proptest! {
         let mut next_id: i64 = 0;
         for op in &ops {
             match op {
-                Op::Insert { cat, price, qty } => {
-                    let d = doc! {
-                        "_id" => next_id,
-                        "cat" => format!("c{cat}"),
-                        "price" => *price,
-                        "qty" => *qty,
-                    };
-                    next_id += 1;
-                    sales.insert_one(d).expect("insert");
-                }
-                Op::Update { pick, price } if next_id > 0 => {
-                    let id = (pick % next_id as u64) as i64;
-                    let _ = sales.update(
-                        &Filter::eq("_id", id),
-                        &UpdateSpec::set("price", *price),
-                        false,
-                        false,
-                    );
-                }
-                Op::Delete { pick } if next_id > 0 => {
-                    let id = (pick % next_id as u64) as i64;
-                    sales.delete_many(&Filter::eq("_id", id));
-                }
-                Op::Update { .. } | Op::Delete { .. } => {}
-                Op::Checkpoint => ddb.checkpoint().expect("checkpoint"),
                 Op::Refresh => assert_view_matches_recompute(&ddb, &views),
+                _ => apply(&ddb, &sales, op, &mut next_id),
             }
         }
         assert_view_matches_recompute(&ddb, &views);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Doubles of mixed magnitude: a retraction the view cannot take
+    /// back exactly recomputes its group, so the view stays within the
+    /// reassociation error of a recompute (a subtracting view served
+    /// 0.0 for a group whose remaining price was 0.2).
+    #[test]
+    fn double_view_stays_within_reassociation_error_of_recompute(
+        ops in prop::collection::vec(arb_op_priced(double_price), 1..60),
+    ) {
+        let dir = case_dir("doubles");
+        let (ddb, _) = DurableDb::open(
+            "views",
+            &dir,
+            WalOptions { sync: SyncPolicy::Never, faults: None },
+        )
+        .expect("open");
+        let sales = ddb.db().collection("sales");
+        let views = ViewSet::for_durable(&ddb).expect("view set");
+        views.create_view("v", "sales", double_view_pipeline()).expect("create view");
+
+        let mut next_id: i64 = 0;
+        for op in &ops {
+            match op {
+                Op::Refresh => assert_double_view_near_recompute(&ddb, &views),
+                _ => apply(&ddb, &sales, op, &mut next_id),
+            }
+        }
+        assert_double_view_near_recompute(&ddb, &views);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -188,33 +305,7 @@ proptest! {
         let mut next_id: i64 = 0;
         let mut tip = ddb.wal().last_seq();
         for op in &ops {
-            match op {
-                Op::Insert { cat, price, qty } => {
-                    let d = doc! {
-                        "_id" => next_id,
-                        "cat" => format!("c{cat}"),
-                        "price" => *price,
-                        "qty" => *qty,
-                    };
-                    next_id += 1;
-                    sales.insert_one(d).expect("insert");
-                }
-                Op::Update { pick, price } if next_id > 0 => {
-                    let id = (pick % next_id as u64) as i64;
-                    let _ = sales.update(
-                        &Filter::eq("_id", id),
-                        &UpdateSpec::set("price", *price),
-                        false,
-                        false,
-                    );
-                }
-                Op::Delete { pick } if next_id > 0 => {
-                    let id = (pick % next_id as u64) as i64;
-                    sales.delete_many(&Filter::eq("_id", id));
-                }
-                Op::Update { .. } | Op::Delete { .. } | Op::Refresh => {}
-                Op::Checkpoint => ddb.checkpoint().expect("checkpoint"),
-            }
+            apply(&ddb, &sales, op, &mut next_id);
             let now = ddb.wal().last_seq();
             expected.extend(tip + 1..=now);
             tip = now;

@@ -17,7 +17,9 @@
 # `keybytes::Key`; the `OrdValue` / `CompoundKey` wrappers and their
 # separate `hash_value` walk are gone) and "documents are copy-on-write"
 # (a `Document` is already the shared handle: cloning one is a refcount
-# bump, so nothing wraps it in another `Arc`): the
+# bump, so nothing wraps it in another `Arc`) and "one accumulator
+# algebra" (views fold and retract through `AccState` on compiled inputs;
+# their own accumulator family is gone): the
 # retired mode enums, setters, constants, validators and entry points must
 # not come back in code, CI or skill files
 # (prose history in CHANGES.md / EXPERIMENTS.md / DESIGN.md may name
@@ -31,7 +33,7 @@ cd "$(dirname "$0")/.."
 fail=0
 complain() { echo "check_no_modes: $1" >&2; fail=1; }
 
-retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report|run_parallel|auto_morsel_size|with_shard_window|bench_parallel|DOCLITE_PARALLEL_SMOKE|parallel_for|MAX_POOL_THREADS|docstore::pool|OrdValue|CompoundKey|hash_value|ordvalue'
+retired='ExecMode|PlannerMode|set_default_exec_mode|default_exec_mode|set_planner_mode|planner_mode\(|set_parallel_morsel_size|parallel_morsel_size|set_parallel_workers|aggregate_with_mode|aggregate_columnar_with|execute_parallel\b|exec_mode|DOCLITE_STRESS_EXEC|ScatterMode|set_scatter_mode|PROBE_MIN_STATEMENTS|BATCH_PROBE|install_batch_probe|validate_report|validate_views_report|validate_reconfig_report|run_parallel|auto_morsel_size|with_shard_window|bench_parallel|DOCLITE_PARALLEL_SMOKE|parallel_for|MAX_POOL_THREADS|docstore::pool|OrdValue|CompoundKey|hash_value|ordvalue|ViewAcc'
 grep -rnE "$retired" crates src examples tests benchmark/src .github .claude \
     && complain "a retired identifier is back (see above)"
 grep -rnE '^\s*(pub(\([a-z]+\))? +)?static +(mut +)?\w+ *:' crates/docstore/src \
@@ -49,6 +51,8 @@ sed '/^#\[cfg(test)\]/,$d' crates/sharding/src/route.rs | grep -nE '\.(sort|limi
     && complain "route.rs builds a leg window itself: what a leg runs is agg::Split's part"
 grep -nE '^\s*(pub )?use .*(kernel::|matcher|CompiledPath|compile)' crates/docstore/src/agg/reference.rs \
     && complain "agg/reference.rs imports a compiled evaluator"
+sed '/^#\[cfg(test)\]/,$d' crates/docstore/src/views.rs | grep -nE 'spec_expr|\.eval\(' \
+    && complain "views.rs calls the interpreted evaluator: fold through CompiledExpr::eval_ref (the interpreted forms are agg::reference's)"
 grep -rnE '\breference::' crates/*/src src examples benchmark/src --include='*.rs' \
     | grep -v '^crates/docstore/src/agg/' \
     && complain "agg::reference is a test oracle: no product or benchmark code may call it"
